@@ -4,7 +4,8 @@
 // argues both positive correlation (common conceptual errors) and negative
 // correlation (effort trade-offs under schedule pressure) are plausible,
 // and that predictions should be checked against them.  Two correlated
-// fault-introduction samplers:
+// fault-introduction samplers, both correlating the fault indicators WITHIN
+// one version:
 //
 // * common_cause_mixture — with probability rho a development is "stressed"
 //   and every p_i is inflated by a factor (capped at 1); otherwise p_i is
@@ -12,11 +13,16 @@
 //   Induces positive pairwise correlation between fault indicators within a
 //   version.
 //
-// * gaussian_copula — latent equicorrelated normals Z_i = sqrt(|rho|)·Z0 ±
-//   sqrt(1−|rho|)·E_i thresholded at Φ⁻¹(p_i).  rho > 0 gives positive
-//   association, rho < 0 is emulated by flipping the shared factor's sign
-//   for alternate faults (an antithetic construction producing negative
-//   pairwise association while preserving marginals).
+// * gaussian_copula — latent normals Z_i = s_i·sqrt(|rho|)·Z0 +
+//   sqrt(1−|rho|)·E_i thresholded at Φ⁻¹(p_i), one shared factor Z0 per
+//   version.  For rho >= 0 every s_i = +1; for rho < 0 the sign alternates
+//   (s_i = −1 on odd i), so same-parity faults have latent correlation +|rho|
+//   and co-occur more often than independent ones, mixed-parity faults −|rho|
+//   and co-occur less often.  Marginals are exact.
+//
+// Neither sampler couples two versions: the runners draw the channels of a
+// pair independently, so E[θ2] = Σ p_i² q_i whatever rho is.  Negative rho is
+// not forced diversity between the channels.
 
 #include <stdexcept>
 
@@ -59,8 +65,9 @@ class common_cause_mixture {
   std::vector<std::uint64_t> relaxed_thresh_;   ///< bernoulli_threshold(relaxed_p_)
 };
 
-/// Gaussian-copula sampler with equicorrelation |rho| and sign(rho)
-/// association; marginals are exact.
+/// Gaussian-copula sampler: latent correlation |rho| between same-parity
+/// faults and rho between mixed-parity ones (all pairs |rho| when rho >= 0);
+/// marginals are exact.
 class gaussian_copula_sampler {
  public:
   gaussian_copula_sampler(const core::fault_universe& u, double rho);

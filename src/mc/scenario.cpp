@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "mc/aliasing.hpp"
 #include "mc/campaign.hpp"
@@ -26,6 +28,14 @@ std::uint64_t cell_seed(std::uint64_t grid_seed, std::size_t cell_index) {
   const std::uint64_t mixed_seed = stats::splitmix64_next(state);
   state = mixed_seed ^ static_cast<std::uint64_t>(cell_index);
   return stats::splitmix64_next(state);
+}
+
+/// Shortest round-trip spelling of a double, for diagnostics ("0.6" where
+/// %.17g would print 0.59999999999999998).
+std::string shortest(double v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
 }
 
 /// Σ q[i] over set bits of a raw word array, ascending index order — the
@@ -217,6 +227,28 @@ std::vector<scenario_cell> enumerate_cells(const scenario_axes& axes) {
   }
   for (const std::size_t k : axes.aliasing) {
     if (k == 0) throw std::invalid_argument("scenario_grid: aliasing must be >= 1");
+  }
+  if (axes.rho_model == correlation_model::mixture) {
+    // Construct every (universe × aliasing × ρ) mixture the cells will use: a
+    // ρ·stress past a universe's deflation limit leaves no relaxed p that
+    // keeps the marginal, and is refused here — before a run directory is
+    // written or queued — instead of by every worker that reaches the cell.
+    for (const auto& [name, base] : axes.universes) {
+      for (const std::size_t k : axes.aliasing) {
+        std::optional<core::fault_universe> aliased;
+        if (k > 1) aliased.emplace(split_into_mistakes(base, k).effective_universe());
+        for (const double rho : axes.correlations) {
+          try {
+            const common_cause_mixture probe(aliased ? *aliased : base, rho, axes.stress);
+          } catch (const std::invalid_argument& e) {
+            throw std::invalid_argument("scenario_grid: mixture rho " + shortest(rho) +
+                                        " is infeasible for universe '" + name +
+                                        "' (aliasing " + std::to_string(k) + ", stress " +
+                                        shortest(axes.stress) + "): " + e.what());
+          }
+        }
+      }
+    }
   }
   for (const core::architecture& arch : axes.adjudications) {
     if (arch.versions == 0 || arch.votes_to_defeat == 0 ||

@@ -36,9 +36,13 @@ namespace reldiv::mc {
 
 /// Correlation model behind the ρ axis.  `mixture` is the paper's
 /// marginal-preserving common-cause mixture (ρ in [0,1)); `copula` is the
-/// Gaussian-copula equicorrelation sampler, which also admits NEGATIVE ρ in
-/// (−1,0) — forced diversity between the channels.  The enum values are
-/// wire values (append-only).
+/// Gaussian-copula sampler, which also admits NEGATIVE ρ in (−1,0): its
+/// shared latent factor flips sign on odd fault indices, so same-parity
+/// faults co-occur more often than independent ones and mixed-parity faults
+/// less often.  Both models correlate faults WITHIN one version; the channels
+/// are always drawn independently, so E[θ2] = ω Σ p_i² q_i at every ρ —
+/// negative ρ is not forced diversity between the channels.  The enum values
+/// are wire values (append-only).
 enum class correlation_model : std::uint32_t { mixture = 0, copula = 1 };
 
 /// The sweep declaration.  Every axis must be non-empty; the default is a
@@ -49,7 +53,9 @@ struct scenario_axes {
   /// Universe axis: (name, universe) pairs — the name keys the output rows.
   std::vector<std::pair<std::string, core::fault_universe>> universes;
   /// §6.1 axis: correlation ρ — mixture model in [0,1) under `stress`,
-  /// copula model in (−1,1).
+  /// copula model in (−1,1).  A mixture ρ that `stress` leaves no relaxed p
+  /// for (ρ·min(stress·p, 1) > p for some fault) is refused by
+  /// enumerate_cells.
   std::vector<double> correlations = {0.0};
   double stress = 1.8;  ///< p inflation factor of a stressed development
   correlation_model rho_model = correlation_model::mixture;
@@ -126,7 +132,8 @@ struct grid_result {
 };
 
 /// Row-major enumeration of the axes (universe, ρ, ω, aliasing,
-/// adjudication, budget); validates the axes.  The index of a cell in this
+/// adjudication, budget); validates the axes, including that every mixture
+/// (universe × aliasing × ρ) is constructible.  The index of a cell in this
 /// vector is its identity for seeding and resume.  With the default
 /// single-valued adjudication axis the enumeration (and thus every cell
 /// index and seed) is exactly the historical five-axis order.

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <string>
 
+#include "core/fault_mask.hpp"
 #include "core/generators.hpp"
 #include "core/moments.hpp"
 #include "core/no_common_fault.hpp"
 #include "mc/aliasing.hpp"
 #include "mc/correlated.hpp"
+#include "stats/distributions.hpp"
 
 namespace {
 
@@ -129,6 +131,62 @@ TEST(GaussianCopula, DegenerateProbabilities) {
     ASSERT_EQ(v.faults.size(), 1u);
     ASSERT_EQ(v.faults[0], 1u);
   }
+}
+
+/// P(X_i = X_j = 1) under the copula's latent model Z_k = s_k·√|ρ|·Z0 +
+/// √(1−|ρ|)·E_k, X_k = 1{Z_k < Φ⁻¹(p_k)}.  Given the shared factor Z0 the two
+/// indicators are independent, so the joint presence is a 1-D integral over
+/// Z0: the trapezoid rule on [−10, 10], exact far below Monte-Carlo noise.
+double copula_joint_presence(double p_i, double s_i, double p_j, double s_j, double rho) {
+  const double a = std::sqrt(std::fabs(rho));
+  const double b = std::sqrt(1.0 - std::fabs(rho));
+  const double t_i = stats::normal_quantile(p_i);
+  const double t_j = stats::normal_quantile(p_j);
+  constexpr int kSteps = 8000;
+  const double h = 20.0 / kSteps;
+  double sum = 0.0;
+  for (int k = 0; k <= kSteps; ++k) {
+    const double z = -10.0 + h * k;
+    const double w = (k == 0 || k == kSteps) ? 0.5 : 1.0;
+    sum += w * stats::normal_pdf(z) * stats::normal_cdf((t_i - s_i * a * z) / b) *
+           stats::normal_cdf((t_j - s_j * a * z) / b);
+  }
+  return sum * h;
+}
+
+double phi_coefficient(double p11, double p_i, double p_j) {
+  return (p11 - p_i * p_j) / std::sqrt(p_i * (1.0 - p_i) * p_j * (1.0 - p_j));
+}
+
+TEST(GaussianCopula, NegativeRhoCorrelatesFaultsWithinAVersionByParity) {
+  // rho < 0 flips the shared factor's sign on odd fault indices: faults of
+  // the same parity co-occur MORE often than independent faults, faults of
+  // mixed parity LESS often.  A within-version structure, not a coupling of
+  // two channels.
+  const double rho = -0.5;
+  const core::fault_universe u({{0.3, 0.1}, {0.25, 0.1}, {0.2, 0.1}, {0.35, 0.1}});
+  const gaussian_copula_sampler cop(u, rho);
+  stats::rng r(2026);
+  core::fault_mask m(u.size());
+  constexpr int kSamples = 400'000;
+  int same = 0;   // faults 0 and 2: the shared factor enters both with sign +1
+  int mixed = 0;  // faults 0 and 1: fault 1's shared factor is flipped
+  for (int s = 0; s < kSamples; ++s) {
+    cop.sample_mask(r, m);
+    same += (m.test(0) && m.test(2)) ? 1 : 0;
+    mixed += (m.test(0) && m.test(1)) ? 1 : 0;
+  }
+  const double n = kSamples;
+  const double same_ref = copula_joint_presence(0.3, +1.0, 0.2, +1.0, rho);
+  const double mixed_ref = copula_joint_presence(0.3, +1.0, 0.25, -1.0, rho);
+  const auto five_sigma = [n](double p) { return 5.0 * std::sqrt(p * (1.0 - p) / n); };
+  EXPECT_NEAR(same / n, same_ref, five_sigma(same_ref));
+  EXPECT_NEAR(mixed / n, mixed_ref, five_sigma(mixed_ref));
+
+  EXPECT_GT(phi_coefficient(same_ref, 0.3, 0.2), 0.0);
+  EXPECT_GT(phi_coefficient(same / n, 0.3, 0.2), 0.0);
+  EXPECT_LT(phi_coefficient(mixed_ref, 0.3, 0.25), 0.0);
+  EXPECT_LT(phi_coefficient(mixed / n, 0.3, 0.25), 0.0);
 }
 
 TEST(MergeFaultGroups, PerfectlyCorrelatedLimit) {

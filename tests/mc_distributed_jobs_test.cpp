@@ -5,16 +5,21 @@
 // bit-identical to the single-process oracle — run_demand_campaign for
 // demand windows, run_experiment for shard windows.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "core/generators.hpp"
 #include "mc/distributed.hpp"
 #include "mc/run_dir.hpp"
+#include "mc/service.hpp"
 
 namespace mc = reldiv::mc;
 namespace core = reldiv::core;
@@ -377,6 +382,42 @@ TEST_F(DistributedJobsTest, KilledExperimentRunResumesBitIdentical) {
   const mc::experiment_result merged =
       mc::run_distributed_experiment(m, dist, RELDIV_SWEEP_BIN);
   expect_results_equal(merged, mc::run_experiment(m.universe, m.config()));
+}
+
+std::string slurp(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+TEST_F(DistributedJobsTest, CliRefusesAnInfeasibleMixtureBeforeLaunch) {
+  // rho 0.6 at the default stress 1.8 has no marginal-preserving mixture.
+  // The spec layer refuses it with a positioned diagnostic (exit 2) before
+  // any run directory is written or queued: no worker ever dies on it and no
+  // `merge --wait` polls for cells that cannot land.
+  fs::create_directories(dir_);
+  const fs::path spec = dir_ / "rho06.spec";
+  std::ofstream(spec) << "[sweep]\nkind = scenario\n"
+                         "[universe u]\ngenerator = homogeneous\nfaults = 4\np = 0.1\n"
+                         "q = 0.1\n[axes]\nrho = 0 0.6\nbudget = 100\n";
+  const fs::path root = dir_ / "svc";
+  const fs::path err = dir_ / "submit.stderr";
+  const std::string submit = std::string(RELDIV_SWEEP_BIN) + " submit --root " +
+                             root.string() + " --spec " + spec.string() + " 2>" +
+                             err.string();
+  const int rc = std::system(submit.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 2);
+  EXPECT_NE(slurp(err).find("infeasible axes"), std::string::npos) << slurp(err);
+  EXPECT_TRUE(mc::queued_runs(root).empty());
+  EXPECT_FALSE(fs::exists(mc::runs_dir(root)));
+
+  const std::string single = std::string(RELDIV_SWEEP_BIN) + " single --spec " +
+                             spec.string() + " 2>/dev/null";
+  const int single_rc = std::system(single.c_str());
+  ASSERT_TRUE(WIFEXITED(single_rc));
+  EXPECT_EQ(WEXITSTATUS(single_rc), 2);
 }
 
 #endif  // RELDIV_SWEEP_BIN

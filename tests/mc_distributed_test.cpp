@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/generators.hpp"
@@ -74,6 +75,16 @@ TEST_F(DistributedTest, InitWritesManifestAndJsonMirror) {
   mc::scenario_config threads = test_config();
   threads.threads = 7;
   EXPECT_NO_THROW((void)mc::init_run_dir(test_axes(), threads, dir_));
+}
+
+TEST_F(DistributedTest, InfeasibleMixtureIsRefusedBeforeAnythingIsWritten) {
+  // rho 0.6 at the default stress 1.8: rho*stress > 1, so no relaxed p keeps
+  // these universes' marginals.  init refuses the grid up front instead of
+  // writing a manifest whose cells throw in every worker that reaches them.
+  mc::scenario_axes axes = test_axes();
+  axes.correlations = {0.0, 0.6};
+  EXPECT_THROW((void)mc::run_handle::init(axes, test_config(), dir_), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(mc::manifest_path(dir_)));
 }
 
 TEST_F(DistributedTest, WorkerFillsDirectoryAndMergeEqualsSingleProcess) {

@@ -14,12 +14,14 @@
 
 #include "core/fault_mask.hpp"
 #include "core/generators.hpp"
+#include "core/moments.hpp"
 #include "demand/raster.hpp"
 #include "demand/region.hpp"
 #include "mc/correlated.hpp"
 #include "mc/run_dir.hpp"
 #include "mc/scenario.hpp"
 #include "mc/shard_runner.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/random.hpp"
 
 namespace mc = reldiv::mc;
@@ -283,6 +285,22 @@ TEST(SweepSpec, InfeasibleValuesArePositionedNotThrown) {
   EXPECT_TRUE(has_error(errors, 8, "axes"));
 }
 
+TEST(SweepSpec, InfeasibleMixtureRhoIsAnAxesDiagnostic) {
+  // rho 0.6 at the default stress 1.8: rho*stress > 1, so no relaxed p keeps
+  // the marginal of a p = 0.1 fault.  The spec is refused at resolution with
+  // the axes diagnostic, not accepted and left to throw in every worker that
+  // reaches the cell.
+  const auto errors = parse_errors(
+      "[sweep]\nkind = scenario\n"
+      "[universe u]\ngenerator = homogeneous\nfaults = 4\np = 0.1\nq = 0.1\n"
+      "[axes]\nrho = 0 0.6\nbudget = 10\n");
+  ASSERT_TRUE(has_error(errors, 8, "axes"));
+  EXPECT_NE(errors.front().message.find("infeasible axes"), std::string::npos)
+      << errors.front().render();
+  EXPECT_NE(errors.front().message.find("rho 0.6"), std::string::npos)
+      << errors.front().render();
+}
+
 TEST(SweepSpec, MissingSweepSectionIsSingleError) {
   const auto errors = parse_errors("x = 1\n");
   EXPECT_TRUE(has_error(errors, 1, "x"));  // key before any [section]
@@ -388,9 +406,11 @@ TEST(SweepSpec, CopulaPairCellMatchesBruteForce) {
   EXPECT_TRUE(bits_equal(cell.mean_theta2, acc.theta2().mean()));
 }
 
-TEST(SweepSpec, NegativeRhoForcesDiversity) {
-  // Anti-correlated development should produce fewer coincident failures
-  // than independent development of the same universe.
+TEST(SweepSpec, CopulaRhoLeavesMeanTheta2Unchanged) {
+  // The copula correlates faults WITHIN a version; the two channels are still
+  // drawn independently, so E[theta2] = sum p_i^2 q_i at every rho: negative
+  // rho is not forced diversity between the channels.  Both cells' means
+  // agree with each other and with that closed form within their 99% CIs.
   const core::fault_universe u = core::make_many_small_faults_universe(
       64, 0.05, 0.2, 0.8, 0.2, 4);
   mc::scenario_axes axes;
@@ -402,7 +422,17 @@ TEST(SweepSpec, NegativeRhoForcesDiversity) {
   axes.budgets = {20'000};
   const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 5});
   ASSERT_EQ(grid.cells.size(), 2u);
-  EXPECT_LT(grid.cells[0].mean_theta2, grid.cells[1].mean_theta2);
+  const double expected = core::pair_moments(u).mean;
+  const auto half_width = [](const mc::scenario_cell_result& c) {
+    const double sd = stats::running_moments::from_state(c.state.theta2).stddev();
+    return 2.5758293035489004 * sd / std::sqrt(static_cast<double>(c.cell.samples));
+  };
+  const mc::scenario_cell_result& anti = grid.cells[0];
+  const mc::scenario_cell_result& indep = grid.cells[1];
+  EXPECT_LE(std::fabs(anti.mean_theta2 - indep.mean_theta2),
+            half_width(anti) + half_width(indep));
+  EXPECT_NEAR(anti.mean_theta2, expected, half_width(anti));
+  EXPECT_NEAR(indep.mean_theta2, expected, half_width(indep));
   // Marginals are exact in both cells: theta1 agrees to Monte-Carlo noise.
   EXPECT_NEAR(grid.cells[0].mean_theta1, grid.cells[1].mean_theta1, 5e-3);
 }
