@@ -10,8 +10,14 @@
 // the random-universe pair isolates the pure SIMD gain with no sliceable
 // words at all.
 //
+// The scenario pair measures the other SIMD kernel family: scenario_ci.spec's
+// 256-fault mixture cell through run_scenario_cell, once at the scalar cap
+// and once uncapped, where the xoshiro lane kernel advances four shard
+// streams per instruction.  Both produce the same bits.
+//
 // All variants run single-threaded so the engine comparison divides out the
-// machine; BENCH_p4.json records the ratios and bench/compare_bench.py gates
+// machine; BENCH_p4.json records the ratios and the SIMD level the uncapped
+// variants ran at (context.simd_level), and bench/compare_bench.py gates
 // them (fast-simd >= 2x fast on the heterogeneous case, scalar fallback
 // never slower than fast).
 
@@ -25,6 +31,7 @@
 #include "core/generators.hpp"
 #include "core/simd_sampler.hpp"
 #include "mc/experiment.hpp"
+#include "mc/scenario.hpp"
 #include "stats/random.hpp"
 
 namespace {
@@ -108,6 +115,49 @@ void BM_RunExperimentFastSimdRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_RunExperimentFastSimdRandom)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// --- scenario_ci mixture cell: xoshiro lane kernel vs its scalar level ------
+
+/// scenario_ci.spec's `many_small` universe (256 faults) at rho = 0.25,
+/// omega = 1, aliasing 1, with the spec's 10^6-pair budget and seed.
+void run_mixture_cell_bench(benchmark::State& state) {
+  mc::scenario_axes axes;
+  axes.universes.emplace_back(
+      "many_small", core::make_many_small_faults_universe(256, 0.05, 0.3, 0.8, 0.2, 12));
+  axes.correlations = {0.25};
+  axes.budgets = {1'000'000};
+  const mc::scenario_config cfg{.seed = 2026, .threads = 1};
+  const std::vector<mc::scenario_cell> cells = mc::enumerate_cells(axes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mc::run_scenario_cell(axes, cfg, cells[0], 0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cells[0].samples));
+}
+
+void BM_ScenarioMixtureCellScalar(benchmark::State& state) {
+  core::set_simd_level_cap(core::simd_level::scalar);
+  run_mixture_cell_bench(state);
+  core::clear_simd_level_cap();
+}
+BENCHMARK(BM_ScenarioMixtureCellScalar)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_ScenarioMixtureCellLanes(benchmark::State& state) {
+  core::clear_simd_level_cap();
+  run_mixture_cell_bench(state);
+}
+BENCHMARK(BM_ScenarioMixtureCellLanes)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The level every uncapped variant runs at (RELDIV_SIMD applies):
+  // compare_bench.py gates SIMD-sensitive ratios only between runs that
+  // report the same level.
+  benchmark::AddCustomContext("simd_level",
+                              core::simd_level_name(core::active_simd_level()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

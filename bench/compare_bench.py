@@ -13,7 +13,10 @@ Two kinds of comparison:
   (default 25%), the optimization regressed and the job FAILS.  Ratios whose
   fast side uses all hardware threads additionally scale with the core
   count, so they gate only when baseline and fresh report the same
-  context.num_cpus and inform otherwise.
+  context.num_cpus and inform otherwise.  Ratios whose fast side runs the
+  dispatched SIMD kernels depend on the SIMD level the same way, so they
+  gate only when both files report the same context.simd_level and inform
+  when the levels differ or either file lacks one.
 
 * ABSOLUTE TIMES (warn): per-benchmark real_time deltas are reported, and
   anything slower than --max-regression is a WARNING — absolute wall time is
@@ -31,44 +34,56 @@ import argparse
 import json
 import sys
 
-# (label, numerator benchmark, denominator benchmark, cpu_sensitive):
-# speedup = num / den.  A pair participates only when both names appear in
-# both the baseline and the fresh file, so one script serves BENCH_p1/p2/p3
-# alike.  cpu_sensitive marks ratios whose denominator uses all hardware
-# threads ("/0" variants): those only divide out the machine when baseline
-# and fresh ran on the same core count, so across differing core counts they
-# inform instead of gate (a 1-CPU baseline would otherwise never catch a
-# scaling regression, and a many-core baseline would permanently fail CI).
+# (label, numerator benchmark, denominator benchmark, cpu_sensitive,
+# simd_sensitive): speedup = num / den.  A pair participates only when both
+# names appear in both the baseline and the fresh file, so one script serves
+# BENCH_p1/p2/p3 alike.  cpu_sensitive marks ratios whose denominator uses
+# all hardware threads ("/0" variants): those only divide out the machine
+# when baseline and fresh ran on the same core count, so across differing
+# core counts they inform instead of gate (a 1-CPU baseline would otherwise
+# never catch a scaling regression, and a many-core baseline would
+# permanently fail CI).  simd_sensitive marks ratios whose denominator runs
+# at the dispatched SIMD level: an AVX2 baseline says nothing about a host
+# that dispatches the scalar level, so they gate only between equal levels.
 KEY_RATIOS = [
     ("run_experiment fast engine vs legacy",
-     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFast/real_time", False),
+     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFast/real_time",
+     False, False),
     ("run_experiment exact engine vs legacy",
-     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentExact/real_time", False),
+     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentExact/real_time",
+     False, False),
     ("uniform-p word-parallel sampler vs legacy",
-     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFastUniformP/real_time", False),
+     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFastUniformP/real_time",
+     False, False),
     ("run_correlated sharded(hw) vs serial",
-     "BM_RunCorrelatedSerial/real_time", "BM_RunCorrelatedSharded/0/real_time", True),
+     "BM_RunCorrelatedSerial/real_time", "BM_RunCorrelatedSharded/0/real_time",
+     True, False),
     ("KL empirical scoring campaign(hw) vs serial",
-     "BM_KLScoreSerialBaseline/real_time", "BM_KLScoreCampaign/0/real_time", True),
+     "BM_KLScoreSerialBaseline/real_time", "BM_KLScoreCampaign/0/real_time",
+     True, False),
     ("grouped-universe bit-slice vs paired kernel",
-     "BM_RunExperimentPairedShuffled/real_time", "BM_RunExperimentGrouped/real_time", False),
+     "BM_RunExperimentPairedShuffled/real_time", "BM_RunExperimentGrouped/real_time",
+     False, False),
     ("fast-simd engine vs fast on heterogeneous n=1024",
      "BM_RunExperimentFastHetero/real_time",
-     "BM_RunExperimentFastSimdHetero/real_time", False),
+     "BM_RunExperimentFastSimdHetero/real_time", False, True),
     ("fast-simd scalar fallback vs fast on heterogeneous n=1024",
      "BM_RunExperimentFastHetero/real_time",
-     "BM_RunExperimentFastSimdScalarHetero/real_time", False),
+     "BM_RunExperimentFastSimdScalarHetero/real_time", False, False),
     ("fast-simd engine vs fast on random n=1024",
      "BM_RunExperimentFastRandom/real_time",
-     "BM_RunExperimentFastSimdRandom/real_time", False),
+     "BM_RunExperimentFastSimdRandom/real_time", False, True),
+    ("scenario mixture cell xoshiro lanes vs scalar level",
+     "BM_ScenarioMixtureCellScalar/real_time",
+     "BM_ScenarioMixtureCellLanes/real_time", False, True),
     ("service memoized query vs cold submit->merge",
      "BM_ServiceSubmitToMerged/real_time",
-     "BM_ServiceMemoizedQuery/real_time", False),
+     "BM_ServiceMemoizedQuery/real_time", False, False),
 ]
 
 
 def load_times(path):
-    """(benchmark name -> real_time, num_cpus from the run context)."""
+    """(benchmark name -> real_time, run context)."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -81,15 +96,18 @@ def load_times(path):
         sys.exit(2)
     times = {b["name"]: b["real_time"] for b in benches
              if "real_time" in b and b.get("run_type", "iteration") == "iteration"}
-    return times, data.get("context", {}).get("num_cpus")
+    return times, data.get("context", {})
 
 
-def gate_key_ratios(base, fresh, base_cpus, fresh_cpus, max_regression):
+def gate_key_ratios(base, fresh, base_ctx, fresh_ctx, max_regression):
     """Compare machine-neutral speedup ratios.  Returns list of failures."""
     failures = []
     checked = 0
+    base_cpus, fresh_cpus = base_ctx.get("num_cpus"), fresh_ctx.get("num_cpus")
+    base_simd, fresh_simd = base_ctx.get("simd_level"), fresh_ctx.get("simd_level")
     same_cpus = base_cpus is not None and base_cpus == fresh_cpus
-    for label, num, den, cpu_sensitive in KEY_RATIOS:
+    same_simd = base_simd is not None and base_simd == fresh_simd
+    for label, num, den, cpu_sensitive, simd_sensitive in KEY_RATIOS:
         present = [k in base and k in fresh for k in (num, den)]
         if not all(present):
             # A renamed/deleted key benchmark must not silently disable its
@@ -104,15 +122,17 @@ def gate_key_ratios(base, fresh, base_cpus, fresh_cpus, max_regression):
         base_speedup = base[num] / base[den]
         fresh_speedup = fresh[num] / fresh[den]
         change = fresh_speedup / base_speedup - 1.0
-        gating = same_cpus or not cpu_sensitive
         status = "ok"
         if change < -max_regression:
-            if gating:
-                status = "FAIL"
-                failures.append(label)
-            else:
+            if cpu_sensitive and not same_cpus:
                 status = (f"info only (baseline {base_cpus} cpus vs fresh {fresh_cpus}: "
                           f"hw-thread speedups don't transfer)")
+            elif simd_sensitive and not same_simd:
+                status = (f"info only (baseline SIMD level {base_simd} vs fresh "
+                          f"{fresh_simd}: SIMD speedups don't transfer)")
+            else:
+                status = "FAIL"
+                failures.append(label)
         print(f"  [key] {label}: speedup {base_speedup:.2f}x -> {fresh_speedup:.2f}x "
               f"({change:+.1%}) {status}")
     if checked == 0:
@@ -151,9 +171,9 @@ def main():
     for i in range(0, len(args.files), 2):
         baseline_path, fresh_path = args.files[i], args.files[i + 1]
         print(f"{baseline_path} (baseline) vs {fresh_path} (fresh):")
-        base, base_cpus = load_times(baseline_path)
-        fresh, fresh_cpus = load_times(fresh_path)
-        failures += gate_key_ratios(base, fresh, base_cpus, fresh_cpus,
+        base, base_ctx = load_times(baseline_path)
+        fresh, fresh_ctx = load_times(fresh_path)
+        failures += gate_key_ratios(base, fresh, base_ctx, fresh_ctx,
                                     args.max_regression)
         warn_absolute(base, fresh, args.max_regression)
         print()

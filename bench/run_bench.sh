@@ -13,9 +13,11 @@
 #                   empirical scoring serial baseline vs the multithreaded
 #                   demand campaign, grouped-universe sampling vs the paired
 #                   kernel, and scenario-grid cell throughput.
-#   BENCH_p4.json — fast-simd engine (bench_p4_simd): counter generation +
-#                   p-sorted relayout + runtime SIMD dispatch vs the fast
-#                   engine, heterogeneous and random n=1024 universes.
+#   BENCH_p4.json — SIMD kernels (bench_p4_simd): the fast-simd engine
+#                   (counter generation + p-sorted relayout + runtime SIMD
+#                   dispatch) vs the fast engine on heterogeneous and random
+#                   n=1024 universes, and scenario_ci's 256-fault mixture
+#                   cell with the xoshiro lane kernel vs its scalar level.
 #   BENCH_p5.json — sweep-service front-end (bench_p5_service): queue
 #                   submit -> merged latency (cold) vs the fingerprint-
 #                   memoized result-cache query (hot), plus the status probe.
@@ -125,6 +127,12 @@ if hetero_fast and hetero_simd:
 if hetero_fast and hetero_scalar:
     print(f"fast-simd scalar-cap heterogeneous n=1024: fast {hetero_fast:.2f}ms -> "
           f"scalar fallback {hetero_scalar:.2f}ms ({hetero_fast / hetero_scalar:.2f}x)")
+cell_scalar = p4.get("BM_ScenarioMixtureCellScalar/real_time")
+cell_lanes = p4.get("BM_ScenarioMixtureCellLanes/real_time")
+if cell_scalar and cell_lanes:
+    print(f"scenario_ci mixture cell (256 faults, 1e6 pairs): scalar level "
+          f"{cell_scalar:.0f}ms -> xoshiro lanes {cell_lanes:.0f}ms "
+          f"({cell_scalar / cell_lanes:.2f}x)")
 
 p5 = load(sys.argv[5])
 cold = p5.get("BM_ServiceSubmitToMerged/real_time")

@@ -1,22 +1,26 @@
-// AVX2 instantiation of the fast-simd word kernels.  This is the ONLY
-// translation unit in the repo allowed to include <immintrin.h> (reldiv_lint
-// `simd-isolation` enforces it) and the only one compiled with -mavx2; it is
-// reached solely through the runtime dispatch in simd_sampler.cpp, which
-// calls in only after __builtin_cpu_supports("avx2") says the host can run
-// it.  When the toolchain cannot compile AVX2 (non-x86, or no -mavx2), the
-// fallback definitions at the bottom keep the link whole and report
-// avx2_compiled() == false so dispatch never selects this path.
+// AVX2 level of the fast-simd word kernels and of the xoshiro256++ lane
+// kernel.  This is the ONLY translation unit in the repo allowed to include
+// <immintrin.h> (reldiv_lint `simd-isolation` enforces it) and the only one
+// compiled with -mavx2; it is reached solely through the runtime dispatch in
+// simd_sampler.cpp, which calls in only after __builtin_cpu_supports("avx2")
+// says the host can run it.  When the toolchain cannot compile AVX2 (non-x86,
+// or no -mavx2), the fallback definitions at the bottom keep the link whole
+// and report avx2_compiled() == false so dispatch never selects this path.
 //
-// Decision-for-decision equivalence with the scalar ops holds because the
-// vector kernels evaluate the identical stats::counter_draw arithmetic —
-// the splitmix64 finalizer on key + (counter+1)*gamma — four 64-bit lanes
-// per instruction, then compare against the same integer thresholds.  The
-// 64-bit constant multiplies of the finalizer are synthesized from three
-// 32x32 _mm256_mul_epu32 partial products; the threshold compares use
-// _mm256_cmpgt_epi64, which is safe in the signed domain because both
-// operands are < 2^53 (hence positive as int64).
+// Decision-for-decision equivalence with the scalar level holds because the
+// vector kernels evaluate the identical integer arithmetic four 64-bit lanes
+// per instruction, then compare against the same integer thresholds:
+//   * fast-simd: stats::counter_draw — the splitmix64 finalizer on
+//     key + (counter+1)*gamma, its 64-bit constant multiplies synthesized
+//     from three 32x32 _mm256_mul_epu32 partial products;
+//   * lane kernel: stats::rng::operator() — xoshiro256++'s adds, xors,
+//     shifts and rotates, one independent engine per lane.
+// The threshold compares use _mm256_cmpgt_epi64, which is safe in the signed
+// domain because both operands are <= 2^53 (hence positive as int64).
 
 #include "core/simd_sampler.inl.hpp"
+
+#include <array>
 
 #if defined(__AVX2__)
 
@@ -25,6 +29,12 @@
 namespace reldiv::core::detail {
 
 namespace {
+
+/// Unaligned load of four consecutive 64-bit words into one register.
+inline __m256i load_u64x4(const std::uint64_t* p) noexcept {
+  // reldiv-lint: allow(wire-cast) vector register load of a word array, not byte serialization
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
 
 /// x * c for a 64-bit constant c, per 64-bit lane: lo32(x)*lo32(c) +
 /// ((lo32(x)*hi32(c) + hi32(x)*lo32(c)) << 32).  The high cross-product
@@ -75,8 +85,7 @@ struct avx2_word_ops {
     unsigned k = 0;
     for (; k + 4 <= occ; k += 4) {
       const __m256i x = counter_draws4(key, base + k);
-      // reldiv-lint: allow(wire-cast) vector register load of the threshold array, not byte serialization
-      const __m256i t = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t32 + k));
+      const __m256i t = load_u64x4(t32 + k);
       word_a |= cmplt4(_mm256_srli_epi64(x, 32), t) << k;
       word_b |= cmplt4(_mm256_and_si256(x, lo_mask), t) << k;
     }
@@ -96,8 +105,7 @@ struct avx2_word_ops {
     unsigned k = 0;
     for (; k + 4 <= occ; k += 4) {
       const __m256i x = counter_draws4(key, base + k);
-      // reldiv-lint: allow(wire-cast) vector register load of the threshold array, not byte serialization
-      const __m256i t = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t53 + k));
+      const __m256i t = load_u64x4(t53 + k);
       w |= cmplt4(_mm256_srli_epi64(x, 11), t) << k;
     }
     for (; k < occ; ++k) {
@@ -109,9 +117,71 @@ struct avx2_word_ops {
   }
 };
 
+/// x <<< K in every 64-bit lane.
+template <int K>
+inline __m256i rotl64(__m256i x) noexcept {
+  return _mm256_or_si256(_mm256_slli_epi64(x, K), _mm256_srli_epi64(x, 64 - K));
+}
+
+/// Four xoshiro256++ engines, one per lane: stats::rng::operator() step for
+/// step.
+struct xoshiro4 {
+  __m256i s0, s1, s2, s3;
+
+  __m256i next() noexcept {
+    const __m256i result = _mm256_add_epi64(rotl64<23>(_mm256_add_epi64(s0, s3)), s0);
+    const __m256i t = _mm256_slli_epi64(s1, 17);
+    s2 = _mm256_xor_si256(s2, s0);
+    s3 = _mm256_xor_si256(s3, s1);
+    s1 = _mm256_xor_si256(s1, s2);
+    s0 = _mm256_xor_si256(s0, s3);
+    s2 = _mm256_xor_si256(s2, t);
+    s3 = rotl64<45>(s3);
+    return result;
+  }
+};
+
+/// The four 64-bit lanes of v, lane 0 first.
+inline std::array<std::uint64_t, 4> lanes_of(__m256i v) noexcept {
+  return {static_cast<std::uint64_t>(_mm256_extract_epi64(v, 0)),
+          static_cast<std::uint64_t>(_mm256_extract_epi64(v, 1)),
+          static_cast<std::uint64_t>(_mm256_extract_epi64(v, 2)),
+          static_cast<std::uint64_t>(_mm256_extract_epi64(v, 3))};
+}
+
 }  // namespace
 
 bool avx2_compiled() noexcept { return true; }
+
+void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                               const std::uint64_t* stressed,
+                               const std::uint64_t* relaxed, std::size_t n,
+                               std::uint64_t* const* out) noexcept {
+  static_assert(kXoshiroLanes == 4, "one xoshiro256++ engine per 64-bit AVX2 lane");
+  xoshiro4 g{load_u64x4(lanes.word[0].data()), load_u64x4(lanes.word[1].data()),
+             load_u64x4(lanes.word[2].data()), load_u64x4(lanes.word[3].data())};
+  // All-ones in the lanes whose development is stressed.
+  const __m256i stressed_lanes =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(stress_threshold)),
+                         _mm256_srli_epi64(g.next(), 11));
+  std::size_t i = 0;
+  for (std::size_t blk = 0; i < n; ++blk) {
+    const std::size_t hi = n - i < 64 ? n : i + 64;
+    __m256i word = _mm256_setzero_si256();
+    __m256i bit = _mm256_set1_epi64x(1);
+    for (; i < hi; ++i) {
+      const __m256i t = _mm256_blendv_epi8(
+          _mm256_set1_epi64x(static_cast<long long>(relaxed[i])),
+          _mm256_set1_epi64x(static_cast<long long>(stressed[i])), stressed_lanes);
+      const __m256i hit = _mm256_cmpgt_epi64(t, _mm256_srli_epi64(g.next(), 11));
+      word = _mm256_or_si256(word, _mm256_and_si256(hit, bit));
+      bit = _mm256_add_epi64(bit, bit);
+    }
+    const std::array<std::uint64_t, 4> w = lanes_of(word);
+    for (unsigned l = 0; l < 4; ++l) out[l][blk] = w[l];
+  }
+  lanes.word = {lanes_of(g.s0), lanes_of(g.s1), lanes_of(g.s2), lanes_of(g.s3)};
+}
 
 void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
                                     std::span<const std::uint64_t> t32,
@@ -142,6 +212,14 @@ void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
   // correct bits.
   sample_pair_counter_batch_impl<scalar_word_ops>(plan, t32, t53, key,
                                                   first_pair, count, a, b);
+}
+
+void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                               const std::uint64_t* stressed,
+                               const std::uint64_t* relaxed, std::size_t n,
+                               std::uint64_t* const* out) noexcept {
+  // Unreachable through dispatch, like the batch fallback above.
+  sample_mixture_lanes_scalar(lanes, stress_threshold, stressed, relaxed, n, out);
 }
 
 }  // namespace reldiv::core::detail

@@ -1,9 +1,12 @@
-// fast-simd dispatch + plan construction + scalar instantiation.  The AVX2
-// instantiation lives in simd_sampler.avx2.cpp (the one TU compiled with
-// -mavx2); this TU stays portable and decides at runtime which one runs.
+// SIMD dispatch, fast-simd plan construction, and the scalar level of both
+// kernel families.  The AVX2 level lives in simd_sampler.avx2.cpp (the one
+// TU compiled with -mavx2); this TU stays portable and decides at runtime
+// which one runs.
 
 #include "core/simd_sampler.inl.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -162,6 +165,59 @@ void sample_pair_counter(const counter_sample_plan& plan, const fault_universe& 
                          fault_mask& b, simd_level level) {
   sample_pair_counter_batch(plan, u, key, pair_index, 1, std::span<fault_mask>(&a, 1),
                             std::span<fault_mask>(&b, 1), level);
+}
+
+namespace detail {
+
+void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                                 const std::uint64_t* stressed,
+                                 const std::uint64_t* relaxed, std::size_t n,
+                                 std::uint64_t* const* out) noexcept {
+  // Each lane in turn, word by word exactly as mc::sample_mask_from_thresholds
+  // fills a mask.
+  for (unsigned l = 0; l < kXoshiroLanes; ++l) {
+    stats::rng r = lanes.lane(l);
+    const std::uint64_t* t = (r() >> 11) < stress_threshold ? stressed : relaxed;
+    std::uint64_t* words = out[l];
+    std::size_t i = 0;
+    for (std::size_t blk = 0; i < n; ++blk) {
+      const std::size_t hi = std::min<std::size_t>(n, i + 64);
+      std::uint64_t w = 0;
+      for (unsigned k = 0; i < hi; ++i, ++k) {
+        w |= static_cast<std::uint64_t>((r() >> 11) < t[i]) << k;
+      }
+      words[blk] = w;
+    }
+    lanes.set_lane(l, r);
+  }
+}
+
+}  // namespace detail
+
+void sample_mixture_lanes(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                          std::span<const std::uint64_t> stressed,
+                          std::span<const std::uint64_t> relaxed,
+                          std::span<fault_mask, kXoshiroLanes> out, simd_level level) {
+  if (stressed.size() != relaxed.size()) {
+    throw std::invalid_argument(
+        "sample_mixture_lanes: stressed and relaxed thresholds differ in length");
+  }
+  const std::size_t n = stressed.size();
+  std::array<std::uint64_t*, kXoshiroLanes> words{};
+  for (unsigned l = 0; l < kXoshiroLanes; ++l) {
+    if (out[l].bit_size() != n) out[l].resize(n);
+    words[l] = out[l].words();
+  }
+  switch (level) {
+    case simd_level::avx2:
+      detail::sample_mixture_lanes_avx2(lanes, stress_threshold, stressed.data(),
+                                        relaxed.data(), n, words.data());
+      return;
+    case simd_level::scalar:
+      break;
+  }
+  detail::sample_mixture_lanes_scalar(lanes, stress_threshold, stressed.data(),
+                                      relaxed.data(), n, words.data());
 }
 
 }  // namespace reldiv::core

@@ -1,9 +1,18 @@
 #pragma once
-// The `fast-simd` block sampler: counter-based version-pair generation with
-// runtime SIMD dispatch.  This TU family (src/core/simd_sampler.*) is the
-// ONLY place in the repo allowed to touch <immintrin.h> — enforced by the
-// reldiv_lint `simd-isolation` rule — everything else calls the dispatched
-// API below.
+// The runtime-dispatched SIMD kernels of the library, in two families:
+//
+//   * the `fast-simd` block sampler: counter-based version-pair generation
+//     (sample_pair_counter_batch, below);
+//   * the xoshiro256++ lane kernel: four stats::rng streams advanced in
+//     lockstep, one per 64-bit lane, drawing common-cause-mixture versions
+//     decision-for-decision as the scalar sampler draws them on each stream
+//     (sample_mixture_lanes, at the end of this header).
+//
+// This TU family (src/core/simd_sampler.*) is the ONLY place in the repo
+// allowed to touch <immintrin.h> — enforced by the reldiv_lint
+// `simd-isolation` rule — everything else calls the dispatched API below.
+// Both families take the same simd_level, so RELDIV_SIMD and the
+// programmatic cap govern them alike.
 //
 // Contract: for any universe, key and pair index, sample_pair_counter
 // produces bits identical to mc::sample_version_pair_counter_reference at
@@ -23,6 +32,7 @@
 //   3. blocks: sample_pair_counter_batch generates several version-pairs per
 //      pass, amortizing threshold loads across the batch.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -30,6 +40,7 @@
 
 #include "core/fault_mask.hpp"
 #include "core/fault_universe.hpp"
+#include "stats/random.hpp"
 
 namespace reldiv::core {
 
@@ -103,5 +114,42 @@ void sample_pair_counter_batch(const counter_sample_plan& plan,
 void sample_pair_counter(const counter_sample_plan& plan, const fault_universe& u,
                          std::uint64_t key, std::uint64_t pair_index, fault_mask& a,
                          fault_mask& b, simd_level level);
+
+// ---------------------------------------------------------------------------
+// xoshiro256++ lane kernel
+// ---------------------------------------------------------------------------
+
+/// Streams per lane-kernel call: one xoshiro256++ state per 64-bit lane of an
+/// AVX2 register.
+inline constexpr unsigned kXoshiroLanes = 4;
+
+/// kXoshiroLanes stats::rng states, structure-of-arrays: word[j][l] is state
+/// word j of lane l, so each state word of all lanes is one register.
+struct xoshiro_lanes {
+  std::array<std::array<std::uint64_t, kXoshiroLanes>, 4> word{};
+
+  void set_lane(unsigned l, const stats::rng& r) noexcept {
+    const stats::rng::state_type s = r.state();
+    for (unsigned j = 0; j < 4; ++j) word[j][l] = s[j];
+  }
+  [[nodiscard]] stats::rng lane(unsigned l) const noexcept {
+    return stats::rng::from_state({word[0][l], word[1][l], word[2][l], word[3][l]});
+  }
+};
+
+/// One common-cause-mixture version per lane.  Lane l makes the decisions
+/// mc::common_cause_mixture::sample_mask makes on lanes.lane(l): one stress
+/// draw, stressed iff (r() >> 11) < stress_threshold (== r.bernoulli(rho)
+/// for stress_threshold = bernoulli_threshold(rho)), then one draw per fault
+/// i in index order, bit i of out[l] set iff (r() >> 11) < stressed[i] when
+/// stressed, relaxed[i] otherwise.  Every lane advances, so a lane the caller
+/// does not need still draws (and its mask is overwritten).  Masks are
+/// resized to stressed.size() only when their size differs.  `level` must
+/// not exceed detected_simd_level(); pass active_simd_level().  Throws
+/// std::invalid_argument when the threshold spans differ in length.
+void sample_mixture_lanes(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                          std::span<const std::uint64_t> stressed,
+                          std::span<const std::uint64_t> relaxed,
+                          std::span<fault_mask, kXoshiroLanes> out, simd_level level);
 
 }  // namespace reldiv::core

@@ -19,6 +19,11 @@
 // Batch iteration is word-major over pairs: each word's plan entry and
 // thresholds are loaded once and applied to every pair in the batch, which
 // is where batching amortizes generation overhead.
+//
+// The xoshiro lane kernel has no shared template: its scalar level walks the
+// lanes one after another, its AVX2 level advances all four at once.  Both
+// take the raw-word form below, which core::sample_mixture_lanes calls after
+// sizing the masks.
 
 #include <bit>
 
@@ -26,6 +31,19 @@
 #include "stats/counter_rng.hpp"
 
 namespace reldiv::core::detail {
+
+/// Raw-word form of core::sample_mixture_lanes: `stressed` and `relaxed` hold
+/// n thresholds each; out[l] points at fault_mask::words_needed(n) words of
+/// lane l's mask.  Defined in simd_sampler.cpp (scalar) and
+/// simd_sampler.avx2.cpp (AVX2).
+void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                                 const std::uint64_t* stressed,
+                                 const std::uint64_t* relaxed, std::size_t n,
+                                 std::uint64_t* const* out) noexcept;
+void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                               const std::uint64_t* stressed,
+                               const std::uint64_t* relaxed, std::size_t n,
+                               std::uint64_t* const* out) noexcept;
 
 /// Bit-slice Bernoulli word over the counter stream (identical fold order to
 /// the reference): consumes counters [base, base + 53 - countr_zero(t)).

@@ -10,7 +10,7 @@ namespace reldiv::mc {
 
 common_cause_mixture::common_cause_mixture(const core::fault_universe& u, double rho,
                                            double stress)
-    : u_(&u), rho_(rho) {
+    : u_(&u), rho_(rho), stress_thresh_(core::bernoulli_threshold(rho)) {
   if (!(rho >= 0.0) || !(rho < 1.0)) {
     throw std::invalid_argument("common_cause_mixture: rho must be in [0,1)");
   }
@@ -52,6 +52,13 @@ version common_cause_mixture::sample(stats::rng& r) const {
 void common_cause_mixture::sample_mask(stats::rng& r, core::fault_mask& out) const {
   const bool stressed = r.bernoulli(rho_);
   sample_mask_from_thresholds(stressed ? stressed_thresh_ : relaxed_thresh_, r, out);
+}
+
+void common_cause_mixture::sample_mask_lanes(
+    core::xoshiro_lanes& lanes, std::span<core::fault_mask, core::kXoshiroLanes> out,
+    core::simd_level level) const {
+  core::sample_mixture_lanes(lanes, stress_thresh_, stressed_thresh_, relaxed_thresh_, out,
+                             level);
 }
 
 double common_cause_mixture::marginal(std::size_t i) const {

@@ -27,6 +27,7 @@
 #include <stdexcept>
 
 #include "core/fault_universe.hpp"
+#include "core/simd_sampler.hpp"
 #include "mc/experiment.hpp"
 #include "mc/sampler.hpp"
 #include "mc/shard_runner.hpp"
@@ -48,8 +49,15 @@ class common_cause_mixture {
 
   [[nodiscard]] version sample(stats::rng& r) const;
   /// Mask-based sampling: same rng decisions as sample() (bit-exact), writes
-  /// presence bits into `out` with no allocation in steady-state reuse.
+  /// presence bits into `out` with no allocation in steady-state reuse.  The
+  /// scalar reference the lane form is pinned against.
   void sample_mask(stats::rng& r, core::fault_mask& out) const;
+  /// Lane form: one version per lane of `lanes` through the
+  /// core::sample_mixture_lanes kernel — out[l] is what sample_mask would
+  /// draw on lanes.lane(l), and the lane ends where that rng would.
+  void sample_mask_lanes(core::xoshiro_lanes& lanes,
+                         std::span<core::fault_mask, core::kXoshiroLanes> out,
+                         core::simd_level level) const;
   /// Exact marginal presence probability of fault i (== u[i].p by design).
   [[nodiscard]] double marginal(std::size_t i) const;
   /// Exact pairwise correlation of the presence indicators of faults i, j.
@@ -61,6 +69,7 @@ class common_cause_mixture {
   std::vector<double> marginal_;  ///< preserved marginals (== u[i].p exactly)
   std::vector<double> stressed_p_;
   std::vector<double> relaxed_p_;
+  std::uint64_t stress_thresh_;                 ///< bernoulli_threshold(rho_)
   std::vector<std::uint64_t> stressed_thresh_;  ///< bernoulli_threshold(stressed_p_)
   std::vector<std::uint64_t> relaxed_thresh_;   ///< bernoulli_threshold(relaxed_p_)
 };

@@ -1,6 +1,7 @@
 #include "mc/scenario.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/simd_sampler.hpp"
 #include "mc/aliasing.hpp"
 #include "mc/campaign.hpp"
 #include "mc/correlated.hpp"
@@ -57,52 +59,105 @@ double word_q_sum(const std::vector<std::uint64_t>& words, std::span<const doubl
   return pfd;
 }
 
-/// Generalized k-out-of-m cell loop: draw `versions` channel masks per
-/// demand, θ1 = first channel's pfd, θ2 = ω · Σq over faults shared by at
+/// One version per lane for the first `active` lanes.  The mixture draws
+/// through its lane kernel, four shard streams per instruction at the AVX2
+/// level; the copula has no lane kernel and samples each active lane in turn.
+void sample_lanes(const common_cause_mixture& sampler, core::xoshiro_lanes& lanes,
+                  unsigned /*active*/, std::span<core::fault_mask, core::kXoshiroLanes> out,
+                  core::simd_level level) {
+  sampler.sample_mask_lanes(lanes, out, level);
+}
+
+void sample_lanes(const gaussian_copula_sampler& sampler, core::xoshiro_lanes& lanes,
+                  unsigned active, std::span<core::fault_mask, core::kXoshiroLanes> out,
+                  core::simd_level /*level*/) {
+  for (unsigned l = 0; l < active; ++l) {
+    stats::rng r = lanes.lane(l);
+    sampler.sample_mask(r, out[l]);
+    lanes.set_lane(l, r);
+  }
+}
+
+/// The cell's pair loop, for every correlation model and adjudication: per
+/// demand, draw `versions` channel masks in index order from the shard's
+/// stream; θ1 = first channel's pfd, θ2 = ω · Σq over faults shared by at
 /// least `votes` channels.  The defeated set is computed word-wise with
 /// bit-sliced counters: ge[j] holds the faults seen in >= j+1 of the masks
 /// processed so far, so folding mask v in is ge[j] |= ge[j-1] & v from the
-/// top down.  Channels are drawn in index order from the one shard stream —
-/// the {2,2} special case consumes the stream exactly like the baseline
-/// pair loop.
+/// top down.  For the paper's {2,2} pair that is the pairwise intersection,
+/// summed in the same ascending fault order as core::intersect_q_sum.
+///
+/// Shards run in groups of kXoshiroLanes consecutive shards, one per lane,
+/// each on its own stats::rng::stream(seed, shard) and folded into its own
+/// accumulator, so every shard draws and folds exactly as it would alone.
+/// Shard sizes within a plan differ by at most one and never grow with the
+/// index, so a group runs its last shard's count in lockstep and a longer
+/// shard finishes from its lane's exported state.  Shards merge in ascending
+/// order — the merge sequence of run_shards(threads = 1).
 template <typename Sampler>
-experiment_accumulator run_adjudicated_shards(const Sampler& sampler,
-                                              const core::fault_universe& effective,
-                                              const scenario_cell& cell,
-                                              const shard_plan& plan, std::uint64_t seed) {
+experiment_accumulator run_cell_shards(const Sampler& sampler,
+                                       const core::fault_universe& effective,
+                                       const scenario_cell& cell, const shard_plan& plan,
+                                       std::uint64_t seed) {
+  constexpr unsigned kLanes = core::kXoshiroLanes;
   const unsigned versions = cell.versions;
   const unsigned votes = cell.votes;
   const double omega = cell.omega;
+  const std::span<const double> q = effective.q_array();
+  const core::simd_level level = core::active_simd_level();
+  std::vector<std::array<core::fault_mask, kLanes>> channels(versions);
+  for (auto& lane_masks : channels) {
+    for (auto& m : lane_masks) m.resize(effective.size());
+  }
+  const std::size_t words = core::fault_mask::words_needed(effective.size());
+  std::vector<std::vector<std::uint64_t>> ge(votes, std::vector<std::uint64_t>(words));
+  std::array<experiment_accumulator, kLanes> shard_acc;
+
+  const auto fold = [&](unsigned l) {
+    const core::fault_mask& first = channels[0][l];
+    const double t1 = core::masked_q_sum(first, q);
+    for (auto& layer : ge) std::fill(layer.begin(), layer.end(), 0);
+    for (unsigned v = 0; v < versions; ++v) {
+      const std::uint64_t* mask = channels[v][l].words();
+      for (std::size_t j = votes; j-- > 1;) {
+        for (std::size_t w = 0; w < words; ++w) ge[j][w] |= ge[j - 1][w] & mask[w];
+      }
+      for (std::size_t w = 0; w < words; ++w) ge[0][w] |= mask[w];
+    }
+    bool defeated = false;
+    const double shared = word_q_sum(ge[votes - 1], q, defeated);
+    // §6.2 axis: only the shared fraction ω of each region produces
+    // coincident failures; ω = 0 pairs can share faults but never a failure
+    // point.
+    shard_acc[l].add(t1, omega * shared, first.any(), defeated && omega > 0.0);
+  };
+
   experiment_accumulator acc;
-  run_shards(
-      plan, seed, /*threads=*/1,
-      [&](unsigned /*shard*/, std::uint64_t count, stats::rng& r) {
-        experiment_accumulator shard_acc;
-        std::vector<core::fault_mask> channels(versions,
-                                               core::fault_mask(effective.size()));
-        const std::size_t words = channels[0].word_count();
-        std::vector<std::vector<std::uint64_t>> ge(votes,
-                                                   std::vector<std::uint64_t>(words));
-        for (std::uint64_t s = 0; s < count; ++s) {
-          for (unsigned v = 0; v < versions; ++v) sampler.sample_mask(r, channels[v]);
-          const double t1 = core::masked_q_sum(channels[0], effective.q_array());
-          for (auto& layer : ge) std::fill(layer.begin(), layer.end(), 0);
-          for (unsigned v = 0; v < versions; ++v) {
-            const std::uint64_t* mask = channels[v].words();
-            for (std::size_t j = votes; j-- > 1;) {
-              for (std::size_t w = 0; w < words; ++w) ge[j][w] |= ge[j - 1][w] & mask[w];
-            }
-            for (std::size_t w = 0; w < words; ++w) ge[0][w] |= mask[w];
-          }
-          bool defeated = false;
-          const double shared = word_q_sum(ge[votes - 1], effective.q_array(), defeated);
-          shard_acc.add(t1, omega * shared, channels[0].any(), defeated && omega > 0.0);
-        }
-        return shard_acc;
-      },
-      [&acc](unsigned /*shard*/, experiment_accumulator&& shard_acc) {
-        acc.merge(shard_acc);
-      });
+  core::xoshiro_lanes lanes;
+  stats::rng walker(seed);  // stream(seed, s) is rng(seed) jumped s times
+  for (unsigned group = 0; group < plan.shard_count; group += kLanes) {
+    const unsigned active = std::min(kLanes, plan.shard_count - group);
+    for (unsigned l = 0; l < active; ++l) {
+      lanes.set_lane(l, walker);
+      walker.jump();
+      shard_acc[l] = experiment_accumulator();
+    }
+    const std::uint64_t lockstep = plan.shard_samples(group + active - 1);
+    for (std::uint64_t s = 0; s < lockstep; ++s) {
+      for (unsigned v = 0; v < versions; ++v) {
+        sample_lanes(sampler, lanes, active, channels[v], level);
+      }
+      for (unsigned l = 0; l < active; ++l) fold(l);
+    }
+    for (unsigned l = 0; l < active; ++l) {
+      stats::rng r = lanes.lane(l);
+      for (std::uint64_t s = lockstep; s < plan.shard_samples(group + l); ++s) {
+        for (unsigned v = 0; v < versions; ++v) sampler.sample_mask(r, channels[v][l]);
+        fold(l);
+      }
+      acc.merge(shard_acc[l]);
+    }
+  }
   return acc;
 }
 
@@ -134,45 +189,15 @@ scenario_cell_result run_cell(const scenario_axes& axes, const scenario_config& 
   // per-cell result.
   const shard_plan plan = make_shard_plan(cell.samples, cfg.shards);
   out.shards = plan.shard_count;
-  const double omega = cell.omega;
   experiment_accumulator acc;
-  if (axes.rho_model == correlation_model::mixture && cell.versions == 2 &&
-      cell.votes == 2) {
+  if (axes.rho_model == correlation_model::mixture) {
     // §6.1 axis: the marginal-preserving common-cause mixture (ρ = 0 is the
-    // independent baseline on the same code path).  The paper's {2,2} pair
-    // keeps this loop verbatim — bit-exact with every earlier release.
+    // independent baseline on the same code path).
     const common_cause_mixture sampler(effective, cell.rho, axes.stress);
-    run_shards(
-        plan, out.seed, /*threads=*/1,
-        [&](unsigned /*shard*/, std::uint64_t count, stats::rng& r) {
-          experiment_accumulator shard_acc;
-          core::fault_mask a(effective.size());
-          core::fault_mask b(effective.size());
-          for (std::uint64_t s = 0; s < count; ++s) {
-            sampler.sample_mask(r, a);
-            sampler.sample_mask(r, b);
-            const double t1 = core::masked_q_sum(a, effective.q_array());
-            const auto pair = core::intersect_q_sum(a, b, effective.q_array());
-            // §6.2 axis: only the shared fraction ω of each region produces
-            // coincident failures; ω = 0 pairs can share faults but never a
-            // failure point.
-            shard_acc.add(t1, omega * pair.pfd, a.any(),
-                          pair.any_common && omega > 0.0);
-          }
-          return shard_acc;
-        },
-        [&acc](unsigned /*shard*/, experiment_accumulator&& shard_acc) {
-          acc.merge(shard_acc);
-        });
-  } else if (axes.rho_model == correlation_model::mixture) {
-    const common_cause_mixture sampler(effective, cell.rho, axes.stress);
-    acc = run_adjudicated_shards(sampler, effective, cell, plan, out.seed);
+    acc = run_cell_shards(sampler, effective, cell, plan, out.seed);
   } else {
-    // Copula cells — including the {2,2} pair — share the generalized loop:
-    // for two channels its defeated set is exactly the pairwise
-    // intersection, accumulated in the same ascending fault order.
     const gaussian_copula_sampler sampler(effective, cell.rho);
-    acc = run_adjudicated_shards(sampler, effective, cell, plan, out.seed);
+    acc = run_cell_shards(sampler, effective, cell, plan, out.seed);
   }
 
   out.state = acc.state();

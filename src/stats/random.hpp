@@ -27,12 +27,24 @@ namespace reldiv::stats {
 class rng {
  public:
   using result_type = std::uint64_t;
+  /// The four xoshiro256++ state words, in engine order.
+  using state_type = std::array<std::uint64_t, 4>;
 
   explicit constexpr rng(std::uint64_t seed = 0x9d1fb7e0c2a5d3b1ULL) noexcept { reseed(seed); }
 
   constexpr void reseed(std::uint64_t seed) noexcept {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64_next(sm);
+  }
+
+  /// State export/import: an engine rebuilt by from_state(state()) continues
+  /// the stream exactly where this one stands.  This is how a stream is
+  /// handed to a kernel that advances several engines in lockstep and back.
+  [[nodiscard]] constexpr state_type state() const noexcept { return state_; }
+  [[nodiscard]] static constexpr rng from_state(const state_type& s) noexcept {
+    rng r;
+    r.state_ = s;
+    return r;
   }
 
   static constexpr result_type min() noexcept { return 0; }
@@ -112,7 +124,7 @@ class rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::array<std::uint64_t, 4> state_{};
+  state_type state_{};
 };
 
 /// Standard normal deviate (Marsaglia polar method would cache; we use the

@@ -7,17 +7,23 @@
 //     regression that a permuted heterogeneous universe becomes mostly
 //     bit-sliceable (make_sample_blocks re-derivation after remap);
 //   - bit-identity of run_experiment across thread counts AND SIMD dispatch
-//     levels, shard-window splits, and the manifest wire codec.
+//     levels, shard-window splits, and the manifest wire codec;
+//   - the xoshiro256++ lane kernel against mc::common_cause_mixture::
+//     sample_mask on a scalar copy of every lane's stream, at every level.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/fault_universe.hpp"
 #include "core/generators.hpp"
 #include "core/simd_sampler.hpp"
+#include "mc/correlated.hpp"
 #include "mc/experiment.hpp"
 #include "mc/run_dir.hpp"
 #include "mc/sampler.hpp"
@@ -246,6 +252,80 @@ TEST(SimdEquivalenceFuzz, EmptyAndSingleFaultUniverses) {
     run_equivalence_case(core::make_homogeneous_universe(1, 0.5, 0.1), 1, level,
                          "single");
   }
+}
+
+// ---------------------------------------------------------------------------
+// xoshiro256++ lane kernel vs the scalar mixture sampler
+// ---------------------------------------------------------------------------
+
+/// n faults with random p in (0, 0.4) plus the degenerate atoms: p = 0 at
+/// index 0, p = 1 at index n / 2 and p = 1e-13 (< 2^-40) at index n - 1, so
+/// every universe size puts them in different words.
+core::fault_universe make_lane_test_universe(std::size_t n, std::uint64_t seed) {
+  stats::rng r(seed);
+  std::vector<core::fault_atom> atoms;
+  for (std::size_t i = 0; i < n; ++i) {
+    atoms.push_back({0.4 * r.uniform(), 0.5 / static_cast<double>(n)});
+  }
+  atoms[n - 1].p = 1e-13;
+  atoms[n / 2].p = 1.0;
+  atoms[0].p = 0.0;
+  return core::fault_universe(std::move(atoms));
+}
+
+TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  constexpr double kStress = 1.8;
+  // rho = 1/stress is the feasibility boundary: every fault with
+  // stress * p < 1 gets a relaxed p of 0 up to rounding, clamped to 0 when it
+  // rounds below.
+  const double rhos[] = {0.0, 0.25, 1.0 / kStress};
+  for (const auto level : {core::simd_level::scalar, core::detected_simd_level()}) {
+    for (const std::size_t n : {1u, 40u, 63u, 64u, 65u, 256u, 300u}) {
+      const core::fault_universe u = make_lane_test_universe(n, 1000 + n);
+      for (const double rho : rhos) {
+        const mc::common_cause_mixture mixture(u, rho, kStress);
+        const std::string what = std::string(core::simd_level_name(level)) +
+                                 " n=" + std::to_string(n) +
+                                 " rho=" + std::to_string(rho);
+        // Four distinct jump-derived streams, as a cell's shard group has.
+        core::xoshiro_lanes lanes;
+        std::array<stats::rng, kLanes> scalar;
+        stats::rng walker(77 + n);
+        for (unsigned l = 0; l < kLanes; ++l) {
+          lanes.set_lane(l, walker);
+          scalar[l] = walker;
+          walker.jump();
+        }
+        std::array<core::fault_mask, kLanes> out;
+        core::fault_mask want;
+        for (int version = 0; version < 1000; ++version) {
+          mixture.sample_mask_lanes(lanes, out, level);
+          for (unsigned l = 0; l < kLanes; ++l) {
+            mixture.sample_mask(scalar[l], want);
+            expect_masks_equal(out[l], want,
+                               what + " version " + std::to_string(version) +
+                                   " lane " + std::to_string(l));
+          }
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+        for (unsigned l = 0; l < kLanes; ++l) {
+          EXPECT_EQ(lanes.lane(l).state(), scalar[l].state())
+              << what << " lane " << l << " final state";
+        }
+      }
+    }
+  }
+}
+
+TEST(XoshiroLaneKernel, RejectsMismatchedThresholdSpans) {
+  core::xoshiro_lanes lanes;
+  std::array<core::fault_mask, core::kXoshiroLanes> out;
+  const std::vector<std::uint64_t> stressed(5, 1);
+  const std::vector<std::uint64_t> relaxed(4, 1);
+  EXPECT_THROW(core::sample_mixture_lanes(lanes, 0, stressed, relaxed, out,
+                                          core::simd_level::scalar),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

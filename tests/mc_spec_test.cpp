@@ -15,8 +15,10 @@
 #include "core/fault_mask.hpp"
 #include "core/generators.hpp"
 #include "core/moments.hpp"
+#include "core/simd_sampler.hpp"
 #include "demand/raster.hpp"
 #include "demand/region.hpp"
+#include "mc/aliasing.hpp"
 #include "mc/correlated.hpp"
 #include "mc/run_dir.hpp"
 #include "mc/scenario.hpp"
@@ -33,6 +35,13 @@ namespace {
 
 bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool moments_bits_equal(const stats::running_moments_state& a,
+                        const stats::running_moments_state& b) {
+  return a.count == b.count && bits_equal(a.m1, b.m1) && bits_equal(a.m2, b.m2) &&
+         bits_equal(a.m3, b.m3) && bits_equal(a.m4, b.m4) && bits_equal(a.min, b.min) &&
+         bits_equal(a.max, b.max);
 }
 
 constexpr const char* kScenarioSpec = R"(# two-universe scenario
@@ -384,6 +393,52 @@ TEST(SweepSpec, TwoOutOfThreeMixtureCellMatchesBruteForce) {
   EXPECT_TRUE(bits_equal(cell.mean_theta1, acc.theta1().mean()));
   EXPECT_TRUE(bits_equal(cell.mean_theta2, acc.theta2().mean()));
   EXPECT_EQ(cell.state.n2_positive, acc.state().n2_positive);
+}
+
+TEST(SweepSpec, PairMixtureCellsMatchBruteForceAtEveryLevel) {
+  // The paper's {2,2} pair under the mixture.  The budgets give 1 shard;
+  // 5 shards (a full group of four plus one); 7 shards of 71 or 72 pairs;
+  // and 256 shards, 32 of them one pair larger.
+  mc::scenario_axes axes;
+  axes.universes.emplace_back("u40", core::make_safety_grade_universe(40, 0.0, 0.05, 0.6, 11));
+  axes.universes.emplace_back(
+      "u65", core::make_many_small_faults_universe(65, 0.05, 0.3, 0.8, 0.2, 12));
+  axes.correlations = {0.25};
+  axes.overlaps = {1.0, 0.0};
+  axes.aliasing = {1, 3};
+  axes.budgets = {64, 350, 500, 20'000};
+  const std::vector<mc::scenario_cell> cells = mc::enumerate_cells(axes);
+  ASSERT_EQ(cells.size(), 32u);
+  for (const bool scalar_cap : {true, false}) {
+    if (scalar_cap) core::set_simd_level_cap(core::simd_level::scalar);
+    const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 33});
+    core::clear_simd_level_cap();
+    ASSERT_EQ(grid.cells.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const mc::scenario_cell& c = cells[i];
+      const core::fault_universe& base = axes.universes[c.universe_index].second;
+      const core::fault_universe u =
+          c.aliasing > 1 ? mc::split_into_mistakes(base, c.aliasing).effective_universe()
+                         : base;
+      const mc::common_cause_mixture sampler(u, c.rho, axes.stress);
+      const mc::accumulator_state want =
+          brute_force_cell(sampler, u, 2, 2, c.omega, c.samples, cell_seed_replica(33, i))
+              .state();
+      const mc::accumulator_state& got = grid.cells[i].state;
+      const std::string what = std::string(scalar_cap ? "scalar" : "uncapped") + " " +
+                               c.universe + " omega=" + std::to_string(c.omega) +
+                               " aliasing=" + std::to_string(c.aliasing) +
+                               " budget=" + std::to_string(c.samples);
+      EXPECT_EQ(grid.cells[i].shards, mc::make_shard_plan(c.samples).shard_count) << what;
+      EXPECT_EQ(got.samples, want.samples) << what;
+      EXPECT_TRUE(moments_bits_equal(got.theta1, want.theta1)) << what;
+      EXPECT_TRUE(moments_bits_equal(got.theta2, want.theta2)) << what;
+      EXPECT_EQ(got.n1_positive, want.n1_positive) << what;
+      EXPECT_EQ(got.n2_positive, want.n2_positive) << what;
+      EXPECT_EQ(got.n1_zero_pfd, want.n1_zero_pfd) << what;
+      EXPECT_EQ(got.n2_zero_pfd, want.n2_zero_pfd) << what;
+    }
+  }
 }
 
 TEST(SweepSpec, CopulaPairCellMatchesBruteForce) {

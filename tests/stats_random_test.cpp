@@ -52,6 +52,18 @@ TEST(Rng, ReseedRestartsStream) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a(), first[i]);
 }
 
+TEST(Rng, StateExportImportContinuesTheStream) {
+  rng a(2026);
+  for (int i = 0; i < 37; ++i) a();
+  a.jump();
+  const rng::state_type s = a.state();
+  rng b = rng::from_state(s);
+  EXPECT_EQ(b.state(), s);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(a(), b()) << "draw " << i;
+  EXPECT_EQ(a.state(), b.state());
+  EXPECT_NE(a.state(), s);
+}
+
 TEST(Rng, UniformInUnitInterval) {
   rng r(99);
   for (int i = 0; i < 100000; ++i) {

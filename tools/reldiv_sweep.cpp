@@ -9,7 +9,7 @@
 //                                                     an identical manifest is
 //                                                     served from the result
 //                                                     cache, nothing recomputed)
-//     reldiv_sweep status --root svc                  progress/ETA JSON
+//     reldiv_sweep status --root svc                  progress JSON
 //     reldiv_sweep merge  --root svc --name R --wait  merged tables (cached)
 //     reldiv_sweep drain  --root svc [--clear]        graceful fleet shutdown
 //     reldiv_sweep single|worker|chaos ...            aliases for the classic
