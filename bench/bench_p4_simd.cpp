@@ -12,8 +12,15 @@
 //
 // The scenario pair measures the other SIMD kernel family: scenario_ci.spec's
 // 256-fault mixture cell through run_scenario_cell, once at the scalar cap
-// and once uncapped, where the xoshiro lane kernel advances four shard
-// streams per instruction.  Both produce the same bits.
+// and once uncapped, where the xoshiro lane kernel advances eight shard
+// streams per AVX-512 instruction (four per AVX2 instruction).  Both produce
+// the same bits.
+//
+// The *Avx2 twins of the random-universe fast-simd run and the scenario cell
+// run at the avx2 cap, so on an AVX-512 host "dispatched vs avx2 cap" is the
+// AVX-512 kernels' own gain (the random universe, because its paired32 words
+// are where the counter kernel runs; the heterogeneous one is mostly scalar
+// slice words); on an AVX2 host the twins equal their uncapped variants.
 //
 // All variants run single-threaded so the engine comparison divides out the
 // machine; BENCH_p4.json records the ratios and the SIMD level the uncapped
@@ -115,6 +122,14 @@ void BM_RunExperimentFastSimdRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_RunExperimentFastSimdRandom)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+void BM_RunExperimentFastSimdRandomAvx2(benchmark::State& state) {
+  core::set_simd_level_cap(core::simd_level::avx2);
+  run_engine_bench(state, core::make_random_universe(1024, 0.3, 0.8, 5),
+                   mc::sampling_engine::fast_simd);
+  core::clear_simd_level_cap();
+}
+BENCHMARK(BM_RunExperimentFastSimdRandomAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // --- scenario_ci mixture cell: xoshiro lane kernel vs its scalar level ------
 
 /// scenario_ci.spec's `many_small` universe (256 faults) at rho = 0.25,
@@ -146,6 +161,13 @@ void BM_ScenarioMixtureCellLanes(benchmark::State& state) {
   run_mixture_cell_bench(state);
 }
 BENCHMARK(BM_ScenarioMixtureCellLanes)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_ScenarioMixtureCellAvx2(benchmark::State& state) {
+  core::set_simd_level_cap(core::simd_level::avx2);
+  run_mixture_cell_bench(state);
+  core::clear_simd_level_cap();
+}
+BENCHMARK(BM_ScenarioMixtureCellAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -45,6 +45,8 @@ import sys
 # permanently fail CI).  simd_sensitive marks ratios whose denominator runs
 # at the dispatched SIMD level: an AVX2 baseline says nothing about a host
 # that dispatches the scalar level, so they gate only between equal levels.
+# The "dispatched vs avx2 cap" ratios are the AVX-512 kernels' own gain: 1x
+# on an AVX2 host, so they too gate only between equal levels.
 KEY_RATIOS = [
     ("run_experiment fast engine vs legacy",
      "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFast/real_time",
@@ -75,6 +77,12 @@ KEY_RATIOS = [
      "BM_RunExperimentFastSimdRandom/real_time", False, True),
     ("scenario mixture cell xoshiro lanes vs scalar level",
      "BM_ScenarioMixtureCellScalar/real_time",
+     "BM_ScenarioMixtureCellLanes/real_time", False, True),
+    ("fast-simd random n=1024 dispatched vs avx2 cap",
+     "BM_RunExperimentFastSimdRandomAvx2/real_time",
+     "BM_RunExperimentFastSimdRandom/real_time", False, True),
+    ("scenario mixture cell dispatched vs avx2 cap",
+     "BM_ScenarioMixtureCellAvx2/real_time",
      "BM_ScenarioMixtureCellLanes/real_time", False, True),
     ("service memoized query vs cold submit->merge",
      "BM_ServiceSubmitToMerged/real_time",

@@ -16,8 +16,9 @@
 #   BENCH_p4.json — SIMD kernels (bench_p4_simd): the fast-simd engine
 #                   (counter generation + p-sorted relayout + runtime SIMD
 #                   dispatch) vs the fast engine on heterogeneous and random
-#                   n=1024 universes, and scenario_ci's 256-fault mixture
-#                   cell with the xoshiro lane kernel vs its scalar level.
+#                   n=1024 universes, scenario_ci's 256-fault mixture
+#                   cell with the xoshiro lane kernel vs its scalar level,
+#                   and both SIMD families dispatched vs capped at AVX2.
 #   BENCH_p5.json — sweep-service front-end (bench_p5_service): queue
 #                   submit -> merged latency (cold) vs the fingerprint-
 #                   memoized result-cache query (hot), plus the status probe.
@@ -133,6 +134,16 @@ if cell_scalar and cell_lanes:
     print(f"scenario_ci mixture cell (256 faults, 1e6 pairs): scalar level "
           f"{cell_scalar:.0f}ms -> xoshiro lanes {cell_lanes:.0f}ms "
           f"({cell_scalar / cell_lanes:.2f}x)")
+# Dispatched vs avx2 cap: the AVX-512 kernels' own gain (1x on an AVX2 host).
+random_simd = p4.get("BM_RunExperimentFastSimdRandom/real_time")
+random_avx2 = p4.get("BM_RunExperimentFastSimdRandomAvx2/real_time")
+if random_simd and random_avx2:
+    print(f"fast-simd random n=1024: avx2 cap {random_avx2:.2f}ms -> dispatched "
+          f"{random_simd:.2f}ms ({random_avx2 / random_simd:.2f}x)")
+cell_avx2 = p4.get("BM_ScenarioMixtureCellAvx2/real_time")
+if cell_avx2 and cell_lanes:
+    print(f"scenario_ci mixture cell: avx2 cap {cell_avx2:.0f}ms -> dispatched "
+          f"{cell_lanes:.0f}ms ({cell_avx2 / cell_lanes:.2f}x)")
 
 p5 = load(sys.argv[5])
 cold = p5.get("BM_ServiceSubmitToMerged/real_time")

@@ -1,22 +1,35 @@
-// AVX2 level of the fast-simd word kernels and of the xoshiro256++ lane
-// kernel.  This is the ONLY translation unit in the repo allowed to include
-// <immintrin.h> (reldiv_lint `simd-isolation` enforces it) and the only one
-// compiled with -mavx2; it is reached solely through the runtime dispatch in
-// simd_sampler.cpp, which calls in only after __builtin_cpu_supports("avx2")
-// says the host can run it.  When the toolchain cannot compile AVX2 (non-x86,
-// or no -mavx2), the fallback definitions at the bottom keep the link whole
-// and report avx2_compiled() == false so dispatch never selects this path.
+// AVX2 and AVX-512 levels of the fast-simd word kernels and of the
+// xoshiro256++ lane kernel.  This is the ONLY translation unit in the repo
+// allowed to include <immintrin.h> (reldiv_lint `simd-isolation` enforces it)
+// and the only one compiled with -mavx2; the AVX-512 functions carry a
+// function-level target attribute (RELDIV_AVX512 below) instead of a TU
+// flag, so the build needs no second SIMD TU.  It is reached solely through the
+// runtime dispatch in simd_sampler.cpp, which calls an AVX2 function only
+// after __builtin_cpu_supports("avx2") and an AVX-512 one only after
+// avx512f/dq/vl/bw say the host can run it.  When the toolchain cannot
+// compile AVX2 (non-x86, or no -mavx2), the fallback definitions at the
+// bottom keep the link whole and report avx2_compiled() == avx512_compiled()
+// == false so dispatch never selects these paths.
 //
 // Decision-for-decision equivalence with the scalar level holds because the
-// vector kernels evaluate the identical integer arithmetic four 64-bit lanes
-// per instruction, then compare against the same integer thresholds:
+// vector kernels evaluate the identical integer arithmetic four (AVX2) or
+// eight (AVX-512) 64-bit lanes per instruction, then compare against the same
+// integer thresholds:
 //   * fast-simd: stats::counter_draw — the splitmix64 finalizer on
-//     key + (counter+1)*gamma, its 64-bit constant multiplies synthesized
-//     from three 32x32 _mm256_mul_epu32 partial products;
+//     key + (counter+1)*gamma; AVX2 synthesizes each 64-bit constant multiply
+//     from three 32x32 _mm256_mul_epu32 partial products, AVX-512 uses the
+//     native 64-bit _mm512_mullo_epi64 and compares straight into a mask;
 //   * lane kernel: stats::rng::operator() — xoshiro256++'s adds, xors,
-//     shifts and rotates, one independent engine per lane.
-// The threshold compares use _mm256_cmpgt_epi64, which is safe in the signed
-// domain because both operands are <= 2^53 (hence positive as int64).
+//     shifts and rotates, one independent engine per lane (AVX-512 folds the
+//     xor pairs into _mm512_ternarylogic_epi64 and rotates with one
+//     instruction).
+// The AVX2 threshold compares use _mm256_cmpgt_epi64, which is safe in the
+// signed domain because both operands are <= 2^53 (hence positive as int64);
+// the AVX-512 compares are unsigned.
+//
+// GCC builds _mm512_{srli,slli,rol}_epi64 on _mm512_undefined_epi32(), which
+// trips -Wmaybe-uninitialized; the kernels use the _mm512_maskz_* forms with
+// an all-ones mask instead, which compile to the same unmasked instructions.
 
 #include "core/simd_sampler.inl.hpp"
 
@@ -149,38 +162,207 @@ inline std::array<std::uint64_t, 4> lanes_of(__m256i v) noexcept {
           static_cast<std::uint64_t>(_mm256_extract_epi64(v, 3))};
 }
 
+/// The AVX2 lane kernel on kRegs registers of four lanes (lanes 0 ..
+/// 4 * kRegs - 1), stepped together so the independent streams overlap.
+/// Lanes of the last register past `live` are drawn but never written back.
+template <unsigned kRegs>
+void mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                        const std::uint64_t* stressed, const std::uint64_t* relaxed,
+                        std::size_t n, std::uint64_t* const* out, unsigned live) noexcept {
+  std::array<xoshiro4, kRegs> g;
+  // All-ones in the lanes whose development is stressed.
+  __m256i stressed_lanes[kRegs];
+  for (unsigned r = 0; r < kRegs; ++r) {
+    g[r] = {load_u64x4(lanes.word[0].data() + 4 * r), load_u64x4(lanes.word[1].data() + 4 * r),
+            load_u64x4(lanes.word[2].data() + 4 * r), load_u64x4(lanes.word[3].data() + 4 * r)};
+    stressed_lanes[r] = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(stress_threshold)),
+        _mm256_srli_epi64(g[r].next(), 11));
+  }
+  std::size_t i = 0;
+  for (std::size_t blk = 0; i < n; ++blk) {
+    const std::size_t hi = n - i < 64 ? n : i + 64;
+    __m256i word[kRegs];
+    for (__m256i& w : word) w = _mm256_setzero_si256();
+    __m256i bit = _mm256_set1_epi64x(1);
+    for (; i < hi; ++i) {
+      const __m256i relaxed_t = _mm256_set1_epi64x(static_cast<long long>(relaxed[i]));
+      const __m256i stressed_t = _mm256_set1_epi64x(static_cast<long long>(stressed[i]));
+      for (unsigned r = 0; r < kRegs; ++r) {
+        const __m256i t = _mm256_blendv_epi8(relaxed_t, stressed_t, stressed_lanes[r]);
+        const __m256i hit = _mm256_cmpgt_epi64(t, _mm256_srli_epi64(g[r].next(), 11));
+        word[r] = _mm256_or_si256(word[r], _mm256_and_si256(hit, bit));
+      }
+      bit = _mm256_add_epi64(bit, bit);
+    }
+    for (unsigned r = 0; r < kRegs; ++r) {
+      const std::array<std::uint64_t, 4> w = lanes_of(word[r]);
+      for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) out[l][blk] = w[l - 4 * r];
+    }
+  }
+  for (unsigned r = 0; r < kRegs; ++r) {
+    const std::array<std::array<std::uint64_t, 4>, 4> s = {
+        lanes_of(g[r].s0), lanes_of(g[r].s1), lanes_of(g[r].s2), lanes_of(g[r].s3)};
+    for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) {
+      for (unsigned j = 0; j < 4; ++j) lanes.word[j][l] = s[j][l - 4 * r];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 (F + DQ + VL + BW), function-level target
+// ---------------------------------------------------------------------------
+
+#define RELDIV_AVX512 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw")))
+
+constexpr __mmask8 kAllLanes = 0xff;
+
+/// x >> K / x << K / x <<< K in every 64-bit lane (maskz forms: see the
+/// header comment).
+template <unsigned K>
+RELDIV_AVX512 inline __m512i srli512(__m512i x) noexcept {
+  return _mm512_maskz_srli_epi64(kAllLanes, x, K);
+}
+template <unsigned K>
+RELDIV_AVX512 inline __m512i slli512(__m512i x) noexcept {
+  return _mm512_maskz_slli_epi64(kAllLanes, x, K);
+}
+template <int K>
+RELDIV_AVX512 inline __m512i rotl512(__m512i x) noexcept {
+  return _mm512_maskz_rol_epi64(kAllLanes, x, K);
+}
+
+/// Thresholds t[0 .. min(rem, 8)), zero in the lanes past rem: a zero
+/// threshold never passes an unsigned `<`, so a word's last partial group
+/// needs no scalar tail and reads nothing past the word.
+RELDIV_AVX512 inline __m512i load_thresholds8(const std::uint64_t* t, unsigned rem) noexcept {
+  const __mmask8 m = rem >= 8 ? kAllLanes : static_cast<__mmask8>((1u << rem) - 1);
+  return _mm512_maskz_loadu_epi64(m, t);
+}
+
+/// stats::counter_draw for counters base..base+7, one per lane (lane 0 =
+/// base), with native 64-bit multiplies.
+RELDIV_AVX512 inline __m512i counter_draws8(std::uint64_t key, std::uint64_t base) noexcept {
+  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
+  const std::uint64_t s0 = key + (base + 1) * g;
+  __m512i z = _mm512_add_epi64(
+      _mm512_set1_epi64(static_cast<long long>(s0)),
+      _mm512_set_epi64(static_cast<long long>(7 * g), static_cast<long long>(6 * g),
+                       static_cast<long long>(5 * g), static_cast<long long>(4 * g),
+                       static_cast<long long>(3 * g), static_cast<long long>(2 * g),
+                       static_cast<long long>(g), 0));
+  z = _mm512_xor_si512(z, srli512<30>(z));
+  z = _mm512_mullo_epi64(z, _mm512_set1_epi64(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
+  z = _mm512_xor_si512(z, srli512<27>(z));
+  z = _mm512_mullo_epi64(z, _mm512_set1_epi64(static_cast<long long>(0x94d049bb133111ebULL)));
+  return _mm512_xor_si512(z, srli512<31>(z));
+}
+
+/// Bits 0..7 of the result: lane-wise v < t (unsigned).
+RELDIV_AVX512 inline std::uint64_t cmplt8(__m512i v, __m512i t) noexcept {
+  return static_cast<std::uint64_t>(_cvtmask8_u32(_mm512_cmplt_epu64_mask(v, t)));
+}
+
+struct avx512_word_ops {
+  RELDIV_AVX512 static void paired32_word(std::uint64_t key, std::uint64_t base,
+                                          const std::uint64_t* t32, unsigned occ,
+                                          std::uint64_t& wa, std::uint64_t& wb) noexcept {
+    std::uint64_t word_a = 0;
+    std::uint64_t word_b = 0;
+    const __m512i lo_mask = _mm512_set1_epi64(0xffffffffLL);
+    for (unsigned k = 0; k < occ; k += 8) {
+      const __m512i x = counter_draws8(key, base + k);
+      const __m512i t = load_thresholds8(t32 + k, occ - k);
+      word_a |= cmplt8(srli512<32>(x), t) << k;
+      word_b |= cmplt8(_mm512_and_si512(x, lo_mask), t) << k;
+    }
+    wa = word_a;
+    wb = word_b;
+  }
+
+  RELDIV_AVX512 static std::uint64_t wide53_word(std::uint64_t key, std::uint64_t base,
+                                                 const std::uint64_t* t53,
+                                                 unsigned occ) noexcept {
+    std::uint64_t w = 0;
+    for (unsigned k = 0; k < occ; k += 8) {
+      w |= cmplt8(srli512<11>(counter_draws8(key, base + k)), load_thresholds8(t53 + k, occ - k))
+           << k;
+    }
+    return w;
+  }
+};
+
+/// Eight xoshiro256++ engines, one per lane: stats::rng::operator() step for
+/// step, each three-way xor one ternary-logic instruction.
+struct xoshiro8 {
+  __m512i s0, s1, s2, s3;
+
+  RELDIV_AVX512 __m512i next() noexcept {
+    constexpr int kXor3 = 0x96;  // a ^ b ^ c
+    const __m512i result = _mm512_add_epi64(rotl512<23>(_mm512_add_epi64(s0, s3)), s0);
+    const __m512i t = slli512<17>(s1);
+    const __m512i n2 = _mm512_ternarylogic_epi64(s2, s0, t, kXor3);
+    const __m512i n1 = _mm512_ternarylogic_epi64(s1, s2, s0, kXor3);
+    const __m512i n0 = _mm512_ternarylogic_epi64(s0, s3, s1, kXor3);
+    s3 = rotl512<45>(_mm512_xor_si512(s3, s1));
+    s2 = n2;
+    s1 = n1;
+    s0 = n0;
+    return result;
+  }
+};
+
 }  // namespace
 
 bool avx2_compiled() noexcept { return true; }
+bool avx512_compiled() noexcept { return true; }
 
 void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                                const std::uint64_t* stressed,
                                const std::uint64_t* relaxed, std::size_t n,
-                               std::uint64_t* const* out) noexcept {
-  static_assert(kXoshiroLanes == 4, "one xoshiro256++ engine per 64-bit AVX2 lane");
-  xoshiro4 g{load_u64x4(lanes.word[0].data()), load_u64x4(lanes.word[1].data()),
-             load_u64x4(lanes.word[2].data()), load_u64x4(lanes.word[3].data())};
-  // All-ones in the lanes whose development is stressed.
-  const __m256i stressed_lanes =
-      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(stress_threshold)),
-                         _mm256_srli_epi64(g.next(), 11));
+                               std::uint64_t* const* out, unsigned live) noexcept {
+  static_assert(kXoshiroLanes == 8, "two AVX2 registers of four 64-bit lanes");
+  if (live <= 4) {
+    mixture_lanes_avx2<1>(lanes, stress_threshold, stressed, relaxed, n, out, live);
+  } else {
+    mixture_lanes_avx2<2>(lanes, stress_threshold, stressed, relaxed, n, out, live);
+  }
+}
+
+RELDIV_AVX512 void sample_mixture_lanes_avx512(xoshiro_lanes& lanes,
+                                               std::uint64_t stress_threshold,
+                                               const std::uint64_t* stressed,
+                                               const std::uint64_t* relaxed, std::size_t n,
+                                               std::uint64_t* const* out,
+                                               unsigned live) noexcept {
+  static_assert(kXoshiroLanes == 8, "one xoshiro256++ engine per 64-bit AVX-512 lane");
+  const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
+  xoshiro8 g{_mm512_loadu_si512(lanes.word[0].data()), _mm512_loadu_si512(lanes.word[1].data()),
+             _mm512_loadu_si512(lanes.word[2].data()), _mm512_loadu_si512(lanes.word[3].data())};
+  // Set in the lanes whose development is stressed.
+  const __mmask8 stressed_lanes = _mm512_cmplt_epu64_mask(
+      srli512<11>(g.next()), _mm512_set1_epi64(static_cast<long long>(stress_threshold)));
   std::size_t i = 0;
   for (std::size_t blk = 0; i < n; ++blk) {
     const std::size_t hi = n - i < 64 ? n : i + 64;
-    __m256i word = _mm256_setzero_si256();
-    __m256i bit = _mm256_set1_epi64x(1);
+    __m512i word = _mm512_setzero_si512();
+    __m512i bit = _mm512_set1_epi64(1);
     for (; i < hi; ++i) {
-      const __m256i t = _mm256_blendv_epi8(
-          _mm256_set1_epi64x(static_cast<long long>(relaxed[i])),
-          _mm256_set1_epi64x(static_cast<long long>(stressed[i])), stressed_lanes);
-      const __m256i hit = _mm256_cmpgt_epi64(t, _mm256_srli_epi64(g.next(), 11));
-      word = _mm256_or_si256(word, _mm256_and_si256(hit, bit));
-      bit = _mm256_add_epi64(bit, bit);
+      const __m512i t = _mm512_mask_blend_epi64(
+          stressed_lanes, _mm512_set1_epi64(static_cast<long long>(relaxed[i])),
+          _mm512_set1_epi64(static_cast<long long>(stressed[i])));
+      const __mmask8 hit = _mm512_cmplt_epu64_mask(srli512<11>(g.next()), t);
+      word = _mm512_mask_or_epi64(word, hit, word, bit);
+      bit = _mm512_add_epi64(bit, bit);
     }
-    const std::array<std::uint64_t, 4> w = lanes_of(word);
-    for (unsigned l = 0; l < 4; ++l) out[l][blk] = w[l];
+    std::array<std::uint64_t, 8> w;
+    _mm512_storeu_si512(w.data(), word);
+    for (unsigned l = 0; l < live; ++l) out[l][blk] = w[l];
   }
-  lanes.word = {lanes_of(g.s0), lanes_of(g.s1), lanes_of(g.s2), lanes_of(g.s3)};
+  _mm512_mask_storeu_epi64(lanes.word[0].data(), live_lanes, g.s0);
+  _mm512_mask_storeu_epi64(lanes.word[1].data(), live_lanes, g.s1);
+  _mm512_mask_storeu_epi64(lanes.word[2].data(), live_lanes, g.s2);
+  _mm512_mask_storeu_epi64(lanes.word[3].data(), live_lanes, g.s3);
 }
 
 void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
@@ -193,6 +375,20 @@ void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
                                                 count, a, b);
 }
 
+// flatten: the template body is built for the TU's AVX2 target, so GCC will
+// not inline the AVX-512 word ops into it by itself; flattening the entry
+// point pulls the whole batch loop, word ops included, into one AVX-512
+// function.
+[[gnu::flatten]] RELDIV_AVX512 void sample_pair_counter_batch_avx512(
+    const counter_sample_plan& plan, std::span<const std::uint64_t> t32,
+    std::span<const std::uint64_t> t53, std::uint64_t key, std::uint64_t first_pair,
+    std::size_t count, std::span<fault_mask> a, std::span<fault_mask> b) {
+  sample_pair_counter_batch_impl<avx512_word_ops>(plan, t32, t53, key, first_pair, count, a,
+                                                  b);
+}
+
+#undef RELDIV_AVX512
+
 }  // namespace reldiv::core::detail
 
 #else  // !__AVX2__
@@ -200,6 +396,7 @@ void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
 namespace reldiv::core::detail {
 
 bool avx2_compiled() noexcept { return false; }
+bool avx512_compiled() noexcept { return false; }
 
 void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
                                     std::span<const std::uint64_t> t32,
@@ -214,12 +411,30 @@ void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
                                                   first_pair, count, a, b);
 }
 
+void sample_pair_counter_batch_avx512(const counter_sample_plan& plan,
+                                      std::span<const std::uint64_t> t32,
+                                      std::span<const std::uint64_t> t53,
+                                      std::uint64_t key, std::uint64_t first_pair,
+                                      std::size_t count, std::span<fault_mask> a,
+                                      std::span<fault_mask> b) {
+  // Unreachable through dispatch, like the AVX2 fallback above.
+  sample_pair_counter_batch_impl<scalar_word_ops>(plan, t32, t53, key,
+                                                  first_pair, count, a, b);
+}
+
 void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                                const std::uint64_t* stressed,
                                const std::uint64_t* relaxed, std::size_t n,
-                               std::uint64_t* const* out) noexcept {
-  // Unreachable through dispatch, like the batch fallback above.
-  sample_mixture_lanes_scalar(lanes, stress_threshold, stressed, relaxed, n, out);
+                               std::uint64_t* const* out, unsigned live) noexcept {
+  // Unreachable through dispatch, like the batch fallbacks above.
+  sample_mixture_lanes_scalar(lanes, stress_threshold, stressed, relaxed, n, out, live);
+}
+
+void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                                 const std::uint64_t* stressed,
+                                 const std::uint64_t* relaxed, std::size_t n,
+                                 std::uint64_t* const* out, unsigned live) noexcept {
+  sample_mixture_lanes_scalar(lanes, stress_threshold, stressed, relaxed, n, out, live);
 }
 
 }  // namespace reldiv::core::detail

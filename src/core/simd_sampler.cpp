@@ -1,7 +1,8 @@
 // SIMD dispatch, fast-simd plan construction, and the scalar level of both
-// kernel families.  The AVX2 level lives in simd_sampler.avx2.cpp (the one
-// TU compiled with -mavx2); this TU stays portable and decides at runtime
-// which one runs.
+// kernel families.  The AVX2 and AVX-512 levels live in simd_sampler.avx2.cpp
+// (the one TU compiled with -mavx2, its AVX-512 functions under a
+// function-level target attribute); this TU stays portable and decides at
+// runtime which one runs.
 
 #include "core/simd_sampler.inl.hpp"
 
@@ -17,15 +18,22 @@ namespace reldiv::core {
 namespace detail {
 // Defined in simd_sampler.avx2.cpp.  When that TU was compiled without AVX2
 // support (non-x86 arch or a compiler without -mavx2) it forwards to the
-// scalar template and avx2_compiled() reports false, so dispatch never
-// claims a level it cannot deliver.
+// scalar template and avx2_compiled() and avx512_compiled() report false, so
+// dispatch never claims a level it cannot deliver.
 bool avx2_compiled() noexcept;
+bool avx512_compiled() noexcept;
 void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
                                     std::span<const std::uint64_t> t32,
                                     std::span<const std::uint64_t> t53,
                                     std::uint64_t key, std::uint64_t first_pair,
                                     std::size_t count, std::span<fault_mask> a,
                                     std::span<fault_mask> b);
+void sample_pair_counter_batch_avx512(const counter_sample_plan& plan,
+                                      std::span<const std::uint64_t> t32,
+                                      std::span<const std::uint64_t> t53,
+                                      std::uint64_t key, std::uint64_t first_pair,
+                                      std::size_t count, std::span<fault_mask> a,
+                                      std::span<fault_mask> b);
 }  // namespace detail
 
 namespace {
@@ -41,8 +49,9 @@ simd_level env_level_cap() noexcept {
     if (env != nullptr) {
       const std::string_view v(env);
       if (v == "off" || v == "scalar" || v == "0") return simd_level::scalar;
+      if (v == "avx2") return simd_level::avx2;
     }
-    return simd_level::avx2;  // no cap (never raises above detected)
+    return simd_level::avx512;  // no cap (never raises above detected)
   }();
   return cap;
 }
@@ -55,6 +64,8 @@ const char* simd_level_name(simd_level level) noexcept {
       return "scalar";
     case simd_level::avx2:
       return "avx2";
+    case simd_level::avx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -62,9 +73,18 @@ const char* simd_level_name(simd_level level) noexcept {
 simd_level detected_simd_level() noexcept {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-  static const bool avx2 =
-      __builtin_cpu_supports("avx2") != 0 && detail::avx2_compiled();
-  return avx2 ? simd_level::avx2 : simd_level::scalar;
+  static const simd_level level = [] {
+    if (__builtin_cpu_supports("avx2") == 0 || !detail::avx2_compiled()) {
+      return simd_level::scalar;
+    }
+    const bool avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+                        __builtin_cpu_supports("avx512dq") != 0 &&
+                        __builtin_cpu_supports("avx512vl") != 0 &&
+                        __builtin_cpu_supports("avx512bw") != 0 &&
+                        detail::avx512_compiled();
+    return avx512 ? simd_level::avx512 : simd_level::avx2;
+  }();
+  return level;
 #else
   return simd_level::scalar;
 #endif
@@ -147,6 +167,11 @@ void sample_pair_counter_batch(const counter_sample_plan& plan,
         "sample_pair_counter_batch: mask spans shorter than batch");
   }
   switch (level) {
+    case simd_level::avx512:
+      detail::sample_pair_counter_batch_avx512(plan, u.bernoulli_thresholds32(),
+                                               u.bernoulli_thresholds(), key,
+                                               first_pair, count, a, b);
+      return;
     case simd_level::avx2:
       detail::sample_pair_counter_batch_avx2(plan, u.bernoulli_thresholds32(),
                                              u.bernoulli_thresholds(), key,
@@ -172,10 +197,10 @@ namespace detail {
 void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                                  const std::uint64_t* stressed,
                                  const std::uint64_t* relaxed, std::size_t n,
-                                 std::uint64_t* const* out) noexcept {
-  // Each lane in turn, word by word exactly as mc::sample_mask_from_thresholds
-  // fills a mask.
-  for (unsigned l = 0; l < kXoshiroLanes; ++l) {
+                                 std::uint64_t* const* out, unsigned live) noexcept {
+  // Each live lane in turn, word by word exactly as
+  // mc::sample_mask_from_thresholds fills a mask.
+  for (unsigned l = 0; l < live; ++l) {
     stats::rng r = lanes.lane(l);
     const std::uint64_t* t = (r() >> 11) < stress_threshold ? stressed : relaxed;
     std::uint64_t* words = out[l];
@@ -197,27 +222,35 @@ void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_thre
 void sample_mixture_lanes(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                           std::span<const std::uint64_t> stressed,
                           std::span<const std::uint64_t> relaxed,
-                          std::span<fault_mask, kXoshiroLanes> out, simd_level level) {
+                          std::span<fault_mask, kXoshiroLanes> out, unsigned live,
+                          simd_level level) {
   if (stressed.size() != relaxed.size()) {
     throw std::invalid_argument(
         "sample_mixture_lanes: stressed and relaxed thresholds differ in length");
   }
+  if (live > kXoshiroLanes) {
+    throw std::invalid_argument("sample_mixture_lanes: more live lanes than lanes");
+  }
   const std::size_t n = stressed.size();
   std::array<std::uint64_t*, kXoshiroLanes> words{};
-  for (unsigned l = 0; l < kXoshiroLanes; ++l) {
+  for (unsigned l = 0; l < live; ++l) {
     if (out[l].bit_size() != n) out[l].resize(n);
     words[l] = out[l].words();
   }
   switch (level) {
+    case simd_level::avx512:
+      detail::sample_mixture_lanes_avx512(lanes, stress_threshold, stressed.data(),
+                                          relaxed.data(), n, words.data(), live);
+      return;
     case simd_level::avx2:
       detail::sample_mixture_lanes_avx2(lanes, stress_threshold, stressed.data(),
-                                        relaxed.data(), n, words.data());
+                                        relaxed.data(), n, words.data(), live);
       return;
     case simd_level::scalar:
       break;
   }
   detail::sample_mixture_lanes_scalar(lanes, stress_threshold, stressed.data(),
-                                      relaxed.data(), n, words.data());
+                                      relaxed.data(), n, words.data(), live);
 }
 
 }  // namespace reldiv::core

@@ -3,8 +3,9 @@
 //
 //   * the `fast-simd` block sampler: counter-based version-pair generation
 //     (sample_pair_counter_batch, below);
-//   * the xoshiro256++ lane kernel: four stats::rng streams advanced in
-//     lockstep, one per 64-bit lane, drawing common-cause-mixture versions
+//   * the xoshiro256++ lane kernel: eight stats::rng streams advanced in
+//     lockstep, one per 64-bit lane (one zmm register at AVX-512, two ymm
+//     registers at AVX2), drawing common-cause-mixture versions
 //     decision-for-decision as the scalar sampler draws them on each stream
 //     (sample_mixture_lanes, at the end of this header).
 //
@@ -19,10 +20,11 @@
 // EVERY dispatch level.  The SIMD level is a pure throughput knob, exactly
 // like the thread count: runtime CPUID dispatch (plus the RELDIV_SIMD
 // environment override and a programmatic cap for tests/benches) selects
-// between a scalar fallback and AVX2 block kernels compiled from the same
-// template (simd_sampler.inl.hpp), and the two are decision-for-decision
-// identical because every lane's draw is stats::counter_draw(key, counter) —
-// a pure function the vector kernels evaluate four lanes per instruction.
+// between a scalar fallback, AVX2 and AVX-512 block kernels compiled from the
+// same template (simd_sampler.inl.hpp), and all of them are
+// decision-for-decision identical because every lane's draw is
+// stats::counter_draw(key, counter) — a pure function the vector kernels
+// evaluate four (AVX2) or eight (AVX-512) lanes per instruction.
 //
 // The intended pipeline (mc::run_experiment with sampling_engine::fast_simd):
 //   1. relayout: core::make_p_sorted_permutation gathers equal-p faults into
@@ -49,24 +51,29 @@ namespace reldiv::core {
 enum class simd_level : std::uint8_t {
   scalar = 0,  ///< portable fallback (same template, scalar ops)
   avx2 = 1,    ///< 4 × 64-bit lanes per instruction
+  avx512 = 2,  ///< 8 × 64-bit lanes per instruction (F + DQ + VL + BW)
 };
 
 [[nodiscard]] const char* simd_level_name(simd_level level) noexcept;
 
-/// Highest level this host can execute (CPUID probe, cached; scalar when the
-/// AVX2 TU was compiled without AVX2 support or the arch is not x86).
+/// Highest level this host can execute (CPUID probe, cached): avx512 when the
+/// CPU reports avx512f, avx512dq, avx512vl and avx512bw, else avx2 when it
+/// reports avx2; scalar when the AVX2 TU was compiled without AVX2 support or
+/// the arch is not x86.
 [[nodiscard]] simd_level detected_simd_level() noexcept;
 
-/// The level the fast-simd engine will actually run: detected_simd_level()
-/// capped by the RELDIV_SIMD environment variable ("off"/"scalar" force the
-/// fallback; "avx2" requests AVX2 but never raises beyond what the host
-/// supports, so forcing it on a non-AVX2 host degrades cleanly to scalar)
-/// and by any programmatic cap.  Results are bit-identical across levels, so
-/// this is a throughput knob, never a results knob.
+/// The level the SIMD kernels will actually run: detected_simd_level()
+/// capped by the RELDIV_SIMD environment variable ("off"/"scalar"/"0" force
+/// the fallback; "avx2" caps at AVX2, so an AVX-512 host runs the AVX2
+/// kernels and a non-AVX2 host degrades cleanly to scalar; any other value
+/// leaves the level uncapped) and by any programmatic cap.  Results are
+/// bit-identical across levels, so this is a throughput knob, never a
+/// results knob.
 [[nodiscard]] simd_level active_simd_level() noexcept;
 
 /// Programmatic cap for tests/benches (e.g. benchmarking the scalar fallback
-/// on an AVX2 host).  Like the env override it can only lower the level.
+/// or the AVX2 kernels on an AVX-512 host).  Like the env override it can
+/// only lower the level.
 void set_simd_level_cap(simd_level cap) noexcept;
 void clear_simd_level_cap() noexcept;
 
@@ -120,11 +127,12 @@ void sample_pair_counter(const counter_sample_plan& plan, const fault_universe& 
 // ---------------------------------------------------------------------------
 
 /// Streams per lane-kernel call: one xoshiro256++ state per 64-bit lane of an
-/// AVX2 register.
-inline constexpr unsigned kXoshiroLanes = 4;
+/// AVX-512 register (two AVX2 registers).
+inline constexpr unsigned kXoshiroLanes = 8;
 
 /// kXoshiroLanes stats::rng states, structure-of-arrays: word[j][l] is state
-/// word j of lane l, so each state word of all lanes is one register.
+/// word j of lane l, so each state word of all lanes is one AVX-512 register
+/// (two AVX2 registers).
 struct xoshiro_lanes {
   std::array<std::array<std::uint64_t, kXoshiroLanes>, 4> word{};
 
@@ -137,19 +145,22 @@ struct xoshiro_lanes {
   }
 };
 
-/// One common-cause-mixture version per lane.  Lane l makes the decisions
-/// mc::common_cause_mixture::sample_mask makes on lanes.lane(l): one stress
-/// draw, stressed iff (r() >> 11) < stress_threshold (== r.bernoulli(rho)
-/// for stress_threshold = bernoulli_threshold(rho)), then one draw per fault
-/// i in index order, bit i of out[l] set iff (r() >> 11) < stressed[i] when
-/// stressed, relaxed[i] otherwise.  Every lane advances, so a lane the caller
-/// does not need still draws (and its mask is overwritten).  Masks are
-/// resized to stressed.size() only when their size differs.  `level` must
-/// not exceed detected_simd_level(); pass active_simd_level().  Throws
-/// std::invalid_argument when the threshold spans differ in length.
+/// One common-cause-mixture version on each of the first `live` lanes.  Lane
+/// l < live makes the decisions mc::common_cause_mixture::sample_mask makes
+/// on lanes.lane(l): one stress draw, stressed iff (r() >> 11) <
+/// stress_threshold (== r.bernoulli(rho) for stress_threshold =
+/// bernoulli_threshold(rho)), then one draw per fault i in index order, bit i
+/// of out[l] set iff (r() >> 11) < stressed[i] when stressed, relaxed[i]
+/// otherwise.  Lanes l >= live are neither drawn nor advanced: their states
+/// and out[l] are left as they were.  out[l] for l < live is resized to
+/// stressed.size() only when its size differs.  `level` must not exceed
+/// detected_simd_level(); pass active_simd_level().  Throws
+/// std::invalid_argument when the threshold spans differ in length or live >
+/// kXoshiroLanes.
 void sample_mixture_lanes(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                           std::span<const std::uint64_t> stressed,
                           std::span<const std::uint64_t> relaxed,
-                          std::span<fault_mask, kXoshiroLanes> out, simd_level level);
+                          std::span<fault_mask, kXoshiroLanes> out, unsigned live,
+                          simd_level level);
 
 }  // namespace reldiv::core

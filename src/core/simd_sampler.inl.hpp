@@ -1,10 +1,11 @@
 #pragma once
 // Shared kernel template of the fast-simd sampler: simd_sampler.cpp
 // instantiates it with scalar word ops, simd_sampler.avx2.cpp (the only TU
-// compiled with -mavx2) with AVX2 word ops — "a scalar fallback compiled
-// from the same template".  The template owns everything level-invariant:
-// plan walking, counter bookkeeping, batch iteration order, bit-slice words
-// and tail masking.  An Ops type supplies the two per-word hot kernels:
+// allowed intrinsics) with AVX2 word ops and, under a function-level AVX-512
+// target, with AVX-512 word ops — "a scalar fallback compiled from the same
+// template".  The template owns everything level-invariant: plan walking,
+// counter bookkeeping, batch iteration order, bit-slice words and tail
+// masking.  An Ops type supplies the two per-word hot kernels:
 //
 //   static void paired32_word(key, base, t32, occ, &wa, &wb)
 //     one counter_draw per fault k in [0, occ): bit k of wa from the high
@@ -14,16 +15,18 @@
 //
 // Both must make exactly the decisions mc::sample_version_pair_counter_
 // reference makes (the pinned contract) — the SIMD ops achieve this by
-// evaluating the identical counter_draw arithmetic four lanes at a time.
+// evaluating the identical counter_draw arithmetic four (AVX2) or eight
+// (AVX-512) lanes at a time.
 //
 // Batch iteration is word-major over pairs: each word's plan entry and
 // thresholds are loaded once and applied to every pair in the batch, which
 // is where batching amortizes generation overhead.
 //
 // The xoshiro lane kernel has no shared template: its scalar level walks the
-// lanes one after another, its AVX2 level advances all four at once.  Both
-// take the raw-word form below, which core::sample_mixture_lanes calls after
-// sizing the masks.
+// live lanes one after another, its AVX2 level advances four lanes per
+// register (one register when at most four lanes are live, else two) and its
+// AVX-512 level all eight in one register.  Every level takes the raw-word
+// form below, which core::sample_mixture_lanes calls after sizing the masks.
 
 #include <bit>
 
@@ -34,16 +37,21 @@ namespace reldiv::core::detail {
 
 /// Raw-word form of core::sample_mixture_lanes: `stressed` and `relaxed` hold
 /// n thresholds each; out[l] points at fault_mask::words_needed(n) words of
-/// lane l's mask.  Defined in simd_sampler.cpp (scalar) and
-/// simd_sampler.avx2.cpp (AVX2).
+/// lane l's mask for l < live (live <= kXoshiroLanes; out[l] for l >= live
+/// is never touched).  Defined in simd_sampler.cpp (scalar) and
+/// simd_sampler.avx2.cpp (AVX2, AVX-512).
 void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                                  const std::uint64_t* stressed,
                                  const std::uint64_t* relaxed, std::size_t n,
-                                 std::uint64_t* const* out) noexcept;
+                                 std::uint64_t* const* out, unsigned live) noexcept;
 void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                                const std::uint64_t* stressed,
                                const std::uint64_t* relaxed, std::size_t n,
-                               std::uint64_t* const* out) noexcept;
+                               std::uint64_t* const* out, unsigned live) noexcept;
+void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
+                                 const std::uint64_t* stressed,
+                                 const std::uint64_t* relaxed, std::size_t n,
+                                 std::uint64_t* const* out, unsigned live) noexcept;
 
 /// Bit-slice Bernoulli word over the counter stream (identical fold order to
 /// the reference): consumes counters [base, base + 53 - countr_zero(t)).
@@ -111,8 +119,7 @@ void sample_pair_counter_batch_impl(const counter_sample_plan& plan,
   }
 }
 
-/// Portable per-word ops: the scalar fallback instantiation.  Also the tail
-/// kernel the AVX2 ops reuse for the last occ % 4 lanes of a word.
+/// Portable per-word ops: the scalar fallback instantiation.
 struct scalar_word_ops {
   static void paired32_word(std::uint64_t key, std::uint64_t base,
                             const std::uint64_t* t32, unsigned occ,

@@ -56,9 +56,9 @@ void common_cause_mixture::sample_mask(stats::rng& r, core::fault_mask& out) con
 
 void common_cause_mixture::sample_mask_lanes(
     core::xoshiro_lanes& lanes, std::span<core::fault_mask, core::kXoshiroLanes> out,
-    core::simd_level level) const {
+    unsigned live, core::simd_level level) const {
   core::sample_mixture_lanes(lanes, stress_thresh_, stressed_thresh_, relaxed_thresh_, out,
-                             level);
+                             live, level);
 }
 
 double common_cause_mixture::marginal(std::size_t i) const {

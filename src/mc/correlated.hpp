@@ -52,12 +52,13 @@ class common_cause_mixture {
   /// presence bits into `out` with no allocation in steady-state reuse.  The
   /// scalar reference the lane form is pinned against.
   void sample_mask(stats::rng& r, core::fault_mask& out) const;
-  /// Lane form: one version per lane of `lanes` through the
-  /// core::sample_mixture_lanes kernel — out[l] is what sample_mask would
-  /// draw on lanes.lane(l), and the lane ends where that rng would.
+  /// Lane form: one version on each of the first `live` lanes of `lanes`
+  /// through the core::sample_mixture_lanes kernel — out[l] is what
+  /// sample_mask would draw on lanes.lane(l), and the lane ends where that
+  /// rng would; lanes from `live` on are left untouched.
   void sample_mask_lanes(core::xoshiro_lanes& lanes,
                          std::span<core::fault_mask, core::kXoshiroLanes> out,
-                         core::simd_level level) const;
+                         unsigned live, core::simd_level level) const;
   /// Exact marginal presence probability of fault i (== u[i].p by design).
   [[nodiscard]] double marginal(std::size_t i) const;
   /// Exact pairwise correlation of the presence indicators of faults i, j.

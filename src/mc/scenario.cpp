@@ -60,12 +60,13 @@ double word_q_sum(const std::vector<std::uint64_t>& words, std::span<const doubl
 }
 
 /// One version per lane for the first `active` lanes.  The mixture draws
-/// through its lane kernel, four shard streams per instruction at the AVX2
-/// level; the copula has no lane kernel and samples each active lane in turn.
+/// through its lane kernel, eight shard streams per AVX-512 register (four
+/// per AVX2 register); the copula has no lane kernel and samples each active
+/// lane in turn.
 void sample_lanes(const common_cause_mixture& sampler, core::xoshiro_lanes& lanes,
-                  unsigned /*active*/, std::span<core::fault_mask, core::kXoshiroLanes> out,
+                  unsigned active, std::span<core::fault_mask, core::kXoshiroLanes> out,
                   core::simd_level level) {
-  sampler.sample_mask_lanes(lanes, out, level);
+  sampler.sample_mask_lanes(lanes, out, active, level);
 }
 
 void sample_lanes(const gaussian_copula_sampler& sampler, core::xoshiro_lanes& lanes,
@@ -87,9 +88,10 @@ void sample_lanes(const gaussian_copula_sampler& sampler, core::xoshiro_lanes& l
 /// top down.  For the paper's {2,2} pair that is the pairwise intersection,
 /// summed in the same ascending fault order as core::intersect_q_sum.
 ///
-/// Shards run in groups of kXoshiroLanes consecutive shards, one per lane,
-/// each on its own stats::rng::stream(seed, shard) and folded into its own
-/// accumulator, so every shard draws and folds exactly as it would alone.
+/// Shards run in groups of kXoshiroLanes (eight) consecutive shards, one per
+/// lane, each on its own stats::rng::stream(seed, shard) and folded into its
+/// own accumulator, so every shard draws and folds exactly as it would alone;
+/// a last group with fewer shards leaves its spare lanes undrawn.
 /// Shard sizes within a plan differ by at most one and never grow with the
 /// index, so a group runs its last shard's count in lockstep and a longer
 /// shard finishes from its lane's exported state.  Shards merge in ascending

@@ -1,21 +1,24 @@
 // The fast-simd engine's correctness anchors:
 //   - counter rng identity with the splitmix64 stream it compresses;
 //   - the randomized equivalence fuzz pinning core::sample_pair_counter
-//     (scalar fallback AND AVX2, when the host has it) decision-for-decision
-//     against the normative mc::sample_version_pair_counter_reference;
+//     (scalar fallback, AVX2 and AVX-512, each when the host has it)
+//     decision-for-decision against the normative
+//     mc::sample_version_pair_counter_reference;
 //   - universe permutation round-trips (indices, masks, q values) and the
 //     regression that a permuted heterogeneous universe becomes mostly
 //     bit-sliceable (make_sample_blocks re-derivation after remap);
 //   - bit-identity of run_experiment across thread counts AND SIMD dispatch
 //     levels, shard-window splits, and the manifest wire codec;
 //   - the xoshiro256++ lane kernel against mc::common_cause_mixture::
-//     sample_mask on a scalar copy of every lane's stream, at every level.
+//     sample_mask on a scalar copy of every lane's stream, at every level
+//     and every live-lane count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,6 +36,17 @@
 namespace {
 
 using namespace reldiv;
+
+/// Every dispatch level this host can run, scalar first: the kernels of each
+/// level keep their own direct test even when a higher level is detected.
+std::vector<core::simd_level> levels_up_to_detected() {
+  std::vector<core::simd_level> levels;
+  for (const auto level :
+       {core::simd_level::scalar, core::simd_level::avx2, core::simd_level::avx512}) {
+    if (level <= core::detected_simd_level()) levels.push_back(level);
+  }
+  return levels;
+}
 
 // ---------------------------------------------------------------------------
 // Counter rng
@@ -204,7 +218,20 @@ void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
   expect_masks_equal(sb, b[7], what + " seek (b)");
 }
 
-/// The ~100-universe fuzz corpus: random heterogeneous universes (every word
+/// 2011 faults rarer than the 2^-32 grid (p = 1e-12) with three p = 0.1
+/// faults among them, the last in the partial last word: the aggregate grid
+/// inflation sends every mixed word to the wide53 kernel, and the p = 0.1
+/// faults give its compares decisions that go both ways (the tiny-p corpus
+/// below reaches wide53 too, but its draws essentially never hit).
+core::fault_universe make_off_grid_universe(std::uint64_t seed) {
+  std::vector<core::fault_atom> atoms(2011, core::fault_atom{1e-12, 1e-4});
+  for (const std::uint64_t i : {seed % 64, 64 + (7 * seed) % 64, 1984 + seed % 27}) {
+    atoms[i].p = 0.1;
+  }
+  return core::fault_universe(std::move(atoms));
+}
+
+/// The ~120-universe fuzz corpus: random heterogeneous universes (every word
 /// kind: slice, paired32, wide53, degenerate) × keys.
 void run_equivalence_fuzz(core::simd_level level) {
   const std::string lvl = core::simd_level_name(level);
@@ -230,7 +257,10 @@ void run_equivalence_fuzz(core::simd_level level) {
                                              {37, 0.25, 0.001}};
     run_equivalence_case(core::make_grouped_universe(blocks), key, level,
                          lvl + " degenerate/" + std::to_string(seed));
-    cases += 5;
+    const core::fault_universe off_grid = make_off_grid_universe(seed);
+    ASSERT_FALSE(off_grid.fast32_grid_safe());
+    run_equivalence_case(off_grid, key, level, lvl + " off-grid/" + std::to_string(seed));
+    cases += 6;
   }
   EXPECT_GE(cases, 100);
 }
@@ -246,8 +276,15 @@ TEST(SimdEquivalenceFuzz, Avx2MatchesReference) {
   run_equivalence_fuzz(core::simd_level::avx2);
 }
 
+TEST(SimdEquivalenceFuzz, Avx512MatchesReference) {
+  if (core::detected_simd_level() < core::simd_level::avx512) {
+    GTEST_SKIP() << "host has no AVX-512";
+  }
+  run_equivalence_fuzz(core::simd_level::avx512);
+}
+
 TEST(SimdEquivalenceFuzz, EmptyAndSingleFaultUniverses) {
-  for (const auto level : {core::simd_level::scalar, core::detected_simd_level()}) {
+  for (const auto level : levels_up_to_detected()) {
     run_equivalence_case(core::fault_universe(), 1, level, "empty");
     run_equivalence_case(core::make_homogeneous_universe(1, 0.5, 0.1), 1, level,
                          "single");
@@ -280,7 +317,7 @@ TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
   // stress * p < 1 gets a relaxed p of 0 up to rounding, clamped to 0 when it
   // rounds below.
   const double rhos[] = {0.0, 0.25, 1.0 / kStress};
-  for (const auto level : {core::simd_level::scalar, core::detected_simd_level()}) {
+  for (const auto level : levels_up_to_detected()) {
     for (const std::size_t n : {1u, 40u, 63u, 64u, 65u, 256u, 300u}) {
       const core::fault_universe u = make_lane_test_universe(n, 1000 + n);
       for (const double rho : rhos) {
@@ -288,7 +325,7 @@ TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
         const std::string what = std::string(core::simd_level_name(level)) +
                                  " n=" + std::to_string(n) +
                                  " rho=" + std::to_string(rho);
-        // Four distinct jump-derived streams, as a cell's shard group has.
+        // Eight distinct jump-derived streams, as a cell's shard group has.
         core::xoshiro_lanes lanes;
         std::array<stats::rng, kLanes> scalar;
         stats::rng walker(77 + n);
@@ -300,12 +337,23 @@ TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
         std::array<core::fault_mask, kLanes> out;
         core::fault_mask want;
         for (int version = 0; version < 1000; ++version) {
-          mixture.sample_mask_lanes(lanes, out, level);
+          // Cycle the live-lane count through 1..8 (a full group every
+          // eighth call): lanes past it must be neither drawn nor advanced,
+          // so their scalar copies stay put too.
+          const unsigned live = 1 + static_cast<unsigned>(version) % kLanes;
+          const std::array<core::fault_mask, kLanes> before = out;
+          mixture.sample_mask_lanes(lanes, out, live, level);
+          const std::string at = what + " version " + std::to_string(version) + " live " +
+                                 std::to_string(live) + " lane ";
           for (unsigned l = 0; l < kLanes; ++l) {
-            mixture.sample_mask(scalar[l], want);
-            expect_masks_equal(out[l], want,
-                               what + " version " + std::to_string(version) +
-                                   " lane " + std::to_string(l));
+            if (l < live) {
+              mixture.sample_mask(scalar[l], want);
+              expect_masks_equal(out[l], want, at + std::to_string(l));
+            } else {
+              expect_masks_equal(out[l], before[l], at + std::to_string(l) + " (spare mask)");
+              ASSERT_EQ(lanes.lane(l).state(), scalar[l].state())
+                  << at << l << " (spare lane advanced)";
+            }
           }
           if (::testing::Test::HasFatalFailure()) return;
         }
@@ -323,7 +371,11 @@ TEST(XoshiroLaneKernel, RejectsMismatchedThresholdSpans) {
   std::array<core::fault_mask, core::kXoshiroLanes> out;
   const std::vector<std::uint64_t> stressed(5, 1);
   const std::vector<std::uint64_t> relaxed(4, 1);
-  EXPECT_THROW(core::sample_mixture_lanes(lanes, 0, stressed, relaxed, out,
+  EXPECT_THROW(core::sample_mixture_lanes(lanes, 0, stressed, relaxed, out, core::kXoshiroLanes,
+                                          core::simd_level::scalar),
+               std::invalid_argument);
+  const std::vector<std::uint64_t> same(5, 1);
+  EXPECT_THROW(core::sample_mixture_lanes(lanes, 0, same, same, out, core::kXoshiroLanes + 1,
                                           core::simd_level::scalar),
                std::invalid_argument);
 }
@@ -364,18 +416,26 @@ TEST(FastSimdEngine, BitIdenticalAcrossThreadCounts) {
 
 TEST(FastSimdEngine, BitIdenticalAcrossSimdLevels) {
   // The dispatch level is a throughput knob, never a results knob: capping
-  // to scalar must reproduce the uncapped (possibly AVX2) run bit-for-bit.
-  const auto u = make_scattered_palette_universe(300, 6);
-  mc::experiment_config cfg;
-  cfg.samples = 4096;
-  cfg.seed = 17;
-  cfg.engine = mc::sampling_engine::fast_simd;
-  core::clear_simd_level_cap();
-  const auto uncapped = mc::run_experiment(u, cfg);
-  core::set_simd_level_cap(core::simd_level::scalar);
-  const auto scalar = mc::run_experiment(u, cfg);
-  core::clear_simd_level_cap();
-  expect_results_identical(scalar, uncapped, "simd level cap");
+  // to scalar or to AVX2 must reproduce the uncapped (possibly AVX-512) run
+  // bit-for-bit, on a scattered universe (mostly slice words after the
+  // relayout) and a random one (paired32 words).
+  const core::fault_universe universes[] = {make_scattered_palette_universe(300, 6),
+                                            core::make_random_universe(300, 0.3, 0.8, 5)};
+  for (const core::fault_universe& u : universes) {
+    mc::experiment_config cfg;
+    cfg.samples = 4096;
+    cfg.seed = 17;
+    cfg.engine = mc::sampling_engine::fast_simd;
+    core::clear_simd_level_cap();
+    const auto uncapped = mc::run_experiment(u, cfg);
+    for (const auto cap : {core::simd_level::scalar, core::simd_level::avx2}) {
+      core::set_simd_level_cap(cap);
+      const auto capped = mc::run_experiment(u, cfg);
+      core::clear_simd_level_cap();
+      expect_results_identical(capped, uncapped,
+                               std::string("simd level cap ") + core::simd_level_name(cap));
+    }
+  }
 }
 
 TEST(FastSimdEngine, ShardWindowSplitReproducesFullRun) {
@@ -462,13 +522,28 @@ TEST(FastSimdEngine, ManifestWireCodecRoundTripsFastSimd) {
 }
 
 TEST(SimdDispatch, LevelApiIsConsistent) {
-  EXPECT_GE(core::detected_simd_level(), core::simd_level::scalar);
-  EXPECT_LE(core::active_simd_level(), core::detected_simd_level());
-  core::set_simd_level_cap(core::simd_level::scalar);
-  EXPECT_EQ(core::active_simd_level(), core::simd_level::scalar);
+  using core::simd_level;
+  // The RELDIV_SIMD cap this process runs under (the CI arms set off, avx2
+  // and nothing): off/scalar/0 force scalar, avx2 caps there, else no cap.
+  simd_level env_cap = simd_level::avx512;
+  if (const char* env = std::getenv("RELDIV_SIMD")) {
+    const std::string v(env);
+    if (v == "off" || v == "scalar" || v == "0") env_cap = simd_level::scalar;
+    if (v == "avx2") env_cap = simd_level::avx2;
+  }
+  const simd_level detected = core::detected_simd_level();
+  EXPECT_EQ(core::active_simd_level(), std::min(detected, env_cap));
+  // Caps only ever lower the level: an avx2 cap lowers an AVX-512 host to
+  // avx2 and leaves an AVX2 or scalar host where it is.
+  for (const simd_level cap : {simd_level::scalar, simd_level::avx2, simd_level::avx512}) {
+    core::set_simd_level_cap(cap);
+    EXPECT_EQ(core::active_simd_level(), std::min({detected, env_cap, cap}))
+        << "cap " << core::simd_level_name(cap);
+  }
   core::clear_simd_level_cap();
-  EXPECT_STREQ(core::simd_level_name(core::simd_level::scalar), "scalar");
-  EXPECT_STREQ(core::simd_level_name(core::simd_level::avx2), "avx2");
+  EXPECT_STREQ(core::simd_level_name(simd_level::scalar), "scalar");
+  EXPECT_STREQ(core::simd_level_name(simd_level::avx2), "avx2");
+  EXPECT_STREQ(core::simd_level_name(simd_level::avx512), "avx512");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -396,9 +397,11 @@ TEST(SweepSpec, TwoOutOfThreeMixtureCellMatchesBruteForce) {
 }
 
 TEST(SweepSpec, PairMixtureCellsMatchBruteForceAtEveryLevel) {
-  // The paper's {2,2} pair under the mixture.  The budgets give 1 shard;
-  // 5 shards (a full group of four plus one); 7 shards of 71 or 72 pairs;
-  // and 256 shards, 32 of them one pair larger.
+  // The paper's {2,2} pair under the mixture, at the scalar cap, the AVX2
+  // cap and uncapped.  The budgets give 1 shard (one live lane); 5 shards (a
+  // full AVX2 register plus one lane of the second); 7 shards of 71 or 72
+  // pairs; 9 shards (a full group of eight plus one); and 256 shards, 32 of
+  // them one pair larger.
   mc::scenario_axes axes;
   axes.universes.emplace_back("u40", core::make_safety_grade_universe(40, 0.0, 0.05, 0.6, 11));
   axes.universes.emplace_back(
@@ -406,11 +409,13 @@ TEST(SweepSpec, PairMixtureCellsMatchBruteForceAtEveryLevel) {
   axes.correlations = {0.25};
   axes.overlaps = {1.0, 0.0};
   axes.aliasing = {1, 3};
-  axes.budgets = {64, 350, 500, 20'000};
+  axes.budgets = {64, 350, 500, 600, 20'000};
   const std::vector<mc::scenario_cell> cells = mc::enumerate_cells(axes);
-  ASSERT_EQ(cells.size(), 32u);
-  for (const bool scalar_cap : {true, false}) {
-    if (scalar_cap) core::set_simd_level_cap(core::simd_level::scalar);
+  ASSERT_EQ(cells.size(), 40u);
+  const std::optional<core::simd_level> caps[] = {core::simd_level::scalar,
+                                                  core::simd_level::avx2, std::nullopt};
+  for (const std::optional<core::simd_level> cap : caps) {
+    if (cap) core::set_simd_level_cap(*cap);
     const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 33});
     core::clear_simd_level_cap();
     ASSERT_EQ(grid.cells.size(), cells.size());
@@ -425,8 +430,8 @@ TEST(SweepSpec, PairMixtureCellsMatchBruteForceAtEveryLevel) {
           brute_force_cell(sampler, u, 2, 2, c.omega, c.samples, cell_seed_replica(33, i))
               .state();
       const mc::accumulator_state& got = grid.cells[i].state;
-      const std::string what = std::string(scalar_cap ? "scalar" : "uncapped") + " " +
-                               c.universe + " omega=" + std::to_string(c.omega) +
+      const std::string what = std::string(cap ? core::simd_level_name(*cap) : "uncapped") +
+                               " " + c.universe + " omega=" + std::to_string(c.omega) +
                                " aliasing=" + std::to_string(c.aliasing) +
                                " budget=" + std::to_string(c.samples);
       EXPECT_EQ(grid.cells[i].shards, mc::make_shard_plan(c.samples).shard_count) << what;
