@@ -25,8 +25,8 @@
 // All variants run single-threaded so the engine comparison divides out the
 // machine; BENCH_p4.json records the ratios and the SIMD level the uncapped
 // variants ran at (context.simd_level), and bench/compare_bench.py gates
-// them (fast-simd >= 2x fast on the heterogeneous case, scalar fallback
-// never slower than fast).
+// them: ratios of uncapped variants only against a baseline at the same
+// level, ratios of the *Avx2 twins against any baseline at avx2 or above.
 
 #include <benchmark/benchmark.h>
 
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   // The level every uncapped variant runs at (RELDIV_SIMD applies):
-  // compare_bench.py gates SIMD-sensitive ratios only between runs that
-  // report the same level.
+  // compare_bench.py gates their ratios only between runs that report the
+  // same level, and the *Avx2 twins' only when both report avx2 or above.
   benchmark::AddCustomContext("simd_level",
                               core::simd_level_name(core::active_simd_level()));
   benchmark::RunSpecifiedBenchmarks();

@@ -16,7 +16,10 @@ Two kinds of comparison:
   context.num_cpus and inform otherwise.  Ratios whose fast side runs the
   dispatched SIMD kernels depend on the SIMD level the same way, so they
   gate only when both files report the same context.simd_level and inform
-  when the levels differ or either file lacks one.
+  when the levels differ or either file lacks one.  Ratios whose fast side
+  runs capped at AVX2 gate whenever both files report at least avx2, so an
+  AVX2 runner is still gated against a baseline recorded on an AVX-512
+  host.
 
 * ABSOLUTE TIMES (warn): per-benchmark real_time deltas are reported, and
   anything slower than --max-regression is a WARNING — absolute wall time is
@@ -34,59 +37,69 @@ import argparse
 import json
 import sys
 
-# (label, numerator benchmark, denominator benchmark, cpu_sensitive,
-# simd_sensitive): speedup = num / den.  A pair participates only when both
-# names appear in both the baseline and the fresh file, so one script serves
-# BENCH_p1/p2/p3 alike.  cpu_sensitive marks ratios whose denominator uses
-# all hardware threads ("/0" variants): those only divide out the machine
-# when baseline and fresh ran on the same core count, so across differing
-# core counts they inform instead of gate (a 1-CPU baseline would otherwise
-# never catch a scaling regression, and a many-core baseline would
-# permanently fail CI).  simd_sensitive marks ratios whose denominator runs
-# at the dispatched SIMD level: an AVX2 baseline says nothing about a host
-# that dispatches the scalar level, so they gate only between equal levels.
-# The "dispatched vs avx2 cap" ratios are the AVX-512 kernels' own gain: 1x
-# on an AVX2 host, so they too gate only between equal levels.
+# (label, numerator benchmark, denominator benchmark, cpu_sensitive, simd):
+# speedup = num / den.  A pair participates only when both names appear in
+# both the baseline and the fresh file, so one script serves BENCH_p1/p2/p3
+# alike.  cpu_sensitive marks ratios whose denominator uses all hardware
+# threads ("/0" variants): those only divide out the machine when baseline
+# and fresh ran on the same core count, so across differing core counts they
+# inform instead of gate (a 1-CPU baseline would otherwise never catch a
+# scaling regression, and a many-core baseline would permanently fail CI).
+# simd says which SIMD level the denominator runs at:
+#   None         no SIMD kernel, gates everywhere;
+#   "dispatched" the host's dispatched level: an AVX-512 baseline says
+#                nothing about a host that dispatches AVX2, so these gate
+#                only between equal levels (the "dispatched vs avx2 cap"
+#                ratios are the AVX-512 kernels' own gain, 1x on an AVX2
+#                host);
+#   "avx2"       capped at AVX2: the same kernels on every host that reaches
+#                AVX2, so these gate whenever both levels are at least avx2.
 KEY_RATIOS = [
     ("run_experiment fast engine vs legacy",
      "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFast/real_time",
-     False, False),
+     False, None),
     ("run_experiment exact engine vs legacy",
      "BM_RunExperimentLegacy/real_time", "BM_RunExperimentExact/real_time",
-     False, False),
+     False, None),
     ("uniform-p word-parallel sampler vs legacy",
      "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFastUniformP/real_time",
-     False, False),
+     False, None),
     ("run_correlated sharded(hw) vs serial",
      "BM_RunCorrelatedSerial/real_time", "BM_RunCorrelatedSharded/0/real_time",
-     True, False),
+     True, None),
     ("KL empirical scoring campaign(hw) vs serial",
      "BM_KLScoreSerialBaseline/real_time", "BM_KLScoreCampaign/0/real_time",
-     True, False),
+     True, None),
     ("grouped-universe bit-slice vs paired kernel",
      "BM_RunExperimentPairedShuffled/real_time", "BM_RunExperimentGrouped/real_time",
-     False, False),
+     False, None),
     ("fast-simd engine vs fast on heterogeneous n=1024",
      "BM_RunExperimentFastHetero/real_time",
-     "BM_RunExperimentFastSimdHetero/real_time", False, True),
+     "BM_RunExperimentFastSimdHetero/real_time", False, "dispatched"),
     ("fast-simd scalar fallback vs fast on heterogeneous n=1024",
      "BM_RunExperimentFastHetero/real_time",
-     "BM_RunExperimentFastSimdScalarHetero/real_time", False, False),
+     "BM_RunExperimentFastSimdScalarHetero/real_time", False, None),
     ("fast-simd engine vs fast on random n=1024",
      "BM_RunExperimentFastRandom/real_time",
-     "BM_RunExperimentFastSimdRandom/real_time", False, True),
+     "BM_RunExperimentFastSimdRandom/real_time", False, "dispatched"),
+    ("fast-simd avx2 cap vs fast on random n=1024",
+     "BM_RunExperimentFastRandom/real_time",
+     "BM_RunExperimentFastSimdRandomAvx2/real_time", False, "avx2"),
     ("scenario mixture cell xoshiro lanes vs scalar level",
      "BM_ScenarioMixtureCellScalar/real_time",
-     "BM_ScenarioMixtureCellLanes/real_time", False, True),
+     "BM_ScenarioMixtureCellLanes/real_time", False, "dispatched"),
+    ("scenario mixture cell avx2 cap vs scalar level",
+     "BM_ScenarioMixtureCellScalar/real_time",
+     "BM_ScenarioMixtureCellAvx2/real_time", False, "avx2"),
     ("fast-simd random n=1024 dispatched vs avx2 cap",
      "BM_RunExperimentFastSimdRandomAvx2/real_time",
-     "BM_RunExperimentFastSimdRandom/real_time", False, True),
+     "BM_RunExperimentFastSimdRandom/real_time", False, "dispatched"),
     ("scenario mixture cell dispatched vs avx2 cap",
      "BM_ScenarioMixtureCellAvx2/real_time",
-     "BM_ScenarioMixtureCellLanes/real_time", False, True),
+     "BM_ScenarioMixtureCellLanes/real_time", False, "dispatched"),
     ("service memoized query vs cold submit->merge",
      "BM_ServiceSubmitToMerged/real_time",
-     "BM_ServiceMemoizedQuery/real_time", False, False),
+     "BM_ServiceMemoizedQuery/real_time", False, None),
 ]
 
 
@@ -107,6 +120,20 @@ def load_times(path):
     return times, data.get("context", {})
 
 
+SIMD_RANK = {"scalar": 0, "avx2": 1, "avx512": 2}
+
+
+def simd_comparable(simd, base_level, fresh_level):
+    """Whether a ratio whose denominator runs at `simd` (a KEY_RATIOS simd
+    entry) transfers from a baseline at base_level to a run at fresh_level."""
+    if simd is None:
+        return True
+    if simd == "dispatched":
+        return base_level is not None and base_level == fresh_level
+    floor = SIMD_RANK[simd]
+    return all(SIMD_RANK.get(level, -1) >= floor for level in (base_level, fresh_level))
+
+
 def gate_key_ratios(base, fresh, base_ctx, fresh_ctx, max_regression):
     """Compare machine-neutral speedup ratios.  Returns list of failures."""
     failures = []
@@ -114,8 +141,7 @@ def gate_key_ratios(base, fresh, base_ctx, fresh_ctx, max_regression):
     base_cpus, fresh_cpus = base_ctx.get("num_cpus"), fresh_ctx.get("num_cpus")
     base_simd, fresh_simd = base_ctx.get("simd_level"), fresh_ctx.get("simd_level")
     same_cpus = base_cpus is not None and base_cpus == fresh_cpus
-    same_simd = base_simd is not None and base_simd == fresh_simd
-    for label, num, den, cpu_sensitive, simd_sensitive in KEY_RATIOS:
+    for label, num, den, cpu_sensitive, simd in KEY_RATIOS:
         present = [k in base and k in fresh for k in (num, den)]
         if not all(present):
             # A renamed/deleted key benchmark must not silently disable its
@@ -135,7 +161,7 @@ def gate_key_ratios(base, fresh, base_ctx, fresh_ctx, max_regression):
             if cpu_sensitive and not same_cpus:
                 status = (f"info only (baseline {base_cpus} cpus vs fresh {fresh_cpus}: "
                           f"hw-thread speedups don't transfer)")
-            elif simd_sensitive and not same_simd:
+            elif not simd_comparable(simd, base_simd, fresh_simd):
                 status = (f"info only (baseline SIMD level {base_simd} vs fresh "
                           f"{fresh_simd}: SIMD speedups don't transfer)")
             else:

@@ -134,13 +134,21 @@ if cell_scalar and cell_lanes:
     print(f"scenario_ci mixture cell (256 faults, 1e6 pairs): scalar level "
           f"{cell_scalar:.0f}ms -> xoshiro lanes {cell_lanes:.0f}ms "
           f"({cell_scalar / cell_lanes:.2f}x)")
-# Dispatched vs avx2 cap: the AVX-512 kernels' own gain (1x on an AVX2 host).
+# The avx2 cap against the in-file baselines: gated on every AVX2+ host.
+random_fast = p4.get("BM_RunExperimentFastRandom/real_time")
 random_simd = p4.get("BM_RunExperimentFastSimdRandom/real_time")
 random_avx2 = p4.get("BM_RunExperimentFastSimdRandomAvx2/real_time")
+cell_avx2 = p4.get("BM_ScenarioMixtureCellAvx2/real_time")
+if random_fast and random_avx2:
+    print(f"fast-simd random n=1024: fast {random_fast:.2f}ms -> avx2 cap "
+          f"{random_avx2:.2f}ms ({random_fast / random_avx2:.2f}x)")
+if cell_scalar and cell_avx2:
+    print(f"scenario_ci mixture cell: scalar level {cell_scalar:.0f}ms -> avx2 cap "
+          f"{cell_avx2:.0f}ms ({cell_scalar / cell_avx2:.2f}x)")
+# Dispatched vs avx2 cap: the AVX-512 kernels' own gain (1x on an AVX2 host).
 if random_simd and random_avx2:
     print(f"fast-simd random n=1024: avx2 cap {random_avx2:.2f}ms -> dispatched "
           f"{random_simd:.2f}ms ({random_avx2 / random_simd:.2f}x)")
-cell_avx2 = p4.get("BM_ScenarioMixtureCellAvx2/real_time")
 if cell_avx2 and cell_lanes:
     print(f"scenario_ci mixture cell: avx2 cap {cell_avx2:.0f}ms -> dispatched "
           f"{cell_lanes:.0f}ms ({cell_avx2 / cell_lanes:.2f}x)")

@@ -6,10 +6,10 @@
 // flag, so the build needs no second SIMD TU.  It is reached solely through the
 // runtime dispatch in simd_sampler.cpp, which calls an AVX2 function only
 // after __builtin_cpu_supports("avx2") and an AVX-512 one only after
-// avx512f/dq/vl/bw say the host can run it.  When the toolchain cannot
-// compile AVX2 (non-x86, or no -mavx2), the fallback definitions at the
-// bottom keep the link whole and report avx2_compiled() == avx512_compiled()
-// == false so dispatch never selects these paths.
+// avx512f, avx512dq and avx512bw say the host can run it.  When the
+// toolchain cannot compile AVX2 (non-x86, or no -mavx2), the fallback
+// definitions at the bottom keep the link whole and report avx2_compiled()
+// == false, so dispatch never selects any of these paths.
 //
 // Decision-for-decision equivalence with the scalar level holds because the
 // vector kernels evaluate the identical integer arithmetic four (AVX2) or
@@ -162,58 +162,17 @@ inline std::array<std::uint64_t, 4> lanes_of(__m256i v) noexcept {
           static_cast<std::uint64_t>(_mm256_extract_epi64(v, 3))};
 }
 
-/// The AVX2 lane kernel on kRegs registers of four lanes (lanes 0 ..
-/// 4 * kRegs - 1), stepped together so the independent streams overlap.
-/// Lanes of the last register past `live` are drawn but never written back.
-template <unsigned kRegs>
-void mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                        const std::uint64_t* stressed, const std::uint64_t* relaxed,
-                        std::size_t n, std::uint64_t* const* out, unsigned live) noexcept {
-  std::array<xoshiro4, kRegs> g;
-  // All-ones in the lanes whose development is stressed.
-  __m256i stressed_lanes[kRegs];
-  for (unsigned r = 0; r < kRegs; ++r) {
-    g[r] = {load_u64x4(lanes.word[0].data() + 4 * r), load_u64x4(lanes.word[1].data() + 4 * r),
-            load_u64x4(lanes.word[2].data() + 4 * r), load_u64x4(lanes.word[3].data() + 4 * r)};
-    stressed_lanes[r] = _mm256_cmpgt_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(stress_threshold)),
-        _mm256_srli_epi64(g[r].next(), 11));
-  }
-  std::size_t i = 0;
-  for (std::size_t blk = 0; i < n; ++blk) {
-    const std::size_t hi = n - i < 64 ? n : i + 64;
-    __m256i word[kRegs];
-    for (__m256i& w : word) w = _mm256_setzero_si256();
-    __m256i bit = _mm256_set1_epi64x(1);
-    for (; i < hi; ++i) {
-      const __m256i relaxed_t = _mm256_set1_epi64x(static_cast<long long>(relaxed[i]));
-      const __m256i stressed_t = _mm256_set1_epi64x(static_cast<long long>(stressed[i]));
-      for (unsigned r = 0; r < kRegs; ++r) {
-        const __m256i t = _mm256_blendv_epi8(relaxed_t, stressed_t, stressed_lanes[r]);
-        const __m256i hit = _mm256_cmpgt_epi64(t, _mm256_srli_epi64(g[r].next(), 11));
-        word[r] = _mm256_or_si256(word[r], _mm256_and_si256(hit, bit));
-      }
-      bit = _mm256_add_epi64(bit, bit);
-    }
-    for (unsigned r = 0; r < kRegs; ++r) {
-      const std::array<std::uint64_t, 4> w = lanes_of(word[r]);
-      for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) out[l][blk] = w[l - 4 * r];
-    }
-  }
-  for (unsigned r = 0; r < kRegs; ++r) {
-    const std::array<std::array<std::uint64_t, 4>, 4> s = {
-        lanes_of(g[r].s0), lanes_of(g[r].s1), lanes_of(g[r].s2), lanes_of(g[r].s3)};
-    for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) {
-      for (unsigned j = 0; j < 4; ++j) lanes.word[j][l] = s[j][l - 4 * r];
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// AVX-512 (F + DQ + VL + BW), function-level target
+// AVX-512 (F + DQ + BW), function-level target
 // ---------------------------------------------------------------------------
 
-#define RELDIV_AVX512 __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw")))
+// The intrinsics below are AVX-512F except _mm512_mullo_epi64 and
+// _cvtmask8_u32 (DQ).  BW adds no intrinsic, but without it GCC 12 keeps the
+// lane kernel's stressed-lane __mmask8 out of the mask registers and reloads
+// it from the stack once per fault (about 10% of that kernel's time on an
+// AVX-512 Xeon).  The compiler may use any extension named here inside these
+// functions, so detected_simd_level() probes exactly this set.
+#define RELDIV_AVX512 __attribute__((target("avx512f,avx512dq,avx512bw")))
 
 constexpr __mmask8 kAllLanes = 0xff;
 
@@ -315,17 +274,53 @@ struct xoshiro8 {
 }  // namespace
 
 bool avx2_compiled() noexcept { return true; }
-bool avx512_compiled() noexcept { return true; }
 
 void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                                const std::uint64_t* stressed,
                                const std::uint64_t* relaxed, std::size_t n,
                                std::uint64_t* const* out, unsigned live) noexcept {
-  static_assert(kXoshiroLanes == 8, "two AVX2 registers of four 64-bit lanes");
-  if (live <= 4) {
-    mixture_lanes_avx2<1>(lanes, stress_threshold, stressed, relaxed, n, out, live);
-  } else {
-    mixture_lanes_avx2<2>(lanes, stress_threshold, stressed, relaxed, n, out, live);
+  // Lanes 0-3 in g[0], lanes 4-7 in g[1], stepped together so the
+  // independent streams overlap.  Every lane draws; only the first `live`
+  // are written back.
+  constexpr unsigned kRegs = 2;
+  static_assert(kXoshiroLanes == 4 * kRegs, "two AVX2 registers of four 64-bit lanes");
+  std::array<xoshiro4, kRegs> g;
+  // All-ones in the lanes whose development is stressed.
+  __m256i stressed_lanes[kRegs];
+  for (unsigned r = 0; r < kRegs; ++r) {
+    g[r] = {load_u64x4(lanes.word[0].data() + 4 * r), load_u64x4(lanes.word[1].data() + 4 * r),
+            load_u64x4(lanes.word[2].data() + 4 * r), load_u64x4(lanes.word[3].data() + 4 * r)};
+    stressed_lanes[r] = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(stress_threshold)),
+        _mm256_srli_epi64(g[r].next(), 11));
+  }
+  std::size_t i = 0;
+  for (std::size_t blk = 0; i < n; ++blk) {
+    const std::size_t hi = n - i < 64 ? n : i + 64;
+    __m256i word[kRegs];
+    for (__m256i& w : word) w = _mm256_setzero_si256();
+    __m256i bit = _mm256_set1_epi64x(1);
+    for (; i < hi; ++i) {
+      const __m256i relaxed_t = _mm256_set1_epi64x(static_cast<long long>(relaxed[i]));
+      const __m256i stressed_t = _mm256_set1_epi64x(static_cast<long long>(stressed[i]));
+      for (unsigned r = 0; r < kRegs; ++r) {
+        const __m256i t = _mm256_blendv_epi8(relaxed_t, stressed_t, stressed_lanes[r]);
+        const __m256i hit = _mm256_cmpgt_epi64(t, _mm256_srli_epi64(g[r].next(), 11));
+        word[r] = _mm256_or_si256(word[r], _mm256_and_si256(hit, bit));
+      }
+      bit = _mm256_add_epi64(bit, bit);
+    }
+    for (unsigned r = 0; r < kRegs; ++r) {
+      const std::array<std::uint64_t, 4> w = lanes_of(word[r]);
+      for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) out[l][blk] = w[l - 4 * r];
+    }
+  }
+  for (unsigned r = 0; r < kRegs; ++r) {
+    const std::array<std::array<std::uint64_t, 4>, 4> s = {
+        lanes_of(g[r].s0), lanes_of(g[r].s1), lanes_of(g[r].s2), lanes_of(g[r].s3)};
+    for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) {
+      for (unsigned j = 0; j < 4; ++j) lanes.word[j][l] = s[j][l - 4 * r];
+    }
   }
 }
 
@@ -396,7 +391,6 @@ void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
 namespace reldiv::core::detail {
 
 bool avx2_compiled() noexcept { return false; }
-bool avx512_compiled() noexcept { return false; }
 
 void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
                                     std::span<const std::uint64_t> t32,

@@ -18,10 +18,9 @@ namespace reldiv::core {
 namespace detail {
 // Defined in simd_sampler.avx2.cpp.  When that TU was compiled without AVX2
 // support (non-x86 arch or a compiler without -mavx2) it forwards to the
-// scalar template and avx2_compiled() and avx512_compiled() report false, so
-// dispatch never claims a level it cannot deliver.
+// scalar template and avx2_compiled() reports false, so dispatch never
+// claims a level it cannot deliver.
 bool avx2_compiled() noexcept;
-bool avx512_compiled() noexcept;
 void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
                                     std::span<const std::uint64_t> t32,
                                     std::span<const std::uint64_t> t53,
@@ -77,11 +76,10 @@ simd_level detected_simd_level() noexcept {
     if (__builtin_cpu_supports("avx2") == 0 || !detail::avx2_compiled()) {
       return simd_level::scalar;
     }
+    // The target set of the AVX-512 kernels (RELDIV_AVX512).
     const bool avx512 = __builtin_cpu_supports("avx512f") != 0 &&
                         __builtin_cpu_supports("avx512dq") != 0 &&
-                        __builtin_cpu_supports("avx512vl") != 0 &&
-                        __builtin_cpu_supports("avx512bw") != 0 &&
-                        detail::avx512_compiled();
+                        __builtin_cpu_supports("avx512bw") != 0;
     return avx512 ? simd_level::avx512 : simd_level::avx2;
   }();
   return level;

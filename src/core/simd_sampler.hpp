@@ -51,13 +51,13 @@ namespace reldiv::core {
 enum class simd_level : std::uint8_t {
   scalar = 0,  ///< portable fallback (same template, scalar ops)
   avx2 = 1,    ///< 4 × 64-bit lanes per instruction
-  avx512 = 2,  ///< 8 × 64-bit lanes per instruction (F + DQ + VL + BW)
+  avx512 = 2,  ///< 8 × 64-bit lanes per instruction (F + DQ + BW)
 };
 
 [[nodiscard]] const char* simd_level_name(simd_level level) noexcept;
 
 /// Highest level this host can execute (CPUID probe, cached): avx512 when the
-/// CPU reports avx512f, avx512dq, avx512vl and avx512bw, else avx2 when it
+/// CPU reports avx2, avx512f, avx512dq and avx512bw, else avx2 when it
 /// reports avx2; scalar when the AVX2 TU was compiled without AVX2 support or
 /// the arch is not x86.
 [[nodiscard]] simd_level detected_simd_level() noexcept;

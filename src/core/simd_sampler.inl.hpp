@@ -23,10 +23,10 @@
 // is where batching amortizes generation overhead.
 //
 // The xoshiro lane kernel has no shared template: its scalar level walks the
-// live lanes one after another, its AVX2 level advances four lanes per
-// register (one register when at most four lanes are live, else two) and its
-// AVX-512 level all eight in one register.  Every level takes the raw-word
-// form below, which core::sample_mixture_lanes calls after sizing the masks.
+// live lanes one after another, its AVX2 level advances all eight lanes in
+// two registers of four and its AVX-512 level in one register, writing back
+// only the live ones.  Every level takes the raw-word form below, which
+// core::sample_mixture_lanes calls after sizing the masks.
 
 #include <bit>
 
