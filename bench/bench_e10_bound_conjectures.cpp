@@ -113,5 +113,5 @@ int main() {
                      "mu1 - mu2, and near-degenerate sigma2 reacts sharply), so the bound "
                      "gap can narrow.  The paper offers (c) from 'numerical solutions of "
                      "special cases' only; the special cases matter.");
-  return 0;
+  return benchutil::exit_status();
 }

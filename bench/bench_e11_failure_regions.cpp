@@ -67,5 +67,5 @@ int main() {
   benchutil::note("'Each demand ... has a certain (possibly unknown) probability of");
   benchutil::note("happening' — the same fault's q changes by large factors across");
   benchutil::note("profiles, which is why q_i is a property of fault AND plant.");
-  return 0;
+  return benchutil::exit_status();
 }

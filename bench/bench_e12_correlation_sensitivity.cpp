@@ -84,5 +84,5 @@ int main() {
                      "correspondingly lower n)' is PESSIMISTIC for the PFD moments — the "
                      "merged universe dominates the independent one in E[Theta1] and "
                      "E[Theta2], which is the §6.1 protection the paper wants");
-  return 0;
+  return benchutil::exit_status();
 }

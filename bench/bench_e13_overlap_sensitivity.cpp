@@ -87,5 +87,5 @@ int main() {
   benchutil::note("'other cases are possible, in which they mask each other' — masking would");
   benchutil::note("reduce the union further, making sum-of-q even more pessimistic; the");
   benchutil::note("upper-bound property above is unaffected.");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -79,5 +79,5 @@ int main() {
   benchutil::verdict(std::abs(run.mean_theta1 - core::single_version_moments(eff).mean) <
                          5e-4,
                      "mistake-level generative process reproduces the region-level model");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -67,5 +67,5 @@ int main() {
   std::printf("  worst |empirical - exact| over 27 versions: %s\n",
               benchutil::sci(worst_abs).c_str());
   benchutil::verdict(worst_abs < 5e-4, "testing-campaign estimates track the exact PFDs");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -62,5 +62,5 @@ int main() {
                      "complementary methodologies beat independence (factor < 1) — the "
                      "LM insight, and the paper's motivation for studying non-forced "
                      "diversity as the worst case");
-  return 0;
+  return benchutil::exit_status();
 }

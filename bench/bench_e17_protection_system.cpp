@@ -82,5 +82,5 @@ int main() {
                      "channel and system PFDs (the Fig. 1 arrangement works as modelled)");
   std::printf("  diversity gain realized in simulation: %.1fx (model predicts %.1fx)\n",
               mean_channel_pfd / mean_system_pfd, m1.mean / m2.mean);
-  return 0;
+  return benchutil::exit_status();
 }

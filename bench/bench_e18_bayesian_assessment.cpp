@@ -51,5 +51,5 @@ int main() {
   benchutil::note("The moment-matched Beta misrepresents the atom at PFD = 0 (a Beta has");
   benchutil::note("no point mass), which is exactly why the paper argues for model-based");
   benchutil::note("priors over computationally convenient families.");
-  return 0;
+  return benchutil::exit_status();
 }

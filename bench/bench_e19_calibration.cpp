@@ -90,5 +90,5 @@ int main() {
                          std::abs(est.stddev_raw - truth.stddev()) + 1e-12,
                      "binomial-noise correction moves the sigma estimate toward the truth "
                      "— the quantity eq. (9)/(11) need from real campaigns");
-  return 0;
+  return benchutil::exit_status();
 }

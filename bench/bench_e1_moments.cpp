@@ -60,5 +60,5 @@ int main() {
   run_case("many-small-faults regime (Section 5)",
            core::make_many_small_faults_universe(200, 0.02, 0.15, 0.8, 0.3, 8), 200000);
   run_case("generic universe", core::make_random_universe(30, 0.5, 0.7, 9), 400000);
-  return 0;
+  return benchutil::exit_status();
 }

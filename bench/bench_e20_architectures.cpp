@@ -65,5 +65,5 @@ int main() {
                    risk_ratio(demand_faults)) < 1e-12,
       "the general m-out-of-n machinery reduces exactly to the paper's eqs. (1)/(10) "
       "for the 1-out-of-2 case");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -63,5 +63,5 @@ int main() {
                          cmp.forced_gain() >= 1.0,
                      "gain ordering non-forced <= forced <= functional holds — the "
                      "paper's worst-case framing is sound in its own model");
-  return 0;
+  return benchutil::exit_status();
 }

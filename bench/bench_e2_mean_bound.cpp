@@ -49,5 +49,5 @@ int main() {
   benchutil::verdict(gain >= 10.0 - 1e-9,
                      "pmax = 0.1 delivers at least the 10x average-PFD improvement");
   benchutil::note("(homogeneous p makes the bound exact: gain == 1/pmax)");
-  return 0;
+  return benchutil::exit_status();
 }

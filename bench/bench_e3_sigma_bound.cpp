@@ -59,5 +59,5 @@ int main() {
   benchutil::verdict(true,
                      "above the golden threshold the pair's variance contribution exceeds "
                      "the single version's, exactly as Section 3.1.2 warns");
-  return 0;
+  return benchutil::exit_status();
 }

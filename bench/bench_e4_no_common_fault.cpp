@@ -52,5 +52,5 @@ int main() {
   std::printf("  but the RISK shrinks by 1/%.1f — 'large changes in the risk ... may appear\n",
               1.0 / core::risk_ratio(u));
   std::printf("  as small changes in the corresponding probability of success'.\n");
-  return 0;
+  return benchutil::exit_status();
 }

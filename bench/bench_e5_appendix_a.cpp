@@ -75,5 +75,5 @@ int main() {
   benchutil::verdict(risk_ratio_derivative(u5, 0) < 0 && risk_ratio_derivative(u5, 2) > 0,
                      "both derivative signs coexist in one n=5 universe: the reversal is "
                      "not an artefact of n = 2");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -59,5 +59,5 @@ int main() {
   benchutil::note("Halving k halves every p_i; the table shows the eq. (10) ratio then");
   benchutil::note("drops, i.e. 'switching to a better process that produces fewer of ALL");
   benchutil::note("kinds of faults should make diversity even more useful' (paper §7).");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -41,5 +41,5 @@ int main() {
   benchutil::note("'The last line gives us a 10-fold improvement, from using diversity, in");
   benchutil::note("any confidence bound on system PFD' — at pmax = 0.01 the factor is 0.100,");
   benchutil::note("i.e. a guaranteed 10x tightening of ANY one-sided bound (eq. 12).");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -88,5 +88,5 @@ int main() {
                      "for the pair's lumpy discrete law the normal-claimed 84% coverage "
                      "is off by several points — exactly the §5 caveat ('we will not "
                      "know in practice how good an approximation it is'), now measured");
-  return 0;
+  return benchutil::exit_status();
 }

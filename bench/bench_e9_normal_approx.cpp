@@ -52,5 +52,5 @@ int main() {
   std::printf("  which is why Section 4 switches to P(N>0) instead of mu+k*sigma.\n");
   benchutil::verdict(normal_approximation_distance(exact, approx) > 0.2,
                      "the paper's regime split (Section 4 vs Section 5) is necessary");
-  return 0;
+  return benchutil::exit_status();
 }

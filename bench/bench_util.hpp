@@ -2,7 +2,8 @@
 // Shared formatting helpers for the reproduction benches.  Each bench binary
 // prints (a) what the paper states, (b) what this implementation measures,
 // and (c) a qualitative-shape verdict, so EXPERIMENTS.md can be regenerated
-// by running `for b in build/bench/*; do $b; done`.
+// by running `for b in build/bench/*; do $b; done`.  A bench exits non-zero
+// when any verdict is a MISMATCH.
 
 #include <cstdio>
 #include <string>
@@ -53,8 +54,16 @@ inline std::string fmt(double x, const char* spec = "%.6g") {
 
 inline std::string sci(double x) { return fmt(x, "%.3e"); }
 
+/// MISMATCH verdicts printed so far.
+inline int mismatches = 0;
+
 inline void verdict(bool ok, const std::string& claim) {
   std::printf("  [%s] %s\n", ok ? "REPRODUCED" : "MISMATCH", claim.c_str());
+  if (!ok) ++mismatches;
 }
+
+/// What each bench's main returns: non-zero when any claim failed to
+/// reproduce, so ctest (label `paper`) catches a broken claim.
+inline int exit_status() { return mismatches == 0 ? 0 : 1; }
 
 }  // namespace benchutil

@@ -9,17 +9,23 @@
 //   job_kind::demand_campaign    cell = one roster window (run_demand_window)
 //   job_kind::experiment_shards  cell = one shard window (run_experiment_window)
 //
-// Execution model (identical for every kind):
+// Execution model (identical for every kind; every step is a reldiv_sweep
+// subcommand, and the in-library coordinator run_distributed chains them):
 //
-//   coordinator                    worker processes (reldiv_sweep --worker)
-//   -----------                    -------------------------------------
-//   init_*_run_dir(manifest, dir)  load manifest, dispatch on its kind
-//   clean_stale_claims(dir)        for each cell index in manifest order:
-//   spawn N workers ------------->   skip if a valid state file exists
-//   waitpid all                      claim via rename-based lease file
-//   merge_*_run_dir(dir)             compute the pure cell function
-//                                    write state file atomically
-//                                    remove the claim
+//   submit / run_handle::init(m, dir)    worker --run-dir dir (any number,
+//     write the manifest (+ queue it)      on any host sharing the directory)
+//                                          run_handle::open: one decode
+//   merge / run_handle::open(dir)          for each cell index in order:
+//     .merge_tables(): fold the cells        skip if a valid state file exists
+//     in ascending index order               claim via rename-based lease file
+//                                            compute the pure cell function
+//                                            write state file atomically
+//                                            remove the claim
+//
+// Every per-kind operation (decode, fingerprint, cell count, init files,
+// cell function, merge, render, in-process oracle) lives in ONE table in
+// distributed.cpp, one row per kind; everything declared here is
+// kind-agnostic and dispatches through it.
 //
 // The claim protocol is file-granular and crash-safe: a cell is DONE iff its
 // state file exists and validates (fingerprint + index + checksum); a claim
@@ -60,7 +66,7 @@
 //     derived purely from the attempt number (no wall-clock randomness);
 //   * poison-cell quarantine — a cell that exhausts its budget is recorded
 //     under <run_dir>/quarantine/ (index, attempts, last errno) and the
-//     worker moves on; the coordinator exits nonzero listing quarantined
+//     worker moves on and exits 3; the coordinator fails listing quarantined
 //     cells, and merge names the quarantine record when it refuses a
 //     partial directory.  A later clean resume re-attempts the cell and
 //     clears the record on success — quarantine degrades, never corrupts.
@@ -95,10 +101,7 @@ struct merged_tables {
   std::size_t cells = 0;
 };
 
-/// One run directory, whatever its job kind.  Three job kinds accreted six
-/// per-kind free functions (init_/load_/merge_ × scenario/demand/experiment);
-/// this facade replaces that sprawl with one object that dispatches on the
-/// manifest's kind:
+/// One run directory, whatever its job kind:
 ///
 ///   auto h = run_handle::open(dir);       // kind read from manifest.state
 ///   auto result = h.merge();              // variant over the three results
@@ -106,8 +109,9 @@ struct merged_tables {
 ///
 /// open() fully validates the manifest (container integrity + typed decode),
 /// so a run_handle in hand means the directory's identity — kind,
-/// fingerprint, cell count — is trustworthy.  The per-kind free functions
-/// below survive as thin wrappers over this class.
+/// fingerprint, cell count — is trustworthy.  It is the one manifest decode
+/// every reader shares: the worker loop, missing_cells, merge, status and
+/// describe all start from it.
 class run_handle {
  public:
   using manifest_variant =
@@ -117,15 +121,19 @@ class run_handle {
   /// Open an existing run directory, dispatching on its manifest's kind.
   [[nodiscard]] static run_handle open(const std::filesystem::path& run_dir);
 
-  /// Create (or resume — same kind + fingerprint, else run_dir_error) a run
-  /// directory for each job kind.  The demand/experiment manifests must
-  /// validate().
+  /// Create (or resume) a run directory: make `<run_dir>/cells/`, write the
+  /// binary manifest and its JSON mirror atomically.  Re-opening an existing
+  /// directory is the resume path — its manifest must carry the same kind
+  /// and fingerprint, otherwise run_dir_error is thrown.  A scenario
+  /// manifest's cell_count is re-enumerated from its axes, which refuses an
+  /// infeasible grid (std::invalid_argument) before anything is written;
+  /// demand and experiment manifests must validate().
+  [[nodiscard]] static run_handle init(const manifest_variant& m,
+                                       const std::filesystem::path& run_dir);
+  /// The scenario grid of (axes, cfg); cfg.threads is not part of the
+  /// identity.
   [[nodiscard]] static run_handle init(const scenario_axes& axes,
                                        const scenario_config& cfg,
-                                       const std::filesystem::path& run_dir);
-  [[nodiscard]] static run_handle init(const demand_manifest& m,
-                                       const std::filesystem::path& run_dir);
-  [[nodiscard]] static run_handle init(const experiment_manifest& m,
                                        const std::filesystem::path& run_dir);
 
   [[nodiscard]] job_kind kind() const noexcept { return kind_; }
@@ -140,12 +148,21 @@ class run_handle {
   [[nodiscard]] const experiment_manifest& experiment_shards_manifest() const;
 
   /// Assemble the completed directory into the exact single-process result
-  /// for its kind (see the per-kind merge contracts below).  Throws
-  /// run_dir_error if any cell is missing or invalid.
+  /// for its kind, reading every cell state file in ascending index order
+  /// and validating it against the manifest (fingerprint, index, and the
+  /// cell's coordinates or window bounds):
+  ///   * scenario: the cells of run_scenario_grid, appended in order;
+  ///   * demand: window slices placed into the run_demand_campaign tally
+  ///     (integer counts — placement IS the merge);
+  ///   * experiment: every window's per-shard accumulator states folded —
+  ///     empty accumulator first, then ascending shard order — replaying
+  ///     run_experiment's left fold bit-for-bit.
+  /// Throws run_dir_error if any cell is missing or invalid; a quarantined
+  /// cell is named with its ledger record.
   [[nodiscard]] result_variant merge() const;
 
   /// merge() rendered as the deterministic CSV/JSON tables for its kind —
-  /// byte-identical to what the single-process oracle path emits.
+  /// byte-identical to run_single_process on the same manifest.
   [[nodiscard]] merged_tables merge_tables() const;
 
   /// The run's spec/axes as %.17g-clean JSON (mc::describe_manifest_json):
@@ -153,7 +170,7 @@ class run_handle {
   [[nodiscard]] std::string describe() const;
 
  private:
-  run_handle() = default;
+  run_handle(std::filesystem::path dir, manifest_variant manifest);
 
   std::filesystem::path dir_;
   job_kind kind_ = job_kind::scenario_grid;
@@ -161,6 +178,19 @@ class run_handle {
   std::uint64_t cell_count_ = 0;
   manifest_variant manifest_;
 };
+
+/// The fingerprint of `m` — the result cache's key, and what
+/// run_handle::init records for it — computed without touching the
+/// filesystem.  A scenario manifest must carry its enumerated cell_count
+/// (parse_sweep_spec fills it in).
+[[nodiscard]] std::uint64_t job_fingerprint(const run_handle::manifest_variant& m);
+
+/// Run the job in-process (run_scenario_grid / run_demand_campaign /
+/// run_experiment) and render it: the single-process oracle that every
+/// merge of the same manifest is byte-identical to.  `threads` is a
+/// throughput knob, never an answer knob.
+[[nodiscard]] merged_tables run_single_process(const run_handle::manifest_variant& m,
+                                               unsigned threads = 0);
 
 // ---------------------------------------------------------------------------
 // Deterministic result tables (the oracle and the distributed merge render
@@ -173,39 +203,6 @@ class run_handle {
 [[nodiscard]] std::string demand_tally_json(const demand_tally& t);
 [[nodiscard]] std::string experiment_result_csv(const experiment_result& r);
 [[nodiscard]] std::string experiment_result_json(const experiment_result& r);
-
-/// Create (or re-open) a run directory for the given scenario sweep: make
-/// `<run_dir>/cells/`, write the binary manifest and its JSON mirror
-/// atomically.  Re-opening an existing directory is the resume path — the
-/// existing manifest must carry the same kind and fingerprint, otherwise the
-/// directory belongs to a different run and run_dir_error is thrown.
-/// Thin wrapper over run_handle::init (kept for the PR 4/5 call sites).
-sweep_manifest init_run_dir(const scenario_axes& axes, const scenario_config& cfg,
-                            const std::filesystem::path& run_dir);
-
-/// Demand-campaign sibling of init_run_dir: `m` must validate().  Thin
-/// wrapper over run_handle::init.
-demand_manifest init_demand_run_dir(const demand_manifest& m,
-                                    const std::filesystem::path& run_dir);
-
-/// Experiment shard-window sibling of init_run_dir: `m` must validate()
-/// (build it with make_experiment_manifest).  Thin wrapper over
-/// run_handle::init.
-experiment_manifest init_experiment_run_dir(const experiment_manifest& m,
-                                            const std::filesystem::path& run_dir);
-
-/// Which job kind an existing run directory holds (from its manifest's
-/// container kind, after full integrity validation).  Cheaper than
-/// run_handle::open — it peeks the container header without the typed
-/// manifest decode — so dispatch-only call sites keep it.
-[[nodiscard]] job_kind load_run_kind(const std::filesystem::path& run_dir);
-
-/// Load and validate the manifest of an existing run directory of the
-/// matching kind.
-[[nodiscard]] sweep_manifest load_run_manifest(const std::filesystem::path& run_dir);
-[[nodiscard]] demand_manifest load_demand_manifest(const std::filesystem::path& run_dir);
-[[nodiscard]] experiment_manifest load_experiment_manifest(
-    const std::filesystem::path& run_dir);
 
 /// Default claim lease: a claim (or orphaned .tmp file) whose owner cannot
 /// be probed — another host's worker — is only reaped after this long
@@ -366,10 +363,10 @@ struct claim_owner {
                                                const std::vector<std::string>& args,
                                                unsigned count);
 
-/// Spawn `workers` copies of `worker_exe --worker --run-dir <run_dir>`
-/// (plus `--max-cells N` when max_cells > 0, plus `extra_args` verbatim —
-/// the chaos harness passes `--fault-plan <recipe>` this way) as detached
-/// OS processes.  Returns their pids.  Thin wrapper over spawn_processes.
+/// Spawn `workers` copies of `worker_exe worker --run-dir <run_dir>` (plus
+/// `--max-cells N` when max_cells > 0, plus `extra_args` verbatim — the
+/// chaos harness passes `--fault-plan <recipe>` this way) as detached OS
+/// processes.  Returns their pids.  Thin wrapper over spawn_processes.
 [[nodiscard]] std::vector<int> spawn_sweep_workers(
     const std::string& worker_exe, const std::filesystem::path& run_dir,
     unsigned workers, std::size_t max_cells = 0,
@@ -378,29 +375,6 @@ struct claim_owner {
 /// Wait for all pids; returns their exit codes (128+signal for a killed
 /// worker).
 [[nodiscard]] std::vector<int> wait_sweep_workers(const std::vector<int>& pids);
-
-/// Assemble a completed scenario run directory into the exact single-process
-/// grid_result: read every cell state file in ascending index order,
-/// validate it against the manifest (fingerprint, index, cell coordinates),
-/// and append.  Throws run_dir_error if any cell is missing or invalid — or
-/// if the directory holds another job kind.  Thin wrapper over
-/// run_handle::open(run_dir).merge().
-[[nodiscard]] grid_result merge_run_dir(const std::filesystem::path& run_dir);
-
-/// Assemble a completed demand run directory into the exact
-/// run_demand_campaign tally: window slices are placed (integer counts —
-/// placement IS the merge) in ascending window order after fingerprint and
-/// bounds validation.  Thin wrapper over run_handle, same kind-mismatch
-/// contract as merge_run_dir.
-[[nodiscard]] demand_tally merge_demand_run_dir(const std::filesystem::path& run_dir);
-
-/// Assemble a completed experiment run directory into the exact
-/// run_experiment result: every window's per-shard accumulator states are
-/// folded — empty accumulator first, then ascending shard order — replaying
-/// run_experiment's left fold bit-for-bit.  Thin wrapper over run_handle,
-/// same kind-mismatch contract as merge_run_dir.
-[[nodiscard]] experiment_result merge_experiment_run_dir(
-    const std::filesystem::path& run_dir);
 
 struct distributed_config {
   std::filesystem::path run_dir;
@@ -413,27 +387,15 @@ struct distributed_config {
   std::string worker_fault_plan{};
 };
 
-/// The full coordinator: init (or resume) the run directory, clean stale
-/// claims, fan the pending cells out to `cfg.workers` fresh processes of
-/// `worker_exe`, wait for them, and merge.  Throws run_dir_error when
-/// workers exit abnormally while cells are still missing, when any cell
-/// was quarantined (the message lists the ledger), or when the directory
-/// is incomplete after the workers finish (e.g. a max_cells quota) — rerun
-/// to resume.
-[[nodiscard]] grid_result run_distributed_grid(const scenario_axes& axes,
-                                               const scenario_config& cfg,
-                                               const distributed_config& dist,
-                                               const std::string& worker_exe);
-
-/// Demand-campaign coordinator, same contract as run_distributed_grid.
-[[nodiscard]] demand_tally run_distributed_demand(const demand_manifest& m,
-                                                  const distributed_config& dist,
-                                                  const std::string& worker_exe);
-
-/// Experiment shard-window coordinator, same contract as
-/// run_distributed_grid.
-[[nodiscard]] experiment_result run_distributed_experiment(
-    const experiment_manifest& m, const distributed_config& dist,
-    const std::string& worker_exe);
+/// The coordinator, for any job kind: init (or resume) dist.run_dir for
+/// `m`, clean stale claims, fan the pending cells out to `dist.workers`
+/// fresh processes of `worker_exe`, wait for them, and return the completed
+/// run (merge it with .merge() or .merge_tables()).  Throws run_dir_error
+/// when cells are still missing after the workers finish — worker failures,
+/// a max_cells quota, or quarantined cells, which the message lists; call
+/// again to resume.
+[[nodiscard]] run_handle run_distributed(const run_handle::manifest_variant& m,
+                                         const distributed_config& dist,
+                                         const std::string& worker_exe);
 
 }  // namespace reldiv::mc

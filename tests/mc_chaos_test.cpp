@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <variant>
 
 #include "core/generators.hpp"
 #include "mc/distributed.hpp"
@@ -41,6 +42,11 @@ mc::scenario_axes test_axes() {
 
 mc::scenario_config test_config() { return {.seed = 4242, .threads = 2, .shards = 0}; }
 
+/// The run directory's typed merge.
+mc::grid_result merged_grid(const fs::path& dir) {
+  return std::get<mc::grid_result>(mc::run_handle::open(dir).merge());
+}
+
 /// Retry/backoff tuned for test speed: the schedule stays deterministic,
 /// just in single-millisecond units.
 mc::worker_config fast_worker() {
@@ -66,7 +72,7 @@ class ChaosTest : public ::testing::Test {
 TEST_F(ChaosTest, WorkerLoopAbsorbsTransientFaultsAndMergesBitIdentical) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  (void)mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // A moderate all-kinds plan: some operations fail, retries absorb them.
   mc::fault_plan plan = mc::chaos_plan(/*chaos_seed=*/1, /*index=*/0,
@@ -82,7 +88,7 @@ TEST_F(ChaosTest, WorkerLoopAbsorbsTransientFaultsAndMergesBitIdentical) {
   // Whatever was retried or quarantined, the surviving state files are
   // valid; finish any leftovers cleanly and demand the oracle bit-for-bit.
   (void)mc::run_pending_cells(dir_);
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
+  EXPECT_EQ(merged_grid(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
   EXPECT_TRUE(mc::quarantined_cells(dir_).empty())
       << "clean recompute must clear quarantine records";
   (void)report;
@@ -90,7 +96,7 @@ TEST_F(ChaosTest, WorkerLoopAbsorbsTransientFaultsAndMergesBitIdentical) {
 
 TEST_F(ChaosTest, ExhaustedRetryBudgetQuarantinesInsteadOfLoopingForever) {
   const auto axes = test_axes();
-  (void)mc::init_run_dir(axes, test_config(), dir_);
+  (void)mc::run_handle::init(axes, test_config(), dir_);
 
   // Every state-file write fails: no cell can ever land.
   mc::fault_plan plan;
@@ -124,7 +130,7 @@ TEST_F(ChaosTest, ExhaustedRetryBudgetQuarantinesInsteadOfLoopingForever) {
 
   // Merge refuses the partial directory and names the quarantined cell.
   try {
-    (void)mc::merge_run_dir(dir_);
+    (void)merged_grid(dir_);
     FAIL() << "merge of a quarantined directory must throw";
   } catch (const mc::run_dir_error& e) {
     EXPECT_NE(std::string(e.what()).find("quarantined cell 0"), std::string::npos)
@@ -137,12 +143,12 @@ TEST_F(ChaosTest, ExhaustedRetryBudgetQuarantinesInsteadOfLoopingForever) {
   EXPECT_EQ(resumed.computed, 4u);
   EXPECT_EQ(resumed.quarantined, 0u);
   EXPECT_TRUE(mc::quarantined_cells(dir_).empty());
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(),
+  EXPECT_EQ(merged_grid(dir_).to_csv(),
             mc::run_scenario_grid(test_axes(), test_config()).to_csv());
 }
 
 TEST_F(ChaosTest, TornQuarantineRecordsDegradeInsteadOfThrowing) {
-  (void)mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
   fs::create_directories(mc::quarantine_dir(dir_));
 
   // A torn write can leave a ledger record whose numeric fields overflow
@@ -168,7 +174,7 @@ TEST_F(ChaosTest, TornQuarantineRecordsDegradeInsteadOfThrowing) {
 }
 
 TEST_F(ChaosTest, OversizedRetryBudgetKeepsBackoffBounded) {
-  (void)mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // Every write fails, and max_attempts exceeds the width of the backoff
   // shift: attempt 40 must clamp the exponent (a plain 1u << 39 is
@@ -199,7 +205,7 @@ TEST_F(ChaosTest, OversizedRetryBudgetKeepsBackoffBounded) {
 
 TEST_F(ChaosTest, LostClaimRenameCannotCorruptResults) {
   const auto axes = test_axes();
-  (void)mc::init_run_dir(axes, test_config(), dir_);
+  (void)mc::run_handle::init(axes, test_config(), dir_);
 
   // Claim renames silently lose visibility: workers believe they own cells
   // they hold no claim for.  Duplicate compute is possible but harmless —
@@ -215,7 +221,7 @@ TEST_F(ChaosTest, LostClaimRenameCannotCorruptResults) {
     const mc::worker_report report = mc::run_pending_cells(dir_, fast_worker());
     EXPECT_EQ(report.computed, 4u);
   }
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(),
+  EXPECT_EQ(merged_grid(dir_).to_csv(),
             mc::run_scenario_grid(test_axes(), test_config()).to_csv());
 }
 
@@ -224,7 +230,7 @@ TEST_F(ChaosTest, LostClaimRenameCannotCorruptResults) {
 /// The chaos harness end to end, exactly as CI runs it: the binary must
 /// enforce the two-arm contract itself and exit 0 when it holds.
 TEST_F(ChaosTest, ChaosHarnessContractHoldsForEveryJobKind) {
-  const std::string cmd = std::string(RELDIV_SWEEP_BIN) + " --chaos --run-dir " +
+  const std::string cmd = std::string(RELDIV_SWEEP_BIN) + " chaos --run-dir " +
                           dir_.string() + " --chaos-plans 1 --chaos-seed 2026 --quiet" +
                           " > /dev/null 2>&1";
   const int rc = std::system(cmd.c_str());
@@ -232,7 +238,7 @@ TEST_F(ChaosTest, ChaosHarnessContractHoldsForEveryJobKind) {
 }
 
 TEST_F(ChaosTest, WorkerRejectsMalformedFaultPlan) {
-  const std::string cmd = std::string(RELDIV_SWEEP_BIN) + " --worker --run-dir " +
+  const std::string cmd = std::string(RELDIV_SWEEP_BIN) + " worker --run-dir " +
                           dir_.string() + " --fault-plan garbage > /dev/null 2>&1";
   const int rc = std::system(cmd.c_str());
   ASSERT_TRUE(WIFEXITED(rc));

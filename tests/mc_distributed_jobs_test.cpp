@@ -15,6 +15,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "mc/distributed.hpp"
@@ -75,6 +77,12 @@ void expect_results_equal(const mc::experiment_result& a, const mc::experiment_r
   EXPECT_EQ(a.n2_zero_pfd, b.n2_zero_pfd);
   EXPECT_EQ(a.theta1_samples, b.theta1_samples);
   EXPECT_EQ(a.theta2_samples, b.theta2_samples);
+}
+
+/// The run directory's typed merge.
+template <class Result>
+Result merged(const fs::path& dir) {
+  return std::get<Result>(mc::run_handle::open(dir).merge());
 }
 
 class DistributedJobsTest : public ::testing::Test {
@@ -179,39 +187,40 @@ TEST_F(DistributedJobsTest, ManifestValidationRejectsBrokenIdentities) {
 
 TEST_F(DistributedJobsTest, DemandInitResumeAndKindSafety) {
   const mc::demand_manifest m = test_demand_manifest();
-  (void)mc::init_demand_run_dir(m, dir_);
-  EXPECT_EQ(mc::load_run_kind(dir_), mc::job_kind::demand_campaign);
+  (void)mc::run_handle::init(m, dir_);
+  const mc::run_handle opened = mc::run_handle::open(dir_);
+  EXPECT_EQ(opened.kind(), mc::job_kind::demand_campaign);
   EXPECT_TRUE(fs::exists(mc::manifest_path(dir_)));
   EXPECT_TRUE(fs::exists(dir_ / "manifest.json"));
-
-  const mc::demand_manifest loaded = mc::load_demand_manifest(dir_);
-  EXPECT_EQ(mc::demand_manifest_fingerprint(loaded), mc::demand_manifest_fingerprint(m));
+  EXPECT_EQ(mc::demand_manifest_fingerprint(opened.demand_campaign_manifest()),
+            mc::demand_manifest_fingerprint(m));
 
   // Same campaign resumes; a different budget refuses; a different KIND
   // refuses even before fingerprints are compared.
-  EXPECT_NO_THROW((void)mc::init_demand_run_dir(m, dir_));
+  EXPECT_NO_THROW((void)mc::run_handle::init(m, dir_));
   mc::demand_manifest other = m;
   other.demands += 1;
-  EXPECT_THROW((void)mc::init_demand_run_dir(other, dir_), mc::run_dir_error);
-  EXPECT_THROW((void)mc::init_experiment_run_dir(test_experiment_manifest(), dir_),
+  EXPECT_THROW((void)mc::run_handle::init(other, dir_), mc::run_dir_error);
+  EXPECT_THROW((void)mc::run_handle::init(test_experiment_manifest(), dir_),
                mc::run_dir_error);
-  EXPECT_THROW((void)mc::load_run_manifest(dir_), mc::run_dir_error);
-  EXPECT_THROW((void)mc::merge_run_dir(dir_), mc::run_dir_error);
+  // Asking a demand run for another kind's manifest names both kinds.
+  EXPECT_THROW((void)opened.grid_manifest(), mc::run_dir_error);
+  EXPECT_THROW((void)opened.experiment_shards_manifest(), mc::run_dir_error);
 }
 
 TEST_F(DistributedJobsTest, DemandWorkerFillsDirectoryAndMergeEqualsSingleProcess) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 10u);
   EXPECT_TRUE(mc::missing_cells(dir_).empty());
 
-  const mc::demand_tally merged = mc::merge_demand_run_dir(dir_);
+  const mc::demand_tally tally = merged<mc::demand_tally>(dir_);
   const mc::demand_tally single =
       mc::run_demand_campaign(m.target_pfd, m.demands, m.config());
-  EXPECT_EQ(merged.demands, single.demands);
-  EXPECT_EQ(merged.failures, single.failures);
+  EXPECT_EQ(tally.demands, single.demands);
+  EXPECT_EQ(tally.failures, single.failures);
 
   const auto again = mc::run_pending_cells(dir_);
   EXPECT_EQ(again.computed, 0u);
@@ -220,21 +229,21 @@ TEST_F(DistributedJobsTest, DemandWorkerFillsDirectoryAndMergeEqualsSingleProces
 
 TEST_F(DistributedJobsTest, DemandInterruptedRunResumesBitIdentical) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   const auto partial = mc::run_pending_cells(dir_, /*max_cells=*/4);
   EXPECT_EQ(partial.computed, 4u);
   EXPECT_EQ(mc::missing_cells(dir_).size(), 6u);
-  EXPECT_THROW((void)mc::merge_demand_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merged<mc::demand_tally>(dir_), mc::run_dir_error);
 
   (void)mc::run_pending_cells(dir_);
-  EXPECT_EQ(mc::merge_demand_run_dir(dir_).failures,
+  EXPECT_EQ(merged<mc::demand_tally>(dir_).failures,
             mc::run_demand_campaign(m.target_pfd, m.demands, m.config()).failures);
 }
 
 TEST_F(DistributedJobsTest, DemandCorruptWindowIsRecomputed) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
   (void)mc::run_pending_cells(dir_);
 
   const fs::path victim = mc::cell_state_path(dir_, 5);
@@ -242,32 +251,32 @@ TEST_F(DistributedJobsTest, DemandCorruptWindowIsRecomputed) {
   blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x20);
   mc::write_file_atomic(victim, blob);
   EXPECT_EQ(mc::missing_cells(dir_), std::vector<std::uint64_t>{5});
-  EXPECT_THROW((void)mc::merge_demand_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merged<mc::demand_tally>(dir_), mc::run_dir_error);
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 1u);
-  EXPECT_EQ(mc::merge_demand_run_dir(dir_).failures,
+  EXPECT_EQ(merged<mc::demand_tally>(dir_).failures,
             mc::run_demand_campaign(m.target_pfd, m.demands, m.config()).failures);
 }
 
 TEST_F(DistributedJobsTest, DemandForeignWindowFileRejected) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
   (void)mc::run_pending_cells(dir_);
 
   const fs::path foreign_dir = dir_.string() + ".foreign";
   mc::demand_manifest other = m;
   other.seed = 777;
-  mc::init_demand_run_dir(other, foreign_dir);
+  (void)mc::run_handle::init(other, foreign_dir);
   (void)mc::run_pending_cells(foreign_dir, 1);
   fs::copy_file(mc::cell_state_path(foreign_dir, 0), mc::cell_state_path(dir_, 0),
                 fs::copy_options::overwrite_existing);
   fs::remove_all(foreign_dir);
 
-  EXPECT_THROW((void)mc::merge_demand_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merged<mc::demand_tally>(dir_), mc::run_dir_error);
   EXPECT_EQ(mc::missing_cells(dir_), std::vector<std::uint64_t>{0});
   (void)mc::run_pending_cells(dir_);
-  EXPECT_EQ(mc::merge_demand_run_dir(dir_).failures,
+  EXPECT_EQ(merged<mc::demand_tally>(dir_).failures,
             mc::run_demand_campaign(m.target_pfd, m.demands, m.config()).failures);
 }
 
@@ -277,44 +286,44 @@ TEST_F(DistributedJobsTest, DemandForeignWindowFileRejected) {
 
 TEST_F(DistributedJobsTest, ExperimentWorkerFillsDirectoryAndMergeEqualsRunExperiment) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  mc::init_experiment_run_dir(m, dir_);
-  EXPECT_EQ(mc::load_run_kind(dir_), mc::job_kind::experiment_shards);
+  (void)mc::run_handle::init(m, dir_);
+  EXPECT_EQ(mc::run_handle::open(dir_).kind(), mc::job_kind::experiment_shards);
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 6u);
   EXPECT_TRUE(mc::missing_cells(dir_).empty());
 
-  expect_results_equal(mc::merge_experiment_run_dir(dir_),
+  expect_results_equal(merged<mc::experiment_result>(dir_),
                        mc::run_experiment(m.universe, m.config()));
 }
 
 TEST_F(DistributedJobsTest, ExperimentKeepSamplesRoundTripsThroughTheRunDir) {
   const mc::experiment_manifest m = test_experiment_manifest(/*keep_samples=*/true);
-  mc::init_experiment_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
   (void)mc::run_pending_cells(dir_);
-  const mc::experiment_result merged = mc::merge_experiment_run_dir(dir_);
+  const mc::experiment_result kept = merged<mc::experiment_result>(dir_);
   const mc::experiment_result single = mc::run_experiment(m.universe, m.config());
-  ASSERT_TRUE(merged.theta1_samples.has_value());
-  expect_results_equal(merged, single);
+  ASSERT_TRUE(kept.theta1_samples.has_value());
+  expect_results_equal(kept, single);
 }
 
 TEST_F(DistributedJobsTest, ExperimentInterruptedRunResumesBitIdentical) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  mc::init_experiment_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   const auto partial = mc::run_pending_cells(dir_, /*max_cells=*/2);
   EXPECT_EQ(partial.computed, 2u);
   EXPECT_EQ(mc::missing_cells(dir_).size(), 4u);
-  EXPECT_THROW((void)mc::merge_experiment_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merged<mc::experiment_result>(dir_), mc::run_dir_error);
 
   (void)mc::run_pending_cells(dir_);
-  expect_results_equal(mc::merge_experiment_run_dir(dir_),
+  expect_results_equal(merged<mc::experiment_result>(dir_),
                        mc::run_experiment(m.universe, m.config()));
 }
 
 TEST_F(DistributedJobsTest, ExperimentCorruptWindowIsRecomputed) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  mc::init_experiment_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
   (void)mc::run_pending_cells(dir_);
 
   const fs::path victim = mc::cell_state_path(dir_, 3);
@@ -325,7 +334,7 @@ TEST_F(DistributedJobsTest, ExperimentCorruptWindowIsRecomputed) {
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 1u);
-  expect_results_equal(mc::merge_experiment_run_dir(dir_),
+  expect_results_equal(merged<mc::experiment_result>(dir_),
                        mc::run_experiment(m.universe, m.config()));
 }
 
@@ -338,15 +347,16 @@ TEST_F(DistributedJobsTest, ExperimentCorruptWindowIsRecomputed) {
 TEST_F(DistributedJobsTest, FourWorkerProcessesMatchSingleProcessDemandCampaign) {
   const mc::demand_manifest m = test_demand_manifest();
   const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::demand_tally merged = mc::run_distributed_demand(m, dist, RELDIV_SWEEP_BIN);
+  const auto tally =
+      std::get<mc::demand_tally>(mc::run_distributed(m, dist, RELDIV_SWEEP_BIN).merge());
   const mc::demand_tally single =
       mc::run_demand_campaign(m.target_pfd, m.demands, m.config());
-  EXPECT_EQ(merged.failures, single.failures);
+  EXPECT_EQ(tally.failures, single.failures);
 }
 
 TEST_F(DistributedJobsTest, KilledDemandRunResumesBitIdentical) {
   const mc::demand_manifest m = test_demand_manifest();
-  mc::init_demand_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   // First wave: 4 real worker processes, each quota'd to one window — the
   // deterministic stand-in for a SIGKILL that leaves 4 of 10 state files.
@@ -356,22 +366,23 @@ TEST_F(DistributedJobsTest, KilledDemandRunResumesBitIdentical) {
   EXPECT_EQ(mc::missing_cells(dir_).size(), 6u);
 
   const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::demand_tally merged = mc::run_distributed_demand(m, dist, RELDIV_SWEEP_BIN);
-  EXPECT_EQ(merged.failures,
+  const auto tally =
+      std::get<mc::demand_tally>(mc::run_distributed(m, dist, RELDIV_SWEEP_BIN).merge());
+  EXPECT_EQ(tally.failures,
             mc::run_demand_campaign(m.target_pfd, m.demands, m.config()).failures);
 }
 
 TEST_F(DistributedJobsTest, FourWorkerProcessesMatchSingleProcessExperiment) {
   const mc::experiment_manifest m = test_experiment_manifest();
   const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::experiment_result merged =
-      mc::run_distributed_experiment(m, dist, RELDIV_SWEEP_BIN);
-  expect_results_equal(merged, mc::run_experiment(m.universe, m.config()));
+  const auto result =
+      std::get<mc::experiment_result>(mc::run_distributed(m, dist, RELDIV_SWEEP_BIN).merge());
+  expect_results_equal(result, mc::run_experiment(m.universe, m.config()));
 }
 
 TEST_F(DistributedJobsTest, KilledExperimentRunResumesBitIdentical) {
   const mc::experiment_manifest m = test_experiment_manifest();
-  mc::init_experiment_run_dir(m, dir_);
+  (void)mc::run_handle::init(m, dir_);
 
   const auto pids = mc::spawn_sweep_workers(RELDIV_SWEEP_BIN, dir_, 4, /*max_cells=*/1);
   const auto codes = mc::wait_sweep_workers(pids);
@@ -379,9 +390,9 @@ TEST_F(DistributedJobsTest, KilledExperimentRunResumesBitIdentical) {
   EXPECT_EQ(mc::missing_cells(dir_).size(), 2u);
 
   const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::experiment_result merged =
-      mc::run_distributed_experiment(m, dist, RELDIV_SWEEP_BIN);
-  expect_results_equal(merged, mc::run_experiment(m.universe, m.config()));
+  const auto result =
+      std::get<mc::experiment_result>(mc::run_distributed(m, dist, RELDIV_SWEEP_BIN).merge());
+  expect_results_equal(result, mc::run_experiment(m.universe, m.config()));
 }
 
 std::string slurp(const fs::path& path) {
@@ -418,6 +429,49 @@ TEST_F(DistributedJobsTest, CliRefusesAnInfeasibleMixtureBeforeLaunch) {
   const int single_rc = std::system(single.c_str());
   ASSERT_TRUE(WIFEXITED(single_rc));
   EXPECT_EQ(WEXITSTATUS(single_rc), 2);
+}
+
+TEST_F(DistributedJobsTest, CliAcceptsOnlySubcommandsWithTheirOwnFlags) {
+  // One grammar: every invocation starts with a subcommand, and each
+  // subcommand takes only its own flags.  A refused invocation is a usage
+  // error (exit 2, usage on stderr) that touches nothing.
+  fs::create_directories(dir_);
+  const std::string run_dir = (dir_ / "run.d").string();
+  const fs::path out = dir_ / "stdout";
+  const fs::path err = dir_ / "stderr";
+  struct invocation {
+    std::string args;
+    int exit_code;
+    std::string usage;  // expected on stdout (exit 0) or stderr (exit 2)
+  };
+  std::vector<invocation> cases = {
+      // The retired role flags, the implicit coordinator and the implicit
+      // single run.
+      {"--single --mode scenario", 2, "usage: reldiv_sweep <command>"},
+      {"--worker --run-dir " + run_dir, 2, "usage: reldiv_sweep <command>"},
+      {"--merge-only --run-dir " + run_dir, 2, "usage: reldiv_sweep <command>"},
+      {"--chaos --run-dir " + run_dir, 2, "usage: reldiv_sweep <command>"},
+      {"--run-dir " + run_dir + " --workers 2", 2, "usage: reldiv_sweep <command>"},
+      {"--mode scenario", 2, "usage: reldiv_sweep <command>"},
+      // A flag that belongs to another subcommand.
+      {"single --workers 4", 2, "usage: reldiv_sweep single"},
+      {"worker --run-dir " + run_dir + " --out-csv x", 2, "usage: reldiv_sweep worker"},
+      {"chaos --run-dir " + run_dir + " --spec f", 2, "usage: reldiv_sweep chaos"},
+  };
+  for (const char* cmd : {"single", "worker", "chaos", "serve", "submit", "status", "merge",
+                          "drain", "describe", "refine"}) {
+    cases.push_back({std::string(cmd) + " --help", 0, std::string("usage: reldiv_sweep ") + cmd});
+  }
+  for (const invocation& c : cases) {
+    const std::string line = std::string(RELDIV_SWEEP_BIN) + " " + c.args + " >" +
+                             out.string() + " 2>" + err.string();
+    const int rc = std::system(line.c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << c.args;
+    EXPECT_EQ(WEXITSTATUS(rc), c.exit_code) << c.args;
+    const std::string text = slurp(c.exit_code == 0 ? out : err);
+    EXPECT_NE(text.find(c.usage), std::string::npos) << c.args << ":\n" << text;
+  }
+  EXPECT_FALSE(fs::exists(run_dir)) << "a refused invocation wrote its run directory";
 }
 
 #endif  // RELDIV_SWEEP_BIN

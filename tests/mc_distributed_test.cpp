@@ -14,6 +14,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <thread>
+#include <variant>
 
 #include "core/generators.hpp"
 #include "mc/run_dir.hpp"
@@ -40,6 +41,11 @@ mc::scenario_axes test_axes() {
 
 mc::scenario_config test_config() { return {.seed = 31337, .threads = 2, .shards = 0}; }
 
+/// The run directory's typed merge.
+mc::grid_result merged_grid(const fs::path& dir) {
+  return std::get<mc::grid_result>(mc::run_handle::open(dir).merge());
+}
+
 class DistributedTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -56,25 +62,28 @@ class DistributedTest : public ::testing::Test {
 };
 
 TEST_F(DistributedTest, InitWritesManifestAndJsonMirror) {
-  const auto m = mc::init_run_dir(test_axes(), test_config(), dir_);
+  const mc::run_handle h = mc::run_handle::init(test_axes(), test_config(), dir_);
+  const mc::sweep_manifest& m = h.grid_manifest();
+  EXPECT_EQ(h.cell_count(), 16u);
   EXPECT_EQ(m.cell_count, 16u);
   EXPECT_EQ(m.seed, 31337u);
   EXPECT_TRUE(fs::exists(mc::manifest_path(dir_)));
   EXPECT_TRUE(fs::exists(dir_ / "manifest.json"));
   EXPECT_TRUE(fs::exists(mc::cells_dir(dir_)));
 
-  const auto loaded = mc::load_run_manifest(dir_);
-  EXPECT_EQ(mc::manifest_fingerprint(loaded), mc::manifest_fingerprint(m));
+  const mc::run_handle loaded = mc::run_handle::open(dir_);
+  EXPECT_EQ(mc::manifest_fingerprint(loaded.grid_manifest()), mc::manifest_fingerprint(m));
+  EXPECT_EQ(loaded.fingerprint(), h.fingerprint());
 
   // Re-init with the same sweep resumes; with a different seed it refuses.
-  EXPECT_NO_THROW((void)mc::init_run_dir(test_axes(), test_config(), dir_));
+  EXPECT_NO_THROW((void)mc::run_handle::init(test_axes(), test_config(), dir_));
   mc::scenario_config other = test_config();
   other.seed = 1;
-  EXPECT_THROW((void)mc::init_run_dir(test_axes(), other, dir_), mc::run_dir_error);
+  EXPECT_THROW((void)mc::run_handle::init(test_axes(), other, dir_), mc::run_dir_error);
   // threads is a throughput knob, not identity: changing it still resumes.
   mc::scenario_config threads = test_config();
   threads.threads = 7;
-  EXPECT_NO_THROW((void)mc::init_run_dir(test_axes(), threads, dir_));
+  EXPECT_NO_THROW((void)mc::run_handle::init(test_axes(), threads, dir_));
 }
 
 TEST_F(DistributedTest, InfeasibleMixtureIsRefusedBeforeAnythingIsWritten) {
@@ -90,14 +99,14 @@ TEST_F(DistributedTest, InfeasibleMixtureIsRefusedBeforeAnythingIsWritten) {
 TEST_F(DistributedTest, WorkerFillsDirectoryAndMergeEqualsSingleProcess) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 16u);
   EXPECT_EQ(report.skipped, 0u);
   EXPECT_TRUE(mc::missing_cells(dir_).empty());
 
-  const mc::grid_result merged = mc::merge_run_dir(dir_);
+  const mc::grid_result merged = merged_grid(dir_);
   const mc::grid_result single = mc::run_scenario_grid(axes, cfg);
   EXPECT_EQ(merged.to_csv(), single.to_csv());
   EXPECT_EQ(merged.to_json(), single.to_json());
@@ -111,20 +120,20 @@ TEST_F(DistributedTest, WorkerFillsDirectoryAndMergeEqualsSingleProcess) {
 TEST_F(DistributedTest, InterruptedRunResumesBitIdentical) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // "Kill" the worker after 5 cells: exactly the surviving-state-files
   // situation a SIGKILL leaves behind.
   const auto partial = mc::run_pending_cells(dir_, /*max_cells=*/5);
   EXPECT_EQ(partial.computed, 5u);
   EXPECT_EQ(mc::missing_cells(dir_).size(), 11u);
-  EXPECT_THROW((void)mc::merge_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merged_grid(dir_), mc::run_dir_error);
 
   const auto resumed = mc::run_pending_cells(dir_);
   EXPECT_EQ(resumed.computed, 11u);
   EXPECT_EQ(resumed.skipped, 5u);
 
-  const mc::grid_result merged = mc::merge_run_dir(dir_);
+  const mc::grid_result merged = merged_grid(dir_);
   const mc::grid_result single = mc::run_scenario_grid(axes, cfg);
   EXPECT_EQ(merged.to_csv(), single.to_csv());
   EXPECT_EQ(merged.to_json(), single.to_json());
@@ -137,7 +146,7 @@ constexpr long kDeadPid = 999'999'999;
 TEST_F(DistributedTest, StaleClaimsAreSkippedThenCleaned) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // A claim left by a killed local worker makes cell 2 look owned — but its
   // recorded pid is provably dead on this host, so the worker reaps it
@@ -158,11 +167,11 @@ TEST_F(DistributedTest, StaleClaimsAreSkippedThenCleaned) {
   EXPECT_TRUE(fs::exists(orphan_tmp));
   mc::clean_stale_claims(dir_);
   EXPECT_FALSE(fs::exists(orphan_tmp));
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
+  EXPECT_EQ(merged_grid(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
 }
 
 TEST_F(DistributedTest, ForeignHostClaimHonorsLeaseTtl) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // A claim from another host whose pid we cannot probe: inside its lease it
   // must survive any clean_stale_claims sweep (the worker may be alive over
@@ -186,7 +195,7 @@ TEST_F(DistributedTest, ForeignHostClaimHonorsLeaseTtl) {
 }
 
 TEST_F(DistributedTest, LiveLocalClaimIsNotReaped) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // Our own live pid: clean_stale_claims must leave the claim alone — the
   // rename-claim protocol's whole point is that live owners keep their cell.
@@ -199,7 +208,7 @@ TEST_F(DistributedTest, LiveLocalClaimIsNotReaped) {
 }
 
 TEST_F(DistributedTest, UnparseableClaimFallsBackToLease) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // Garbage content (e.g. a pre-lease-format claim): only the TTL rule may
   // reap it.
@@ -214,7 +223,7 @@ TEST_F(DistributedTest, UnparseableClaimFallsBackToLease) {
 }
 
 TEST_F(DistributedTest, OverflowingOrphanPidSuffixFallsBackToLease) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // Orphan temp names carry their owner's pid as a filename suffix.  A
   // suffix that overflows `long` (or a crafted negative one) must parse as
@@ -255,7 +264,7 @@ std::string own_claim_body() {
 // keeping it alive (the TTL rule reaps aged claims even for live local
 // owners; that is exactly why workers must renew).
 TEST_F(DistributedTest, HeartbeatRenewalOutlivesTheLeaseTtl) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
   const auto ttl = std::chrono::seconds{1};
   const fs::path claim = mc::cell_claim_path(dir_, 3);
   const std::string body = own_claim_body();
@@ -283,7 +292,7 @@ TEST_F(DistributedTest, HeartbeatRenewalOutlivesTheLeaseTtl) {
 }
 
 TEST_F(DistributedTest, ReapedClaimStopsTheHeartbeatInsteadOfResurrecting) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
   const fs::path claim = mc::cell_claim_path(dir_, 5);
   const std::string body = own_claim_body();
   std::ofstream(claim) << body;
@@ -311,7 +320,7 @@ TEST_F(DistributedTest, ReapedClaimStopsTheHeartbeatInsteadOfResurrecting) {
 TEST_F(DistributedTest, WorkerWithShrunkenTtlSurvivesConcurrentSweeps) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // A coordinator hammering clean_stale_claims with the same shrunken TTL
   // the worker renews against: no live claim may be reaped, every cell
@@ -331,11 +340,11 @@ TEST_F(DistributedTest, WorkerWithShrunkenTtlSurvivesConcurrentSweeps) {
 
   EXPECT_EQ(report.computed, 16u);
   EXPECT_EQ(report.quarantined, 0u);
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
+  EXPECT_EQ(merged_grid(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
 }
 
 TEST_F(DistributedTest, ClaimSweepReportCountsEachOutcome) {
-  mc::init_run_dir(test_axes(), test_config(), dir_);
+  (void)mc::run_handle::init(test_axes(), test_config(), dir_);
 
   // One provably-dead local claim, one orphaned .tmp, one live foreign
   // lease: the sweep report must account for each fate separately.
@@ -359,7 +368,7 @@ TEST_F(DistributedTest, ClaimSweepReportCountsEachOutcome) {
 TEST_F(DistributedTest, CorruptCellFileIsRecomputed) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
   (void)mc::run_pending_cells(dir_);
 
   // Flip one byte in a completed cell: it must read as "not done" ...
@@ -368,34 +377,34 @@ TEST_F(DistributedTest, CorruptCellFileIsRecomputed) {
   blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x10);
   mc::write_file_atomic(victim, blob);
   EXPECT_EQ(mc::missing_cells(dir_), std::vector<std::uint64_t>{7});
-  EXPECT_THROW((void)mc::merge_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merged_grid(dir_), mc::run_dir_error);
 
   // ... and a resume heals it, landing on the exact single-process result.
   const auto report = mc::run_pending_cells(dir_);
   EXPECT_EQ(report.computed, 1u);
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
+  EXPECT_EQ(merged_grid(dir_).to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
 }
 
 TEST_F(DistributedTest, ForeignCellFileRejected) {
   const auto axes = test_axes();
-  mc::init_run_dir(axes, test_config(), dir_);
+  (void)mc::run_handle::init(axes, test_config(), dir_);
   (void)mc::run_pending_cells(dir_);
 
   // Plant cell 0 of a different sweep (other seed) at position 0.
   const fs::path foreign_dir = dir_.string() + ".foreign";
   mc::scenario_config other = test_config();
   other.seed = 777;
-  mc::init_run_dir(axes, other, foreign_dir);
+  (void)mc::run_handle::init(axes, other, foreign_dir);
   (void)mc::run_pending_cells(foreign_dir, 1);
   fs::copy_file(mc::cell_state_path(foreign_dir, 0), mc::cell_state_path(dir_, 0),
                 fs::copy_options::overwrite_existing);
   fs::remove_all(foreign_dir);
 
   // The fingerprint check refuses to merge it, and resume recomputes it.
-  EXPECT_THROW((void)mc::merge_run_dir(dir_), mc::run_dir_error);
+  EXPECT_THROW((void)merged_grid(dir_), mc::run_dir_error);
   EXPECT_EQ(mc::missing_cells(dir_), std::vector<std::uint64_t>{0});
   (void)mc::run_pending_cells(dir_);
-  EXPECT_EQ(mc::merge_run_dir(dir_).to_csv(),
+  EXPECT_EQ(merged_grid(dir_).to_csv(),
             mc::run_scenario_grid(axes, test_config()).to_csv());
 }
 
@@ -406,8 +415,10 @@ TEST_F(DistributedTest, FourWorkerProcessesMatchSingleProcessBitForBit) {
   const auto cfg = test_config();
   const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
 
-  const mc::grid_result merged =
-      mc::run_distributed_grid(axes, cfg, dist, RELDIV_SWEEP_BIN);
+  const mc::grid_result merged = std::get<mc::grid_result>(
+      mc::run_distributed(mc::sweep_manifest{.axes = axes, .seed = cfg.seed}, dist,
+                          RELDIV_SWEEP_BIN)
+          .merge());
   const mc::grid_result single = mc::run_scenario_grid(axes, cfg);
   EXPECT_EQ(merged.to_csv(), single.to_csv());
   EXPECT_EQ(merged.to_json(), single.to_json());
@@ -416,7 +427,7 @@ TEST_F(DistributedTest, FourWorkerProcessesMatchSingleProcessBitForBit) {
 TEST_F(DistributedTest, KilledMultiProcessRunResumesBitIdentical) {
   const auto axes = test_axes();
   const auto cfg = test_config();
-  mc::init_run_dir(axes, cfg, dir_);
+  (void)mc::run_handle::init(axes, cfg, dir_);
 
   // First wave: 4 real worker processes, each quota'd to one cell — the
   // deterministic stand-in for a SIGKILL that leaves 4 of 16 state files.
@@ -427,17 +438,18 @@ TEST_F(DistributedTest, KilledMultiProcessRunResumesBitIdentical) {
 
   // Resume with a fresh coordinator: identical to the uninterrupted run.
   const mc::distributed_config dist{.run_dir = dir_, .workers = 4};
-  const mc::grid_result merged =
-      mc::run_distributed_grid(axes, cfg, dist, RELDIV_SWEEP_BIN);
+  const mc::grid_result merged = std::get<mc::grid_result>(
+      mc::run_distributed(mc::sweep_manifest{.axes = axes, .seed = cfg.seed}, dist,
+                          RELDIV_SWEEP_BIN)
+          .merge());
   EXPECT_EQ(merged.to_csv(), mc::run_scenario_grid(axes, cfg).to_csv());
 }
 
 TEST_F(DistributedTest, MissingWorkerBinaryReportsCleanly) {
-  const auto axes = test_axes();
+  const mc::sweep_manifest m{.axes = test_axes(), .seed = test_config().seed};
   const mc::distributed_config dist{.run_dir = dir_, .workers = 2};
-  EXPECT_THROW(
-      (void)mc::run_distributed_grid(axes, test_config(), dist, "/nonexistent/worker"),
-      mc::run_dir_error);
+  EXPECT_THROW((void)mc::run_distributed(m, dist, "/nonexistent/worker"),
+               mc::run_dir_error);
 }
 
 #endif  // RELDIV_SWEEP_BIN

@@ -151,7 +151,7 @@ TEST_F(ServiceTest, RunHandleOpensAnyKindAndDispatchesTypedAccess) {
   const fs::path demand_dir = root_ / "demand";
   const fs::path exp_dir = root_ / "exp";
   (void)mc::run_handle::init(test_axes(), test_config(), grid_dir);
-  (void)mc::run_handle::init(test_demand_manifest(), demand_dir);
+  const mc::run_handle inited = mc::run_handle::init(test_demand_manifest(), demand_dir);
   (void)mc::run_handle::init(test_experiment_manifest(), exp_dir);
 
   const mc::run_handle grid = mc::run_handle::open(grid_dir);
@@ -163,21 +163,17 @@ TEST_F(ServiceTest, RunHandleOpensAnyKindAndDispatchesTypedAccess) {
   EXPECT_EQ(grid.cell_count(), 8u);
   EXPECT_EQ(demand.cell_count(), 10u);
   EXPECT_NE(grid.fingerprint(), demand.fingerprint());
+  // init and open agree on the identity, and it is the manifest's own.
+  EXPECT_EQ(demand.fingerprint(), inited.fingerprint());
+  EXPECT_EQ(demand.fingerprint(), mc::job_fingerprint(test_demand_manifest()));
+  EXPECT_EQ(mc::demand_manifest_fingerprint(demand.demand_campaign_manifest()),
+            inited.fingerprint());
 
   // The typed accessors enforce the kind they promise.
   EXPECT_NO_THROW((void)grid.grid_manifest());
   EXPECT_THROW((void)grid.demand_campaign_manifest(), mc::run_dir_error);
   EXPECT_THROW((void)demand.experiment_shards_manifest(), mc::run_dir_error);
   EXPECT_NO_THROW((void)exp.experiment_shards_manifest());
-}
-
-TEST_F(ServiceTest, RunHandleWrappersMatchTheFreeFunctions) {
-  const fs::path dir = root_ / "demand";
-  const mc::run_handle inited = mc::run_handle::init(test_demand_manifest(), dir);
-  // The thin per-kind wrappers go through run_handle; both views agree.
-  const mc::demand_manifest loaded = mc::load_demand_manifest(dir);
-  EXPECT_EQ(mc::demand_manifest_fingerprint(loaded), inited.fingerprint());
-  EXPECT_EQ(mc::load_run_kind(dir), mc::job_kind::demand_campaign);
 }
 
 TEST_F(ServiceTest, RunHandleMergeMatchesOracleForEveryKind) {
@@ -199,6 +195,22 @@ TEST_F(ServiceTest, RunHandleMergeMatchesOracleForEveryKind) {
   EXPECT_EQ(tables.cells, m.window_count());
   EXPECT_EQ(tables.csv, mc::demand_tally_csv(m, oracle));
   EXPECT_EQ(tables.json, mc::demand_tally_json(oracle));
+
+  // Every kind: the merged tables are the in-process oracle's, byte for byte.
+  const std::vector<mc::run_handle::manifest_variant> jobs = {
+      mc::sweep_manifest{.axes = test_axes(), .seed = test_config().seed}, m,
+      test_experiment_manifest()};
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const fs::path job_dir = root_ / ("job" + std::to_string(j));
+    const mc::run_handle job = mc::run_handle::init(jobs[j], job_dir);
+    (void)mc::run_pending_cells(job_dir, {});
+    const mc::merged_tables merged = job.merge_tables();
+    const mc::merged_tables single = mc::run_single_process(jobs[j], /*threads=*/2);
+    EXPECT_EQ(merged.csv, single.csv) << mc::job_kind_name(job.kind());
+    EXPECT_EQ(merged.json, single.json) << mc::job_kind_name(job.kind());
+    EXPECT_EQ(merged.cells, job.cell_count());
+    EXPECT_EQ(single.cells, job.cell_count());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +315,8 @@ TEST_F(ServiceTest, WorkerPicksUpARunSubmittedAfterItStarted) {
   const mc::demand_manifest m = test_demand_manifest();
   const mc::demand_tally oracle =
       mc::run_demand_campaign(m.target_pfd, m.demands, m.config());
-  EXPECT_EQ(mc::merge_demand_run_dir(dir).failures, oracle.failures);
+  EXPECT_EQ(std::get<mc::demand_tally>(mc::run_handle::open(dir).merge()).failures,
+            oracle.failures);
 }
 
 TEST_F(ServiceTest, DrainedWorkerLeavesNoClaimsAndNoTmpFiles) {

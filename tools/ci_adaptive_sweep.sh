@@ -4,7 +4,8 @@
 #   round-1 spec --submit--> service fleet --merge--> round-1 CSV
 #          `refine` (twice: the emitted round-2 spec must be byte-identical)
 #   round-2 spec --single--> uninterrupted oracle
-#   round-2 spec --distributed, SIGKILL mid-run, resume--> must byte-match it
+#   round-2 spec --submit, workers SIGKILLed mid-run, resumed, merged--> must
+#                                                          byte-match it
 #   round-2 spec --resubmit--> service merge must byte-match it too
 #
 # The round-1 spec deliberately exercises the new axes (negative-rho copula
@@ -86,24 +87,28 @@ echo "=== round 2: uninterrupted single-process oracle ==="
 "$sweep" single --spec round2.spec --quiet --out-csv round2_oracle.csv
 
 echo
-echo "=== round 2: distributed run, 4 workers, SIGKILL mid-run, resume ==="
-# Quota'd AND killed, like ci_distributed_sweep.sh: the per-worker quota
-# guarantees the first wave leaves the directory partial even if the kill
-# races a fast machine.
-setsid "$sweep" --spec round2.spec --run-dir run2.d --workers 4 --max-cells 1 &
-coordinator=$!
+echo "=== round 2: submit, 4 workers, SIGKILL mid-run, resume, merge ==="
+# Its own service root: the `svc` fleet above would otherwise drain the run
+# before the kill.  Quota'd AND killed, like ci_distributed_sweep.sh: the
+# per-worker quota guarantees the first wave leaves the directory partial
+# even if the kill races a fast machine.
+"$sweep" submit --root kill-svc --name job --spec round2.spec
+run_dir=kill-svc/runs/job
+setsid bash -c 'for _ in 1 2 3 4; do "$0" worker --run-dir "$1" --max-cells 1 & done; wait' \
+       "$sweep" "$run_dir" &
+group=$!
 count_states() {
-  local files=(run2.d/cells/*.state)
+  local files=("$run_dir"/cells/*.state)
   echo "${#files[@]}"
 }
 for _ in $(seq 1 600); do
   if [[ "$(count_states)" -ge 2 ]]; then break; fi
   sleep 0.1
 done
-kill -9 -- "-$coordinator" 2>/dev/null || true
-wait "$coordinator" 2>/dev/null || true
+kill -9 -- "-$group" 2>/dev/null || true
+wait "$group" 2>/dev/null || true
 for _ in $(seq 1 100); do
-  if ! ps -eo pgid= | grep -qw "$coordinator"; then break; fi
+  if ! ps -eo pgid= | grep -qw "$group"; then break; fi
   sleep 0.1
 done
 done_cells=$(count_states)
@@ -112,7 +117,13 @@ if [[ "$done_cells" -lt 2 || "$done_cells" -ge "$total_cells" ]]; then
   echo "ERROR: kill landed outside the partial window ($done_cells cells)" >&2
   exit 1
 fi
-"$sweep" --spec round2.spec --run-dir run2.d --workers 4 --out-csv round2_resumed.csv
+workers=()
+for _ in 1 2 3 4; do
+  "$sweep" worker --run-dir "$run_dir" --quiet &
+  workers+=($!)
+done
+for pid in "${workers[@]}"; do wait "$pid"; done
+"$sweep" merge --root kill-svc --name job --out-csv round2_resumed.csv
 cmp round2_oracle.csv round2_resumed.csv
 
 echo

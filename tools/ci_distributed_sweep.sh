@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# CI proof of the multi-process job driver, one job kind per invocation: run
-# the kind's ci preset across 4 worker processes, SIGKILL the whole process
-# tree mid-run, resume from the surviving state files, and require the merged
-# CSV/JSON to be byte-equal to the single-process oracle.
+# CI proof of the multi-process job driver, one job kind per invocation:
+# submit the kind's ci spec, run it across 4 worker processes, SIGKILL the
+# whole worker group mid-run, resume with 4 fresh workers from the surviving
+# state files, merge, and require the merged CSV/JSON to be byte-equal to
+# the single-process oracle.
 #
 # Usage: tools/ci_distributed_sweep.sh SWEEP_BINARY MODE [WORK_DIR] [BUDGET]
 #   SWEEP_BINARY  path to a built reldiv_sweep
 #   MODE          scenario | demand | experiment (the driver's three job kinds)
-#   WORK_DIR      scratch directory (default: ./sweep-ci-MODE); the run
-#                 directory inside it is what CI uploads as an artifact
+#   WORK_DIR      scratch directory (default: ./sweep-ci-MODE); the service
+#                 root inside it is what CI uploads as an artifact
 #   BUDGET        samples per cell / demands per target (default: the ci
 #                 preset's; shrink for fast local smoke runs)
 #
@@ -58,7 +59,7 @@ case "$mode" in
     ;;
 esac
 
-# The single-process oracle is built from the legacy preset flags; the
+# The single-process oracle is built from the embedded preset flags; the
 # distributed run is driven by the SHIPPED spec file for the same preset.
 # The final byte-diff therefore also proves the spec path and the preset
 # path build fingerprint-identical manifests (satellite of the spec PR).
@@ -74,18 +75,20 @@ mkdir -p "$work_dir"
 cd "$work_dir"
 
 echo "=== [$mode] single-process oracle ==="
-"$sweep" --single "${grid_args[@]}" --out-csv single.csv --out-json single.json
+"$sweep" single "${grid_args[@]}" --out-csv single.csv --out-json single.json
 
 echo
-echo "=== [$mode] distributed run, 4 workers, SIGKILL mid-run ==="
-# Own session/process group so one kill(-pgid) takes out the coordinator AND
-# its workers, exactly like an OOM-killer or node preemption would.
-setsid "$sweep" "${spec_args[@]}" --run-dir run.d --workers 4 \
-       --max-cells "$quota" &
-coordinator=$!
+echo "=== [$mode] submit, 4 workers, SIGKILL mid-run ==="
+"$sweep" submit --root svc --name job "${spec_args[@]}"
+run_dir=svc/runs/job
+# Own session/process group so one kill(-pgid) takes out every worker,
+# exactly like an OOM-killer or node preemption would.
+setsid bash -c 'for _ in 1 2 3 4; do "$0" worker --run-dir "$1" --max-cells "$2" & done; wait' \
+       "$sweep" "$run_dir" "$quota" &
+group=$!
 
 count_states() {
-  local files=(run.d/cells/*.state)
+  local files=("$run_dir"/cells/*.state)
   echo "${#files[@]}"
 }
 
@@ -97,8 +100,8 @@ for _ in $(seq 1 600); do
   if [[ "$done_cells" -ge 2 ]]; then break; fi
   sleep 0.1
 done
-kill -9 -- "-$coordinator" 2>/dev/null || true
-wait "$coordinator" 2>/dev/null || true
+kill -9 -- "-$group" 2>/dev/null || true
+wait "$group" 2>/dev/null || true
 
 # Drain the process group before resuming: the workers are not our children,
 # so `wait` can't reap them, and the lease protocol (correctly) refuses to
@@ -106,7 +109,7 @@ wait "$coordinator" 2>/dev/null || true
 # same rule a multi-host operator follows — start the next wave only once
 # the previous wave's processes are gone or their leases have expired.
 for _ in $(seq 1 100); do
-  if ! ps -eo pgid= | grep -qw "$coordinator"; then break; fi
+  if ! ps -eo pgid= | grep -qw "$group"; then break; fi
   sleep 0.1
 done
 
@@ -124,9 +127,14 @@ if [[ "$done_cells" -ge "$total_cells" ]]; then
 fi
 
 echo
-echo "=== [$mode] resume from the surviving state files ==="
-"$sweep" "${spec_args[@]}" --run-dir run.d --workers 4 \
-         --out-csv dist.csv --out-json dist.json
+echo "=== [$mode] resume: 4 fresh workers on the surviving state files, merge ==="
+workers=()
+for _ in 1 2 3 4; do
+  "$sweep" worker --run-dir "$run_dir" &
+  workers+=($!)
+done
+for pid in "${workers[@]}"; do wait "$pid"; done
+"$sweep" merge --root svc --name job --out-csv dist.csv --out-json dist.json
 
 echo
 echo "=== [$mode] spec-driven merged result must be byte-identical to the"
@@ -138,7 +146,7 @@ echo
 echo "=== [$mode] run directory hygiene after resume ==="
 # A successful resume must leave no poison-cell records behind — quarantine
 # is for cells that exhausted their retry budget, and every cell landed.
-quarantine=(run.d/quarantine/*.quarantine)
+quarantine=("$run_dir"/quarantine/*.quarantine)
 if [[ "${#quarantine[@]}" -gt 0 ]]; then
   echo "ERROR: quarantine ledger non-empty after a successful resume:" >&2
   for q in "${quarantine[@]}"; do
@@ -150,7 +158,7 @@ fi
 # Leftover claims/tmps are legal (the kill can orphan them; leases expire on
 # their own) but worth surfacing so lease-protocol regressions show up in
 # the CI log rather than as silent slowdowns.
-leftovers=(run.d/cells/*.claim run.d/cells/*.tmp.*)
+leftovers=("$run_dir"/cells/*.claim "$run_dir"/cells/*.tmp.*)
 echo "leftover claim/tmp files after resume: ${#leftovers[@]}"
 for f in "${leftovers[@]}"; do echo "  $f"; done
 
