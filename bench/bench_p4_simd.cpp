@@ -10,11 +10,12 @@
 // the random-universe pair isolates the pure SIMD gain with no sliceable
 // words at all.
 //
-// The scenario pair measures the other SIMD kernel family: scenario_ci.spec's
-// 256-fault mixture cell through run_scenario_cell, once at the scalar cap
-// and once uncapped, where the xoshiro lane kernel advances eight shard
-// streams per AVX-512 instruction (four per AVX2 instruction).  Both produce
-// the same bits.
+// The scenario pair measures the other two SIMD kernel families:
+// scenario_ci.spec's 256-fault mixture cell through run_scenario_cell, once
+// at the scalar cap and once uncapped, where the xoshiro lane kernel advances
+// eight shard streams per AVX-512 instruction (four per AVX2 instruction) and
+// the lane fold folds each pair step of the eight shards into their
+// accumulators at once.  Both produce the same bits.
 //
 // The *Avx2 twins of the random-universe fast-simd run and the scenario cell
 // run at the avx2 cap, so on an AVX-512 host "dispatched vs avx2 cap" is the
@@ -130,7 +131,7 @@ void BM_RunExperimentFastSimdRandomAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_RunExperimentFastSimdRandomAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// --- scenario_ci mixture cell: xoshiro lane kernel vs its scalar level ------
+// --- scenario_ci mixture cell: lane kernel + lane fold vs their scalar level
 
 /// scenario_ci.spec's `many_small` universe (256 faults) at rho = 0.25,
 /// omega = 1, aliasing 1, with the spec's 10^6-pair budget and seed.

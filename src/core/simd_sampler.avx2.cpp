@@ -1,5 +1,5 @@
-// AVX2 and AVX-512 levels of the fast-simd word kernels and of the
-// xoshiro256++ lane kernel.  This is the ONLY translation unit in the repo
+// AVX2 and AVX-512 levels of the fast-simd word kernels, the xoshiro256++
+// lane kernel and the lane fold.  This is the ONLY translation unit in the repo
 // allowed to include <immintrin.h> (reldiv_lint `simd-isolation` enforces it)
 // and the only one compiled with -mavx2; the AVX-512 functions carry a
 // function-level target attribute (RELDIV_AVX512 below) instead of a TU
@@ -22,7 +22,12 @@
 //   * lane kernel: stats::rng::operator() — xoshiro256++'s adds, xors,
 //     shifts and rotates, one independent engine per lane (AVX-512 folds the
 //     xor pairs into _mm512_ternarylogic_epi64 and rotates with one
-//     instruction).
+//     instruction);
+//   * lane fold: each lane's θ sums take the faults it holds in ascending
+//     order, as a masked add per fault any lane holds (AVX2 adds +0.0 in the
+//     lanes without it), and the Welford step of stats::running_moments::add
+//     runs its IEEE operations in the same order, products and sums each
+//     rounded on their own.
 // The AVX2 threshold compares use _mm256_cmpgt_epi64, which is safe in the
 // signed domain because both operands are <= 2^53 (hence positive as int64);
 // the AVX-512 compares are unsigned.
@@ -271,6 +276,207 @@ struct xoshiro8 {
   }
 };
 
+// --- lane fold, AVX2: one call per half of four lanes ------------------------
+
+/// Word b of lanes [o, o + live) of one channel (zero past live).
+inline __m256i lane_words4(const lane_masks& channel, unsigned o, std::size_t b,
+                           unsigned live) noexcept {
+  std::array<std::uint64_t, 4> w{};
+  for (unsigned l = 0; l < live; ++l) w[l] = channel[o + l].words()[b];
+  return load_u64x4(w.data());
+}
+
+/// OR of the four 64-bit lanes of v.
+inline std::uint64_t or_lanes4(__m256i v) noexcept {
+  const __m128i x = _mm_or_si128(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_or_si128(x, _mm_unpackhi_epi64(x, x))));
+}
+
+/// sum + q[i] in the lanes of w holding bit i, for each bit i any lane holds,
+/// ascending.  The other lanes add +0.0, which leaves their sums' bits as
+/// they were: a sum begun at +0.0 is never -0.0 in round-to-nearest.
+inline __m256d add_word_q4(__m256d sum, __m256i w, const double* q) noexcept {
+  for (std::uint64_t bits = or_lanes4(w); bits != 0; bits &= bits - 1) {
+    const int i = std::countr_zero(bits);
+    const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(std::uint64_t{1} << i));
+    const __m256d has = _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(w, bit), bit));
+    sum = _mm256_add_pd(sum, _mm256_and_pd(has, _mm256_set1_pd(q[i])));
+  }
+  return sum;
+}
+
+/// stats::running_moments::add on lanes [o, o + 4) of m, stored to the lanes
+/// `live` selects.  The build's -ffp-contract=off keeps each product and sum
+/// its own rounding, as in the scalar TU.
+inline void welford_add4(moments_lanes& m, unsigned o, __m256d x, const welford_step& s,
+                         __m256i live) noexcept {
+  const __m256d m1 = _mm256_loadu_pd(m.m1.data() + o);
+  const __m256d m2 = _mm256_loadu_pd(m.m2.data() + o);
+  const __m256d m3 = _mm256_loadu_pd(m.m3.data() + o);
+  const __m256d m4 = _mm256_loadu_pd(m.m4.data() + o);
+  __m256d lo = x;
+  __m256d hi = x;
+  if (!s.first) {
+    lo = _mm256_min_pd(x, _mm256_loadu_pd(m.min.data() + o));  // x < min ? x : min
+    hi = _mm256_max_pd(x, _mm256_loadu_pd(m.max.data() + o));  // x > max ? x : max
+  }
+  const __m256d delta = _mm256_sub_pd(x, m1);
+  const __m256d delta_n = _mm256_div_pd(delta, _mm256_set1_pd(s.n));
+  const __m256d delta_n2 = _mm256_mul_pd(delta_n, delta_n);
+  const __m256d term1 = _mm256_mul_pd(_mm256_mul_pd(delta, delta_n), _mm256_set1_pd(s.n0));
+  const __m256d m4_term =
+      _mm256_sub_pd(_mm256_add_pd(_mm256_mul_pd(_mm256_mul_pd(term1, delta_n2),
+                                                _mm256_set1_pd(s.quartic)),
+                                  _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(6.0), delta_n2), m2)),
+                    _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(4.0), delta_n), m3));
+  const __m256d m3_term =
+      _mm256_sub_pd(_mm256_mul_pd(_mm256_mul_pd(term1, delta_n), _mm256_set1_pd(s.cubic)),
+                    _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(3.0), delta_n), m2));
+  _mm256_maskstore_pd(m.m1.data() + o, live, _mm256_add_pd(m1, delta_n));
+  _mm256_maskstore_pd(m.m4.data() + o, live, _mm256_add_pd(m4, m4_term));
+  _mm256_maskstore_pd(m.m3.data() + o, live, _mm256_add_pd(m3, m3_term));
+  _mm256_maskstore_pd(m.m2.data() + o, live, _mm256_add_pd(m2, term1));
+  _mm256_maskstore_pd(m.min.data() + o, live, lo);
+  _mm256_maskstore_pd(m.max.data() + o, live, hi);
+}
+
+/// Bits 0..3: the lanes of v that are non-zero.
+inline unsigned nonzero_lanes4(__m256i v) noexcept {
+  const __m256i zero = _mm256_cmpeq_epi64(v, _mm256_setzero_si256());
+  return ~static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(zero))) & 0xfu;
+}
+
+/// Bits 0..3: the lanes of x equal to 0.0.
+inline unsigned zero_lanes4(__m256d x) noexcept {
+  return static_cast<unsigned>(
+      _mm256_movemask_pd(_mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_EQ_OQ)));
+}
+
+/// fold_pair_lanes_avx2 on lanes [o, o + live) (live <= 4) of one register.
+void fold_half_avx2(accumulator_lanes& acc, const lane_masks* channels, unsigned versions,
+                    unsigned votes, double omega, const double* q, std::size_t n, unsigned o,
+                    unsigned live, const welford_step& step) noexcept {
+  __m256i ge[kMaxFoldVersions];  // layers [0, votes) are set before use
+  __m256d theta1 = _mm256_setzero_pd();
+  __m256d defeated_q = _mm256_setzero_pd();
+  __m256i any1 = _mm256_setzero_si256();
+  __m256i any_defeated = _mm256_setzero_si256();
+  for (std::size_t b = 0; b < fault_mask::words_needed(n); ++b) {
+    const __m256i first = lane_words4(channels[0], o, b, live);
+    ge[0] = first;
+    for (unsigned j = 1; j < votes; ++j) ge[j] = _mm256_setzero_si256();
+    for (unsigned v = 1; v < versions; ++v) {
+      const __m256i m = lane_words4(channels[v], o, b, live);
+      for (unsigned j = votes - 1; j > 0; --j) {
+        ge[j] = _mm256_or_si256(ge[j], _mm256_and_si256(ge[j - 1], m));
+      }
+      ge[0] = _mm256_or_si256(ge[0], m);
+    }
+    any1 = _mm256_or_si256(any1, first);
+    any_defeated = _mm256_or_si256(any_defeated, ge[votes - 1]);
+    theta1 = add_word_q4(theta1, first, q + (b << 6));
+    defeated_q = add_word_q4(defeated_q, ge[votes - 1], q + (b << 6));
+  }
+  const __m256d theta2 = _mm256_mul_pd(_mm256_set1_pd(omega), defeated_q);
+  const unsigned n1 = nonzero_lanes4(any1);
+  const unsigned n2 = omega > 0.0 ? nonzero_lanes4(any_defeated) : 0u;
+  const unsigned z1 = zero_lanes4(theta1);
+  const unsigned z2 = zero_lanes4(theta2);
+  for (unsigned l = 0; l < live; ++l) {
+    ++acc.samples[o + l];
+    acc.n1_positive[o + l] += (n1 >> l) & 1u;
+    acc.n2_positive[o + l] += (n2 >> l) & 1u;
+    acc.n1_zero_pfd[o + l] += (z1 >> l) & 1u;
+    acc.n2_zero_pfd[o + l] += (z2 >> l) & 1u;
+  }
+  const __m256i live_lanes =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), _mm256_set_epi64x(3, 2, 1, 0));
+  welford_add4(acc.theta1, o, theta1, step, live_lanes);
+  welford_add4(acc.theta2, o, theta2, step, live_lanes);
+}
+
+// --- lane fold, AVX-512: all eight lanes in one register ---------------------
+
+/// Word b of lanes [0, live) of one channel (zero past live).
+RELDIV_AVX512 inline __m512i lane_words8(const lane_masks& channel, std::size_t b,
+                                         unsigned live) noexcept {
+  std::array<std::uint64_t, 8> w{};
+  for (unsigned l = 0; l < live; ++l) w[l] = channel[l].words()[b];
+  return _mm512_loadu_si512(w.data());
+}
+
+/// OR of the eight 64-bit lanes of v.  _mm512_reduce_or_epi64 and
+/// _mm512_castsi512_si256 extract halves onto an undefined register, like
+/// the unmasked shifts (see the header comment); the maskz extracts do not.
+RELDIV_AVX512 inline std::uint64_t or_lanes8(__m512i v) noexcept {
+  return or_lanes4(_mm256_or_si256(_mm512_maskz_extracti64x4_epi64(kAllLanes, v, 0),
+                                   _mm512_maskz_extracti64x4_epi64(kAllLanes, v, 1)));
+}
+
+/// sum + q[i] in the lanes of w holding bit i, for each bit i any lane holds,
+/// ascending; the other lanes keep their sums (a masked add).
+RELDIV_AVX512 inline __m512d add_word_q8(__m512d sum, __m512i w, const double* q) noexcept {
+  for (std::uint64_t bits = or_lanes8(w); bits != 0; bits &= bits - 1) {
+    const int i = std::countr_zero(bits);
+    const __mmask8 has = _mm512_test_epi64_mask(
+        w, _mm512_set1_epi64(static_cast<long long>(std::uint64_t{1} << i)));
+    sum = _mm512_mask_add_pd(sum, has, sum, _mm512_set1_pd(q[i]));
+  }
+  return sum;
+}
+
+// Products and sums in the maskz forms: avx512f implies FMA, and GCC fuses a
+// plain _mm512_mul_pd feeding _mm512_add_pd into one rounding unless the
+// build says -ffp-contract=off; the masked builtins are never fused.
+RELDIV_AVX512 inline __m512d add8(__m512d a, __m512d b) noexcept {
+  return _mm512_maskz_add_pd(kAllLanes, a, b);
+}
+RELDIV_AVX512 inline __m512d sub8(__m512d a, __m512d b) noexcept {
+  return _mm512_maskz_sub_pd(kAllLanes, a, b);
+}
+RELDIV_AVX512 inline __m512d mul8(__m512d a, __m512d b) noexcept {
+  return _mm512_maskz_mul_pd(kAllLanes, a, b);
+}
+
+/// stats::running_moments::add on the lanes of m, stored to the lanes `live`
+/// selects.
+RELDIV_AVX512 inline void welford_add8(moments_lanes& m, __m512d x, const welford_step& s,
+                                       __mmask8 live) noexcept {
+  const __m512d m1 = _mm512_loadu_pd(m.m1.data());
+  const __m512d m2 = _mm512_loadu_pd(m.m2.data());
+  const __m512d m3 = _mm512_loadu_pd(m.m3.data());
+  const __m512d m4 = _mm512_loadu_pd(m.m4.data());
+  __m512d lo = x;
+  __m512d hi = x;
+  if (!s.first) {
+    lo = _mm512_maskz_min_pd(kAllLanes, x, _mm512_loadu_pd(m.min.data()));  // x < min ? x : min
+    hi = _mm512_maskz_max_pd(kAllLanes, x, _mm512_loadu_pd(m.max.data()));  // x > max ? x : max
+  }
+  const __m512d delta = sub8(x, m1);
+  const __m512d delta_n = _mm512_maskz_div_pd(kAllLanes, delta, _mm512_set1_pd(s.n));
+  const __m512d delta_n2 = mul8(delta_n, delta_n);
+  const __m512d term1 = mul8(mul8(delta, delta_n), _mm512_set1_pd(s.n0));
+  const __m512d m4_term =
+      sub8(add8(mul8(mul8(term1, delta_n2), _mm512_set1_pd(s.quartic)),
+                mul8(mul8(_mm512_set1_pd(6.0), delta_n2), m2)),
+           mul8(mul8(_mm512_set1_pd(4.0), delta_n), m3));
+  const __m512d m3_term = sub8(mul8(mul8(term1, delta_n), _mm512_set1_pd(s.cubic)),
+                               mul8(mul8(_mm512_set1_pd(3.0), delta_n), m2));
+  _mm512_mask_storeu_pd(m.m1.data(), live, add8(m1, delta_n));
+  _mm512_mask_storeu_pd(m.m4.data(), live, add8(m4, m4_term));
+  _mm512_mask_storeu_pd(m.m3.data(), live, add8(m3, m3_term));
+  _mm512_mask_storeu_pd(m.m2.data(), live, add8(m2, term1));
+  _mm512_mask_storeu_pd(m.min.data(), live, lo);
+  _mm512_mask_storeu_pd(m.max.data(), live, hi);
+}
+
+/// c[l] += 1 in the lanes `k` selects.
+RELDIV_AVX512 inline void count8(std::array<std::uint64_t, kXoshiroLanes>& c,
+                                 __mmask8 k) noexcept {
+  _mm512_mask_storeu_epi64(c.data(), k,
+                           _mm512_add_epi64(_mm512_loadu_si512(c.data()), _mm512_set1_epi64(1)));
+}
+
 }  // namespace
 
 bool avx2_compiled() noexcept { return true; }
@@ -360,6 +566,56 @@ RELDIV_AVX512 void sample_mixture_lanes_avx512(xoshiro_lanes& lanes,
   _mm512_mask_storeu_epi64(lanes.word[3].data(), live_lanes, g.s3);
 }
 
+void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
+                          unsigned versions, unsigned votes, double omega, const double* q,
+                          std::size_t n, unsigned live, const welford_step& step) noexcept {
+  fold_half_avx2(acc, channels, versions, votes, omega, q, n, 0, live < 4 ? live : 4, step);
+  if (live > 4) fold_half_avx2(acc, channels, versions, votes, omega, q, n, 4, live - 4, step);
+}
+
+RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
+                                          unsigned versions, unsigned votes, double omega,
+                                          const double* q, std::size_t n, unsigned live,
+                                          const welford_step& step) noexcept {
+  // The scalar level's word loop with a lane per shard: the defeated-set
+  // layers ge[j] are registers of eight lane words, and each θ sum takes one
+  // masked add per fault any lane holds.
+  const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
+  __m512i ge[kMaxFoldVersions];  // layers [0, votes) are set before use
+  __m512d theta1 = _mm512_setzero_pd();
+  __m512d defeated_q = _mm512_setzero_pd();
+  __m512i any1 = _mm512_setzero_si512();
+  __m512i any_defeated = _mm512_setzero_si512();
+  for (std::size_t b = 0; b < fault_mask::words_needed(n); ++b) {
+    const __m512i first = lane_words8(channels[0], b, live);
+    ge[0] = first;
+    for (unsigned j = 1; j < votes; ++j) ge[j] = _mm512_setzero_si512();
+    for (unsigned v = 1; v < versions; ++v) {
+      const __m512i m = lane_words8(channels[v], b, live);
+      constexpr int kOrAnd = 0xf8;  // a | (b & c)
+      for (unsigned j = votes - 1; j > 0; --j) {
+        ge[j] = _mm512_ternarylogic_epi64(ge[j], ge[j - 1], m, kOrAnd);
+      }
+      ge[0] = _mm512_or_si512(ge[0], m);
+    }
+    any1 = _mm512_or_si512(any1, first);
+    any_defeated = _mm512_or_si512(any_defeated, ge[votes - 1]);
+    theta1 = add_word_q8(theta1, first, q + (b << 6));
+    defeated_q = add_word_q8(defeated_q, ge[votes - 1], q + (b << 6));
+  }
+  const __m512d theta2 = mul8(_mm512_set1_pd(omega), defeated_q);
+  const __m512d zero = _mm512_setzero_pd();
+  count8(acc.samples, live_lanes);
+  count8(acc.n1_positive, _mm512_mask_test_epi64_mask(live_lanes, any1, any1));
+  if (omega > 0.0) {
+    count8(acc.n2_positive, _mm512_mask_test_epi64_mask(live_lanes, any_defeated, any_defeated));
+  }
+  count8(acc.n1_zero_pfd, _mm512_mask_cmp_pd_mask(live_lanes, theta1, zero, _CMP_EQ_OQ));
+  count8(acc.n2_zero_pfd, _mm512_mask_cmp_pd_mask(live_lanes, theta2, zero, _CMP_EQ_OQ));
+  welford_add8(acc.theta1, theta1, step, live_lanes);
+  welford_add8(acc.theta2, theta2, step, live_lanes);
+}
+
 void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
                                     std::span<const std::uint64_t> t32,
                                     std::span<const std::uint64_t> t53,
@@ -429,6 +685,19 @@ void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, std::uint64_t stress_thre
                                  const std::uint64_t* relaxed, std::size_t n,
                                  std::uint64_t* const* out, unsigned live) noexcept {
   sample_mixture_lanes_scalar(lanes, stress_threshold, stressed, relaxed, n, out, live);
+}
+
+void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
+                          unsigned versions, unsigned votes, double omega, const double* q,
+                          std::size_t n, unsigned live, const welford_step& step) noexcept {
+  fold_pair_lanes_scalar(acc, channels, versions, votes, omega, q, n, live, step);
+}
+
+void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
+                            unsigned versions, unsigned votes, double omega,
+                            const double* q, std::size_t n, unsigned live,
+                            const welford_step& step) noexcept {
+  fold_pair_lanes_scalar(acc, channels, versions, votes, omega, q, n, live, step);
 }
 
 }  // namespace reldiv::core::detail

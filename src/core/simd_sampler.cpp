@@ -1,8 +1,8 @@
-// SIMD dispatch, fast-simd plan construction, and the scalar level of both
-// kernel families.  The AVX2 and AVX-512 levels live in simd_sampler.avx2.cpp
-// (the one TU compiled with -mavx2, its AVX-512 functions under a
-// function-level target attribute); this TU stays portable and decides at
-// runtime which one runs.
+// SIMD dispatch, fast-simd plan construction, and the scalar level of all
+// three kernel families.  The AVX2 and AVX-512 levels live in
+// simd_sampler.avx2.cpp (the one TU compiled with -mavx2, its AVX-512
+// functions under a function-level target attribute); this TU stays portable
+// and decides at runtime which one runs.
 
 #include "core/simd_sampler.inl.hpp"
 
@@ -249,6 +249,133 @@ void sample_mixture_lanes(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
   }
   detail::sample_mixture_lanes_scalar(lanes, stress_threshold, stressed.data(),
                                       relaxed.data(), n, words.data(), live);
+}
+
+namespace detail {
+
+namespace {
+
+/// Σ q[i] over the set bits i of w, ascending, onto sum.
+double add_word_q(double sum, std::uint64_t w, const double* q) noexcept {
+  while (w != 0) {
+    sum += q[std::countr_zero(w)];
+    w &= w - 1;
+  }
+  return sum;
+}
+
+/// stats::running_moments::add(x) on lane l of m, term for term.
+void welford_add(moments_lanes& m, unsigned l, double x, const welford_step& s) noexcept {
+  if (s.first) {
+    m.min[l] = x;
+    m.max[l] = x;
+  } else {
+    m.min[l] = std::min(m.min[l], x);
+    m.max[l] = std::max(m.max[l], x);
+  }
+  const double delta = x - m.m1[l];
+  const double delta_n = delta / s.n;
+  const double delta_n2 = delta_n * delta_n;
+  const double term1 = delta * delta_n * s.n0;
+  m.m1[l] += delta_n;
+  m.m4[l] += term1 * delta_n2 * s.quartic + 6.0 * delta_n2 * m.m2[l] - 4.0 * delta_n * m.m3[l];
+  m.m3[l] += term1 * delta_n * s.cubic - 3.0 * delta_n * m.m2[l];
+  m.m2[l] += term1;
+}
+
+}  // namespace
+
+void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
+                            unsigned versions, unsigned votes, double omega,
+                            const double* q, std::size_t n, unsigned live,
+                            const welford_step& step) noexcept {
+  // Each live lane in turn, word by word.  ge[j] holds the faults of this
+  // word seen in >= j+1 of the channels folded in so far, so folding channel
+  // v in is ge[j] |= ge[j-1] & v from the top down; ge[votes-1] ends as the
+  // defeated set.
+  const std::size_t nw = fault_mask::words_needed(n);
+  std::array<std::uint64_t, kMaxFoldVersions> ge{};
+  for (unsigned l = 0; l < live; ++l) {
+    double theta1 = 0.0;
+    double defeated_q = 0.0;
+    std::uint64_t any1 = 0;
+    std::uint64_t any_defeated = 0;
+    for (std::size_t b = 0; b < nw; ++b) {
+      const std::uint64_t first = channels[0][l].words()[b];
+      ge[0] = first;
+      std::fill_n(ge.begin() + 1, votes - 1, 0);
+      for (unsigned v = 1; v < versions; ++v) {
+        const std::uint64_t m = channels[v][l].words()[b];
+        for (unsigned j = votes - 1; j > 0; --j) ge[j] |= ge[j - 1] & m;
+        ge[0] |= m;
+      }
+      any1 |= first;
+      theta1 = add_word_q(theta1, first, q + (b << 6));
+      any_defeated |= ge[votes - 1];
+      defeated_q = add_word_q(defeated_q, ge[votes - 1], q + (b << 6));
+    }
+    // §6.2 axis: only the shared fraction ω of each region produces
+    // coincident failures; ω = 0 pairs can share faults but never a failure
+    // point.
+    const double theta2 = omega * defeated_q;
+    ++acc.samples[l];
+    acc.n1_positive[l] += any1 != 0 ? 1 : 0;
+    acc.n2_positive[l] += any_defeated != 0 && omega > 0.0 ? 1 : 0;
+    acc.n1_zero_pfd[l] += theta1 == 0.0 ? 1 : 0;
+    acc.n2_zero_pfd[l] += theta2 == 0.0 ? 1 : 0;
+    welford_add(acc.theta1, l, theta1, step);
+    welford_add(acc.theta2, l, theta2, step);
+  }
+}
+
+}  // namespace detail
+
+void fold_pair_lanes(accumulator_lanes& acc,
+                     std::span<const std::array<fault_mask, kXoshiroLanes>> channels,
+                     unsigned votes, double omega, std::span<const double> q,
+                     unsigned live, simd_level level) {
+  const auto versions = static_cast<unsigned>(channels.size());
+  if (votes == 0 || votes > versions || versions > kMaxFoldVersions) {
+    throw std::invalid_argument(
+        "fold_pair_lanes: needs 1 <= votes <= versions <= kMaxFoldVersions");
+  }
+  if (live > kXoshiroLanes) {
+    throw std::invalid_argument("fold_pair_lanes: more live lanes than lanes");
+  }
+  for (const detail::lane_masks& channel : channels) {
+    for (unsigned l = 0; l < live; ++l) {
+      if (channel[l].bit_size() != q.size()) {
+        throw std::invalid_argument("fold_pair_lanes: mask and q sizes differ");
+      }
+    }
+  }
+  for (unsigned l = 1; l < live; ++l) {
+    if (acc.samples[l] != acc.samples[0]) {
+      throw std::invalid_argument("fold_pair_lanes: live lanes hold different sample counts");
+    }
+  }
+  if (live == 0) return;
+  // The factors of running_moments::add, in its own expression order.
+  detail::welford_step step;
+  step.first = acc.samples[0] == 0;
+  step.n0 = static_cast<double>(acc.samples[0]);
+  step.n = static_cast<double>(acc.samples[0] + 1);
+  step.quartic = step.n * step.n - 3.0 * step.n + 3.0;
+  step.cubic = step.n - 2.0;
+  switch (level) {
+    case simd_level::avx512:
+      detail::fold_pair_lanes_avx512(acc, channels.data(), versions, votes, omega, q.data(),
+                                     q.size(), live, step);
+      return;
+    case simd_level::avx2:
+      detail::fold_pair_lanes_avx2(acc, channels.data(), versions, votes, omega, q.data(),
+                                   q.size(), live, step);
+      return;
+    case simd_level::scalar:
+      break;
+  }
+  detail::fold_pair_lanes_scalar(acc, channels.data(), versions, votes, omega, q.data(),
+                                 q.size(), live, step);
 }
 
 }  // namespace reldiv::core

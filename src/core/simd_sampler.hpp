@@ -1,5 +1,5 @@
 #pragma once
-// The runtime-dispatched SIMD kernels of the library, in two families:
+// The runtime-dispatched SIMD kernels of the library, in three families:
 //
 //   * the `fast-simd` block sampler: counter-based version-pair generation
 //     (sample_pair_counter_batch, below);
@@ -7,12 +7,17 @@
 //     lockstep, one per 64-bit lane (one zmm register at AVX-512, two ymm
 //     registers at AVX2), drawing common-cause-mixture versions
 //     decision-for-decision as the scalar sampler draws them on each stream
-//     (sample_mixture_lanes, at the end of this header).
+//     (sample_mixture_lanes);
+//   * the lane fold: one pair step of eight shards' channel masks folded
+//     into eight structure-of-arrays pair accumulators — θ1, the defeated
+//     set's θ2, the counters and the Welford moments — with the IEEE
+//     operations of the scalar per-shard fold in the same order
+//     (fold_pair_lanes, at the end of this header).
 //
 // This TU family (src/core/simd_sampler.*) is the ONLY place in the repo
 // allowed to touch <immintrin.h> — enforced by the reldiv_lint
 // `simd-isolation` rule — everything else calls the dispatched API below.
-// Both families take the same simd_level, so RELDIV_SIMD and the
+// All families take the same simd_level, so RELDIV_SIMD and the
 // programmatic cap govern them alike.
 //
 // Contract: for any universe, key and pair index, sample_pair_counter
@@ -42,6 +47,7 @@
 
 #include "core/fault_mask.hpp"
 #include "core/fault_universe.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/random.hpp"
 
 namespace reldiv::core {
@@ -162,5 +168,59 @@ void sample_mixture_lanes(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                           std::span<const std::uint64_t> relaxed,
                           std::span<fault_mask, kXoshiroLanes> out, unsigned live,
                           simd_level level);
+
+// ---------------------------------------------------------------------------
+// Lane fold
+// ---------------------------------------------------------------------------
+
+/// Most channels one fold step takes (the spec parser's and enumerate_cells'
+/// `versions <= 64`): it bounds the defeated-set layers.
+inline constexpr unsigned kMaxFoldVersions = 64;
+
+/// stats::running_moments of kXoshiroLanes lanes without their count,
+/// structure-of-arrays: each field of all lanes is one AVX-512 register.
+struct moments_lanes {
+  std::array<double, kXoshiroLanes> m1{}, m2{}, m3{}, m4{}, min{}, max{};
+};
+
+/// kXoshiroLanes pair accumulators (mc::experiment_accumulator without kept
+/// samples), structure-of-arrays; lane l's θ moments have count samples[l].
+struct accumulator_lanes {
+  std::array<std::uint64_t, kXoshiroLanes> samples{}, n1_positive{}, n2_positive{},
+      n1_zero_pfd{}, n2_zero_pfd{};
+  moments_lanes theta1, theta2;
+
+  [[nodiscard]] stats::running_moments_state theta1_state(unsigned l) const noexcept {
+    return moments_state(theta1, l);
+  }
+  [[nodiscard]] stats::running_moments_state theta2_state(unsigned l) const noexcept {
+    return moments_state(theta2, l);
+  }
+
+ private:
+  [[nodiscard]] stats::running_moments_state moments_state(const moments_lanes& m,
+                                                           unsigned l) const noexcept {
+    return {samples[l], m.m1[l], m.m2[l], m.m3[l], m.m4[l], m.min[l], m.max[l]};
+  }
+};
+
+/// One pair step on each of the first `live` lanes: lane l's channels are
+/// channels[v][l] for v < channels.size() (the versions), and its fault set
+/// D is the faults present in at least `votes` of them.  Lane l then records
+/// what mc::experiment_accumulator::add(θ1, ω·θD, first.any(), D ≠ ∅ && ω >
+/// 0) records, bit for bit: θ1 = Σ q[i] over channels[0][l]'s faults and θD =
+/// Σ q[i] over D, each in ascending fault order from +0.0 (the order of
+/// core::masked_q_sum), then the Welford step of stats::running_moments::add
+/// on θ1 and on ω·θD with the same IEEE operations in the same order.  The
+/// live lanes must hold the same sample count; lanes l >= live keep their
+/// state and their masks are not read.  `level` must not exceed
+/// detected_simd_level(); pass active_simd_level().  Throws
+/// std::invalid_argument unless 1 <= votes <= channels.size() <=
+/// kMaxFoldVersions and live <= kXoshiroLanes, or when a live lane's mask is
+/// not q.size() bits or its sample count differs from lane 0's.
+void fold_pair_lanes(accumulator_lanes& acc,
+                     std::span<const std::array<fault_mask, kXoshiroLanes>> channels,
+                     unsigned votes, double omega, std::span<const double> q,
+                     unsigned live, simd_level level);
 
 }  // namespace reldiv::core

@@ -26,7 +26,10 @@
 // live lanes one after another, its AVX2 level advances all eight lanes in
 // two registers of four and its AVX-512 level in one register, writing back
 // only the live ones.  Every level takes the raw-word form below, which
-// core::sample_mixture_lanes calls after sizing the masks.
+// core::sample_mixture_lanes calls after sizing the masks.  The lane fold is
+// built the same way: a scalar level per lane, an AVX2 level per half of
+// four lanes and an AVX-512 level over all eight, each reading the masks'
+// raw words.
 
 #include <bit>
 
@@ -52,6 +55,40 @@ void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, std::uint64_t stress_thre
                                  const std::uint64_t* stressed,
                                  const std::uint64_t* relaxed, std::size_t n,
                                  std::uint64_t* const* out, unsigned live) noexcept;
+
+/// The lane-invariant factors of one stats::running_moments::add step, for
+/// live lanes that all hold `before` samples.  core::fold_pair_lanes computes
+/// them in the portable TU: inside the AVX-512 target GCC may fuse a scalar
+/// n * n - 3.0 * n into an FMA (avx512f implies fma), which would move their
+/// last bits in a build without -ffp-contract=off.
+struct welford_step {
+  double n0 = 0.0;       ///< (double)before
+  double n = 0.0;        ///< (double)(before + 1)
+  double quartic = 0.0;  ///< n * n - 3.0 * n + 3.0, the m4 update's factor
+  double cubic = 0.0;    ///< n - 2.0, the m3 update's factor
+  bool first = false;    ///< before == 0: min and max start at the value
+};
+
+/// One lane mask per 64-bit lane: a channel of a fold step.
+using lane_masks = std::array<fault_mask, kXoshiroLanes>;
+
+/// Unchecked form of core::fold_pair_lanes, which has checked its arguments:
+/// channels[v][l] for v < versions and l < live has n bits (no other mask is
+/// read) and q holds n values; each level reads the masks' words through
+/// fault_mask::words().  Requires 1 <= votes <= versions <= kMaxFoldVersions and live <=
+/// kXoshiroLanes.  Defined in simd_sampler.cpp (scalar) and
+/// simd_sampler.avx2.cpp (AVX2, AVX-512).
+void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
+                            unsigned versions, unsigned votes, double omega,
+                            const double* q, std::size_t n, unsigned live,
+                            const welford_step& step) noexcept;
+void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
+                          unsigned versions, unsigned votes, double omega, const double* q,
+                          std::size_t n, unsigned live, const welford_step& step) noexcept;
+void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
+                            unsigned versions, unsigned votes, double omega,
+                            const double* q, std::size_t n, unsigned live,
+                            const welford_step& step) noexcept;
 
 /// Bit-slice Bernoulli word over the counter stream (identical fold order to
 /// the reference): consumes counters [base, base + 53 - countr_zero(t)).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <charconv>
 #include <cstdio>
 #include <optional>
@@ -40,39 +39,20 @@ std::string shortest(double v) {
   return std::string(buf, r.ptr);
 }
 
-/// Σ q[i] over set bits of a raw word array, ascending index order — the
-/// same accumulation order as core::masked_q_sum, so a 2-of-2 defeated set
-/// sums bitwise identically to intersect_q_sum.
-double word_q_sum(const std::vector<std::uint64_t>& words, std::span<const double> q,
-                  bool& any) {
-  double pfd = 0.0;
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < words.size(); ++b) {
-    std::uint64_t w = words[b];
-    seen |= w;
-    while (w != 0) {
-      pfd += q[(b << 6) + static_cast<std::size_t>(std::countr_zero(w))];
-      w &= w - 1;
-    }
-  }
-  any = seen != 0;
-  return pfd;
-}
-
-/// One version per lane for the first `active` lanes.  The mixture draws
+/// One version per lane for the first `live` lanes.  The mixture draws
 /// through its lane kernel, eight shard streams per AVX-512 register (four
-/// per AVX2 register); the copula has no lane kernel and samples each active
+/// per AVX2 register); the copula has no lane kernel and samples each live
 /// lane in turn.
 void sample_lanes(const common_cause_mixture& sampler, core::xoshiro_lanes& lanes,
-                  unsigned active, std::span<core::fault_mask, core::kXoshiroLanes> out,
+                  unsigned live, std::span<core::fault_mask, core::kXoshiroLanes> out,
                   core::simd_level level) {
-  sampler.sample_mask_lanes(lanes, out, active, level);
+  sampler.sample_mask_lanes(lanes, out, live, level);
 }
 
 void sample_lanes(const gaussian_copula_sampler& sampler, core::xoshiro_lanes& lanes,
-                  unsigned active, std::span<core::fault_mask, core::kXoshiroLanes> out,
+                  unsigned live, std::span<core::fault_mask, core::kXoshiroLanes> out,
                   core::simd_level /*level*/) {
-  for (unsigned l = 0; l < active; ++l) {
+  for (unsigned l = 0; l < live; ++l) {
     stats::rng r = lanes.lane(l);
     sampler.sample_mask(r, out[l]);
     lanes.set_lane(l, r);
@@ -82,58 +62,29 @@ void sample_lanes(const gaussian_copula_sampler& sampler, core::xoshiro_lanes& l
 /// The cell's pair loop, for every correlation model and adjudication: per
 /// demand, draw `versions` channel masks in index order from the shard's
 /// stream; θ1 = first channel's pfd, θ2 = ω · Σq over faults shared by at
-/// least `votes` channels.  The defeated set is computed word-wise with
-/// bit-sliced counters: ge[j] holds the faults seen in >= j+1 of the masks
-/// processed so far, so folding mask v in is ge[j] |= ge[j-1] & v from the
-/// top down.  For the paper's {2,2} pair that is the pairwise intersection,
-/// summed in the same ascending fault order as core::intersect_q_sum.
+/// least `votes` channels (core::fold_pair_lanes).
 ///
 /// Shards run in groups of kXoshiroLanes (eight) consecutive shards, one per
 /// lane, each on its own stats::rng::stream(seed, shard) and folded into its
-/// own accumulator, so every shard draws and folds exactly as it would alone;
-/// a last group with fewer shards leaves its spare lanes undrawn.
-/// Shard sizes within a plan differ by at most one and never grow with the
-/// index, so a group runs its last shard's count in lockstep and a longer
-/// shard finishes from its lane's exported state.  Shards merge in ascending
-/// order — the merge sequence of run_shards(threads = 1).
+/// own lane accumulator, so every shard draws and folds exactly as it would
+/// alone.  Shard sizes within a plan differ by at most one and never grow
+/// with the index, so step s of a group runs the lanes whose shard has more
+/// than s pairs: every lane up to the group's last (smallest) shard, then the
+/// prefix of lanes that own one more pair.  A last group with fewer shards
+/// leaves its spare lanes undrawn.  Shards merge in ascending order — the
+/// merge sequence of run_shards(threads = 1).
 template <typename Sampler>
 experiment_accumulator run_cell_shards(const Sampler& sampler,
                                        const core::fault_universe& effective,
                                        const scenario_cell& cell, const shard_plan& plan,
                                        std::uint64_t seed) {
   constexpr unsigned kLanes = core::kXoshiroLanes;
-  const unsigned versions = cell.versions;
-  const unsigned votes = cell.votes;
-  const double omega = cell.omega;
   const std::span<const double> q = effective.q_array();
   const core::simd_level level = core::active_simd_level();
-  std::vector<std::array<core::fault_mask, kLanes>> channels(versions);
+  std::vector<std::array<core::fault_mask, kLanes>> channels(cell.versions);
   for (auto& lane_masks : channels) {
     for (auto& m : lane_masks) m.resize(effective.size());
   }
-  const std::size_t words = core::fault_mask::words_needed(effective.size());
-  std::vector<std::vector<std::uint64_t>> ge(votes, std::vector<std::uint64_t>(words));
-  std::array<experiment_accumulator, kLanes> shard_acc;
-
-  const auto fold = [&](unsigned l) {
-    const core::fault_mask& first = channels[0][l];
-    const double t1 = core::masked_q_sum(first, q);
-    for (auto& layer : ge) std::fill(layer.begin(), layer.end(), 0);
-    for (unsigned v = 0; v < versions; ++v) {
-      const std::uint64_t* mask = channels[v][l].words();
-      for (std::size_t j = votes; j-- > 1;) {
-        for (std::size_t w = 0; w < words; ++w) ge[j][w] |= ge[j - 1][w] & mask[w];
-      }
-      for (std::size_t w = 0; w < words; ++w) ge[0][w] |= mask[w];
-    }
-    bool defeated = false;
-    const double shared = word_q_sum(ge[votes - 1], q, defeated);
-    // §6.2 axis: only the shared fraction ω of each region produces
-    // coincident failures; ω = 0 pairs can share faults but never a failure
-    // point.
-    shard_acc[l].add(t1, omega * shared, first.any(), defeated && omega > 0.0);
-  };
-
   experiment_accumulator acc;
   core::xoshiro_lanes lanes;
   stats::rng walker(seed);  // stream(seed, s) is rng(seed) jumped s times
@@ -142,22 +93,27 @@ experiment_accumulator run_cell_shards(const Sampler& sampler,
     for (unsigned l = 0; l < active; ++l) {
       lanes.set_lane(l, walker);
       walker.jump();
-      shard_acc[l] = experiment_accumulator();
     }
+    // Every lane runs `lockstep` steps and the first `longer` lanes one more.
     const std::uint64_t lockstep = plan.shard_samples(group + active - 1);
-    for (std::uint64_t s = 0; s < lockstep; ++s) {
-      for (unsigned v = 0; v < versions; ++v) {
-        sample_lanes(sampler, lanes, active, channels[v], level);
-      }
-      for (unsigned l = 0; l < active; ++l) fold(l);
+    unsigned longer = 0;
+    while (longer < active && plan.shard_samples(group + longer) > lockstep) ++longer;
+    core::accumulator_lanes tallies;
+    for (std::uint64_t s = 0; s < plan.shard_samples(group); ++s) {
+      const unsigned live = s < lockstep ? active : longer;
+      for (auto& lane_masks : channels) sample_lanes(sampler, lanes, live, lane_masks, level);
+      core::fold_pair_lanes(tallies, channels, cell.votes, cell.omega, q, live, level);
     }
     for (unsigned l = 0; l < active; ++l) {
-      stats::rng r = lanes.lane(l);
-      for (std::uint64_t s = lockstep; s < plan.shard_samples(group + l); ++s) {
-        for (unsigned v = 0; v < versions; ++v) sampler.sample_mask(r, channels[v][l]);
-        fold(l);
-      }
-      acc.merge(shard_acc[l]);
+      accumulator_state shard;
+      shard.samples = tallies.samples[l];
+      shard.theta1 = tallies.theta1_state(l);
+      shard.theta2 = tallies.theta2_state(l);
+      shard.n1_positive = tallies.n1_positive[l];
+      shard.n2_positive = tallies.n2_positive[l];
+      shard.n1_zero_pfd = tallies.n1_zero_pfd[l];
+      shard.n2_zero_pfd = tallies.n2_zero_pfd[l];
+      acc.merge(experiment_accumulator::from_state(shard));
     }
   }
   return acc;
@@ -278,10 +234,11 @@ std::vector<scenario_cell> enumerate_cells(const scenario_axes& axes) {
     }
   }
   for (const core::architecture& arch : axes.adjudications) {
+    // The cap is the spec parser's and the pair fold's (core::kMaxFoldVersions).
     if (arch.versions == 0 || arch.votes_to_defeat == 0 ||
-        arch.votes_to_defeat > arch.versions) {
+        arch.votes_to_defeat > arch.versions || arch.versions > core::kMaxFoldVersions) {
       throw std::invalid_argument(
-          "scenario_grid: adjudication needs 1 <= votes_to_defeat <= versions");
+          "scenario_grid: adjudication needs 1 <= votes_to_defeat <= versions <= 64");
     }
   }
   for (const std::uint64_t s : axes.budgets) {

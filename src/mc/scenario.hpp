@@ -69,8 +69,9 @@ struct scenario_axes {
   std::vector<std::size_t> aliasing = {1};
   /// Adjudication axis: the system is defeated when at least
   /// `votes_to_defeat` of `versions` channels share a fault (the paper's
-  /// pair is {2,2}; 2-out-of-3 models TMR).  θ1 stays the first channel's
-  /// single-version pfd; θ2 becomes ω · Σq over the defeated-fault set.
+  /// pair is {2,2}; 2-out-of-3 models TMR), with 1 <= votes_to_defeat <=
+  /// versions <= 64.  θ1 stays the first channel's single-version pfd; θ2
+  /// becomes ω · Σq over the defeated-fault set.
   std::vector<core::architecture> adjudications = {core::architecture::one_out_of_two()};
   /// Demand budget axis: version-pair samples per cell.
   std::vector<std::uint64_t> budgets = {100'000};

@@ -457,6 +457,16 @@ TEST_F(DistributedJobsTest, CliAcceptsOnlySubcommandsWithTheirOwnFlags) {
       {"single --workers 4", 2, "usage: reldiv_sweep single"},
       {"worker --run-dir " + run_dir + " --out-csv x", 2, "usage: reldiv_sweep worker"},
       {"chaos --run-dir " + run_dir + " --spec f", 2, "usage: reldiv_sweep chaos"},
+      // Numeric flags take digits only: no sign, and no leading blank that
+      // would let a sign through.
+      {"single --seed ' -1'", 2,
+       "--seed expects an unsigned integer, got ' -1'\nusage: reldiv_sweep single"},
+      {"single --budget ' 5'", 2,
+       "--budget expects an unsigned integer, got ' 5'\nusage: reldiv_sweep single"},
+      {"single --shards ' -1'", 2,
+       "--shards expects an unsigned integer, got ' -1'\nusage: reldiv_sweep single"},
+      {"single --seed +5", 2,
+       "--seed expects an unsigned integer, got '+5'\nusage: reldiv_sweep single"},
   };
   for (const char* cmd : {"single", "worker", "chaos", "serve", "submit", "status", "merge",
                           "drain", "describe", "refine"}) {

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/generators.hpp"
 #include "mc/scenario.hpp"
@@ -220,6 +222,29 @@ TEST(RunDirCodecTest, ManifestCellCountMismatchRejected) {
   m.seed = 1;
   m.cell_count = mc::enumerate_cells(m.axes).size() + 1;  // lie
   EXPECT_THROW((void)mc::decode_manifest(mc::encode_manifest(m)), mc::run_dir_error);
+}
+
+TEST(RunDirCodecTest, ManifestPastSixtyFourVersionsRejected) {
+  // enumerate_cells holds an adjudication to the spec parser's 64 versions,
+  // so a code-built manifest past the cap is refused as invalid axes when it
+  // is decoded, not by the allocation of the worker that runs its cell.
+  mc::sweep_manifest m;
+  m.axes = small_axes();
+  m.seed = 1;
+  m.axes.adjudications = {{64, 2}};
+  m.cell_count = mc::enumerate_cells(m.axes).size();
+  EXPECT_NO_THROW((void)mc::decode_manifest(mc::encode_manifest(m)));
+  for (const unsigned versions : {65u, 4'000'000'000u}) {
+    m.axes.adjudications = {{versions, 2}};
+    EXPECT_THROW((void)mc::enumerate_cells(m.axes), std::invalid_argument) << versions;
+    try {
+      (void)mc::decode_manifest(mc::encode_manifest(m));
+      ADD_FAILURE() << versions << " versions decoded";
+    } catch (const mc::run_dir_error& e) {
+      EXPECT_NE(std::string(e.what()).find("manifest axes invalid"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,18 +11,25 @@
 //     levels, shard-window splits, and the manifest wire codec;
 //   - the xoshiro256++ lane kernel against mc::common_cause_mixture::
 //     sample_mask on a scalar copy of every lane's stream, at every level
-//     and every live-lane count.
+//     and every live-lane count;
+//   - the lane fold against mc::experiment_accumulator::add of the sparse
+//     ascending θ sums (running_moments::add underneath), lane by lane, at
+//     every level and every live-lane count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/fault_mask.hpp"
 #include "core/fault_universe.hpp"
 #include "core/generators.hpp"
 #include "core/simd_sampler.hpp"
@@ -31,6 +38,7 @@
 #include "mc/run_dir.hpp"
 #include "mc/sampler.hpp"
 #include "stats/counter_rng.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/random.hpp"
 
 namespace {
@@ -378,6 +386,156 @@ TEST(XoshiroLaneKernel, RejectsMismatchedThresholdSpans) {
   EXPECT_THROW(core::sample_mixture_lanes(lanes, 0, same, same, out, core::kXoshiroLanes + 1,
                                           core::simd_level::scalar),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Lane fold vs running_moments::add and the sparse sums
+// ---------------------------------------------------------------------------
+
+bool bits_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Lane l of `got` against an experiment_accumulator's state, field by field
+/// and bit for bit.
+void expect_lane_state(const core::accumulator_lanes& got, unsigned l,
+                       const mc::accumulator_state& want, const std::string& what) {
+  const auto moments_equal = [](const stats::running_moments_state& a,
+                                const stats::running_moments_state& b) {
+    return a.count == b.count && bits_equal(a.m1, b.m1) && bits_equal(a.m2, b.m2) &&
+           bits_equal(a.m3, b.m3) && bits_equal(a.m4, b.m4) && bits_equal(a.min, b.min) &&
+           bits_equal(a.max, b.max);
+  };
+  EXPECT_EQ(got.samples[l], want.samples) << what;
+  EXPECT_TRUE(moments_equal(got.theta1_state(l), want.theta1)) << what << " theta1";
+  EXPECT_TRUE(moments_equal(got.theta2_state(l), want.theta2)) << what << " theta2";
+  EXPECT_EQ(got.n1_positive[l], want.n1_positive) << what;
+  EXPECT_EQ(got.n2_positive[l], want.n2_positive) << what;
+  EXPECT_EQ(got.n1_zero_pfd[l], want.n1_zero_pfd) << what;
+  EXPECT_EQ(got.n2_zero_pfd[l], want.n2_zero_pfd) << what;
+}
+
+/// The bits of every field of lane l, in a fixed order.
+std::vector<std::uint64_t> lane_bits(const core::accumulator_lanes& a, unsigned l) {
+  std::vector<std::uint64_t> bits = {a.samples[l], a.n1_positive[l], a.n2_positive[l],
+                                     a.n1_zero_pfd[l], a.n2_zero_pfd[l]};
+  for (const core::moments_lanes* m : {&a.theta1, &a.theta2}) {
+    for (const auto* f : {&m->m1, &m->m2, &m->m3, &m->m4, &m->min, &m->max}) {
+      bits.push_back(std::bit_cast<std::uint64_t>((*f)[l]));
+    }
+  }
+  return bits;
+}
+
+/// Every field of lane l of a set to random bits (NaNs included).
+void scribble_lane(core::accumulator_lanes& a, unsigned l, stats::rng& r) {
+  for (auto* c : {&a.samples, &a.n1_positive, &a.n2_positive, &a.n1_zero_pfd, &a.n2_zero_pfd}) {
+    (*c)[l] = r();
+  }
+  for (core::moments_lanes* m : {&a.theta1, &a.theta2}) {
+    for (auto* f : {&m->m1, &m->m2, &m->m3, &m->m4, &m->min, &m->max}) {
+      (*f)[l] = std::bit_cast<double>(r());
+    }
+  }
+}
+
+TEST(LaneFold, MatchesRunningMomentsAndSparseSumsOnEveryLaneAtEveryLevel) {
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  constexpr int kSteps = 10;
+  const std::vector<core::simd_level> levels = levels_up_to_detected();
+  const std::pair<unsigned, unsigned> adjudications[] = {{1, 1}, {2, 2}, {3, 2}, {64, 64}};
+  const double densities[] = {0.02, 0.3, 0.7, 0.97};
+  stats::rng r(4242);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 256u}) {
+    // q spans several binades so a reordered add or Welford term moves bits.
+    std::vector<double> q(n);
+    for (double& qi : q) qi = std::ldexp(r.uniform(), -static_cast<int>(r() % 12)) / 8.0;
+    for (const auto& [versions, votes] : adjudications) {
+      for (const double omega : {0.0, 0.6, 1.0}) {
+        for (unsigned live = 0; live <= kLanes; ++live) {
+          const std::string what = "n=" + std::to_string(n) + " " + std::to_string(votes) +
+                                   "of" + std::to_string(versions) +
+                                   " omega=" + std::to_string(omega) +
+                                   " live=" + std::to_string(live);
+          // Live lanes start empty (the first step meets no earlier pair);
+          // the spare lanes hold random bits that must survive every step.
+          core::accumulator_lanes start;
+          for (unsigned l = live; l < kLanes; ++l) scribble_lane(start, l, r);
+          std::vector<core::accumulator_lanes> got(levels.size(), start);
+          std::vector<mc::experiment_accumulator> want(live);
+          // Spare lanes' masks stay empty vectors: a read past `live` would
+          // fault or trip the sanitizers.
+          std::vector<std::array<core::fault_mask, kLanes>> channels(versions);
+          for (int step = 0; step < kSteps; ++step) {
+            // Step 0 clears every mask and step 1 sets every bit; the rest
+            // draw each mask at its own density.
+            for (auto& lane_masks : channels) {
+              for (unsigned l = 0; l < live; ++l) {
+                core::fault_mask& m = lane_masks[l];
+                m.resize(n);
+                const double density = densities[r() % 4];
+                for (std::size_t i = 0; i < n; ++i) {
+                  if (step == 1 || (step > 1 && r.uniform() < density)) m.set(i);
+                }
+              }
+            }
+            for (unsigned l = 0; l < live; ++l) {
+              core::fault_mask defeated(n);
+              for (std::size_t i = 0; i < n; ++i) {
+                unsigned hits = 0;
+                for (const auto& lane_masks : channels) hits += lane_masks[l].test(i) ? 1 : 0;
+                if (hits >= votes) defeated.set(i);
+              }
+              const core::fault_mask& first = channels[0][l];
+              want[l].add(core::masked_q_sum(first, q), omega * core::masked_q_sum(defeated, q),
+                          first.any(), defeated.any() && omega > 0.0);
+            }
+            for (std::size_t k = 0; k < levels.size(); ++k) {
+              core::fold_pair_lanes(got[k], channels, votes, omega, q, live, levels[k]);
+            }
+            const std::string at = what + " step " + std::to_string(step);
+            for (unsigned l = 0; l < live; ++l) {
+              expect_lane_state(got[0], l, want[l].state(), at + " lane " + std::to_string(l));
+            }
+            for (std::size_t k = 0; k < levels.size(); ++k) {
+              const std::string level = core::simd_level_name(levels[k]);
+              for (unsigned l = 0; l < kLanes; ++l) {
+                EXPECT_EQ(lane_bits(got[k], l), lane_bits(l < live ? got[0] : start, l))
+                    << at << " lane " << l << ": " << level
+                    << (l < live ? " differs from scalar" : " touched a spare lane");
+              }
+            }
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneFold, RejectsBadShapes) {
+  core::accumulator_lanes acc;
+  const std::vector<double> q(10, 0.1);
+  std::vector<std::array<core::fault_mask, core::kXoshiroLanes>> channels(2);
+  for (auto& lane_masks : channels) {
+    for (auto& m : lane_masks) m.resize(10);
+  }
+  const auto fold = [&](unsigned votes, unsigned live) {
+    core::fold_pair_lanes(acc, channels, votes, 1.0, q, live, core::simd_level::scalar);
+  };
+  EXPECT_THROW(fold(0, 8), std::invalid_argument);
+  EXPECT_THROW(fold(3, 8), std::invalid_argument);
+  EXPECT_THROW(fold(2, 9), std::invalid_argument);
+  channels[1][3].resize(11);
+  EXPECT_THROW(fold(2, 8), std::invalid_argument);
+  EXPECT_NO_THROW(fold(2, 3));  // lane 3 is spare
+  acc.samples[2] = 5;
+  EXPECT_THROW(fold(2, 3), std::invalid_argument);
+  EXPECT_NO_THROW(fold(2, 2));
+  channels.resize(core::kMaxFoldVersions + 1, channels[0]);
+  EXPECT_THROW(fold(2, 2), std::invalid_argument);
+  channels.clear();
+  EXPECT_THROW(fold(1, 2), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

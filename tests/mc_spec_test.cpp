@@ -373,97 +373,83 @@ mc::experiment_accumulator brute_force_cell(const Sampler& sampler,
   return acc;
 }
 
-TEST(SweepSpec, TwoOutOfThreeMixtureCellMatchesBruteForce) {
-  const core::fault_universe u = core::make_safety_grade_universe(16, 0.0, 0.2, 0.7, 3);
-  mc::scenario_axes axes;
-  axes.universes.emplace_back("u", u);
-  axes.correlations = {0.3};
-  axes.overlaps = {0.8};
-  axes.aliasing = {1};
-  axes.adjudications = {core::architecture::two_out_of_three()};
-  axes.budgets = {500};
-  const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 9});
-  ASSERT_EQ(grid.cells.size(), 1u);
-  const mc::scenario_cell_result& cell = grid.cells[0];
-  EXPECT_EQ(cell.cell.versions, 3u);
-  EXPECT_EQ(cell.cell.votes, 2u);
-
-  const mc::common_cause_mixture sampler(u, 0.3, axes.stress);
-  const mc::experiment_accumulator acc =
-      brute_force_cell(sampler, u, 3, 2, 0.8, 500, cell_seed_replica(9, 0));
-  EXPECT_TRUE(bits_equal(cell.mean_theta1, acc.theta1().mean()));
-  EXPECT_TRUE(bits_equal(cell.mean_theta2, acc.theta2().mean()));
-  EXPECT_EQ(cell.state.n2_positive, acc.state().n2_positive);
-}
-
 TEST(SweepSpec, PairMixtureCellsMatchBruteForceAtEveryLevel) {
-  // The paper's {2,2} pair under the mixture, at the scalar cap, the AVX2
-  // cap and uncapped.  The budgets give 1 shard (one live lane); 5 shards (a
-  // full AVX2 register plus one lane of the second); 7 shards of 71 or 72
-  // pairs; 9 shards (a full group of eight plus one); and 256 shards, 32 of
-  // them one pair larger.
-  mc::scenario_axes axes;
-  axes.universes.emplace_back("u40", core::make_safety_grade_universe(40, 0.0, 0.05, 0.6, 11));
-  axes.universes.emplace_back(
-      "u65", core::make_many_small_faults_universe(65, 0.05, 0.3, 0.8, 0.2, 12));
-  axes.correlations = {0.25};
-  axes.overlaps = {1.0, 0.0};
-  axes.aliasing = {1, 3};
-  axes.budgets = {64, 350, 500, 600, 20'000};
-  const std::vector<mc::scenario_cell> cells = mc::enumerate_cells(axes);
-  ASSERT_EQ(cells.size(), 40u);
-  const std::optional<core::simd_level> caps[] = {core::simd_level::scalar,
-                                                  core::simd_level::avx2, std::nullopt};
-  for (const std::optional<core::simd_level> cap : caps) {
-    if (cap) core::set_simd_level_cap(*cap);
-    const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 33});
-    core::clear_simd_level_cap();
-    ASSERT_EQ(grid.cells.size(), cells.size());
+  // Every cell shape the pair fold serves — the mixture, the copula at
+  // negative and positive rho, and the {2,2} pair, 2-out-of-3 and a simplex
+  // adjudication — at the scalar cap, the AVX2 cap and uncapped, against the
+  // brute-force shard loop, full accumulator state bit for bit.  The budgets
+  // give 1 shard (one live lane); 5 shards (a full AVX2 register plus one
+  // lane of the second); 7 shards of 71 or 72 pairs; 9 shards (a full group
+  // of eight plus one, with remainder pairs); and 256 shards, 32 of them one
+  // pair larger.  Copula cells draw about 40x slower per pair and skip the
+  // 350 and 20,000 budgets.
+  struct model_grid {
+    mc::correlation_model model;
+    std::vector<double> rhos;
+    std::vector<std::uint64_t> budgets;
+  };
+  const model_grid grids[] = {
+      {mc::correlation_model::mixture, {0.25}, {64, 350, 500, 600, 20'000}},
+      {mc::correlation_model::copula, {-0.5, 0.4}, {64, 500, 600}}};
+  for (const model_grid& g : grids) {
+    mc::scenario_axes axes;
+    axes.universes.emplace_back("u40",
+                                core::make_safety_grade_universe(40, 0.0, 0.05, 0.6, 11));
+    axes.universes.emplace_back(
+        "u65", core::make_many_small_faults_universe(65, 0.05, 0.3, 0.8, 0.2, 12));
+    axes.rho_model = g.model;
+    axes.correlations = g.rhos;
+    axes.overlaps = {1.0, 0.0};
+    axes.aliasing = {1, 3};
+    axes.adjudications = {core::architecture::one_out_of_two(),
+                          core::architecture::two_out_of_three(),
+                          core::architecture::simplex()};
+    axes.budgets = g.budgets;
+    const std::vector<mc::scenario_cell> cells = mc::enumerate_cells(axes);
+    ASSERT_EQ(cells.size(), 24 * g.rhos.size() * g.budgets.size());
+    std::vector<mc::accumulator_state> want;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const mc::scenario_cell& c = cells[i];
       const core::fault_universe& base = axes.universes[c.universe_index].second;
       const core::fault_universe u =
           c.aliasing > 1 ? mc::split_into_mistakes(base, c.aliasing).effective_universe()
                          : base;
-      const mc::common_cause_mixture sampler(u, c.rho, axes.stress);
-      const mc::accumulator_state want =
-          brute_force_cell(sampler, u, 2, 2, c.omega, c.samples, cell_seed_replica(33, i))
-              .state();
-      const mc::accumulator_state& got = grid.cells[i].state;
-      const std::string what = std::string(cap ? core::simd_level_name(*cap) : "uncapped") +
-                               " " + c.universe + " omega=" + std::to_string(c.omega) +
-                               " aliasing=" + std::to_string(c.aliasing) +
-                               " budget=" + std::to_string(c.samples);
-      EXPECT_EQ(grid.cells[i].shards, mc::make_shard_plan(c.samples).shard_count) << what;
-      EXPECT_EQ(got.samples, want.samples) << what;
-      EXPECT_TRUE(moments_bits_equal(got.theta1, want.theta1)) << what;
-      EXPECT_TRUE(moments_bits_equal(got.theta2, want.theta2)) << what;
-      EXPECT_EQ(got.n1_positive, want.n1_positive) << what;
-      EXPECT_EQ(got.n2_positive, want.n2_positive) << what;
-      EXPECT_EQ(got.n1_zero_pfd, want.n1_zero_pfd) << what;
-      EXPECT_EQ(got.n2_zero_pfd, want.n2_zero_pfd) << what;
+      const std::uint64_t seed = cell_seed_replica(33, i);
+      want.push_back(
+          g.model == mc::correlation_model::mixture
+              ? brute_force_cell(mc::common_cause_mixture(u, c.rho, axes.stress), u,
+                                 c.versions, c.votes, c.omega, c.samples, seed)
+                    .state()
+              : brute_force_cell(mc::gaussian_copula_sampler(u, c.rho), u, c.versions,
+                                 c.votes, c.omega, c.samples, seed)
+                    .state());
+    }
+    const std::optional<core::simd_level> caps[] = {core::simd_level::scalar,
+                                                    core::simd_level::avx2, std::nullopt};
+    for (const std::optional<core::simd_level> cap : caps) {
+      if (cap) core::set_simd_level_cap(*cap);
+      const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 33});
+      core::clear_simd_level_cap();
+      ASSERT_EQ(grid.cells.size(), cells.size());
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        const mc::scenario_cell& c = cells[i];
+        const mc::accumulator_state& got = grid.cells[i].state;
+        const std::string what =
+            std::string(cap ? core::simd_level_name(*cap) : "uncapped") + " " + c.universe +
+            " rho=" + std::to_string(c.rho) + " omega=" + std::to_string(c.omega) +
+            " aliasing=" + std::to_string(c.aliasing) + " " + std::to_string(c.votes) + "of" +
+            std::to_string(c.versions) + " budget=" + std::to_string(c.samples);
+        EXPECT_EQ(grid.cells[i].shards, mc::make_shard_plan(c.samples).shard_count) << what;
+        EXPECT_EQ(got.samples, want[i].samples) << what;
+        EXPECT_TRUE(moments_bits_equal(got.theta1, want[i].theta1)) << what;
+        EXPECT_TRUE(moments_bits_equal(got.theta2, want[i].theta2)) << what;
+        EXPECT_EQ(got.n1_positive, want[i].n1_positive) << what;
+        EXPECT_EQ(got.n2_positive, want[i].n2_positive) << what;
+        EXPECT_EQ(got.n1_zero_pfd, want[i].n1_zero_pfd) << what;
+        EXPECT_EQ(got.n2_zero_pfd, want[i].n2_zero_pfd) << what;
+      }
     }
   }
-}
-
-TEST(SweepSpec, CopulaPairCellMatchesBruteForce) {
-  const core::fault_universe u = core::make_safety_grade_universe(24, 0.0, 0.1, 0.5, 8);
-  mc::scenario_axes axes;
-  axes.universes.emplace_back("u", u);
-  axes.rho_model = mc::correlation_model::copula;
-  axes.correlations = {-0.5};
-  axes.overlaps = {1.0};
-  axes.aliasing = {1};
-  axes.budgets = {400};
-  const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 21});
-  ASSERT_EQ(grid.cells.size(), 1u);
-  const mc::scenario_cell_result& cell = grid.cells[0];
-
-  const mc::gaussian_copula_sampler sampler(u, -0.5);
-  const mc::experiment_accumulator acc =
-      brute_force_cell(sampler, u, 2, 2, 1.0, 400, cell_seed_replica(21, 0));
-  EXPECT_TRUE(bits_equal(cell.mean_theta1, acc.theta1().mean()));
-  EXPECT_TRUE(bits_equal(cell.mean_theta2, acc.theta2().mean()));
 }
 
 TEST(SweepSpec, CopulaRhoLeavesMeanTheta2Unchanged) {

@@ -27,7 +27,7 @@
 // worker or run that quarantined cells.
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <climits>
 #include <cstdio>
@@ -892,12 +892,12 @@ constexpr command kCommands[] = {
 };
 
 std::uint64_t parse_u64(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  // strtoull silently wraps "-1" to ULLONG_MAX-0: reject any non-digit lead.
-  if (end == value || *end != '\0' || value[0] == '-' || value[0] == '+' ||
-      errno == ERANGE) {
+  // Digits only.  strtoull would skip leading whitespace, then take a sign
+  // and wrap " -1" to 2^64 - 1; from_chars on an unsigned type takes neither.
+  const std::string_view text(value);
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size()) {
     throw std::invalid_argument(flag + " expects an unsigned integer, got '" + value + "'");
   }
   return v;
