@@ -373,6 +373,29 @@ mc::experiment_accumulator brute_force_cell(const Sampler& sampler,
   return acc;
 }
 
+TEST(SweepSpec, TwoOutOfThreeMixtureCellMatchesBruteForce) {
+  const core::fault_universe u = core::make_safety_grade_universe(16, 0.0, 0.2, 0.7, 3);
+  mc::scenario_axes axes;
+  axes.universes.emplace_back("u", u);
+  axes.correlations = {0.3};
+  axes.overlaps = {0.8};
+  axes.aliasing = {1};
+  axes.adjudications = {core::architecture::two_out_of_three()};
+  axes.budgets = {500};
+  const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 9});
+  ASSERT_EQ(grid.cells.size(), 1u);
+  const mc::scenario_cell_result& cell = grid.cells[0];
+  EXPECT_EQ(cell.cell.versions, 3u);
+  EXPECT_EQ(cell.cell.votes, 2u);
+
+  const mc::common_cause_mixture sampler(u, 0.3, axes.stress);
+  const mc::experiment_accumulator acc =
+      brute_force_cell(sampler, u, 3, 2, 0.8, 500, cell_seed_replica(9, 0));
+  EXPECT_TRUE(bits_equal(cell.mean_theta1, acc.theta1().mean()));
+  EXPECT_TRUE(bits_equal(cell.mean_theta2, acc.theta2().mean()));
+  EXPECT_EQ(cell.state.n2_positive, acc.state().n2_positive);
+}
+
 TEST(SweepSpec, PairMixtureCellsMatchBruteForceAtEveryLevel) {
   // Every cell shape the pair fold serves — the mixture, the copula at
   // negative and positive rho, and the {2,2} pair, 2-out-of-3 and a simplex
@@ -450,6 +473,26 @@ TEST(SweepSpec, PairMixtureCellsMatchBruteForceAtEveryLevel) {
       }
     }
   }
+}
+
+TEST(SweepSpec, CopulaPairCellMatchesBruteForce) {
+  const core::fault_universe u = core::make_safety_grade_universe(24, 0.0, 0.1, 0.5, 8);
+  mc::scenario_axes axes;
+  axes.universes.emplace_back("u", u);
+  axes.rho_model = mc::correlation_model::copula;
+  axes.correlations = {-0.5};
+  axes.overlaps = {1.0};
+  axes.aliasing = {1};
+  axes.budgets = {400};
+  const mc::grid_result grid = mc::run_scenario_grid(axes, {.seed = 21});
+  ASSERT_EQ(grid.cells.size(), 1u);
+  const mc::scenario_cell_result& cell = grid.cells[0];
+
+  const mc::gaussian_copula_sampler sampler(u, -0.5);
+  const mc::experiment_accumulator acc =
+      brute_force_cell(sampler, u, 2, 2, 1.0, 400, cell_seed_replica(21, 0));
+  EXPECT_TRUE(bits_equal(cell.mean_theta1, acc.theta1().mean()));
+  EXPECT_TRUE(bits_equal(cell.mean_theta2, acc.theta2().mean()));
 }
 
 TEST(SweepSpec, CopulaRhoLeavesMeanTheta2Unchanged) {
