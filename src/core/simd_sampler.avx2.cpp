@@ -1,24 +1,25 @@
-// AVX2 and AVX-512 levels of the fast-simd word kernels, the xoshiro256++
-// lane kernel and the lane fold.  This is the ONLY translation unit in the repo
-// allowed to include <immintrin.h> (reldiv_lint `simd-isolation` enforces it)
-// and the only one compiled with -mavx2; the AVX-512 functions carry a
-// function-level target attribute (RELDIV_AVX512 below) instead of a TU
-// flag, so the build needs no second SIMD TU.  It is reached solely through the
-// runtime dispatch in simd_sampler.cpp, which calls an AVX2 function only
-// after __builtin_cpu_supports("avx2") and an AVX-512 one only after
-// avx512f, avx512dq and avx512bw say the host can run it.  When the
-// toolchain cannot compile AVX2 (non-x86, or no -mavx2), the fallback
-// definitions at the bottom keep the link whole and report avx2_compiled()
-// == false, so dispatch never selects any of these paths.
+// AVX2 and AVX-512 levels of the fast-simd counter lane kernel, the
+// xoshiro256++ lane kernel and the lane fold.  This is the ONLY translation
+// unit in the repo allowed to include <immintrin.h> (reldiv_lint
+// `simd-isolation` enforces it) and the only one compiled with -mavx2; the
+// AVX-512 functions carry a function-level target attribute (RELDIV_AVX512
+// below) instead of a TU flag, so the build needs no second SIMD TU.  It is
+// reached solely through the runtime dispatch in simd_sampler.cpp, which
+// calls an AVX2 function only after __builtin_cpu_supports("avx2") and an
+// AVX-512 one only after avx512f, avx512dq and avx512bw say the host can run
+// it.  When the toolchain cannot compile AVX2 (non-x86, or no -mavx2), the
+// fallback definitions at the bottom keep the link whole and report
+// avx2_compiled() == false, so dispatch never selects any of these paths.
 //
-// Decision-for-decision equivalence with the scalar level holds because the
-// vector kernels evaluate the identical integer arithmetic four (AVX2) or
-// eight (AVX-512) 64-bit lanes per instruction, then compare against the same
-// integer thresholds:
-//   * fast-simd: stats::counter_draw — the splitmix64 finalizer on
-//     key + (counter+1)*gamma; AVX2 synthesizes each 64-bit constant multiply
-//     from three 32x32 _mm256_mul_epu32 partial products, AVX-512 uses the
-//     native 64-bit _mm512_mullo_epi64 and compares straight into a mask;
+// Every kernel runs one shard stream per 64-bit lane, four lanes per AVX2
+// register and eight per AVX-512 register, and is decision-for-decision equal
+// to the scalar level because each lane evaluates the identical integer
+// arithmetic and compares against the same integer thresholds:
+//   * counter kernel: stats::counter_draw — the splitmix64 finalizer on
+//     key + (counter+1)*gamma, one key per lane, one fault of every lane per
+//     step; AVX2 synthesizes each 64-bit constant multiply from three 32x32
+//     _mm256_mul_epu32 partial products, AVX-512 uses the native 64-bit
+//     _mm512_mullo_epi64 and compares straight into a mask;
 //   * lane kernel: stats::rng::operator() — xoshiro256++'s adds, xors,
 //     shifts and rotates, one independent engine per lane (AVX-512 folds the
 //     xor pairs into _mm512_ternarylogic_epi64 and rotates with one
@@ -68,72 +69,14 @@ inline __m256i mul64_const(__m256i x, std::uint64_t c) noexcept {
                           _mm256_slli_epi64(_mm256_add_epi64(lohi, hilo), 32));
 }
 
-/// stats::counter_draw for counters base..base+3, one per lane (lane 0 =
-/// base).  The Weyl start key + (base+1)*gamma is computed scalar (one
-/// 64-bit multiply), then the lanes diverge by {0,1,2,3}*gamma and run the
-/// splitmix64 finalizer in parallel.
-inline __m256i counter_draws4(std::uint64_t key, std::uint64_t base) noexcept {
-  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
-  const std::uint64_t s0 = key + (base + 1) * g;
-  __m256i z = _mm256_add_epi64(
-      _mm256_set1_epi64x(static_cast<long long>(s0)),
-      _mm256_set_epi64x(static_cast<long long>(3 * g), static_cast<long long>(2 * g),
-                        static_cast<long long>(g), 0));
+/// stats::splitmix64_mix in every 64-bit lane.
+inline __m256i splitmix_mix4(__m256i z) noexcept {
   z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 30));
   z = mul64_const(z, 0xbf58476d1ce4e5b9ULL);
   z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 27));
   z = mul64_const(z, 0x94d049bb133111ebULL);
   return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
 }
-
-/// Pack the four lane-wise `t > v` results (all-ones / all-zero 64-bit
-/// lanes) into bits 0..3 via the double-precision sign-bit movemask.
-inline std::uint64_t cmplt4(__m256i v, __m256i t) noexcept {
-  return static_cast<std::uint64_t>(static_cast<unsigned>(
-      _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, v)))));
-}
-
-struct avx2_word_ops {
-  static void paired32_word(std::uint64_t key, std::uint64_t base,
-                            const std::uint64_t* t32, unsigned occ,
-                            std::uint64_t& wa, std::uint64_t& wb) noexcept {
-    std::uint64_t word_a = 0;
-    std::uint64_t word_b = 0;
-    const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
-    unsigned k = 0;
-    for (; k + 4 <= occ; k += 4) {
-      const __m256i x = counter_draws4(key, base + k);
-      const __m256i t = load_u64x4(t32 + k);
-      word_a |= cmplt4(_mm256_srli_epi64(x, 32), t) << k;
-      word_b |= cmplt4(_mm256_and_si256(x, lo_mask), t) << k;
-    }
-    for (; k < occ; ++k) {
-      const std::uint64_t x = stats::counter_draw(key, base + k);
-      word_a |= static_cast<std::uint64_t>((x >> 32) < t32[k]) << k;
-      word_b |= static_cast<std::uint64_t>((x & 0xffffffffULL) < t32[k]) << k;
-    }
-    wa = word_a;
-    wb = word_b;
-  }
-
-  static std::uint64_t wide53_word(std::uint64_t key, std::uint64_t base,
-                                   const std::uint64_t* t53,
-                                   unsigned occ) noexcept {
-    std::uint64_t w = 0;
-    unsigned k = 0;
-    for (; k + 4 <= occ; k += 4) {
-      const __m256i x = counter_draws4(key, base + k);
-      const __m256i t = load_u64x4(t53 + k);
-      w |= cmplt4(_mm256_srli_epi64(x, 11), t) << k;
-    }
-    for (; k < occ; ++k) {
-      w |= static_cast<std::uint64_t>(
-               (stats::counter_draw(key, base + k) >> 11) < t53[k])
-           << k;
-    }
-    return w;
-  }
-};
 
 /// x <<< K in every 64-bit lane.
 template <int K>
@@ -167,6 +110,14 @@ inline std::array<std::uint64_t, 4> lanes_of(__m256i v) noexcept {
           static_cast<std::uint64_t>(_mm256_extract_epi64(v, 3))};
 }
 
+/// 1 << k for k < 64: the bit a fault sets in its word, loaded as a
+/// broadcast operand rather than carried from step to step.
+constexpr std::array<std::uint64_t, 64> kFaultBit = [] {
+  std::array<std::uint64_t, 64> bits{};
+  for (unsigned k = 0; k < 64; ++k) bits[k] = std::uint64_t{1} << k;
+  return bits;
+}();
+
 // ---------------------------------------------------------------------------
 // AVX-512 (F + DQ + BW), function-level target
 // ---------------------------------------------------------------------------
@@ -196,65 +147,15 @@ RELDIV_AVX512 inline __m512i rotl512(__m512i x) noexcept {
   return _mm512_maskz_rol_epi64(kAllLanes, x, K);
 }
 
-/// Thresholds t[0 .. min(rem, 8)), zero in the lanes past rem: a zero
-/// threshold never passes an unsigned `<`, so a word's last partial group
-/// needs no scalar tail and reads nothing past the word.
-RELDIV_AVX512 inline __m512i load_thresholds8(const std::uint64_t* t, unsigned rem) noexcept {
-  const __mmask8 m = rem >= 8 ? kAllLanes : static_cast<__mmask8>((1u << rem) - 1);
-  return _mm512_maskz_loadu_epi64(m, t);
-}
-
-/// stats::counter_draw for counters base..base+7, one per lane (lane 0 =
-/// base), with native 64-bit multiplies.
-RELDIV_AVX512 inline __m512i counter_draws8(std::uint64_t key, std::uint64_t base) noexcept {
-  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
-  const std::uint64_t s0 = key + (base + 1) * g;
-  __m512i z = _mm512_add_epi64(
-      _mm512_set1_epi64(static_cast<long long>(s0)),
-      _mm512_set_epi64(static_cast<long long>(7 * g), static_cast<long long>(6 * g),
-                       static_cast<long long>(5 * g), static_cast<long long>(4 * g),
-                       static_cast<long long>(3 * g), static_cast<long long>(2 * g),
-                       static_cast<long long>(g), 0));
+/// stats::splitmix64_mix in every 64-bit lane, with native 64-bit
+/// multiplies.
+RELDIV_AVX512 inline __m512i splitmix_mix8(__m512i z) noexcept {
   z = _mm512_xor_si512(z, srli512<30>(z));
   z = _mm512_mullo_epi64(z, _mm512_set1_epi64(static_cast<long long>(0xbf58476d1ce4e5b9ULL)));
   z = _mm512_xor_si512(z, srli512<27>(z));
   z = _mm512_mullo_epi64(z, _mm512_set1_epi64(static_cast<long long>(0x94d049bb133111ebULL)));
   return _mm512_xor_si512(z, srli512<31>(z));
 }
-
-/// Bits 0..7 of the result: lane-wise v < t (unsigned).
-RELDIV_AVX512 inline std::uint64_t cmplt8(__m512i v, __m512i t) noexcept {
-  return static_cast<std::uint64_t>(_cvtmask8_u32(_mm512_cmplt_epu64_mask(v, t)));
-}
-
-struct avx512_word_ops {
-  RELDIV_AVX512 static void paired32_word(std::uint64_t key, std::uint64_t base,
-                                          const std::uint64_t* t32, unsigned occ,
-                                          std::uint64_t& wa, std::uint64_t& wb) noexcept {
-    std::uint64_t word_a = 0;
-    std::uint64_t word_b = 0;
-    const __m512i lo_mask = _mm512_set1_epi64(0xffffffffLL);
-    for (unsigned k = 0; k < occ; k += 8) {
-      const __m512i x = counter_draws8(key, base + k);
-      const __m512i t = load_thresholds8(t32 + k, occ - k);
-      word_a |= cmplt8(srli512<32>(x), t) << k;
-      word_b |= cmplt8(_mm512_and_si512(x, lo_mask), t) << k;
-    }
-    wa = word_a;
-    wb = word_b;
-  }
-
-  RELDIV_AVX512 static std::uint64_t wide53_word(std::uint64_t key, std::uint64_t base,
-                                                 const std::uint64_t* t53,
-                                                 unsigned occ) noexcept {
-    std::uint64_t w = 0;
-    for (unsigned k = 0; k < occ; k += 8) {
-      w |= cmplt8(srli512<11>(counter_draws8(key, base + k)), load_thresholds8(t53 + k, occ - k))
-           << k;
-    }
-    return w;
-  }
-};
 
 /// Eight xoshiro256++ engines, one per lane: stats::rng::operator() step for
 /// step, each three-way xor one ternary-logic instruction.
@@ -355,7 +256,7 @@ inline unsigned zero_lanes4(__m256d x) noexcept {
 /// fold_pair_lanes_avx2 on lanes [o, o + live) (live <= 4) of one register.
 void fold_half_avx2(accumulator_lanes& acc, const lane_masks* channels, unsigned versions,
                     unsigned votes, double omega, const double* q, std::size_t n, unsigned o,
-                    unsigned live, const welford_step& step) noexcept {
+                    unsigned live, const welford_step& step, pair_thetas* thetas) noexcept {
   __m256i ge[kMaxFoldVersions];  // layers [0, votes) are set before use
   __m256d theta1 = _mm256_setzero_pd();
   __m256d defeated_q = _mm256_setzero_pd();
@@ -393,6 +294,10 @@ void fold_half_avx2(accumulator_lanes& acc, const lane_masks* channels, unsigned
       _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), _mm256_set_epi64x(3, 2, 1, 0));
   welford_add4(acc.theta1, o, theta1, step, live_lanes);
   welford_add4(acc.theta2, o, theta2, step, live_lanes);
+  if (thetas != nullptr) {
+    _mm256_maskstore_pd(thetas->theta1.data() + o, live_lanes, theta1);
+    _mm256_maskstore_pd(thetas->theta2.data() + o, live_lanes, theta2);
+  }
 }
 
 // --- lane fold, AVX-512: all eight lanes in one register ---------------------
@@ -568,15 +473,20 @@ RELDIV_AVX512 void sample_mixture_lanes_avx512(xoshiro_lanes& lanes,
 
 void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
                           unsigned versions, unsigned votes, double omega, const double* q,
-                          std::size_t n, unsigned live, const welford_step& step) noexcept {
-  fold_half_avx2(acc, channels, versions, votes, omega, q, n, 0, live < 4 ? live : 4, step);
-  if (live > 4) fold_half_avx2(acc, channels, versions, votes, omega, q, n, 4, live - 4, step);
+                          std::size_t n, unsigned live, const welford_step& step,
+                          pair_thetas* thetas) noexcept {
+  fold_half_avx2(acc, channels, versions, votes, omega, q, n, 0, live < 4 ? live : 4, step,
+                 thetas);
+  if (live > 4) {
+    fold_half_avx2(acc, channels, versions, votes, omega, q, n, 4, live - 4, step, thetas);
+  }
 }
 
 RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
                                           unsigned versions, unsigned votes, double omega,
                                           const double* q, std::size_t n, unsigned live,
-                                          const welford_step& step) noexcept {
+                                          const welford_step& step,
+                                          pair_thetas* thetas) noexcept {
   // The scalar level's word loop with a lane per shard: the defeated-set
   // layers ge[j] are registers of eight lane words, and each θ sum takes one
   // masked add per fault any lane holds.
@@ -614,28 +524,184 @@ RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_mas
   count8(acc.n2_zero_pfd, _mm512_mask_cmp_pd_mask(live_lanes, theta2, zero, _CMP_EQ_OQ));
   welford_add8(acc.theta1, theta1, step, live_lanes);
   welford_add8(acc.theta2, theta2, step, live_lanes);
+  if (thetas != nullptr) {
+    _mm512_mask_storeu_pd(thetas->theta1.data(), live_lanes, theta1);
+    _mm512_mask_storeu_pd(thetas->theta2.data(), live_lanes, theta2);
+  }
 }
 
-void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
-                                    std::span<const std::uint64_t> t32,
-                                    std::span<const std::uint64_t> t53,
-                                    std::uint64_t key, std::uint64_t first_pair,
-                                    std::size_t count, std::span<fault_mask> a,
-                                    std::span<fault_mask> b) {
-  sample_pair_counter_batch_impl<avx2_word_ops>(plan, t32, t53, key, first_pair,
-                                                count, a, b);
+void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
+                                    const std::uint64_t* t32, const std::uint64_t* t53,
+                                    const std::uint64_t* keys, std::uint64_t pair_index,
+                                    std::uint64_t* const* a, std::uint64_t* const* b,
+                                    unsigned live) noexcept {
+  // Lanes 0-3 in one register, lanes 4-7 in the other.  Lane l's Weyl state
+  // keys[l] + (c + 1) * gamma steps by gamma from counter to counter; every
+  // lane draws, only the first `live` are written back.
+  constexpr unsigned kRegs = 2;
+  static_assert(kXoshiroLanes == 4 * kRegs, "two AVX2 registers of four 64-bit lanes");
+  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
+  const __m256i gamma = _mm256_set1_epi64x(static_cast<long long>(g));
+  const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
+  const __m256i lane_keys[kRegs] = {load_u64x4(keys), load_u64x4(keys + 4)};
+  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
+    const counter_word_plan& w = plan.words[blk];
+    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
+    if (counter_word_per_lane(w, keys, base, blk, a, b, live)) continue;
+    const __m256i start = _mm256_set1_epi64x(static_cast<long long>((base + 1) * g));
+    __m256i z[kRegs];
+    __m256i wa[kRegs];
+    __m256i wb[kRegs];
+    for (unsigned r = 0; r < kRegs; ++r) {
+      z[r] = _mm256_add_epi64(lane_keys[r], start);
+      wa[r] = _mm256_setzero_si256();
+      wb[r] = _mm256_setzero_si256();
+    }
+    if (w.kind == counter_word_kind::paired32) {
+      // One 32-bit compare per fault decides both versions, as at AVX-512:
+      // the high half of the draw (element 2l+1) for a and the low half
+      // (element 2l) for b, unsigned through the sign-bias trick (x ^ 2^31 <
+      // t ^ 2^31 as signed).  half[h][r] collects the bits of faults 32h to
+      // 32h+31; a threshold of 2^32 reads as 0, and its faults are
+      // w.saturated.
+      const std::uint64_t* t = t32 + (blk << 6);
+      const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000U));
+      __m256i half[2][kRegs];
+      for (unsigned h = 0; h < 2; ++h) {
+        for (__m256i& bits : half[h]) bits = _mm256_setzero_si256();
+        const unsigned end = w.occupancy > 32 * h ? std::min(w.occupancy - 32 * h, 32u) : 0;
+        for (unsigned k = 0; k < end; ++k) {
+          const __m256i tk = _mm256_xor_si256(
+              _mm256_set1_epi32(static_cast<int>(t[32 * h + k] & 0xffffffffU)), bias);
+          const __m256i bit = _mm256_set1_epi32(static_cast<int>(kFaultBit[k]));
+          for (unsigned r = 0; r < kRegs; ++r) {
+            const __m256i x = splitmix_mix4(z[r]);
+            z[r] = _mm256_add_epi64(z[r], gamma);
+            const __m256i hit = _mm256_cmpgt_epi32(tk, _mm256_xor_si256(x, bias));
+            half[h][r] = _mm256_or_si256(half[h][r], _mm256_and_si256(hit, bit));
+          }
+        }
+      }
+      const __m256i saturated = _mm256_set1_epi64x(static_cast<long long>(w.saturated));
+      for (unsigned r = 0; r < kRegs; ++r) {
+        const __m256i a_bits = _mm256_or_si256(_mm256_srli_epi64(half[0][r], 32),
+                                               _mm256_andnot_si256(lo_mask, half[1][r]));
+        const __m256i b_bits = _mm256_or_si256(_mm256_and_si256(half[0][r], lo_mask),
+                                               _mm256_slli_epi64(half[1][r], 32));
+        wa[r] = _mm256_or_si256(a_bits, saturated);
+        wb[r] = _mm256_or_si256(b_bits, saturated);
+      }
+    } else {
+      // wide53: one draw per fault per version, a's word first.
+      const std::uint64_t* t = t53 + (blk << 6);
+      for (__m256i* word : {wa, wb}) {
+        for (unsigned k = 0; k < w.occupancy; ++k) {
+          const __m256i tk = _mm256_set1_epi64x(static_cast<long long>(t[k]));
+          const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(kFaultBit[k]));
+          for (unsigned r = 0; r < kRegs; ++r) {
+            const __m256i x = splitmix_mix4(z[r]);
+            z[r] = _mm256_add_epi64(z[r], gamma);
+            const __m256i hit = _mm256_cmpgt_epi64(tk, _mm256_srli_epi64(x, 11));
+            word[r] = _mm256_or_si256(word[r], _mm256_and_si256(hit, bit));
+          }
+        }
+      }
+    }
+    for (unsigned r = 0; r < kRegs; ++r) {
+      const std::array<std::uint64_t, 4> va = lanes_of(wa[r]);
+      const std::array<std::uint64_t, 4> vb = lanes_of(wb[r]);
+      for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) {
+        a[l][blk] = va[l - 4 * r];
+        b[l][blk] = vb[l - 4 * r];
+      }
+    }
+  }
 }
 
-// flatten: the template body is built for the TU's AVX2 target, so GCC will
-// not inline the AVX-512 word ops into it by itself; flattening the entry
-// point pulls the whole batch loop, word ops included, into one AVX-512
-// function.
-[[gnu::flatten]] RELDIV_AVX512 void sample_pair_counter_batch_avx512(
-    const counter_sample_plan& plan, std::span<const std::uint64_t> t32,
-    std::span<const std::uint64_t> t53, std::uint64_t key, std::uint64_t first_pair,
-    std::size_t count, std::span<fault_mask> a, std::span<fault_mask> b) {
-  sample_pair_counter_batch_impl<avx512_word_ops>(plan, t32, t53, key, first_pair, count, a,
-                                                  b);
+/// One version's wide53 word in every lane: bit k set iff (draw >> 11) <
+/// t[k], drawing counter after counter from the Weyl states z.
+RELDIV_AVX512 inline __m512i wide53_word8(__m512i& z, __m512i gamma, const std::uint64_t* t,
+                                          unsigned occupancy) noexcept {
+  __m512i word = _mm512_setzero_si512();
+  for (unsigned k = 0; k < occupancy; ++k) {
+    const __m512i x = splitmix_mix8(z);
+    z = _mm512_add_epi64(z, gamma);
+    const __mmask8 hit =
+        _mm512_cmplt_epu64_mask(srli512<11>(x), _mm512_set1_epi64(static_cast<long long>(t[k])));
+    word = _mm512_mask_or_epi64(word, hit, word,
+                                _mm512_set1_epi64(static_cast<long long>(kFaultBit[k])));
+  }
+  return word;
+}
+
+RELDIV_AVX512 void sample_pair_counter_lanes_avx512(const counter_sample_plan& plan,
+                                                    const std::uint64_t* t32,
+                                                    const std::uint64_t* t53,
+                                                    const std::uint64_t* keys,
+                                                    std::uint64_t pair_index,
+                                                    std::uint64_t* const* a,
+                                                    std::uint64_t* const* b,
+                                                    unsigned live) noexcept {
+  // All eight lanes in one register; a lane's compare result sets bit k of
+  // its word through a masked or of a broadcast bit constant.
+  static_assert(kXoshiroLanes == 8, "one counter stream per 64-bit AVX-512 lane");
+  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
+  const __m512i gamma = _mm512_set1_epi64(static_cast<long long>(g));
+  const __m512i lane_keys = _mm512_loadu_si512(keys);
+  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
+    const counter_word_plan& w = plan.words[blk];
+    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
+    if (counter_word_per_lane(w, keys, base, blk, a, b, live)) continue;
+    __m512i z =
+        _mm512_add_epi64(lane_keys, _mm512_set1_epi64(static_cast<long long>((base + 1) * g)));
+    __m512i wa;
+    __m512i wb;
+    if (w.kind == counter_word_kind::paired32) {
+      // One unsigned 32-bit compare per fault decides both versions: the high
+      // half of lane l's draw (32-bit element 2l+1) against t for a, the low
+      // half (element 2l) for b.  Element 2l+1 / 2l of half[0] collects a's
+      // / b's bits of faults 0-31, of half[1] those of faults 32-63.  A
+      // threshold of 2^32 reads as 0 here and never passes; its faults are
+      // w.saturated.
+      const std::uint64_t* t = t32 + (blk << 6);
+      __m512i half[2];
+      for (unsigned h = 0; h < 2; ++h) {
+        __m512i bits = _mm512_setzero_si512();
+        const unsigned end = w.occupancy > 32 * h ? std::min(w.occupancy - 32 * h, 32u) : 0;
+        const std::uint64_t* th = t + 32 * h;
+        for (unsigned k = 0; k < end; ++k) {
+          const __m512i x = splitmix_mix8(z);
+          z = _mm512_add_epi64(z, gamma);
+          const __mmask16 hit = _mm512_cmplt_epu32_mask(
+              x, _mm512_set1_epi32(static_cast<int>(th[k] & 0xffffffffU)));
+          bits = _mm512_mask_or_epi32(bits, hit, bits,
+                                      _mm512_set1_epi32(static_cast<int>(kFaultBit[k])));
+        }
+        half[h] = bits;
+      }
+      constexpr int kOrAnd = 0xf8;     // a | (b & c)
+      constexpr int kOrAndNot = 0xf4;  // a | (b & ~c)
+      const __m512i hi_dwords = _mm512_set1_epi64(static_cast<long long>(0xffffffff00000000ULL));
+      const __m512i saturated = _mm512_set1_epi64(static_cast<long long>(w.saturated));
+      wa = _mm512_or_si512(
+          _mm512_ternarylogic_epi64(srli512<32>(half[0]), half[1], hi_dwords, kOrAnd), saturated);
+      wb = _mm512_or_si512(
+          _mm512_ternarylogic_epi64(slli512<32>(half[1]), half[0], hi_dwords, kOrAndNot),
+          saturated);
+    } else {
+      // wide53: one draw per fault per version, a's word first.
+      wa = wide53_word8(z, gamma, t53 + (blk << 6), w.occupancy);
+      wb = wide53_word8(z, gamma, t53 + (blk << 6), w.occupancy);
+    }
+    std::array<std::uint64_t, 8> va;
+    std::array<std::uint64_t, 8> vb;
+    _mm512_storeu_si512(va.data(), wa);
+    _mm512_storeu_si512(vb.data(), wb);
+    for (unsigned l = 0; l < live; ++l) {
+      a[l][blk] = va[l];
+      b[l][blk] = vb[l];
+    }
+  }
 }
 
 #undef RELDIV_AVX512
@@ -648,35 +714,31 @@ namespace reldiv::core::detail {
 
 bool avx2_compiled() noexcept { return false; }
 
-void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
-                                    std::span<const std::uint64_t> t32,
-                                    std::span<const std::uint64_t> t53,
-                                    std::uint64_t key, std::uint64_t first_pair,
-                                    std::size_t count, std::span<fault_mask> a,
-                                    std::span<fault_mask> b) {
+void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
+                                    const std::uint64_t* t32, const std::uint64_t* t53,
+                                    const std::uint64_t* keys, std::uint64_t pair_index,
+                                    std::uint64_t* const* a, std::uint64_t* const* b,
+                                    unsigned live) noexcept {
   // Unreachable through dispatch (detected_simd_level() caps at scalar when
   // avx2_compiled() is false), but defined so a direct caller still gets
   // correct bits.
-  sample_pair_counter_batch_impl<scalar_word_ops>(plan, t32, t53, key,
-                                                  first_pair, count, a, b);
+  sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, a, b, live);
 }
 
-void sample_pair_counter_batch_avx512(const counter_sample_plan& plan,
-                                      std::span<const std::uint64_t> t32,
-                                      std::span<const std::uint64_t> t53,
-                                      std::uint64_t key, std::uint64_t first_pair,
-                                      std::size_t count, std::span<fault_mask> a,
-                                      std::span<fault_mask> b) {
+void sample_pair_counter_lanes_avx512(const counter_sample_plan& plan,
+                                      const std::uint64_t* t32, const std::uint64_t* t53,
+                                      const std::uint64_t* keys, std::uint64_t pair_index,
+                                      std::uint64_t* const* a, std::uint64_t* const* b,
+                                      unsigned live) noexcept {
   // Unreachable through dispatch, like the AVX2 fallback above.
-  sample_pair_counter_batch_impl<scalar_word_ops>(plan, t32, t53, key,
-                                                  first_pair, count, a, b);
+  sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, a, b, live);
 }
 
 void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
                                const std::uint64_t* stressed,
                                const std::uint64_t* relaxed, std::size_t n,
                                std::uint64_t* const* out, unsigned live) noexcept {
-  // Unreachable through dispatch, like the batch fallbacks above.
+  // Unreachable through dispatch, like the counter fallbacks above.
   sample_mixture_lanes_scalar(lanes, stress_threshold, stressed, relaxed, n, out, live);
 }
 
@@ -689,15 +751,16 @@ void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, std::uint64_t stress_thre
 
 void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
                           unsigned versions, unsigned votes, double omega, const double* q,
-                          std::size_t n, unsigned live, const welford_step& step) noexcept {
-  fold_pair_lanes_scalar(acc, channels, versions, votes, omega, q, n, live, step);
+                          std::size_t n, unsigned live, const welford_step& step,
+                          pair_thetas* thetas) noexcept {
+  fold_pair_lanes_scalar(acc, channels, versions, votes, omega, q, n, live, step, thetas);
 }
 
 void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
-                            const welford_step& step) noexcept {
-  fold_pair_lanes_scalar(acc, channels, versions, votes, omega, q, n, live, step);
+                            const welford_step& step, pair_thetas* thetas) noexcept {
+  fold_pair_lanes_scalar(acc, channels, versions, votes, omega, q, n, live, step, thetas);
 }
 
 }  // namespace reldiv::core::detail

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 namespace reldiv::core {
@@ -18,21 +19,9 @@ namespace reldiv::core {
 namespace detail {
 // Defined in simd_sampler.avx2.cpp.  When that TU was compiled without AVX2
 // support (non-x86 arch or a compiler without -mavx2) it forwards to the
-// scalar template and avx2_compiled() reports false, so dispatch never
-// claims a level it cannot deliver.
+// scalar levels and avx2_compiled() reports false, so dispatch never claims
+// a level it cannot deliver.
 bool avx2_compiled() noexcept;
-void sample_pair_counter_batch_avx2(const counter_sample_plan& plan,
-                                    std::span<const std::uint64_t> t32,
-                                    std::span<const std::uint64_t> t53,
-                                    std::uint64_t key, std::uint64_t first_pair,
-                                    std::size_t count, std::span<fault_mask> a,
-                                    std::span<fault_mask> b);
-void sample_pair_counter_batch_avx512(const counter_sample_plan& plan,
-                                      std::span<const std::uint64_t> t32,
-                                      std::span<const std::uint64_t> t53,
-                                      std::uint64_t key, std::uint64_t first_pair,
-                                      std::size_t count, std::span<fault_mask> a,
-                                      std::span<fault_mask> b);
 }  // namespace detail
 
 namespace {
@@ -140,6 +129,10 @@ counter_sample_plan make_counter_sample_plan(const fault_universe& u) {
       }
     } else if (grid_safe) {
       w.kind = counter_word_kind::paired32;
+      for (std::size_t k = 0; k < occupancy; ++k) {
+        const bool always = u.bernoulli_thresholds32()[lo + k] == std::uint64_t{1} << 32;
+        w.saturated |= static_cast<std::uint64_t>(always) << k;
+      }
       offset += occupancy;
     } else {
       w.kind = counter_word_kind::wide53;
@@ -151,36 +144,127 @@ counter_sample_plan make_counter_sample_plan(const fault_universe& u) {
   return plan;
 }
 
+namespace detail {
+
+void sample_pair_counter_lanes_scalar(const counter_sample_plan& plan,
+                                      const std::uint64_t* t32, const std::uint64_t* t53,
+                                      const std::uint64_t* keys, std::uint64_t pair_index,
+                                      std::uint64_t* const* a, std::uint64_t* const* b,
+                                      unsigned live) noexcept {
+  // Word by word, each live lane in turn, exactly as
+  // mc::sample_version_pair_counter_reference fills a word.
+  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
+    const counter_word_plan& w = plan.words[blk];
+    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
+    if (counter_word_per_lane(w, keys, base, blk, a, b, live)) continue;
+    const std::uint64_t* t32w = t32 + (blk << 6);
+    const std::uint64_t* t53w = t53 + (blk << 6);
+    for (unsigned l = 0; l < live; ++l) {
+      std::uint64_t wa = 0;
+      std::uint64_t wb = 0;
+      if (w.kind == counter_word_kind::paired32) {
+        for (unsigned k = 0; k < w.occupancy; ++k) {
+          const std::uint64_t x = stats::counter_draw(keys[l], base + k);
+          wa |= static_cast<std::uint64_t>((x >> 32) < t32w[k]) << k;
+          wb |= static_cast<std::uint64_t>((x & 0xffffffffULL) < t32w[k]) << k;
+        }
+      } else {
+        for (unsigned k = 0; k < w.occupancy; ++k) {
+          const std::uint64_t xa = stats::counter_draw(keys[l], base + k);
+          const std::uint64_t xb = stats::counter_draw(keys[l], base + w.occupancy + k);
+          wa |= static_cast<std::uint64_t>((xa >> 11) < t53w[k]) << k;
+          wb |= static_cast<std::uint64_t>((xb >> 11) < t53w[k]) << k;
+        }
+      }
+      a[l][blk] = wa;
+      b[l][blk] = wb;
+    }
+  }
+}
+
+namespace {
+
+/// core::sample_pair_counter_lanes on lanes [0, live) of a[] / b[], the masks
+/// of lane l at a[l] and b[l]; the plan has been checked against `u`.
+void draw_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
+                        const std::uint64_t* keys, std::uint64_t pair_index, fault_mask* a,
+                        fault_mask* b, unsigned live, simd_level level) {
+  std::array<std::uint64_t*, kXoshiroLanes> wa{};
+  std::array<std::uint64_t*, kXoshiroLanes> wb{};
+  for (unsigned l = 0; l < live; ++l) {
+    if (a[l].bit_size() != plan.bits) a[l].resize(plan.bits);
+    if (b[l].bit_size() != plan.bits) b[l].resize(plan.bits);
+    wa[l] = a[l].words();
+    wb[l] = b[l].words();
+  }
+  if (plan.bits == 0 || live == 0) return;
+  const std::uint64_t* t32 = u.bernoulli_thresholds32().data();
+  const std::uint64_t* t53 = u.bernoulli_thresholds().data();
+  switch (level) {
+    case simd_level::avx512:
+      sample_pair_counter_lanes_avx512(plan, t32, t53, keys, pair_index, wa.data(), wb.data(),
+                                       live);
+      break;
+    case simd_level::avx2:
+      sample_pair_counter_lanes_avx2(plan, t32, t53, keys, pair_index, wa.data(), wb.data(),
+                                     live);
+      break;
+    case simd_level::scalar:
+      sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, wa.data(), wb.data(),
+                                       live);
+      break;
+  }
+  const std::size_t last = plan.words.size() - 1;
+  for (unsigned l = 0; l < live; ++l) {
+    wa[l][last] &= a[l].tail_mask();
+    wb[l][last] &= b[l].tail_mask();
+  }
+}
+
+void check_counter_plan(const counter_sample_plan& plan, const fault_universe& u,
+                        const char* caller) {
+  if (plan.bits != u.size() || plan.words.size() != u.mask_words()) {
+    throw std::invalid_argument(std::string(caller) + ": plan does not match universe");
+  }
+}
+
+}  // namespace
+
+}  // namespace detail
+
+void sample_pair_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
+                               std::span<const std::uint64_t, kXoshiroLanes> keys,
+                               std::uint64_t pair_index, std::span<fault_mask, kXoshiroLanes> a,
+                               std::span<fault_mask, kXoshiroLanes> b, unsigned live,
+                               simd_level level) {
+  detail::check_counter_plan(plan, u, "sample_pair_counter_lanes");
+  if (live > kXoshiroLanes) {
+    throw std::invalid_argument("sample_pair_counter_lanes: more live lanes than lanes");
+  }
+  detail::draw_counter_lanes(plan, u, keys.data(), pair_index, a.data(), b.data(), live, level);
+}
+
 void sample_pair_counter_batch(const counter_sample_plan& plan,
                                const fault_universe& u, std::uint64_t key,
                                std::uint64_t first_pair, std::size_t count,
                                std::span<fault_mask> a, std::span<fault_mask> b,
                                simd_level level) {
-  if (plan.bits != u.size() || plan.words.size() != u.mask_words()) {
-    throw std::invalid_argument(
-        "sample_pair_counter_batch: plan does not match universe");
-  }
+  detail::check_counter_plan(plan, u, "sample_pair_counter_batch");
   if (a.size() < count || b.size() < count) {
     throw std::invalid_argument(
         "sample_pair_counter_batch: mask spans shorter than batch");
   }
-  switch (level) {
-    case simd_level::avx512:
-      detail::sample_pair_counter_batch_avx512(plan, u.bernoulli_thresholds32(),
-                                               u.bernoulli_thresholds(), key,
-                                               first_pair, count, a, b);
-      return;
-    case simd_level::avx2:
-      detail::sample_pair_counter_batch_avx2(plan, u.bernoulli_thresholds32(),
-                                             u.bernoulli_thresholds(), key,
-                                             first_pair, count, a, b);
-      return;
-    case simd_level::scalar:
-      break;
+  // Pair first_pair + j + l of `key` is pair first_pair + j of the stream
+  // l * D counters on: counter_draw(key, c) depends on key + (c + 1) * gamma.
+  std::array<std::uint64_t, kXoshiroLanes> keys{};
+  for (unsigned l = 0; l < kXoshiroLanes; ++l) {
+    keys[l] = key + l * plan.draws_per_pair * stats::kSplitmix64Gamma;
   }
-  detail::sample_pair_counter_batch_impl<detail::scalar_word_ops>(
-      plan, u.bernoulli_thresholds32(), u.bernoulli_thresholds(), key,
-      first_pair, count, a, b);
+  for (std::size_t j = 0; j < count; j += kXoshiroLanes) {
+    const auto live = static_cast<unsigned>(std::min<std::size_t>(kXoshiroLanes, count - j));
+    detail::draw_counter_lanes(plan, u, keys.data(), first_pair + j, a.data() + j,
+                               b.data() + j, live, level);
+  }
 }
 
 void sample_pair_counter(const counter_sample_plan& plan, const fault_universe& u,
@@ -288,7 +372,7 @@ void welford_add(moments_lanes& m, unsigned l, double x, const welford_step& s) 
 void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
-                            const welford_step& step) noexcept {
+                            const welford_step& step, pair_thetas* thetas) noexcept {
   // Each live lane in turn, word by word.  ge[j] holds the faults of this
   // word seen in >= j+1 of the channels folded in so far, so folding channel
   // v in is ge[j] |= ge[j-1] & v from the top down; ge[votes-1] ends as the
@@ -325,6 +409,10 @@ void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
     acc.n2_zero_pfd[l] += theta2 == 0.0 ? 1 : 0;
     welford_add(acc.theta1, l, theta1, step);
     welford_add(acc.theta2, l, theta2, step);
+    if (thetas != nullptr) {
+      thetas->theta1[l] = theta1;
+      thetas->theta2[l] = theta2;
+    }
   }
 }
 
@@ -333,7 +421,7 @@ void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
 void fold_pair_lanes(accumulator_lanes& acc,
                      std::span<const std::array<fault_mask, kXoshiroLanes>> channels,
                      unsigned votes, double omega, std::span<const double> q,
-                     unsigned live, simd_level level) {
+                     unsigned live, simd_level level, pair_thetas* thetas) {
   const auto versions = static_cast<unsigned>(channels.size());
   if (votes == 0 || votes > versions || versions > kMaxFoldVersions) {
     throw std::invalid_argument(
@@ -365,17 +453,17 @@ void fold_pair_lanes(accumulator_lanes& acc,
   switch (level) {
     case simd_level::avx512:
       detail::fold_pair_lanes_avx512(acc, channels.data(), versions, votes, omega, q.data(),
-                                     q.size(), live, step);
+                                     q.size(), live, step, thetas);
       return;
     case simd_level::avx2:
       detail::fold_pair_lanes_avx2(acc, channels.data(), versions, votes, omega, q.data(),
-                                   q.size(), live, step);
+                                   q.size(), live, step, thetas);
       return;
     case simd_level::scalar:
       break;
   }
   detail::fold_pair_lanes_scalar(acc, channels.data(), versions, votes, omega, q.data(),
-                                 q.size(), live, step);
+                                 q.size(), live, step, thetas);
 }
 
 }  // namespace reldiv::core

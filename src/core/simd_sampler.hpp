@@ -1,13 +1,15 @@
 #pragma once
-// The runtime-dispatched SIMD kernels of the library, in three families:
+// The runtime-dispatched SIMD kernels of the library, in three families, each
+// running one shard stream per 64-bit lane (one zmm register at AVX-512, two
+// ymm registers at AVX2):
 //
-//   * the `fast-simd` block sampler: counter-based version-pair generation
-//     (sample_pair_counter_batch, below);
+//   * the fast-simd counter kernel: version pair s of eight counter streams,
+//     drawing each lane decision-for-decision as the scalar reference draws
+//     it on that lane's key (sample_pair_counter_lanes; the batch API below
+//     lays eight consecutive pairs of one stream across the lanes);
 //   * the xoshiro256++ lane kernel: eight stats::rng streams advanced in
-//     lockstep, one per 64-bit lane (one zmm register at AVX-512, two ymm
-//     registers at AVX2), drawing common-cause-mixture versions
-//     decision-for-decision as the scalar sampler draws them on each stream
-//     (sample_mixture_lanes);
+//     lockstep, drawing common-cause-mixture versions decision-for-decision
+//     as the scalar sampler draws them on each stream (sample_mixture_lanes);
 //   * the lane fold: one pair step of eight shards' channel masks folded
 //     into eight structure-of-arrays pair accumulators — θ1, the defeated
 //     set's θ2, the counters and the Welford moments — with the IEEE
@@ -20,24 +22,24 @@
 // All families take the same simd_level, so RELDIV_SIMD and the
 // programmatic cap govern them alike.
 //
-// Contract: for any universe, key and pair index, sample_pair_counter
+// Contract: for any universe, key and pair index, the counter kernel
 // produces bits identical to mc::sample_version_pair_counter_reference at
 // EVERY dispatch level.  The SIMD level is a pure throughput knob, exactly
 // like the thread count: runtime CPUID dispatch (plus the RELDIV_SIMD
 // environment override and a programmatic cap for tests/benches) selects
-// between a scalar fallback, AVX2 and AVX-512 block kernels compiled from the
-// same template (simd_sampler.inl.hpp), and all of them are
+// between a scalar level, AVX2 and AVX-512, and all of them are
 // decision-for-decision identical because every lane's draw is
-// stats::counter_draw(key, counter) — a pure function the vector kernels
-// evaluate four (AVX2) or eight (AVX-512) lanes per instruction.
+// stats::counter_draw(key, counter) — a pure function the vector levels
+// evaluate for four (AVX2) or eight (AVX-512) lanes per instruction.
 //
-// The intended pipeline (mc::run_experiment with sampling_engine::fast_simd):
+// The pipeline (mc::run_experiment with sampling_engine::fast_simd):
 //   1. relayout: core::make_p_sorted_permutation gathers equal-p faults into
 //      whole words, so heterogeneous universes become mostly sliceable;
 //   2. plan: make_counter_sample_plan freezes per-word kernel kinds and the
 //      per-pair draw budget over the permuted layout;
-//   3. blocks: sample_pair_counter_batch generates several version-pairs per
-//      pass, amortizing threshold loads across the batch.
+//   3. lanes: shards run in groups of eight, one counter stream per lane;
+//      each step draws one pair per shard (sample_pair_counter_lanes) and
+//      folds the eight pairs at once (fold_pair_lanes).
 
 #include <array>
 #include <cstddef>
@@ -83,6 +85,11 @@ enum class simd_level : std::uint8_t {
 void set_simd_level_cap(simd_level cap) noexcept;
 void clear_simd_level_cap() noexcept;
 
+/// Shard streams per kernel call, one per 64-bit lane of an AVX-512 register
+/// (two AVX2 registers): the counter kernel, the xoshiro lane kernel and the
+/// lane fold all work on this many shards at once.
+inline constexpr unsigned kXoshiroLanes = 8;
+
 /// Per-word kernel kind of the counter sampler, derived from the universe's
 /// sample_blocks plan + fast32_grid_safe exactly as the pinned reference
 /// derives them (mc/sampler.hpp documents the draw-consumption contract).
@@ -100,6 +107,10 @@ struct counter_word_plan {
   std::uint8_t slice_cost = 0;   ///< draws per version when kind == slice
   std::uint32_t draw_offset = 0; ///< first counter of this word within a pair
   std::uint64_t threshold = 0;   ///< shared 53-bit threshold when kind == slice
+  /// paired32: the faults whose 32-bit threshold is 2^32 (p >= 1 - 2^-32),
+  /// set in both versions whatever the draw.  A level that compares 32-bit
+  /// halves sets these bits from here, since 2^32 does not fit its operand.
+  std::uint64_t saturated = 0;
 };
 
 /// Frozen per-word plan + per-pair draw budget for one universe.  A pure
@@ -112,11 +123,31 @@ struct counter_sample_plan {
 
 [[nodiscard]] counter_sample_plan make_counter_sample_plan(const fault_universe& u);
 
+/// Version pair `pair_index` of counter streams keys[0..live), one stream per
+/// lane: lane l < live writes to a[l] / b[l] exactly the masks
+/// mc::sample_version_pair_counter_reference(u, keys[l], pair_index) writes.
+/// Slice words run per lane in scalar code (counter_slice_word); paired32 and
+/// wide53 words draw one fault of every lane per vector step.  a[l] and b[l]
+/// for l < live are resized to plan.bits only when their size differs; lanes
+/// l >= live are not drawn: their keys are ignored and their masks are
+/// neither read nor written.  `level` must not exceed detected_simd_level(); pass
+/// active_simd_level().  Throws std::invalid_argument when the plan does not
+/// match `u` or live > kXoshiroLanes.
+void sample_pair_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
+                               std::span<const std::uint64_t, kXoshiroLanes> keys,
+                               std::uint64_t pair_index, std::span<fault_mask, kXoshiroLanes> a,
+                               std::span<fault_mask, kXoshiroLanes> b, unsigned live,
+                               simd_level level);
+
 /// Sample version-pairs [first_pair, first_pair + count) of counter stream
-/// `key` into a[0..count) / b[0..count).  Masks are resized to plan.bits as
-/// needed (steady-state reuse allocates nothing).  `level` must not exceed
-/// detected_simd_level(); pass active_simd_level() unless pinning a level in
-/// a test.  Throws std::invalid_argument when the plan does not match `u`.
+/// `key` into a[0..count) / b[0..count): eight consecutive pairs per
+/// sample_pair_counter_lanes call, pair first_pair + j + l in lane l as pair
+/// first_pair + j of key + l·D·γ (D = plan.draws_per_pair, γ =
+/// stats::kSplitmix64Gamma), which is the same stream l·D counters on.
+/// Masks are resized to plan.bits as needed (steady-state reuse allocates
+/// nothing).  `level` must not exceed detected_simd_level(); pass
+/// active_simd_level() unless pinning a level in a test.  Throws
+/// std::invalid_argument when the plan does not match `u`.
 void sample_pair_counter_batch(const counter_sample_plan& plan,
                                const fault_universe& u, std::uint64_t key,
                                std::uint64_t first_pair, std::size_t count,
@@ -131,10 +162,6 @@ void sample_pair_counter(const counter_sample_plan& plan, const fault_universe& 
 // ---------------------------------------------------------------------------
 // xoshiro256++ lane kernel
 // ---------------------------------------------------------------------------
-
-/// Streams per lane-kernel call: one xoshiro256++ state per 64-bit lane of an
-/// AVX-512 register (two AVX2 registers).
-inline constexpr unsigned kXoshiroLanes = 8;
 
 /// kXoshiroLanes stats::rng states, structure-of-arrays: word[j][l] is state
 /// word j of lane l, so each state word of all lanes is one AVX-512 register
@@ -204,6 +231,12 @@ struct accumulator_lanes {
   }
 };
 
+/// The θ1 and θ2 one fold step recorded on each lane: what a shard keeping
+/// its samples appends for that pair.
+struct pair_thetas {
+  std::array<double, kXoshiroLanes> theta1{}, theta2{};
+};
+
 /// One pair step on each of the first `live` lanes: lane l's channels are
 /// channels[v][l] for v < channels.size() (the versions), and its fault set
 /// D is the faults present in at least `votes` of them.  Lane l then records
@@ -213,14 +246,16 @@ struct accumulator_lanes {
 /// core::masked_q_sum), then the Welford step of stats::running_moments::add
 /// on θ1 and on ω·θD with the same IEEE operations in the same order.  The
 /// live lanes must hold the same sample count; lanes l >= live keep their
-/// state and their masks are not read.  `level` must not exceed
-/// detected_simd_level(); pass active_simd_level().  Throws
-/// std::invalid_argument unless 1 <= votes <= channels.size() <=
-/// kMaxFoldVersions and live <= kXoshiroLanes, or when a live lane's mask is
-/// not q.size() bits or its sample count differs from lane 0's.
+/// state and their masks are not read.  When `thetas` is not null, lane l <
+/// live of it receives the θ1 and ω·θD just recorded, and its other lanes
+/// are left as they were.  `level` must not exceed detected_simd_level();
+/// pass active_simd_level().  Throws std::invalid_argument unless 1 <= votes
+/// <= channels.size() <= kMaxFoldVersions and live <= kXoshiroLanes, or when
+/// a live lane's mask is not q.size() bits or its sample count differs from
+/// lane 0's.
 void fold_pair_lanes(accumulator_lanes& acc,
                      std::span<const std::array<fault_mask, kXoshiroLanes>> channels,
                      unsigned votes, double omega, std::span<const double> q,
-                     unsigned live, simd_level level);
+                     unsigned live, simd_level level, pair_thetas* thetas = nullptr);
 
 }  // namespace reldiv::core

@@ -1,35 +1,16 @@
 #pragma once
-// Shared kernel template of the fast-simd sampler: simd_sampler.cpp
-// instantiates it with scalar word ops, simd_sampler.avx2.cpp (the only TU
-// allowed intrinsics) with AVX2 word ops and, under a function-level AVX-512
-// target, with AVX-512 word ops — "a scalar fallback compiled from the same
-// template".  The template owns everything level-invariant: plan walking,
-// counter bookkeeping, batch iteration order, bit-slice words and tail
-// masking.  An Ops type supplies the two per-word hot kernels:
+// Raw-word forms of the dispatched kernels, shared by simd_sampler.cpp (the
+// portable TU: dispatch, argument checks, mask sizing and the scalar levels)
+// and simd_sampler.avx2.cpp (the only TU allowed intrinsics: the AVX2 levels
+// and, under a function-level AVX-512 target, the AVX-512 levels).
 //
-//   static void paired32_word(key, base, t32, occ, &wa, &wb)
-//     one counter_draw per fault k in [0, occ): bit k of wa from the high
-//     32 bits vs t32[k], bit k of wb from the low 32 bits;
-//   static std::uint64_t wide53_word(key, base, t53, occ)
-//     one counter_draw per fault: bit k set iff (draw >> 11) < t53[k].
-//
-// Both must make exactly the decisions mc::sample_version_pair_counter_
-// reference makes (the pinned contract) — the SIMD ops achieve this by
-// evaluating the identical counter_draw arithmetic four (AVX2) or eight
-// (AVX-512) lanes at a time.
-//
-// Batch iteration is word-major over pairs: each word's plan entry and
-// thresholds are loaded once and applied to every pair in the batch, which
-// is where batching amortizes generation overhead.
-//
-// The xoshiro lane kernel has no shared template: its scalar level walks the
-// live lanes one after another, its AVX2 level advances all eight lanes in
-// two registers of four and its AVX-512 level in one register, writing back
-// only the live ones.  Every level takes the raw-word form below, which
-// core::sample_mixture_lanes calls after sizing the masks.  The lane fold is
-// built the same way: a scalar level per lane, an AVX2 level per half of
-// four lanes and an AVX-512 level over all eight, each reading the masks'
-// raw words.
+// Every family has one kernel per level and no shared template: the scalar
+// level walks the live lanes one after another, the AVX2 level runs all eight
+// lanes in two registers of four and the AVX-512 level in one register,
+// writing back only the live ones.  The level-invariant pieces are the
+// inline helpers below (the counter kernel's zero, one and slice words) and
+// the portable wrappers in simd_sampler.cpp (sizing the masks, the tail mask,
+// the Welford factors).
 
 #include <bit>
 
@@ -76,19 +57,20 @@ using lane_masks = std::array<fault_mask, kXoshiroLanes>;
 /// channels[v][l] for v < versions and l < live has n bits (no other mask is
 /// read) and q holds n values; each level reads the masks' words through
 /// fault_mask::words().  Requires 1 <= votes <= versions <= kMaxFoldVersions and live <=
-/// kXoshiroLanes.  Defined in simd_sampler.cpp (scalar) and
+/// kXoshiroLanes; `thetas` may be null.  Defined in simd_sampler.cpp (scalar) and
 /// simd_sampler.avx2.cpp (AVX2, AVX-512).
 void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
-                            const welford_step& step) noexcept;
+                            const welford_step& step, pair_thetas* thetas) noexcept;
 void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
                           unsigned versions, unsigned votes, double omega, const double* q,
-                          std::size_t n, unsigned live, const welford_step& step) noexcept;
+                          std::size_t n, unsigned live, const welford_step& step,
+                          pair_thetas* thetas) noexcept;
 void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
-                            const welford_step& step) noexcept;
+                            const welford_step& step, pair_thetas* thetas) noexcept;
 
 /// Bit-slice Bernoulli word over the counter stream (identical fold order to
 /// the reference): consumes counters [base, base + 53 - countr_zero(t)).
@@ -106,83 +88,56 @@ inline std::uint64_t counter_slice_word(std::uint64_t key, std::uint64_t base,
   return acc;
 }
 
-template <class Ops>
-void sample_pair_counter_batch_impl(const counter_sample_plan& plan,
-                                    std::span<const std::uint64_t> t32,
-                                    std::span<const std::uint64_t> t53,
-                                    std::uint64_t key, std::uint64_t first_pair,
-                                    std::size_t count, std::span<fault_mask> a,
-                                    std::span<fault_mask> b) {
-  for (std::size_t j = 0; j < count; ++j) {
-    if (a[j].bit_size() != plan.bits) a[j].resize(plan.bits);
-    if (b[j].bit_size() != plan.bits) b[j].resize(plan.bits);
-  }
-  if (plan.bits == 0) return;
-  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
-    const counter_word_plan& w = plan.words[blk];
-    const std::uint64_t* t32w = t32.data() + (blk << 6);
-    const std::uint64_t* t53w = t53.data() + (blk << 6);
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::uint64_t base =
-          (first_pair + j) * plan.draws_per_pair + w.draw_offset;
-      std::uint64_t wa = 0;
-      std::uint64_t wb = 0;
-      switch (w.kind) {
-        case counter_word_kind::zero:
-          break;
-        case counter_word_kind::one:
-          wa = ~std::uint64_t{0};
-          wb = ~std::uint64_t{0};
-          break;
-        case counter_word_kind::slice:
-          wa = counter_slice_word(key, base, w.threshold);
-          wb = counter_slice_word(key, base + w.slice_cost, w.threshold);
-          break;
-        case counter_word_kind::paired32:
-          Ops::paired32_word(key, base, t32w, w.occupancy, wa, wb);
-          break;
-        case counter_word_kind::wide53:
-          wa = Ops::wide53_word(key, base, t53w, w.occupancy);
-          wb = Ops::wide53_word(key, base + w.occupancy, t53w, w.occupancy);
-          break;
+/// Raw-word form of core::sample_pair_counter_lanes: `keys` holds
+/// kXoshiroLanes keys, and a[l] / b[l] point at the words of lane l's masks
+/// (fault_mask::words_needed(plan.bits) each) for l < live, live <=
+/// kXoshiroLanes.  A vector level may load the keys of spare lanes but
+/// ignores them; no mask past live is read or written.  The caller masks the
+/// last word's tail bits.  Defined in simd_sampler.cpp (scalar) and
+/// simd_sampler.avx2.cpp (AVX2, AVX-512).
+void sample_pair_counter_lanes_scalar(const counter_sample_plan& plan,
+                                      const std::uint64_t* t32, const std::uint64_t* t53,
+                                      const std::uint64_t* keys, std::uint64_t pair_index,
+                                      std::uint64_t* const* a, std::uint64_t* const* b,
+                                      unsigned live) noexcept;
+void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
+                                    const std::uint64_t* t32, const std::uint64_t* t53,
+                                    const std::uint64_t* keys, std::uint64_t pair_index,
+                                    std::uint64_t* const* a, std::uint64_t* const* b,
+                                    unsigned live) noexcept;
+void sample_pair_counter_lanes_avx512(const counter_sample_plan& plan,
+                                      const std::uint64_t* t32, const std::uint64_t* t53,
+                                      const std::uint64_t* keys, std::uint64_t pair_index,
+                                      std::uint64_t* const* a, std::uint64_t* const* b,
+                                      unsigned live) noexcept;
+
+/// Word `blk` of every live lane when its kind draws no per-fault compares:
+/// zero and one words are constants and slice words run per lane
+/// (counter_slice_word from `base` for a, base + slice_cost for b).  Returns
+/// false, writing nothing, for paired32 and wide53 words, which each level
+/// draws in its own registers.
+inline bool counter_word_per_lane(const counter_word_plan& w, const std::uint64_t* keys,
+                                  std::uint64_t base, std::size_t blk,
+                                  std::uint64_t* const* a, std::uint64_t* const* b,
+                                  unsigned live) noexcept {
+  switch (w.kind) {
+    case counter_word_kind::zero:
+    case counter_word_kind::one: {
+      const std::uint64_t v = w.kind == counter_word_kind::one ? ~std::uint64_t{0} : 0;
+      for (unsigned l = 0; l < live; ++l) a[l][blk] = b[l][blk] = v;
+      return true;
+    }
+    case counter_word_kind::slice:
+      for (unsigned l = 0; l < live; ++l) {
+        a[l][blk] = counter_slice_word(keys[l], base, w.threshold);
+        b[l][blk] = counter_slice_word(keys[l], base + w.slice_cost, w.threshold);
       }
-      a[j].words()[blk] = wa;
-      b[j].words()[blk] = wb;
-    }
+      return true;
+    case counter_word_kind::paired32:
+    case counter_word_kind::wide53:
+      break;
   }
-  for (std::size_t j = 0; j < count; ++j) {
-    a[j].words()[a[j].word_count() - 1] &= a[j].tail_mask();
-    b[j].words()[b[j].word_count() - 1] &= b[j].tail_mask();
-  }
+  return false;
 }
-
-/// Portable per-word ops: the scalar fallback instantiation.
-struct scalar_word_ops {
-  static void paired32_word(std::uint64_t key, std::uint64_t base,
-                            const std::uint64_t* t32, unsigned occ,
-                            std::uint64_t& wa, std::uint64_t& wb) noexcept {
-    std::uint64_t word_a = 0;
-    std::uint64_t word_b = 0;
-    for (unsigned k = 0; k < occ; ++k) {
-      const std::uint64_t x = stats::counter_draw(key, base + k);
-      word_a |= static_cast<std::uint64_t>((x >> 32) < t32[k]) << k;
-      word_b |= static_cast<std::uint64_t>((x & 0xffffffffULL) < t32[k]) << k;
-    }
-    wa = word_a;
-    wb = word_b;
-  }
-
-  static std::uint64_t wide53_word(std::uint64_t key, std::uint64_t base,
-                                   const std::uint64_t* t53,
-                                   unsigned occ) noexcept {
-    std::uint64_t w = 0;
-    for (unsigned k = 0; k < occ; ++k) {
-      w |= static_cast<std::uint64_t>(
-               (stats::counter_draw(key, base + k) >> 11) < t53[k])
-           << k;
-    }
-    return w;
-  }
-};
 
 }  // namespace reldiv::core::detail

@@ -1,13 +1,15 @@
 #include "mc/experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/simd_sampler.hpp"
 #include "mc/sampler.hpp"
+#include "mc/shard_lanes.hpp"
 #include "stats/counter_rng.hpp"
 #include "stats/random.hpp"
 
@@ -80,12 +82,6 @@ experiment_accumulator run_shard_mask(const core::fault_universe& u,
   return acc;
 }
 
-/// Version-pairs generated per sample_pair_counter_batch pass by the
-/// fast-simd shard.  Word-major batching amortizes per-word plan/threshold
-/// loads across the batch; 8 pairs keeps the scratch masks comfortably in L1
-/// for any universe the benches exercise.
-constexpr std::size_t kSimdPairBatch = 8;
-
 /// Everything the fast-simd engine precomputes ONCE per run (never per
 /// shard, never per sample): the p-sorted relayout of the universe, the
 /// frozen counter-sampling plan over the permuted layout, and the dispatch
@@ -105,35 +101,34 @@ simd_engine_context make_simd_engine_context(const core::fault_universe& u) {
   return ctx;
 }
 
-/// fast-simd shard: batches of counter-generated version-pairs over the
-/// PERMUTED universe.  θ accumulation (masked_q_sum / intersect_q_sum) runs
-/// over the permuted q layout, which is part of this engine's pinned stream
-/// contract — per-seed values are not comparable to the `fast` engine, but
-/// are bit-identical across thread counts and SIMD levels.  Pair s of shard
-/// `shard` always consumes counters [s*D, (s+1)*D) of stream
-/// counter_stream_key(seed, shard), regardless of batching.
-experiment_accumulator run_shard_simd(const simd_engine_context& ctx,
-                                      std::uint64_t seed, unsigned shard,
-                                      std::uint64_t samples, bool keep_samples) {
-  experiment_accumulator acc(keep_samples);
+/// fast-simd shards [shard_begin, shard_end), eight per lane group over the
+/// PERMUTED universe: lane l of a group draws its shard's stream
+/// counter_stream_key(seed, shard), pair s consuming counters [s*D,
+/// (s+1)*D), and the two-channel fold (votes 2, ω = 1) records exactly what
+/// experiment_accumulator::add of masked_q_sum and intersect_q_sum records
+/// (1.0·x = x; both sums ascend from +0.0).  θ accumulation runs over the
+/// permuted q layout, which is part of this engine's pinned stream contract —
+/// per-seed values are not comparable to the `fast` engine, but are
+/// bit-identical across thread counts, shard windows and SIMD levels.
+template <typename Merge>
+void run_simd_shards(const core::fault_universe& u, const experiment_config& cfg,
+                     unsigned shard_begin, unsigned shard_end, Merge&& merge) {
+  const simd_engine_context ctx = make_simd_engine_context(u);
   const core::fault_universe& pu = ctx.perm.universe;
-  const std::uint64_t key = stats::counter_stream_key(seed, shard);
-  std::vector<core::fault_mask> a(kSimdPairBatch, core::fault_mask(pu.size()));
-  std::vector<core::fault_mask> b(kSimdPairBatch, core::fault_mask(pu.size()));
-  for (std::uint64_t s = 0; s < samples; s += kSimdPairBatch) {
-    const std::size_t batch =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kSimdPairBatch, samples - s));
-    core::sample_pair_counter_batch(ctx.plan, pu, key, s, batch,
-                                    std::span<core::fault_mask>(a.data(), batch),
-                                    std::span<core::fault_mask>(b.data(), batch),
-                                    ctx.level);
-    for (std::size_t j = 0; j < batch; ++j) {
-      const double t1 = core::masked_q_sum(a[j], pu.q_array());
-      const auto pair = core::intersect_q_sum(a[j], b[j], pu.q_array());
-      acc.add(t1, pair.pfd, a[j].any(), pair.any_common);
-    }
-  }
-  return acc;
+  const lane_fold fold{2, 2, 1.0, pu.q_array(), ctx.level, cfg.keep_samples};
+  run_shard_lanes(
+      make_shard_plan(cfg.samples, cfg.shards), shard_begin, shard_end, cfg.threads, fold,
+      [&](unsigned first, unsigned active) {
+        std::array<std::uint64_t, core::kXoshiroLanes> keys{};
+        for (unsigned l = 0; l < active; ++l) {
+          keys[l] = stats::counter_stream_key(cfg.seed, first + l);
+        }
+        return [&ctx, &pu, keys](std::uint64_t step, unsigned live, lane_channels& channels) {
+          core::sample_pair_counter_lanes(ctx.plan, pu, keys, step, channels[0], channels[1],
+                                          live, ctx.level);
+        };
+      },
+      std::forward<Merge>(merge));
 }
 
 experiment_accumulator run_shard(const core::fault_universe& u, std::uint64_t samples,
@@ -146,8 +141,8 @@ experiment_accumulator run_shard(const core::fault_universe& u, std::uint64_t sa
       return run_shard_mask(u, samples, std::move(r), keep_samples,
                             /*exact_stream=*/true);
     case sampling_engine::fast_simd:
-      // fast-simd shards need the per-run simd_engine_context; the run-level
-      // loops route them to run_shard_simd before reaching this dispatcher.
+      // fast-simd shards run in lane groups; the run-level loops route them
+      // to run_simd_shards before reaching this dispatcher.
       throw std::logic_error("run_shard: fast_simd must be routed at run level");
     case sampling_engine::fast:
     default:
@@ -276,23 +271,16 @@ void run_experiment_shards(const core::fault_universe& u,
   if (config.samples == 0) {
     throw std::invalid_argument("run_experiment: samples > 0");
   }
-  const shard_plan plan = make_shard_plan(config.samples, config.shards);
   if (config.engine == sampling_engine::fast_simd) {
-    const simd_engine_context ctx = make_simd_engine_context(u);
-    run_shards(
-        plan, config.seed, shard_begin, shard_end, config.threads,
-        stream_mode::counter,
-        [&ctx, &config](unsigned shard, std::uint64_t samples, stats::rng& /*r*/) {
-          return run_shard_simd(ctx, config.seed, shard, samples,
-                                config.keep_samples);
-        },
-        [&acc](unsigned /*shard*/, experiment_accumulator&& shard_acc) {
-          acc.merge(shard_acc);
-        });
+    run_simd_shards(u, config, shard_begin, shard_end,
+                    [&acc](unsigned /*shard*/, experiment_accumulator&& shard_acc) {
+                      acc.merge(shard_acc);
+                    });
     return;
   }
   run_shards(
-      plan, config.seed, shard_begin, shard_end, config.threads,
+      make_shard_plan(config.samples, config.shards), config.seed, shard_begin, shard_end,
+      config.threads,
       [&u, &config](unsigned /*shard*/, std::uint64_t samples, stats::rng& r) {
         return run_shard(u, samples, r, config.keep_samples, config.engine);
       },
@@ -369,35 +357,27 @@ experiment_window_result run_experiment_window(const experiment_manifest& m,
                                                std::uint64_t index, unsigned threads) {
   const auto [shard_begin, shard_end] = m.window_bounds(index);
   const experiment_config cfg = m.config(threads);
-  const shard_plan plan = make_shard_plan(cfg.samples, cfg.shards);
 
   experiment_window_result out;
   out.shard_begin = shard_begin;
   out.shard_end = shard_end;
   out.shard_states.reserve(shard_end - shard_begin);
-  // Per-shard states stay separate (see experiment_window_result): run_shards
-  // already merges — here: appends — in ascending shard order regardless of
-  // the thread count.
+  // Per-shard states stay separate (see experiment_window_result): both shard
+  // loops already merge — here: append — in ascending shard order regardless
+  // of the thread count.
+  const auto append = [&out](unsigned /*shard*/, experiment_accumulator&& acc) {
+    out.shard_states.push_back(acc.state());
+  };
   if (cfg.engine == sampling_engine::fast_simd) {
-    const simd_engine_context ctx = make_simd_engine_context(m.universe);
-    run_shards(
-        plan, cfg.seed, shard_begin, shard_end, threads, stream_mode::counter,
-        [&](unsigned shard, std::uint64_t samples, stats::rng& /*r*/) {
-          return run_shard_simd(ctx, cfg.seed, shard, samples, cfg.keep_samples);
-        },
-        [&out](unsigned /*shard*/, experiment_accumulator&& acc) {
-          out.shard_states.push_back(acc.state());
-        });
+    run_simd_shards(m.universe, cfg, shard_begin, shard_end, append);
     return out;
   }
   run_shards(
-      plan, cfg.seed, shard_begin, shard_end, threads,
+      make_shard_plan(cfg.samples, cfg.shards), cfg.seed, shard_begin, shard_end, threads,
       [&](unsigned /*shard*/, std::uint64_t samples, stats::rng& r) {
         return run_shard(m.universe, samples, r, cfg.keep_samples, cfg.engine);
       },
-      [&out](unsigned /*shard*/, experiment_accumulator&& acc) {
-        out.shard_states.push_back(acc.state());
-      });
+      append);
   return out;
 }
 

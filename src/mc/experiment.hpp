@@ -40,18 +40,21 @@ enum class sampling_engine {
   /// The original sparse std::vector<uint32_t> path.  Kept as the
   /// regression/benchmark baseline.
   legacy,
-  /// Counter-based SIMD block engine: the universe is relaid out with
+  /// Counter-based SIMD engine: the universe is relaid out with
   /// core::make_p_sorted_permutation (equal-p faults gathered into whole
   /// mask words, so heterogeneous universes become mostly bit-sliceable),
   /// a core::counter_sample_plan is frozen over the permuted layout, and
-  /// version-pairs are generated in batches by core::sample_pair_counter_batch
-  /// under runtime SIMD dispatch.  Every draw is a pure function of
-  /// (counter stream key, counter), so shard streams are derived O(1) via
-  /// stats::counter_stream_key instead of jump walks, and results are
-  /// bit-identical across thread counts AND across SIMD dispatch levels
-  /// (RELDIV_SIMD is a throughput knob, like threads).  NOT stream-compatible
-  /// with `fast`: the rng layout and the per-word accumulation order follow
-  /// the permuted universe, pinned by mc::sample_version_pair_counter_reference.
+  /// shards run in groups of eight (mc::run_shard_lanes), one shard's
+  /// counter stream per 64-bit lane: each step draws one version pair per
+  /// shard (core::sample_pair_counter_lanes) and folds the eight pairs at
+  /// once (core::fold_pair_lanes), under runtime SIMD dispatch.  Every draw
+  /// is a pure function of (counter stream key, counter), so shard streams
+  /// are derived O(1) via stats::counter_stream_key instead of jump walks,
+  /// and results are bit-identical across thread counts AND across SIMD
+  /// dispatch levels (RELDIV_SIMD is a throughput knob, like threads).  NOT
+  /// stream-compatible with `fast`: the rng layout and the per-word
+  /// accumulation order follow the permuted universe, pinned by
+  /// mc::sample_version_pair_counter_reference.
   fast_simd,
 };
 

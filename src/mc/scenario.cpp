@@ -1,7 +1,5 @@
 #include "mc/scenario.hpp"
 
-#include <algorithm>
-#include <array>
 #include <charconv>
 #include <cstdio>
 #include <optional>
@@ -13,6 +11,7 @@
 #include "mc/aliasing.hpp"
 #include "mc/campaign.hpp"
 #include "mc/correlated.hpp"
+#include "mc/shard_lanes.hpp"
 #include "mc/shard_runner.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/random.hpp"
@@ -62,60 +61,32 @@ void sample_lanes(const gaussian_copula_sampler& sampler, core::xoshiro_lanes& l
 /// The cell's pair loop, for every correlation model and adjudication: per
 /// demand, draw `versions` channel masks in index order from the shard's
 /// stream; θ1 = first channel's pfd, θ2 = ω · Σq over faults shared by at
-/// least `votes` channels (core::fold_pair_lanes).
-///
-/// Shards run in groups of kXoshiroLanes (eight) consecutive shards, one per
-/// lane, each on its own stats::rng::stream(seed, shard) and folded into its
-/// own lane accumulator, so every shard draws and folds exactly as it would
-/// alone.  Shard sizes within a plan differ by at most one and never grow
-/// with the index, so step s of a group runs the lanes whose shard has more
-/// than s pairs: every lane up to the group's last (smallest) shard, then the
-/// prefix of lanes that own one more pair.  A last group with fewer shards
-/// leaves its spare lanes undrawn.  Shards merge in ascending order — the
-/// merge sequence of run_shards(threads = 1).
+/// least `votes` channels.  Shards run through run_shard_lanes, one per lane,
+/// each on its own stats::rng::stream(seed, shard); the cell is one of many
+/// in a grid's worker pool, so its groups run on the calling thread.
 template <typename Sampler>
 experiment_accumulator run_cell_shards(const Sampler& sampler,
                                        const core::fault_universe& effective,
                                        const scenario_cell& cell, const shard_plan& plan,
                                        std::uint64_t seed) {
-  constexpr unsigned kLanes = core::kXoshiroLanes;
-  const std::span<const double> q = effective.q_array();
   const core::simd_level level = core::active_simd_level();
-  std::vector<std::array<core::fault_mask, kLanes>> channels(cell.versions);
-  for (auto& lane_masks : channels) {
-    for (auto& m : lane_masks) m.resize(effective.size());
-  }
+  const lane_fold fold{cell.versions, cell.votes, cell.omega, effective.q_array(), level};
   experiment_accumulator acc;
-  core::xoshiro_lanes lanes;
   stats::rng walker(seed);  // stream(seed, s) is rng(seed) jumped s times
-  for (unsigned group = 0; group < plan.shard_count; group += kLanes) {
-    const unsigned active = std::min(kLanes, plan.shard_count - group);
-    for (unsigned l = 0; l < active; ++l) {
-      lanes.set_lane(l, walker);
-      walker.jump();
-    }
-    // Every lane runs `lockstep` steps and the first `longer` lanes one more.
-    const std::uint64_t lockstep = plan.shard_samples(group + active - 1);
-    unsigned longer = 0;
-    while (longer < active && plan.shard_samples(group + longer) > lockstep) ++longer;
-    core::accumulator_lanes tallies;
-    for (std::uint64_t s = 0; s < plan.shard_samples(group); ++s) {
-      const unsigned live = s < lockstep ? active : longer;
-      for (auto& lane_masks : channels) sample_lanes(sampler, lanes, live, lane_masks, level);
-      core::fold_pair_lanes(tallies, channels, cell.votes, cell.omega, q, live, level);
-    }
-    for (unsigned l = 0; l < active; ++l) {
-      accumulator_state shard;
-      shard.samples = tallies.samples[l];
-      shard.theta1 = tallies.theta1_state(l);
-      shard.theta2 = tallies.theta2_state(l);
-      shard.n1_positive = tallies.n1_positive[l];
-      shard.n2_positive = tallies.n2_positive[l];
-      shard.n1_zero_pfd = tallies.n1_zero_pfd[l];
-      shard.n2_zero_pfd = tallies.n2_zero_pfd[l];
-      acc.merge(experiment_accumulator::from_state(shard));
-    }
-  }
+  run_shard_lanes(
+      plan, 0, plan.shard_count, /*threads=*/1, fold,
+      [&](unsigned /*first*/, unsigned active) {
+        core::xoshiro_lanes lanes;
+        for (unsigned l = 0; l < active; ++l) {
+          lanes.set_lane(l, walker);
+          walker.jump();
+        }
+        return [&sampler, lanes, level](std::uint64_t /*step*/, unsigned live,
+                                        lane_channels& channels) mutable {
+          for (auto& lane_masks : channels) sample_lanes(sampler, lanes, live, lane_masks, level);
+        };
+      },
+      [&acc](unsigned /*shard*/, experiment_accumulator&& shard) { acc.merge(shard); });
   return acc;
 }
 

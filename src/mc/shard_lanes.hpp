@@ -1,0 +1,134 @@
+#pragma once
+// The lane group loop: the pair loop of every sampler that draws one shard
+// stream per 64-bit lane (core::kXoshiroLanes shards per kernel call) and
+// folds each pair step of those shards at once (core::fold_pair_lanes).
+// Scenario cells (the xoshiro mixture lanes and the per-lane copula) and
+// fast-simd experiment shards (the counter lanes) both run through it, so
+// both share one step schedule, one per-shard export and one merge order.
+
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "core/fault_mask.hpp"
+#include "core/simd_sampler.hpp"
+#include "mc/campaign.hpp"
+#include "mc/experiment.hpp"
+#include "mc/shard_runner.hpp"
+
+namespace reldiv::mc {
+
+/// One lane's channel masks per version: channels[v][l] is version v of the
+/// pair lane l draws in a step.
+using lane_channels = std::vector<std::array<core::fault_mask, core::kXoshiroLanes>>;
+
+/// How the pair steps of a lane group fold: θ1 is the first channel's Σq,
+/// θ2 = ω·Σq over the faults at least `votes` of the `versions` channels
+/// hold, at dispatch level `level`.  keep_samples retains every pair's θ1
+/// and θ2 in the exported shard accumulators.
+struct lane_fold {
+  unsigned versions = 2;
+  unsigned votes = 2;
+  double omega = 1.0;
+  std::span<const double> q;
+  core::simd_level level = core::simd_level::scalar;
+  bool keep_samples = false;
+};
+
+/// Run shards [shard_begin, shard_end) of `plan` in groups of kXoshiroLanes
+/// consecutive shards, one shard per lane, and call `merge(shard,
+/// experiment_accumulator&&)` for every shard in ascending order on the
+/// calling thread.
+///
+/// `start(first, active)` opens the group of shards [first, first + active)
+/// and returns its draw: `draw(step, live, channels)` fills channels[v][l]
+/// for v < fold.versions and l < live with pair `step` of shard first + l.
+/// The calling thread calls `start` for every group, in ascending order,
+/// before any group runs, so a start may walk a sequential stream; the groups
+/// then fan out over `threads` workers (0 = hardware concurrency), each draw
+/// used by one worker.
+///
+/// Shard sizes within a plan differ by at most one and never grow with the
+/// index, so step s of a group runs the lanes whose shard has more than s
+/// pairs: every lane up to the group's last (smallest) shard, then the prefix
+/// of lanes that own one pair more.  A last group with fewer shards leaves
+/// its spare lanes undrawn.  Every shard therefore draws and folds exactly as
+/// it would alone, and neither the grouping nor the thread count changes a
+/// bit of any shard's result.  Each lane is exported once through
+/// experiment_accumulator::from_state.
+template <typename Start, typename Merge>
+void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shard_end,
+                     unsigned threads, const lane_fold& fold, Start&& start, Merge&& merge) {
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  if (shard_begin > shard_end || shard_end > plan.shard_count) {
+    throw std::invalid_argument("run_shard_lanes: shard window out of range");
+  }
+  using draw_type = std::decay_t<std::invoke_result_t<Start&, unsigned, unsigned>>;
+  std::vector<draw_type> draws;
+  for (unsigned first = shard_begin; first < shard_end; first += kLanes) {
+    draws.push_back(start(first, std::min(kLanes, shard_end - first)));
+  }
+  const auto group_first = [shard_begin](std::size_t group) {
+    return shard_begin + static_cast<unsigned>(group) * kLanes;
+  };
+  run_jobs(
+      0, draws.size(), threads,
+      [&](std::size_t group) {
+        const unsigned first = group_first(group);
+        const unsigned active = std::min(kLanes, shard_end - first);
+        lane_channels channels(fold.versions);
+        for (auto& lane_masks : channels) {
+          for (core::fault_mask& m : lane_masks) m.resize(fold.q.size());
+        }
+        // Every lane runs `lockstep` steps and the first `longer` lanes one more.
+        const std::uint64_t lockstep = plan.shard_samples(first + active - 1);
+        unsigned longer = 0;
+        while (longer < active && plan.shard_samples(first + longer) > lockstep) ++longer;
+        core::accumulator_lanes tallies;
+        core::pair_thetas thetas;
+        std::array<std::vector<double>, kLanes> kept1;
+        std::array<std::vector<double>, kLanes> kept2;
+        for (std::uint64_t s = 0; s < plan.shard_samples(first); ++s) {
+          const unsigned live = s < lockstep ? active : longer;
+          draws[group](s, live, channels);
+          core::fold_pair_lanes(tallies, channels, fold.votes, fold.omega, fold.q, live,
+                                fold.level, fold.keep_samples ? &thetas : nullptr);
+          if (fold.keep_samples) {
+            for (unsigned l = 0; l < live; ++l) {
+              kept1[l].push_back(thetas.theta1[l]);
+              kept2[l].push_back(thetas.theta2[l]);
+            }
+          }
+        }
+        std::vector<experiment_accumulator> shards;
+        shards.reserve(active);
+        for (unsigned l = 0; l < active; ++l) {
+          accumulator_state shard;
+          shard.samples = tallies.samples[l];
+          shard.theta1 = tallies.theta1_state(l);
+          shard.theta2 = tallies.theta2_state(l);
+          shard.n1_positive = tallies.n1_positive[l];
+          shard.n2_positive = tallies.n2_positive[l];
+          shard.n1_zero_pfd = tallies.n1_zero_pfd[l];
+          shard.n2_zero_pfd = tallies.n2_zero_pfd[l];
+          shard.keeping_samples = fold.keep_samples;
+          shard.theta1_samples = std::move(kept1[l]);
+          shard.theta2_samples = std::move(kept2[l]);
+          shards.push_back(experiment_accumulator::from_state(shard));
+        }
+        return shards;
+      },
+      [&](std::size_t group, std::vector<experiment_accumulator>&& shards) {
+        for (std::size_t l = 0; l < shards.size(); ++l) {
+          merge(group_first(group) + static_cast<unsigned>(l), std::move(shards[l]));
+        }
+      });
+}
+
+}  // namespace reldiv::mc

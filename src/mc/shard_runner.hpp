@@ -31,25 +31,9 @@
 #include <utility>
 #include <vector>
 
-#include "stats/counter_rng.hpp"
 #include "stats/random.hpp"
 
 namespace reldiv::mc {
-
-/// How a shard's rng stream is derived from (seed, shard).  Part of the
-/// result's identity — two modes give two different (both deterministic)
-/// stream layouts:
-enum class stream_mode {
-  /// stats::rng::stream(seed, shard): the historical layout, derived by
-  /// jumping rng(seed) `shard` times.  run_shards amortizes the walk
-  /// incrementally, but entering a window still costs O(shard_begin) jumps.
-  jump,
-  /// stats::rng(stats::counter_stream_key(seed, shard)): O(1) pure hash per
-  /// shard, no walk at all.  The counter-based engines (fast-simd) use this
-  /// layout; their bodies typically re-derive the key directly and ignore
-  /// the rng object.
-  counter,
-};
 
 /// Ceiling on the default number of logical rng streams per experiment.
 /// Large enough to keep any plausible worker count busy, small enough that
@@ -117,8 +101,7 @@ struct shard_plan {
 /// join.
 template <typename Body, typename Merge>
 void run_shards(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin,
-                unsigned shard_end, unsigned threads, stream_mode mode, Body&& body,
-                Merge&& merge) {
+                unsigned shard_end, unsigned threads, Body&& body, Merge&& merge) {
   using acc_type = std::decay_t<std::invoke_result_t<Body&, unsigned, std::uint64_t,
                                                      stats::rng&>>;
   if (shard_begin > shard_end || shard_end > plan.shard_count) {
@@ -127,24 +110,16 @@ void run_shards(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin
   const unsigned jobs = shard_end - shard_begin;
   if (jobs == 0) return;
 
+  // Derive the shard streams incrementally (stream(seed, s) is rng(seed)
+  // jumped s times): O(shard_end) jumps total instead of O(shard_end^2) if
+  // each worker re-derived its stream from scratch.
   std::vector<stats::rng> streams;
   streams.reserve(jobs);
-  if (mode == stream_mode::counter) {
-    // Counter layout: every stream is an O(1) pure hash of (seed, shard), so
-    // a window starting at shard 10^6 costs the same as one starting at 0.
-    for (unsigned j = 0; j < jobs; ++j) {
-      streams.emplace_back(stats::counter_stream_key(seed, shard_begin + j));
-    }
-  } else {
-    // Derive the shard streams incrementally (stream(seed, s) is rng(seed)
-    // jumped s times): O(shard_end) jumps total instead of O(shard_end^2) if
-    // each worker re-derived its stream from scratch.
-    stats::rng walker(seed);
-    for (unsigned s = 0; s < shard_begin; ++s) walker.jump();
-    for (unsigned j = 0; j < jobs; ++j) {
-      streams.push_back(walker);
-      walker.jump();
-    }
+  stats::rng walker(seed);
+  for (unsigned s = 0; s < shard_begin; ++s) walker.jump();
+  for (unsigned j = 0; j < jobs; ++j) {
+    streams.push_back(walker);
+    walker.jump();
   }
 
   std::vector<std::optional<acc_type>> results(jobs);
@@ -185,20 +160,12 @@ void run_shards(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin
   }
 }
 
-/// Historical signature: jump-derived streams.
-template <typename Body, typename Merge>
-void run_shards(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin,
-                unsigned shard_end, unsigned threads, Body&& body, Merge&& merge) {
-  run_shards(plan, seed, shard_begin, shard_end, threads, stream_mode::jump,
-             std::forward<Body>(body), std::forward<Merge>(merge));
-}
-
-/// Convenience overload: run every shard of the plan (jump streams).
+/// Convenience overload: run every shard of the plan.
 template <typename Body, typename Merge>
 void run_shards(const shard_plan& plan, std::uint64_t seed, unsigned threads,
                 Body&& body, Merge&& merge) {
-  run_shards(plan, seed, 0, plan.shard_count, threads, stream_mode::jump,
-             std::forward<Body>(body), std::forward<Merge>(merge));
+  run_shards(plan, seed, 0, plan.shard_count, threads, std::forward<Body>(body),
+             std::forward<Merge>(merge));
 }
 
 }  // namespace reldiv::mc

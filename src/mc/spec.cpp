@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/generators.hpp"
@@ -242,6 +243,20 @@ class section_view {
     std::uint64_t v = 0;
     report_num(parse_u64(e->value, v), *e, "unsigned integer");
     return v;
+  }
+
+  /// A count the library holds as `unsigned` (shards, window): values past
+  /// 2^32 - 1 are refused here rather than truncated.
+  unsigned u32_or(std::string_view key, unsigned def) {
+    const raw_entry* e = find(key);
+    if (e == nullptr) return def;
+    std::uint64_t v = 0;
+    num_status st = parse_u64(e->value, v);
+    if (st == num_status::ok && v > std::numeric_limits<unsigned>::max()) {
+      st = num_status::out_of_range;
+    }
+    if (!report_num(st, *e, "32-bit unsigned integer")) return def;
+    return static_cast<unsigned>(v);
   }
 
   std::optional<std::uint64_t> u64_required(std::string_view key) {
@@ -678,7 +693,7 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
       ctx.error(sweep.line(), "rho_model",
                 "expected mixture or copula, got '" + model + "'");
     }
-    unsigned shards = static_cast<unsigned>(sweep.u64_or("shards", 0));
+    unsigned shards = sweep.u32_or("shards", 0);
     if (overrides.shards) shards = *overrides.shards;
     sweep.finish();
 
@@ -831,7 +846,7 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
     reject(axes_sec, "not allowed in an experiment spec");
     reject(refine_sec, "refinement applies to scenario grids only");
     reject(demand_sec, "not allowed in an experiment spec");
-    unsigned shards = static_cast<unsigned>(sweep.u64_or("shards", 0));
+    unsigned shards = sweep.u32_or("shards", 0);
     if (overrides.shards) shards = *overrides.shards;
     sweep.finish();
     if (experiment_sec == nullptr) {
@@ -876,7 +891,7 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
                   "expected fast, exact, legacy, or fast-simd, got '" + engine + "'");
       }
       if (overrides.engine) cfg.engine = *overrides.engine;
-      const auto window = static_cast<unsigned>(eview.u64_or("window", 0));
+      const unsigned window = eview.u32_or("window", 0);
       eview.finish();
       if (ctx.ok() && universe) {
         try {

@@ -1,14 +1,16 @@
 // The fast-simd engine's correctness anchors:
 //   - counter rng identity with the splitmix64 stream it compresses;
-//   - the randomized equivalence fuzz pinning core::sample_pair_counter
-//     (scalar fallback, AVX2 and AVX-512, each when the host has it)
-//     decision-for-decision against the normative
-//     mc::sample_version_pair_counter_reference;
+//   - the randomized equivalence fuzz pinning the counter kernel (scalar,
+//     AVX2 and AVX-512, each when the host has it) decision-for-decision
+//     against the normative mc::sample_version_pair_counter_reference, both
+//     as the batch API lays one stream across the lanes and as
+//     core::sample_pair_counter_lanes runs eight streams, one per lane;
 //   - universe permutation round-trips (indices, masks, q values) and the
 //     regression that a permuted heterogeneous universe becomes mostly
 //     bit-sliceable (make_sample_blocks re-derivation after remap);
 //   - bit-identity of run_experiment across thread counts AND SIMD dispatch
-//     levels, shard-window splits, and the manifest wire codec;
+//     levels, shard-window splits, kept samples against the reference shard
+//     loop, and the manifest wire codec;
 //   - the xoshiro256++ lane kernel against mc::common_cause_mixture::
 //     sample_mask on a scalar copy of every lane's stream, at every level
 //     and every live-lane count;
@@ -201,8 +203,10 @@ void expect_masks_equal(const core::fault_mask& got, const core::fault_mask& wan
   }
 }
 
-/// One fuzz case: every pair of the batch window must match the reference
-/// at the given dispatch level.
+/// One fuzz case at the given dispatch level: every pair of the batch window
+/// must match the reference, and so must every live lane of
+/// sample_pair_counter_lanes on its own key, for every live-lane count, with
+/// the spare lanes' masks left as they were.
 void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
                           core::simd_level level, const std::string& what) {
   const auto plan = core::make_counter_sample_plan(u);
@@ -224,6 +228,34 @@ void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
   core::sample_pair_counter(plan, u, key, /*pair_index=*/7, sa, sb, level);
   expect_masks_equal(sa, a[7], what + " seek (a)");
   expect_masks_equal(sb, b[7], what + " seek (b)");
+
+  // Eight distinct streams, one per lane.  A spare lane holds a 7-bit mask
+  // with a bit set, which a draw would resize or rewrite.
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  std::array<std::uint64_t, kLanes> keys{};
+  for (unsigned l = 0; l < kLanes; ++l) keys[l] = stats::counter_stream_key(key, l);
+  core::fault_mask spare(7);
+  spare.set(3);
+  for (unsigned live = 0; live <= kLanes; ++live) {
+    std::array<core::fault_mask, kLanes> la;
+    std::array<core::fault_mask, kLanes> lb;
+    la.fill(spare);
+    lb.fill(spare);
+    const std::uint64_t pair = 3 * live + 1;
+    core::sample_pair_counter_lanes(plan, u, keys, pair, la, lb, live, level);
+    for (unsigned l = 0; l < kLanes; ++l) {
+      const std::string at =
+          what + " live " + std::to_string(live) + " lane " + std::to_string(l);
+      if (l < live) {
+        mc::sample_version_pair_counter_reference(u, keys[l], pair, ra, rb);
+        expect_masks_equal(la[l], ra, at + " (a)");
+        expect_masks_equal(lb[l], rb, at + " (b)");
+      } else {
+        expect_masks_equal(la[l], spare, at + " (spare a)");
+        expect_masks_equal(lb[l], spare, at + " (spare b)");
+      }
+    }
+  }
 }
 
 /// 2011 faults rarer than the 2^-32 grid (p = 1e-12) with three p = 0.1
@@ -239,8 +271,26 @@ core::fault_universe make_off_grid_universe(std::uint64_t seed) {
   return core::fault_universe(std::move(atoms));
 }
 
-/// The ~120-universe fuzz corpus: random heterogeneous universes (every word
-/// kind: slice, paired32, wide53, degenerate) × keys.
+/// 100 faults with random p in (0, 0.9), so both words (the second partial)
+/// are mixed and on the 2^-32 grid, i.e. paired32, each holding a p = 0 atom,
+/// a p = 1 atom and a p = 1 - 2^-33 atom.  The last two have the 32-bit
+/// threshold 2^32, which no 32-bit operand holds (the degenerate corpus
+/// below puts p = 0 and p = 1 only in whole zero and one words).
+core::fault_universe make_saturated_universe(std::uint64_t seed) {
+  stats::rng r(seed);
+  std::vector<core::fault_atom> atoms;
+  for (std::size_t i = 0; i < 100; ++i) atoms.push_back({0.9 * r.uniform(), 0.005});
+  for (const std::size_t lo : {std::size_t{0}, std::size_t{64}}) {
+    const std::size_t occupancy = lo == 0 ? 64 : 36;
+    atoms[lo + seed % occupancy].p = 0.0;
+    atoms[lo + (seed + 7) % occupancy].p = 1.0;
+    atoms[lo + (seed + 13) % occupancy].p = 1.0 - 0x1p-33;
+  }
+  return core::fault_universe(std::move(atoms));
+}
+
+/// The ~140-universe fuzz corpus: random heterogeneous universes (every word
+/// kind: slice, paired32, wide53, degenerate, saturated) × keys.
 void run_equivalence_fuzz(core::simd_level level) {
   const std::string lvl = core::simd_level_name(level);
   int cases = 0;
@@ -268,9 +318,16 @@ void run_equivalence_fuzz(core::simd_level level) {
     const core::fault_universe off_grid = make_off_grid_universe(seed);
     ASSERT_FALSE(off_grid.fast32_grid_safe());
     run_equivalence_case(off_grid, key, level, lvl + " off-grid/" + std::to_string(seed));
-    cases += 6;
+    const core::fault_universe saturated = make_saturated_universe(seed);
+    const core::counter_sample_plan plan = core::make_counter_sample_plan(saturated);
+    for (const core::counter_word_plan& w : plan.words) {
+      ASSERT_EQ(w.kind, core::counter_word_kind::paired32);
+      ASSERT_EQ(std::popcount(w.saturated), 2);
+    }
+    run_equivalence_case(saturated, key, level, lvl + " saturated/" + std::to_string(seed));
+    cases += 7;
   }
-  EXPECT_GE(cases, 100);
+  EXPECT_GE(cases, 140);
 }
 
 TEST(SimdEquivalenceFuzz, ScalarFallbackMatchesReference) {
@@ -396,19 +453,20 @@ bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+bool moments_bits_equal(const stats::running_moments_state& a,
+                        const stats::running_moments_state& b) {
+  return a.count == b.count && bits_equal(a.m1, b.m1) && bits_equal(a.m2, b.m2) &&
+         bits_equal(a.m3, b.m3) && bits_equal(a.m4, b.m4) && bits_equal(a.min, b.min) &&
+         bits_equal(a.max, b.max);
+}
+
 /// Lane l of `got` against an experiment_accumulator's state, field by field
 /// and bit for bit.
 void expect_lane_state(const core::accumulator_lanes& got, unsigned l,
                        const mc::accumulator_state& want, const std::string& what) {
-  const auto moments_equal = [](const stats::running_moments_state& a,
-                                const stats::running_moments_state& b) {
-    return a.count == b.count && bits_equal(a.m1, b.m1) && bits_equal(a.m2, b.m2) &&
-           bits_equal(a.m3, b.m3) && bits_equal(a.m4, b.m4) && bits_equal(a.min, b.min) &&
-           bits_equal(a.max, b.max);
-  };
   EXPECT_EQ(got.samples[l], want.samples) << what;
-  EXPECT_TRUE(moments_equal(got.theta1_state(l), want.theta1)) << what << " theta1";
-  EXPECT_TRUE(moments_equal(got.theta2_state(l), want.theta2)) << what << " theta2";
+  EXPECT_TRUE(moments_bits_equal(got.theta1_state(l), want.theta1)) << what << " theta1";
+  EXPECT_TRUE(moments_bits_equal(got.theta2_state(l), want.theta2)) << what << " theta2";
   EXPECT_EQ(got.n1_positive[l], want.n1_positive) << what;
   EXPECT_EQ(got.n2_positive[l], want.n2_positive) << what;
   EXPECT_EQ(got.n1_zero_pfd[l], want.n1_zero_pfd) << what;
@@ -542,19 +600,47 @@ TEST(LaneFold, RejectsBadShapes) {
 // Engine-level bit-identity
 // ---------------------------------------------------------------------------
 
+/// The bits of every value, in order.
+std::vector<std::uint64_t> value_bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> bits;
+  for (const double x : v) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+/// An experiment_result as the accumulator_state it was packaged from.
+mc::accumulator_state result_state(const mc::experiment_result& r) {
+  mc::accumulator_state s;
+  s.samples = r.samples;
+  s.theta1 = r.theta1.state();
+  s.theta2 = r.theta2.state();
+  s.n1_positive = r.n1_positive;
+  s.n2_positive = r.n2_positive;
+  s.n1_zero_pfd = r.n1_zero_pfd;
+  s.n2_zero_pfd = r.n2_zero_pfd;
+  s.keeping_samples = r.theta1_samples.has_value();
+  if (r.theta1_samples) s.theta1_samples = *r.theta1_samples;
+  if (r.theta2_samples) s.theta2_samples = *r.theta2_samples;
+  return s;
+}
+
+/// The shard layout and the full accumulator_state, bit for bit: every
+/// moment, min and max, counter and kept sample.
 void expect_results_identical(const mc::experiment_result& x,
                               const mc::experiment_result& y,
                               const std::string& what) {
-  EXPECT_EQ(x.samples, y.samples) << what;
   EXPECT_EQ(x.shards, y.shards) << what;
-  EXPECT_EQ(x.theta1.mean(), y.theta1.mean()) << what;
-  EXPECT_EQ(x.theta1.variance(), y.theta1.variance()) << what;
-  EXPECT_EQ(x.theta2.mean(), y.theta2.mean()) << what;
-  EXPECT_EQ(x.theta2.variance(), y.theta2.variance()) << what;
-  EXPECT_EQ(x.n1_positive, y.n1_positive) << what;
-  EXPECT_EQ(x.n2_positive, y.n2_positive) << what;
-  EXPECT_EQ(x.n1_zero_pfd, y.n1_zero_pfd) << what;
-  EXPECT_EQ(x.n2_zero_pfd, y.n2_zero_pfd) << what;
+  const mc::accumulator_state sx = result_state(x);
+  const mc::accumulator_state sy = result_state(y);
+  EXPECT_EQ(sx.samples, sy.samples) << what;
+  EXPECT_TRUE(moments_bits_equal(sx.theta1, sy.theta1)) << what << " theta1";
+  EXPECT_TRUE(moments_bits_equal(sx.theta2, sy.theta2)) << what << " theta2";
+  EXPECT_EQ(sx.n1_positive, sy.n1_positive) << what;
+  EXPECT_EQ(sx.n2_positive, sy.n2_positive) << what;
+  EXPECT_EQ(sx.n1_zero_pfd, sy.n1_zero_pfd) << what;
+  EXPECT_EQ(sx.n2_zero_pfd, sy.n2_zero_pfd) << what;
+  EXPECT_EQ(sx.keeping_samples, sy.keeping_samples) << what;
+  EXPECT_EQ(value_bits(sx.theta1_samples), value_bits(sy.theta1_samples)) << what;
+  EXPECT_EQ(value_bits(sx.theta2_samples), value_bits(sy.theta2_samples)) << what;
 }
 
 TEST(FastSimdEngine, BitIdenticalAcrossThreadCounts) {
@@ -625,6 +711,59 @@ TEST(FastSimdEngine, ShardWindowSplitReproducesFullRun) {
   auto windowed = wacc.to_result(cfg.ci_level);
   windowed.shards = shards;
   expect_results_identical(windowed, full, "window merge");
+}
+
+TEST(FastSimdEngine, KeptSamplesMatchReferenceShardLoop) {
+  // keep_samples runs go through the lane groups as well: every kept θ, and
+  // the whole state, must be what the reference loop records shard by shard
+  // in ascending order.  13 shards of 1003 pairs: a partial last group, and
+  // shards 0-1 one pair longer than the rest.  The universes give slice and
+  // paired32 words (the scattered palette) and wide53 words (off-grid).
+  const core::fault_universe universes[] = {make_scattered_palette_universe(200, 5),
+                                            make_off_grid_universe(4)};
+  for (const core::fault_universe& u : universes) {
+    mc::experiment_config cfg;
+    cfg.samples = 1003;
+    cfg.seed = 31;
+    cfg.shards = 13;
+    cfg.keep_samples = true;
+    cfg.engine = mc::sampling_engine::fast_simd;
+    const core::fault_universe pu = core::make_p_sorted_permutation(u).universe;
+    const mc::shard_plan plan = mc::make_shard_plan(cfg.samples, cfg.shards);
+    mc::experiment_accumulator want_acc(true);
+    core::fault_mask a;
+    core::fault_mask b;
+    for (unsigned shard = 0; shard < plan.shard_count; ++shard) {
+      mc::experiment_accumulator acc(true);
+      const std::uint64_t key = stats::counter_stream_key(cfg.seed, shard);
+      for (std::uint64_t s = 0; s < plan.shard_samples(shard); ++s) {
+        mc::sample_version_pair_counter_reference(pu, key, s, a, b);
+        const core::pair_intersection_result pair = core::intersect_q_sum(a, b, pu.q_array());
+        acc.add(core::masked_q_sum(a, pu.q_array()), pair.pfd, a.any(), pair.any_common);
+      }
+      want_acc.merge(acc);
+    }
+    mc::experiment_result want = want_acc.to_result(cfg.ci_level);
+    want.shards = plan.shard_count;
+    ASSERT_EQ(want.theta1_samples->size(), cfg.samples);
+    const std::string name = std::to_string(u.size()) + " faults";
+    for (const unsigned threads : {1u, 3u}) {
+      cfg.threads = threads;
+      expect_results_identical(mc::run_experiment(u, cfg), want,
+                               name + " threads=" + std::to_string(threads));
+    }
+    // Windows of five shards, each its own partial group, merged in order.
+    const mc::experiment_manifest m = mc::make_experiment_manifest(u, cfg, 5);
+    mc::experiment_accumulator windowed_acc(true);
+    for (std::uint64_t w = 0; w < m.window_count(); ++w) {
+      for (const mc::accumulator_state& st : mc::run_experiment_window(m, w, 2).shard_states) {
+        windowed_acc.merge(mc::experiment_accumulator::from_state(st));
+      }
+    }
+    mc::experiment_result windowed = windowed_acc.to_result(cfg.ci_level);
+    windowed.shards = plan.shard_count;
+    expect_results_identical(windowed, want, name + " window merge");
+  }
 }
 
 TEST(FastSimdEngine, StatisticalSanityVsFastEngine) {

@@ -286,6 +286,48 @@ TEST(SweepSpec, DiagnosticsCarryExactPositions) {
   EXPECT_EQ(sample.render(), "f.spec:12: rho: boom");
 }
 
+TEST(SweepSpec, ShardsAndWindowPastThirtyTwoBitsRejected) {
+  // The library holds shards and window as unsigned counts, so a value past
+  // 2^32 - 1 is an error at its line: truncated, 4294967297 experiment
+  // shards would run as 1, 4294967298 scenario shards as 2 per cell, and
+  // window 4294967296 as 0, one window over every shard.
+  const auto experiment = [](const std::string& sweep_extra, const std::string& exp_extra) {
+    return "[sweep]\nkind = experiment\nseed = 2026\n" + sweep_extra +
+           "[universe u]\ngenerator = safety_grade\nfaults = 24\np_hi = 0.05\n"
+           "[experiment]\nuniverse = u\nsamples = 50000\n" +
+           exp_extra;
+  };
+  const auto scenario = [](const std::string& sweep_extra) {
+    return "[sweep]\nkind = scenario\nseed = 2026\n" + sweep_extra +
+           "[universe u]\ngenerator = safety_grade\nfaults = 24\np_hi = 0.05\n"
+           "[axes]\nbudget = 2000\n";
+  };
+  struct row {
+    std::string text;
+    std::size_t line;
+    std::string field;
+  };
+  const row rows[] = {
+      {experiment("shards = 4294967297\n", ""), 4, "shards"},
+      {scenario("shards = 4294967298\n"), 4, "shards"},
+      {experiment("", "window = 4294967296\n"), 11, "window"},
+  };
+  for (const row& r : rows) {
+    const auto errors = parse_errors(r.text);
+    EXPECT_TRUE(has_error(errors, r.line, r.field)) << r.text;
+    if (errors.empty()) continue;
+    EXPECT_NE(errors.front().message.find("overflows the 32-bit unsigned integer range"),
+              std::string::npos)
+        << errors.front().render();
+  }
+  // 2^32 - 1 itself still parses: the shard plan caps it at the budget.
+  const mc::sweep_spec top = parse_ok(experiment("shards = 4294967295\n", "window = 4294967295\n"));
+  const auto& m = std::get<mc::experiment_manifest>(top.manifest);
+  EXPECT_EQ(m.shards, 50000u);
+  EXPECT_EQ(m.window, 4294967295u);
+  EXPECT_EQ(m.window_count(), 1u);
+}
+
 TEST(SweepSpec, InfeasibleValuesArePositionedNotThrown) {
   // Mixture rho out of range -> the [axes] line, via enumerate_cells.
   const auto errors = parse_errors(

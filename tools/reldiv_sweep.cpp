@@ -745,7 +745,8 @@ constexpr command kCommands[] = {
      "  --mode KIND          scenario (default) | demand | experiment\n"
      "  --preset NAME        smoke (default) | ci: examples/specs/<mode>_<name>.spec\n"
      "  --seed N             campaign seed (default 2026; overrides the spec)\n"
-     "  --shards N           scenario: per-cell logical shards (0 = budget-scaled)\n"
+     "  --shards N           logical shards: per cell (scenario) or for the run\n"
+     "                       (experiment); 0 = budget-scaled\n"
      "  --budget N           scenario/experiment: samples; demand: demands per target\n"
      "  --engine NAME        experiment engine: fast (default) | exact | legacy |\n"
      "                       fast-simd\n"
