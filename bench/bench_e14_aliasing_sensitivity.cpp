@@ -68,11 +68,7 @@ int main() {
                      "than of code defects' — done here, and it is exact");
 
   benchutil::section("sampled mistake-level process agrees with the effective model");
-  struct adapter {
-    const mc::aliased_model* m;
-    [[nodiscard]] mc::version sample(stats::rng& r) const { return m->sample(r); }
-  };
-  const auto run = mc::run_correlated(eff, adapter{&model}, 300000, 142);
+  const auto run = mc::run_correlated(eff, model, 300000, 142);
   std::printf("  MC mean Theta1 (mistake-level sampling): %s vs exact %s\n",
               benchutil::sci(run.mean_theta1).c_str(),
               benchutil::sci(core::single_version_moments(eff).mean).c_str());

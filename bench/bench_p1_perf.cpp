@@ -154,11 +154,6 @@ void run_experiment_bench(benchmark::State& state, mc::sampling_engine engine) {
                           static_cast<std::int64_t>(cfg.samples));
 }
 
-void BM_RunExperimentLegacy(benchmark::State& state) {
-  run_experiment_bench(state, mc::sampling_engine::legacy);
-}
-BENCHMARK(BM_RunExperimentLegacy)->Unit(benchmark::kMillisecond)->UseRealTime();
-
 void BM_RunExperimentExact(benchmark::State& state) {
   run_experiment_bench(state, mc::sampling_engine::exact);
 }

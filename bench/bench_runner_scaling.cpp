@@ -1,9 +1,8 @@
-// P2 (runner) — throughput of the deterministic sharded runner vs the
-// serial single-stream baseline, recorded to BENCH_p2.json by
-// bench/run_bench.sh.  The determinism contract says thread count changes
-// throughput only; this file measures how much throughput it buys, for the
-// correlated runner (newly multithreaded this PR) and the plain experiment
-// runner.
+// P2 (runner) — throughput of the deterministic sharded runners across
+// worker counts, recorded to BENCH_p2.json by bench/run_bench.sh.  The
+// determinism contract says thread count changes throughput only; this file
+// measures how much throughput it buys, for the correlated runner and the
+// plain experiment runner (one thread is each one's baseline).
 //
 // Thread-count args: 0 means hardware_concurrency (the shipping default).
 
@@ -32,19 +31,6 @@ const mc::common_cause_mixture& bench_mixture() {
   static const mc::common_cause_mixture mix(bench_universe(), 0.3, 1.5);
   return mix;
 }
-
-// Serial baseline: the pre-shard-runner single-stream loop.
-void BM_RunCorrelatedSerial(benchmark::State& state) {
-  const auto& u = bench_universe();
-  const auto& mix = bench_mixture();
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mc::run_correlated_serial(u, mix, kSamples, seed++));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kSamples));
-}
-BENCHMARK(BM_RunCorrelatedSerial)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Sharded runner at various worker counts (results are identical across all
 // of them — that is the point — so this isolates the threading overhead and

@@ -5,9 +5,9 @@ checked-in BENCH_p*.json baselines and fail on a real throughput regression.
 Two kinds of comparison:
 
 * KEY COUNTERS (gate): the speedup ratios of the optimized paths over their
-  in-file serial baselines — legacy vs fast engine, serial vs sharded
-  correlated runner, serial vs campaign KL scoring, paired vs grouped
-  sampling.  A single-threaded ratio divides out the machine, so a baseline
+  in-file baselines — exact vs fast engine, sparse vs mask sampling, one
+  thread vs all of them for the correlated runner, serial vs campaign KL
+  scoring, paired vs grouped sampling.  A single-threaded ratio divides out the machine, so a baseline
   recorded on one host gates a fresh run on another: if the fast path's
   advantage over its own baseline shrank by more than --max-regression
   (default 25%), the optimization regressed and the job FAILS.  Ratios whose
@@ -55,17 +55,17 @@ import sys
 #   "avx2"       capped at AVX2: the same kernels on every host that reaches
 #                AVX2, so these gate whenever both levels are at least avx2.
 KEY_RATIOS = [
-    ("run_experiment fast engine vs legacy",
-     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFast/real_time",
+    ("run_experiment fast engine vs exact",
+     "BM_RunExperimentExact/real_time", "BM_RunExperimentFast/real_time",
      False, None),
-    ("run_experiment exact engine vs legacy",
-     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentExact/real_time",
+    ("uniform-p word-parallel sampler vs exact",
+     "BM_RunExperimentExact/real_time", "BM_RunExperimentFastUniformP/real_time",
      False, None),
-    ("uniform-p word-parallel sampler vs legacy",
-     "BM_RunExperimentLegacy/real_time", "BM_RunExperimentFastUniformP/real_time",
+    ("exact mask sampler vs sparse sample_version n=1024",
+     "BM_SampleVersion/1024", "BM_SampleVersionMaskExact/1024",
      False, None),
-    ("run_correlated sharded(hw) vs serial",
-     "BM_RunCorrelatedSerial/real_time", "BM_RunCorrelatedSharded/0/real_time",
+    ("run_correlated sharded(hw) vs one thread",
+     "BM_RunCorrelatedSharded/1/real_time", "BM_RunCorrelatedSharded/0/real_time",
      True, None),
     ("KL empirical scoring campaign(hw) vs serial",
      "BM_KLScoreSerialBaseline/real_time", "BM_KLScoreCampaign/0/real_time",

@@ -3,11 +3,11 @@
 # and record google-benchmark JSON so the perf trajectory is tracked across
 # PRs:
 #   BENCH_p1.json — kernel + end-to-end engine comparison (bench_p1_perf;
-#                   BM_RunExperimentLegacy is the pre-bitset baseline,
-#                   BM_RunExperimentFast the shipping engine).
-#   BENCH_p2.json — deterministic sharded-runner throughput vs the serial
-#                   single-stream baseline (bench_runner_scaling; the
-#                   correlated runner's serial loop is the pre-shard-runner
+#                   BM_RunExperimentExact is the bit-exact reference engine,
+#                   BM_RunExperimentFast the shipping one, BM_SampleVersion
+#                   the sparse sampler the mask kernels replaced).
+#   BENCH_p2.json — deterministic sharded-runner throughput across worker
+#                   counts (bench_runner_scaling; one thread is the
 #                   baseline).
 #   BENCH_p3.json — unified campaign layer (bench_campaign_scaling): KL
 #                   empirical scoring serial baseline vs the multithreaded
@@ -93,18 +93,23 @@ def load(path):
     return {b["name"]: b["real_time"] for b in benches if "real_time" in b}
 
 times = load(sys.argv[1])
-legacy = times.get("BM_RunExperimentLegacy/real_time")
+exact = times.get("BM_RunExperimentExact/real_time")
 fast = times.get("BM_RunExperimentFast/real_time")
-if legacy and fast:
-    print(f"run_experiment n=1024: legacy {legacy:.2f}ms -> fast {fast:.2f}ms "
-          f"({legacy / fast:.2f}x)")
+if exact and fast:
+    print(f"run_experiment n=1024: exact {exact:.2f}ms -> fast {fast:.2f}ms "
+          f"({exact / fast:.2f}x)")
+sparse = times.get("BM_SampleVersion/1024")
+mask = times.get("BM_SampleVersionMaskExact/1024")
+if sparse and mask:
+    print(f"sample_version n=1024: sparse {sparse:.0f}ns -> exact mask {mask:.0f}ns "
+          f"({sparse / mask:.2f}x)")
 
 p2 = load(sys.argv[2])
-serial = p2.get("BM_RunCorrelatedSerial/real_time")
+one = p2.get("BM_RunCorrelatedSharded/1/real_time")
 sharded = p2.get("BM_RunCorrelatedSharded/0/real_time")  # 0 = hardware threads
-if serial and sharded:
-    print(f"run_correlated n=256: serial {serial:.2f}ms -> sharded(hw) {sharded:.2f}ms "
-          f"({serial / sharded:.2f}x)")
+if one and sharded:
+    print(f"run_correlated n=256: 1 thread {one:.2f}ms -> sharded(hw) {sharded:.2f}ms "
+          f"({one / sharded:.2f}x)")
 
 p3 = load(sys.argv[3])
 kl_serial = p3.get("BM_KLScoreSerialBaseline/real_time")

@@ -30,6 +30,7 @@
 #include "core/simd_sampler.hpp"
 #include "mc/experiment.hpp"
 #include "mc/sampler.hpp"
+#include "mc/shard_lanes.hpp"
 #include "mc/shard_runner.hpp"
 #include "stats/random.hpp"
 
@@ -93,8 +94,7 @@ class gaussian_copula_sampler {
 };
 
 /// Correlated-development experiment: same outputs as run_experiment but
-/// versions are drawn from `sampler` (anything with
-/// `version sample(stats::rng&) const`).
+/// versions are drawn from `sampler`.
 struct correlated_result {
   double mean_theta1 = 0.0;
   double mean_theta2 = 0.0;
@@ -102,7 +102,7 @@ struct correlated_result {
   double prob_n2_positive = 0.0;
   double risk_ratio = 0.0;  ///< empirical eq. (10)
   std::uint64_t samples = 0;
-  unsigned shards = 0;  ///< logical shard layout (result identity; 0 = serial)
+  unsigned shards = 0;  ///< logical shard layout (part of the result's identity)
 };
 
 /// Runner knobs for run_correlated.  Like run_experiment, thread count is a
@@ -114,68 +114,17 @@ struct correlated_config {
                          ///< default_logical_shards(samples)
 };
 
-namespace detail {
-
-/// Shared inner loop of the serial and sharded correlated runners: draw
-/// `samples` pairs from `sampler` using `r` and fold them into `acc`.
-/// Prefers the allocation-free mask path when the sampler provides one.
-template <typename Sampler>
-void accumulate_correlated(const core::fault_universe& u, const Sampler& sampler,
-                           std::uint64_t samples, stats::rng& r,
-                           experiment_accumulator& acc) {
-  constexpr bool has_mask_path =
-      requires(const Sampler& s, stats::rng& rr, core::fault_mask& m) {
-        s.sample_mask(rr, m);
-      };
-  if constexpr (has_mask_path) {
-    // Bitset path: two reused scratch masks, allocation-free steady state.
-    core::fault_mask a(u.size());
-    core::fault_mask b(u.size());
-    for (std::uint64_t s = 0; s < samples; ++s) {
-      sampler.sample_mask(r, a);
-      sampler.sample_mask(r, b);
-      if (a.bit_size() != u.size() || b.bit_size() != u.size()) {
-        // Same guard the sparse path gets from pfd_of's range check.
-        throw std::out_of_range("run_correlated: sampler does not match universe");
-      }
-      const double t1 = core::masked_q_sum(a, u.q_array());
-      const auto pair = core::intersect_q_sum(a, b, u.q_array());
-      acc.add(t1, pair.pfd, a.any(), pair.any_common);
-    }
-  } else {
-    for (std::uint64_t s = 0; s < samples; ++s) {
-      const version a = sampler.sample(r);
-      const version b = sampler.sample(r);
-      acc.add(pfd_of(a, u), pair_pfd(a, b, u), a.has_fault(),
-              !common_faults(a, b).empty());
-    }
-  }
-}
-
-[[nodiscard]] inline correlated_result to_correlated_result(
-    const experiment_accumulator& acc) {
-  correlated_result out;
-  out.samples = acc.samples();
-  const auto n = static_cast<double>(acc.samples());
-  out.mean_theta1 = acc.theta1().mean();
-  out.mean_theta2 = acc.theta2().mean();
-  out.prob_n1_positive = static_cast<double>(acc.n1_positive()) / n;
-  out.prob_n2_positive = static_cast<double>(acc.n2_positive()) / n;
-  out.risk_ratio = acc.n1_positive() > 0
-                       ? static_cast<double>(acc.n2_positive()) /
-                             static_cast<double>(acc.n1_positive())
-                       : 0.0;
-  return out;
-}
-
-}  // namespace detail
-
-/// Multithreaded correlated runner on the shard_runner subsystem: the sample
-/// budget is split over fixed logical shards, each with its own
-/// stats::rng::stream(seed, shard), so results do not depend on
-/// cfg.threads.  `Sampler::sample(_mask)` must be const-thread-safe (all
-/// samplers in this library are: their const methods only read immutable
-/// tables).
+/// Multithreaded correlated runner on the lane group loop: the sample
+/// budget is split over fixed logical shards, each drawing its pairs from
+/// its own stats::rng::stream(seed, shard) — version a, then version b — and
+/// folding θ1 = Σq over a's faults and θ2 = Σq over the faults a and b
+/// share.  Shards run eight per lane group (mc::run_sampler_lanes), so
+/// results do not depend on cfg.threads.  `sampler` needs
+/// `sample_mask(stats::rng&, core::fault_mask&) const`, and draws through
+/// `sample_mask_lanes` when it also has that lane kernel (the mixture does);
+/// both must be const-thread-safe (all samplers in this library are: their
+/// const methods only read immutable tables).  Throws std::out_of_range when
+/// the sampler draws masks of another size than `u`.
 template <typename Sampler>
 [[nodiscard]] correlated_result run_correlated(const core::fault_universe& u,
                                                const Sampler& sampler,
@@ -183,33 +132,25 @@ template <typename Sampler>
                                                const correlated_config& cfg = {}) {
   if (samples == 0) throw std::invalid_argument("run_correlated: samples > 0");
   const shard_plan plan = make_shard_plan(samples, cfg.shards);
+  const lane_fold fold{2, 2, 1.0, u.q_array(), core::active_simd_level()};
   experiment_accumulator total;
-  run_shards(
-      plan, seed, cfg.threads,
-      [&u, &sampler](unsigned /*shard*/, std::uint64_t count, stats::rng& r) {
-        experiment_accumulator acc;
-        detail::accumulate_correlated(u, sampler, count, r, acc);
-        return acc;
-      },
-      [&total](unsigned /*shard*/, experiment_accumulator&& acc) { total.merge(acc); });
-  correlated_result out = detail::to_correlated_result(total);
+  run_sampler_lanes(sampler, plan, seed, cfg.threads, fold,
+                    [&total](unsigned /*shard*/, experiment_accumulator&& acc) {
+                      total.merge(acc);
+                    });
+  correlated_result out;
+  out.samples = total.samples();
+  const auto n = static_cast<double>(total.samples());
+  out.mean_theta1 = total.theta1().mean();
+  out.mean_theta2 = total.theta2().mean();
+  out.prob_n1_positive = static_cast<double>(total.n1_positive()) / n;
+  out.prob_n2_positive = static_cast<double>(total.n2_positive()) / n;
+  out.risk_ratio = total.n1_positive() > 0
+                       ? static_cast<double>(total.n2_positive()) /
+                             static_cast<double>(total.n1_positive())
+                       : 0.0;
   out.shards = plan.shard_count;
   return out;
-}
-
-/// Single-threaded single-stream reference runner (the pre-shard-runner
-/// layout: one rng(seed) consumed sequentially).  Kept as the statistical
-/// baseline the sharded runner is tested and benchmarked against.
-template <typename Sampler>
-[[nodiscard]] correlated_result run_correlated_serial(const core::fault_universe& u,
-                                                      const Sampler& sampler,
-                                                      std::uint64_t samples,
-                                                      std::uint64_t seed) {
-  if (samples == 0) throw std::invalid_argument("run_correlated: samples > 0");
-  stats::rng r(seed);
-  experiment_accumulator acc;
-  detail::accumulate_correlated(u, sampler, samples, r, acc);
-  return detail::to_correlated_result(acc);
 }
 
 /// The §6.1 "merge positively correlated faults" approximation: collapse

@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,141 +19,148 @@ namespace reldiv::mc {
 
 namespace {
 
-/// Legacy sparse shard: per-sample heap-allocated index vectors and scalar
-/// merges.  Retained as the benchmark/regression baseline for the bitset
-/// engine.
-experiment_accumulator run_shard_legacy(const core::fault_universe& u,
-                                        std::uint64_t samples, stats::rng r,
-                                        bool keep_samples) {
-  experiment_accumulator acc(keep_samples);
-  for (std::uint64_t s = 0; s < samples; ++s) {
-    const version a = sample_version(u, r);
-    const version b = sample_version(u, r);
-    const double t1 = pfd_of(a, u);
-    const double t2 = pair_pfd(a, b, u);
-    acc.add(t1, t2, a.has_fault(), !common_faults(a, b).empty());
-  }
-  return acc;
+/// The one engine name table: spec files, the command line and the spec
+/// writer all read it.
+struct engine_row {
+  sampling_engine engine;
+  std::string_view name;
+};
+constexpr engine_row kEngines[] = {
+    {sampling_engine::fast, "fast"},
+    {sampling_engine::exact, "exact"},
+    {sampling_engine::fast_simd, "fast-simd"},
+};
+
+/// What a spec, a flag or a manifest naming the retired engine is told.
+constexpr const char* kLegacyRetired =
+    "the 'legacy' engine was retired; 'exact' gives the same results bit for bit";
+
+/// A scalar pair kernel: versions a and b of one pair, drawn from `r`.
+using pair_kernel = void (*)(const core::fault_universe&, stats::rng&, core::fault_mask&,
+                             core::fault_mask&);
+
+void sample_exact_pair(const core::fault_universe& u, stats::rng& r, core::fault_mask& a,
+                       core::fault_mask& b) {
+  sample_version_mask(u, r, a);
+  sample_version_mask(u, r, b);
 }
 
-/// Bitset shard: the two scratch masks are allocated once up front and
-/// rewritten in place, so the steady-state loop performs zero heap
-/// allocations; n2_positive falls out of the fused intersection kernel.
-experiment_accumulator run_shard_mask(const core::fault_universe& u,
-                                      std::uint64_t samples, stats::rng r,
-                                      bool keep_samples, bool exact_stream) {
-  experiment_accumulator acc(keep_samples);
-  core::fault_mask a(u.size());
-  core::fault_mask b(u.size());
+void sample_uniform_pair(const core::fault_universe& u, stats::rng& r, core::fault_mask& a,
+                         core::fault_mask& b) {
+  sample_version_mask_uniform(u, r, a);
+  sample_version_mask_uniform(u, r, b);
+}
+
+/// The pair kernel of the `fast` or `exact` engine on `u`, chosen once per
+/// run.
+pair_kernel choose_pair_kernel(const core::fault_universe& u, sampling_engine engine) {
+  if (engine == sampling_engine::exact) return sample_exact_pair;
   // Word-parallel sampling costs 53 - countr_zero(threshold) rng words per
   // 64 faults per version; the paired sampler costs 64 per 64 faults per
   // PAIR.  Pick bit-slice only when the shared p's threshold makes it the
   // cheaper of the two (e.g. p = 0.5 needs a single word per 64 faults).
-  bool word_parallel = false;
-  if (!exact_stream && u.has_uniform_p()) {
+  if (u.has_uniform_p()) {
     const std::uint64_t t = core::bernoulli_threshold(u.uniform_p());
-    word_parallel = t == 0 || t == (std::uint64_t{1} << core::kBernoulliBits) ||
-                    std::countr_zero(t) >= core::kBernoulliBits - 32;
+    if (t == 0 || t == (std::uint64_t{1} << core::kBernoulliBits) ||
+        std::countr_zero(t) >= core::kBernoulliBits - 32) {
+      return sample_uniform_pair;
+    }
   }
+  // The paired kernel realizes p on the 2^-32 grid; for universes with
+  // faults rarer than that grid resolves (relative error > 1e-6) fall back
+  // to the 53-bit exact-stream kernel rather than silently oversample them.
   // Grouped universes (runs of equal p covering whole mask words, e.g.
   // concatenated make_homogeneous blocks) bit-slice the uniform words and
-  // fall back to the paired kernel elsewhere.  The paired kernel realizes p
-  // on the 2^-32 grid; for universes with faults rarer than that grid
-  // resolves (relative error > 1e-6) fall back to the 53-bit exact-stream
-  // kernel rather than silently oversample them.
-  const bool grouped = !exact_stream && !word_parallel && u.has_grouped_p() &&
-                       u.fast32_grid_safe();
-  const bool use_exact_kernel =
-      exact_stream || (!word_parallel && !grouped && !u.fast32_grid_safe());
-  for (std::uint64_t s = 0; s < samples; ++s) {
-    if (use_exact_kernel) {
-      sample_version_mask(u, r, a);
-      sample_version_mask(u, r, b);
-    } else if (word_parallel) {
-      sample_version_mask_uniform(u, r, a);
-      sample_version_mask_uniform(u, r, b);
-    } else if (grouped) {
-      sample_version_pair_grouped(u, r, a, b);
-    } else {
-      sample_version_pair_fast(u, r, a, b);
-    }
-    const double t1 = core::masked_q_sum(a, u.q_array());
-    const auto pair = core::intersect_q_sum(a, b, u.q_array());
-    acc.add(t1, pair.pfd, a.any(), pair.any_common);
-  }
-  return acc;
+  // take the paired kernel elsewhere.
+  if (!u.fast32_grid_safe()) return sample_exact_pair;
+  return u.has_grouped_p() ? sample_version_pair_grouped : sample_version_pair_fast;
 }
 
-/// Everything the fast-simd engine precomputes ONCE per run (never per
-/// shard, never per sample): the p-sorted relayout of the universe, the
-/// frozen counter-sampling plan over the permuted layout, and the dispatch
-/// level.  Pinning the level here also guarantees every shard of a run uses
-/// the same kernels even if a test flips the cap concurrently.
-struct simd_engine_context {
-  core::universe_permutation perm;
-  core::counter_sample_plan plan;
-  core::simd_level level = core::simd_level::scalar;
-};
-
-simd_engine_context make_simd_engine_context(const core::fault_universe& u) {
-  simd_engine_context ctx;
-  ctx.perm = core::make_p_sorted_permutation(u);
-  ctx.plan = core::make_counter_sample_plan(ctx.perm.universe);
-  ctx.level = core::active_simd_level();
-  return ctx;
-}
-
-/// fast-simd shards [shard_begin, shard_end), eight per lane group over the
-/// PERMUTED universe: lane l of a group draws its shard's stream
-/// counter_stream_key(seed, shard), pair s consuming counters [s*D,
-/// (s+1)*D), and the two-channel fold (votes 2, ω = 1) records exactly what
-/// experiment_accumulator::add of masked_q_sum and intersect_q_sum records
-/// (1.0·x = x; both sums ascend from +0.0).  θ accumulation runs over the
-/// permuted q layout, which is part of this engine's pinned stream contract —
-/// per-seed values are not comparable to the `fast` engine, but are
-/// bit-identical across thread counts, shard windows and SIMD levels.
+/// The one engine entry point of run_experiment_shards and
+/// run_experiment_window: shards [shard_begin, shard_end) of the experiment
+/// `cfg` defines, eight per lane group through run_shard_lanes, each handed
+/// to `merge(shard, experiment_accumulator&&)` in ascending shard order.
+/// Every engine folds two channels with votes 2 and ω = 1, which records
+/// exactly what experiment_accumulator::add of masked_q_sum and
+/// intersect_q_sum records (1.0·x = x; both sums ascend from +0.0).  The
+/// dispatch level and every per-run table are fixed here, once per call, so
+/// all shards of a run use the same kernels even if a test flips the cap
+/// concurrently.
+///   * fast, exact: lane l draws stats::rng::stream(seed, shard) through the
+///     pair kernel choose_pair_kernel picks.
+///   * fast-simd: the universe is relaid out by make_p_sorted_permutation and
+///     a counter_sample_plan frozen over it; lane l draws its shard's stream
+///     counter_stream_key(seed, shard), pair s consuming counters [s*D,
+///     (s+1)*D).  θ accumulation runs over the permuted q layout, which is
+///     part of this engine's pinned stream contract — per-seed values are
+///     not comparable to the `fast` engine, but are bit-identical across
+///     thread counts, shard windows and SIMD levels.
 template <typename Merge>
-void run_simd_shards(const core::fault_universe& u, const experiment_config& cfg,
-                     unsigned shard_begin, unsigned shard_end, Merge&& merge) {
-  const simd_engine_context ctx = make_simd_engine_context(u);
-  const core::fault_universe& pu = ctx.perm.universe;
-  const lane_fold fold{2, 2, 1.0, pu.q_array(), ctx.level, cfg.keep_samples};
-  run_shard_lanes(
-      make_shard_plan(cfg.samples, cfg.shards), shard_begin, shard_end, cfg.threads, fold,
-      [&](unsigned first, unsigned active) {
-        std::array<std::uint64_t, core::kXoshiroLanes> keys{};
-        for (unsigned l = 0; l < active; ++l) {
-          keys[l] = stats::counter_stream_key(cfg.seed, first + l);
+void run_engine_shards(const core::fault_universe& u, const experiment_config& cfg,
+                       unsigned shard_begin, unsigned shard_end, Merge&& merge) {
+  const shard_plan plan = make_shard_plan(cfg.samples, cfg.shards);
+  const core::simd_level level = core::active_simd_level();
+  if (cfg.engine == sampling_engine::fast_simd) {
+    const core::universe_permutation perm = core::make_p_sorted_permutation(u);
+    const core::fault_universe& pu = perm.universe;
+    const core::counter_sample_plan counters = core::make_counter_sample_plan(pu);
+    const lane_fold fold{2, 2, 1.0, pu.q_array(), level, cfg.keep_samples};
+    run_shard_lanes(
+        plan, shard_begin, shard_end, cfg.threads, fold,
+        [&](unsigned first, unsigned active) {
+          std::array<std::uint64_t, core::kXoshiroLanes> keys{};
+          for (unsigned l = 0; l < active; ++l) {
+            keys[l] = stats::counter_stream_key(cfg.seed, first + l);
+          }
+          return [&counters, &pu, keys, level](std::uint64_t step, unsigned live,
+                                               lane_channels& channels) {
+            core::sample_pair_counter_lanes(counters, pu, keys, step, channels[0], channels[1],
+                                            live, level);
+          };
+        },
+        std::forward<Merge>(merge));
+    return;
+  }
+  const pair_kernel kernel = choose_pair_kernel(u, cfg.engine);
+  const lane_fold fold{2, 2, 1.0, u.q_array(), level, cfg.keep_samples};
+  run_xoshiro_lanes(
+      plan, cfg.seed, shard_begin, shard_end, cfg.threads, fold,
+      [&u, kernel](core::xoshiro_lanes& lanes, unsigned live, lane_channels& channels) {
+        for (unsigned l = 0; l < live; ++l) {
+          stats::rng r = lanes.lane(l);
+          kernel(u, r, channels[0][l], channels[1][l]);
+          lanes.set_lane(l, r);
         }
-        return [&ctx, &pu, keys](std::uint64_t step, unsigned live, lane_channels& channels) {
-          core::sample_pair_counter_lanes(ctx.plan, pu, keys, step, channels[0], channels[1],
-                                          live, ctx.level);
-        };
       },
       std::forward<Merge>(merge));
 }
 
-experiment_accumulator run_shard(const core::fault_universe& u, std::uint64_t samples,
-                                 stats::rng r, bool keep_samples,
-                                 sampling_engine engine) {
-  switch (engine) {
-    case sampling_engine::legacy:
-      return run_shard_legacy(u, samples, std::move(r), keep_samples);
-    case sampling_engine::exact:
-      return run_shard_mask(u, samples, std::move(r), keep_samples,
-                            /*exact_stream=*/true);
-    case sampling_engine::fast_simd:
-      // fast-simd shards run in lane groups; the run-level loops route them
-      // to run_simd_shards before reaching this dispatcher.
-      throw std::logic_error("run_shard: fast_simd must be routed at run level");
-    case sampling_engine::fast:
-    default:
-      return run_shard_mask(u, samples, std::move(r), keep_samples,
-                            /*exact_stream=*/false);
+}  // namespace
+
+std::string_view sampling_engine_name(sampling_engine engine) {
+  for (const engine_row& row : kEngines) {
+    if (row.engine == engine) return row.name;
   }
+  throw std::invalid_argument("unknown sampling engine " +
+                              std::to_string(static_cast<std::uint32_t>(engine)));
 }
 
-}  // namespace
+sampling_engine parse_sampling_engine(std::string_view name) {
+  for (const engine_row& row : kEngines) {
+    if (row.name == name) return row.engine;
+  }
+  if (name == "legacy") throw std::invalid_argument(kLegacyRetired);
+  throw std::invalid_argument("expected fast, exact or fast-simd, got '" + std::string(name) +
+                              "'");
+}
+
+sampling_engine sampling_engine_from_tag(std::uint32_t tag) {
+  for (const engine_row& row : kEngines) {
+    if (static_cast<std::uint32_t>(row.engine) == tag) return row.engine;
+  }
+  if (tag == 2) throw std::invalid_argument(std::string("sampling engine 2: ") + kLegacyRetired);
+  throw std::invalid_argument("unknown sampling engine " + std::to_string(tag));
+}
 
 void experiment_accumulator::add(double theta1, double theta2,
                                  bool version_has_fault, bool pair_has_common_fault) {
@@ -271,22 +280,10 @@ void run_experiment_shards(const core::fault_universe& u,
   if (config.samples == 0) {
     throw std::invalid_argument("run_experiment: samples > 0");
   }
-  if (config.engine == sampling_engine::fast_simd) {
-    run_simd_shards(u, config, shard_begin, shard_end,
+  run_engine_shards(u, config, shard_begin, shard_end,
                     [&acc](unsigned /*shard*/, experiment_accumulator&& shard_acc) {
                       acc.merge(shard_acc);
                     });
-    return;
-  }
-  run_shards(
-      make_shard_plan(config.samples, config.shards), config.seed, shard_begin, shard_end,
-      config.threads,
-      [&u, &config](unsigned /*shard*/, std::uint64_t samples, stats::rng& r) {
-        return run_shard(u, samples, r, config.keep_samples, config.engine);
-      },
-      [&acc](unsigned /*shard*/, experiment_accumulator&& shard_acc) {
-        acc.merge(shard_acc);
-      });
 }
 
 experiment_result run_experiment(const core::fault_universe& u,
@@ -323,9 +320,10 @@ void experiment_manifest::validate() const {
   if (!(ci_level > 0.0 && ci_level < 1.0)) {
     throw std::invalid_argument("experiment_manifest: ci_level outside (0, 1)");
   }
-  if (engine != sampling_engine::fast && engine != sampling_engine::exact &&
-      engine != sampling_engine::legacy && engine != sampling_engine::fast_simd) {
-    throw std::invalid_argument("experiment_manifest: unknown sampling engine");
+  try {
+    (void)sampling_engine_from_tag(static_cast<std::uint32_t>(engine));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("experiment_manifest: ") + e.what());
   }
   if (shards == 0 || shards != experiment_shard_count(config())) {
     throw std::invalid_argument(
@@ -356,28 +354,17 @@ experiment_manifest make_experiment_manifest(const core::fault_universe& u,
 experiment_window_result run_experiment_window(const experiment_manifest& m,
                                                std::uint64_t index, unsigned threads) {
   const auto [shard_begin, shard_end] = m.window_bounds(index);
-  const experiment_config cfg = m.config(threads);
-
   experiment_window_result out;
   out.shard_begin = shard_begin;
   out.shard_end = shard_end;
   out.shard_states.reserve(shard_end - shard_begin);
-  // Per-shard states stay separate (see experiment_window_result): both shard
-  // loops already merge — here: append — in ascending shard order regardless
-  // of the thread count.
-  const auto append = [&out](unsigned /*shard*/, experiment_accumulator&& acc) {
-    out.shard_states.push_back(acc.state());
-  };
-  if (cfg.engine == sampling_engine::fast_simd) {
-    run_simd_shards(m.universe, cfg, shard_begin, shard_end, append);
-    return out;
-  }
-  run_shards(
-      make_shard_plan(cfg.samples, cfg.shards), cfg.seed, shard_begin, shard_end, threads,
-      [&](unsigned /*shard*/, std::uint64_t samples, stats::rng& r) {
-        return run_shard(m.universe, samples, r, cfg.keep_samples, cfg.engine);
-      },
-      append);
+  // Per-shard states stay separate (see experiment_window_result): the
+  // engine loop appends them in ascending shard order whatever the thread
+  // count.
+  run_engine_shards(m.universe, m.config(threads), shard_begin, shard_end,
+                    [&out](unsigned /*shard*/, experiment_accumulator&& acc) {
+                      out.shard_states.push_back(acc.state());
+                    });
   return out;
 }
 

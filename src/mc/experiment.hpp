@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,21 +26,27 @@
 namespace reldiv::mc {
 
 /// Which inner sampling kernel drives the experiment.  All three draw from
-/// the same distribution; they differ in speed and rng-stream layout.
-enum class sampling_engine {
+/// the same distribution; they differ in speed and rng-stream layout.  Every
+/// engine runs its shards eight at a time through one pair loop,
+/// mc::run_shard_lanes: one shard stream per lane, each step folding one pair
+/// of every lane at once (core::fold_pair_lanes).  The values are the
+/// manifest wire tags; tag 2 belonged to the retired `legacy` engine (the
+/// original sparse std::vector<uint32_t> path, bit-identical to `exact`) and
+/// stays reserved.
+enum class sampling_engine : std::uint32_t {
   /// Packed bitmask kernels with halved rng draws (paired 32-bit thresholds;
-  /// word-parallel bit-slice when all faults share one p).  Fastest; the
+  /// word-parallel bit-slice when all faults share one p).  Fast; the
   /// per-fault probabilities are realized to at worst the 2^-32 grid, and
   /// the engine falls back to the exact 53-bit kernel when any p is too
-  /// small for that grid (see fault_universe::fast32_grid_safe).
-  fast,
-  /// Packed bitmask kernels consuming the rng stream decision-for-decision
-  /// like the original sparse sampler: results are bit-identical to the
-  /// legacy engine for a given seed and shard layout.
-  exact,
-  /// The original sparse std::vector<uint32_t> path.  Kept as the
-  /// regression/benchmark baseline.
-  legacy,
+  /// small for that grid (see fault_universe::fast32_grid_safe).  Lane l
+  /// draws its shard's stats::rng::stream(seed, shard) through the scalar
+  /// pair kernel the universe calls for, chosen once per run.
+  fast = 0,
+  /// Packed bitmask kernels consuming each shard's stream
+  /// decision-for-decision like the sparse sampler (two sample_version draws
+  /// per pair): the bit-exact reference, pinned by
+  /// tests/mc_mask_equivalence_test.cpp against a sparse per-shard loop.
+  exact = 1,
   /// Counter-based SIMD engine: the universe is relaid out with
   /// core::make_p_sorted_permutation (equal-p faults gathered into whole
   /// mask words, so heterogeneous universes become mostly bit-sliceable),
@@ -55,8 +62,22 @@ enum class sampling_engine {
   /// stream-compatible with `fast`: the rng layout and the per-word
   /// accumulation order follow the permuted universe, pinned by
   /// mc::sample_version_pair_counter_reference.
-  fast_simd,
+  fast_simd = 3,
 };
+
+/// The engine's name in spec files, on the command line and in written
+/// specs: "fast", "exact" or "fast-simd".
+[[nodiscard]] std::string_view sampling_engine_name(sampling_engine engine);
+
+/// The engine spelled `name`.  Throws std::invalid_argument listing the
+/// names for an unknown one, and saying that `exact` replaces it for the
+/// retired `legacy`.
+[[nodiscard]] sampling_engine parse_sampling_engine(std::string_view name);
+
+/// The engine wire tag `tag` stands for.  Throws std::invalid_argument
+/// naming the retired engine for tag 2 and "unknown sampling engine N" for
+/// any other tag no engine holds.
+[[nodiscard]] sampling_engine sampling_engine_from_tag(std::uint32_t tag);
 
 struct experiment_config {
   std::uint64_t samples = 100'000;   ///< number of version-pairs to draw

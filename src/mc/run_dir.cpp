@@ -688,12 +688,13 @@ experiment_manifest read_experiment_manifest_payload(wire_reader& r) {
   m.seed = r.get_u64();
   m.samples = r.get_u64();
   m.shards = r.get_u32();
-  const std::uint32_t engine = r.get_u32();
-  // Wire values are append-only: fast=0, exact=1, legacy=2, fast_simd=3.
-  if (engine > static_cast<std::uint32_t>(sampling_engine::fast_simd)) {
-    throw stats::wire_error("wire: unknown sampling engine " + std::to_string(engine));
+  // Wire values are append-only: fast=0, exact=1, fast_simd=3; 2 was the
+  // retired legacy engine and is refused.
+  try {
+    m.engine = sampling_engine_from_tag(r.get_u32());
+  } catch (const std::invalid_argument& e) {
+    throw stats::wire_error(std::string("wire: ") + e.what());
   }
-  m.engine = static_cast<sampling_engine>(engine);
   m.keep_samples = r.get_u8() != 0;
   m.ci_level = r.get_f64();
   m.window = r.get_u32();

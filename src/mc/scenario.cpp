@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdio>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -38,58 +37,6 @@ std::string shortest(double v) {
   return std::string(buf, r.ptr);
 }
 
-/// One version per lane for the first `live` lanes.  The mixture draws
-/// through its lane kernel, eight shard streams per AVX-512 register (four
-/// per AVX2 register); the copula has no lane kernel and samples each live
-/// lane in turn.
-void sample_lanes(const common_cause_mixture& sampler, core::xoshiro_lanes& lanes,
-                  unsigned live, std::span<core::fault_mask, core::kXoshiroLanes> out,
-                  core::simd_level level) {
-  sampler.sample_mask_lanes(lanes, out, live, level);
-}
-
-void sample_lanes(const gaussian_copula_sampler& sampler, core::xoshiro_lanes& lanes,
-                  unsigned live, std::span<core::fault_mask, core::kXoshiroLanes> out,
-                  core::simd_level /*level*/) {
-  for (unsigned l = 0; l < live; ++l) {
-    stats::rng r = lanes.lane(l);
-    sampler.sample_mask(r, out[l]);
-    lanes.set_lane(l, r);
-  }
-}
-
-/// The cell's pair loop, for every correlation model and adjudication: per
-/// demand, draw `versions` channel masks in index order from the shard's
-/// stream; θ1 = first channel's pfd, θ2 = ω · Σq over faults shared by at
-/// least `votes` channels.  Shards run through run_shard_lanes, one per lane,
-/// each on its own stats::rng::stream(seed, shard); the cell is one of many
-/// in a grid's worker pool, so its groups run on the calling thread.
-template <typename Sampler>
-experiment_accumulator run_cell_shards(const Sampler& sampler,
-                                       const core::fault_universe& effective,
-                                       const scenario_cell& cell, const shard_plan& plan,
-                                       std::uint64_t seed) {
-  const core::simd_level level = core::active_simd_level();
-  const lane_fold fold{cell.versions, cell.votes, cell.omega, effective.q_array(), level};
-  experiment_accumulator acc;
-  stats::rng walker(seed);  // stream(seed, s) is rng(seed) jumped s times
-  run_shard_lanes(
-      plan, 0, plan.shard_count, /*threads=*/1, fold,
-      [&](unsigned /*first*/, unsigned active) {
-        core::xoshiro_lanes lanes;
-        for (unsigned l = 0; l < active; ++l) {
-          lanes.set_lane(l, walker);
-          walker.jump();
-        }
-        return [&sampler, lanes, level](std::uint64_t /*step*/, unsigned live,
-                                        lane_channels& channels) mutable {
-          for (auto& lane_masks : channels) sample_lanes(sampler, lanes, live, lane_masks, level);
-        };
-      },
-      [&acc](unsigned /*shard*/, experiment_accumulator&& shard) { acc.merge(shard); });
-  return acc;
-}
-
 scenario_cell_result run_cell(const scenario_axes& axes, const scenario_config& cfg,
                               const scenario_cell& cell, std::size_t cell_index) {
   scenario_cell_result out;
@@ -112,21 +59,28 @@ scenario_cell_result run_cell(const scenario_axes& axes, const scenario_config& 
   const core::fault_universe& effective = aliased ? *aliased : base;
   out.p_max_true = effective.p_max();
 
-  // Per-cell deterministic sharded campaign.  Cells already fan out over
-  // the grid's worker pool, so the inner campaign runs single-threaded —
-  // by the determinism contract that changes throughput only, never the
-  // per-cell result.
+  // Per-cell deterministic sharded campaign: per demand, draw `versions`
+  // channel masks in index order from the shard's stream; θ1 = first
+  // channel's pfd, θ2 = ω · Σq over faults shared by at least `votes`
+  // channels.  Cells already fan out over the grid's worker pool, so the
+  // cell's lane groups run on the calling thread — by the determinism
+  // contract that changes throughput only, never the per-cell result.
   const shard_plan plan = make_shard_plan(cell.samples, cfg.shards);
   out.shards = plan.shard_count;
+  const lane_fold fold{cell.versions, cell.votes, cell.omega, effective.q_array(),
+                       core::active_simd_level()};
   experiment_accumulator acc;
+  const auto merge = [&acc](unsigned /*shard*/, experiment_accumulator&& shard) {
+    acc.merge(shard);
+  };
   if (axes.rho_model == correlation_model::mixture) {
     // §6.1 axis: the marginal-preserving common-cause mixture (ρ = 0 is the
     // independent baseline on the same code path).
-    const common_cause_mixture sampler(effective, cell.rho, axes.stress);
-    acc = run_cell_shards(sampler, effective, cell, plan, out.seed);
+    run_sampler_lanes(common_cause_mixture(effective, cell.rho, axes.stress), plan, out.seed,
+                      /*threads=*/1, fold, merge);
   } else {
-    const gaussian_copula_sampler sampler(effective, cell.rho);
-    acc = run_cell_shards(sampler, effective, cell, plan, out.seed);
+    run_sampler_lanes(gaussian_copula_sampler(effective, cell.rho), plan, out.seed,
+                      /*threads=*/1, fold, merge);
   }
 
   out.state = acc.state();

@@ -1,10 +1,15 @@
 #pragma once
-// The lane group loop: the pair loop of every sampler that draws one shard
-// stream per 64-bit lane (core::kXoshiroLanes shards per kernel call) and
+// The lane group loop: the one pair loop of every sampler that draws one
+// shard stream per 64-bit lane (core::kXoshiroLanes shards per group) and
 // folds each pair step of those shards at once (core::fold_pair_lanes).
-// Scenario cells (the xoshiro mixture lanes and the per-lane copula) and
-// fast-simd experiment shards (the counter lanes) both run through it, so
-// both share one step schedule, one per-shard export and one merge order.
+// Every experiment engine runs through it: `fast` and `exact` on xoshiro
+// shard streams and their scalar pair kernels, fast-simd on the counter
+// lanes.  So do mc::run_correlated and scenario cells, on xoshiro streams
+// through the correlated samplers (the mixture's lane kernel, per-lane
+// sample_mask otherwise).  All of them share one step schedule, one
+// per-shard export and one merge order; run_xoshiro_lanes is the one place
+// that opens xoshiro lane groups.  mc::run_pair_campaign's weighted loop is
+// the only pair loop outside it: its θ2 sums coincidence weights, not q.
 
 #include <algorithm>
 #include <array>
@@ -21,6 +26,7 @@
 #include "mc/campaign.hpp"
 #include "mc/experiment.hpp"
 #include "mc/shard_runner.hpp"
+#include "stats/random.hpp"
 
 namespace reldiv::mc {
 
@@ -82,6 +88,9 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
       [&](std::size_t group) {
         const unsigned first = group_first(group);
         const unsigned active = std::min(kLanes, shard_end - first);
+        // The worker's own copy: a draw that advances stream state in place
+        // would otherwise share cache lines with its neighbours' in `draws`.
+        auto draw = std::move(draws[group]);
         lane_channels channels(fold.versions);
         for (auto& lane_masks : channels) {
           for (core::fault_mask& m : lane_masks) m.resize(fold.q.size());
@@ -96,7 +105,7 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
         std::array<std::vector<double>, kLanes> kept2;
         for (std::uint64_t s = 0; s < plan.shard_samples(first); ++s) {
           const unsigned live = s < lockstep ? active : longer;
-          draws[group](s, live, channels);
+          draw(s, live, channels);
           core::fold_pair_lanes(tallies, channels, fold.votes, fold.omega, fold.q, live,
                                 fold.level, fold.keep_samples ? &thetas : nullptr);
           if (fold.keep_samples) {
@@ -129,6 +138,68 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
           merge(group_first(group) + static_cast<unsigned>(l), std::move(shards[l]));
         }
       });
+}
+
+/// run_shard_lanes over xoshiro streams: lane l of the group opening at
+/// shard `first` holds stats::rng::stream(seed, first + l), taken from one
+/// jump walk of rng(seed) on the calling thread — the streams run_shards
+/// hands its shards.  `draw(lanes, live, channels)` fills channels[v][l] for
+/// v < fold.versions and l < live from lane l of `lanes`, advancing it; the
+/// group's lanes persist from step to step.
+template <typename Draw, typename Merge>
+void run_xoshiro_lanes(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin,
+                       unsigned shard_end, unsigned threads, const lane_fold& fold,
+                       const Draw& draw, Merge&& merge) {
+  stats::rng walker(seed);  // stream(seed, s) is rng(seed) jumped s times
+  unsigned at = 0;          // the shard whose stream `walker` holds
+  run_shard_lanes(
+      plan, shard_begin, shard_end, threads, fold,
+      [&](unsigned first, unsigned active) {
+        for (; at < first; ++at) walker.jump();
+        core::xoshiro_lanes lanes;
+        for (unsigned l = 0; l < active; ++l, ++at) {
+          lanes.set_lane(l, walker);
+          walker.jump();
+        }
+        return [&draw, lanes](std::uint64_t /*step*/, unsigned live,
+                              lane_channels& channels) mutable {
+          draw(lanes, live, channels);
+        };
+      },
+      std::forward<Merge>(merge));
+}
+
+/// Every shard of `plan` through run_xoshiro_lanes, each pair's
+/// fold.versions channels drawn in index order from `sampler`: the pair loop
+/// of mc::run_correlated and scenario cells.  A sampler with a lane kernel
+/// (`sample_mask_lanes`, the mixture's) draws all live lanes of a channel at
+/// once; any other calls `sample_mask` on each live lane's stream in turn.
+/// Throws std::out_of_range when a drawn mask is not fold.q.size() bits (a
+/// sampler built over another universe).
+template <typename Sampler, typename Merge>
+void run_sampler_lanes(const Sampler& sampler, const shard_plan& plan, std::uint64_t seed,
+                       unsigned threads, const lane_fold& fold, Merge&& merge) {
+  run_xoshiro_lanes(
+      plan, seed, 0, plan.shard_count, threads, fold,
+      [&sampler, &fold](core::xoshiro_lanes& lanes, unsigned live, lane_channels& channels) {
+        for (auto& out : channels) {
+          if constexpr (requires { sampler.sample_mask_lanes(lanes, out, live, fold.level); }) {
+            sampler.sample_mask_lanes(lanes, out, live, fold.level);
+          } else {
+            for (unsigned l = 0; l < live; ++l) {
+              stats::rng r = lanes.lane(l);
+              sampler.sample_mask(r, out[l]);
+              lanes.set_lane(l, r);
+            }
+          }
+          for (unsigned l = 0; l < live; ++l) {
+            if (out[l].bit_size() != fold.q.size()) {
+              throw std::out_of_range("run_sampler_lanes: sampler does not match universe");
+            }
+          }
+        }
+      },
+      std::forward<Merge>(merge));
 }
 
 }  // namespace reldiv::mc

@@ -657,12 +657,15 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
   section_view sweep(*sweep_sec, ctx);
   const std::string kind_str = sweep.str_or("kind", "");
   job_kind kind = job_kind::scenario_grid;
+  bool kind_named = false;
   if (kind_str == "scenario") {
-    kind = job_kind::scenario_grid;
+    kind_named = true;
   } else if (kind_str == "demand") {
     kind = job_kind::demand_campaign;
+    kind_named = true;
   } else if (kind_str == "experiment") {
     kind = job_kind::experiment_shards;
+    kind_named = true;
   } else if (kind_str.empty()) {
     ctx.error(sweep.line(), "kind", "required key missing");
   } else {
@@ -680,10 +683,19 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
   auto reject = [&](raw_section* sec, const char* why) {
     if (sec != nullptr) ctx.error(sec->line, sec->name, why);
   };
+  // Likewise a CLI override the kind does not take: `--spec f --engine e`
+  // must fail exactly as `engine = e` in the file would.
+  auto reject_override = [&](bool given, const char* flag, const char* takers) {
+    if (given && kind_named) {
+      ctx.error(sweep.line(), flag,
+                "a " + kind_str + " spec takes no " + flag + " (" + takers + " only)");
+    }
+  };
 
   if (kind == job_kind::scenario_grid) {
     reject(demand_sec, "not allowed in a scenario spec");
     reject(experiment_sec, "not allowed in a scenario spec");
+    reject_override(overrides.engine.has_value(), "--engine", "experiment specs");
     scenario_axes axes;
     axes.stress = sweep.f64_or("stress", 1.8);
     const std::string model = sweep.str_or("rho_model", "mixture");
@@ -800,6 +812,9 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
     for (raw_section* usec : universe_secs) {
       reject(usec, "not allowed in a demand spec");
     }
+    reject_override(overrides.shards.has_value(), "--shards",
+                    "scenario and experiment specs");
+    reject_override(overrides.engine.has_value(), "--engine", "experiment specs");
     sweep.finish();
     if (demand_sec == nullptr) {
       ctx.error(sweep_sec->line, "demand", "demand specs need a [demand] section");
@@ -877,18 +892,10 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
       cfg.shards = shards;
       cfg.keep_samples = eview.bool_or("keep_samples", false);
       cfg.ci_level = eview.f64_or("ci_level", 0.99);
-      const std::string engine = eview.str_or("engine", "fast");
-      if (engine == "fast") {
-        cfg.engine = sampling_engine::fast;
-      } else if (engine == "exact") {
-        cfg.engine = sampling_engine::exact;
-      } else if (engine == "legacy") {
-        cfg.engine = sampling_engine::legacy;
-      } else if (engine == "fast-simd") {
-        cfg.engine = sampling_engine::fast_simd;
-      } else {
-        ctx.error(eview.line(), "engine",
-                  "expected fast, exact, legacy, or fast-simd, got '" + engine + "'");
+      try {
+        cfg.engine = parse_sampling_engine(eview.str_or("engine", "fast"));
+      } catch (const std::invalid_argument& e) {
+        ctx.error(eview.line(), "engine", e.what());
       }
       if (overrides.engine) cfg.engine = *overrides.engine;
       const unsigned window = eview.u32_or("window", 0);
@@ -1044,20 +1051,7 @@ std::string write_sweep_spec(const sweep_spec& spec) {
       out += '\n';
       append_kv_u64(out, "samples", m.samples);
       out += "engine = ";
-      switch (m.engine) {
-        case sampling_engine::fast:
-          out += "fast";
-          break;
-        case sampling_engine::exact:
-          out += "exact";
-          break;
-        case sampling_engine::legacy:
-          out += "legacy";
-          break;
-        case sampling_engine::fast_simd:
-          out += "fast-simd";
-          break;
-      }
+      out += sampling_engine_name(m.engine);
       out += '\n';
       append_kv_u64(out, "window", m.window);
       append_kv_f64(out, "ci_level", m.ci_level);

@@ -114,7 +114,10 @@ struct sweep_spec {
 };
 
 /// CLI overrides applied BEFORE resolution, so `--spec f --seed N` equals
-/// editing the file: each set field replaces the spec's value.
+/// editing the file: each set field replaces the spec's value, and a field
+/// the spec's kind does not take (engine for scenario and demand specs,
+/// shards for demand specs) is a spec_error at the [sweep] line naming the
+/// flag and the kind, as the key in the file would be.
 struct spec_overrides {
   std::optional<std::uint64_t> seed;
   std::optional<std::uint64_t> budget;  ///< replaces the scenario budget axis

@@ -467,6 +467,19 @@ TEST_F(DistributedJobsTest, CliAcceptsOnlySubcommandsWithTheirOwnFlags) {
        "--shards expects an unsigned integer, got ' -1'\nusage: reldiv_sweep single"},
       {"single --seed +5", 2,
        "--seed expects an unsigned integer, got '+5'\nusage: reldiv_sweep single"},
+      // The retired engine, refused by name wherever a flag or a mode names it.
+      {"single --engine legacy", 2,
+       "the 'legacy' engine was retired; 'exact' gives the same results bit for bit\n"
+       "usage: reldiv_sweep single"},
+      {"single --mode scenario --engine legacy", 2,
+       "the 'legacy' engine was retired; 'exact' gives the same results bit for bit\n"
+       "usage: reldiv_sweep single"},
+      // An override the job kind does not take fails like the same key in the
+      // spec file would: a positioned spec diagnostic, no usage dump.
+      {"single --mode scenario --engine exact", 2,
+       "<preset scenario/smoke>:2: --engine: a scenario spec takes no --engine"},
+      {"single --mode demand --shards 3", 2,
+       "<preset demand/smoke>:2: --shards: a demand spec takes no --shards"},
   };
   for (const char* cmd : {"single", "worker", "chaos", "serve", "submit", "status", "merge",
                           "drain", "describe", "refine"}) {

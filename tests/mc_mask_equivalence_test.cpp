@@ -1,25 +1,31 @@
 // Equivalence and property tests for the packed-bitmask Monte-Carlo engine:
-// the exact-stream mask sampler must reproduce the legacy sparse sampler
+// the exact-stream mask sampler must reproduce the sparse sampler
 // decision-for-decision (same seed -> identical fault sets and identical
-// theta1/theta2 streams), fault_mask algebra must agree with the
-// set_intersection reference, and the fast samplers must have the right
-// marginals.  Also covers stats::binomial_deviate, which now backs
-// empirical_pfd.
+// theta1/theta2 streams), the `exact` and `fast` engines' lane groups must
+// record what a per-shard scalar loop over their pair kernels records, bit
+// for bit, fault_mask algebra must agree with the set_intersection
+// reference, and the fast samplers must have the right marginals.  Also
+// covers stats::binomial_deviate, which now backs empirical_pfd.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/fault_mask.hpp"
 #include "core/generators.hpp"
 #include "core/moments.hpp"
 #include "core/no_common_fault.hpp"
+#include "core/simd_sampler.hpp"
 #include "mc/aliasing.hpp"
 #include "mc/correlated.hpp"
 #include "mc/experiment.hpp"
 #include "mc/sampler.hpp"
+#include "mc/shard_runner.hpp"
 #include "stats/random.hpp"
 
 namespace {
@@ -27,8 +33,87 @@ namespace {
 using namespace reldiv;
 using namespace reldiv::mc;
 
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+void expect_moments_identical(const stats::running_moments_state& a,
+                              const stats::running_moments_state& b,
+                              const std::string& label) {
+  EXPECT_EQ(a.count, b.count) << label;
+  EXPECT_EQ(bits_of({a.m1, a.m2, a.m3, a.m4, a.min, a.max}),
+            bits_of({b.m1, b.m2, b.m3, b.m4, b.min, b.max}))
+      << label;
+}
+
+/// Every field of two accumulator states, doubles bit for bit.
+void expect_states_identical(const accumulator_state& a, const accumulator_state& b,
+                             const std::string& label) {
+  EXPECT_EQ(a.samples, b.samples) << label;
+  expect_moments_identical(a.theta1, b.theta1, label + " theta1");
+  expect_moments_identical(a.theta2, b.theta2, label + " theta2");
+  EXPECT_EQ(a.n1_positive, b.n1_positive) << label;
+  EXPECT_EQ(a.n2_positive, b.n2_positive) << label;
+  EXPECT_EQ(a.n1_zero_pfd, b.n1_zero_pfd) << label;
+  EXPECT_EQ(a.n2_zero_pfd, b.n2_zero_pfd) << label;
+  EXPECT_EQ(a.keeping_samples, b.keeping_samples) << label;
+  EXPECT_EQ(bits_of(a.theta1_samples), bits_of(b.theta1_samples)) << label;
+  EXPECT_EQ(bits_of(a.theta2_samples), bits_of(b.theta2_samples)) << label;
+}
+
+/// The experiment `cfg` run one shard at a time, as the sharded runner laid
+/// it out before lane groups: shard s draws its pairs from
+/// stats::rng::stream(cfg.seed, s) through `pair` (which returns θ1, θ2, N1 >
+/// 0 and N2 > 0 of one pair), records them with experiment_accumulator::add,
+/// and the shards merge in ascending order.
+template <typename Pair>
+accumulator_state scalar_shard_loop(const experiment_config& cfg, Pair&& pair) {
+  const shard_plan plan = make_shard_plan(cfg.samples, cfg.shards);
+  experiment_accumulator total(cfg.keep_samples);
+  for (unsigned shard = 0; shard < plan.shard_count; ++shard) {
+    stats::rng r = stats::rng::stream(cfg.seed, shard);
+    experiment_accumulator acc(cfg.keep_samples);
+    for (std::uint64_t s = 0; s < plan.shard_samples(shard); ++s) {
+      const auto [t1, t2, n1, n2] = pair(r);
+      acc.add(t1, t2, n1, n2);
+    }
+    total.merge(acc);
+  }
+  return total.state();
+}
+
+struct pair_record {
+  double theta1;
+  double theta2;
+  bool n1;
+  bool n2;
+};
+
+/// scalar_shard_loop over a mask pair kernel (versions a and b from one rng).
+template <typename Kernel>
+accumulator_state scalar_kernel_loop(const core::fault_universe& u,
+                                     const experiment_config& cfg, Kernel&& kernel) {
+  core::fault_mask a;
+  core::fault_mask b;
+  return scalar_shard_loop(cfg, [&](stats::rng& r) {
+    kernel(u, r, a, b);
+    const core::pair_intersection_result pair = core::intersect_q_sum(a, b, u.q_array());
+    return pair_record{core::masked_q_sum(a, u.q_array()), pair.pfd, a.any(),
+                       pair.any_common};
+  });
+}
+
+accumulator_state engine_state(const core::fault_universe& u, const experiment_config& cfg) {
+  experiment_accumulator acc(cfg.keep_samples);
+  run_experiment_shards(u, cfg, 0, experiment_shard_count(cfg), acc);
+  return acc.state();
+}
+
 // --------------------------------------------------------------------------
-// Bit-exact equivalence with the legacy sparse sampler
+// Bit-exact equivalence with the sparse sampler
 // --------------------------------------------------------------------------
 
 TEST(MaskEquivalence, ExactSamplerReproducesSparseSamplerFaultSets) {
@@ -74,29 +159,94 @@ TEST(MaskEquivalence, ExactSamplerReproducesLegacyThetaStreamsBitwise) {
 }
 
 TEST(MaskEquivalence, ExactEngineMatchesLegacyEngineExactly) {
+  // The retired `legacy` engine's loop, kept here as the reference: per
+  // shard, sparse sample_version draws, pfd_of / pair_pfd / common_faults,
+  // experiment_accumulator::add, shards merged in ascending order.  `exact`
+  // runs the same streams eight shards per lane group and must record the
+  // same state bit for bit, kept samples included, at any thread count and
+  // through a checkpointed split.
   const auto u = core::make_random_universe(64, 0.4, 0.7, 123);
   experiment_config cfg;
   cfg.samples = 20000;
-  cfg.threads = 4;
   cfg.seed = 2024;
   cfg.keep_samples = true;
-
-  cfg.engine = sampling_engine::legacy;
-  const auto legacy = run_experiment(u, cfg);
   cfg.engine = sampling_engine::exact;
-  const auto exact = run_experiment(u, cfg);
+  const accumulator_state want = scalar_shard_loop(cfg, [&u](stats::rng& r) {
+    const version a = sample_version(u, r);
+    const version b = sample_version(u, r);
+    return pair_record{pfd_of(a, u), pair_pfd(a, b, u), a.has_fault(),
+                       !common_faults(a, b).empty()};
+  });
+  ASSERT_EQ(want.theta1_samples.size(), cfg.samples);
+  for (const unsigned threads : {1u, 4u}) {
+    cfg.threads = threads;
+    expect_states_identical(engine_state(u, cfg), want,
+                            "threads=" + std::to_string(threads));
+  }
+  const unsigned shards = experiment_shard_count(cfg);
+  experiment_accumulator first(cfg.keep_samples);
+  run_experiment_shards(u, cfg, 0, 101, first);
+  experiment_accumulator resumed = experiment_accumulator::from_state(first.state());
+  run_experiment_shards(u, cfg, 101, shards, resumed);
+  expect_states_identical(resumed.state(), want, "split at shard 101");
+}
 
-  EXPECT_EQ(legacy.theta1.mean(), exact.theta1.mean());
-  EXPECT_EQ(legacy.theta2.mean(), exact.theta2.mean());
-  EXPECT_EQ(legacy.theta1.stddev(), exact.theta1.stddev());
-  EXPECT_EQ(legacy.theta2.stddev(), exact.theta2.stddev());
-  EXPECT_EQ(legacy.n1_positive, exact.n1_positive);
-  EXPECT_EQ(legacy.n2_positive, exact.n2_positive);
-  EXPECT_EQ(legacy.n1_zero_pfd, exact.n1_zero_pfd);
-  EXPECT_EQ(legacy.n2_zero_pfd, exact.n2_zero_pfd);
-  ASSERT_TRUE(legacy.theta1_samples.has_value() && exact.theta1_samples.has_value());
-  EXPECT_EQ(*legacy.theta1_samples, *exact.theta1_samples);
-  EXPECT_EQ(*legacy.theta2_samples, *exact.theta2_samples);
+TEST(MaskEquivalence, FastEngineKernelsMatchScalarShardLoop) {
+  // One universe per pair kernel the `fast` engine picks: bit-slice (uniform
+  // p = 0.5), grouped (whole words of equal p), paired32 (generic p) and the
+  // 53-bit fallback (faults rarer than the 2^-32 grid).  13 shards of
+  // unequal length (a group of eight and a partial group of five) keeping
+  // their samples, at every SIMD level the host runs: the lane groups must
+  // record exactly what the scalar kernel records shard by shard.
+  using kernel_fn = void (*)(const core::fault_universe&, stats::rng&, core::fault_mask&,
+                             core::fault_mask&);
+  struct kernel_case {
+    const char* name;
+    core::fault_universe u;
+    kernel_fn kernel;
+  };
+  const std::vector<core::fault_block> blocks = {{64, 0.5, 0.002}, {64, 0.25, 0.002},
+                                                 {40, 0.3, 0.002}};
+  std::vector<core::fault_atom> rare(50, core::fault_atom{1e-12, 0.01});
+  for (std::size_t i = 0; i < rare.size(); i += 2) rare[i].p = 2e-12;
+  const kernel_case cases[] = {
+      {"bit-slice", core::make_homogeneous_universe(200, 0.5, 0.8 / 200.0),
+       [](const core::fault_universe& u, stats::rng& r, core::fault_mask& a,
+          core::fault_mask& b) {
+         sample_version_mask_uniform(u, r, a);
+         sample_version_mask_uniform(u, r, b);
+       }},
+      {"grouped", core::make_grouped_universe(blocks), sample_version_pair_grouped},
+      {"paired32", core::make_random_universe(130, 0.4, 0.8, 99), sample_version_pair_fast},
+      {"53-bit fallback", core::fault_universe(rare),
+       [](const core::fault_universe& u, stats::rng& r, core::fault_mask& a,
+          core::fault_mask& b) {
+         sample_version_mask(u, r, a);
+         sample_version_mask(u, r, b);
+       }},
+  };
+  ASSERT_TRUE(cases[0].u.has_uniform_p());
+  ASSERT_TRUE(cases[1].u.has_grouped_p() && !cases[1].u.has_uniform_p());
+  ASSERT_TRUE(cases[2].u.fast32_grid_safe() && !cases[2].u.has_grouped_p());
+  ASSERT_FALSE(cases[3].u.fast32_grid_safe());
+  experiment_config cfg;
+  cfg.samples = 10007;
+  cfg.seed = 77;
+  cfg.shards = 13;
+  cfg.keep_samples = true;
+  cfg.threads = 3;
+  cfg.engine = sampling_engine::fast;
+  for (const kernel_case& c : cases) {
+    const accumulator_state want = scalar_kernel_loop(c.u, cfg, c.kernel);
+    for (const core::simd_level level :
+         {core::simd_level::scalar, core::simd_level::avx2, core::simd_level::avx512}) {
+      if (level > core::detected_simd_level()) continue;
+      core::set_simd_level_cap(level);
+      expect_states_identical(engine_state(c.u, cfg), want,
+                              std::string(c.name) + " at " + core::simd_level_name(level));
+      core::clear_simd_level_cap();
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -237,8 +387,8 @@ TEST(FastSamplers, RareFaultUniverseFallsBackToExactKernel) {
   // Every fault far below the 2^-32 grid the paired sampler uses: the fast
   // engine must fall back to the 53-bit kernel rather than realize each
   // fault at p = 2^-32 (a ~233x oversample of the whole universe).  The
-  // fallback consumes the rng stream exactly like the legacy engine, so
-  // results are bit-identical.  (p values differ so the word-parallel
+  // fallback consumes the rng stream exactly like the exact engine, so
+  // the whole state is bit-identical.  (p values differ so the word-parallel
   // uniform path is out too.)
   std::vector<core::fault_atom> atoms(50, core::fault_atom{1e-12, 0.01});
   for (std::size_t i = 0; i < atoms.size(); i += 2) atoms[i].p = 2e-12;
@@ -254,13 +404,11 @@ TEST(FastSamplers, RareFaultUniverseFallsBackToExactKernel) {
   cfg.samples = 5000;
   cfg.threads = 2;
   cfg.seed = 31;
+  cfg.keep_samples = true;
   cfg.engine = sampling_engine::fast;
-  const auto fast = run_experiment(u, cfg);
-  cfg.engine = sampling_engine::legacy;
-  const auto legacy = run_experiment(u, cfg);
-  EXPECT_EQ(fast.theta1.mean(), legacy.theta1.mean());
-  EXPECT_EQ(fast.n1_positive, legacy.n1_positive);
-  EXPECT_EQ(fast.n2_positive, legacy.n2_positive);
+  const accumulator_state fast = engine_state(u, cfg);
+  cfg.engine = sampling_engine::exact;
+  expect_states_identical(fast, engine_state(u, cfg), "fast vs exact");
 }
 
 TEST(CorrelatedSamplers, SparseAndMaskPathsShareOneRngStream) {

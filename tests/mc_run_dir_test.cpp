@@ -488,6 +488,39 @@ TEST(RunDirCodecTest, InvalidManifestPayloadsRejected) {
 // Rejection: truncation, version, kind, corruption
 // ---------------------------------------------------------------------------
 
+TEST(RunDirCodecTest, RetiredAndUnknownEngineTagsRejected) {
+  // Engine wire tags are append-only: 2 belonged to the retired `legacy`
+  // engine and is refused by name, in a decoded blob (the payload reader's
+  // stats::wire_error, wrapped like every malformed payload) and in
+  // validate().
+  mc::experiment_manifest m = small_experiment_manifest();
+  m.engine = static_cast<mc::sampling_engine>(2);
+  const std::string retired =
+      "sampling engine 2: the 'legacy' engine was retired; 'exact' gives the same results "
+      "bit for bit";
+  try {
+    (void)mc::decode_experiment_manifest(mc::encode_experiment_manifest(m));
+    ADD_FAILURE() << "tag 2 decoded";
+  } catch (const mc::run_dir_error& e) {
+    EXPECT_EQ(std::string(e.what()), "run_dir: state payload malformed: wire: " + retired);
+  }
+  try {
+    m.validate();
+    ADD_FAILURE() << "tag 2 validated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "experiment_manifest: " + retired);
+  }
+  m.engine = static_cast<mc::sampling_engine>(4);
+  try {
+    (void)mc::decode_experiment_manifest(mc::encode_experiment_manifest(m));
+    ADD_FAILURE() << "tag 4 decoded";
+  } catch (const mc::run_dir_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_dir: state payload malformed: wire: unknown sampling engine 4");
+  }
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+}
+
 TEST(RunDirCodecTest, TruncatedFilesRejected) {
   const std::string blob = mc::encode_accumulator_state(sample_accumulator_state(false));
   // Every strict prefix must be rejected: header-short, payload-short, and

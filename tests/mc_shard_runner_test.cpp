@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/generators.hpp"
 #include "core/moments.hpp"
+#include "core/simd_sampler.hpp"
+#include "mc/aliasing.hpp"
 #include "mc/correlated.hpp"
 #include "mc/experiment.hpp"
 #include "mc/shard_runner.hpp"
@@ -123,7 +129,7 @@ void expect_identical(const experiment_result& a, const experiment_result& b,
 TEST(ShardedExperiment, ResultsAreBitIdenticalAcrossThreadCounts) {
   const auto u = core::make_random_universe(130, 0.4, 0.8, 99);
   for (const auto engine :
-       {sampling_engine::fast, sampling_engine::exact, sampling_engine::legacy}) {
+       {sampling_engine::fast, sampling_engine::exact, sampling_engine::fast_simd}) {
     experiment_config cfg;
     cfg.samples = 20000;
     cfg.seed = 2024;
@@ -181,56 +187,140 @@ TEST(ShardedCorrelated, ResultsAreBitIdenticalAcrossThreadCounts) {
 }
 
 // --------------------------------------------------------------------------
-// Correlated runner migration: sharded vs serial, mask vs sparse
+// Correlated runner: closed forms and the scalar per-shard loop
 // --------------------------------------------------------------------------
 
 TEST(ShardedCorrelated, MatchesSerialReferenceWithinCi) {
-  // The sharded runner uses a different rng layout than the historical
-  // serial loop, so agreement is statistical: both must sit on the closed
-  // forms that the marginal-preserving mixture pins (E[Θ1], E[Θ2]
-  // depend only on marginals), and on each other within Monte-Carlo noise.
+  // The mixture's channels are independent and each version is stressed with
+  // probability rho, so P(N1 > 0) is a two-term sum over the stress state
+  // and P(N2 > 0) a 2x2 sum over both channels' states, each term a product
+  // over faults of the conditional absence probabilities.  E[Θ1] and E[Θ2]
+  // depend only on the preserved marginals.
   const auto u = core::make_random_universe(10, 0.3, 0.5, 3);
-  const common_cause_mixture mix(u, 0.4, 2.0);
+  const double rho = 0.4;
+  const double stress = 2.0;
+  const common_cause_mixture mix(u, rho, stress);
   const std::uint64_t samples = 200000;
-  const auto serial = run_correlated_serial(u, mix, samples, 5);
   const auto sharded = run_correlated(u, mix, samples, 5);
   EXPECT_EQ(sharded.samples, samples);
-  const double exact_t1 = core::single_version_moments(u).mean;
-  const double exact_t2 = core::pair_moments(u).mean;
-  EXPECT_NEAR(serial.mean_theta1, exact_t1, 5e-4);
-  EXPECT_NEAR(sharded.mean_theta1, exact_t1, 5e-4);
-  EXPECT_NEAR(serial.mean_theta2, exact_t2, 5e-4);
-  EXPECT_NEAR(sharded.mean_theta2, exact_t2, 5e-4);
-  EXPECT_NEAR(sharded.prob_n1_positive, serial.prob_n1_positive, 0.01);
-  EXPECT_NEAR(sharded.prob_n2_positive, serial.prob_n2_positive, 0.01);
-  EXPECT_NEAR(sharded.risk_ratio, serial.risk_ratio, 0.02);
+  EXPECT_NEAR(sharded.mean_theta1, core::single_version_moments(u).mean, 5e-4);
+  EXPECT_NEAR(sharded.mean_theta2, core::pair_moments(u).mean, 5e-4);
+
+  // Per-fault presence probability in each stress state, as the mixture
+  // builds it: stressed p·stress capped at 1, relaxed keeping the marginal.
+  std::vector<double> stressed;
+  std::vector<double> relaxed;
+  for (const auto& atom : u) {
+    stressed.push_back(std::min(1.0, stress * atom.p));
+    relaxed.push_back(std::max(0.0, (atom.p - rho * stressed.back()) / (1.0 - rho)));
+  }
+  const std::vector<double>* states[] = {&stressed, &relaxed};
+  const double weight[] = {rho, 1.0 - rho};
+  double p1_none = 0.0;
+  double p2_none = 0.0;
+  for (int a = 0; a < 2; ++a) {
+    double none = weight[a];
+    for (const double p : *states[a]) none *= 1.0 - p;
+    p1_none += none;
+    for (int b = 0; b < 2; ++b) {
+      double common_none = weight[a] * weight[b];
+      for (std::size_t i = 0; i < u.size(); ++i) {
+        common_none *= 1.0 - (*states[a])[i] * (*states[b])[i];
+      }
+      p2_none += common_none;
+    }
+  }
+  const double p1 = 1.0 - p1_none;
+  const double p2 = 1.0 - p2_none;
+  const auto n = static_cast<double>(samples);
+  EXPECT_NEAR(sharded.prob_n1_positive, p1, 5.0 * std::sqrt(p1 * (1.0 - p1) / n));
+  EXPECT_NEAR(sharded.prob_n2_positive, p2, 5.0 * std::sqrt(p2 * (1.0 - p2) / n));
+  EXPECT_NEAR(sharded.risk_ratio, p2 / p1, 0.02);
 }
 
-// A sampler adapter that hides the mask path, forcing run_correlated onto
-// the sparse version loop.
-struct sparse_only_adapter {
-  const common_cause_mixture* inner;
-  [[nodiscard]] version sample(stats::rng& r) const { return inner->sample(r); }
-};
+/// run_correlated laid out one shard at a time: shard s draws version a,
+/// then version b, through `sampler.sample_mask` on
+/// stats::rng::stream(seed, s), records masked_q_sum and intersect_q_sum with
+/// experiment_accumulator::add, and the shards merge in ascending order.
+template <typename Sampler>
+correlated_result scalar_correlated_loop(const core::fault_universe& u,
+                                         const Sampler& sampler, std::uint64_t samples,
+                                         std::uint64_t seed) {
+  const shard_plan plan = make_shard_plan(samples);
+  experiment_accumulator total;
+  core::fault_mask a;
+  core::fault_mask b;
+  for (unsigned shard = 0; shard < plan.shard_count; ++shard) {
+    stats::rng r = stats::rng::stream(seed, shard);
+    experiment_accumulator acc;
+    for (std::uint64_t s = 0; s < plan.shard_samples(shard); ++s) {
+      sampler.sample_mask(r, a);
+      sampler.sample_mask(r, b);
+      const core::pair_intersection_result pair = core::intersect_q_sum(a, b, u.q_array());
+      acc.add(core::masked_q_sum(a, u.q_array()), pair.pfd, a.any(), pair.any_common);
+    }
+    total.merge(acc);
+  }
+  correlated_result out;
+  out.samples = total.samples();
+  out.shards = plan.shard_count;
+  const auto n = static_cast<double>(total.samples());
+  out.mean_theta1 = total.theta1().mean();
+  out.mean_theta2 = total.theta2().mean();
+  out.prob_n1_positive = static_cast<double>(total.n1_positive()) / n;
+  out.prob_n2_positive = static_cast<double>(total.n2_positive()) / n;
+  out.risk_ratio = static_cast<double>(total.n2_positive()) /
+                   static_cast<double>(total.n1_positive());
+  return out;
+}
 
-TEST(ShardedCorrelated, MaskAndSparseSamplerPathsAgreeBitwise) {
-  // sample() delegates to sample_mask() and the mask/sparse PFD kernels
-  // accumulate in the same order, so the two run_correlated code paths must
-  // produce bit-identical results — per shard and therefore in aggregate.
+bool bits_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(ShardedCorrelated, MatchesScalarShardLoopAtEveryLevel) {
+  // The mixture draws through its lane kernel, the copula (both signs of
+  // rho) and the aliased model through per-lane sample_mask; each must
+  // record exactly what the scalar shard loop records, at any thread count
+  // and every SIMD level the host runs.  3001 pairs over the default 46
+  // shards: five full lane groups and a partial one of six.
   const auto u = core::make_random_universe(90, 0.4, 0.8, 55);
   const common_cause_mixture mix(u, 0.3, 1.5);
-  const sparse_only_adapter sparse{&mix};
-  for (const unsigned threads : {1u, 3u}) {
-    correlated_config cfg;
-    cfg.threads = threads;
-    const auto via_mask = run_correlated(u, mix, 20000, 11, cfg);
-    const auto via_sparse = run_correlated(u, sparse, 20000, 11, cfg);
-    EXPECT_EQ(via_mask.mean_theta1, via_sparse.mean_theta1);
-    EXPECT_EQ(via_mask.mean_theta2, via_sparse.mean_theta2);
-    EXPECT_EQ(via_mask.prob_n1_positive, via_sparse.prob_n1_positive);
-    EXPECT_EQ(via_mask.prob_n2_positive, via_sparse.prob_n2_positive);
-    EXPECT_EQ(via_mask.risk_ratio, via_sparse.risk_ratio);
-  }
+  const gaussian_copula_sampler cop(u, 0.4);
+  const gaussian_copula_sampler anti(u, -0.3);
+  const aliased_model aliased = split_into_mistakes(u, 3);
+  const core::fault_universe aliased_u = aliased.effective_universe();
+  const std::uint64_t samples = 3001;
+  const std::uint64_t seed = 19;
+  ASSERT_EQ(make_shard_plan(samples).shard_count, 46u);
+  const auto check = [&](const char* name, const core::fault_universe& cu,
+                         const auto& sampler) {
+    const correlated_result want = scalar_correlated_loop(cu, sampler, samples, seed);
+    for (const core::simd_level level :
+         {core::simd_level::scalar, core::simd_level::avx2, core::simd_level::avx512}) {
+      if (level > core::detected_simd_level()) continue;
+      core::set_simd_level_cap(level);
+      for (const unsigned threads : {1u, 3u}) {
+        correlated_config cfg;
+        cfg.threads = threads;
+        const correlated_result got = run_correlated(cu, sampler, samples, seed, cfg);
+        const std::string label = std::string(name) + " at " + core::simd_level_name(level) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(got.samples, want.samples) << label;
+        EXPECT_EQ(got.shards, want.shards) << label;
+        EXPECT_TRUE(bits_equal(got.mean_theta1, want.mean_theta1)) << label;
+        EXPECT_TRUE(bits_equal(got.mean_theta2, want.mean_theta2)) << label;
+        EXPECT_TRUE(bits_equal(got.prob_n1_positive, want.prob_n1_positive)) << label;
+        EXPECT_TRUE(bits_equal(got.prob_n2_positive, want.prob_n2_positive)) << label;
+        EXPECT_TRUE(bits_equal(got.risk_ratio, want.risk_ratio)) << label;
+      }
+      core::clear_simd_level_cap();
+    }
+  };
+  check("mixture", u, mix);
+  check("copula", u, cop);
+  check("copula rho<0", u, anti);
+  check("aliased_model", aliased_u, aliased);
 }
 
 TEST(ShardedCorrelated, MismatchedSamplerThrowsAcrossThreads) {

@@ -328,6 +328,54 @@ TEST(SweepSpec, ShardsAndWindowPastThirtyTwoBitsRejected) {
   EXPECT_EQ(m.window_count(), 1u);
 }
 
+TEST(SweepSpec, RetiredLegacyEngineIsAPositionedDiagnostic) {
+  const auto errors = parse_errors(
+      "[sweep]\nkind = experiment\n"
+      "[universe u]\ngenerator = homogeneous\nfaults = 8\np = 0.01\nq = 0.02\n"
+      "[experiment]\nuniverse = u\nsamples = 1000\nengine = legacy\n");
+  ASSERT_TRUE(has_error(errors, 8, "engine"));
+  EXPECT_EQ(errors.front().render(),
+            "test.spec:8: engine: the 'legacy' engine was retired; 'exact' gives the same "
+            "results bit for bit");
+}
+
+TEST(SweepSpec, OverridesTheKindDoesNotTakeAreRejected) {
+  // spec_overrides promise `--spec f --flag v` equals editing the file, so a
+  // flag whose key the kind refuses is an error too, at the [sweep] line,
+  // naming the flag and the kind.
+  const std::string demand =
+      "[sweep]\nkind = demand\n[demand]\ndemands = 10\nwindow = 2\ntargets = 3\n";
+  mc::spec_overrides engine;
+  engine.engine = mc::sampling_engine::exact;
+  mc::spec_overrides shards;
+  shards.shards = 3;
+  struct row {
+    std::string text;
+    mc::spec_overrides ov;
+    std::string rendered;
+  };
+  const row rows[] = {
+      {kScenarioSpec, engine,
+       "test.spec:2: --engine: a scenario spec takes no --engine (experiment specs only)"},
+      {demand, shards,
+       "test.spec:1: --shards: a demand spec takes no --shards (scenario and experiment "
+       "specs only)"},
+      {demand, engine,
+       "test.spec:1: --engine: a demand spec takes no --engine (experiment specs only)"},
+  };
+  for (const row& r : rows) {
+    const mc::spec_parse_result result = mc::parse_sweep_spec(r.text, "test.spec", r.ov);
+    EXPECT_FALSE(result.spec.has_value()) << r.rendered;
+    ASSERT_EQ(result.errors.size(), 1u) << r.rendered;
+    EXPECT_EQ(result.errors.front().render(), r.rendered);
+  }
+  // The overrides each kind does take still apply.
+  mc::spec_overrides ov;
+  ov.seed = 4;
+  ov.budget = 20;
+  EXPECT_EQ(std::get<mc::demand_manifest>(parse_ok(demand, ov).manifest).demands, 20u);
+}
+
 TEST(SweepSpec, InfeasibleValuesArePositionedNotThrown) {
   // Mixture rho out of range -> the [axes] line, via enumerate_cells.
   const auto errors = parse_errors(

@@ -73,7 +73,7 @@ struct options {
   bool shards_set = false;
   unsigned threads = 0;
   std::uint64_t budget = 0;  // 0 = preset/spec default
-  std::string engine;        // empty = fast; experiment mode only
+  std::optional<mc::sampling_engine> engine;  // unset = the spec's; experiment only
   std::string run_dir;
   unsigned workers = 2;
   std::size_t max_cells = 0;
@@ -256,15 +256,6 @@ const preset_row& preset_for(const std::string& mode) {
                               "' (expected scenario, demand or experiment)");
 }
 
-mc::sampling_engine parse_engine(const std::string& name) {
-  if (name.empty() || name == "fast") return mc::sampling_engine::fast;
-  if (name == "exact") return mc::sampling_engine::exact;
-  if (name == "legacy") return mc::sampling_engine::legacy;
-  if (name == "fast-simd") return mc::sampling_engine::fast_simd;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (expected fast, exact, legacy or fast-simd)");
-}
-
 /// A spec file (or embedded preset) that failed to parse.  Carries the
 /// rendered file:line: field: message diagnostics; the CLI prints them bare
 /// and exits 2 — no usage dump, the position IS the explanation.
@@ -297,7 +288,7 @@ mc::sweep_spec resolve_spec(const options& opt) {
   if (opt.seed_set) ov.seed = opt.seed;
   if (opt.budget > 0) ov.budget = opt.budget;
   if (opt.shards_set) ov.shards = opt.shards;
-  if (!opt.engine.empty()) ov.engine = parse_engine(opt.engine);
+  ov.engine = opt.engine;
 
   const preset_row& preset = preset_for(opt.mode);
   std::string text;
@@ -748,8 +739,7 @@ constexpr command kCommands[] = {
      "  --shards N           logical shards: per cell (scenario) or for the run\n"
      "                       (experiment); 0 = budget-scaled\n"
      "  --budget N           scenario/experiment: samples; demand: demands per target\n"
-     "  --engine NAME        experiment engine: fast (default) | exact | legacy |\n"
-     "                       fast-simd\n"
+     "  --engine NAME        experiment engine: fast (default) | exact | fast-simd\n"
      "  --threads N          worker threads (default 0 = hardware)\n"
      "  --out-csv PATH / --out-json PATH      results tables\n"
      "  --quiet              suppress the progress line\n",
@@ -954,8 +944,7 @@ options parse_args(const command& cmd, int argc, char** argv) {
     } else if (arg == "--budget") {
       opt.budget = parse_u64(arg, value());
     } else if (arg == "--engine") {
-      opt.engine = value();
-      (void)parse_engine(opt.engine);  // typos fail here, before any work
+      opt.engine = mc::parse_sampling_engine(value());  // typos fail here, before any work
     } else if (arg == "--threads") {
       opt.threads = parse_u32(arg, value());
     } else if (arg == "--run-dir") {
