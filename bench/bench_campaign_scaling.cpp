@@ -7,10 +7,12 @@
 //   roster order); BM_KLScoreCampaign is the shipping campaign layer (one
 //   stream per target, fanned over workers — results bit-identical across
 //   thread counts).
-// * Grouped-universe sampling: run_experiment on a universe made of
-//   homogeneous p-blocks, where the grouped bit-slice sampler replaces the
-//   per-fault paired kernel (BM_RunExperimentGroupedVsPaired isolates the
-//   win by disabling the grouped path via an equivalent shuffled universe).
+// * Grouped-universe sampling: run_experiment's default fast-simd engine on
+//   a universe made of homogeneous p-blocks, whose words it bit-slices, and
+//   on the same atoms shuffled so no word is uniform until its p-sorted
+//   relayout gathers them again.  The exact engine on the shuffled universe
+//   is the baseline: if the relayout stopped gathering, fast-simd would draw
+//   the shuffled words fault by fault and lose most of its lead.
 // * Scenario grid: cells/second of a small sweep.
 //
 // Thread-count args: 0 means hardware_concurrency (the shipping default).
@@ -22,6 +24,7 @@
 #include <numeric>
 #include <vector>
 
+#include "bench_main.hpp"
 #include "core/generators.hpp"
 #include "kl/experiment.hpp"
 #include "mc/campaign.hpp"
@@ -102,9 +105,9 @@ BENCHMARK(BM_KLExperimentEndToEnd)
     ->UseRealTime();
 
 // Grouped-universe sampling: 4 homogeneous 64-fault blocks (sliceable
-// thresholds) vs the same atom multiset shuffled so no word is uniform
-// (falls back to the paired 32-bit kernel).
-void run_grouped_bench(benchmark::State& state, bool shuffled) {
+// thresholds) vs the same atom multiset shuffled so no word is uniform (the
+// p-sorted relayout gathers it back into sliceable words).
+void run_grouped_bench(benchmark::State& state, bool shuffled, mc::sampling_engine engine) {
   std::vector<core::fault_block> blocks = {{64, 0.5, 0.8 / 256.0},
                                            {64, 0.25, 0.8 / 256.0},
                                            {64, 0.125, 0.8 / 256.0},
@@ -123,7 +126,7 @@ void run_grouped_bench(benchmark::State& state, bool shuffled) {
   }
   mc::experiment_config cfg;
   cfg.samples = 4096;
-  cfg.engine = mc::sampling_engine::fast;
+  cfg.engine = engine;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     cfg.seed = seed++;
@@ -132,12 +135,18 @@ void run_grouped_bench(benchmark::State& state, bool shuffled) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cfg.samples));
 }
-void BM_RunExperimentGrouped(benchmark::State& state) { run_grouped_bench(state, false); }
-void BM_RunExperimentPairedShuffled(benchmark::State& state) {
-  run_grouped_bench(state, true);
+void BM_RunExperimentGrouped(benchmark::State& state) {
+  run_grouped_bench(state, false, mc::sampling_engine::fast_simd);
+}
+void BM_RunExperimentShuffled(benchmark::State& state) {
+  run_grouped_bench(state, true, mc::sampling_engine::fast_simd);
+}
+void BM_RunExperimentExactShuffled(benchmark::State& state) {
+  run_grouped_bench(state, true, mc::sampling_engine::exact);
 }
 BENCHMARK(BM_RunExperimentGrouped)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_RunExperimentPairedShuffled)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_RunExperimentShuffled)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_RunExperimentExactShuffled)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Scenario grid: a 3x3 rho x omega sweep, cells fanned over the pool.
 void BM_ScenarioGrid(benchmark::State& state) {
@@ -163,4 +172,4 @@ BENCHMARK(BM_ScenarioGrid)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+RELDIV_BENCHMARK_MAIN()

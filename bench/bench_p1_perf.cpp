@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_main.hpp"
 #include "core/generators.hpp"
 #include "core/moments.hpp"
 #include "core/no_common_fault.hpp"
@@ -78,36 +79,6 @@ void BM_SampleVersionMaskExact(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleVersionMaskExact)->Range(16, 1024);
 
-// Bitset engine: paired sampler — one rng word yields a presence bit for
-// both versions of a pair, so time per *version* is half the per-word cost.
-void BM_SampleVersionPairFast(benchmark::State& state) {
-  const auto u = core::make_random_universe(static_cast<std::size_t>(state.range(0)), 0.3,
-                                            0.8, 5);
-  stats::rng r(6);
-  core::fault_mask a(u.size());
-  core::fault_mask b(u.size());
-  for (auto _ : state) {
-    mc::sample_version_pair_fast(u, r, a, b);
-    benchmark::DoNotOptimize(a.words());
-    benchmark::DoNotOptimize(b.words());
-  }
-}
-BENCHMARK(BM_SampleVersionPairFast)->Range(16, 1024);
-
-// Bitset engine: word-parallel sampler for uniform-p universes (64 presence
-// bits per bit-slice pass).
-void BM_SampleVersionMaskUniform(benchmark::State& state) {
-  const auto u = core::make_homogeneous_universe(
-      static_cast<std::size_t>(state.range(0)), 0.3, 0.8 / static_cast<double>(state.range(0)));
-  stats::rng r(6);
-  core::fault_mask m(u.size());
-  for (auto _ : state) {
-    mc::sample_version_mask_uniform(u, r, m);
-    benchmark::DoNotOptimize(m.words());
-  }
-}
-BENCHMARK(BM_SampleVersionMaskUniform)->Range(16, 1024);
-
 // Pair PFD: sparse sorted-merge vs fused word-AND + masked q gather.
 void BM_PairPfdSparse(benchmark::State& state) {
   const auto u = core::make_random_universe(static_cast<std::size_t>(state.range(0)), 0.3,
@@ -136,11 +107,13 @@ void BM_PairPfdMask(benchmark::State& state) {
 }
 BENCHMARK(BM_PairPfdMask)->Range(16, 1024);
 
-// End-to-end experiment throughput at the ISSUE's reference size n=1024:
-// single-threaded so the engine comparison is apples-to-apples (threading
-// multiplies all engines alike).  Items processed = sampled version pairs.
-void run_experiment_bench(benchmark::State& state, mc::sampling_engine engine) {
-  const auto u = core::make_random_universe(1024, 0.3, 0.8, 5);
+// End-to-end experiment throughput: the bit-exact reference engine against
+// the default fast-simd engine, single-threaded so the engine comparison is
+// apples-to-apples (threading multiplies all engines alike), on a random
+// n=1024 universe and on a uniform p = 0.5 one, where fast-simd bit-slices
+// every word with one draw.  Items processed = sampled version pairs.
+void run_experiment_bench(benchmark::State& state, const core::fault_universe& u,
+                          mc::sampling_engine engine) {
   mc::experiment_config cfg;
   cfg.samples = 2048;
   cfg.threads = 1;
@@ -154,48 +127,33 @@ void run_experiment_bench(benchmark::State& state, mc::sampling_engine engine) {
                           static_cast<std::int64_t>(cfg.samples));
 }
 
+core::fault_universe random_universe() {
+  return core::make_random_universe(1024, 0.3, 0.8, 5);
+}
+
+core::fault_universe uniform_universe() {
+  return core::make_homogeneous_universe(1024, 0.5, 0.8 / 1024.0);
+}
+
 void BM_RunExperimentExact(benchmark::State& state) {
-  run_experiment_bench(state, mc::sampling_engine::exact);
+  run_experiment_bench(state, random_universe(), mc::sampling_engine::exact);
 }
 BENCHMARK(BM_RunExperimentExact)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_RunExperimentFast(benchmark::State& state) {
-  run_experiment_bench(state, mc::sampling_engine::fast);
+void BM_RunExperimentFastSimd(benchmark::State& state) {
+  run_experiment_bench(state, random_universe(), mc::sampling_engine::fast_simd);
 }
-BENCHMARK(BM_RunExperimentFast)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_RunExperimentFastSimd)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Uniform-p end-to-end variant: with p = 0.5 the fast engine's word-parallel
-// kernel needs a single rng word per 64 faults.
-void BM_RunExperimentFastUniformP(benchmark::State& state) {
-  const auto u = core::make_homogeneous_universe(1024, 0.5, 0.8 / 1024.0);
-  mc::experiment_config cfg;
-  cfg.samples = 2048;
-  cfg.threads = 1;
-  cfg.engine = mc::sampling_engine::fast;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    cfg.seed = seed++;
-    benchmark::DoNotOptimize(mc::run_experiment(u, cfg));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(cfg.samples));
+void BM_RunExperimentExactUniformP(benchmark::State& state) {
+  run_experiment_bench(state, uniform_universe(), mc::sampling_engine::exact);
 }
-BENCHMARK(BM_RunExperimentFastUniformP)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_RunExperimentExactUniformP)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Word-parallel sampler at p = 0.5 (single rng word per 64 faults): the
-// upper end of the sampling speedup.
-void BM_SampleVersionMaskUniformHalf(benchmark::State& state) {
-  const auto u = core::make_homogeneous_universe(
-      static_cast<std::size_t>(state.range(0)), 0.5,
-      0.8 / static_cast<double>(state.range(0)));
-  stats::rng r(6);
-  core::fault_mask m(u.size());
-  for (auto _ : state) {
-    mc::sample_version_mask_uniform(u, r, m);
-    benchmark::DoNotOptimize(m.words());
-  }
+void BM_RunExperimentFastSimdUniformP(benchmark::State& state) {
+  run_experiment_bench(state, uniform_universe(), mc::sampling_engine::fast_simd);
 }
-BENCHMARK(BM_SampleVersionMaskUniformHalf)->Range(16, 1024);
+BENCHMARK(BM_RunExperimentFastSimdUniformP)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PoissonBinomial(benchmark::State& state) {
   const auto u = core::make_random_universe(static_cast<std::size_t>(state.range(0)), 0.3,
@@ -217,4 +175,4 @@ BENCHMARK(BM_RngUniform);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+RELDIV_BENCHMARK_MAIN()

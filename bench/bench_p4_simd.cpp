@@ -1,14 +1,15 @@
 // P4 — the fast-simd engine (counter-based generation + p-sorted universe
-// relayout + runtime SIMD dispatch) against the fast engine, end to end.
+// relayout + runtime SIMD dispatch) against the bit-exact `exact` engine, end
+// to end.
 //
 // The headline case is the heterogeneous n=1024 universe whose p values are
 // drawn from a small palette but scattered so no 64-fault word is uniform:
-// the fast engine's word-parallel kernels cannot engage (every word falls to
-// the paired per-fault kernel), while fast-simd's relayout gathers equal-p
-// faults into whole words and bit-slices almost all of them.  The scalar-cap
-// variant isolates the relayout+counter contribution from the AVX2 kernels;
-// the random-universe pair isolates the pure SIMD gain with no sliceable
-// words at all.
+// fast-simd's relayout gathers equal-p faults into whole words and
+// bit-slices almost all of them.  The scalar-cap pair isolates the
+// relayout+counter contribution from the SIMD kernels; the random-universe
+// pair isolates the SIMD gain with no sliceable words at all.  Each `exact`
+// baseline runs at the same SIMD cap as the fast-simd variant it is divided
+// by, so every ratio keeps one SIMD class.
 //
 // The scenario pair measures the other two SIMD kernel families:
 // scenario_ci.spec's 256-fault mixture cell through run_scenario_cell, once
@@ -17,8 +18,8 @@
 // the lane fold folds each pair step of the eight shards into their
 // accumulators at once.  Both produce the same bits.
 //
-// The *Avx2 twins of the random-universe fast-simd run and the scenario cell
-// run at the avx2 cap, so on an AVX-512 host "dispatched vs avx2 cap" is the
+// The *Avx2 twins of the random-universe runs and the scenario cell run at
+// the avx2 cap, so on an AVX-512 host "dispatched vs avx2 cap" is the
 // AVX-512 kernels' own gain (the random universe, because its paired32 words
 // are where the counter kernel runs; the heterogeneous one is mostly scalar
 // slice words); on an AVX2 host the twins equal their uncapped variants.
@@ -32,9 +33,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "bench_main.hpp"
 #include "core/fault_universe.hpp"
 #include "core/generators.hpp"
 #include "core/simd_sampler.hpp"
@@ -46,10 +49,10 @@ namespace {
 
 using namespace reldiv;
 
-/// Heterogeneous worst case for the word-parallel fast engine: an 8-value
-/// p palette (k/16, thresholds with >= 49 trailing zero bits, so a uniform
-/// word slices in <= 5 draws) scattered by a deterministic Fisher-Yates so
-/// no word is uniform until the p-sorted relayout re-gathers them.
+/// Heterogeneous universe: an 8-value p palette (k/16, thresholds with >= 49
+/// trailing zero bits, so a uniform word slices in <= 5 draws) scattered by a
+/// deterministic Fisher-Yates so no word is uniform until the p-sorted
+/// relayout re-gathers them.
 core::fault_universe make_scattered_palette_universe(std::size_t n,
                                                      std::uint64_t seed) {
   std::vector<core::fault_atom> atoms;
@@ -65,8 +68,12 @@ core::fault_universe make_scattered_palette_universe(std::size_t n,
   return core::fault_universe(std::move(atoms));
 }
 
+/// One single-threaded engine run per iteration, at SIMD cap `cap` (none:
+/// the dispatched level).
 void run_engine_bench(benchmark::State& state, const core::fault_universe& u,
-                      mc::sampling_engine engine) {
+                      mc::sampling_engine engine,
+                      std::optional<core::simd_level> cap = std::nullopt) {
+  if (cap) core::set_simd_level_cap(*cap);
   mc::experiment_config cfg;
   cfg.samples = 2048;
   cfg.threads = 1;
@@ -78,31 +85,39 @@ void run_engine_bench(benchmark::State& state, const core::fault_universe& u,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cfg.samples));
+  core::clear_simd_level_cap();
+}
+
+core::fault_universe hetero_universe() { return make_scattered_palette_universe(1024, 11); }
+
+core::fault_universe random_universe() {
+  return core::make_random_universe(1024, 0.3, 0.8, 5);
 }
 
 // --- Heterogeneous n=1024: relayout + slice + SIMD --------------------------
 
-void BM_RunExperimentFastHetero(benchmark::State& state) {
-  run_engine_bench(state, make_scattered_palette_universe(1024, 11),
-                   mc::sampling_engine::fast);
+void BM_RunExperimentExactHetero(benchmark::State& state) {
+  run_engine_bench(state, hetero_universe(), mc::sampling_engine::exact);
 }
-BENCHMARK(BM_RunExperimentFastHetero)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_RunExperimentExactHetero)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_RunExperimentFastSimdHetero(benchmark::State& state) {
-  core::clear_simd_level_cap();
-  run_engine_bench(state, make_scattered_palette_universe(1024, 11),
-                   mc::sampling_engine::fast_simd);
+  run_engine_bench(state, hetero_universe(), mc::sampling_engine::fast_simd);
 }
 BENCHMARK(BM_RunExperimentFastSimdHetero)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Scalar-fallback cap: the relayout + counter engine with the SIMD kernels
-// forced off.  The acceptance bar is "no slower than fast", proving the
-// refactor costs nothing on hosts without AVX2.
+// Scalar cap: the relayout + counter engine with the SIMD kernels forced
+// off, against `exact` with its SIMD fold forced off, so the ratio holds on
+// hosts without AVX2.
+void BM_RunExperimentExactScalarHetero(benchmark::State& state) {
+  run_engine_bench(state, hetero_universe(), mc::sampling_engine::exact,
+                   core::simd_level::scalar);
+}
+BENCHMARK(BM_RunExperimentExactScalarHetero)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_RunExperimentFastSimdScalarHetero(benchmark::State& state) {
-  core::set_simd_level_cap(core::simd_level::scalar);
-  run_engine_bench(state, make_scattered_palette_universe(1024, 11),
-                   mc::sampling_engine::fast_simd);
-  core::clear_simd_level_cap();
+  run_engine_bench(state, hetero_universe(), mc::sampling_engine::fast_simd,
+                   core::simd_level::scalar);
 }
 BENCHMARK(BM_RunExperimentFastSimdScalarHetero)
     ->Unit(benchmark::kMillisecond)
@@ -110,24 +125,25 @@ BENCHMARK(BM_RunExperimentFastSimdScalarHetero)
 
 // --- Random n=1024: no sliceable words, pure SIMD kernel gain ---------------
 
-void BM_RunExperimentFastRandom(benchmark::State& state) {
-  run_engine_bench(state, core::make_random_universe(1024, 0.3, 0.8, 5),
-                   mc::sampling_engine::fast);
+void BM_RunExperimentExactRandom(benchmark::State& state) {
+  run_engine_bench(state, random_universe(), mc::sampling_engine::exact);
 }
-BENCHMARK(BM_RunExperimentFastRandom)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_RunExperimentExactRandom)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_RunExperimentFastSimdRandom(benchmark::State& state) {
-  core::clear_simd_level_cap();
-  run_engine_bench(state, core::make_random_universe(1024, 0.3, 0.8, 5),
-                   mc::sampling_engine::fast_simd);
+  run_engine_bench(state, random_universe(), mc::sampling_engine::fast_simd);
 }
 BENCHMARK(BM_RunExperimentFastSimdRandom)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+void BM_RunExperimentExactRandomAvx2(benchmark::State& state) {
+  run_engine_bench(state, random_universe(), mc::sampling_engine::exact,
+                   core::simd_level::avx2);
+}
+BENCHMARK(BM_RunExperimentExactRandomAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_RunExperimentFastSimdRandomAvx2(benchmark::State& state) {
-  core::set_simd_level_cap(core::simd_level::avx2);
-  run_engine_bench(state, core::make_random_universe(1024, 0.3, 0.8, 5),
-                   mc::sampling_engine::fast_simd);
-  core::clear_simd_level_cap();
+  run_engine_bench(state, random_universe(), mc::sampling_engine::fast_simd,
+                   core::simd_level::avx2);
 }
 BENCHMARK(BM_RunExperimentFastSimdRandomAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
 
@@ -172,15 +188,4 @@ BENCHMARK(BM_ScenarioMixtureCellAvx2)->Unit(benchmark::kMillisecond)->UseRealTim
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // The level every uncapped variant runs at (RELDIV_SIMD applies):
-  // compare_bench.py gates their ratios only between runs that report the
-  // same level, and the *Avx2 twins' only when both report avx2 or above.
-  benchmark::AddCustomContext("simd_level",
-                              core::simd_level_name(core::active_simd_level()));
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+RELDIV_BENCHMARK_MAIN()

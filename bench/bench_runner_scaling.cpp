@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "bench_main.hpp"
 #include "core/generators.hpp"
 #include "mc/correlated.hpp"
 #include "mc/experiment.hpp"
@@ -60,7 +61,6 @@ void BM_RunExperimentSharded(benchmark::State& state) {
   mc::experiment_config cfg;
   cfg.samples = kSamples;
   cfg.threads = static_cast<unsigned>(state.range(0));
-  cfg.engine = mc::sampling_engine::fast;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     cfg.seed = seed++;
@@ -84,7 +84,6 @@ void BM_RunExperimentChunkedCheckpoints(benchmark::State& state) {
   mc::experiment_config cfg;
   cfg.samples = kSamples;
   cfg.threads = 1;
-  cfg.engine = mc::sampling_engine::fast;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     cfg.seed = seed++;
@@ -105,4 +104,4 @@ BENCHMARK(BM_RunExperimentChunkedCheckpoints)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+RELDIV_BENCHMARK_MAIN()

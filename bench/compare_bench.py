@@ -5,9 +5,11 @@ checked-in BENCH_p*.json baselines and fail on a real throughput regression.
 Two kinds of comparison:
 
 * KEY COUNTERS (gate): the speedup ratios of the optimized paths over their
-  in-file baselines — exact vs fast engine, sparse vs mask sampling, one
+  in-file baselines — the fast-simd engine vs the bit-exact `exact` engine
+  on the same universe at the same SIMD cap, sparse vs mask sampling, one
   thread vs all of them for the correlated runner, serial vs campaign KL
-  scoring, paired vs grouped sampling.  A single-threaded ratio divides out the machine, so a baseline
+  scoring, the SIMD kernels vs their scalar level and their avx2 cap.  A
+  single-threaded ratio divides out the machine, so a baseline
   recorded on one host gates a fresh run on another: if the fast path's
   advantage over its own baseline shrank by more than --max-regression
   (default 25%), the optimization regressed and the job FAILS.  Ratios whose
@@ -46,7 +48,8 @@ import sys
 # inform instead of gate (a 1-CPU baseline would otherwise never catch a
 # scaling regression, and a many-core baseline would permanently fail CI).
 # simd says which SIMD level the denominator runs at:
-#   None         no SIMD kernel, gates everywhere;
+#   None         no SIMD kernel, or both sides capped at the scalar level,
+#                gates everywhere;
 #   "dispatched" the host's dispatched level: an AVX-512 baseline says
 #                nothing about a host that dispatches AVX2, so these gate
 #                only between equal levels (the "dispatched vs avx2 cap"
@@ -55,12 +58,12 @@ import sys
 #   "avx2"       capped at AVX2: the same kernels on every host that reaches
 #                AVX2, so these gate whenever both levels are at least avx2.
 KEY_RATIOS = [
-    ("run_experiment fast engine vs exact",
-     "BM_RunExperimentExact/real_time", "BM_RunExperimentFast/real_time",
-     False, None),
-    ("uniform-p word-parallel sampler vs exact",
-     "BM_RunExperimentExact/real_time", "BM_RunExperimentFastUniformP/real_time",
-     False, None),
+    ("run_experiment fast-simd engine vs exact on random n=1024",
+     "BM_RunExperimentExact/real_time", "BM_RunExperimentFastSimd/real_time",
+     False, "dispatched"),
+    ("run_experiment fast-simd engine vs exact on uniform p = 0.5",
+     "BM_RunExperimentExactUniformP/real_time",
+     "BM_RunExperimentFastSimdUniformP/real_time", False, "dispatched"),
     ("exact mask sampler vs sparse sample_version n=1024",
      "BM_SampleVersion/1024", "BM_SampleVersionMaskExact/1024",
      False, None),
@@ -70,20 +73,22 @@ KEY_RATIOS = [
     ("KL empirical scoring campaign(hw) vs serial",
      "BM_KLScoreSerialBaseline/real_time", "BM_KLScoreCampaign/0/real_time",
      True, None),
-    ("grouped-universe bit-slice vs paired kernel",
-     "BM_RunExperimentPairedShuffled/real_time", "BM_RunExperimentGrouped/real_time",
-     False, None),
-    ("fast-simd engine vs fast on heterogeneous n=1024",
-     "BM_RunExperimentFastHetero/real_time",
+    # Fails if the p-sorted relayout stops gathering the shuffled universe's
+    # equal-p faults into sliceable words.
+    ("p-sorted relayout: fast-simd vs exact on the shuffled 4x64 universe",
+     "BM_RunExperimentExactShuffled/real_time", "BM_RunExperimentShuffled/real_time",
+     False, "dispatched"),
+    ("fast-simd engine vs exact on heterogeneous n=1024",
+     "BM_RunExperimentExactHetero/real_time",
      "BM_RunExperimentFastSimdHetero/real_time", False, "dispatched"),
-    ("fast-simd scalar fallback vs fast on heterogeneous n=1024",
-     "BM_RunExperimentFastHetero/real_time",
+    ("fast-simd vs exact on heterogeneous n=1024, both at the scalar cap",
+     "BM_RunExperimentExactScalarHetero/real_time",
      "BM_RunExperimentFastSimdScalarHetero/real_time", False, None),
-    ("fast-simd engine vs fast on random n=1024",
-     "BM_RunExperimentFastRandom/real_time",
+    ("fast-simd engine vs exact on random n=1024",
+     "BM_RunExperimentExactRandom/real_time",
      "BM_RunExperimentFastSimdRandom/real_time", False, "dispatched"),
-    ("fast-simd avx2 cap vs fast on random n=1024",
-     "BM_RunExperimentFastRandom/real_time",
+    ("fast-simd vs exact on random n=1024, both at the avx2 cap",
+     "BM_RunExperimentExactRandomAvx2/real_time",
      "BM_RunExperimentFastSimdRandomAvx2/real_time", False, "avx2"),
     ("scenario mixture cell xoshiro lanes vs scalar level",
      "BM_ScenarioMixtureCellScalar/real_time",

@@ -4,21 +4,23 @@
 # PRs:
 #   BENCH_p1.json — kernel + end-to-end engine comparison (bench_p1_perf;
 #                   BM_RunExperimentExact is the bit-exact reference engine,
-#                   BM_RunExperimentFast the shipping one, BM_SampleVersion
+#                   BM_RunExperimentFastSimd the default one, BM_SampleVersion
 #                   the sparse sampler the mask kernels replaced).
 #   BENCH_p2.json — deterministic sharded-runner throughput across worker
 #                   counts (bench_runner_scaling; one thread is the
 #                   baseline).
 #   BENCH_p3.json — unified campaign layer (bench_campaign_scaling): KL
 #                   empirical scoring serial baseline vs the multithreaded
-#                   demand campaign, grouped-universe sampling vs the paired
-#                   kernel, and scenario-grid cell throughput.
+#                   demand campaign, fast-simd vs exact on a shuffled
+#                   grouped universe (the p-sorted relayout's gain), and
+#                   scenario-grid cell throughput.
 #   BENCH_p4.json — SIMD kernels (bench_p4_simd): the fast-simd engine
 #                   (counter generation + p-sorted relayout + runtime SIMD
-#                   dispatch) vs the fast engine on heterogeneous and random
-#                   n=1024 universes, scenario_ci's 256-fault mixture
-#                   cell with the xoshiro lane kernel vs its scalar level,
-#                   and both SIMD families dispatched vs capped at AVX2.
+#                   dispatch) vs the exact engine at the same SIMD cap on
+#                   heterogeneous and random n=1024 universes,
+#                   scenario_ci's 256-fault mixture cell with the xoshiro
+#                   lane kernel vs its scalar level, and both SIMD families
+#                   dispatched vs capped at AVX2.
 #   BENCH_p5.json — sweep-service front-end (bench_p5_service): queue
 #                   submit -> merged latency (cold) vs the fingerprint-
 #                   memoized result-cache query (hot), plus the status probe.
@@ -92,71 +94,54 @@ def load(path):
         sys.exit(f"run_bench.sh: {path} holds no benchmark entries")
     return {b["name"]: b["real_time"] for b in benches if "real_time" in b}
 
+def ratio_line(times, label, base, fast, base_name, fast_name, unit="ms", fmt=".2f"):
+    """Print `label: base_name X -> fast_name Y (speedup)` when both rows exist."""
+    b, f = times.get(base), times.get(fast)
+    if b and f:
+        print(f"{label}: {base_name} {b:{fmt}}{unit} -> {fast_name} {f:{fmt}}{unit} "
+              f"({b / f:.2f}x)")
+
 times = load(sys.argv[1])
-exact = times.get("BM_RunExperimentExact/real_time")
-fast = times.get("BM_RunExperimentFast/real_time")
-if exact and fast:
-    print(f"run_experiment n=1024: exact {exact:.2f}ms -> fast {fast:.2f}ms "
-          f"({exact / fast:.2f}x)")
-sparse = times.get("BM_SampleVersion/1024")
-mask = times.get("BM_SampleVersionMaskExact/1024")
-if sparse and mask:
-    print(f"sample_version n=1024: sparse {sparse:.0f}ns -> exact mask {mask:.0f}ns "
-          f"({sparse / mask:.2f}x)")
+ratio_line(times, "run_experiment random n=1024", "BM_RunExperimentExact/real_time",
+           "BM_RunExperimentFastSimd/real_time", "exact", "fast-simd")
+ratio_line(times, "run_experiment uniform p = 0.5 n=1024",
+           "BM_RunExperimentExactUniformP/real_time",
+           "BM_RunExperimentFastSimdUniformP/real_time", "exact", "fast-simd")
+ratio_line(times, "sample_version n=1024", "BM_SampleVersion/1024",
+           "BM_SampleVersionMaskExact/1024", "sparse", "exact mask", unit="ns", fmt=".0f")
 
 p2 = load(sys.argv[2])
-one = p2.get("BM_RunCorrelatedSharded/1/real_time")
-sharded = p2.get("BM_RunCorrelatedSharded/0/real_time")  # 0 = hardware threads
-if one and sharded:
-    print(f"run_correlated n=256: 1 thread {one:.2f}ms -> sharded(hw) {sharded:.2f}ms "
-          f"({one / sharded:.2f}x)")
+# "/0" = hardware threads.
+ratio_line(p2, "run_correlated n=256", "BM_RunCorrelatedSharded/1/real_time",
+           "BM_RunCorrelatedSharded/0/real_time", "1 thread", "sharded(hw)")
 
 p3 = load(sys.argv[3])
-kl_serial = p3.get("BM_KLScoreSerialBaseline/real_time")
-kl_campaign = p3.get("BM_KLScoreCampaign/0/real_time")  # 0 = hardware threads
-if kl_serial and kl_campaign:
-    print(f"KL empirical scoring (378 targets x 1M demands): serial {kl_serial:.2f}ms "
-          f"-> campaign(hw) {kl_campaign:.2f}ms ({kl_serial / kl_campaign:.2f}x)")
-grouped = p3.get("BM_RunExperimentGrouped/real_time")
-paired = p3.get("BM_RunExperimentPairedShuffled/real_time")
-if grouped and paired:
-    print(f"grouped-universe sampling n=256: paired {paired:.2f}ms -> "
-          f"bit-slice {grouped:.2f}ms ({paired / grouped:.2f}x)")
+ratio_line(p3, "KL empirical scoring (378 targets x 1M demands)",
+           "BM_KLScoreSerialBaseline/real_time", "BM_KLScoreCampaign/0/real_time", "serial",
+           "campaign(hw)")
+ratio_line(p3, "shuffled 4x64 universe (p-sorted relayout)",
+           "BM_RunExperimentExactShuffled/real_time", "BM_RunExperimentShuffled/real_time",
+           "exact", "fast-simd")
 
 p4 = load(sys.argv[4])
-hetero_fast = p4.get("BM_RunExperimentFastHetero/real_time")
-hetero_simd = p4.get("BM_RunExperimentFastSimdHetero/real_time")
-hetero_scalar = p4.get("BM_RunExperimentFastSimdScalarHetero/real_time")
-if hetero_fast and hetero_simd:
-    print(f"fast-simd heterogeneous n=1024: fast {hetero_fast:.2f}ms -> "
-          f"fast-simd {hetero_simd:.2f}ms ({hetero_fast / hetero_simd:.2f}x)")
-if hetero_fast and hetero_scalar:
-    print(f"fast-simd scalar-cap heterogeneous n=1024: fast {hetero_fast:.2f}ms -> "
-          f"scalar fallback {hetero_scalar:.2f}ms ({hetero_fast / hetero_scalar:.2f}x)")
-cell_scalar = p4.get("BM_ScenarioMixtureCellScalar/real_time")
-cell_lanes = p4.get("BM_ScenarioMixtureCellLanes/real_time")
-if cell_scalar and cell_lanes:
-    print(f"scenario_ci mixture cell (256 faults, 1e6 pairs): scalar level "
-          f"{cell_scalar:.0f}ms -> xoshiro lanes {cell_lanes:.0f}ms "
-          f"({cell_scalar / cell_lanes:.2f}x)")
-# The avx2 cap against the in-file baselines: gated on every AVX2+ host.
-random_fast = p4.get("BM_RunExperimentFastRandom/real_time")
-random_simd = p4.get("BM_RunExperimentFastSimdRandom/real_time")
-random_avx2 = p4.get("BM_RunExperimentFastSimdRandomAvx2/real_time")
-cell_avx2 = p4.get("BM_ScenarioMixtureCellAvx2/real_time")
-if random_fast and random_avx2:
-    print(f"fast-simd random n=1024: fast {random_fast:.2f}ms -> avx2 cap "
-          f"{random_avx2:.2f}ms ({random_fast / random_avx2:.2f}x)")
-if cell_scalar and cell_avx2:
-    print(f"scenario_ci mixture cell: scalar level {cell_scalar:.0f}ms -> avx2 cap "
-          f"{cell_avx2:.0f}ms ({cell_scalar / cell_avx2:.2f}x)")
+ratio_line(p4, "heterogeneous n=1024", "BM_RunExperimentExactHetero/real_time",
+           "BM_RunExperimentFastSimdHetero/real_time", "exact", "fast-simd")
+ratio_line(p4, "heterogeneous n=1024, scalar cap", "BM_RunExperimentExactScalarHetero/real_time",
+           "BM_RunExperimentFastSimdScalarHetero/real_time", "exact", "fast-simd")
+ratio_line(p4, "random n=1024", "BM_RunExperimentExactRandom/real_time",
+           "BM_RunExperimentFastSimdRandom/real_time", "exact", "fast-simd")
+ratio_line(p4, "random n=1024, avx2 cap", "BM_RunExperimentExactRandomAvx2/real_time",
+           "BM_RunExperimentFastSimdRandomAvx2/real_time", "exact", "fast-simd")
+ratio_line(p4, "scenario_ci mixture cell (256 faults, 1e6 pairs)",
+           "BM_ScenarioMixtureCellScalar/real_time", "BM_ScenarioMixtureCellLanes/real_time",
+           "scalar level", "xoshiro lanes", fmt=".0f")
+ratio_line(p4, "scenario_ci mixture cell", "BM_ScenarioMixtureCellScalar/real_time",
+           "BM_ScenarioMixtureCellAvx2/real_time", "scalar level", "avx2 cap", fmt=".0f")
 # Dispatched vs avx2 cap: the AVX-512 kernels' own gain (1x on an AVX2 host).
-if random_simd and random_avx2:
-    print(f"fast-simd random n=1024: avx2 cap {random_avx2:.2f}ms -> dispatched "
-          f"{random_simd:.2f}ms ({random_avx2 / random_simd:.2f}x)")
-if cell_avx2 and cell_lanes:
-    print(f"scenario_ci mixture cell: avx2 cap {cell_avx2:.0f}ms -> dispatched "
-          f"{cell_lanes:.0f}ms ({cell_avx2 / cell_lanes:.2f}x)")
+ratio_line(p4, "fast-simd random n=1024", "BM_RunExperimentFastSimdRandomAvx2/real_time",
+           "BM_RunExperimentFastSimdRandom/real_time", "avx2 cap", "dispatched")
+ratio_line(p4, "scenario_ci mixture cell", "BM_ScenarioMixtureCellAvx2/real_time",
+           "BM_ScenarioMixtureCellLanes/real_time", "avx2 cap", "dispatched", fmt=".0f")
 
 p5 = load(sys.argv[5])
 cold = p5.get("BM_ServiceSubmitToMerged/real_time")

@@ -33,7 +33,7 @@ inline constexpr int kBernoulliBits = 53;
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
-/// 32-bit variant for the halved-draw fast samplers: k32 < t <=> presence,
+/// 32-bit variant for the halved-draw counter words: k32 < t <=> presence,
 /// where k32 is a 32-bit slice of one rng word.  Rounds p to the 2^-32 grid
 /// (bias < 2.4e-10, far below Monte-Carlo noise at any feasible sample size).
 [[nodiscard]] inline std::uint64_t bernoulli_threshold32(double p) noexcept {

@@ -38,7 +38,7 @@ void fault_universe::rebuild_soa() {
   q_soa_.resize(n);
   thresh53_.resize(n);
   thresh32_.resize(n);
-  // The 32-bit fast samplers realize p_i as thresh32_[i]/2^32 (rounded up,
+  // The 32-bit halved-draw words realize p_i as thresh32_[i]/2^32 (rounded up,
   // inflation < 2^-32 per fault).  That is harmless while the aggregate
   // inflation stays negligible against the aggregate signal, but a universe
   // of faults all rarer than the grid (e.g. every p = 1e-12) would have its
@@ -65,22 +65,16 @@ void fault_universe::rebuild_soa() {
   }
   fast32_safe_ = inflation_p <= kFast32Tolerance * sum_p &&
                  inflation_pq <= kFast32Tolerance * sum_pq;
-  uniform_p_ = n > 0;
-  uniform_p_value_ = n > 0 ? atoms_[0].p : 0.0;
-  for (std::size_t i = 1; i < n && uniform_p_; ++i) {
-    uniform_p_ = atoms_[i].p == uniform_p_value_;
-  }
   make_sample_blocks();
 }
 
 void fault_universe::make_sample_blocks() {
   const std::size_t n = atoms_.size();
-  // Per-word sampling plan for the grouped bit-slice path: a word is
-  // sliceable when all its faults share one p AND the shared threshold
-  // costs at most as many rng words per 64 presence bits (53 − trailing
-  // zero bits) as the paired 32-bit sampler would (32 per version).
+  // Per-word sampling plan for the bit-slice path: a word is sliceable when
+  // all its faults share one p AND the shared threshold costs at most as
+  // many draws per 64 presence bits (53 − trailing zero bits) as a paired
+  // 32-bit word would (32 per version).
   blocks_.assign(mask_words(), {});
-  grouped_p_ = false;
   for (std::size_t blk = 0; blk < blocks_.size(); ++blk) {
     const std::size_t lo = blk << 6;
     const std::size_t hi = std::min<std::size_t>(n, lo + 64);
@@ -92,8 +86,8 @@ void fault_universe::make_sample_blocks() {
     sample_block& b = blocks_[blk];
     b.uniform = true;
     b.threshold = thresh53_[lo];
-    // Break-even against the paired kernel, which costs one rng word per
-    // fault per PAIR — i.e. occupancy/2 words per version for this word.
+    // Break-even against a paired 32-bit word, which costs one draw per
+    // fault per PAIR — i.e. occupancy/2 draws per version for this word.
     // Degenerate thresholds (never/always) cost nothing; otherwise the
     // bit-slice recurrence costs 53 − trailing-zero-bits words for all 64
     // lanes regardless of how many faults actually occupy the word, so a
@@ -104,10 +98,7 @@ void fault_universe::make_sample_blocks() {
       const int slice_cost = kBernoulliBits - std::countr_zero(b.threshold);
       b.sliceable = 2 * slice_cost <= static_cast<int>(hi - lo);
     }
-    if (b.sliceable) grouped_p_ = true;
   }
-  if (uniform_p_) grouped_p_ = false;  // fully-uniform universes use the
-                                       // dedicated single-threshold path
 }
 
 fault_universe fault_universe::from_arrays(std::span<const double> p,

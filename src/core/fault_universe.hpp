@@ -20,16 +20,16 @@
 namespace reldiv::core {
 
 /// Per-64-fault-word sampling plan entry: when every fault in the word
-/// shares one p, the word-parallel bit-slice sampler can emit all 64
-/// presence bits from (53 − trailing-zero-bits) rng words; otherwise the
-/// word falls back to a per-fault kernel.  Computed once at construction
-/// (the universe is immutable), purely from the p layout — never from
-/// hardware — so kernel selection is part of the deterministic result
-/// identity.
+/// shares one p, the fast-simd engine's bit-slice recurrence can emit all 64
+/// presence bits of a version from (53 − trailing-zero-bits) draws;
+/// otherwise the word takes one draw per fault.  Computed once at
+/// construction (the universe is immutable), purely from the p layout —
+/// never from hardware — so kernel selection is part of the deterministic
+/// result identity.
 struct sample_block {
   bool uniform = false;          ///< all faults in this word share one p
   bool sliceable = false;        ///< uniform AND the threshold is cheap enough
-                                 ///< that bit-slicing beats the paired sampler
+                                 ///< that bit-slicing beats one draw per fault
   std::uint64_t threshold = 0;   ///< 53-bit Bernoulli threshold of the shared p
 };
 
@@ -106,7 +106,8 @@ class fault_universe {
   [[nodiscard]] std::span<const std::uint64_t> bernoulli_thresholds() const noexcept {
     return thresh53_;
   }
-  /// 32-bit thresholds for halved-draw samplers (p rounded to the 2^-32 grid).
+  /// 32-bit thresholds for halved-draw samplers (p rounded to the 2^-32 grid):
+  /// one draw's high and low halves decide both versions of a pair.
   [[nodiscard]] std::span<const std::uint64_t> bernoulli_thresholds32() const noexcept {
     return thresh32_;
   }
@@ -117,21 +118,12 @@ class fault_universe {
   /// 2^-32 ≈ 2.3e-10, a ~233x oversample — in which case engines must fall
   /// back to the 53-bit kernels.
   [[nodiscard]] bool fast32_grid_safe() const noexcept { return fast32_safe_; }
-  /// True iff every fault shares one p value (enables the word-parallel
-  /// sampling path); vacuously false for the empty universe.
-  [[nodiscard]] bool has_uniform_p() const noexcept { return uniform_p_; }
-  /// The shared p when has_uniform_p(); unspecified otherwise.
-  [[nodiscard]] double uniform_p() const noexcept { return uniform_p_value_; }
   /// Per-word sampling plan (one entry per mask word): which words can run
   /// the word-parallel bit-slice recurrence because all their faults share
   /// one p (runs of equal p, e.g. concatenated make_homogeneous blocks).
   [[nodiscard]] std::span<const sample_block> sample_blocks() const noexcept {
     return blocks_;
   }
-  /// True iff at least one word is bit-sliceable but the universe is not
-  /// globally uniform-p: the grouped sampler saves rng draws on the
-  /// sliceable words and falls back to the paired kernel elsewhere.
-  [[nodiscard]] bool has_grouped_p() const noexcept { return grouped_p_; }
   /// Words a fault_mask over this universe occupies.
   [[nodiscard]] std::size_t mask_words() const noexcept {
     return fault_mask::words_needed(atoms_.size());
@@ -160,10 +152,7 @@ class fault_universe {
   std::vector<std::uint64_t> thresh53_;
   std::vector<std::uint64_t> thresh32_;
   std::vector<sample_block> blocks_;
-  bool grouped_p_ = false;
-  bool uniform_p_ = false;
   bool fast32_safe_ = true;
-  double uniform_p_value_ = 0.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -173,7 +162,7 @@ class fault_universe {
 /// A fault-index permutation paired with the permuted universe it produces.
 /// Sorting faults by p gathers equal-p runs into whole 64-fault words, so an
 /// arbitrary heterogeneous universe becomes mostly bit-sliceable — the shape
-/// both the grouped word-parallel sampler and the SIMD block kernels want.
+/// the fast-simd engine's counter kernels want.
 /// The maps translate between the two layouts: samplers run over
 /// `universe` (permuted), and any per-fault output (masks, index lists,
 /// weight vectors) is inverse-mapped back to the caller's original indices

@@ -52,8 +52,8 @@ struct fault_block {
 };
 
 /// Concatenation of homogeneous blocks — the "runs of equal p" shape the
-/// grouped word-parallel sampler accelerates (fault_universe::has_grouped_p
-/// is true when runs cover whole 64-fault words with sliceable thresholds).
+/// fast-simd engine bit-slices: fault_universe::sample_blocks marks a word
+/// sliceable when a run covers it whole with a cheap threshold.
 [[nodiscard]] fault_universe make_grouped_universe(std::span<const fault_block> blocks);
 
 /// A universe calibrated to reproduce the scale of the Knight-Leveson

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -26,55 +25,23 @@ struct engine_row {
   std::string_view name;
 };
 constexpr engine_row kEngines[] = {
-    {sampling_engine::fast, "fast"},
     {sampling_engine::exact, "exact"},
     {sampling_engine::fast_simd, "fast-simd"},
 };
 
-/// What a spec, a flag or a manifest naming the retired engine is told.
-constexpr const char* kLegacyRetired =
-    "the 'legacy' engine was retired; 'exact' gives the same results bit for bit";
-
-/// A scalar pair kernel: versions a and b of one pair, drawn from `r`.
-using pair_kernel = void (*)(const core::fault_universe&, stats::rng&, core::fault_mask&,
-                             core::fault_mask&);
-
-void sample_exact_pair(const core::fault_universe& u, stats::rng& r, core::fault_mask& a,
-                       core::fault_mask& b) {
-  sample_version_mask(u, r, a);
-  sample_version_mask(u, r, b);
-}
-
-void sample_uniform_pair(const core::fault_universe& u, stats::rng& r, core::fault_mask& a,
-                         core::fault_mask& b) {
-  sample_version_mask_uniform(u, r, a);
-  sample_version_mask_uniform(u, r, b);
-}
-
-/// The pair kernel of the `fast` or `exact` engine on `u`, chosen once per
-/// run.
-pair_kernel choose_pair_kernel(const core::fault_universe& u, sampling_engine engine) {
-  if (engine == sampling_engine::exact) return sample_exact_pair;
-  // Word-parallel sampling costs 53 - countr_zero(threshold) rng words per
-  // 64 faults per version; the paired sampler costs 64 per 64 faults per
-  // PAIR.  Pick bit-slice only when the shared p's threshold makes it the
-  // cheaper of the two (e.g. p = 0.5 needs a single word per 64 faults).
-  if (u.has_uniform_p()) {
-    const std::uint64_t t = core::bernoulli_threshold(u.uniform_p());
-    if (t == 0 || t == (std::uint64_t{1} << core::kBernoulliBits) ||
-        std::countr_zero(t) >= core::kBernoulliBits - 32) {
-      return sample_uniform_pair;
-    }
-  }
-  // The paired kernel realizes p on the 2^-32 grid; for universes with
-  // faults rarer than that grid resolves (relative error > 1e-6) fall back
-  // to the 53-bit exact-stream kernel rather than silently oversample them.
-  // Grouped universes (runs of equal p covering whole mask words, e.g.
-  // concatenated make_homogeneous blocks) bit-slice the uniform words and
-  // take the paired kernel elsewhere.
-  if (!u.fast32_grid_safe()) return sample_exact_pair;
-  return u.has_grouped_p() ? sample_version_pair_grouped : sample_version_pair_fast;
-}
+/// The retired engines: their names and wire tags stay reserved, and a spec,
+/// a flag or a manifest naming one is told what replaces it.
+struct retired_engine_row {
+  std::uint32_t tag;
+  std::string_view name;
+  const char* message;
+};
+constexpr retired_engine_row kRetiredEngines[] = {
+    {0, "fast",
+     "the 'fast' engine was retired; 'fast-simd' samples the same distribution with "
+     "different per-seed values, and 'exact' is the bit-exact reference"},
+    {2, "legacy", "the 'legacy' engine was retired; 'exact' gives the same results bit for bit"},
+};
 
 /// The one engine entry point of run_experiment_shards and
 /// run_experiment_window: shards [shard_begin, shard_end) of the experiment
@@ -86,14 +53,14 @@ pair_kernel choose_pair_kernel(const core::fault_universe& u, sampling_engine en
 /// dispatch level and every per-run table are fixed here, once per call, so
 /// all shards of a run use the same kernels even if a test flips the cap
 /// concurrently.
-///   * fast, exact: lane l draws stats::rng::stream(seed, shard) through the
-///     pair kernel choose_pair_kernel picks.
+///   * exact: lane l draws versions a and b of each pair from
+///     stats::rng::stream(seed, shard), one sample_version_mask each.
 ///   * fast-simd: the universe is relaid out by make_p_sorted_permutation and
 ///     a counter_sample_plan frozen over it; lane l draws its shard's stream
 ///     counter_stream_key(seed, shard), pair s consuming counters [s*D,
 ///     (s+1)*D).  θ accumulation runs over the permuted q layout, which is
 ///     part of this engine's pinned stream contract — per-seed values are
-///     not comparable to the `fast` engine, but are bit-identical across
+///     not comparable to the `exact` engine, but are bit-identical across
 ///     thread counts, shard windows and SIMD levels.
 template <typename Merge>
 void run_engine_shards(const core::fault_universe& u, const experiment_config& cfg,
@@ -121,14 +88,14 @@ void run_engine_shards(const core::fault_universe& u, const experiment_config& c
         std::forward<Merge>(merge));
     return;
   }
-  const pair_kernel kernel = choose_pair_kernel(u, cfg.engine);
   const lane_fold fold{2, 2, 1.0, u.q_array(), level, cfg.keep_samples};
   run_xoshiro_lanes(
       plan, cfg.seed, shard_begin, shard_end, cfg.threads, fold,
-      [&u, kernel](core::xoshiro_lanes& lanes, unsigned live, lane_channels& channels) {
+      [&u](core::xoshiro_lanes& lanes, unsigned live, lane_channels& channels) {
         for (unsigned l = 0; l < live; ++l) {
           stats::rng r = lanes.lane(l);
-          kernel(u, r, channels[0][l], channels[1][l]);
+          sample_version_mask(u, r, channels[0][l]);
+          sample_version_mask(u, r, channels[1][l]);
           lanes.set_lane(l, r);
         }
       },
@@ -145,20 +112,32 @@ std::string_view sampling_engine_name(sampling_engine engine) {
                               std::to_string(static_cast<std::uint32_t>(engine)));
 }
 
+std::vector<sampling_engine> sampling_engines() {
+  std::vector<sampling_engine> out;
+  for (const engine_row& row : kEngines) out.push_back(row.engine);
+  return out;
+}
+
 sampling_engine parse_sampling_engine(std::string_view name) {
   for (const engine_row& row : kEngines) {
     if (row.name == name) return row.engine;
   }
-  if (name == "legacy") throw std::invalid_argument(kLegacyRetired);
-  throw std::invalid_argument("expected fast, exact or fast-simd, got '" + std::string(name) +
-                              "'");
+  for (const retired_engine_row& row : kRetiredEngines) {
+    if (row.name == name) throw std::invalid_argument(row.message);
+  }
+  throw std::invalid_argument("expected exact or fast-simd, got '" + std::string(name) + "'");
 }
 
 sampling_engine sampling_engine_from_tag(std::uint32_t tag) {
   for (const engine_row& row : kEngines) {
     if (static_cast<std::uint32_t>(row.engine) == tag) return row.engine;
   }
-  if (tag == 2) throw std::invalid_argument(std::string("sampling engine 2: ") + kLegacyRetired);
+  for (const retired_engine_row& row : kRetiredEngines) {
+    if (row.tag == tag) {
+      throw std::invalid_argument("sampling engine " + std::to_string(tag) + ": " +
+                                  row.message);
+    }
+  }
   throw std::invalid_argument("unknown sampling engine " + std::to_string(tag));
 }
 

@@ -25,58 +25,57 @@
 
 namespace reldiv::mc {
 
-/// Which inner sampling kernel drives the experiment.  All three draw from
-/// the same distribution; they differ in speed and rng-stream layout.  Every
+/// Which inner sampling kernel drives the experiment.  Both draw from the
+/// same distribution; they differ in speed and rng-stream layout.  Every
 /// engine runs its shards eight at a time through one pair loop,
 /// mc::run_shard_lanes: one shard stream per lane, each step folding one pair
 /// of every lane at once (core::fold_pair_lanes).  The values are the
-/// manifest wire tags; tag 2 belonged to the retired `legacy` engine (the
-/// original sparse std::vector<uint32_t> path, bit-identical to `exact`) and
-/// stays reserved.
+/// manifest wire tags.  Tags 0 and 2 belonged to retired engines and stay
+/// reserved: 0 to `fast` (xoshiro pair kernels that realized p on the 2^-32
+/// grid; fast-simd samples the same distribution), 2 to `legacy` (the
+/// original sparse std::vector<uint32_t> path, bit-identical to `exact`).
 enum class sampling_engine : std::uint32_t {
-  /// Packed bitmask kernels with halved rng draws (paired 32-bit thresholds;
-  /// word-parallel bit-slice when all faults share one p).  Fast; the
-  /// per-fault probabilities are realized to at worst the 2^-32 grid, and
-  /// the engine falls back to the exact 53-bit kernel when any p is too
-  /// small for that grid (see fault_universe::fast32_grid_safe).  Lane l
-  /// draws its shard's stats::rng::stream(seed, shard) through the scalar
-  /// pair kernel the universe calls for, chosen once per run.
-  fast = 0,
   /// Packed bitmask kernels consuming each shard's stream
   /// decision-for-decision like the sparse sampler (two sample_version draws
   /// per pair): the bit-exact reference, pinned by
   /// tests/mc_mask_equivalence_test.cpp against a sparse per-shard loop.
   exact = 1,
-  /// Counter-based SIMD engine: the universe is relaid out with
+  /// Counter-based SIMD engine, the default: the universe is relaid out with
   /// core::make_p_sorted_permutation (equal-p faults gathered into whole
   /// mask words, so heterogeneous universes become mostly bit-sliceable),
   /// a core::counter_sample_plan is frozen over the permuted layout, and
   /// shards run in groups of eight (mc::run_shard_lanes), one shard's
   /// counter stream per 64-bit lane: each step draws one version pair per
   /// shard (core::sample_pair_counter_lanes) and folds the eight pairs at
-  /// once (core::fold_pair_lanes), under runtime SIMD dispatch.  Every draw
-  /// is a pure function of (counter stream key, counter), so shard streams
-  /// are derived O(1) via stats::counter_stream_key instead of jump walks,
-  /// and results are bit-identical across thread counts AND across SIMD
-  /// dispatch levels (RELDIV_SIMD is a throughput knob, like threads).  NOT
-  /// stream-compatible with `fast`: the rng layout and the per-word
+  /// once (core::fold_pair_lanes), under runtime SIMD dispatch.  Per-fault
+  /// probabilities are realized exactly on bit-sliced words, on the 2^-32
+  /// grid on the other words, and exactly (53-bit) everywhere when any p is
+  /// too small for that grid (see fault_universe::fast32_grid_safe).  Every
+  /// draw is a pure function of (counter stream key, counter), so shard
+  /// streams are derived O(1) via stats::counter_stream_key instead of jump
+  /// walks, and results are bit-identical across thread counts AND across
+  /// SIMD dispatch levels (RELDIV_SIMD is a throughput knob, like threads).
+  /// NOT stream-compatible with `exact`: the rng layout and the per-word
   /// accumulation order follow the permuted universe, pinned by
   /// mc::sample_version_pair_counter_reference.
   fast_simd = 3,
 };
 
 /// The engine's name in spec files, on the command line and in written
-/// specs: "fast", "exact" or "fast-simd".
+/// specs: "exact" or "fast-simd".
 [[nodiscard]] std::string_view sampling_engine_name(sampling_engine engine);
 
+/// Every engine a spec, a flag or a manifest may name, in wire-tag order.
+[[nodiscard]] std::vector<sampling_engine> sampling_engines();
+
 /// The engine spelled `name`.  Throws std::invalid_argument listing the
-/// names for an unknown one, and saying that `exact` replaces it for the
-/// retired `legacy`.
+/// names for an unknown one, and saying what replaces a retired one
+/// (`fast`, `legacy`).
 [[nodiscard]] sampling_engine parse_sampling_engine(std::string_view name);
 
 /// The engine wire tag `tag` stands for.  Throws std::invalid_argument
-/// naming the retired engine for tag 2 and "unknown sampling engine N" for
-/// any other tag no engine holds.
+/// naming the retired engine for tags 0 and 2 and "unknown sampling engine
+/// N" for any other tag no engine holds.
 [[nodiscard]] sampling_engine sampling_engine_from_tag(std::uint32_t tag);
 
 struct experiment_config {
@@ -90,7 +89,7 @@ struct experiment_config {
                                      ///< rng layout.
   bool keep_samples = false;         ///< retain per-sample PFDs (memory!)
   double ci_level = 0.99;            ///< level for the reported intervals
-  sampling_engine engine = sampling_engine::fast;
+  sampling_engine engine = sampling_engine::fast_simd;
 };
 
 /// Effective logical shard count for a config (resolves the 0 default and
@@ -224,7 +223,7 @@ struct experiment_manifest {
   std::uint64_t seed = 1;
   unsigned shards = 0;  ///< resolved logical shard count (never 0 — use
                         ///< make_experiment_manifest to resolve a config)
-  sampling_engine engine = sampling_engine::fast;
+  sampling_engine engine = sampling_engine::fast_simd;
   bool keep_samples = false;
   double ci_level = 0.99;
   unsigned window = 0;  ///< shards per distributed window

@@ -688,8 +688,8 @@ experiment_manifest read_experiment_manifest_payload(wire_reader& r) {
   m.seed = r.get_u64();
   m.samples = r.get_u64();
   m.shards = r.get_u32();
-  // Wire values are append-only: fast=0, exact=1, fast_simd=3; 2 was the
-  // retired legacy engine and is refused.
+  // Wire values are append-only: exact=1, fast_simd=3; 0 (fast) and 2
+  // (legacy) were retired engines and are refused.
   try {
     m.engine = sampling_engine_from_tag(r.get_u32());
   } catch (const std::invalid_argument& e) {

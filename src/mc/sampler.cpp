@@ -88,22 +88,6 @@ inline void ensure_sized(core::fault_mask& m, std::size_t bits) {
   if (m.bit_size() != bits) m.resize(bits);
 }
 
-/// One word of 64 Bernoulli(threshold / 2^53) lanes via the bit-slice
-/// recurrence: with the threshold's binary digits b_52..b_0 (weight of b_j
-/// is 2^(j-53)), folding fresh rng words from the lowest set digit upward
-/// via acc = b_j ? (acc | rng) : (acc & rng) leaves every lane set with
-/// probability threshold / 2^53 — exactly P((r()>>11) < threshold).
-/// Requires threshold in (0, 2^53).
-inline std::uint64_t bitslice_bernoulli_word(stats::rng& r,
-                                             std::uint64_t threshold) noexcept {
-  const int low = std::countr_zero(threshold);
-  std::uint64_t acc = r();
-  for (int j = low + 1; j < core::kBernoulliBits; ++j) {
-    acc = ((threshold >> j) & 1) ? (acc | r()) : (acc & r());
-  }
-  return acc;
-}
-
 }  // namespace
 
 void sample_mask_from_thresholds(std::span<const std::uint64_t> thresholds,
@@ -126,96 +110,6 @@ void sample_mask_from_thresholds(std::span<const std::uint64_t> thresholds,
 void sample_version_mask(const core::fault_universe& u, stats::rng& r,
                          core::fault_mask& out) {
   sample_mask_from_thresholds(u.bernoulli_thresholds(), r, out);
-}
-
-void sample_version_pair_fast(const core::fault_universe& u, stats::rng& r,
-                              core::fault_mask& a, core::fault_mask& b) {
-  const std::size_t n = u.size();
-  ensure_sized(a, n);
-  ensure_sized(b, n);
-  const std::uint64_t* t = u.bernoulli_thresholds32().data();
-  std::uint64_t* wa = a.words();
-  std::uint64_t* wb = b.words();
-  std::size_t i = 0;
-  for (std::size_t blk = 0; blk < a.word_count(); ++blk) {
-    std::uint64_t word_a = 0;
-    std::uint64_t word_b = 0;
-    const std::size_t hi = std::min<std::size_t>(n, i + 64);
-    for (std::size_t k = 0; i < hi; ++i, ++k) {
-      const std::uint64_t x = r();
-      word_a |= static_cast<std::uint64_t>((x >> 32) < t[i]) << k;
-      word_b |= static_cast<std::uint64_t>((x & 0xffffffffULL) < t[i]) << k;
-    }
-    wa[blk] = word_a;
-    wb[blk] = word_b;
-  }
-}
-
-void sample_version_mask_uniform(const core::fault_universe& u, stats::rng& r,
-                                 core::fault_mask& out) {
-  if (!u.has_uniform_p()) {
-    throw std::invalid_argument("sample_version_mask_uniform: p not uniform");
-  }
-  const std::size_t n = u.size();
-  ensure_sized(out, n);
-  std::uint64_t* words = out.words();
-  const std::uint64_t threshold = core::bernoulli_threshold(u.uniform_p());
-  if (threshold == 0) {
-    out.clear();
-    return;
-  }
-  if (threshold == (std::uint64_t{1} << core::kBernoulliBits)) {
-    for (std::size_t blk = 0; blk < out.word_count(); ++blk) words[blk] = ~std::uint64_t{0};
-    words[out.word_count() - 1] &= out.tail_mask();
-    return;
-  }
-  for (std::size_t blk = 0; blk < out.word_count(); ++blk) {
-    words[blk] = bitslice_bernoulli_word(r, threshold);
-  }
-  words[out.word_count() - 1] &= out.tail_mask();
-}
-
-void sample_version_pair_grouped(const core::fault_universe& u, stats::rng& r,
-                                 core::fault_mask& a, core::fault_mask& b) {
-  if (!u.has_grouped_p()) {
-    throw std::invalid_argument("sample_version_pair_grouped: universe not grouped");
-  }
-  const std::size_t n = u.size();
-  ensure_sized(a, n);
-  ensure_sized(b, n);
-  const auto blocks = u.sample_blocks();
-  const std::uint64_t* t32 = u.bernoulli_thresholds32().data();
-  std::uint64_t* wa = a.words();
-  std::uint64_t* wb = b.words();
-  for (std::size_t blk = 0; blk < a.word_count(); ++blk) {
-    const core::sample_block& plan = blocks[blk];
-    if (plan.sliceable) {
-      if (plan.threshold == 0) {
-        wa[blk] = 0;
-        wb[blk] = 0;
-      } else if (plan.threshold == (std::uint64_t{1} << core::kBernoulliBits)) {
-        wa[blk] = ~std::uint64_t{0};
-        wb[blk] = ~std::uint64_t{0};
-      } else {
-        wa[blk] = bitslice_bernoulli_word(r, plan.threshold);
-        wb[blk] = bitslice_bernoulli_word(r, plan.threshold);
-      }
-    } else {
-      std::uint64_t word_a = 0;
-      std::uint64_t word_b = 0;
-      const std::size_t lo = blk << 6;
-      const std::size_t hi = std::min<std::size_t>(n, lo + 64);
-      for (std::size_t i = lo, k = 0; i < hi; ++i, ++k) {
-        const std::uint64_t x = r();
-        word_a |= static_cast<std::uint64_t>((x >> 32) < t32[i]) << k;
-        word_b |= static_cast<std::uint64_t>((x & 0xffffffffULL) < t32[i]) << k;
-      }
-      wa[blk] = word_a;
-      wb[blk] = word_b;
-    }
-  }
-  wa[a.word_count() - 1] &= a.tail_mask();
-  wb[b.word_count() - 1] &= b.tail_mask();
 }
 
 std::uint64_t counter_draws_per_pair(const core::fault_universe& u) {
@@ -244,8 +138,13 @@ std::uint64_t counter_draws_per_pair(const core::fault_universe& u) {
 
 namespace {
 
-/// bitslice_bernoulli_word over the counter stream: consumes `cost` counters
-/// starting at `base` (ascending), same fold order as the xoshiro variant.
+/// One word of 64 Bernoulli(threshold / 2^53) lanes via the bit-slice
+/// recurrence: with the threshold's binary digits b_52..b_0 (weight of b_j
+/// is 2^(j-53)), folding fresh draws from the lowest set digit upward via
+/// acc = b_j ? (acc | draw) : (acc & draw) leaves every lane set with
+/// probability threshold / 2^53.  Consumes the `cost` = 53 -
+/// countr_zero(threshold) counters starting at `base`, ascending.  Requires
+/// threshold in (0, 2^53).
 inline std::uint64_t counter_slice_word(std::uint64_t key, std::uint64_t base,
                                         std::uint64_t threshold) noexcept {
   const int low = std::countr_zero(threshold);

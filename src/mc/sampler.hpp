@@ -75,33 +75,6 @@ void sample_mask_from_thresholds(std::span<const std::uint64_t> thresholds,
 void sample_version_mask(const core::fault_universe& u, stats::rng& r,
                          core::fault_mask& out);
 
-/// Fast paired sampler: one rng word per fault yields the presence bit for
-/// BOTH versions of a pair (high/low 32-bit slices against 32-bit
-/// thresholds).  Statistically equivalent (p rounded to the 2^-32 grid) but
-/// NOT stream-compatible with sample_version().
-void sample_version_pair_fast(const core::fault_universe& u, stats::rng& r,
-                              core::fault_mask& a, core::fault_mask& b);
-
-/// Word-parallel sampler for uniform-p universes: builds 64 presence bits at
-/// a time via the bit-slice Bernoulli recurrence over the shared 53-bit
-/// threshold, consuming (53 - trailing zero bits) rng words per 64 faults
-/// (e.g. a single word for p = 0.5).  Exact marginal probability (identical
-/// to rng.bernoulli(p)); NOT stream-compatible with sample_version().
-/// Requires u.has_uniform_p().
-void sample_version_mask_uniform(const core::fault_universe& u, stats::rng& r,
-                                 core::fault_mask& out);
-
-/// Grouped-universe paired sampler: for mask words whose 64 faults all share
-/// one p (runs of equal p, e.g. concatenated make_homogeneous blocks —
-/// fault_universe::sample_blocks), both versions' presence bits come from
-/// the word-parallel bit-slice recurrence over the shared 53-bit threshold;
-/// the remaining words use the paired 32-bit-threshold kernel.  Exact
-/// marginals on the sliceable words, 2^-32-grid marginals elsewhere (callers
-/// must check fault_universe::fast32_grid_safe); NOT stream-compatible with
-/// sample_version().  Requires u.has_grouped_p().
-void sample_version_pair_grouped(const core::fault_universe& u, stats::rng& r,
-                                 core::fault_mask& a, core::fault_mask& b);
-
 // ---------------------------------------------------------------------------
 // Counter-based sampling: THE pinned `fast-simd` contract.
 //
@@ -115,17 +88,17 @@ void sample_version_pair_grouped(const core::fault_universe& u, stats::rng& r,
 //     digit first), then version b's bits from the next `cost` draws;
 //   - non-sliceable word, u.fast32_grid_safe(): one draw per occupied bit,
 //     bit k of a from the high 32 bits vs bernoulli_thresholds32()[i], bit
-//     k of b from the low 32 bits (the paired-kernel decision rule);
+//     k of b from the low 32 bits (p realized on the 2^-32 grid);
 //   - non-sliceable word, NOT grid-safe: one draw per occupied bit for
 //     version a ((draw >> 11) < bernoulli_thresholds()[i]), then one per
 //     bit for version b.
 // This scalar reference is the normative implementation; the fast-simd
 // engine (core::simd_sampler, scalar fallback and AVX2 alike) must match it
 // decision-for-decision — pinned by the randomized equivalence fuzz in
-// tests/mc_simd_sampler_test.cpp.  NOT stream-compatible with any xoshiro
-// sampler above: fast-simd results are a new pinned contract, bit-identical
-// across thread counts and SIMD dispatch levels but not comparable
-// per-seed to the `fast` engine.
+// tests/mc_simd_sampler_test.cpp.  NOT stream-compatible with the xoshiro
+// samplers above: fast-simd results are their own pinned contract,
+// bit-identical across thread counts and SIMD dispatch levels but not
+// comparable per-seed to the `exact` engine.
 // ---------------------------------------------------------------------------
 
 /// Counters one version-pair of `u` consumes (the D above): a pure function

@@ -2,9 +2,8 @@
 // The lane group loop: the one pair loop of every sampler that draws one
 // shard stream per 64-bit lane (core::kXoshiroLanes shards per group) and
 // folds each pair step of those shards at once (core::fold_pair_lanes).
-// Every experiment engine runs through it: `fast` and `exact` on xoshiro
-// shard streams and their scalar pair kernels, fast-simd on the counter
-// lanes.  So do mc::run_correlated and scenario cells, on xoshiro streams
+// Every experiment engine runs through it: `exact` on xoshiro shard streams
+// through sample_version_mask, fast-simd on the counter lanes.  So do mc::run_correlated and scenario cells, on xoshiro streams
 // through the correlated samplers (the mixture's lane kernel, per-lane
 // sample_mask otherwise).  All of them share one step schedule, one
 // per-shard export and one merge order; run_xoshiro_lanes is the one place

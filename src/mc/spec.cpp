@@ -893,7 +893,8 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
       cfg.keep_samples = eview.bool_or("keep_samples", false);
       cfg.ci_level = eview.f64_or("ci_level", 0.99);
       try {
-        cfg.engine = parse_sampling_engine(eview.str_or("engine", "fast"));
+        cfg.engine = parse_sampling_engine(
+            eview.str_or("engine", std::string(sampling_engine_name(cfg.engine))));
       } catch (const std::invalid_argument& e) {
         ctx.error(eview.line(), "engine", e.what());
       }

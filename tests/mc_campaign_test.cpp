@@ -23,6 +23,7 @@
 #include "mc/sampler.hpp"
 #include "mc/scenario.hpp"
 #include "protection/system.hpp"
+#include "stats/counter_rng.hpp"
 #include "stats/random.hpp"
 
 namespace {
@@ -326,8 +327,6 @@ TEST(GroupedSampling, BlockPlanDetectsUniformWords) {
       {64, 0.5, 0.001}, {40, 0.25, 0.001}, {64, 0.3, 0.001}};
   const auto u = core::make_grouped_universe(blocks);
   ASSERT_EQ(u.size(), 168u);
-  EXPECT_FALSE(u.has_uniform_p());
-  EXPECT_TRUE(u.has_grouped_p());
   const auto plan = u.sample_blocks();
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_TRUE(plan[0].uniform);
@@ -336,34 +335,33 @@ TEST(GroupedSampling, BlockPlanDetectsUniformWords) {
   EXPECT_FALSE(plan[1].uniform);
   EXPECT_FALSE(plan[1].sliceable);
   // Word 2 (the tail word) is all p = 0.3: uniform, but 0.3's threshold has
-  // no cheap trailing-zero structure, so bit-slicing would cost more rng
-  // words than the paired kernel — not sliceable.
+  // no cheap trailing-zero structure, so bit-slicing would cost more draws
+  // than one per fault — not sliceable.
   EXPECT_TRUE(plan[2].uniform);
   EXPECT_FALSE(plan[2].sliceable);
 
-  // A fully-uniform universe keeps the dedicated single-threshold path.
-  EXPECT_FALSE(core::make_homogeneous_universe(128, 0.5, 0.001).has_grouped_p());
   // p = 0.3 has an expensive threshold: uniform but not sliceable.
   const auto u3 = core::make_grouped_universe(
       std::vector<core::fault_block>{{64, 0.3, 0.001}, {64, 0.5, 0.001}});
   EXPECT_TRUE(u3.sample_blocks()[0].uniform);
   EXPECT_FALSE(u3.sample_blocks()[0].sliceable);
   EXPECT_TRUE(u3.sample_blocks()[1].sliceable);
-  EXPECT_TRUE(u3.has_grouped_p());
 }
 
 TEST(GroupedSampling, MarginalsMatchTheUniverse) {
   const std::vector<core::fault_block> blocks = {
       {64, 0.5, 0.001}, {64, 0.125, 0.001}, {32, 0.75, 0.001}};
   const auto u = core::make_grouped_universe(blocks);
-  ASSERT_TRUE(u.has_grouped_p());
-  stats::rng r(77);
+  // Every word of the counter reference's plan bit-slices (p = 0.5, 1/8 and
+  // 3/4 cost 1, 3 and 2 draws per version).
+  for (const core::sample_block& block : u.sample_blocks()) ASSERT_TRUE(block.sliceable);
+  const std::uint64_t key = stats::counter_stream_key(77, 0);
   core::fault_mask a;
   core::fault_mask b;
   std::vector<std::uint64_t> hits(u.size(), 0);
   const std::uint64_t pairs = 30'000;
   for (std::uint64_t s = 0; s < pairs; ++s) {
-    sample_version_pair_grouped(u, r, a, b);
+    sample_version_pair_counter_reference(u, key, s, a, b);
     for (std::size_t i = 0; i < u.size(); ++i) {
       hits[i] += (a.test(i) ? 1 : 0) + (b.test(i) ? 1 : 0);
     }
@@ -383,25 +381,25 @@ TEST(GroupedSampling, FastEngineAgreesWithExactEngineStatistically) {
   experiment_config cfg;
   cfg.samples = 50'000;
   cfg.seed = 12;
-  cfg.engine = sampling_engine::fast;  // takes the grouped kernel
-  const auto fast = run_experiment(u, cfg);
+  cfg.engine = sampling_engine::fast_simd;  // bit-slices the 0.5 and 0.25 words
+  const auto simd = run_experiment(u, cfg);
   cfg.engine = sampling_engine::exact;
   const auto exact = run_experiment(u, cfg);
   const double sigma =
       exact.theta1.stddev() / std::sqrt(static_cast<double>(cfg.samples));
-  EXPECT_NEAR(fast.theta1.mean(), exact.theta1.mean(), 5.0 * sigma + 1e-6);
-  EXPECT_NEAR(fast.mean_theta2().value, exact.mean_theta2().value,
+  EXPECT_NEAR(simd.theta1.mean(), exact.theta1.mean(), 5.0 * sigma + 1e-6);
+  EXPECT_NEAR(simd.mean_theta2().value, exact.mean_theta2().value,
               5.0 * exact.theta2.stddev() / std::sqrt(static_cast<double>(cfg.samples)) +
                   1e-6);
-  EXPECT_NEAR(fast.prob_n1_positive().value, exact.prob_n1_positive().value, 0.02);
+  EXPECT_NEAR(simd.prob_n1_positive().value, exact.prob_n1_positive().value, 0.02);
 
-  // And the grouped fast path is thread-invariant like every engine.
-  cfg.engine = sampling_engine::fast;
+  // And the grouped fast-simd path is thread-invariant like every engine.
+  cfg.engine = sampling_engine::fast_simd;
   for (const unsigned threads : kThreadSweep) {
     cfg.threads = threads;
     const auto res = run_experiment(u, cfg);
-    EXPECT_EQ(res.theta1.mean(), fast.theta1.mean());
-    EXPECT_EQ(res.n2_positive, fast.n2_positive);
+    EXPECT_EQ(res.theta1.mean(), simd.theta1.mean());
+    EXPECT_EQ(res.n2_positive, simd.n2_positive);
   }
 }
 

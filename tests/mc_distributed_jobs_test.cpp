@@ -437,6 +437,7 @@ TEST_F(DistributedJobsTest, CliAcceptsOnlySubcommandsWithTheirOwnFlags) {
   // error (exit 2, usage on stderr) that touches nothing.
   fs::create_directories(dir_);
   const std::string run_dir = (dir_ / "run.d").string();
+  const fs::path root = dir_ / "svc";
   const fs::path out = dir_ / "stdout";
   const fs::path err = dir_ / "stderr";
   struct invocation {
@@ -467,13 +468,22 @@ TEST_F(DistributedJobsTest, CliAcceptsOnlySubcommandsWithTheirOwnFlags) {
        "--shards expects an unsigned integer, got ' -1'\nusage: reldiv_sweep single"},
       {"single --seed +5", 2,
        "--seed expects an unsigned integer, got '+5'\nusage: reldiv_sweep single"},
-      // The retired engine, refused by name wherever a flag or a mode names it.
+      // The retired engines, refused by name wherever a flag or a mode names
+      // them.
       {"single --engine legacy", 2,
        "the 'legacy' engine was retired; 'exact' gives the same results bit for bit\n"
        "usage: reldiv_sweep single"},
       {"single --mode scenario --engine legacy", 2,
        "the 'legacy' engine was retired; 'exact' gives the same results bit for bit\n"
        "usage: reldiv_sweep single"},
+      {"single --engine fast", 2,
+       "the 'fast' engine was retired; 'fast-simd' samples the same distribution with "
+       "different per-seed values, and 'exact' is the bit-exact reference\n"
+       "usage: reldiv_sweep single"},
+      {"submit --root " + root.string() + " --mode experiment --engine fast", 2,
+       "the 'fast' engine was retired; 'fast-simd' samples the same distribution with "
+       "different per-seed values, and 'exact' is the bit-exact reference\n"
+       "usage: reldiv_sweep submit"},
       // An override the job kind does not take fails like the same key in the
       // spec file would: a positioned spec diagnostic, no usage dump.
       {"single --mode scenario --engine exact", 2,
@@ -481,6 +491,20 @@ TEST_F(DistributedJobsTest, CliAcceptsOnlySubcommandsWithTheirOwnFlags) {
       {"single --mode demand --shards 3", 2,
        "<preset demand/smoke>:2: --shards: a demand spec takes no --shards"},
   };
+  // --budget 0 reaches the spec like `samples = 0` (or `budget = 0`,
+  // `demands = 0`) in the file would: a positioned diagnostic, for a single
+  // run and a submission alike.
+  for (const std::string& cmd : {std::string("single"), "submit --root " + root.string()}) {
+    cases.push_back({cmd + " --mode experiment --budget 0", 2,
+                     "<preset experiment/smoke>:14: experiment: infeasible: "
+                     "experiment_manifest: samples must be > 0"});
+    cases.push_back({cmd + " --mode scenario --budget 0", 2,
+                     "<preset scenario/smoke>:23: axes: infeasible axes: scenario_grid: "
+                     "budget must be > 0"});
+    cases.push_back({cmd + " --mode demand --budget 0", 2,
+                     "<preset demand/smoke>:6: demand: infeasible: demand_manifest: "
+                     "demands must be > 0"});
+  }
   for (const char* cmd : {"single", "worker", "chaos", "serve", "submit", "status", "merge",
                           "drain", "describe", "refine"}) {
     cases.push_back({std::string(cmd) + " --help", 0, std::string("usage: reldiv_sweep ") + cmd});
@@ -495,6 +519,7 @@ TEST_F(DistributedJobsTest, CliAcceptsOnlySubcommandsWithTheirOwnFlags) {
     EXPECT_NE(text.find(c.usage), std::string::npos) << c.args << ":\n" << text;
   }
   EXPECT_FALSE(fs::exists(run_dir)) << "a refused invocation wrote its run directory";
+  EXPECT_FALSE(fs::exists(mc::runs_dir(root))) << "a refused submission wrote a run";
 }
 
 #endif  // RELDIV_SWEEP_BIN

@@ -1,11 +1,12 @@
 // Equivalence and property tests for the packed-bitmask Monte-Carlo engine:
 // the exact-stream mask sampler must reproduce the sparse sampler
 // decision-for-decision (same seed -> identical fault sets and identical
-// theta1/theta2 streams), the `exact` and `fast` engines' lane groups must
-// record what a per-shard scalar loop over their pair kernels records, bit
-// for bit, fault_mask algebra must agree with the set_intersection
-// reference, and the fast samplers must have the right marginals.  Also
-// covers stats::binomial_deviate, which now backs empirical_pfd.
+// theta1/theta2 streams), the `exact` engine's lane groups must record what
+// a per-shard scalar loop records, bit for bit, at every SIMD level,
+// fault_mask algebra must agree with the set_intersection reference, and
+// the fast-simd engine's counter reference must have the right marginals on
+// every word kind.  Also covers stats::binomial_deviate, which now backs
+// empirical_pfd.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "mc/experiment.hpp"
 #include "mc/sampler.hpp"
 #include "mc/shard_runner.hpp"
+#include "stats/counter_rng.hpp"
 #include "stats/random.hpp"
 
 namespace {
@@ -92,20 +94,6 @@ struct pair_record {
   bool n2;
 };
 
-/// scalar_shard_loop over a mask pair kernel (versions a and b from one rng).
-template <typename Kernel>
-accumulator_state scalar_kernel_loop(const core::fault_universe& u,
-                                     const experiment_config& cfg, Kernel&& kernel) {
-  core::fault_mask a;
-  core::fault_mask b;
-  return scalar_shard_loop(cfg, [&](stats::rng& r) {
-    kernel(u, r, a, b);
-    const core::pair_intersection_result pair = core::intersect_q_sum(a, b, u.q_array());
-    return pair_record{core::masked_q_sum(a, u.q_array()), pair.pfd, a.any(),
-                       pair.any_common};
-  });
-}
-
 accumulator_state engine_state(const core::fault_universe& u, const experiment_config& cfg) {
   experiment_accumulator acc(cfg.keep_samples);
   run_experiment_shards(u, cfg, 0, experiment_shard_count(cfg), acc);
@@ -163,8 +151,9 @@ TEST(MaskEquivalence, ExactEngineMatchesLegacyEngineExactly) {
   // shard, sparse sample_version draws, pfd_of / pair_pfd / common_faults,
   // experiment_accumulator::add, shards merged in ascending order.  `exact`
   // runs the same streams eight shards per lane group and must record the
-  // same state bit for bit, kept samples included, at any thread count and
-  // through a checkpointed split.
+  // same state bit for bit, kept samples included, at every SIMD level the
+  // host runs, at any thread count and through a checkpointed split (shard
+  // 101 leaves a partial group of five on each side).
   const auto u = core::make_random_universe(64, 0.4, 0.7, 123);
   experiment_config cfg;
   cfg.samples = 20000;
@@ -178,10 +167,17 @@ TEST(MaskEquivalence, ExactEngineMatchesLegacyEngineExactly) {
                        !common_faults(a, b).empty()};
   });
   ASSERT_EQ(want.theta1_samples.size(), cfg.samples);
-  for (const unsigned threads : {1u, 4u}) {
-    cfg.threads = threads;
-    expect_states_identical(engine_state(u, cfg), want,
-                            "threads=" + std::to_string(threads));
+  for (const core::simd_level level :
+       {core::simd_level::scalar, core::simd_level::avx2, core::simd_level::avx512}) {
+    if (level > core::detected_simd_level()) continue;
+    core::set_simd_level_cap(level);
+    for (const unsigned threads : {1u, 4u}) {
+      cfg.threads = threads;
+      expect_states_identical(engine_state(u, cfg), want,
+                              std::string(core::simd_level_name(level)) +
+                                  " threads=" + std::to_string(threads));
+    }
+    core::clear_simd_level_cap();
   }
   const unsigned shards = experiment_shard_count(cfg);
   experiment_accumulator first(cfg.keep_samples);
@@ -189,64 +185,6 @@ TEST(MaskEquivalence, ExactEngineMatchesLegacyEngineExactly) {
   experiment_accumulator resumed = experiment_accumulator::from_state(first.state());
   run_experiment_shards(u, cfg, 101, shards, resumed);
   expect_states_identical(resumed.state(), want, "split at shard 101");
-}
-
-TEST(MaskEquivalence, FastEngineKernelsMatchScalarShardLoop) {
-  // One universe per pair kernel the `fast` engine picks: bit-slice (uniform
-  // p = 0.5), grouped (whole words of equal p), paired32 (generic p) and the
-  // 53-bit fallback (faults rarer than the 2^-32 grid).  13 shards of
-  // unequal length (a group of eight and a partial group of five) keeping
-  // their samples, at every SIMD level the host runs: the lane groups must
-  // record exactly what the scalar kernel records shard by shard.
-  using kernel_fn = void (*)(const core::fault_universe&, stats::rng&, core::fault_mask&,
-                             core::fault_mask&);
-  struct kernel_case {
-    const char* name;
-    core::fault_universe u;
-    kernel_fn kernel;
-  };
-  const std::vector<core::fault_block> blocks = {{64, 0.5, 0.002}, {64, 0.25, 0.002},
-                                                 {40, 0.3, 0.002}};
-  std::vector<core::fault_atom> rare(50, core::fault_atom{1e-12, 0.01});
-  for (std::size_t i = 0; i < rare.size(); i += 2) rare[i].p = 2e-12;
-  const kernel_case cases[] = {
-      {"bit-slice", core::make_homogeneous_universe(200, 0.5, 0.8 / 200.0),
-       [](const core::fault_universe& u, stats::rng& r, core::fault_mask& a,
-          core::fault_mask& b) {
-         sample_version_mask_uniform(u, r, a);
-         sample_version_mask_uniform(u, r, b);
-       }},
-      {"grouped", core::make_grouped_universe(blocks), sample_version_pair_grouped},
-      {"paired32", core::make_random_universe(130, 0.4, 0.8, 99), sample_version_pair_fast},
-      {"53-bit fallback", core::fault_universe(rare),
-       [](const core::fault_universe& u, stats::rng& r, core::fault_mask& a,
-          core::fault_mask& b) {
-         sample_version_mask(u, r, a);
-         sample_version_mask(u, r, b);
-       }},
-  };
-  ASSERT_TRUE(cases[0].u.has_uniform_p());
-  ASSERT_TRUE(cases[1].u.has_grouped_p() && !cases[1].u.has_uniform_p());
-  ASSERT_TRUE(cases[2].u.fast32_grid_safe() && !cases[2].u.has_grouped_p());
-  ASSERT_FALSE(cases[3].u.fast32_grid_safe());
-  experiment_config cfg;
-  cfg.samples = 10007;
-  cfg.seed = 77;
-  cfg.shards = 13;
-  cfg.keep_samples = true;
-  cfg.threads = 3;
-  cfg.engine = sampling_engine::fast;
-  for (const kernel_case& c : cases) {
-    const accumulator_state want = scalar_kernel_loop(c.u, cfg, c.kernel);
-    for (const core::simd_level level :
-         {core::simd_level::scalar, core::simd_level::avx2, core::simd_level::avx512}) {
-      if (level > core::detected_simd_level()) continue;
-      core::set_simd_level_cap(level);
-      expect_states_identical(engine_state(c.u, cfg), want,
-                              std::string(c.name) + " at " + core::simd_level_name(level));
-      core::clear_simd_level_cap();
-    }
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -296,12 +234,13 @@ TEST(FaultMask, TailBitsStayZeroAndEdgeSizesWork) {
     EXPECT_EQ(m.popcount(), n);  // no phantom tail bits
     EXPECT_TRUE(m.test(n - 1));
   }
-  // The all-present uniform sampler must respect the tail invariant too.
+  // All-present bit-sliced words must respect the tail invariant too.
   const auto u = core::make_homogeneous_universe(70, 1.0, 0.01);
-  stats::rng r(3);
-  core::fault_mask m;
-  sample_version_mask_uniform(u, r, m);
-  EXPECT_EQ(m.popcount(), 70u);
+  core::fault_mask a;
+  core::fault_mask b;
+  sample_version_pair_counter_reference(u, stats::counter_stream_key(3, 0), 0, a, b);
+  EXPECT_EQ(a.popcount(), 70u);
+  EXPECT_EQ(b.popcount(), 70u);
 }
 
 TEST(FaultMask, BernoulliThresholdMatchesUniformCompare) {
@@ -321,59 +260,86 @@ TEST(FaultMask, BernoulliThresholdMatchesUniformCompare) {
 }
 
 // --------------------------------------------------------------------------
-// Fast (non-stream-compatible) samplers: marginals
+// The fast-simd counter reference (not stream-compatible): marginals
 // --------------------------------------------------------------------------
 
 TEST(FastSamplers, WordParallelUniformSamplerHasExactMarginals) {
-  const double p = 0.37;
+  // p = 379/1024 (about 0.37) slices in 10 draws per word: cheap enough for
+  // the counter plan to bit-slice every word, the 22-fault tail included.
+  const double p = 379.0 / 1024.0;
   const auto u = core::make_homogeneous_universe(150, p, 0.005);
-  ASSERT_TRUE(u.has_uniform_p());
-  stats::rng r(17);
-  core::fault_mask m;
+  for (const core::sample_block& block : u.sample_blocks()) ASSERT_TRUE(block.sliceable);
+  const std::uint64_t key = stats::counter_stream_key(17, 0);
+  core::fault_mask a;
+  core::fault_mask b;
   const int iters = 40000;
   std::uint64_t present = 0;
   for (int i = 0; i < iters; ++i) {
-    sample_version_mask_uniform(u, r, m);
-    present += m.popcount();
+    sample_version_pair_counter_reference(u, key, static_cast<std::uint64_t>(i), a, b);
+    present += a.popcount() + b.popcount();
   }
   const double freq =
-      static_cast<double>(present) / (static_cast<double>(iters) * u.size());
-  // sd of the frequency ~ sqrt(p(1-p)/(iters*n)) ~ 2e-4; allow 5 sigma.
+      static_cast<double>(present) / (2.0 * static_cast<double>(iters) * u.size());
+  // sd of the frequency ~ sqrt(p(1-p)/(2*iters*n)) ~ 1.4e-4; allow 7 sigma.
   EXPECT_NEAR(freq, p, 1e-3);
 }
 
 TEST(FastSamplers, PairedSamplerHasPerFaultMarginals) {
-  const auto u = core::make_random_universe(40, 0.6, 0.8, 31);
-  stats::rng r(23);
-  core::fault_mask a;
-  core::fault_mask b;
-  const int iters = 60000;
-  std::vector<int> count_a(u.size(), 0);
-  std::vector<int> count_b(u.size(), 0);
-  for (int i = 0; i < iters; ++i) {
-    sample_version_pair_fast(u, r, a, b);
-    for (std::size_t f = 0; f < u.size(); ++f) {
-      count_a[f] += a.test(f);
-      count_b[f] += b.test(f);
+  // The counter reference's two per-fault word kinds, both versions of every
+  // pair: paired32 words (one draw's high and low halves, p on the 2^-32
+  // grid) on a grid-safe random universe, and wide53 words (one 53-bit draw
+  // per version) on an off-grid one, where a thousand faults rarer than
+  // 2^-32 outweigh the grid's inflation budget of eight measurable faults.
+  std::vector<core::fault_atom> off_grid;
+  for (int i = 0; i < 8; ++i) off_grid.push_back({0.005 * (i + 1), 0.01});
+  for (int i = 0; i < 1000; ++i) off_grid.push_back({i % 2 == 0 ? 1e-12 : 2e-12, 1e-5});
+  struct marginal_case {
+    const char* name;
+    core::fault_universe u;
+  };
+  const marginal_case cases[] = {
+      {"paired32", core::make_random_universe(40, 0.6, 0.8, 31)},
+      {"wide53", core::fault_universe(std::move(off_grid))},
+  };
+  ASSERT_TRUE(cases[0].u.fast32_grid_safe());
+  ASSERT_FALSE(cases[1].u.fast32_grid_safe());
+  for (const marginal_case& c : cases) {
+    const core::fault_universe& u = c.u;
+    for (const core::sample_block& block : u.sample_blocks()) {
+      ASSERT_FALSE(block.sliceable) << c.name;
     }
-  }
-  for (std::size_t f = 0; f < u.size(); ++f) {
-    const double p = u[f].p;
-    const double tol = 5.0 * std::sqrt(p * (1.0 - p) / iters) + 1e-9;
-    EXPECT_NEAR(count_a[f] / static_cast<double>(iters), p, tol) << "fault " << f;
-    EXPECT_NEAR(count_b[f] / static_cast<double>(iters), p, tol) << "fault " << f;
+    const std::uint64_t key = stats::counter_stream_key(23, 0);
+    core::fault_mask a;
+    core::fault_mask b;
+    const int iters = 60000;
+    std::vector<int> count_a(u.size(), 0);
+    std::vector<int> count_b(u.size(), 0);
+    for (int i = 0; i < iters; ++i) {
+      sample_version_pair_counter_reference(u, key, static_cast<std::uint64_t>(i), a, b);
+      for (const std::uint32_t f : a.to_indices()) ++count_a[f];
+      for (const std::uint32_t f : b.to_indices()) ++count_b[f];
+    }
+    for (std::size_t f = 0; f < u.size(); ++f) {
+      const double p = u[f].p;
+      const double tol = 5.0 * std::sqrt(p * (1.0 - p) / iters) + 1e-9;
+      EXPECT_NEAR(count_a[f] / static_cast<double>(iters), p, tol) << c.name << " fault " << f;
+      EXPECT_NEAR(count_b[f] / static_cast<double>(iters), p, tol) << c.name << " fault " << f;
+    }
   }
 }
 
 TEST(FastSamplers, FastEngineBracketsClosedFormsOnUniformAndGenericUniverses) {
-  // Uniform p exercises the word-parallel path; generic p the paired path.
+  // The fast-simd engine: uniform p = 0.3 runs paired32 words (its threshold
+  // is too costly to slice), uniform p = 5/16 bit-sliced words, generic p
+  // paired32 words after the relayout.
   const auto uniform_u = core::make_homogeneous_universe(100, 0.3, 0.005);
+  const auto sliced_u = core::make_homogeneous_universe(100, 0.3125, 0.005);
   const auto generic_u = core::make_random_universe(100, 0.4, 0.8, 61);
-  for (const auto* u : {&uniform_u, &generic_u}) {
+  for (const auto* u : {&uniform_u, &sliced_u, &generic_u}) {
     experiment_config cfg;
     cfg.samples = 150000;
     cfg.seed = 9;
-    cfg.engine = sampling_engine::fast;
+    cfg.engine = sampling_engine::fast_simd;
     cfg.ci_level = 0.9999;
     const auto res = run_experiment(*u, cfg);
     EXPECT_TRUE(res.mean_theta1().ci.contains(core::single_version_moments(*u).mean));
@@ -384,12 +350,11 @@ TEST(FastSamplers, FastEngineBracketsClosedFormsOnUniformAndGenericUniverses) {
 }
 
 TEST(FastSamplers, RareFaultUniverseFallsBackToExactKernel) {
-  // Every fault far below the 2^-32 grid the paired sampler uses: the fast
-  // engine must fall back to the 53-bit kernel rather than realize each
-  // fault at p = 2^-32 (a ~233x oversample of the whole universe).  The
-  // fallback consumes the rng stream exactly like the exact engine, so
-  // the whole state is bit-identical.  (p values differ so the word-parallel
-  // uniform path is out too.)
+  // Every fault far below the 2^-32 grid that paired32 words use: the
+  // fast-simd engine must fall back to wide53 words, one 53-bit draw per
+  // fault per version, rather than realize each fault at p = 2^-32 (a ~233x
+  // oversample of the whole universe).  (p values differ so no word is
+  // uniform and bit-sliced.)
   std::vector<core::fault_atom> atoms(50, core::fault_atom{1e-12, 0.01});
   for (std::size_t i = 0; i < atoms.size(); i += 2) atoms[i].p = 2e-12;
   const core::fault_universe u(std::move(atoms));
@@ -400,15 +365,11 @@ TEST(FastSamplers, RareFaultUniverseFallsBackToExactKernel) {
   mixed[3].p = 1e-12;
   EXPECT_TRUE(core::fault_universe(std::move(mixed)).fast32_grid_safe());
 
-  experiment_config cfg;
-  cfg.samples = 5000;
-  cfg.threads = 2;
-  cfg.seed = 31;
-  cfg.keep_samples = true;
-  cfg.engine = sampling_engine::fast;
-  const accumulator_state fast = engine_state(u, cfg);
-  cfg.engine = sampling_engine::exact;
-  expect_states_identical(fast, engine_state(u, cfg), "fast vs exact");
+  // The engine samples the p-sorted relayout: still one word, not uniform.
+  const core::fault_universe pu = core::make_p_sorted_permutation(u).universe;
+  ASSERT_FALSE(pu.sample_blocks()[0].uniform);
+  EXPECT_EQ(counter_draws_per_pair(pu), 2 * u.size());
+  EXPECT_EQ(counter_draws_per_pair(core::make_random_universe(50, 0.4, 0.7, 3)), u.size());
 }
 
 TEST(CorrelatedSamplers, SparseAndMaskPathsShareOneRngStream) {

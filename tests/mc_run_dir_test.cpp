@@ -13,6 +13,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/generators.hpp"
 #include "mc/scenario.hpp"
@@ -489,26 +490,33 @@ TEST(RunDirCodecTest, InvalidManifestPayloadsRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(RunDirCodecTest, RetiredAndUnknownEngineTagsRejected) {
-  // Engine wire tags are append-only: 2 belonged to the retired `legacy`
-  // engine and is refused by name, in a decoded blob (the payload reader's
-  // stats::wire_error, wrapped like every malformed payload) and in
-  // validate().
+  // Engine wire tags are append-only: 0 belonged to the retired `fast`
+  // engine and 2 to the retired `legacy` engine.  Each is refused by name,
+  // in a decoded blob (the payload reader's stats::wire_error, wrapped like
+  // every malformed payload) and in validate().
   mc::experiment_manifest m = small_experiment_manifest();
-  m.engine = static_cast<mc::sampling_engine>(2);
-  const std::string retired =
-      "sampling engine 2: the 'legacy' engine was retired; 'exact' gives the same results "
-      "bit for bit";
-  try {
-    (void)mc::decode_experiment_manifest(mc::encode_experiment_manifest(m));
-    ADD_FAILURE() << "tag 2 decoded";
-  } catch (const mc::run_dir_error& e) {
-    EXPECT_EQ(std::string(e.what()), "run_dir: state payload malformed: wire: " + retired);
-  }
-  try {
-    m.validate();
-    ADD_FAILURE() << "tag 2 validated";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(std::string(e.what()), "experiment_manifest: " + retired);
+  const std::pair<std::uint32_t, std::string> retired_tags[] = {
+      {0,
+       "sampling engine 0: the 'fast' engine was retired; 'fast-simd' samples the same "
+       "distribution with different per-seed values, and 'exact' is the bit-exact reference"},
+      {2,
+       "sampling engine 2: the 'legacy' engine was retired; 'exact' gives the same results "
+       "bit for bit"},
+  };
+  for (const auto& [tag, retired] : retired_tags) {
+    m.engine = static_cast<mc::sampling_engine>(tag);
+    try {
+      (void)mc::decode_experiment_manifest(mc::encode_experiment_manifest(m));
+      ADD_FAILURE() << "tag " << tag << " decoded";
+    } catch (const mc::run_dir_error& e) {
+      EXPECT_EQ(std::string(e.what()), "run_dir: state payload malformed: wire: " + retired);
+    }
+    try {
+      m.validate();
+      ADD_FAILURE() << "tag " << tag << " validated";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "experiment_manifest: " + retired);
+    }
   }
   m.engine = static_cast<mc::sampling_engine>(4);
   try {

@@ -766,23 +766,23 @@ TEST(FastSimdEngine, KeptSamplesMatchReferenceShardLoop) {
   }
 }
 
-TEST(FastSimdEngine, StatisticalSanityVsFastEngine) {
-  // fast-simd is NOT stream-compatible with fast, but both estimate the same
-  // quantities: means must agree within a few CI widths.
+TEST(FastSimdEngine, StatisticalSanityVsExactEngine) {
+  // fast-simd is NOT stream-compatible with exact, but both estimate the
+  // same quantities: means must agree within a few CI widths.
   const auto u = make_scattered_palette_universe(128, 21);
   mc::experiment_config cfg;
   cfg.samples = 50'000;
   cfg.seed = 1234;
-  cfg.engine = mc::sampling_engine::fast;
-  const auto fast = mc::run_experiment(u, cfg);
+  cfg.engine = mc::sampling_engine::exact;
+  const auto exact = mc::run_experiment(u, cfg);
   cfg.engine = mc::sampling_engine::fast_simd;
   const auto simd = mc::run_experiment(u, cfg);
   const double width1 =
-      fast.mean_theta1().ci.hi - fast.mean_theta1().ci.lo + 1e-12;
-  EXPECT_NEAR(simd.mean_theta1().value, fast.mean_theta1().value, 3 * width1);
+      exact.mean_theta1().ci.hi - exact.mean_theta1().ci.lo + 1e-12;
+  EXPECT_NEAR(simd.mean_theta1().value, exact.mean_theta1().value, 3 * width1);
   const double width2 =
-      fast.mean_theta2().ci.hi - fast.mean_theta2().ci.lo + 1e-12;
-  EXPECT_NEAR(simd.mean_theta2().value, fast.mean_theta2().value, 3 * width2);
+      exact.mean_theta2().ci.hi - exact.mean_theta2().ci.lo + 1e-12;
+  EXPECT_NEAR(simd.mean_theta2().value, exact.mean_theta2().value, 3 * width2);
 }
 
 TEST(FastSimdEngine, PerFaultReportingInverseMapsToOriginalIndices) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fault_mask.hpp"
@@ -329,14 +330,22 @@ TEST(SweepSpec, ShardsAndWindowPastThirtyTwoBitsRejected) {
 }
 
 TEST(SweepSpec, RetiredLegacyEngineIsAPositionedDiagnostic) {
-  const auto errors = parse_errors(
-      "[sweep]\nkind = experiment\n"
-      "[universe u]\ngenerator = homogeneous\nfaults = 8\np = 0.01\nq = 0.02\n"
-      "[experiment]\nuniverse = u\nsamples = 1000\nengine = legacy\n");
-  ASSERT_TRUE(has_error(errors, 8, "engine"));
-  EXPECT_EQ(errors.front().render(),
-            "test.spec:8: engine: the 'legacy' engine was retired; 'exact' gives the same "
-            "results bit for bit");
+  // Every retired engine name is refused at its key, saying what replaces it.
+  const std::pair<const char*, const char*> retired[] = {
+      {"legacy", "the 'legacy' engine was retired; 'exact' gives the same results bit for bit"},
+      {"fast",
+       "the 'fast' engine was retired; 'fast-simd' samples the same distribution with "
+       "different per-seed values, and 'exact' is the bit-exact reference"},
+  };
+  for (const auto& [name, message] : retired) {
+    const auto errors = parse_errors(
+        "[sweep]\nkind = experiment\n"
+        "[universe u]\ngenerator = homogeneous\nfaults = 8\np = 0.01\nq = 0.02\n"
+        "[experiment]\nuniverse = u\nsamples = 1000\nengine = " +
+        std::string(name) + "\n");
+    ASSERT_TRUE(has_error(errors, 8, "engine")) << name;
+    EXPECT_EQ(errors.front().render(), std::string("test.spec:8: engine: ") + message);
+  }
 }
 
 TEST(SweepSpec, OverridesTheKindDoesNotTakeAreRejected) {

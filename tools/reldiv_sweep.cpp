@@ -72,7 +72,7 @@ struct options {
   unsigned shards = 0;
   bool shards_set = false;
   unsigned threads = 0;
-  std::uint64_t budget = 0;  // 0 = preset/spec default
+  std::optional<std::uint64_t> budget;        // unset = the preset's/spec's
   std::optional<mc::sampling_engine> engine;  // unset = the spec's; experiment only
   std::string run_dir;
   unsigned workers = 2;
@@ -286,8 +286,8 @@ std::string read_text_file(const std::string& path) {
 mc::sweep_spec resolve_spec(const options& opt) {
   mc::spec_overrides ov;
   if (opt.seed_set) ov.seed = opt.seed;
-  if (opt.budget > 0) ov.budget = opt.budget;
   if (opt.shards_set) ov.shards = opt.shards;
+  ov.budget = opt.budget;
   ov.engine = opt.engine;
 
   const preset_row& preset = preset_for(opt.mode);
@@ -393,7 +393,7 @@ int cmd_chaos(const options& opt, const char* argv0) {
     options job = opt;
     job.mode = preset.mode;
     job.preset = "smoke";
-    if (job.budget == 0) job.budget = preset.chaos_budget;
+    job.budget = opt.budget.value_or(preset.chaos_budget);
     const mc::sweep_spec spec = resolve_spec(job);
     const std::string oracle = mc::run_single_process(spec.manifest, opt.threads).csv;
     const auto campaign = [&](const mc::distributed_config& dist) {
@@ -739,7 +739,7 @@ constexpr command kCommands[] = {
      "  --shards N           logical shards: per cell (scenario) or for the run\n"
      "                       (experiment); 0 = budget-scaled\n"
      "  --budget N           scenario/experiment: samples; demand: demands per target\n"
-     "  --engine NAME        experiment engine: fast (default) | exact | fast-simd\n"
+     "  --engine NAME        experiment engine: {engines}\n"
      "  --threads N          worker threads (default 0 = hardware)\n"
      "  --out-csv PATH / --out-json PATH      results tables\n"
      "  --quiet              suppress the progress line\n",
@@ -902,6 +902,22 @@ unsigned parse_u32(const std::string& flag, const char* value) {
   return static_cast<unsigned>(v);
 }
 
+/// `cmd`'s usage text with its {engines} placeholder filled from the engine
+/// name table, the default marked, so the help never restates the default.
+std::string usage_text(const command& cmd) {
+  std::string text = cmd.usage;
+  const std::string_view placeholder = "{engines}";
+  const std::size_t at = text.find(placeholder);
+  if (at == std::string::npos) return text;
+  std::string engines;
+  for (const mc::sampling_engine engine : mc::sampling_engines()) {
+    if (!engines.empty()) engines += " | ";
+    engines += mc::sampling_engine_name(engine);
+    if (engine == mc::experiment_config{}.engine) engines += " (default)";
+  }
+  return text.replace(at, placeholder.size(), engines);
+}
+
 /// The one parser: argv[2..] against `cmd`'s row of the flag table.
 options parse_args(const command& cmd, int argc, char** argv) {
   const std::string_view name = cmd.name;
@@ -913,7 +929,7 @@ options parse_args(const command& cmd, int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--help" || arg == "-h") {
-      std::fputs(cmd.usage, stdout);
+      std::fputs(usage_text(cmd).c_str(), stdout);
       std::exit(0);
     }
     if (name == "describe" && arg[0] != '-' && opt.run_dir.empty()) {
@@ -1026,7 +1042,7 @@ int run_command(const command& cmd, int argc, char** argv) {
     opt = parse_args(cmd, argc, argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "reldiv_sweep %s: %s\n", cmd.name, e.what());
-    std::fputs(cmd.usage, stderr);
+    std::fputs(usage_text(cmd).c_str(), stderr);
     return 2;
   }
   try {
