@@ -18,6 +18,12 @@
 // the lane fold folds each pair step of the eight shards into their
 // accumulators at once.  Both produce the same bits.
 //
+// The lane-draw and lane-fold rows split that cell into its two layers on
+// the same universe and ρ: BM_MixtureLaneDraw* draws pair steps of eight
+// shard streams into a lane_block (the xoshiro lane kernel), and BM_LaneFold*
+// folds pre-drawn blocks into eight accumulators, each dispatched, at the
+// avx2 cap and at the scalar cap.
+//
 // The *Avx2 twins of the random-universe runs and the scenario cell run at
 // the avx2 cap, so on an AVX-512 host "dispatched vs avx2 cap" is the
 // AVX-512 kernels' own gain (the random universe, because its paired32 words
@@ -32,6 +38,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -41,6 +48,7 @@
 #include "core/fault_universe.hpp"
 #include "core/generators.hpp"
 #include "core/simd_sampler.hpp"
+#include "mc/correlated.hpp"
 #include "mc/experiment.hpp"
 #include "mc/scenario.hpp"
 #include "stats/random.hpp"
@@ -185,6 +193,108 @@ void BM_ScenarioMixtureCellAvx2(benchmark::State& state) {
   core::clear_simd_level_cap();
 }
 BENCHMARK(BM_ScenarioMixtureCellAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// --- the same cell's two layers: lane draw and lane fold -------------------
+
+/// scenario_ci.spec's `many_small` universe, as the cell above builds it.
+core::fault_universe many_small_universe() {
+  return core::make_many_small_faults_universe(256, 0.05, 0.3, 0.8, 0.2, 12);
+}
+
+/// Lane steps per iteration: 125 steps of eight lanes are 1000 pairs, so an
+/// iteration's real_time in microseconds reads as nanoseconds per pair.
+constexpr int kStepsPerIteration = 125;
+
+/// Eight shard streams of a cell's first lane group, as run_xoshiro_lanes
+/// opens them.
+core::xoshiro_lanes first_group_lanes(std::uint64_t seed) {
+  core::xoshiro_lanes lanes;
+  stats::rng walker(seed);
+  for (unsigned l = 0; l < core::kXoshiroLanes; ++l) {
+    lanes.set_lane(l, walker);
+    walker.jump();
+  }
+  return lanes;
+}
+
+/// Pair steps of the ρ = 0.25 mixture (stress 1.8) drawn into one block,
+/// both channels of all eight lanes per step, at SIMD cap `cap` (none: the
+/// dispatched level).
+void run_lane_draw_bench(benchmark::State& state, std::optional<core::simd_level> cap) {
+  if (cap) core::set_simd_level_cap(*cap);
+  const core::simd_level level = core::active_simd_level();
+  const core::fault_universe u = many_small_universe();
+  const mc::common_cause_mixture mixture(u, 0.25, 1.8);
+  core::xoshiro_lanes lanes = first_group_lanes(2026);
+  core::lane_block block(2, u.size());
+  for (auto _ : state) {
+    for (int step = 0; step < kStepsPerIteration; ++step) {
+      for (unsigned v = 0; v < 2; ++v) {
+        mixture.sample_mask_lanes(lanes, block, v, core::kXoshiroLanes, level);
+      }
+      benchmark::DoNotOptimize(block.row(0, 0));
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kStepsPerIteration *
+                          core::kXoshiroLanes);
+  core::clear_simd_level_cap();
+}
+
+void BM_MixtureLaneDraw(benchmark::State& state) { run_lane_draw_bench(state, std::nullopt); }
+BENCHMARK(BM_MixtureLaneDraw)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+void BM_MixtureLaneDrawAvx2(benchmark::State& state) {
+  run_lane_draw_bench(state, core::simd_level::avx2);
+}
+BENCHMARK(BM_MixtureLaneDrawAvx2)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+void BM_MixtureLaneDrawScalar(benchmark::State& state) {
+  run_lane_draw_bench(state, core::simd_level::scalar);
+}
+BENCHMARK(BM_MixtureLaneDrawScalar)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+/// 2of2 folds (ω = 1) of pre-drawn pair steps of the same mixture, cycling
+/// through 64 blocks so the draw stays out of the timing, at SIMD cap `cap`.
+void run_lane_fold_bench(benchmark::State& state, std::optional<core::simd_level> cap) {
+  if (cap) core::set_simd_level_cap(*cap);
+  const core::simd_level level = core::active_simd_level();
+  const core::fault_universe u = many_small_universe();
+  const mc::common_cause_mixture mixture(u, 0.25, 1.8);
+  core::xoshiro_lanes lanes = first_group_lanes(2026);
+  std::vector<core::lane_block> blocks(64, core::lane_block(2, u.size()));
+  for (core::lane_block& block : blocks) {
+    for (unsigned v = 0; v < 2; ++v) {
+      mixture.sample_mask_lanes(lanes, block, v, core::kXoshiroLanes, level);
+    }
+  }
+  core::accumulator_lanes acc;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    for (int step = 0; step < kStepsPerIteration; ++step) {
+      core::fold_pair_lanes(acc, blocks[next], 2, 1.0, u.q_array(), core::kXoshiroLanes, level);
+      next = (next + 1) % blocks.size();
+    }
+    benchmark::DoNotOptimize(acc.theta2.m1.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kStepsPerIteration *
+                          core::kXoshiroLanes);
+  core::clear_simd_level_cap();
+}
+
+void BM_LaneFold(benchmark::State& state) { run_lane_fold_bench(state, std::nullopt); }
+BENCHMARK(BM_LaneFold)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+void BM_LaneFoldAvx2(benchmark::State& state) {
+  run_lane_fold_bench(state, core::simd_level::avx2);
+}
+BENCHMARK(BM_LaneFoldAvx2)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+void BM_LaneFoldScalar(benchmark::State& state) {
+  run_lane_fold_bench(state, core::simd_level::scalar);
+}
+BENCHMARK(BM_LaneFoldScalar)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 

@@ -29,9 +29,19 @@
 //     lanes without it), and the Welford step of stats::running_moments::add
 //     runs its IEEE operations in the same order, products and sums each
 //     rounded on their own.
+// All of them meet in the lane-major core::lane_block: a mask word of eight
+// lanes is one 64-byte row, so the draw kernels write a word of every live
+// lane with one masked store (two at AVX2) and the fold reads it with one
+// masked load, leaving the words of spare lanes untouched.
 // The AVX2 threshold compares use _mm256_cmpgt_epi64, which is safe in the
 // signed domain because both operands are <= 2^53 (hence positive as int64);
-// the AVX-512 compares are unsigned.
+// the AVX-512 compares are unsigned.  The AVX-512 mixture kernel compares
+// the raw draw against the threshold shifted left by 11 (r < t << 11 iff
+// (r >> 11) < t), which saves the per-fault shift; thresholds of 2^53 do not
+// fit that operand and arrive as per-word "always" masks instead.  It also
+// stores each fault's eight hit bits as one byte and, once per 64 faults,
+// transposes the bytes into the eight lane words with one vptestmb per lane
+// (AVX-512BW), so a fault costs no per-lane bit bookkeeping.
 //
 // GCC builds _mm512_{srli,slli,rol}_epi64 on _mm512_undefined_epi32(), which
 // trips -Wmaybe-uninitialized; the kernels use the _mm512_maskz_* forms with
@@ -53,6 +63,25 @@ namespace {
 inline __m256i load_u64x4(const std::uint64_t* p) noexcept {
   // reldiv-lint: allow(wire-cast) vector register load of a word array, not byte serialization
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+/// All-ones in lane j of the register holding lanes [o, o + 4) iff o + j <
+/// live: the lanes a kernel call draws.
+inline __m256i live_lanes4(unsigned o, unsigned live) noexcept {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(live),
+                            _mm256_set_epi64x(o + 3, o + 2, o + 1, o));
+}
+
+/// Four consecutive 64-bit words, the lanes `live` selects (zero elsewhere)
+/// and the words `live` selects stored; the others are neither read nor
+/// written.
+inline __m256i load_u64x4(const std::uint64_t* p, __m256i live) noexcept {
+  // reldiv-lint: allow(wire-cast) masked vector load of a word array, not byte serialization
+  return _mm256_maskload_epi64(reinterpret_cast<const long long*>(p), live);
+}
+inline void store_u64x4(std::uint64_t* p, __m256i live, __m256i v) noexcept {
+  // reldiv-lint: allow(wire-cast) masked vector store to a word array, not byte serialization
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(p), live, v);
 }
 
 /// x * c for a 64-bit constant c, per 64-bit lane: lo32(x)*lo32(c) +
@@ -101,14 +130,6 @@ struct xoshiro4 {
     return result;
   }
 };
-
-/// The four 64-bit lanes of v, lane 0 first.
-inline std::array<std::uint64_t, 4> lanes_of(__m256i v) noexcept {
-  return {static_cast<std::uint64_t>(_mm256_extract_epi64(v, 0)),
-          static_cast<std::uint64_t>(_mm256_extract_epi64(v, 1)),
-          static_cast<std::uint64_t>(_mm256_extract_epi64(v, 2)),
-          static_cast<std::uint64_t>(_mm256_extract_epi64(v, 3))};
-}
 
 /// 1 << k for k < 64: the bit a fault sets in its word, loaded as a
 /// broadcast operand rather than carried from step to step.
@@ -179,31 +200,31 @@ struct xoshiro8 {
 
 // --- lane fold, AVX2: one call per half of four lanes ------------------------
 
-/// Word b of lanes [o, o + live) of one channel (zero past live).
-inline __m256i lane_words4(const lane_masks& channel, unsigned o, std::size_t b,
-                           unsigned live) noexcept {
-  std::array<std::uint64_t, 4> w{};
-  for (unsigned l = 0; l < live; ++l) w[l] = channel[o + l].words()[b];
-  return load_u64x4(w.data());
-}
-
 /// OR of the four 64-bit lanes of v.
 inline std::uint64_t or_lanes4(__m256i v) noexcept {
   const __m128i x = _mm_or_si128(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
   return static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_or_si128(x, _mm_unpackhi_epi64(x, x))));
 }
 
-/// sum + q[i] in the lanes of w holding bit i, for each bit i any lane holds,
-/// ascending.  The other lanes add +0.0, which leaves their sums' bits as
-/// they were: a sum begun at +0.0 is never -0.0 in round-to-nearest.
-inline __m256d add_word_q4(__m256d sum, __m256i w, const double* q) noexcept {
-  for (std::uint64_t bits = or_lanes4(w); bits != 0; bits &= bits - 1) {
+/// θ1 + q[i] in the lanes of `first` holding bit i and θD + q[i] in the
+/// lanes of `defeated` holding it, for each bit i any lane holds in either,
+/// ascending, the two add chains side by side.  The other lanes add +0.0,
+/// which leaves their sums' bits as they were: a sum begun at +0.0 is never
+/// -0.0 in round-to-nearest.
+inline void add_word_q4(__m256d& theta1, __m256d& defeated_q, __m256i first, __m256i defeated,
+                        const double* q) noexcept {
+  for (std::uint64_t bits = or_lanes4(_mm256_or_si256(first, defeated)); bits != 0;
+       bits &= bits - 1) {
     const int i = std::countr_zero(bits);
-    const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(std::uint64_t{1} << i));
-    const __m256d has = _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(w, bit), bit));
-    sum = _mm256_add_pd(sum, _mm256_and_pd(has, _mm256_set1_pd(q[i])));
+    const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(kFaultBit[i]));
+    const __m256d qi = _mm256_set1_pd(q[i]);
+    const __m256d has1 =
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(first, bit), bit));
+    const __m256d has_d =
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(defeated, bit), bit));
+    theta1 = _mm256_add_pd(theta1, _mm256_and_pd(has1, qi));
+    defeated_q = _mm256_add_pd(defeated_q, _mm256_and_pd(has_d, qi));
   }
-  return sum;
 }
 
 /// stats::running_moments::add on lanes [o, o + 4) of m, stored to the lanes
@@ -253,21 +274,25 @@ inline unsigned zero_lanes4(__m256d x) noexcept {
       _mm256_movemask_pd(_mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_EQ_OQ)));
 }
 
-/// fold_pair_lanes_avx2 on lanes [o, o + live) (live <= 4) of one register.
-void fold_half_avx2(accumulator_lanes& acc, const lane_masks* channels, unsigned versions,
+/// fold_pair_lanes_avx2 on lanes [o, o + 4) of one register, of which those
+/// below `live` are folded.
+void fold_half_avx2(accumulator_lanes& acc, const std::uint64_t* block, unsigned versions,
                     unsigned votes, double omega, const double* q, std::size_t n, unsigned o,
                     unsigned live, const welford_step& step, pair_thetas* thetas) noexcept {
-  __m256i ge[kMaxFoldVersions];  // layers [0, votes) are set before use
+  const __m256i live_lanes = live_lanes4(o, live);
+  const std::size_t nw = fault_mask::words_needed(n);
+  const std::uint64_t* half = block + o;  // lane o of channel 0's word 0
+  __m256i ge[kMaxFoldVersions];           // layers [0, votes) are set before use
   __m256d theta1 = _mm256_setzero_pd();
   __m256d defeated_q = _mm256_setzero_pd();
   __m256i any1 = _mm256_setzero_si256();
   __m256i any_defeated = _mm256_setzero_si256();
-  for (std::size_t b = 0; b < fault_mask::words_needed(n); ++b) {
-    const __m256i first = lane_words4(channels[0], o, b, live);
+  for (std::size_t b = 0; b < nw; ++b) {
+    const __m256i first = load_u64x4(half + b * kXoshiroLanes, live_lanes);
     ge[0] = first;
     for (unsigned j = 1; j < votes; ++j) ge[j] = _mm256_setzero_si256();
     for (unsigned v = 1; v < versions; ++v) {
-      const __m256i m = lane_words4(channels[v], o, b, live);
+      const __m256i m = load_u64x4(half + (v * nw + b) * kXoshiroLanes, live_lanes);
       for (unsigned j = votes - 1; j > 0; --j) {
         ge[j] = _mm256_or_si256(ge[j], _mm256_and_si256(ge[j - 1], m));
       }
@@ -275,23 +300,20 @@ void fold_half_avx2(accumulator_lanes& acc, const lane_masks* channels, unsigned
     }
     any1 = _mm256_or_si256(any1, first);
     any_defeated = _mm256_or_si256(any_defeated, ge[votes - 1]);
-    theta1 = add_word_q4(theta1, first, q + (b << 6));
-    defeated_q = add_word_q4(defeated_q, ge[votes - 1], q + (b << 6));
+    add_word_q4(theta1, defeated_q, first, ge[votes - 1], q + (b << 6));
   }
   const __m256d theta2 = _mm256_mul_pd(_mm256_set1_pd(omega), defeated_q);
   const unsigned n1 = nonzero_lanes4(any1);
   const unsigned n2 = omega > 0.0 ? nonzero_lanes4(any_defeated) : 0u;
   const unsigned z1 = zero_lanes4(theta1);
   const unsigned z2 = zero_lanes4(theta2);
-  for (unsigned l = 0; l < live; ++l) {
-    ++acc.samples[o + l];
-    acc.n1_positive[o + l] += (n1 >> l) & 1u;
-    acc.n2_positive[o + l] += (n2 >> l) & 1u;
-    acc.n1_zero_pfd[o + l] += (z1 >> l) & 1u;
-    acc.n2_zero_pfd[o + l] += (z2 >> l) & 1u;
+  for (unsigned l = o; l < live && l < o + 4; ++l) {
+    ++acc.samples[l];
+    acc.n1_positive[l] += (n1 >> (l - o)) & 1u;
+    acc.n2_positive[l] += (n2 >> (l - o)) & 1u;
+    acc.n1_zero_pfd[l] += (z1 >> (l - o)) & 1u;
+    acc.n2_zero_pfd[l] += (z2 >> (l - o)) & 1u;
   }
-  const __m256i live_lanes =
-      _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), _mm256_set_epi64x(3, 2, 1, 0));
   welford_add4(acc.theta1, o, theta1, step, live_lanes);
   welford_add4(acc.theta2, o, theta2, step, live_lanes);
   if (thetas != nullptr) {
@@ -302,14 +324,6 @@ void fold_half_avx2(accumulator_lanes& acc, const lane_masks* channels, unsigned
 
 // --- lane fold, AVX-512: all eight lanes in one register ---------------------
 
-/// Word b of lanes [0, live) of one channel (zero past live).
-RELDIV_AVX512 inline __m512i lane_words8(const lane_masks& channel, std::size_t b,
-                                         unsigned live) noexcept {
-  std::array<std::uint64_t, 8> w{};
-  for (unsigned l = 0; l < live; ++l) w[l] = channel[l].words()[b];
-  return _mm512_loadu_si512(w.data());
-}
-
 /// OR of the eight 64-bit lanes of v.  _mm512_reduce_or_epi64 and
 /// _mm512_castsi512_si256 extract halves onto an undefined register, like
 /// the unmasked shifts (see the header comment); the maskz extracts do not.
@@ -318,16 +332,22 @@ RELDIV_AVX512 inline std::uint64_t or_lanes8(__m512i v) noexcept {
                                    _mm512_maskz_extracti64x4_epi64(kAllLanes, v, 1)));
 }
 
-/// sum + q[i] in the lanes of w holding bit i, for each bit i any lane holds,
-/// ascending; the other lanes keep their sums (a masked add).
-RELDIV_AVX512 inline __m512d add_word_q8(__m512d sum, __m512i w, const double* q) noexcept {
-  for (std::uint64_t bits = or_lanes8(w); bits != 0; bits &= bits - 1) {
+/// θ1 + q[i] in the lanes of `first` holding bit i and θD + q[i] in the
+/// lanes of `defeated` holding it, for each bit i any lane holds in either,
+/// ascending; the other lanes keep their sums (masked adds).  Each sum still
+/// takes its lane's faults in ascending order, and the two independent add
+/// chains run side by side in one pass over the bits.
+RELDIV_AVX512 inline void add_word_q8(__m512d& theta1, __m512d& defeated_q, __m512i first,
+                                      __m512i defeated, const double* q) noexcept {
+  for (std::uint64_t bits = or_lanes8(_mm512_or_si512(first, defeated)); bits != 0;
+       bits &= bits - 1) {
     const int i = std::countr_zero(bits);
-    const __mmask8 has = _mm512_test_epi64_mask(
-        w, _mm512_set1_epi64(static_cast<long long>(std::uint64_t{1} << i)));
-    sum = _mm512_mask_add_pd(sum, has, sum, _mm512_set1_pd(q[i]));
+    const __m512i bit = _mm512_set1_epi64(static_cast<long long>(kFaultBit[i]));
+    const __m512d qi = _mm512_set1_pd(q[i]);
+    theta1 = _mm512_mask_add_pd(theta1, _mm512_test_epi64_mask(first, bit), theta1, qi);
+    defeated_q =
+        _mm512_mask_add_pd(defeated_q, _mm512_test_epi64_mask(defeated, bit), defeated_q, qi);
   }
-  return sum;
 }
 
 // Products and sums in the maskz forms: avx512f implies FMA, and GCC fuses a
@@ -382,27 +402,71 @@ RELDIV_AVX512 inline void count8(std::array<std::uint64_t, kXoshiroLanes>& c,
                            _mm512_add_epi64(_mm512_loadu_si512(c.data()), _mm512_set1_epi64(1)));
 }
 
+/// Lane l's words of one mixture channel for the lanes [0, live), AVX-512:
+/// fault i of lane l is present iff its draw < lo[i], or < hi[i] in the
+/// lanes `stressed` selects when kBlend (the shifted tables), or its bit is
+/// set in the word's lo_always / hi_always mask.  Each fault's eight hit
+/// bits are stored as one byte; after each word's faults, lane l's word is
+/// bit l of those bytes, gathered by one vptestmb.
+template <bool kBlend>
+RELDIV_AVX512 inline void mixture_words8(xoshiro8& g, const std::uint64_t* lo,
+                                         const std::uint64_t* hi,
+                                         const std::uint64_t* lo_always,
+                                         const std::uint64_t* hi_always, __mmask8 stressed,
+                                         std::size_t n, std::uint64_t* out,
+                                         unsigned live) noexcept {
+  alignas(64) __mmask8 hits[64] = {};
+  std::size_t i = 0;
+  for (std::size_t blk = 0; i < n; ++blk) {
+    const auto occupancy = static_cast<unsigned>(n - i < 64 ? n - i : 64);
+    for (unsigned k = 0; k < occupancy; ++k, ++i) {
+      __m512i t = _mm512_set1_epi64(static_cast<long long>(lo[i]));
+      if constexpr (kBlend) {
+        t = _mm512_mask_blend_epi64(stressed, t, _mm512_set1_epi64(static_cast<long long>(hi[i])));
+      }
+      _store_mask8(hits + k, _mm512_cmplt_epu64_mask(g.next(), t));
+    }
+    // Bytes past the occupancy hold an earlier word's hits (or zeros): the
+    // test leaves their bits clear.
+    const __m512i bytes = _mm512_load_si512(hits);
+    const __mmask64 valid =
+        occupancy == 64 ? ~__mmask64{0} : (__mmask64{1} << occupancy) - 1;
+    std::uint64_t* row = out + blk * kXoshiroLanes;
+    for (unsigned l = 0; l < live; ++l) {
+      // All-ones in a stressed lane, selected without a branch: which lanes
+      // are stressed is a coin flip per version.
+      const std::uint64_t high = kBlend ? std::uint64_t{0} - ((stressed >> l) & 1u) : 0;
+      const __mmask64 lane_bits = _mm512_mask_test_epi8_mask(
+          valid, bytes, _mm512_set1_epi8(static_cast<char>(1u << l)));
+      row[l] = _cvtmask64_u64(lane_bits) | (lo_always[blk] & ~high) |
+               (kBlend ? hi_always[blk] & high : 0);
+    }
+  }
+}
+
 }  // namespace
 
 bool avx2_compiled() noexcept { return true; }
 
-void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                               const std::uint64_t* stressed,
-                               const std::uint64_t* relaxed, std::size_t n,
-                               std::uint64_t* const* out, unsigned live) noexcept {
+void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                               std::size_t n, std::uint64_t* out, unsigned live) noexcept {
   // Lanes 0-3 in g[0], lanes 4-7 in g[1], stepped together so the
   // independent streams overlap.  Every lane draws; only the first `live`
-  // are written back.
+  // are stored.
   constexpr unsigned kRegs = 2;
   static_assert(kXoshiroLanes == 4 * kRegs, "two AVX2 registers of four 64-bit lanes");
+  const std::uint64_t* stressed = tables.stressed.data();
+  const std::uint64_t* relaxed = tables.relaxed.data();
   std::array<xoshiro4, kRegs> g;
+  __m256i live_lanes[kRegs];
   // All-ones in the lanes whose development is stressed.
   __m256i stressed_lanes[kRegs];
   for (unsigned r = 0; r < kRegs; ++r) {
     g[r] = {load_u64x4(lanes.word[0].data() + 4 * r), load_u64x4(lanes.word[1].data() + 4 * r),
             load_u64x4(lanes.word[2].data() + 4 * r), load_u64x4(lanes.word[3].data() + 4 * r)};
+    live_lanes[r] = live_lanes4(4 * r, live);
     stressed_lanes[r] = _mm256_cmpgt_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(stress_threshold)),
+        _mm256_set1_epi64x(static_cast<long long>(tables.stress)),
         _mm256_srli_epi64(g[r].next(), 11));
   }
   std::size_t i = 0;
@@ -422,48 +486,38 @@ void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_thresh
       bit = _mm256_add_epi64(bit, bit);
     }
     for (unsigned r = 0; r < kRegs; ++r) {
-      const std::array<std::uint64_t, 4> w = lanes_of(word[r]);
-      for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) out[l][blk] = w[l - 4 * r];
+      store_u64x4(out + blk * kXoshiroLanes + 4 * r, live_lanes[r], word[r]);
     }
   }
   for (unsigned r = 0; r < kRegs; ++r) {
-    const std::array<std::array<std::uint64_t, 4>, 4> s = {
-        lanes_of(g[r].s0), lanes_of(g[r].s1), lanes_of(g[r].s2), lanes_of(g[r].s3)};
-    for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) {
-      for (unsigned j = 0; j < 4; ++j) lanes.word[j][l] = s[j][l - 4 * r];
-    }
+    store_u64x4(lanes.word[0].data() + 4 * r, live_lanes[r], g[r].s0);
+    store_u64x4(lanes.word[1].data() + 4 * r, live_lanes[r], g[r].s1);
+    store_u64x4(lanes.word[2].data() + 4 * r, live_lanes[r], g[r].s2);
+    store_u64x4(lanes.word[3].data() + 4 * r, live_lanes[r], g[r].s3);
   }
 }
 
 RELDIV_AVX512 void sample_mixture_lanes_avx512(xoshiro_lanes& lanes,
-                                               std::uint64_t stress_threshold,
-                                               const std::uint64_t* stressed,
-                                               const std::uint64_t* relaxed, std::size_t n,
-                                               std::uint64_t* const* out,
+                                               const mixture_lane_tables& tables,
+                                               std::size_t n, std::uint64_t* out,
                                                unsigned live) noexcept {
   static_assert(kXoshiroLanes == 8, "one xoshiro256++ engine per 64-bit AVX-512 lane");
   const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
   xoshiro8 g{_mm512_loadu_si512(lanes.word[0].data()), _mm512_loadu_si512(lanes.word[1].data()),
              _mm512_loadu_si512(lanes.word[2].data()), _mm512_loadu_si512(lanes.word[3].data())};
-  // Set in the lanes whose development is stressed.
-  const __mmask8 stressed_lanes = _mm512_cmplt_epu64_mask(
-      srli512<11>(g.next()), _mm512_set1_epi64(static_cast<long long>(stress_threshold)));
-  std::size_t i = 0;
-  for (std::size_t blk = 0; i < n; ++blk) {
-    const std::size_t hi = n - i < 64 ? n : i + 64;
-    __m512i word = _mm512_setzero_si512();
-    __m512i bit = _mm512_set1_epi64(1);
-    for (; i < hi; ++i) {
-      const __m512i t = _mm512_mask_blend_epi64(
-          stressed_lanes, _mm512_set1_epi64(static_cast<long long>(relaxed[i])),
-          _mm512_set1_epi64(static_cast<long long>(stressed[i])));
-      const __mmask8 hit = _mm512_cmplt_epu64_mask(srli512<11>(g.next()), t);
-      word = _mm512_mask_or_epi64(word, hit, word, bit);
-      bit = _mm512_add_epi64(bit, bit);
-    }
-    std::array<std::uint64_t, 8> w;
-    _mm512_storeu_si512(w.data(), word);
-    for (unsigned l = 0; l < live; ++l) out[l][blk] = w[l];
+  // Set in the live lanes whose development is stressed.
+  const __mmask8 stressed = _mm512_mask_cmplt_epu64_mask(
+      live_lanes, srli512<11>(g.next()),
+      _mm512_set1_epi64(static_cast<long long>(tables.stress)));
+  // With no live lane stressed (every version of a ρ = 0 cell), the relaxed
+  // table serves them all and the per-fault blend is skipped.
+  if (stressed == 0) {
+    mixture_words8<false>(g, tables.relaxed_shifted.data(), nullptr,
+                          tables.relaxed_always.data(), nullptr, stressed, n, out, live);
+  } else {
+    mixture_words8<true>(g, tables.relaxed_shifted.data(), tables.stressed_shifted.data(),
+                         tables.relaxed_always.data(), tables.stressed_always.data(), stressed,
+                         n, out, live);
   }
   _mm512_mask_storeu_epi64(lanes.word[0].data(), live_lanes, g.s0);
   _mm512_mask_storeu_epi64(lanes.word[1].data(), live_lanes, g.s1);
@@ -471,37 +525,37 @@ RELDIV_AVX512 void sample_mixture_lanes_avx512(xoshiro_lanes& lanes,
   _mm512_mask_storeu_epi64(lanes.word[3].data(), live_lanes, g.s3);
 }
 
-void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
+void fold_pair_lanes_avx2(accumulator_lanes& acc, const std::uint64_t* block,
                           unsigned versions, unsigned votes, double omega, const double* q,
                           std::size_t n, unsigned live, const welford_step& step,
                           pair_thetas* thetas) noexcept {
-  fold_half_avx2(acc, channels, versions, votes, omega, q, n, 0, live < 4 ? live : 4, step,
-                 thetas);
-  if (live > 4) {
-    fold_half_avx2(acc, channels, versions, votes, omega, q, n, 4, live - 4, step, thetas);
-  }
+  fold_half_avx2(acc, block, versions, votes, omega, q, n, 0, live, step, thetas);
+  if (live > 4) fold_half_avx2(acc, block, versions, votes, omega, q, n, 4, live, step, thetas);
 }
 
-RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
+RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const std::uint64_t* block,
                                           unsigned versions, unsigned votes, double omega,
                                           const double* q, std::size_t n, unsigned live,
                                           const welford_step& step,
                                           pair_thetas* thetas) noexcept {
-  // The scalar level's word loop with a lane per shard: the defeated-set
-  // layers ge[j] are registers of eight lane words, and each θ sum takes one
-  // masked add per fault any lane holds.
+  // The scalar level's word loop with a lane per shard: each word of a
+  // channel is one masked load of its row, the defeated-set layers ge[j] are
+  // registers of eight lane words, and each θ sum takes one masked add per
+  // fault any lane holds.
   const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
+  const std::size_t nw = fault_mask::words_needed(n);
   __m512i ge[kMaxFoldVersions];  // layers [0, votes) are set before use
   __m512d theta1 = _mm512_setzero_pd();
   __m512d defeated_q = _mm512_setzero_pd();
   __m512i any1 = _mm512_setzero_si512();
   __m512i any_defeated = _mm512_setzero_si512();
-  for (std::size_t b = 0; b < fault_mask::words_needed(n); ++b) {
-    const __m512i first = lane_words8(channels[0], b, live);
+  for (std::size_t b = 0; b < nw; ++b) {
+    const __m512i first = _mm512_maskz_load_epi64(live_lanes, block + b * kXoshiroLanes);
     ge[0] = first;
     for (unsigned j = 1; j < votes; ++j) ge[j] = _mm512_setzero_si512();
     for (unsigned v = 1; v < versions; ++v) {
-      const __m512i m = lane_words8(channels[v], b, live);
+      const __m512i m =
+          _mm512_maskz_load_epi64(live_lanes, block + (v * nw + b) * kXoshiroLanes);
       constexpr int kOrAnd = 0xf8;  // a | (b & c)
       for (unsigned j = votes - 1; j > 0; --j) {
         ge[j] = _mm512_ternarylogic_epi64(ge[j], ge[j - 1], m, kOrAnd);
@@ -510,8 +564,7 @@ RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_mas
     }
     any1 = _mm512_or_si512(any1, first);
     any_defeated = _mm512_or_si512(any_defeated, ge[votes - 1]);
-    theta1 = add_word_q8(theta1, first, q + (b << 6));
-    defeated_q = add_word_q8(defeated_q, ge[votes - 1], q + (b << 6));
+    add_word_q8(theta1, defeated_q, first, ge[votes - 1], q + (b << 6));
   }
   const __m512d theta2 = mul8(_mm512_set1_pd(omega), defeated_q);
   const __m512d zero = _mm512_setzero_pd();
@@ -533,21 +586,24 @@ RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_mas
 void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
                                     const std::uint64_t* t32, const std::uint64_t* t53,
                                     const std::uint64_t* keys, std::uint64_t pair_index,
-                                    std::uint64_t* const* a, std::uint64_t* const* b,
+                                    std::uint64_t* a, std::uint64_t* b,
                                     unsigned live) noexcept {
   // Lanes 0-3 in one register, lanes 4-7 in the other.  Lane l's Weyl state
   // keys[l] + (c + 1) * gamma steps by gamma from counter to counter; every
-  // lane draws, only the first `live` are written back.
+  // lane draws, only the first `live` are stored.
   constexpr unsigned kRegs = 2;
   static_assert(kXoshiroLanes == 4 * kRegs, "two AVX2 registers of four 64-bit lanes");
   constexpr std::uint64_t g = stats::kSplitmix64Gamma;
   const __m256i gamma = _mm256_set1_epi64x(static_cast<long long>(g));
   const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
   const __m256i lane_keys[kRegs] = {load_u64x4(keys), load_u64x4(keys + 4)};
+  const __m256i live_lanes[kRegs] = {live_lanes4(0, live), live_lanes4(4, live)};
   for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
     const counter_word_plan& w = plan.words[blk];
     const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
-    if (counter_word_per_lane(w, keys, base, blk, a, b, live)) continue;
+    std::uint64_t* a_row = a + blk * kXoshiroLanes;
+    std::uint64_t* b_row = b + blk * kXoshiroLanes;
+    if (counter_word_per_lane(w, keys, base, a_row, b_row, live)) continue;
     const __m256i start = _mm256_set1_epi64x(static_cast<long long>((base + 1) * g));
     __m256i z[kRegs];
     __m256i wa[kRegs];
@@ -608,12 +664,8 @@ void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
       }
     }
     for (unsigned r = 0; r < kRegs; ++r) {
-      const std::array<std::uint64_t, 4> va = lanes_of(wa[r]);
-      const std::array<std::uint64_t, 4> vb = lanes_of(wb[r]);
-      for (unsigned l = 4 * r; l < live && l < 4 * r + 4; ++l) {
-        a[l][blk] = va[l - 4 * r];
-        b[l][blk] = vb[l - 4 * r];
-      }
+      store_u64x4(a_row + 4 * r, live_lanes[r], wa[r]);
+      store_u64x4(b_row + 4 * r, live_lanes[r], wb[r]);
     }
   }
 }
@@ -639,19 +691,22 @@ RELDIV_AVX512 void sample_pair_counter_lanes_avx512(const counter_sample_plan& p
                                                     const std::uint64_t* t53,
                                                     const std::uint64_t* keys,
                                                     std::uint64_t pair_index,
-                                                    std::uint64_t* const* a,
-                                                    std::uint64_t* const* b,
+                                                    std::uint64_t* a, std::uint64_t* b,
                                                     unsigned live) noexcept {
   // All eight lanes in one register; a lane's compare result sets bit k of
-  // its word through a masked or of a broadcast bit constant.
+  // its word through a masked or of a broadcast bit constant, and each
+  // finished word of the live lanes is one masked store of its row.
   static_assert(kXoshiroLanes == 8, "one counter stream per 64-bit AVX-512 lane");
   constexpr std::uint64_t g = stats::kSplitmix64Gamma;
+  const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
   const __m512i gamma = _mm512_set1_epi64(static_cast<long long>(g));
   const __m512i lane_keys = _mm512_loadu_si512(keys);
   for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
     const counter_word_plan& w = plan.words[blk];
     const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
-    if (counter_word_per_lane(w, keys, base, blk, a, b, live)) continue;
+    std::uint64_t* a_row = a + blk * kXoshiroLanes;
+    std::uint64_t* b_row = b + blk * kXoshiroLanes;
+    if (counter_word_per_lane(w, keys, base, a_row, b_row, live)) continue;
     __m512i z =
         _mm512_add_epi64(lane_keys, _mm512_set1_epi64(static_cast<long long>((base + 1) * g)));
     __m512i wa;
@@ -693,14 +748,8 @@ RELDIV_AVX512 void sample_pair_counter_lanes_avx512(const counter_sample_plan& p
       wa = wide53_word8(z, gamma, t53 + (blk << 6), w.occupancy);
       wb = wide53_word8(z, gamma, t53 + (blk << 6), w.occupancy);
     }
-    std::array<std::uint64_t, 8> va;
-    std::array<std::uint64_t, 8> vb;
-    _mm512_storeu_si512(va.data(), wa);
-    _mm512_storeu_si512(vb.data(), wb);
-    for (unsigned l = 0; l < live; ++l) {
-      a[l][blk] = va[l];
-      b[l][blk] = vb[l];
-    }
+    _mm512_mask_store_epi64(a_row, live_lanes, wa);
+    _mm512_mask_store_epi64(b_row, live_lanes, wb);
   }
 }
 
@@ -717,7 +766,7 @@ bool avx2_compiled() noexcept { return false; }
 void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
                                     const std::uint64_t* t32, const std::uint64_t* t53,
                                     const std::uint64_t* keys, std::uint64_t pair_index,
-                                    std::uint64_t* const* a, std::uint64_t* const* b,
+                                    std::uint64_t* a, std::uint64_t* b,
                                     unsigned live) noexcept {
   // Unreachable through dispatch (detected_simd_level() caps at scalar when
   // avx2_compiled() is false), but defined so a direct caller still gets
@@ -728,39 +777,35 @@ void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
 void sample_pair_counter_lanes_avx512(const counter_sample_plan& plan,
                                       const std::uint64_t* t32, const std::uint64_t* t53,
                                       const std::uint64_t* keys, std::uint64_t pair_index,
-                                      std::uint64_t* const* a, std::uint64_t* const* b,
+                                      std::uint64_t* a, std::uint64_t* b,
                                       unsigned live) noexcept {
   // Unreachable through dispatch, like the AVX2 fallback above.
   sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, a, b, live);
 }
 
-void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                               const std::uint64_t* stressed,
-                               const std::uint64_t* relaxed, std::size_t n,
-                               std::uint64_t* const* out, unsigned live) noexcept {
+void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                               std::size_t n, std::uint64_t* out, unsigned live) noexcept {
   // Unreachable through dispatch, like the counter fallbacks above.
-  sample_mixture_lanes_scalar(lanes, stress_threshold, stressed, relaxed, n, out, live);
+  sample_mixture_lanes_scalar(lanes, tables, n, out, live);
 }
 
-void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                                 const std::uint64_t* stressed,
-                                 const std::uint64_t* relaxed, std::size_t n,
-                                 std::uint64_t* const* out, unsigned live) noexcept {
-  sample_mixture_lanes_scalar(lanes, stress_threshold, stressed, relaxed, n, out, live);
+void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                                 std::size_t n, std::uint64_t* out, unsigned live) noexcept {
+  sample_mixture_lanes_scalar(lanes, tables, n, out, live);
 }
 
-void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
+void fold_pair_lanes_avx2(accumulator_lanes& acc, const std::uint64_t* block,
                           unsigned versions, unsigned votes, double omega, const double* q,
                           std::size_t n, unsigned live, const welford_step& step,
                           pair_thetas* thetas) noexcept {
-  fold_pair_lanes_scalar(acc, channels, versions, votes, omega, q, n, live, step, thetas);
+  fold_pair_lanes_scalar(acc, block, versions, votes, omega, q, n, live, step, thetas);
 }
 
-void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
+void fold_pair_lanes_avx512(accumulator_lanes& acc, const std::uint64_t* block,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
                             const welford_step& step, pair_thetas* thetas) noexcept {
-  fold_pair_lanes_scalar(acc, channels, versions, votes, omega, q, n, live, step, thetas);
+  fold_pair_lanes_scalar(acc, block, versions, votes, omega, q, n, live, step, thetas);
 }
 
 }  // namespace reldiv::core::detail

@@ -1,8 +1,8 @@
-// SIMD dispatch, fast-simd plan construction, and the scalar level of all
-// three kernel families.  The AVX2 and AVX-512 levels live in
-// simd_sampler.avx2.cpp (the one TU compiled with -mavx2, its AVX-512
-// functions under a function-level target attribute); this TU stays portable
-// and decides at runtime which one runs.
+// SIMD dispatch, fast-simd plan construction, the lane_block and mixture
+// table helpers, and the scalar level of all three kernel families.  The
+// AVX2 and AVX-512 levels live in simd_sampler.avx2.cpp (the one TU compiled
+// with -mavx2, its AVX-512 functions under a function-level target
+// attribute); this TU stays portable and decides at runtime which one runs.
 
 #include "core/simd_sampler.inl.hpp"
 
@@ -144,19 +144,36 @@ counter_sample_plan make_counter_sample_plan(const fault_universe& u) {
   return plan;
 }
 
+void lane_block::store_lane(unsigned v, unsigned l, const fault_mask& m) {
+  if (m.bit_size() != bits_ || v >= versions_ || l >= kXoshiroLanes) {
+    throw std::out_of_range("lane_block::store_lane: mask, channel or lane out of range");
+  }
+  for (std::size_t b = 0; b < m.word_count(); ++b) row(v, b)[l] = m.words()[b];
+}
+
+void lane_block::load_lane(unsigned v, unsigned l, fault_mask& out) const {
+  if (v >= versions_ || l >= kXoshiroLanes) {
+    throw std::out_of_range("lane_block::load_lane: channel or lane out of range");
+  }
+  if (out.bit_size() != bits_) out.resize(bits_);
+  for (std::size_t b = 0; b < out.word_count(); ++b) out.words()[b] = row(v, b)[l];
+}
+
 namespace detail {
 
 void sample_pair_counter_lanes_scalar(const counter_sample_plan& plan,
                                       const std::uint64_t* t32, const std::uint64_t* t53,
                                       const std::uint64_t* keys, std::uint64_t pair_index,
-                                      std::uint64_t* const* a, std::uint64_t* const* b,
+                                      std::uint64_t* a, std::uint64_t* b,
                                       unsigned live) noexcept {
   // Word by word, each live lane in turn, exactly as
   // mc::sample_version_pair_counter_reference fills a word.
   for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
     const counter_word_plan& w = plan.words[blk];
     const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
-    if (counter_word_per_lane(w, keys, base, blk, a, b, live)) continue;
+    std::uint64_t* a_row = a + blk * kXoshiroLanes;
+    std::uint64_t* b_row = b + blk * kXoshiroLanes;
+    if (counter_word_per_lane(w, keys, base, a_row, b_row, live)) continue;
     const std::uint64_t* t32w = t32 + (blk << 6);
     const std::uint64_t* t53w = t53 + (blk << 6);
     for (unsigned l = 0; l < live; ++l) {
@@ -176,49 +193,35 @@ void sample_pair_counter_lanes_scalar(const counter_sample_plan& plan,
           wb |= static_cast<std::uint64_t>((xb >> 11) < t53w[k]) << k;
         }
       }
-      a[l][blk] = wa;
-      b[l][blk] = wb;
+      a_row[l] = wa;
+      b_row[l] = wb;
     }
   }
 }
 
 namespace {
 
-/// core::sample_pair_counter_lanes on lanes [0, live) of a[] / b[], the masks
-/// of lane l at a[l] and b[l]; the plan has been checked against `u`.
+/// core::sample_pair_counter_lanes on lanes [0, live) of `block`, whose shape
+/// and plan have been checked against `u`.
 void draw_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
-                        const std::uint64_t* keys, std::uint64_t pair_index, fault_mask* a,
-                        fault_mask* b, unsigned live, simd_level level) {
-  std::array<std::uint64_t*, kXoshiroLanes> wa{};
-  std::array<std::uint64_t*, kXoshiroLanes> wb{};
-  for (unsigned l = 0; l < live; ++l) {
-    if (a[l].bit_size() != plan.bits) a[l].resize(plan.bits);
-    if (b[l].bit_size() != plan.bits) b[l].resize(plan.bits);
-    wa[l] = a[l].words();
-    wb[l] = b[l].words();
-  }
+                        const std::uint64_t* keys, std::uint64_t pair_index, lane_block& block,
+                        unsigned live, simd_level level) {
   if (plan.bits == 0 || live == 0) return;
   const std::uint64_t* t32 = u.bernoulli_thresholds32().data();
   const std::uint64_t* t53 = u.bernoulli_thresholds().data();
+  std::uint64_t* a = block.row(0, 0);
+  std::uint64_t* b = block.row(1, 0);
   switch (level) {
     case simd_level::avx512:
-      sample_pair_counter_lanes_avx512(plan, t32, t53, keys, pair_index, wa.data(), wb.data(),
-                                       live);
-      break;
+      sample_pair_counter_lanes_avx512(plan, t32, t53, keys, pair_index, a, b, live);
+      return;
     case simd_level::avx2:
-      sample_pair_counter_lanes_avx2(plan, t32, t53, keys, pair_index, wa.data(), wb.data(),
-                                     live);
-      break;
+      sample_pair_counter_lanes_avx2(plan, t32, t53, keys, pair_index, a, b, live);
+      return;
     case simd_level::scalar:
-      sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, wa.data(), wb.data(),
-                                       live);
       break;
   }
-  const std::size_t last = plan.words.size() - 1;
-  for (unsigned l = 0; l < live; ++l) {
-    wa[l][last] &= a[l].tail_mask();
-    wb[l][last] &= b[l].tail_mask();
-  }
+  sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, a, b, live);
 }
 
 void check_counter_plan(const counter_sample_plan& plan, const fault_universe& u,
@@ -234,14 +237,17 @@ void check_counter_plan(const counter_sample_plan& plan, const fault_universe& u
 
 void sample_pair_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
                                std::span<const std::uint64_t, kXoshiroLanes> keys,
-                               std::uint64_t pair_index, std::span<fault_mask, kXoshiroLanes> a,
-                               std::span<fault_mask, kXoshiroLanes> b, unsigned live,
+                               std::uint64_t pair_index, lane_block& block, unsigned live,
                                simd_level level) {
   detail::check_counter_plan(plan, u, "sample_pair_counter_lanes");
+  if (block.versions() != 2 || block.bit_size() != plan.bits) {
+    throw std::invalid_argument(
+        "sample_pair_counter_lanes: block is not two channels of the plan's size");
+  }
   if (live > kXoshiroLanes) {
     throw std::invalid_argument("sample_pair_counter_lanes: more live lanes than lanes");
   }
-  detail::draw_counter_lanes(plan, u, keys.data(), pair_index, a.data(), b.data(), live, level);
+  detail::draw_counter_lanes(plan, u, keys.data(), pair_index, block, live, level);
 }
 
 void sample_pair_counter_batch(const counter_sample_plan& plan,
@@ -260,32 +266,63 @@ void sample_pair_counter_batch(const counter_sample_plan& plan,
   for (unsigned l = 0; l < kXoshiroLanes; ++l) {
     keys[l] = key + l * plan.draws_per_pair * stats::kSplitmix64Gamma;
   }
+  // One block per thread, reshaped only when the universe size changes: a
+  // caller that draws eight pairs per call (perfbench's kernel probe) would
+  // otherwise pay an aligned allocation per call.
+  thread_local lane_block block;
+  if (block.versions() != 2 || block.bit_size() != plan.bits) block = lane_block(2, plan.bits);
   for (std::size_t j = 0; j < count; j += kXoshiroLanes) {
     const auto live = static_cast<unsigned>(std::min<std::size_t>(kXoshiroLanes, count - j));
-    detail::draw_counter_lanes(plan, u, keys.data(), first_pair + j, a.data() + j,
-                               b.data() + j, live, level);
+    detail::draw_counter_lanes(plan, u, keys.data(), first_pair + j, block, live, level);
+    for (unsigned l = 0; l < live; ++l) {
+      block.load_lane(0, l, a[j + l]);
+      block.load_lane(1, l, b[j + l]);
+    }
   }
 }
 
-void sample_pair_counter(const counter_sample_plan& plan, const fault_universe& u,
-                         std::uint64_t key, std::uint64_t pair_index, fault_mask& a,
-                         fault_mask& b, simd_level level) {
-  sample_pair_counter_batch(plan, u, key, pair_index, 1, std::span<fault_mask>(&a, 1),
-                            std::span<fault_mask>(&b, 1), level);
+mixture_lane_tables make_mixture_lane_tables(std::uint64_t stress,
+                                             std::vector<std::uint64_t> stressed,
+                                             std::vector<std::uint64_t> relaxed) {
+  if (stressed.size() != relaxed.size()) {
+    throw std::invalid_argument(
+        "make_mixture_lane_tables: stressed and relaxed thresholds differ in length");
+  }
+  constexpr std::uint64_t kSaturated = std::uint64_t{1} << kBernoulliBits;
+  const std::size_t n = stressed.size();
+  mixture_lane_tables t;
+  t.stress = stress;
+  t.stressed_always.assign(fault_mask::words_needed(n), 0);
+  t.relaxed_always.assign(fault_mask::words_needed(n), 0);
+  const auto shift = [&](const std::vector<std::uint64_t>& from, std::vector<std::uint64_t>& to,
+                         std::vector<std::uint64_t>& always) {
+    to.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (from[i] > kSaturated) {
+        throw std::invalid_argument("make_mixture_lane_tables: threshold above 2^53");
+      }
+      // (r >> 11) < t  <=>  r < t << 11 for t < 2^53; t = 2^53 always passes.
+      to.push_back(from[i] == kSaturated ? 0 : from[i] << (64 - kBernoulliBits));
+      always[i >> 6] |= static_cast<std::uint64_t>(from[i] == kSaturated) << (i & 63);
+    }
+  };
+  shift(stressed, t.stressed_shifted, t.stressed_always);
+  shift(relaxed, t.relaxed_shifted, t.relaxed_always);
+  t.stressed = std::move(stressed);
+  t.relaxed = std::move(relaxed);
+  return t;
 }
 
 namespace detail {
 
-void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                                 const std::uint64_t* stressed,
-                                 const std::uint64_t* relaxed, std::size_t n,
-                                 std::uint64_t* const* out, unsigned live) noexcept {
+void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                                 std::size_t n, std::uint64_t* out, unsigned live) noexcept {
   // Each live lane in turn, word by word exactly as
   // mc::sample_mask_from_thresholds fills a mask.
   for (unsigned l = 0; l < live; ++l) {
     stats::rng r = lanes.lane(l);
-    const std::uint64_t* t = (r() >> 11) < stress_threshold ? stressed : relaxed;
-    std::uint64_t* words = out[l];
+    const std::uint64_t* t =
+        (r() >> 11) < tables.stress ? tables.stressed.data() : tables.relaxed.data();
     std::size_t i = 0;
     for (std::size_t blk = 0; i < n; ++blk) {
       const std::size_t hi = std::min<std::size_t>(n, i + 64);
@@ -293,7 +330,7 @@ void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_thre
       for (unsigned k = 0; i < hi; ++i, ++k) {
         w |= static_cast<std::uint64_t>((r() >> 11) < t[i]) << k;
       }
-      words[blk] = w;
+      out[blk * kXoshiroLanes + l] = w;
     }
     lanes.set_lane(l, r);
   }
@@ -301,38 +338,34 @@ void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_thre
 
 }  // namespace detail
 
-void sample_mixture_lanes(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                          std::span<const std::uint64_t> stressed,
-                          std::span<const std::uint64_t> relaxed,
-                          std::span<fault_mask, kXoshiroLanes> out, unsigned live,
+void sample_mixture_lanes(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                          lane_block& block, unsigned channel, unsigned live,
                           simd_level level) {
-  if (stressed.size() != relaxed.size()) {
-    throw std::invalid_argument(
-        "sample_mixture_lanes: stressed and relaxed thresholds differ in length");
+  const std::size_t n = tables.stressed.size();
+  const std::size_t words = fault_mask::words_needed(n);
+  if (tables.relaxed.size() != n || tables.stressed_shifted.size() != n ||
+      tables.relaxed_shifted.size() != n || tables.stressed_always.size() != words ||
+      tables.relaxed_always.size() != words) {
+    throw std::invalid_argument("sample_mixture_lanes: inconsistent threshold tables");
   }
-  if (live > kXoshiroLanes) {
-    throw std::invalid_argument("sample_mixture_lanes: more live lanes than lanes");
+  if (n != block.bit_size()) {
+    throw std::out_of_range("sample_mixture_lanes: tables and block differ in size");
   }
-  const std::size_t n = stressed.size();
-  std::array<std::uint64_t*, kXoshiroLanes> words{};
-  for (unsigned l = 0; l < live; ++l) {
-    if (out[l].bit_size() != n) out[l].resize(n);
-    words[l] = out[l].words();
+  if (channel >= block.versions() || live > kXoshiroLanes) {
+    throw std::invalid_argument("sample_mixture_lanes: channel or live lanes out of range");
   }
+  std::uint64_t* out = block.row(channel, 0);
   switch (level) {
     case simd_level::avx512:
-      detail::sample_mixture_lanes_avx512(lanes, stress_threshold, stressed.data(),
-                                          relaxed.data(), n, words.data(), live);
+      detail::sample_mixture_lanes_avx512(lanes, tables, n, out, live);
       return;
     case simd_level::avx2:
-      detail::sample_mixture_lanes_avx2(lanes, stress_threshold, stressed.data(),
-                                        relaxed.data(), n, words.data(), live);
+      detail::sample_mixture_lanes_avx2(lanes, tables, n, out, live);
       return;
     case simd_level::scalar:
       break;
   }
-  detail::sample_mixture_lanes_scalar(lanes, stress_threshold, stressed.data(),
-                                      relaxed.data(), n, words.data(), live);
+  detail::sample_mixture_lanes_scalar(lanes, tables, n, out, live);
 }
 
 namespace detail {
@@ -369,7 +402,7 @@ void welford_add(moments_lanes& m, unsigned l, double x, const welford_step& s) 
 
 }  // namespace
 
-void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
+void fold_pair_lanes_scalar(accumulator_lanes& acc, const std::uint64_t* block,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
                             const welford_step& step, pair_thetas* thetas) noexcept {
@@ -378,6 +411,7 @@ void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
   // v in is ge[j] |= ge[j-1] & v from the top down; ge[votes-1] ends as the
   // defeated set.
   const std::size_t nw = fault_mask::words_needed(n);
+  const std::size_t channel_stride = nw * kXoshiroLanes;
   std::array<std::uint64_t, kMaxFoldVersions> ge{};
   for (unsigned l = 0; l < live; ++l) {
     double theta1 = 0.0;
@@ -385,15 +419,16 @@ void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
     std::uint64_t any1 = 0;
     std::uint64_t any_defeated = 0;
     for (std::size_t b = 0; b < nw; ++b) {
-      const std::uint64_t first = channels[0][l].words()[b];
+      const std::uint64_t* column = block + b * kXoshiroLanes + l;
+      const std::uint64_t first = column[0];
       ge[0] = first;
       std::fill_n(ge.begin() + 1, votes - 1, 0);
       for (unsigned v = 1; v < versions; ++v) {
-        const std::uint64_t m = channels[v][l].words()[b];
+        const std::uint64_t m = column[v * channel_stride];
         for (unsigned j = votes - 1; j > 0; --j) ge[j] |= ge[j - 1] & m;
         ge[0] |= m;
       }
-      any1 |= first;
+    any1 |= first;
       theta1 = add_word_q(theta1, first, q + (b << 6));
       any_defeated |= ge[votes - 1];
       defeated_q = add_word_q(defeated_q, ge[votes - 1], q + (b << 6));
@@ -418,11 +453,10 @@ void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
 
 }  // namespace detail
 
-void fold_pair_lanes(accumulator_lanes& acc,
-                     std::span<const std::array<fault_mask, kXoshiroLanes>> channels,
-                     unsigned votes, double omega, std::span<const double> q,
-                     unsigned live, simd_level level, pair_thetas* thetas) {
-  const auto versions = static_cast<unsigned>(channels.size());
+void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned votes,
+                     double omega, std::span<const double> q, unsigned live,
+                     simd_level level, pair_thetas* thetas) {
+  const unsigned versions = block.versions();
   if (votes == 0 || votes > versions || versions > kMaxFoldVersions) {
     throw std::invalid_argument(
         "fold_pair_lanes: needs 1 <= votes <= versions <= kMaxFoldVersions");
@@ -430,12 +464,8 @@ void fold_pair_lanes(accumulator_lanes& acc,
   if (live > kXoshiroLanes) {
     throw std::invalid_argument("fold_pair_lanes: more live lanes than lanes");
   }
-  for (const detail::lane_masks& channel : channels) {
-    for (unsigned l = 0; l < live; ++l) {
-      if (channel[l].bit_size() != q.size()) {
-        throw std::invalid_argument("fold_pair_lanes: mask and q sizes differ");
-      }
-    }
+  if (block.bit_size() != q.size()) {
+    throw std::invalid_argument("fold_pair_lanes: block and q sizes differ");
   }
   for (unsigned l = 1; l < live; ++l) {
     if (acc.samples[l] != acc.samples[0]) {
@@ -452,17 +482,17 @@ void fold_pair_lanes(accumulator_lanes& acc,
   step.cubic = step.n - 2.0;
   switch (level) {
     case simd_level::avx512:
-      detail::fold_pair_lanes_avx512(acc, channels.data(), versions, votes, omega, q.data(),
+      detail::fold_pair_lanes_avx512(acc, block.row(0, 0), versions, votes, omega, q.data(),
                                      q.size(), live, step, thetas);
       return;
     case simd_level::avx2:
-      detail::fold_pair_lanes_avx2(acc, channels.data(), versions, votes, omega, q.data(),
+      detail::fold_pair_lanes_avx2(acc, block.row(0, 0), versions, votes, omega, q.data(),
                                    q.size(), live, step, thetas);
       return;
     case simd_level::scalar:
       break;
   }
-  detail::fold_pair_lanes_scalar(acc, channels.data(), versions, votes, omega, q.data(),
+  detail::fold_pair_lanes_scalar(acc, block.row(0, 0), versions, votes, omega, q.data(),
                                  q.size(), live, step, thetas);
 }
 

@@ -16,6 +16,18 @@
 //     operations of the scalar per-shard fold in the same order
 //     (fold_pair_lanes, at the end of this header).
 //
+// The kernels meet in one lane-major block of channel masks (lane_block):
+// word b of channel v of lane l sits at (v·W + b)·8 + l, W the mask's word
+// count, 64-byte aligned.  Each mask word of all eight lanes is therefore one
+// AVX-512 register (two AVX2 registers): the draw kernels store a word of
+// every lane with one masked store, and the fold loads it with one masked
+// load, with no per-lane scatter or gather between them.  The AVX-512
+// mixture kernel fills a row from one hit byte per fault (bit l: lane l's
+// decision), transposing 64 bytes into the eight lane words with one
+// vptestmb per lane; it compares raw draws against thresholds shifted left
+// by 11, and takes the faults whose threshold is 2^53, which that operand
+// cannot hold, from per-word saturated masks (mixture_lane_tables).
+//
 // This TU family (src/core/simd_sampler.*) is the ONLY place in the repo
 // allowed to touch <immintrin.h> — enforced by the reldiv_lint
 // `simd-isolation` rule — everything else calls the dispatched API below.
@@ -38,12 +50,14 @@
 //   2. plan: make_counter_sample_plan freezes per-word kernel kinds and the
 //      per-pair draw budget over the permuted layout;
 //   3. lanes: shards run in groups of eight, one counter stream per lane;
-//      each step draws one pair per shard (sample_pair_counter_lanes) and
-//      folds the eight pairs at once (fold_pair_lanes).
+//      each step draws one pair per shard into the group's lane_block
+//      (sample_pair_counter_lanes) and folds the eight pairs at once
+//      (fold_pair_lanes).
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -90,6 +104,71 @@ void clear_simd_level_cap() noexcept;
 /// lane fold all work on this many shards at once.
 inline constexpr unsigned kXoshiroLanes = 8;
 
+/// Standard allocator of 64-byte aligned storage: a lane_block row, the
+/// mask words of eight lanes, starts on a cache line and loads as one
+/// aligned AVX-512 register.
+template <typename T>
+struct cacheline_allocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  cacheline_allocator() = default;
+  template <typename U>
+  explicit cacheline_allocator(const cacheline_allocator<U>& /*other*/) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept { ::operator delete(p, kAlign); }
+  friend bool operator==(const cacheline_allocator&, const cacheline_allocator&) = default;
+};
+
+/// The channel masks of one pair step of a lane group, lane-major: word b of
+/// channel v of lane l is row(v, b)[l], at index (v·W + b)·kXoshiroLanes + l
+/// with W = words_per_channel().  Every row starts on a 64-byte boundary, so
+/// word b of one channel in all eight lanes is one AVX-512 register (two
+/// AVX2 registers).  The draw kernels write the rows of the lanes they draw
+/// and the fold reads them; a lane past a call's `live` count is neither
+/// written nor read, so its words keep whatever they held.  Tail bits past
+/// bit_size() in a channel's last word are zero in every lane a kernel
+/// writes, as in a fault_mask.
+class lane_block {
+ public:
+  lane_block() = default;
+  lane_block(unsigned versions, std::size_t bits)
+      : versions_(versions),
+        bits_(bits),
+        words_(static_cast<std::size_t>(versions) * fault_mask::words_needed(bits) *
+               kXoshiroLanes) {}
+
+  [[nodiscard]] unsigned versions() const noexcept { return versions_; }
+  [[nodiscard]] std::size_t bit_size() const noexcept { return bits_; }
+  [[nodiscard]] std::size_t words_per_channel() const noexcept {
+    return fault_mask::words_needed(bits_);
+  }
+
+  /// The kXoshiroLanes words of word b of channel v, lane l at [l].
+  [[nodiscard]] std::uint64_t* row(unsigned v, std::size_t b) noexcept {
+    return words_.data() + (v * words_per_channel() + b) * kXoshiroLanes;
+  }
+  [[nodiscard]] const std::uint64_t* row(unsigned v, std::size_t b) const noexcept {
+    return words_.data() + (v * words_per_channel() + b) * kXoshiroLanes;
+  }
+
+  /// Lane l of channel v := m.  Throws std::out_of_range unless m has
+  /// bit_size() bits, v < versions() and l < kXoshiroLanes.
+  void store_lane(unsigned v, unsigned l, const fault_mask& m);
+  /// out := lane l of channel v, resized to bit_size() only when its size
+  /// differs.  Throws std::out_of_range unless v < versions() and l <
+  /// kXoshiroLanes.
+  void load_lane(unsigned v, unsigned l, fault_mask& out) const;
+
+ private:
+  unsigned versions_ = 0;
+  std::size_t bits_ = 0;
+  std::vector<std::uint64_t, cacheline_allocator<std::uint64_t>> words_;
+};
+
 /// Per-word kernel kind of the counter sampler, derived from the universe's
 /// sample_blocks plan + fast32_grid_safe exactly as the pinned reference
 /// derives them (mc/sampler.hpp documents the draw-consumption contract).
@@ -124,40 +203,35 @@ struct counter_sample_plan {
 [[nodiscard]] counter_sample_plan make_counter_sample_plan(const fault_universe& u);
 
 /// Version pair `pair_index` of counter streams keys[0..live), one stream per
-/// lane: lane l < live writes to a[l] / b[l] exactly the masks
-/// mc::sample_version_pair_counter_reference(u, keys[l], pair_index) writes.
-/// Slice words run per lane in scalar code (counter_slice_word); paired32 and
-/// wide53 words draw one fault of every lane per vector step.  a[l] and b[l]
-/// for l < live are resized to plan.bits only when their size differs; lanes
-/// l >= live are not drawn: their keys are ignored and their masks are
-/// neither read nor written.  `level` must not exceed detected_simd_level(); pass
+/// lane: lane l < live of channel 0 (version a) and channel 1 (version b) of
+/// `block` receives exactly the masks mc::sample_version_pair_counter_reference(u,
+/// keys[l], pair_index) writes.  Slice words run per lane in scalar code
+/// (counter_slice_word); paired32 and wide53 words draw one fault of every
+/// lane per vector step and store each word of all lanes at once.  Lanes l
+/// >= live are not drawn: their keys are ignored and their words are not
+/// written.  `level` must not exceed detected_simd_level(); pass
 /// active_simd_level().  Throws std::invalid_argument when the plan does not
-/// match `u` or live > kXoshiroLanes.
+/// match `u`, the block is not two channels of plan.bits bits, or live >
+/// kXoshiroLanes.
 void sample_pair_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
                                std::span<const std::uint64_t, kXoshiroLanes> keys,
-                               std::uint64_t pair_index, std::span<fault_mask, kXoshiroLanes> a,
-                               std::span<fault_mask, kXoshiroLanes> b, unsigned live,
+                               std::uint64_t pair_index, lane_block& block, unsigned live,
                                simd_level level);
 
 /// Sample version-pairs [first_pair, first_pair + count) of counter stream
-/// `key` into a[0..count) / b[0..count): eight consecutive pairs per
-/// sample_pair_counter_lanes call, pair first_pair + j + l in lane l as pair
-/// first_pair + j of key + l·D·γ (D = plan.draws_per_pair, γ =
-/// stats::kSplitmix64Gamma), which is the same stream l·D counters on.
-/// Masks are resized to plan.bits as needed (steady-state reuse allocates
-/// nothing).  `level` must not exceed detected_simd_level(); pass
-/// active_simd_level() unless pinning a level in a test.  Throws
-/// std::invalid_argument when the plan does not match `u`.
+/// `key` into a[0..count) / b[0..count): an adapter over
+/// sample_pair_counter_lanes that puts eight consecutive pairs in the lanes,
+/// pair first_pair + j + l in lane l as pair first_pair + j of key + l·D·γ
+/// (D = plan.draws_per_pair, γ = stats::kSplitmix64Gamma), which is the same
+/// stream l·D counters on, and copies each lane out of the block.  Masks are
+/// resized to plan.bits as needed.  `level` must not exceed
+/// detected_simd_level(); pass active_simd_level() unless pinning a level in
+/// a test.  Throws std::invalid_argument when the plan does not match `u`.
 void sample_pair_counter_batch(const counter_sample_plan& plan,
                                const fault_universe& u, std::uint64_t key,
                                std::uint64_t first_pair, std::size_t count,
                                std::span<fault_mask> a, std::span<fault_mask> b,
                                simd_level level);
-
-/// Single-pair convenience wrapper (batch of one).
-void sample_pair_counter(const counter_sample_plan& plan, const fault_universe& u,
-                         std::uint64_t key, std::uint64_t pair_index, fault_mask& a,
-                         fault_mask& b, simd_level level);
 
 // ---------------------------------------------------------------------------
 // xoshiro256++ lane kernel
@@ -178,22 +252,46 @@ struct xoshiro_lanes {
   }
 };
 
-/// One common-cause-mixture version on each of the first `live` lanes.  Lane
-/// l < live makes the decisions mc::common_cause_mixture::sample_mask makes
-/// on lanes.lane(l): one stress draw, stressed iff (r() >> 11) <
-/// stress_threshold (== r.bernoulli(rho) for stress_threshold =
-/// bernoulli_threshold(rho)), then one draw per fault i in index order, bit i
-/// of out[l] set iff (r() >> 11) < stressed[i] when stressed, relaxed[i]
-/// otherwise.  Lanes l >= live are neither drawn nor advanced: their states
-/// and out[l] are left as they were.  out[l] for l < live is resized to
-/// stressed.size() only when its size differs.  `level` must not exceed
-/// detected_simd_level(); pass active_simd_level().  Throws
-/// std::invalid_argument when the threshold spans differ in length or live >
-/// kXoshiroLanes.
-void sample_mixture_lanes(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                          std::span<const std::uint64_t> stressed,
-                          std::span<const std::uint64_t> relaxed,
-                          std::span<fault_mask, kXoshiroLanes> out, unsigned live,
+/// The threshold tables of a common-cause mixture in the forms the lane
+/// kernel reads, built once per sampler (make_mixture_lane_tables).  The
+/// 53-bit tables decide a fault as (r() >> 11) < t, which the scalar and AVX2
+/// levels compare.  The AVX-512 level compares the raw draw against t << 11
+/// instead, the same decision for t < 2^53; a threshold of exactly 2^53 (p =
+/// 1, or a stressed p capped at 1) does not fit that operand, so its shifted
+/// entry is 0, which never passes, and its fault is set from the per-word
+/// *_always masks, as counter_word_plan::saturated does for paired32 words.
+struct mixture_lane_tables {
+  std::uint64_t stress = 0;  ///< the stress draw's 53-bit threshold, bernoulli_threshold(rho)
+  std::vector<std::uint64_t> stressed, relaxed;  ///< 53-bit thresholds per fault
+  std::vector<std::uint64_t> stressed_shifted, relaxed_shifted;  ///< t << 11, 0 at t = 2^53
+  std::vector<std::uint64_t> stressed_always, relaxed_always;    ///< per word: t = 2^53
+};
+
+/// The tables of a mixture whose stress draw has 53-bit threshold `stress`
+/// and whose faults have the 53-bit thresholds `stressed` and `relaxed`.
+/// Throws std::invalid_argument when the two differ in length or a threshold
+/// exceeds 2^53.
+[[nodiscard]] mixture_lane_tables make_mixture_lane_tables(std::uint64_t stress,
+                                                           std::vector<std::uint64_t> stressed,
+                                                           std::vector<std::uint64_t> relaxed);
+
+/// One common-cause-mixture version on each of the first `live` lanes,
+/// written to channel `channel` of `block`.  Lane l < live makes the
+/// decisions mc::common_cause_mixture::sample_mask makes on lanes.lane(l):
+/// one stress draw, stressed iff (r() >> 11) < tables.stress, then one draw
+/// per fault i in index order, bit i of lane l's mask set iff (r() >> 11) <
+/// stressed[i] when stressed, relaxed[i] otherwise.  Lanes l >= live are
+/// neither drawn nor advanced, and their words are not written.  The AVX-512
+/// level stores each fault's eight hit bits as one byte and transposes 64
+/// such bytes into the eight lanes' words; when no live lane is stressed it
+/// compares against the relaxed table with no per-lane blend.  `level` must
+/// not exceed detected_simd_level(); pass active_simd_level().  Throws
+/// std::out_of_range when the tables hold another number of faults than the
+/// block's bit_size() (a sampler built over another universe), and
+/// std::invalid_argument when the tables are inconsistent, channel >=
+/// block.versions() or live > kXoshiroLanes.
+void sample_mixture_lanes(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                          lane_block& block, unsigned channel, unsigned live,
                           simd_level level);
 
 // ---------------------------------------------------------------------------
@@ -238,24 +336,23 @@ struct pair_thetas {
 };
 
 /// One pair step on each of the first `live` lanes: lane l's channels are
-/// channels[v][l] for v < channels.size() (the versions), and its fault set
-/// D is the faults present in at least `votes` of them.  Lane l then records
-/// what mc::experiment_accumulator::add(θ1, ω·θD, first.any(), D ≠ ∅ && ω >
-/// 0) records, bit for bit: θ1 = Σ q[i] over channels[0][l]'s faults and θD =
-/// Σ q[i] over D, each in ascending fault order from +0.0 (the order of
+/// lane l of the block's versions() channels, and its fault set D is the
+/// faults present in at least `votes` of them.  Lane l then records what
+/// mc::experiment_accumulator::add(θ1, ω·θD, first.any(), D ≠ ∅ && ω > 0)
+/// records, bit for bit: θ1 = Σ q[i] over channel 0's faults and θD = Σ q[i]
+/// over D, each in ascending fault order from +0.0 (the order of
 /// core::masked_q_sum), then the Welford step of stats::running_moments::add
 /// on θ1 and on ω·θD with the same IEEE operations in the same order.  The
 /// live lanes must hold the same sample count; lanes l >= live keep their
-/// state and their masks are not read.  When `thetas` is not null, lane l <
+/// state and their words are not read.  When `thetas` is not null, lane l <
 /// live of it receives the θ1 and ω·θD just recorded, and its other lanes
 /// are left as they were.  `level` must not exceed detected_simd_level();
 /// pass active_simd_level().  Throws std::invalid_argument unless 1 <= votes
-/// <= channels.size() <= kMaxFoldVersions and live <= kXoshiroLanes, or when
-/// a live lane's mask is not q.size() bits or its sample count differs from
+/// <= block.versions() <= kMaxFoldVersions, block.bit_size() == q.size() and
+/// live <= kXoshiroLanes, or when a live lane's sample count differs from
 /// lane 0's.
-void fold_pair_lanes(accumulator_lanes& acc,
-                     std::span<const std::array<fault_mask, kXoshiroLanes>> channels,
-                     unsigned votes, double omega, std::span<const double> q,
-                     unsigned live, simd_level level, pair_thetas* thetas = nullptr);
+void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned votes,
+                     double omega, std::span<const double> q, unsigned live,
+                     simd_level level, pair_thetas* thetas = nullptr);
 
 }  // namespace reldiv::core

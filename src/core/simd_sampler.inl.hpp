@@ -1,16 +1,26 @@
 #pragma once
 // Raw-word forms of the dispatched kernels, shared by simd_sampler.cpp (the
-// portable TU: dispatch, argument checks, mask sizing and the scalar levels)
-// and simd_sampler.avx2.cpp (the only TU allowed intrinsics: the AVX2 levels
+// portable TU: dispatch, argument checks and the scalar levels) and
+// simd_sampler.avx2.cpp (the only TU allowed intrinsics: the AVX2 levels
 // and, under a function-level AVX-512 target, the AVX-512 levels).
+//
+// Every kernel reads or writes the raw words of a core::lane_block: channel
+// v's word b of lane l at block[(v·W + b)·kXoshiroLanes + l], every row of
+// kXoshiroLanes words 64-byte aligned.  A draw kernel writes only the lanes
+// below `live` of the rows it draws, and the fold reads only those lanes.
+// The mixture kernels take the sampler's core::mixture_lane_tables: the
+// scalar and AVX2 levels compare (draw >> 11) against its 53-bit tables, the
+// AVX-512 level the raw draw against the shifted tables, OR-ing in the
+// per-word saturated masks, and it collects one hit byte per fault that it
+// transposes into lane words once per 64 faults.
 //
 // Every family has one kernel per level and no shared template: the scalar
 // level walks the live lanes one after another, the AVX2 level runs all eight
 // lanes in two registers of four and the AVX-512 level in one register,
-// writing back only the live ones.  The level-invariant pieces are the
-// inline helpers below (the counter kernel's zero, one and slice words) and
-// the portable wrappers in simd_sampler.cpp (sizing the masks, the tail mask,
-// the Welford factors).
+// storing or loading a row at a time under the live-lane mask.  The
+// level-invariant pieces are the inline helpers below (the counter kernel's
+// zero, one and slice words) and the portable wrappers in simd_sampler.cpp
+// (the argument checks and the Welford factors).
 
 #include <bit>
 
@@ -19,23 +29,16 @@
 
 namespace reldiv::core::detail {
 
-/// Raw-word form of core::sample_mixture_lanes: `stressed` and `relaxed` hold
-/// n thresholds each; out[l] points at fault_mask::words_needed(n) words of
-/// lane l's mask for l < live (live <= kXoshiroLanes; out[l] for l >= live
-/// is never touched).  Defined in simd_sampler.cpp (scalar) and
-/// simd_sampler.avx2.cpp (AVX2, AVX-512).
-void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                                 const std::uint64_t* stressed,
-                                 const std::uint64_t* relaxed, std::size_t n,
-                                 std::uint64_t* const* out, unsigned live) noexcept;
-void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                               const std::uint64_t* stressed,
-                               const std::uint64_t* relaxed, std::size_t n,
-                               std::uint64_t* const* out, unsigned live) noexcept;
-void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, std::uint64_t stress_threshold,
-                                 const std::uint64_t* stressed,
-                                 const std::uint64_t* relaxed, std::size_t n,
-                                 std::uint64_t* const* out, unsigned live) noexcept;
+/// Raw-word form of core::sample_mixture_lanes: `tables` holds n faults
+/// (checked), and `out` points at channel 0's rows of fault_mask::
+/// words_needed(n) words; live <= kXoshiroLanes.  Defined in
+/// simd_sampler.cpp (scalar) and simd_sampler.avx2.cpp (AVX2, AVX-512).
+void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                                 std::size_t n, std::uint64_t* out, unsigned live) noexcept;
+void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                               std::size_t n, std::uint64_t* out, unsigned live) noexcept;
+void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
+                                 std::size_t n, std::uint64_t* out, unsigned live) noexcept;
 
 /// The lane-invariant factors of one stats::running_moments::add step, for
 /// live lanes that all hold `before` samples.  core::fold_pair_lanes computes
@@ -50,24 +53,21 @@ struct welford_step {
   bool first = false;    ///< before == 0: min and max start at the value
 };
 
-/// One lane mask per 64-bit lane: a channel of a fold step.
-using lane_masks = std::array<fault_mask, kXoshiroLanes>;
-
 /// Unchecked form of core::fold_pair_lanes, which has checked its arguments:
-/// channels[v][l] for v < versions and l < live has n bits (no other mask is
-/// read) and q holds n values; each level reads the masks' words through
-/// fault_mask::words().  Requires 1 <= votes <= versions <= kMaxFoldVersions and live <=
-/// kXoshiroLanes; `thetas` may be null.  Defined in simd_sampler.cpp (scalar) and
-/// simd_sampler.avx2.cpp (AVX2, AVX-512).
-void fold_pair_lanes_scalar(accumulator_lanes& acc, const lane_masks* channels,
+/// `block` holds `versions` channels of n bits, lane-major, and q holds n
+/// values; only lanes below `live` of its rows are read.  Requires 1 <= votes
+/// <= versions <= kMaxFoldVersions and live <= kXoshiroLanes; `thetas` may be
+/// null.  Defined in simd_sampler.cpp (scalar) and simd_sampler.avx2.cpp
+/// (AVX2, AVX-512).
+void fold_pair_lanes_scalar(accumulator_lanes& acc, const std::uint64_t* block,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
                             const welford_step& step, pair_thetas* thetas) noexcept;
-void fold_pair_lanes_avx2(accumulator_lanes& acc, const lane_masks* channels,
+void fold_pair_lanes_avx2(accumulator_lanes& acc, const std::uint64_t* block,
                           unsigned versions, unsigned votes, double omega, const double* q,
                           std::size_t n, unsigned live, const welford_step& step,
                           pair_thetas* thetas) noexcept;
-void fold_pair_lanes_avx512(accumulator_lanes& acc, const lane_masks* channels,
+void fold_pair_lanes_avx512(accumulator_lanes& acc, const std::uint64_t* block,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
                             const welford_step& step, pair_thetas* thetas) noexcept;
@@ -89,48 +89,50 @@ inline std::uint64_t counter_slice_word(std::uint64_t key, std::uint64_t base,
 }
 
 /// Raw-word form of core::sample_pair_counter_lanes: `keys` holds
-/// kXoshiroLanes keys, and a[l] / b[l] point at the words of lane l's masks
-/// (fault_mask::words_needed(plan.bits) each) for l < live, live <=
-/// kXoshiroLanes.  A vector level may load the keys of spare lanes but
-/// ignores them; no mask past live is read or written.  The caller masks the
-/// last word's tail bits.  Defined in simd_sampler.cpp (scalar) and
-/// simd_sampler.avx2.cpp (AVX2, AVX-512).
+/// kXoshiroLanes keys, and `a` / `b` point at the rows of channel 0 / 1 of a
+/// block of plan.bits bits; live <= kXoshiroLanes.  A vector level may load
+/// the keys of spare lanes but ignores them; no word past live is written.
+/// Defined in simd_sampler.cpp (scalar) and simd_sampler.avx2.cpp (AVX2,
+/// AVX-512).
 void sample_pair_counter_lanes_scalar(const counter_sample_plan& plan,
                                       const std::uint64_t* t32, const std::uint64_t* t53,
                                       const std::uint64_t* keys, std::uint64_t pair_index,
-                                      std::uint64_t* const* a, std::uint64_t* const* b,
+                                      std::uint64_t* a, std::uint64_t* b,
                                       unsigned live) noexcept;
 void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
                                     const std::uint64_t* t32, const std::uint64_t* t53,
                                     const std::uint64_t* keys, std::uint64_t pair_index,
-                                    std::uint64_t* const* a, std::uint64_t* const* b,
+                                    std::uint64_t* a, std::uint64_t* b,
                                     unsigned live) noexcept;
 void sample_pair_counter_lanes_avx512(const counter_sample_plan& plan,
                                       const std::uint64_t* t32, const std::uint64_t* t53,
                                       const std::uint64_t* keys, std::uint64_t pair_index,
-                                      std::uint64_t* const* a, std::uint64_t* const* b,
+                                      std::uint64_t* a, std::uint64_t* b,
                                       unsigned live) noexcept;
 
 /// Word `blk` of every live lane when its kind draws no per-fault compares:
 /// zero and one words are constants and slice words run per lane
-/// (counter_slice_word from `base` for a, base + slice_cost for b).  Returns
-/// false, writing nothing, for paired32 and wide53 words, which each level
-/// draws in its own registers.
+/// (counter_slice_word from `base` for a, base + slice_cost for b), each
+/// masked to the word's occupancy so the tail bits of a partial last word
+/// stay clear.  a_row / b_row are the word's rows.  Returns false, writing
+/// nothing, for paired32 and wide53 words, which each level draws in its own
+/// registers and whose compares set no bit past the occupancy.
 inline bool counter_word_per_lane(const counter_word_plan& w, const std::uint64_t* keys,
-                                  std::uint64_t base, std::size_t blk,
-                                  std::uint64_t* const* a, std::uint64_t* const* b,
-                                  unsigned live) noexcept {
+                                  std::uint64_t base, std::uint64_t* a_row,
+                                  std::uint64_t* b_row, unsigned live) noexcept {
+  const std::uint64_t valid =
+      w.occupancy == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << w.occupancy) - 1;
   switch (w.kind) {
     case counter_word_kind::zero:
     case counter_word_kind::one: {
-      const std::uint64_t v = w.kind == counter_word_kind::one ? ~std::uint64_t{0} : 0;
-      for (unsigned l = 0; l < live; ++l) a[l][blk] = b[l][blk] = v;
+      const std::uint64_t v = w.kind == counter_word_kind::one ? valid : 0;
+      for (unsigned l = 0; l < live; ++l) a_row[l] = b_row[l] = v;
       return true;
     }
     case counter_word_kind::slice:
       for (unsigned l = 0; l < live; ++l) {
-        a[l][blk] = counter_slice_word(keys[l], base, w.threshold);
-        b[l][blk] = counter_slice_word(keys[l], base + w.slice_cost, w.threshold);
+        a_row[l] = counter_slice_word(keys[l], base, w.threshold) & valid;
+        b_row[l] = counter_slice_word(keys[l], base + w.slice_cost, w.threshold) & valid;
       }
       return true;
     case counter_word_kind::paired32:

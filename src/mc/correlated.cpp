@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "stats/distributions.hpp"
 
@@ -10,7 +12,7 @@ namespace reldiv::mc {
 
 common_cause_mixture::common_cause_mixture(const core::fault_universe& u, double rho,
                                            double stress)
-    : u_(&u), rho_(rho), stress_thresh_(core::bernoulli_threshold(rho)) {
+    : u_(&u), rho_(rho) {
   if (!(rho >= 0.0) || !(rho < 1.0)) {
     throw std::invalid_argument("common_cause_mixture: rho must be in [0,1)");
   }
@@ -35,10 +37,15 @@ common_cause_mixture::common_cause_mixture(const core::fault_universe& u, double
     stressed_p_.push_back(hi);
     relaxed_p_.push_back(std::max(0.0, lo));
   }
-  stressed_thresh_.reserve(stressed_p_.size());
-  relaxed_thresh_.reserve(relaxed_p_.size());
-  for (const double p : stressed_p_) stressed_thresh_.push_back(core::bernoulli_threshold(p));
-  for (const double p : relaxed_p_) relaxed_thresh_.push_back(core::bernoulli_threshold(p));
+  std::vector<std::uint64_t> stressed_thresh;
+  std::vector<std::uint64_t> relaxed_thresh;
+  stressed_thresh.reserve(stressed_p_.size());
+  relaxed_thresh.reserve(relaxed_p_.size());
+  for (const double p : stressed_p_) stressed_thresh.push_back(core::bernoulli_threshold(p));
+  for (const double p : relaxed_p_) relaxed_thresh.push_back(core::bernoulli_threshold(p));
+  thresholds_ = core::make_mixture_lane_tables(core::bernoulli_threshold(rho),
+                                               std::move(stressed_thresh),
+                                               std::move(relaxed_thresh));
 }
 
 version common_cause_mixture::sample(stats::rng& r) const {
@@ -51,14 +58,13 @@ version common_cause_mixture::sample(stats::rng& r) const {
 
 void common_cause_mixture::sample_mask(stats::rng& r, core::fault_mask& out) const {
   const bool stressed = r.bernoulli(rho_);
-  sample_mask_from_thresholds(stressed ? stressed_thresh_ : relaxed_thresh_, r, out);
+  sample_mask_from_thresholds(stressed ? thresholds_.stressed : thresholds_.relaxed, r, out);
 }
 
-void common_cause_mixture::sample_mask_lanes(
-    core::xoshiro_lanes& lanes, std::span<core::fault_mask, core::kXoshiroLanes> out,
-    unsigned live, core::simd_level level) const {
-  core::sample_mixture_lanes(lanes, stress_thresh_, stressed_thresh_, relaxed_thresh_, out,
-                             live, level);
+void common_cause_mixture::sample_mask_lanes(core::xoshiro_lanes& lanes,
+                                             core::lane_block& block, unsigned channel,
+                                             unsigned live, core::simd_level level) const {
+  core::sample_mixture_lanes(lanes, thresholds_, block, channel, live, level);
 }
 
 double common_cause_mixture::marginal(std::size_t i) const {

@@ -23,6 +23,14 @@
 // Neither sampler couples two versions: the runners draw the channels of a
 // pair independently, so E[θ2] = Σ p_i² q_i whatever rho is.  Negative rho is
 // not forced diversity between the channels.
+//
+// run_correlated and scenario cells draw into a lane group's lane-major
+// core::lane_block (mc/shard_lanes.hpp): the mixture writes all live lanes of
+// a channel with its lane kernel, whose AVX-512 level compares raw draws
+// against its thresholds shifted left by 11, sets the faults whose threshold
+// saturates (p = 1, or stress·p >= 1) from per-word masks, and transposes
+// one hit byte per fault into the lane words; the copula and the aliased
+// model draw lane by lane into a scratch mask copied into each column.
 
 #include <stdexcept>
 
@@ -54,12 +62,13 @@ class common_cause_mixture {
   /// scalar reference the lane form is pinned against.
   void sample_mask(stats::rng& r, core::fault_mask& out) const;
   /// Lane form: one version on each of the first `live` lanes of `lanes`
-  /// through the core::sample_mixture_lanes kernel — out[l] is what
-  /// sample_mask would draw on lanes.lane(l), and the lane ends where that
-  /// rng would; lanes from `live` on are left untouched.
-  void sample_mask_lanes(core::xoshiro_lanes& lanes,
-                         std::span<core::fault_mask, core::kXoshiroLanes> out,
-                         unsigned live, core::simd_level level) const;
+  /// through the core::sample_mixture_lanes kernel, into channel `channel` of
+  /// `block` — lane l's column is what sample_mask would draw on
+  /// lanes.lane(l), and the lane ends where that rng would; lanes from
+  /// `live` on, and their columns, are left untouched.  Throws
+  /// std::out_of_range when the block is not the universe's size.
+  void sample_mask_lanes(core::xoshiro_lanes& lanes, core::lane_block& block,
+                         unsigned channel, unsigned live, core::simd_level level) const;
   /// Exact marginal presence probability of fault i (== u[i].p by design).
   [[nodiscard]] double marginal(std::size_t i) const;
   /// Exact pairwise correlation of the presence indicators of faults i, j.
@@ -71,9 +80,10 @@ class common_cause_mixture {
   std::vector<double> marginal_;  ///< preserved marginals (== u[i].p exactly)
   std::vector<double> stressed_p_;
   std::vector<double> relaxed_p_;
-  std::uint64_t stress_thresh_;                 ///< bernoulli_threshold(rho_)
-  std::vector<std::uint64_t> stressed_thresh_;  ///< bernoulli_threshold(stressed_p_)
-  std::vector<std::uint64_t> relaxed_thresh_;   ///< bernoulli_threshold(relaxed_p_)
+  /// bernoulli_threshold of rho_, stressed_p_ and relaxed_p_: the 53-bit
+  /// tables sample_mask draws against, and their shifted forms and
+  /// saturated-fault words for the lane kernel, built once here.
+  core::mixture_lane_tables thresholds_;
 };
 
 /// Gaussian-copula sampler: latent correlation |rho| between same-parity

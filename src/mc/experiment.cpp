@@ -54,7 +54,8 @@ constexpr retired_engine_row kRetiredEngines[] = {
 /// all shards of a run use the same kernels even if a test flips the cap
 /// concurrently.
 ///   * exact: lane l draws versions a and b of each pair from
-///     stats::rng::stream(seed, shard), one sample_version_mask each.
+///     stats::rng::stream(seed, shard), one sample_version_mask each into
+///     the group's scratch mask, copied into the lane's column of the block.
 ///   * fast-simd: the universe is relaid out by make_p_sorted_permutation and
 ///     a counter_sample_plan frozen over it; lane l draws its shard's stream
 ///     counter_stream_key(seed, shard), pair s consuming counters [s*D,
@@ -80,9 +81,8 @@ void run_engine_shards(const core::fault_universe& u, const experiment_config& c
             keys[l] = stats::counter_stream_key(cfg.seed, first + l);
           }
           return [&counters, &pu, keys, level](std::uint64_t step, unsigned live,
-                                               lane_channels& channels) {
-            core::sample_pair_counter_lanes(counters, pu, keys, step, channels[0], channels[1],
-                                            live, level);
+                                               core::lane_block& block) {
+            core::sample_pair_counter_lanes(counters, pu, keys, step, block, live, level);
           };
         },
         std::forward<Merge>(merge));
@@ -91,12 +91,14 @@ void run_engine_shards(const core::fault_universe& u, const experiment_config& c
   const lane_fold fold{2, 2, 1.0, u.q_array(), level, cfg.keep_samples};
   run_xoshiro_lanes(
       plan, cfg.seed, shard_begin, shard_end, cfg.threads, fold,
-      [&u](core::xoshiro_lanes& lanes, unsigned live, lane_channels& channels) {
-        for (unsigned l = 0; l < live; ++l) {
-          stats::rng r = lanes.lane(l);
-          sample_version_mask(u, r, channels[0][l]);
-          sample_version_mask(u, r, channels[1][l]);
-          lanes.set_lane(l, r);
+      [&u](core::xoshiro_lanes& lanes, unsigned live, core::lane_block& block,
+           core::fault_mask& scratch) {
+        // Each lane's stream draws a, then b, as lane by lane in turn.
+        for (unsigned v = 0; v < 2; ++v) {
+          draw_lane_by_lane(lanes, live, block, v, scratch,
+                            [&u](stats::rng& r, core::fault_mask& m) {
+                              sample_version_mask(u, r, m);
+                            });
         }
       },
       std::forward<Merge>(merge));

@@ -3,12 +3,20 @@
 // shard stream per 64-bit lane (core::kXoshiroLanes shards per group) and
 // folds each pair step of those shards at once (core::fold_pair_lanes).
 // Every experiment engine runs through it: `exact` on xoshiro shard streams
-// through sample_version_mask, fast-simd on the counter lanes.  So do mc::run_correlated and scenario cells, on xoshiro streams
-// through the correlated samplers (the mixture's lane kernel, per-lane
-// sample_mask otherwise).  All of them share one step schedule, one
-// per-shard export and one merge order; run_xoshiro_lanes is the one place
-// that opens xoshiro lane groups.  mc::run_pair_campaign's weighted loop is
-// the only pair loop outside it: its θ2 sums coincidence weights, not q.
+// through sample_version_mask, fast-simd on the counter lanes.  So do
+// mc::run_correlated and scenario cells, on xoshiro streams through the
+// correlated samplers (the mixture's lane kernel, per-lane sample_mask
+// otherwise).  All of them share one step schedule, one per-shard export and
+// one merge order; run_xoshiro_lanes is the one place that opens xoshiro lane
+// groups.  mc::run_pair_campaign's weighted loop is the only pair loop
+// outside it: its θ2 sums coincidence weights, not q.
+//
+// A group's pair step lives in one core::lane_block, allocated once per
+// group: channel v's word b of lane l at (v·W + b)·8 + l, so the lane
+// kernels store, and the fold loads, each mask word of all eight lanes as
+// one register.  A sampler without a lane kernel draws each lane into one
+// fault_mask the group owns and copies it into the lane's column
+// (draw_lane_by_lane).
 
 #include <algorithm>
 #include <array>
@@ -29,10 +37,6 @@
 
 namespace reldiv::mc {
 
-/// One lane's channel masks per version: channels[v][l] is version v of the
-/// pair lane l draws in a step.
-using lane_channels = std::vector<std::array<core::fault_mask, core::kXoshiroLanes>>;
-
 /// How the pair steps of a lane group fold: θ1 is the first channel's Σq,
 /// θ2 = ω·Σq over the faults at least `votes` of the `versions` channels
 /// hold, at dispatch level `level`.  keep_samples retains every pair's θ1
@@ -52,8 +56,9 @@ struct lane_fold {
 /// calling thread.
 ///
 /// `start(first, active)` opens the group of shards [first, first + active)
-/// and returns its draw: `draw(step, live, channels)` fills channels[v][l]
-/// for v < fold.versions and l < live with pair `step` of shard first + l.
+/// and returns its draw: `draw(step, live, block)` fills lane l < live of
+/// the block's fold.versions channels (core::lane_block, fold.q.size() bits)
+/// with pair `step` of shard first + l.
 /// The calling thread calls `start` for every group, in ascending order,
 /// before any group runs, so a start may walk a sequential stream; the groups
 /// then fan out over `threads` workers (0 = hardware concurrency), each draw
@@ -90,10 +95,7 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
         // The worker's own copy: a draw that advances stream state in place
         // would otherwise share cache lines with its neighbours' in `draws`.
         auto draw = std::move(draws[group]);
-        lane_channels channels(fold.versions);
-        for (auto& lane_masks : channels) {
-          for (core::fault_mask& m : lane_masks) m.resize(fold.q.size());
-        }
+        core::lane_block block(fold.versions, fold.q.size());
         // Every lane runs `lockstep` steps and the first `longer` lanes one more.
         const std::uint64_t lockstep = plan.shard_samples(first + active - 1);
         unsigned longer = 0;
@@ -104,9 +106,9 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
         std::array<std::vector<double>, kLanes> kept2;
         for (std::uint64_t s = 0; s < plan.shard_samples(first); ++s) {
           const unsigned live = s < lockstep ? active : longer;
-          draw(s, live, channels);
-          core::fold_pair_lanes(tallies, channels, fold.votes, fold.omega, fold.q, live,
-                                fold.level, fold.keep_samples ? &thetas : nullptr);
+          draw(s, live, block);
+          core::fold_pair_lanes(tallies, block, fold.votes, fold.omega, fold.q, live, fold.level,
+                                fold.keep_samples ? &thetas : nullptr);
           if (fold.keep_samples) {
             for (unsigned l = 0; l < live; ++l) {
               kept1[l].push_back(thetas.theta1[l]);
@@ -142,9 +144,10 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
 /// run_shard_lanes over xoshiro streams: lane l of the group opening at
 /// shard `first` holds stats::rng::stream(seed, first + l), taken from one
 /// jump walk of rng(seed) on the calling thread — the streams run_shards
-/// hands its shards.  `draw(lanes, live, channels)` fills channels[v][l] for
-/// v < fold.versions and l < live from lane l of `lanes`, advancing it; the
-/// group's lanes persist from step to step.
+/// hands its shards.  `draw(lanes, live, block, scratch)` fills lane l < live
+/// of the block's fold.versions channels from lane l of `lanes`, advancing
+/// it; the group's lanes persist from step to step, and `scratch` is a
+/// fault_mask the group owns for draws that go one lane at a time.
 template <typename Draw, typename Merge>
 void run_xoshiro_lanes(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin,
                        unsigned shard_end, unsigned threads, const lane_fold& fold,
@@ -160,12 +163,27 @@ void run_xoshiro_lanes(const shard_plan& plan, std::uint64_t seed, unsigned shar
           lanes.set_lane(l, walker);
           walker.jump();
         }
-        return [&draw, lanes](std::uint64_t /*step*/, unsigned live,
-                              lane_channels& channels) mutable {
-          draw(lanes, live, channels);
+        return [&draw, lanes, scratch = core::fault_mask()](
+                   std::uint64_t /*step*/, unsigned live, core::lane_block& block) mutable {
+          draw(lanes, live, block, scratch);
         };
       },
       std::forward<Merge>(merge));
+}
+
+/// Channel v of lanes [0, live) drawn one lane at a time: draw_one(r, scratch)
+/// on each live lane's stream in turn, each mask copied into its lane's
+/// column of `block` — the draw of samplers without a lane kernel.  Throws
+/// std::out_of_range when a drawn mask is not block.bit_size() bits.
+template <typename DrawOne>
+void draw_lane_by_lane(core::xoshiro_lanes& lanes, unsigned live, core::lane_block& block,
+                       unsigned v, core::fault_mask& scratch, const DrawOne& draw_one) {
+  for (unsigned l = 0; l < live; ++l) {
+    stats::rng r = lanes.lane(l);
+    draw_one(r, scratch);
+    lanes.set_lane(l, r);
+    block.store_lane(v, l, scratch);
+  }
 }
 
 /// Every shard of `plan` through run_xoshiro_lanes, each pair's
@@ -173,28 +191,24 @@ void run_xoshiro_lanes(const shard_plan& plan, std::uint64_t seed, unsigned shar
 /// of mc::run_correlated and scenario cells.  A sampler with a lane kernel
 /// (`sample_mask_lanes`, the mixture's) draws all live lanes of a channel at
 /// once; any other calls `sample_mask` on each live lane's stream in turn.
-/// Throws std::out_of_range when a drawn mask is not fold.q.size() bits (a
-/// sampler built over another universe).
+/// Throws std::out_of_range when the sampler draws masks of another size
+/// than fold.q.size() bits (a sampler built over another universe).
 template <typename Sampler, typename Merge>
 void run_sampler_lanes(const Sampler& sampler, const shard_plan& plan, std::uint64_t seed,
                        unsigned threads, const lane_fold& fold, Merge&& merge) {
   run_xoshiro_lanes(
       plan, seed, 0, plan.shard_count, threads, fold,
-      [&sampler, &fold](core::xoshiro_lanes& lanes, unsigned live, lane_channels& channels) {
-        for (auto& out : channels) {
-          if constexpr (requires { sampler.sample_mask_lanes(lanes, out, live, fold.level); }) {
-            sampler.sample_mask_lanes(lanes, out, live, fold.level);
+      [&sampler, versions = fold.versions, level = fold.level](
+          core::xoshiro_lanes& lanes, unsigned live, core::lane_block& block,
+          core::fault_mask& scratch) {
+        for (unsigned v = 0; v < versions; ++v) {
+          if constexpr (requires { sampler.sample_mask_lanes(lanes, block, v, live, level); }) {
+            sampler.sample_mask_lanes(lanes, block, v, live, level);
           } else {
-            for (unsigned l = 0; l < live; ++l) {
-              stats::rng r = lanes.lane(l);
-              sampler.sample_mask(r, out[l]);
-              lanes.set_lane(l, r);
-            }
-          }
-          for (unsigned l = 0; l < live; ++l) {
-            if (out[l].bit_size() != fold.q.size()) {
-              throw std::out_of_range("run_sampler_lanes: sampler does not match universe");
-            }
+            draw_lane_by_lane(lanes, live, block, v, scratch,
+                              [&sampler](stats::rng& r, core::fault_mask& m) {
+                                sampler.sample_mask(r, m);
+                              });
           }
         }
       },

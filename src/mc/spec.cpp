@@ -278,6 +278,21 @@ class section_view {
     return v;
   }
 
+  /// A finite number no smaller than `lo`: any other value is an error at
+  /// its own line ("must be " + `bound`), and `def` stands in for it so that
+  /// no later check reports it again.
+  double f64_at_least_or(std::string_view key, double def, double lo, std::string_view bound) {
+    const raw_entry* e = find(key);
+    if (e == nullptr) return def;
+    double v = 0.0;
+    if (!report_num(parse_f64(e->value, v), *e, "number")) return def;
+    if (!(std::isfinite(v) && v >= lo)) {
+      ctx_->error(e->line, e->key, "must be " + std::string(bound) + ", got '" + e->value + "'");
+      return def;
+    }
+    return v;
+  }
+
   std::optional<double> f64_required(std::string_view key) {
     const raw_entry* e = find(key);
     if (e == nullptr) {
@@ -697,7 +712,9 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
     reject(experiment_sec, "not allowed in a scenario spec");
     reject_override(overrides.engine.has_value(), "--engine", "experiment specs");
     scenario_axes axes;
-    axes.stress = sweep.f64_or("stress", 1.8);
+    // Checked here under either model: the mixture would only refuse it
+    // later as an infeasible axis, and the copula ignores it.
+    axes.stress = sweep.f64_at_least_or("stress", 1.8, 1.0, "a finite number >= 1");
     const std::string model = sweep.str_or("rho_model", "mixture");
     if (model == "copula") {
       axes.rho_model = correlation_model::copula;

@@ -324,14 +324,17 @@ TEST(ShardedCorrelated, MatchesScalarShardLoopAtEveryLevel) {
 }
 
 TEST(ShardedCorrelated, MismatchedSamplerThrowsAcrossThreads) {
-  // The mask-size guard must propagate out of worker threads.
+  // The mask-size guard must propagate out of worker threads, from the
+  // lane-by-lane draw (the copula) and from the mixture's lane kernel.
   const auto u = core::make_random_universe(20, 0.4, 0.8, 1);
   const auto other = core::make_random_universe(10, 0.4, 0.8, 2);
   const gaussian_copula_sampler wrong(other, 0.3);
+  const common_cause_mixture wrong_mixture(other, 0.3, 1.5);
   for (const unsigned threads : {1u, 4u}) {
     correlated_config cfg;
     cfg.threads = threads;
     EXPECT_THROW((void)run_correlated(u, wrong, 1000, 3, cfg), std::out_of_range);
+    EXPECT_THROW((void)run_correlated(u, wrong_mixture, 1000, 3, cfg), std::out_of_range);
   }
   EXPECT_THROW((void)run_correlated(u, wrong, 0, 3), std::invalid_argument);
 }

@@ -13,10 +13,14 @@
 //     loop, and the manifest wire codec;
 //   - the xoshiro256++ lane kernel against mc::common_cause_mixture::
 //     sample_mask on a scalar copy of every lane's stream, at every level
-//     and every live-lane count;
+//     and every live-lane count, including faults whose stressed threshold
+//     saturates and versions whose live lanes all drew one side of the
+//     stress draw;
 //   - the lane fold against mc::experiment_accumulator::add of the sparse
 //     ascending θ sums (running_moments::add underneath), lane by lane, at
-//     every level and every live-lane count.
+//     every level and every live-lane count;
+//   - for every kernel, the lane_block words of spare lanes (sentinels) are
+//     never written.
 
 #include <gtest/gtest.h>
 
@@ -203,10 +207,42 @@ void expect_masks_equal(const core::fault_mask& got, const core::fault_mask& wan
   }
 }
 
+/// A word no kernel writes: the pattern spare lanes of a block start with.
+std::uint64_t sentinel_word(std::size_t index) {
+  return 0x5e9e1a5e9e1a0000ULL ^ (index * 0x9e3779b97f4a7c15ULL);
+}
+
+/// Every word of `block` set to its sentinel.
+void fill_sentinels(core::lane_block& block) {
+  std::size_t index = 0;
+  for (unsigned v = 0; v < block.versions(); ++v) {
+    for (std::size_t b = 0; b < block.words_per_channel(); ++b) {
+      for (unsigned l = 0; l < core::kXoshiroLanes; ++l) {
+        block.row(v, b)[l] = sentinel_word(index++);
+      }
+    }
+  }
+}
+
+/// Every word of lanes [from, kXoshiroLanes) of every channel still holds
+/// its sentinel.
+void expect_sentinels(const core::lane_block& block, unsigned from, const std::string& what) {
+  std::size_t index = 0;
+  for (unsigned v = 0; v < block.versions(); ++v) {
+    for (std::size_t b = 0; b < block.words_per_channel(); ++b) {
+      for (unsigned l = 0; l < core::kXoshiroLanes; ++l, ++index) {
+        if (l < from) continue;
+        ASSERT_EQ(block.row(v, b)[l], sentinel_word(index))
+            << what << ": spare lane " << l << " channel " << v << " word " << b << " written";
+      }
+    }
+  }
+}
+
 /// One fuzz case at the given dispatch level: every pair of the batch window
 /// must match the reference, and so must every live lane of
 /// sample_pair_counter_lanes on its own key, for every live-lane count, with
-/// the spare lanes' masks left as they were.
+/// the spare lanes' sentinel words left as they were.
 void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
                           core::simd_level level, const std::string& what) {
   const auto plan = core::make_counter_sample_plan(u);
@@ -224,37 +260,33 @@ void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
     expect_masks_equal(b[s], rb, what + " pair " + std::to_string(s) + " (b)");
   }
   // Nonzero first_pair must land on the same stream positions.
-  core::fault_mask sa, sb;
-  core::sample_pair_counter(plan, u, key, /*pair_index=*/7, sa, sb, level);
-  expect_masks_equal(sa, a[7], what + " seek (a)");
-  expect_masks_equal(sb, b[7], what + " seek (b)");
+  std::vector<core::fault_mask> sa(1), sb(1);
+  core::sample_pair_counter_batch(plan, u, key, /*first_pair=*/7, 1, sa, sb, level);
+  expect_masks_equal(sa[0], a[7], what + " seek (a)");
+  expect_masks_equal(sb[0], b[7], what + " seek (b)");
 
-  // Eight distinct streams, one per lane.  A spare lane holds a 7-bit mask
-  // with a bit set, which a draw would resize or rewrite.
+  // Eight distinct streams, one per lane, into one block whose words start
+  // as sentinels: a call with `live` lanes writes no lane past it, and the
+  // calls run with ascending live counts.
   constexpr unsigned kLanes = core::kXoshiroLanes;
   std::array<std::uint64_t, kLanes> keys{};
   for (unsigned l = 0; l < kLanes; ++l) keys[l] = stats::counter_stream_key(key, l);
-  core::fault_mask spare(7);
-  spare.set(3);
+  core::lane_block block(2, u.size());
+  fill_sentinels(block);
+  core::fault_mask la, lb;
   for (unsigned live = 0; live <= kLanes; ++live) {
-    std::array<core::fault_mask, kLanes> la;
-    std::array<core::fault_mask, kLanes> lb;
-    la.fill(spare);
-    lb.fill(spare);
     const std::uint64_t pair = 3 * live + 1;
-    core::sample_pair_counter_lanes(plan, u, keys, pair, la, lb, live, level);
-    for (unsigned l = 0; l < kLanes; ++l) {
+    core::sample_pair_counter_lanes(plan, u, keys, pair, block, live, level);
+    for (unsigned l = 0; l < live; ++l) {
       const std::string at =
           what + " live " + std::to_string(live) + " lane " + std::to_string(l);
-      if (l < live) {
-        mc::sample_version_pair_counter_reference(u, keys[l], pair, ra, rb);
-        expect_masks_equal(la[l], ra, at + " (a)");
-        expect_masks_equal(lb[l], rb, at + " (b)");
-      } else {
-        expect_masks_equal(la[l], spare, at + " (spare a)");
-        expect_masks_equal(lb[l], spare, at + " (spare b)");
-      }
+      mc::sample_version_pair_counter_reference(u, keys[l], pair, ra, rb);
+      block.load_lane(0, l, la);
+      block.load_lane(1, l, lb);
+      expect_masks_equal(la, ra, at + " (a)");
+      expect_masks_equal(lb, rb, at + " (b)");
     }
+    expect_sentinels(block, live, what + " live " + std::to_string(live));
   }
 }
 
@@ -375,6 +407,54 @@ core::fault_universe make_lane_test_universe(std::size_t n, std::uint64_t seed) 
   return core::fault_universe(std::move(atoms));
 }
 
+/// n > 128 faults with random p in (0, 0.4), except the faults whose
+/// stressed threshold saturates at stress 1.8 (p >= 1/1.8) while their
+/// relaxed one does not (p < 1): at word positions 0 and 63, at n - 2 (in
+/// the partial last word when n % 64 is neither 0 nor 1), and every fault of
+/// word 1, which also holds p = 1 faults at its even positions, saturated
+/// in both tables.
+core::fault_universe make_saturating_lane_universe(std::size_t n, std::uint64_t seed) {
+  stats::rng r(seed);
+  std::vector<core::fault_atom> atoms;
+  for (std::size_t i = 0; i < n; ++i) {
+    atoms.push_back({0.4 * r.uniform(), 0.4 / static_cast<double>(n)});
+  }
+  for (const std::size_t i : {std::size_t{0}, std::size_t{63}, n - 2}) {
+    atoms[i].p = 0.56 + 0.4 * r.uniform();
+  }
+  for (std::size_t i = 64; i < 128; ++i) atoms[i].p = i % 2 == 0 ? 1.0 : 0.56 + 0.4 * r.uniform();
+  return core::fault_universe(std::move(atoms));
+}
+
+TEST(MixtureLaneTables, ShiftedThresholdsAndSaturatedWords) {
+  constexpr std::uint64_t kOne = std::uint64_t{1} << core::kBernoulliBits;
+  std::vector<std::uint64_t> stressed(70, kOne / 3);
+  std::vector<std::uint64_t> relaxed(70, 5);
+  stressed[0] = stressed[63] = stressed[69] = kOne;
+  relaxed[64] = kOne;
+  relaxed[1] = 0;
+  stressed[2] = kOne - 1;
+  const core::mixture_lane_tables t = core::make_mixture_lane_tables(17, stressed, relaxed);
+  EXPECT_EQ(t.stress, 17u);
+  EXPECT_EQ(t.stressed, stressed);
+  EXPECT_EQ(t.relaxed, relaxed);
+  ASSERT_EQ(t.stressed_shifted.size(), 70u);
+  ASSERT_EQ(t.relaxed_shifted.size(), 70u);
+  for (std::size_t i = 0; i < 70; ++i) {
+    EXPECT_EQ(t.stressed_shifted[i], stressed[i] == kOne ? 0 : stressed[i] << 11) << i;
+    EXPECT_EQ(t.relaxed_shifted[i], relaxed[i] == kOne ? 0 : relaxed[i] << 11) << i;
+  }
+  EXPECT_EQ(t.stressed_always,
+            (std::vector<std::uint64_t>{1 | std::uint64_t{1} << 63, std::uint64_t{1} << 5}));
+  EXPECT_EQ(t.relaxed_always, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_THROW((void)core::make_mixture_lane_tables(0, std::vector<std::uint64_t>(5, 1),
+                                                    std::vector<std::uint64_t>(4, 1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::make_mixture_lane_tables(0, std::vector<std::uint64_t>(2, kOne + 1),
+                                                    std::vector<std::uint64_t>(2, 1)),
+               std::invalid_argument);
+}
+
 TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
   constexpr unsigned kLanes = core::kXoshiroLanes;
   constexpr double kStress = 1.8;
@@ -382,42 +462,68 @@ TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
   // stress * p < 1 gets a relaxed p of 0 up to rounding, clamped to 0 when it
   // rounds below.
   const double rhos[] = {0.0, 0.25, 1.0 / kStress};
+  std::vector<std::pair<std::string, core::fault_universe>> universes;
+  for (const std::size_t n : {1u, 40u, 63u, 64u, 65u, 256u, 300u}) {
+    universes.emplace_back("n=" + std::to_string(n), make_lane_test_universe(n, 1000 + n));
+  }
+  for (const std::size_t n : {130u, 200u}) {
+    universes.emplace_back("saturating n=" + std::to_string(n),
+                           make_saturating_lane_universe(n, 2000 + n));
+  }
   for (const auto level : levels_up_to_detected()) {
-    for (const std::size_t n : {1u, 40u, 63u, 64u, 65u, 256u, 300u}) {
-      const core::fault_universe u = make_lane_test_universe(n, 1000 + n);
+    for (const auto& [name, u] : universes) {
       for (const double rho : rhos) {
         const mc::common_cause_mixture mixture(u, rho, kStress);
-        const std::string what = std::string(core::simd_level_name(level)) +
-                                 " n=" + std::to_string(n) +
+        const std::string what = std::string(core::simd_level_name(level)) + " " + name +
                                  " rho=" + std::to_string(rho);
         // Eight distinct jump-derived streams, as a cell's shard group has.
         core::xoshiro_lanes lanes;
         std::array<stats::rng, kLanes> scalar;
-        stats::rng walker(77 + n);
+        stats::rng walker(77 + u.size());
         for (unsigned l = 0; l < kLanes; ++l) {
           lanes.set_lane(l, walker);
           scalar[l] = walker;
           walker.jump();
         }
-        std::array<core::fault_mask, kLanes> out;
+        // The kernel writes channel 1 of a two-channel block; channel 0 and
+        // the spare lanes keep their sentinels or last draws.
+        core::lane_block block(2, u.size());
+        fill_sentinels(block);
+        core::fault_mask got;
         core::fault_mask want;
+        // Versions with no stressed live lane, and with some.
+        std::array<int, 2> sides{};
         for (int version = 0; version < 1000; ++version) {
           // Cycle the live-lane count through 1..8 (a full group every
           // eighth call): lanes past it must be neither drawn nor advanced,
           // so their scalar copies stay put too.
           const unsigned live = 1 + static_cast<unsigned>(version) % kLanes;
-          const std::array<core::fault_mask, kLanes> before = out;
-          mixture.sample_mask_lanes(lanes, out, live, level);
+          unsigned stressed = 0;
+          for (unsigned l = 0; l < live; ++l) {
+            stats::rng peek = scalar[l];
+            stressed += peek.bernoulli(rho) ? 1 : 0;
+          }
+          ++sides[stressed == 0 ? 0 : 1];
+          const core::lane_block before = block;
+          mixture.sample_mask_lanes(lanes, block, 1, live, level);
           const std::string at = what + " version " + std::to_string(version) + " live " +
                                  std::to_string(live) + " lane ";
           for (unsigned l = 0; l < kLanes; ++l) {
             if (l < live) {
               mixture.sample_mask(scalar[l], want);
-              expect_masks_equal(out[l], want, at + std::to_string(l));
+              block.load_lane(1, l, got);
+              expect_masks_equal(got, want, at + std::to_string(l));
             } else {
-              expect_masks_equal(out[l], before[l], at + std::to_string(l) + " (spare mask)");
               ASSERT_EQ(lanes.lane(l).state(), scalar[l].state())
                   << at << l << " (spare lane advanced)";
+            }
+          }
+          for (std::size_t b = 0; b < block.words_per_channel(); ++b) {
+            for (unsigned l = 0; l < kLanes; ++l) {
+              ASSERT_EQ(block.row(0, b)[l], before.row(0, b)[l]) << at << l << " channel 0";
+              if (l >= live) {
+                ASSERT_EQ(block.row(1, b)[l], before.row(1, b)[l]) << at << l << " (spare)";
+              }
             }
           }
           if (::testing::Test::HasFatalFailure()) return;
@@ -426,6 +532,12 @@ TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
           EXPECT_EQ(lanes.lane(l).state(), scalar[l].state())
               << what << " lane " << l << " final state";
         }
+        // rho = 0.25 meets versions with no stressed live lane (the AVX-512
+        // level's skipped blend) and versions with some.
+        if (rho == 0.25) {
+          EXPECT_GT(sides[0], 0) << what;
+          EXPECT_GT(sides[1], 0) << what;
+        }
       }
     }
   }
@@ -433,16 +545,49 @@ TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
 
 TEST(XoshiroLaneKernel, RejectsMismatchedThresholdSpans) {
   core::xoshiro_lanes lanes;
-  std::array<core::fault_mask, core::kXoshiroLanes> out;
-  const std::vector<std::uint64_t> stressed(5, 1);
-  const std::vector<std::uint64_t> relaxed(4, 1);
-  EXPECT_THROW(core::sample_mixture_lanes(lanes, 0, stressed, relaxed, out, core::kXoshiroLanes,
-                                          core::simd_level::scalar),
-               std::invalid_argument);
-  const std::vector<std::uint64_t> same(5, 1);
-  EXPECT_THROW(core::sample_mixture_lanes(lanes, 0, same, same, out, core::kXoshiroLanes + 1,
-                                          core::simd_level::scalar),
-               std::invalid_argument);
+  const core::mixture_lane_tables tables =
+      core::make_mixture_lane_tables(0, std::vector<std::uint64_t>(5, 1),
+                                     std::vector<std::uint64_t>(5, 1));
+  core::lane_block block(2, 5);
+  const auto draw = [&](const core::mixture_lane_tables& t, unsigned channel, unsigned live) {
+    core::sample_mixture_lanes(lanes, t, block, channel, live, core::simd_level::scalar);
+  };
+  EXPECT_NO_THROW(draw(tables, 1, core::kXoshiroLanes));
+  EXPECT_THROW(draw(tables, 0, core::kXoshiroLanes + 1), std::invalid_argument);
+  EXPECT_THROW(draw(tables, 2, 1), std::invalid_argument);
+  core::mixture_lane_tables torn = tables;
+  torn.relaxed_always.clear();
+  EXPECT_THROW(draw(torn, 0, 1), std::invalid_argument);
+  block = core::lane_block(2, 6);  // a sampler over another universe
+  EXPECT_THROW(draw(tables, 0, 1), std::out_of_range);
+}
+
+TEST(LaneBlock, LaneColumnsRoundTripThroughMasks) {
+  core::lane_block block(3, 70);
+  EXPECT_EQ(block.versions(), 3u);
+  EXPECT_EQ(block.bit_size(), 70u);
+  EXPECT_EQ(block.words_per_channel(), 2u);
+  for (unsigned v = 0; v < 3; ++v) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      EXPECT_EQ(std::bit_cast<std::uintptr_t>(block.row(v, b)) % 64, 0u) << v << " " << b;
+      EXPECT_EQ(block.row(v, b), block.row(0, 0) + (v * 2 + b) * core::kXoshiroLanes);
+    }
+  }
+  core::fault_mask m(70);
+  for (const std::size_t i : {0u, 5u, 63u, 64u, 69u}) m.set(i);
+  block.store_lane(2, 5, m);
+  EXPECT_EQ(block.row(2, 0)[5], m.words()[0]);
+  EXPECT_EQ(block.row(2, 1)[5], m.words()[1]);
+  core::fault_mask back(3);
+  block.load_lane(2, 5, back);
+  EXPECT_EQ(back, m);
+  EXPECT_THROW(block.store_lane(2, 5, core::fault_mask(69)), std::out_of_range);
+  EXPECT_THROW(block.store_lane(3, 0, m), std::out_of_range);
+  EXPECT_THROW(block.load_lane(0, core::kXoshiroLanes, back), std::out_of_range);
+  const core::lane_block copy = block;
+  core::fault_mask from_copy;
+  copy.load_lane(2, 5, from_copy);
+  EXPECT_EQ(from_copy, m);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,37 +666,38 @@ TEST(LaneFold, MatchesRunningMomentsAndSparseSumsOnEveryLaneAtEveryLevel) {
           for (unsigned l = live; l < kLanes; ++l) scribble_lane(start, l, r);
           std::vector<core::accumulator_lanes> got(levels.size(), start);
           std::vector<mc::experiment_accumulator> want(live);
-          // Spare lanes' masks stay empty vectors: a read past `live` would
-          // fault or trip the sanitizers.
-          std::vector<std::array<core::fault_mask, kLanes>> channels(versions);
+          // Spare lanes' words hold sentinels that no fold may change.
+          core::lane_block block(versions, n);
+          fill_sentinels(block);
+          std::vector<core::fault_mask> channels(versions);
           for (int step = 0; step < kSteps; ++step) {
             // Step 0 clears every mask and step 1 sets every bit; the rest
             // draw each mask at its own density.
-            for (auto& lane_masks : channels) {
-              for (unsigned l = 0; l < live; ++l) {
-                core::fault_mask& m = lane_masks[l];
+            for (unsigned l = 0; l < live; ++l) {
+              for (unsigned v = 0; v < versions; ++v) {
+                core::fault_mask& m = channels[v];
                 m.resize(n);
                 const double density = densities[r() % 4];
                 for (std::size_t i = 0; i < n; ++i) {
                   if (step == 1 || (step > 1 && r.uniform() < density)) m.set(i);
                 }
+                block.store_lane(v, l, m);
               }
-            }
-            for (unsigned l = 0; l < live; ++l) {
               core::fault_mask defeated(n);
               for (std::size_t i = 0; i < n; ++i) {
                 unsigned hits = 0;
-                for (const auto& lane_masks : channels) hits += lane_masks[l].test(i) ? 1 : 0;
+                for (const core::fault_mask& m : channels) hits += m.test(i) ? 1 : 0;
                 if (hits >= votes) defeated.set(i);
               }
-              const core::fault_mask& first = channels[0][l];
+              const core::fault_mask& first = channels[0];
               want[l].add(core::masked_q_sum(first, q), omega * core::masked_q_sum(defeated, q),
                           first.any(), defeated.any() && omega > 0.0);
             }
             for (std::size_t k = 0; k < levels.size(); ++k) {
-              core::fold_pair_lanes(got[k], channels, votes, omega, q, live, levels[k]);
+              core::fold_pair_lanes(got[k], block, votes, omega, q, live, levels[k]);
             }
             const std::string at = what + " step " + std::to_string(step);
+            expect_sentinels(block, live, at);
             for (unsigned l = 0; l < live; ++l) {
               expect_lane_state(got[0], l, want[l].state(), at + " lane " + std::to_string(l));
             }
@@ -574,25 +720,23 @@ TEST(LaneFold, MatchesRunningMomentsAndSparseSumsOnEveryLaneAtEveryLevel) {
 TEST(LaneFold, RejectsBadShapes) {
   core::accumulator_lanes acc;
   const std::vector<double> q(10, 0.1);
-  std::vector<std::array<core::fault_mask, core::kXoshiroLanes>> channels(2);
-  for (auto& lane_masks : channels) {
-    for (auto& m : lane_masks) m.resize(10);
-  }
+  core::lane_block block(2, 10);
   const auto fold = [&](unsigned votes, unsigned live) {
-    core::fold_pair_lanes(acc, channels, votes, 1.0, q, live, core::simd_level::scalar);
+    core::fold_pair_lanes(acc, block, votes, 1.0, q, live, core::simd_level::scalar);
   };
   EXPECT_THROW(fold(0, 8), std::invalid_argument);
   EXPECT_THROW(fold(3, 8), std::invalid_argument);
   EXPECT_THROW(fold(2, 9), std::invalid_argument);
-  channels[1][3].resize(11);
+  block = core::lane_block(2, 11);
   EXPECT_THROW(fold(2, 8), std::invalid_argument);
-  EXPECT_NO_THROW(fold(2, 3));  // lane 3 is spare
+  block = core::lane_block(2, 10);
+  EXPECT_NO_THROW(fold(2, 3));
   acc.samples[2] = 5;
   EXPECT_THROW(fold(2, 3), std::invalid_argument);
   EXPECT_NO_THROW(fold(2, 2));
-  channels.resize(core::kMaxFoldVersions + 1, channels[0]);
+  block = core::lane_block(core::kMaxFoldVersions + 1, 10);
   EXPECT_THROW(fold(2, 2), std::invalid_argument);
-  channels.clear();
+  block = core::lane_block(0, 10);
   EXPECT_THROW(fold(1, 2), std::invalid_argument);
 }
 

@@ -410,6 +410,34 @@ TEST(SweepSpec, InfeasibleMixtureRhoIsAnAxesDiagnostic) {
       << errors.front().render();
 }
 
+TEST(SweepSpec, StressIsValidatedAtItsOwnKey) {
+  // A stress below 1, NaN or infinite is an error at the key's own line
+  // under either model: not an `axes` diagnostic on the [axes] line blamed
+  // on some rho (mixture), and not silently accepted (copula).
+  const auto spec = [](const std::string& model, const std::string& stress) {
+    return "[sweep]\nkind = scenario\nseed = 3\nstress = " + stress +  // line 4
+           "\nrho_model = " + model +
+           "\n[universe u]\ngenerator = homogeneous\nfaults = 4\np = 0.1\nq = 0.1\n"
+           "[axes]\nrho = 0 0.25\nbudget = 10\n";
+  };
+  const std::pair<std::string, std::string> bad[] = {
+      {"mixture", "0.5"}, {"mixture", "nan"}, {"mixture", "inf"}, {"copula", "0.5"}};
+  for (const auto& [model, stress] : bad) {
+    const auto errors = parse_errors(spec(model, stress));
+    std::string what = model + " stress " + stress + ":";
+    for (const mc::spec_error& e : errors) what += " [" + e.render() + "]";
+    ASSERT_EQ(errors.size(), 1u) << what;
+    EXPECT_TRUE(has_error(errors, 4, "stress")) << what;
+    EXPECT_NE(errors.front().message.find("finite number >= 1"), std::string::npos) << what;
+  }
+  // A valid stress stays accepted under both models.
+  for (const std::string model : {"mixture", "copula"}) {
+    const mc::spec_parse_result ok = mc::parse_sweep_spec(spec(model, "1.8"), "test.spec");
+    ASSERT_TRUE(ok.spec.has_value()) << model;
+    EXPECT_EQ(std::get<mc::sweep_manifest>(ok.spec->manifest).axes.stress, 1.8) << model;
+  }
+}
+
 TEST(SweepSpec, MissingSweepSectionIsSingleError) {
   const auto errors = parse_errors("x = 1\n");
   EXPECT_TRUE(has_error(errors, 1, "x"));  // key before any [section]
