@@ -13,16 +13,16 @@
 //
 // The scenario pair measures the other two SIMD kernel families:
 // scenario_ci.spec's 256-fault mixture cell through run_scenario_cell, once
-// at the scalar cap and once uncapped, where the xoshiro lane kernel advances
-// eight shard streams per AVX-512 instruction (four per AVX2 instruction) and
-// the lane fold folds each pair step of the eight shards into their
-// accumulators at once.  Both produce the same bits.
+// at the scalar cap and once uncapped, where the xoshiro pair step advances
+// eight shard streams per AVX-512 instruction (four per AVX2 instruction)
+// and sums each pair's θ1 and θ2 as it draws.  Both produce the same bits.
 //
-// The lane-draw and lane-fold rows split that cell into its two layers on
-// the same universe and ρ: BM_MixtureLaneDraw* draws pair steps of eight
-// shard streams into a lane_block (the xoshiro lane kernel), and BM_LaneFold*
-// folds pre-drawn blocks into eight accumulators, each dispatched, at the
-// avx2 cap and at the scalar cap.
+// The pair-step and lane-fold rows split out the layers on the same
+// universe and ρ: BM_XoshiroPairStep* draws and records pair steps of eight
+// shard streams (the whole cell's per-pair work), and BM_LaneFold* folds
+// pre-drawn lane_blocks into eight accumulators (the fold fast-simd's
+// counter kernel and the lane-by-lane samplers still use), each dispatched,
+// at the avx2 cap and at the scalar cap.
 //
 // The *Avx2 twins of the random-universe runs and the scenario cell run at
 // the avx2 cap, so on an AVX-512 host "dispatched vs avx2 cap" is the
@@ -155,7 +155,7 @@ void BM_RunExperimentFastSimdRandomAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_RunExperimentFastSimdRandomAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// --- scenario_ci mixture cell: lane kernel + lane fold vs their scalar level
+// --- scenario_ci mixture cell: the xoshiro pair step vs its scalar level
 
 /// scenario_ci.spec's `many_small` universe (256 faults) at rho = 0.25,
 /// omega = 1, aliasing 1, with the spec's 10^6-pair budget and seed.
@@ -194,7 +194,7 @@ void BM_ScenarioMixtureCellAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioMixtureCellAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// --- the same cell's two layers: lane draw and lane fold -------------------
+// --- the same cell's pair step, and the fold the block-filling draws use --
 
 /// scenario_ci.spec's `many_small` universe, as the cell above builds it.
 core::fault_universe many_small_universe() {
@@ -217,42 +217,42 @@ core::xoshiro_lanes first_group_lanes(std::uint64_t seed) {
   return lanes;
 }
 
-/// Pair steps of the ρ = 0.25 mixture (stress 1.8) drawn into one block,
-/// both channels of all eight lanes per step, at SIMD cap `cap` (none: the
-/// dispatched level).
-void run_lane_draw_bench(benchmark::State& state, std::optional<core::simd_level> cap) {
+/// 2of2 pair steps (ω = 1) of the ρ = 0.25 mixture (stress 1.8) on all
+/// eight lanes, each drawn and recorded by one xoshiro pair step, at SIMD
+/// cap `cap` (none: the dispatched level).
+void run_pair_step_bench(benchmark::State& state, std::optional<core::simd_level> cap) {
   if (cap) core::set_simd_level_cap(*cap);
   const core::simd_level level = core::active_simd_level();
   const core::fault_universe u = many_small_universe();
   const mc::common_cause_mixture mixture(u, 0.25, 1.8);
   core::xoshiro_lanes lanes = first_group_lanes(2026);
-  core::lane_block block(2, u.size());
+  std::vector<std::uint64_t> hits;
+  core::accumulator_lanes acc;
   for (auto _ : state) {
     for (int step = 0; step < kStepsPerIteration; ++step) {
-      for (unsigned v = 0; v < 2; ++v) {
-        mixture.sample_mask_lanes(lanes, block, v, core::kXoshiroLanes, level);
-      }
-      benchmark::DoNotOptimize(block.row(0, 0));
-      benchmark::ClobberMemory();
+      core::xoshiro_pair_step_lanes(lanes, mixture.lane_tables(), hits, acc, 2, 2, 1.0,
+                                    u.q_array(), core::kXoshiroLanes, level);
     }
+    benchmark::DoNotOptimize(acc.theta2.m1.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kStepsPerIteration *
                           core::kXoshiroLanes);
   core::clear_simd_level_cap();
 }
 
-void BM_MixtureLaneDraw(benchmark::State& state) { run_lane_draw_bench(state, std::nullopt); }
-BENCHMARK(BM_MixtureLaneDraw)->Unit(benchmark::kMicrosecond)->UseRealTime();
+void BM_XoshiroPairStep(benchmark::State& state) { run_pair_step_bench(state, std::nullopt); }
+BENCHMARK(BM_XoshiroPairStep)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-void BM_MixtureLaneDrawAvx2(benchmark::State& state) {
-  run_lane_draw_bench(state, core::simd_level::avx2);
+void BM_XoshiroPairStepAvx2(benchmark::State& state) {
+  run_pair_step_bench(state, core::simd_level::avx2);
 }
-BENCHMARK(BM_MixtureLaneDrawAvx2)->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_XoshiroPairStepAvx2)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-void BM_MixtureLaneDrawScalar(benchmark::State& state) {
-  run_lane_draw_bench(state, core::simd_level::scalar);
+void BM_XoshiroPairStepScalar(benchmark::State& state) {
+  run_pair_step_bench(state, core::simd_level::scalar);
 }
-BENCHMARK(BM_MixtureLaneDrawScalar)->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_XoshiroPairStepScalar)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 /// 2of2 folds (ω = 1) of pre-drawn pair steps of the same mixture, cycling
 /// through 64 blocks so the draw stays out of the timing, at SIMD cap `cap`.
@@ -263,9 +263,15 @@ void run_lane_fold_bench(benchmark::State& state, std::optional<core::simd_level
   const mc::common_cause_mixture mixture(u, 0.25, 1.8);
   core::xoshiro_lanes lanes = first_group_lanes(2026);
   std::vector<core::lane_block> blocks(64, core::lane_block(2, u.size()));
+  core::fault_mask m;
   for (core::lane_block& block : blocks) {
     for (unsigned v = 0; v < 2; ++v) {
-      mixture.sample_mask_lanes(lanes, block, v, core::kXoshiroLanes, level);
+      for (unsigned l = 0; l < core::kXoshiroLanes; ++l) {
+        stats::rng r = lanes.lane(l);
+        mixture.sample_mask(r, m);
+        lanes.set_lane(l, r);
+        block.store_lane(v, l, m);
+      }
     }
   }
   core::accumulator_lanes acc;

@@ -9,7 +9,7 @@ Two kinds of comparison:
   on the same universe at the same SIMD cap, sparse vs mask sampling, one
   thread vs all of them for the correlated runner, serial vs campaign KL
   scoring, the SIMD kernels vs their scalar level and their avx2 cap (the
-  whole mixture cell, and its lane draw and lane fold on their own).  A
+  whole mixture cell, its xoshiro pair step, and the lane fold).  A
   single-threaded ratio divides out the machine, so a baseline
   recorded on one host gates a fresh run on another: if the fast path's
   advantage over its own baseline shrank by more than --max-regression
@@ -103,11 +103,11 @@ KEY_RATIOS = [
     ("scenario mixture cell dispatched vs avx2 cap",
      "BM_ScenarioMixtureCellAvx2/real_time",
      "BM_ScenarioMixtureCellLanes/real_time", False, "dispatched"),
-    # The mixture cell's two layers on its own universe and rho: the xoshiro
-    # lane kernel drawing pair steps into a lane_block, and the lane fold
-    # folding them.
-    ("mixture lane draw dispatched vs scalar",
-     "BM_MixtureLaneDrawScalar/real_time", "BM_MixtureLaneDraw/real_time",
+    # The mixture cell's per-pair work on its own universe and rho: the
+    # xoshiro pair step drawing and recording pair steps, and the lane fold
+    # the block-filling draws (fast-simd's counter kernel) still use.
+    ("xoshiro pair step dispatched vs scalar",
+     "BM_XoshiroPairStepScalar/real_time", "BM_XoshiroPairStep/real_time",
      False, "dispatched"),
     ("lane fold dispatched vs scalar",
      "BM_LaneFoldScalar/real_time", "BM_LaneFold/real_time", False, "dispatched"),

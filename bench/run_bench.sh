@@ -19,9 +19,9 @@
 #                   dispatch) vs the exact engine at the same SIMD cap on
 #                   heterogeneous and random n=1024 universes,
 #                   scenario_ci's 256-fault mixture cell with the xoshiro
-#                   lane kernel vs its scalar level, and both SIMD families
-#                   dispatched vs capped at AVX2; the cell's lane draw and
-#                   lane fold on their own (ns per pair) at each level.
+#                   pair step vs its scalar level, and both SIMD families
+#                   dispatched vs capped at AVX2; the cell's pair step and
+#                   the lane fold on their own (ns per pair) at each level.
 #   BENCH_p5.json — sweep-service front-end (bench_p5_service): queue
 #                   submit -> merged latency (cold) vs the fingerprint-
 #                   memoized result-cache query (hot), plus the status probe.
@@ -143,8 +143,9 @@ ratio_line(p4, "fast-simd random n=1024", "BM_RunExperimentFastSimdRandomAvx2/re
            "BM_RunExperimentFastSimdRandom/real_time", "avx2 cap", "dispatched")
 ratio_line(p4, "scenario_ci mixture cell", "BM_ScenarioMixtureCellAvx2/real_time",
            "BM_ScenarioMixtureCellLanes/real_time", "avx2 cap", "dispatched", fmt=".0f")
-# The cell's layers: an iteration is 1000 pairs, so microseconds read as ns per pair.
-for layer, row in (("mixture lane draw", "BM_MixtureLaneDraw"), ("lane fold", "BM_LaneFold")):
+# The cell's pair step and the lane fold: an iteration is 1000 pairs, so
+# microseconds read as ns per pair.
+for layer, row in (("xoshiro pair step", "BM_XoshiroPairStep"), ("lane fold", "BM_LaneFold")):
     ratio_line(p4, f"{layer} (ns per pair)", f"{row}Scalar/real_time", f"{row}/real_time",
                "scalar level", "dispatched", unit="", fmt=".1f")
     ratio_line(p4, f"{layer} (ns per pair)", f"{row}Avx2/real_time", f"{row}/real_time",

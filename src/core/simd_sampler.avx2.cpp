@@ -1,15 +1,15 @@
-// AVX2 and AVX-512 levels of the fast-simd counter lane kernel, the
-// xoshiro256++ lane kernel and the lane fold.  This is the ONLY translation
-// unit in the repo allowed to include <immintrin.h> (reldiv_lint
-// `simd-isolation` enforces it) and the only one compiled with -mavx2; the
-// AVX-512 functions carry a function-level target attribute (RELDIV_AVX512
-// below) instead of a TU flag, so the build needs no second SIMD TU.  It is
-// reached solely through the runtime dispatch in simd_sampler.cpp, which
-// calls an AVX2 function only after __builtin_cpu_supports("avx2") and an
-// AVX-512 one only after avx512f, avx512dq and avx512bw say the host can run
-// it.  When the toolchain cannot compile AVX2 (non-x86, or no -mavx2), the
-// fallback definitions at the bottom keep the link whole and report
-// avx2_compiled() == false, so dispatch never selects any of these paths.
+// AVX2 and AVX-512 levels of the fast-simd counter lane kernel, the lane
+// fold and the xoshiro pair step.  This is the ONLY translation unit in the
+// repo allowed to include <immintrin.h> (reldiv_lint `simd-isolation`
+// enforces it) and the only one compiled with -mavx2; the AVX-512 functions
+// carry a function-level target attribute (RELDIV_AVX512 below) instead of
+// a TU flag, so the build needs no second SIMD TU.  It is reached solely
+// through the runtime dispatch in simd_sampler.cpp, which calls an AVX2
+// function only after __builtin_cpu_supports("avx2") and an AVX-512 one only
+// after avx512f, avx512dq and avx512bw say the host can run it.  When the
+// toolchain cannot compile AVX2 (non-x86, or no -mavx2), the fallback
+// definitions at the bottom keep the link whole and report avx2_compiled()
+// == false, so dispatch never selects any of these paths.
 //
 // Every kernel runs one shard stream per 64-bit lane, four lanes per AVX2
 // register and eight per AVX-512 register, and is decision-for-decision equal
@@ -20,28 +20,32 @@
 //     step; AVX2 synthesizes each 64-bit constant multiply from three 32x32
 //     _mm256_mul_epu32 partial products, AVX-512 uses the native 64-bit
 //     _mm512_mullo_epi64 and compares straight into a mask;
-//   * lane kernel: stats::rng::operator() — xoshiro256++'s adds, xors,
-//     shifts and rotates, one independent engine per lane (AVX-512 folds the
-//     xor pairs into _mm512_ternarylogic_epi64 and rotates with one
-//     instruction);
-//   * lane fold: each lane's θ sums take the faults it holds in ascending
-//     order, as a masked add per fault any lane holds (AVX2 adds +0.0 in the
-//     lanes without it), and the Welford step of stats::running_moments::add
-//     runs its IEEE operations in the same order, products and sums each
-//     rounded on their own.
-// All of them meet in the lane-major core::lane_block: a mask word of eight
-// lanes is one 64-byte row, so the draw kernels write a word of every live
-// lane with one masked store (two at AVX2) and the fold reads it with one
-// masked load, leaving the words of spare lanes untouched.
+//   * pair step: stats::rng::operator() — xoshiro256++'s adds, xors, shifts
+//     and rotates, one independent engine per lane (AVX-512 folds the xor
+//     pairs into _mm512_ternarylogic_epi64 and rotates with one
+//     instruction) — drawing every channel of a pair step in turn;
+//   * θ sums: each lane's θ1 and θD take the faults it holds in ascending
+//     order, as one masked add per fault (AVX2 adds +0.0 in the lanes
+//     without it), and the Welford step of stats::running_moments::add runs
+//     its IEEE operations in the same order, products and sums each rounded
+//     on their own.  The fold sums over the faults any lane of a block word
+//     holds; the pair step sums as it draws, so no block sits in between.
+// The counter kernel and the fold meet in the lane-major core::lane_block: a
+// mask word of eight lanes is one 64-byte row, so the kernel writes a word of
+// every live lane with one masked store (two at AVX2) and the fold reads it
+// with one masked load, leaving the words of spare lanes untouched.  The
+// pair step keeps the channels before the last per fault instead: one hit
+// byte per fault at AVX-512 (bit l: lane l), whose layers the last channel's
+// compare reads as a mask register, and four lanes' masks per fault at AVX2,
+// whose two halves run one after the other to keep their state in the
+// sixteen ymm registers.
 // The AVX2 threshold compares use _mm256_cmpgt_epi64, which is safe in the
 // signed domain because both operands are <= 2^53 (hence positive as int64);
-// the AVX-512 compares are unsigned.  The AVX-512 mixture kernel compares
-// the raw draw against the threshold shifted left by 11 (r < t << 11 iff
-// (r >> 11) < t), which saves the per-fault shift; thresholds of 2^53 do not
-// fit that operand and arrive as per-word "always" masks instead.  It also
-// stores each fault's eight hit bits as one byte and, once per 64 faults,
-// transposes the bytes into the eight lane words with one vptestmb per lane
-// (AVX-512BW), so a fault costs no per-lane bit bookkeeping.
+// the AVX-512 compares are unsigned.  The AVX-512 pair step compares the raw
+// draw against the threshold shifted left by 11 (r < t << 11 iff (r >> 11) <
+// t), which saves the per-fault shift; thresholds of 2^53 do not fit that
+// operand and arrive as per-word "always" masks instead, OR-ed in fault by
+// fault only in the words that hold one.
 //
 // GCC builds _mm512_{srli,slli,rol}_epi64 on _mm512_undefined_epi32(), which
 // trips -Wmaybe-uninitialized; the kernels use the _mm512_maskz_* forms with
@@ -49,6 +53,7 @@
 
 #include "core/simd_sampler.inl.hpp"
 
+#include <algorithm>
 #include <array>
 
 #if defined(__AVX2__)
@@ -143,12 +148,12 @@ constexpr std::array<std::uint64_t, 64> kFaultBit = [] {
 // AVX-512 (F + DQ + BW), function-level target
 // ---------------------------------------------------------------------------
 
-// The intrinsics below are AVX-512F except _mm512_mullo_epi64 and
-// _cvtmask8_u32 (DQ).  BW adds no intrinsic, but without it GCC 12 keeps the
-// lane kernel's stressed-lane __mmask8 out of the mask registers and reloads
-// it from the stack once per fault (about 10% of that kernel's time on an
-// AVX-512 Xeon).  The compiler may use any extension named here inside these
-// functions, so detected_simd_level() probes exactly this set.
+// The intrinsics below are AVX-512F except _mm512_mullo_epi64, _load_mask8
+// and _store_mask8 (DQ) and _mm512_maskz_loadu_epi8 (BW).  Without BW, GCC 12
+// also kept the mixture draw's stressed-lane __mmask8 out of the mask
+// registers and reloaded it from the stack once per fault.  The compiler may
+// use any extension named here inside these functions, so
+// detected_simd_level() probes exactly this set.
 #define RELDIV_AVX512 __attribute__((target("avx512f,avx512dq,avx512bw")))
 
 constexpr __mmask8 kAllLanes = 0xff;
@@ -274,6 +279,36 @@ inline unsigned zero_lanes4(__m256d x) noexcept {
       _mm256_movemask_pd(_mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_EQ_OQ)));
 }
 
+/// Lanes [o, o + 4) of one pair's record, those below `live`: the epilogue
+/// fold_pair_lanes_avx2 and xoshiro_pair_step_avx2 share.  Lane o + j
+/// records θ1 and ω·θD from lane j of theta1 and defeated_q, and bit j of
+/// any1 / any_defeated says whether it holds a fault / a defeated one: what
+/// experiment_accumulator::add records, and θ1 and ω·θD into *thetas when
+/// it is not null.
+inline void record_half4(accumulator_lanes& acc, unsigned o, __m256d theta1,
+                         __m256d defeated_q, unsigned any1, unsigned any_defeated,
+                         double omega, const welford_step& step, unsigned live,
+                         pair_thetas* thetas) noexcept {
+  const __m256i live_lanes = live_lanes4(o, live);
+  const __m256d theta2 = _mm256_mul_pd(_mm256_set1_pd(omega), defeated_q);
+  const unsigned n2 = omega > 0.0 ? any_defeated : 0u;
+  const unsigned z1 = zero_lanes4(theta1);
+  const unsigned z2 = zero_lanes4(theta2);
+  for (unsigned l = o; l < live && l < o + 4; ++l) {
+    ++acc.samples[l];
+    acc.n1_positive[l] += (any1 >> (l - o)) & 1u;
+    acc.n2_positive[l] += (n2 >> (l - o)) & 1u;
+    acc.n1_zero_pfd[l] += (z1 >> (l - o)) & 1u;
+    acc.n2_zero_pfd[l] += (z2 >> (l - o)) & 1u;
+  }
+  welford_add4(acc.theta1, o, theta1, step, live_lanes);
+  welford_add4(acc.theta2, o, theta2, step, live_lanes);
+  if (thetas != nullptr) {
+    _mm256_maskstore_pd(thetas->theta1.data() + o, live_lanes, theta1);
+    _mm256_maskstore_pd(thetas->theta2.data() + o, live_lanes, theta2);
+  }
+}
+
 /// fold_pair_lanes_avx2 on lanes [o, o + 4) of one register, of which those
 /// below `live` are folded.
 void fold_half_avx2(accumulator_lanes& acc, const std::uint64_t* block, unsigned versions,
@@ -302,24 +337,126 @@ void fold_half_avx2(accumulator_lanes& acc, const std::uint64_t* block, unsigned
     any_defeated = _mm256_or_si256(any_defeated, ge[votes - 1]);
     add_word_q4(theta1, defeated_q, first, ge[votes - 1], q + (b << 6));
   }
-  const __m256d theta2 = _mm256_mul_pd(_mm256_set1_pd(omega), defeated_q);
-  const unsigned n1 = nonzero_lanes4(any1);
-  const unsigned n2 = omega > 0.0 ? nonzero_lanes4(any_defeated) : 0u;
-  const unsigned z1 = zero_lanes4(theta1);
-  const unsigned z2 = zero_lanes4(theta2);
-  for (unsigned l = o; l < live && l < o + 4; ++l) {
-    ++acc.samples[l];
-    acc.n1_positive[l] += (n1 >> (l - o)) & 1u;
-    acc.n2_positive[l] += (n2 >> (l - o)) & 1u;
-    acc.n1_zero_pfd[l] += (z1 >> (l - o)) & 1u;
-    acc.n2_zero_pfd[l] += (z2 >> (l - o)) & 1u;
+  record_half4(acc, o, theta1, defeated_q, nonzero_lanes4(any1), nonzero_lanes4(any_defeated),
+               omega, step, live, thetas);
+}
+
+/// The part a channel plays in a pair step of `versions` channels: the
+/// first sums θ1 and keeps its hits in layer 0 (a lone channel, 1of1, is
+/// also the last: θD is θ1); a middle one layers its hits in; the last sums
+/// θD over the faults it defeats, `under` its predecessors' layer votes - 2
+/// when votes == versions (a fault must be in every channel, so the compare
+/// runs under the faults the others all hold), or `over` the layers
+/// otherwise.
+enum class step_role { first, middle, last_under, last_over };
+
+/// The running sums of an AVX2 pair step on four lanes.
+struct step_sums4 {
+  __m256d theta1, defeated_q;
+  __m256i any1, any_defeated;
+};
+
+/// One channel of the AVX2 pair step on the four lanes of g: fault i of
+/// lane l is present iff (draw >> 11) < relaxed[i], or < stressed[i] in the
+/// lanes `stressed` selects when kBlend.  Layer j of `hits` holds the
+/// fault's four lane masks at hits[j·n + i].  Channel v plays role R.
+template <step_role R, bool kBlend>
+inline void step_channel4(xoshiro4& g, __m256i stressed, const xoshiro_lane_tables& tables,
+                          const double* q, std::size_t n, __m256i* hits, unsigned v,
+                          unsigned votes, unsigned layers, step_sums4& s) noexcept {
+  const std::uint64_t* lo = tables.relaxed.data();
+  const std::uint64_t* hi = tables.stressed.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    __m256i t = _mm256_set1_epi64x(static_cast<long long>(lo[i]));
+    if constexpr (kBlend) {
+      t = _mm256_blendv_epi8(t, _mm256_set1_epi64x(static_cast<long long>(hi[i])), stressed);
+    }
+    const __m256i hit = _mm256_cmpgt_epi64(t, _mm256_srli_epi64(g.next(), 11));
+    const __m256d qi = _mm256_set1_pd(q[i]);
+    __m256i* entry = hits + i;
+    if constexpr (R == step_role::first) {
+      s.theta1 = _mm256_add_pd(s.theta1, _mm256_and_pd(_mm256_castsi256_pd(hit), qi));
+      s.any1 = _mm256_or_si256(s.any1, hit);
+      *entry = hit;
+    } else if constexpr (R == step_role::middle) {
+      for (unsigned j = std::min(layers - 1, v); j > 0; --j) {
+        entry[j * n] = _mm256_or_si256(entry[j * n], _mm256_and_si256(entry[(j - 1) * n], hit));
+      }
+      *entry = _mm256_or_si256(*entry, hit);
+    } else {
+      __m256i defeated;
+      if constexpr (R == step_role::last_under) {
+        defeated = _mm256_and_si256(entry[(votes - 2) * n], hit);
+      } else {
+        const __m256i again = votes >= 2 ? _mm256_and_si256(entry[(votes - 2) * n], hit) : hit;
+        defeated = _mm256_or_si256(entry[(votes - 1) * n], again);
+      }
+      s.defeated_q =
+          _mm256_add_pd(s.defeated_q, _mm256_and_pd(_mm256_castsi256_pd(defeated), qi));
+      s.any_defeated = _mm256_or_si256(s.any_defeated, defeated);
+    }
   }
-  welford_add4(acc.theta1, o, theta1, step, live_lanes);
-  welford_add4(acc.theta2, o, theta2, step, live_lanes);
-  if (thetas != nullptr) {
-    _mm256_maskstore_pd(thetas->theta1.data() + o, live_lanes, theta1);
-    _mm256_maskstore_pd(thetas->theta2.data() + o, live_lanes, theta2);
+}
+
+/// One channel of the AVX2 pair step on four lanes: its stress draw when
+/// the tables have one, then step_channel4 with the per-lane blend only when
+/// a live lane of the four drew stressed.
+template <step_role R>
+inline void step_draw4(xoshiro4& g, __m256i live_lanes, const xoshiro_lane_tables& tables,
+                       const double* q, std::size_t n, __m256i* hits, unsigned v,
+                       unsigned votes, unsigned layers, step_sums4& s) noexcept {
+  __m256i stressed = _mm256_setzero_si256();
+  if (tables.stress_draw) {
+    stressed = _mm256_and_si256(
+        live_lanes,
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(tables.stress)),
+                           _mm256_srli_epi64(g.next(), 11)));
   }
+  if (_mm256_testz_si256(stressed, stressed)) {
+    step_channel4<R, false>(g, stressed, tables, q, n, hits, v, votes, layers, s);
+  } else {
+    step_channel4<R, true>(g, stressed, tables, q, n, hits, v, votes, layers, s);
+  }
+}
+
+/// xoshiro_pair_step_avx2 on lanes [o, o + 4) of one register, of which those
+/// below `live` keep their streams and record; `hits` is this half's.
+void step_half_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                    std::uint64_t* layer_words, accumulator_lanes& acc, unsigned versions,
+                    unsigned votes, double omega, const double* q, std::size_t n, unsigned o,
+                    unsigned live, const welford_step& step, pair_thetas* thetas) noexcept {
+  // __m256i may alias the words; the layers are 64-byte aligned.
+  auto* hits = static_cast<__m256i*>(static_cast<void*>(layer_words));
+  const __m256i live_lanes = live_lanes4(o, live);
+  xoshiro4 g{load_u64x4(lanes.word[0].data() + o), load_u64x4(lanes.word[1].data() + o),
+             load_u64x4(lanes.word[2].data() + o), load_u64x4(lanes.word[3].data() + o)};
+  step_sums4 s{_mm256_setzero_pd(), _mm256_setzero_pd(), _mm256_setzero_si256(),
+               _mm256_setzero_si256()};
+  const unsigned layers = hit_layers(versions, votes);
+  const unsigned last = versions - 1;
+  std::fill_n(hits + n, (layers - 1) * n, _mm256_setzero_si256());
+  step_draw4<step_role::first>(g, live_lanes, tables, q, n, hits, 0, votes, layers, s);
+  if (last == 0) {
+    s.defeated_q = s.theta1;  // 1of1: the defeated set is channel 0's
+    s.any_defeated = s.any1;
+  } else {
+    for (unsigned v = 1; v < last; ++v) {
+      step_draw4<step_role::middle>(g, live_lanes, tables, q, n, hits, v, votes, layers, s);
+    }
+    if (votes == versions) {
+      step_draw4<step_role::last_under>(g, live_lanes, tables, q, n, hits, last, votes, layers,
+                                        s);
+    } else {
+      step_draw4<step_role::last_over>(g, live_lanes, tables, q, n, hits, last, votes, layers,
+                                       s);
+    }
+  }
+  store_u64x4(lanes.word[0].data() + o, live_lanes, g.s0);
+  store_u64x4(lanes.word[1].data() + o, live_lanes, g.s1);
+  store_u64x4(lanes.word[2].data() + o, live_lanes, g.s2);
+  store_u64x4(lanes.word[3].data() + o, live_lanes, g.s3);
+  record_half4(acc, o, s.theta1, s.defeated_q, nonzero_lanes4(s.any1),
+               nonzero_lanes4(s.any_defeated), omega, step, live, thetas);
 }
 
 // --- lane fold, AVX-512: all eight lanes in one register ---------------------
@@ -402,44 +539,140 @@ RELDIV_AVX512 inline void count8(std::array<std::uint64_t, kXoshiroLanes>& c,
                            _mm512_add_epi64(_mm512_loadu_si512(c.data()), _mm512_set1_epi64(1)));
 }
 
-/// Lane l's words of one mixture channel for the lanes [0, live), AVX-512:
-/// fault i of lane l is present iff its draw < lo[i], or < hi[i] in the
-/// lanes `stressed` selects when kBlend (the shifted tables), or its bit is
-/// set in the word's lo_always / hi_always mask.  Each fault's eight hit
-/// bits are stored as one byte; after each word's faults, lane l's word is
-/// bit l of those bytes, gathered by one vptestmb.
-template <bool kBlend>
-RELDIV_AVX512 inline void mixture_words8(xoshiro8& g, const std::uint64_t* lo,
-                                         const std::uint64_t* hi,
-                                         const std::uint64_t* lo_always,
-                                         const std::uint64_t* hi_always, __mmask8 stressed,
-                                         std::size_t n, std::uint64_t* out,
-                                         unsigned live) noexcept {
-  alignas(64) __mmask8 hits[64] = {};
+/// One pair's record on the lanes `live` selects: the epilogue
+/// fold_pair_lanes_avx512 and xoshiro_pair_step_avx512 share.  Lane l
+/// records θ1 and ω·θD from lane l of theta1 and defeated_q, and bit l of
+/// any1 / any_defeated says whether it holds a fault / a defeated one: what
+/// experiment_accumulator::add records, and θ1 and ω·θD into *thetas when it
+/// is not null.
+RELDIV_AVX512 inline void record_pair8(accumulator_lanes& acc, __m512d theta1,
+                                       __m512d defeated_q, __mmask8 any1,
+                                       __mmask8 any_defeated, double omega,
+                                       const welford_step& step, __mmask8 live,
+                                       pair_thetas* thetas) noexcept {
+  const __m512d theta2 = mul8(_mm512_set1_pd(omega), defeated_q);
+  const __m512d zero = _mm512_setzero_pd();
+  count8(acc.samples, live);
+  count8(acc.n1_positive, static_cast<__mmask8>(any1 & live));
+  if (omega > 0.0) count8(acc.n2_positive, static_cast<__mmask8>(any_defeated & live));
+  count8(acc.n1_zero_pfd, _mm512_mask_cmp_pd_mask(live, theta1, zero, _CMP_EQ_OQ));
+  count8(acc.n2_zero_pfd, _mm512_mask_cmp_pd_mask(live, theta2, zero, _CMP_EQ_OQ));
+  welford_add8(acc.theta1, theta1, step, live);
+  welford_add8(acc.theta2, theta2, step, live);
+  if (thetas != nullptr) {
+    _mm512_mask_storeu_pd(thetas->theta1.data(), live, theta1);
+    _mm512_mask_storeu_pd(thetas->theta2.data(), live, theta2);
+  }
+}
+
+/// OR of the n bytes at p: the lanes any of n hit bytes holds.
+RELDIV_AVX512 inline __mmask8 or_bytes8(const std::uint8_t* p, std::size_t n) noexcept {
+  __m512i acc = _mm512_setzero_si512();
   std::size_t i = 0;
-  for (std::size_t blk = 0; i < n; ++blk) {
-    const auto occupancy = static_cast<unsigned>(n - i < 64 ? n - i : 64);
-    for (unsigned k = 0; k < occupancy; ++k, ++i) {
-      __m512i t = _mm512_set1_epi64(static_cast<long long>(lo[i]));
-      if constexpr (kBlend) {
-        t = _mm512_mask_blend_epi64(stressed, t, _mm512_set1_epi64(static_cast<long long>(hi[i])));
-      }
-      _store_mask8(hits + k, _mm512_cmplt_epu64_mask(g.next(), t));
+  for (; i + 64 <= n; i += 64) acc = _mm512_or_si512(acc, _mm512_loadu_si512(p + i));
+  if (i < n) {
+    acc = _mm512_or_si512(acc, _mm512_maskz_loadu_epi8((__mmask64{1} << (n - i)) - 1, p + i));
+  }
+  std::uint64_t x = or_lanes8(acc);
+  x |= x >> 32;
+  x |= x >> 16;
+  x |= x >> 8;
+  return static_cast<__mmask8>(x);
+}
+
+/// The running sums of an AVX-512 pair step.
+struct step_sums8 {
+  __m512d theta1, defeated_q;
+};
+
+/// Faults [i, i + occupancy) of one channel of the AVX-512 pair step, all of
+/// one word: fault i of lane l is present iff its raw draw < lo[i], or <
+/// hi[i] in the lanes `stressed` selects when kBlend (the shifted tables),
+/// or, when kSat, its bit is set in the word's lo_sat (lanes not stressed) or
+/// hi_sat (stressed lanes).  Layer j of `hits` holds one byte per fault at
+/// j·n.  Channel v plays role R.
+template <step_role R, bool kBlend, bool kSat>
+RELDIV_AVX512 inline void step_word8(xoshiro8& g, const std::uint64_t* lo,
+                                     const std::uint64_t* hi, std::uint64_t lo_sat,
+                                     std::uint64_t hi_sat, __mmask8 stressed, const double* q,
+                                     std::size_t i, unsigned occupancy, std::size_t n,
+                                     std::uint8_t* hits, unsigned v, unsigned votes,
+                                     unsigned layers, step_sums8& s) noexcept {
+  for (unsigned k = 0; k < occupancy; ++k, ++i) {
+    __m512i t = _mm512_set1_epi64(static_cast<long long>(lo[i]));
+    if constexpr (kBlend) t = _mm512_mask_set1_epi64(t, stressed, static_cast<long long>(hi[i]));
+    const __m512i x = g.next();
+    unsigned sat = 0;
+    if constexpr (kSat) {
+      sat = ((0u - static_cast<unsigned>((lo_sat >> k) & 1)) & ~static_cast<unsigned>(stressed)) |
+            ((0u - static_cast<unsigned>((hi_sat >> k) & 1)) & static_cast<unsigned>(stressed));
     }
-    // Bytes past the occupancy hold an earlier word's hits (or zeros): the
-    // test leaves their bits clear.
-    const __m512i bytes = _mm512_load_si512(hits);
-    const __mmask64 valid =
-        occupancy == 64 ? ~__mmask64{0} : (__mmask64{1} << occupancy) - 1;
-    std::uint64_t* row = out + blk * kXoshiroLanes;
-    for (unsigned l = 0; l < live; ++l) {
-      // All-ones in a stressed lane, selected without a branch: which lanes
-      // are stressed is a coin flip per version.
-      const std::uint64_t high = kBlend ? std::uint64_t{0} - ((stressed >> l) & 1u) : 0;
-      const __mmask64 lane_bits = _mm512_mask_test_epi8_mask(
-          valid, bytes, _mm512_set1_epi8(static_cast<char>(1u << l)));
-      row[l] = _cvtmask64_u64(lane_bits) | (lo_always[blk] & ~high) |
-               (kBlend ? hi_always[blk] & high : 0);
+    std::uint8_t* entry = hits + i;
+    if constexpr (R == step_role::last_under) {
+      // Defeated iff drawn here and already in every earlier channel.
+      const __mmask8 under = _load_mask8(entry + (votes - 2) * n);
+      const auto defeated = static_cast<__mmask8>(_mm512_mask_cmplt_epu64_mask(under, x, t) |
+                                                  (sat & under));
+      s.defeated_q =
+          _mm512_mask_add_pd(s.defeated_q, defeated, s.defeated_q, _mm512_set1_pd(q[i]));
+      _store_mask8(entry, defeated);
+      continue;
+    }
+    const auto hit = static_cast<__mmask8>(_mm512_cmplt_epu64_mask(x, t) | sat);
+    if constexpr (R == step_role::first) {
+      s.theta1 = _mm512_mask_add_pd(s.theta1, hit, s.theta1, _mm512_set1_pd(q[i]));
+      _store_mask8(entry, hit);
+    } else if constexpr (R == step_role::middle) {
+      for (unsigned j = std::min(layers - 1, v); j > 0; --j) {
+        entry[j * n] = static_cast<std::uint8_t>(entry[j * n] | (entry[(j - 1) * n] & hit));
+      }
+      entry[0] = static_cast<std::uint8_t>(entry[0] | hit);
+    } else {
+      const unsigned again = votes >= 2 ? entry[(votes - 2) * n] & hit : hit;
+      const auto defeated = static_cast<__mmask8>(entry[(votes - 1) * n] | again);
+      s.defeated_q =
+          _mm512_mask_add_pd(s.defeated_q, defeated, s.defeated_q, _mm512_set1_pd(q[i]));
+      _store_mask8(entry, defeated);
+    }
+  }
+}
+
+/// One channel of the AVX-512 pair step: its stress draw when the tables
+/// have one, then each word through step_word8, blending thresholds only
+/// when a live lane drew stressed and OR-ing in saturated faults only in the
+/// words that hold one for the lanes' tables.
+template <step_role R>
+RELDIV_AVX512 inline void step_draw8(xoshiro8& g, __mmask8 live,
+                                     const xoshiro_lane_tables& tables, const double* q,
+                                     std::size_t n, std::uint8_t* hits, unsigned v,
+                                     unsigned votes, unsigned layers, step_sums8& s) noexcept {
+  __mmask8 stressed = 0;
+  if (tables.stress_draw) {
+    stressed = _mm512_mask_cmplt_epu64_mask(
+        live, srli512<11>(g.next()), _mm512_set1_epi64(static_cast<long long>(tables.stress)));
+  }
+  const std::uint64_t* lo = tables.relaxed_shifted.data();
+  const std::uint64_t* hi = tables.stressed_shifted.data();
+  for (std::size_t blk = 0, i = 0; i < n; ++blk, i += 64) {
+    const auto occupancy = static_cast<unsigned>(n - i < 64 ? n - i : 64);
+    const std::uint64_t lo_sat = tables.relaxed_always[blk];
+    if (stressed == 0) {
+      if (lo_sat == 0) {
+        step_word8<R, false, false>(g, lo, hi, 0, 0, stressed, q, i, occupancy, n, hits, v,
+                                    votes, layers, s);
+      } else {
+        step_word8<R, false, true>(g, lo, hi, lo_sat, 0, stressed, q, i, occupancy, n, hits,
+                                   v, votes, layers, s);
+      }
+      continue;
+    }
+    const std::uint64_t hi_sat = tables.stressed_always[blk];
+    if ((lo_sat | hi_sat) == 0) {
+      step_word8<R, true, false>(g, lo, hi, 0, 0, stressed, q, i, occupancy, n, hits, v, votes,
+                                 layers, s);
+    } else {
+      step_word8<R, true, true>(g, lo, hi, lo_sat, hi_sat, stressed, q, i, occupancy, n, hits,
+                                v, votes, layers, s);
     }
   }
 }
@@ -448,81 +681,68 @@ RELDIV_AVX512 inline void mixture_words8(xoshiro8& g, const std::uint64_t* lo,
 
 bool avx2_compiled() noexcept { return true; }
 
-void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                               std::size_t n, std::uint64_t* out, unsigned live) noexcept {
-  // Lanes 0-3 in g[0], lanes 4-7 in g[1], stepped together so the
-  // independent streams overlap.  Every lane draws; only the first `live`
-  // are stored.
-  constexpr unsigned kRegs = 2;
-  static_assert(kXoshiroLanes == 4 * kRegs, "two AVX2 registers of four 64-bit lanes");
-  const std::uint64_t* stressed = tables.stressed.data();
-  const std::uint64_t* relaxed = tables.relaxed.data();
-  std::array<xoshiro4, kRegs> g;
-  __m256i live_lanes[kRegs];
-  // All-ones in the lanes whose development is stressed.
-  __m256i stressed_lanes[kRegs];
-  for (unsigned r = 0; r < kRegs; ++r) {
-    g[r] = {load_u64x4(lanes.word[0].data() + 4 * r), load_u64x4(lanes.word[1].data() + 4 * r),
-            load_u64x4(lanes.word[2].data() + 4 * r), load_u64x4(lanes.word[3].data() + 4 * r)};
-    live_lanes[r] = live_lanes4(4 * r, live);
-    stressed_lanes[r] = _mm256_cmpgt_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(tables.stress)),
-        _mm256_srli_epi64(g[r].next(), 11));
-  }
-  std::size_t i = 0;
-  for (std::size_t blk = 0; i < n; ++blk) {
-    const std::size_t hi = n - i < 64 ? n : i + 64;
-    __m256i word[kRegs];
-    for (__m256i& w : word) w = _mm256_setzero_si256();
-    __m256i bit = _mm256_set1_epi64x(1);
-    for (; i < hi; ++i) {
-      const __m256i relaxed_t = _mm256_set1_epi64x(static_cast<long long>(relaxed[i]));
-      const __m256i stressed_t = _mm256_set1_epi64x(static_cast<long long>(stressed[i]));
-      for (unsigned r = 0; r < kRegs; ++r) {
-        const __m256i t = _mm256_blendv_epi8(relaxed_t, stressed_t, stressed_lanes[r]);
-        const __m256i hit = _mm256_cmpgt_epi64(t, _mm256_srli_epi64(g[r].next(), 11));
-        word[r] = _mm256_or_si256(word[r], _mm256_and_si256(hit, bit));
-      }
-      bit = _mm256_add_epi64(bit, bit);
-    }
-    for (unsigned r = 0; r < kRegs; ++r) {
-      store_u64x4(out + blk * kXoshiroLanes + 4 * r, live_lanes[r], word[r]);
-    }
-  }
-  for (unsigned r = 0; r < kRegs; ++r) {
-    store_u64x4(lanes.word[0].data() + 4 * r, live_lanes[r], g[r].s0);
-    store_u64x4(lanes.word[1].data() + 4 * r, live_lanes[r], g[r].s1);
-    store_u64x4(lanes.word[2].data() + 4 * r, live_lanes[r], g[r].s2);
-    store_u64x4(lanes.word[3].data() + 4 * r, live_lanes[r], g[r].s3);
+void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                            std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
+                            unsigned votes, double omega, const double* q, std::size_t n,
+                            unsigned live, const welford_step& step,
+                            pair_thetas* thetas) noexcept {
+  // Lanes 0-3, then lanes 4-7 when any of them is live, each four in one
+  // register through every channel: two registers' streams, sums and
+  // thresholds together would not fit the sixteen ymm registers.  Every
+  // lane of a half draws; only those below `live` keep their streams and
+  // record.  Each θ adds q[i] in the lanes holding fault i and +0.0 in the
+  // others (add_word_q4 says why that keeps the bits).
+  static_assert(kXoshiroLanes == 8, "two AVX2 registers of four 64-bit lanes");
+  step_half_avx2(lanes, tables, hits, acc, versions, votes, omega, q, n, 0, live, step, thetas);
+  if (live > 4) {
+    step_half_avx2(lanes, tables, hits, acc, versions, votes, omega, q, n, 4, live, step,
+                   thetas);
   }
 }
 
-RELDIV_AVX512 void sample_mixture_lanes_avx512(xoshiro_lanes& lanes,
-                                               const mixture_lane_tables& tables,
-                                               std::size_t n, std::uint64_t* out,
-                                               unsigned live) noexcept {
+RELDIV_AVX512 void xoshiro_pair_step_avx512(xoshiro_lanes& lanes,
+                                            const xoshiro_lane_tables& tables,
+                                            std::uint64_t* layer_words, accumulator_lanes& acc,
+                                            unsigned versions, unsigned votes, double omega,
+                                            const double* q, std::size_t n, unsigned live,
+                                            const welford_step& step,
+                                            pair_thetas* thetas) noexcept {
+  // All eight lanes in one register.  Channel 0 adds q[i] into θ1 under its
+  // hit byte and stores the byte; the last channel adds it into θD under its
+  // defeated byte and stores that over layer 0.  The lanes holding a fault
+  // (a defeated one) are the OR of those bytes.
   static_assert(kXoshiroLanes == 8, "one xoshiro256++ engine per 64-bit AVX-512 lane");
-  const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
+  auto* hits = static_cast<std::uint8_t*>(static_cast<void*>(layer_words));
+  const auto live_lanes = static_cast<__mmask8>((1u << live) - 1);
   xoshiro8 g{_mm512_loadu_si512(lanes.word[0].data()), _mm512_loadu_si512(lanes.word[1].data()),
              _mm512_loadu_si512(lanes.word[2].data()), _mm512_loadu_si512(lanes.word[3].data())};
-  // Set in the live lanes whose development is stressed.
-  const __mmask8 stressed = _mm512_mask_cmplt_epu64_mask(
-      live_lanes, srli512<11>(g.next()),
-      _mm512_set1_epi64(static_cast<long long>(tables.stress)));
-  // With no live lane stressed (every version of a ρ = 0 cell), the relaxed
-  // table serves them all and the per-fault blend is skipped.
-  if (stressed == 0) {
-    mixture_words8<false>(g, tables.relaxed_shifted.data(), nullptr,
-                          tables.relaxed_always.data(), nullptr, stressed, n, out, live);
+  step_sums8 s{_mm512_setzero_pd(), _mm512_setzero_pd()};
+  const unsigned layers = hit_layers(versions, votes);
+  const unsigned last = versions - 1;
+  std::fill_n(hits + n, (layers - 1) * n, std::uint8_t{0});
+  step_draw8<step_role::first>(g, live_lanes, tables, q, n, hits, 0, votes, layers, s);
+  const __mmask8 any1 = or_bytes8(hits, n);
+  __mmask8 any_defeated = any1;
+  if (last == 0) {
+    s.defeated_q = s.theta1;  // 1of1: the defeated set is channel 0's
   } else {
-    mixture_words8<true>(g, tables.relaxed_shifted.data(), tables.stressed_shifted.data(),
-                         tables.relaxed_always.data(), tables.stressed_always.data(), stressed,
-                         n, out, live);
+    for (unsigned v = 1; v < last; ++v) {
+      step_draw8<step_role::middle>(g, live_lanes, tables, q, n, hits, v, votes, layers, s);
+    }
+    if (votes == versions) {
+      step_draw8<step_role::last_under>(g, live_lanes, tables, q, n, hits, last, votes, layers,
+                                        s);
+    } else {
+      step_draw8<step_role::last_over>(g, live_lanes, tables, q, n, hits, last, votes, layers,
+                                       s);
+    }
+    any_defeated = or_bytes8(hits, n);
   }
   _mm512_mask_storeu_epi64(lanes.word[0].data(), live_lanes, g.s0);
   _mm512_mask_storeu_epi64(lanes.word[1].data(), live_lanes, g.s1);
   _mm512_mask_storeu_epi64(lanes.word[2].data(), live_lanes, g.s2);
   _mm512_mask_storeu_epi64(lanes.word[3].data(), live_lanes, g.s3);
+  record_pair8(acc, s.theta1, s.defeated_q, any1, any_defeated, omega, step, live_lanes, thetas);
 }
 
 void fold_pair_lanes_avx2(accumulator_lanes& acc, const std::uint64_t* block,
@@ -566,21 +786,9 @@ RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const std::uin
     any_defeated = _mm512_or_si512(any_defeated, ge[votes - 1]);
     add_word_q8(theta1, defeated_q, first, ge[votes - 1], q + (b << 6));
   }
-  const __m512d theta2 = mul8(_mm512_set1_pd(omega), defeated_q);
-  const __m512d zero = _mm512_setzero_pd();
-  count8(acc.samples, live_lanes);
-  count8(acc.n1_positive, _mm512_mask_test_epi64_mask(live_lanes, any1, any1));
-  if (omega > 0.0) {
-    count8(acc.n2_positive, _mm512_mask_test_epi64_mask(live_lanes, any_defeated, any_defeated));
-  }
-  count8(acc.n1_zero_pfd, _mm512_mask_cmp_pd_mask(live_lanes, theta1, zero, _CMP_EQ_OQ));
-  count8(acc.n2_zero_pfd, _mm512_mask_cmp_pd_mask(live_lanes, theta2, zero, _CMP_EQ_OQ));
-  welford_add8(acc.theta1, theta1, step, live_lanes);
-  welford_add8(acc.theta2, theta2, step, live_lanes);
-  if (thetas != nullptr) {
-    _mm512_mask_storeu_pd(thetas->theta1.data(), live_lanes, theta1);
-    _mm512_mask_storeu_pd(thetas->theta2.data(), live_lanes, theta2);
-  }
+  record_pair8(acc, theta1, defeated_q, _mm512_test_epi64_mask(any1, any1),
+               _mm512_test_epi64_mask(any_defeated, any_defeated), omega, step, live_lanes,
+               thetas);
 }
 
 void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
@@ -783,15 +991,23 @@ void sample_pair_counter_lanes_avx512(const counter_sample_plan& plan,
   sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, a, b, live);
 }
 
-void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                               std::size_t n, std::uint64_t* out, unsigned live) noexcept {
+void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                            std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
+                            unsigned votes, double omega, const double* q, std::size_t n,
+                            unsigned live, const welford_step& step,
+                            pair_thetas* thetas) noexcept {
   // Unreachable through dispatch, like the counter fallbacks above.
-  sample_mixture_lanes_scalar(lanes, tables, n, out, live);
+  xoshiro_pair_step_scalar(lanes, tables, hits, acc, versions, votes, omega, q, n, live, step,
+                           thetas);
 }
 
-void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                                 std::size_t n, std::uint64_t* out, unsigned live) noexcept {
-  sample_mixture_lanes_scalar(lanes, tables, n, out, live);
+void xoshiro_pair_step_avx512(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                              std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
+                              unsigned votes, double omega, const double* q, std::size_t n,
+                              unsigned live, const welford_step& step,
+                              pair_thetas* thetas) noexcept {
+  xoshiro_pair_step_scalar(lanes, tables, hits, acc, versions, votes, omega, q, n, live, step,
+                           thetas);
 }
 
 void fold_pair_lanes_avx2(accumulator_lanes& acc, const std::uint64_t* block,

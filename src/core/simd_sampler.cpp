@@ -1,5 +1,5 @@
-// SIMD dispatch, fast-simd plan construction, the lane_block and mixture
-// table helpers, and the scalar level of all three kernel families.  The
+// SIMD dispatch, fast-simd plan construction, the lane_block and xoshiro
+// lane table helpers, and the scalar level of all three kernel families.  The
 // AVX2 and AVX-512 levels live in simd_sampler.avx2.cpp (the one TU compiled
 // with -mavx2, its AVX-512 functions under a function-level target
 // attribute); this TU stays portable and decides at runtime which one runs.
@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <memory>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -281,91 +283,51 @@ void sample_pair_counter_batch(const counter_sample_plan& plan,
   }
 }
 
-mixture_lane_tables make_mixture_lane_tables(std::uint64_t stress,
+namespace {
+
+constexpr std::uint64_t kSaturated = std::uint64_t{1} << kBernoulliBits;
+
+/// to := from << 11 (0 at t = 2^53) and the faults whose t = 2^53 set in
+/// `always`, one word per 64 faults.
+void shift_thresholds(const std::vector<std::uint64_t>& from, std::vector<std::uint64_t>& to,
+                      std::vector<std::uint64_t>& always, const char* caller) {
+  const std::size_t n = from.size();
+  to.reserve(n);
+  always.assign(fault_mask::words_needed(n), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (from[i] > kSaturated) {
+      throw std::invalid_argument(std::string(caller) + ": threshold above 2^53");
+    }
+    // (r >> 11) < t  <=>  r < t << 11 for t < 2^53; t = 2^53 always passes.
+    to.push_back(from[i] == kSaturated ? 0 : from[i] << (64 - kBernoulliBits));
+    always[i >> 6] |= static_cast<std::uint64_t>(from[i] == kSaturated) << (i & 63);
+  }
+}
+
+}  // namespace
+
+xoshiro_lane_tables make_mixture_lane_tables(std::uint64_t stress,
                                              std::vector<std::uint64_t> stressed,
                                              std::vector<std::uint64_t> relaxed) {
   if (stressed.size() != relaxed.size()) {
     throw std::invalid_argument(
         "make_mixture_lane_tables: stressed and relaxed thresholds differ in length");
   }
-  constexpr std::uint64_t kSaturated = std::uint64_t{1} << kBernoulliBits;
-  const std::size_t n = stressed.size();
-  mixture_lane_tables t;
+  xoshiro_lane_tables t;
+  t.stress_draw = true;
   t.stress = stress;
-  t.stressed_always.assign(fault_mask::words_needed(n), 0);
-  t.relaxed_always.assign(fault_mask::words_needed(n), 0);
-  const auto shift = [&](const std::vector<std::uint64_t>& from, std::vector<std::uint64_t>& to,
-                         std::vector<std::uint64_t>& always) {
-    to.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (from[i] > kSaturated) {
-        throw std::invalid_argument("make_mixture_lane_tables: threshold above 2^53");
-      }
-      // (r >> 11) < t  <=>  r < t << 11 for t < 2^53; t = 2^53 always passes.
-      to.push_back(from[i] == kSaturated ? 0 : from[i] << (64 - kBernoulliBits));
-      always[i >> 6] |= static_cast<std::uint64_t>(from[i] == kSaturated) << (i & 63);
-    }
-  };
-  shift(stressed, t.stressed_shifted, t.stressed_always);
-  shift(relaxed, t.relaxed_shifted, t.relaxed_always);
+  shift_thresholds(stressed, t.stressed_shifted, t.stressed_always, "make_mixture_lane_tables");
+  shift_thresholds(relaxed, t.relaxed_shifted, t.relaxed_always, "make_mixture_lane_tables");
   t.stressed = std::move(stressed);
   t.relaxed = std::move(relaxed);
   return t;
 }
 
-namespace detail {
-
-void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                                 std::size_t n, std::uint64_t* out, unsigned live) noexcept {
-  // Each live lane in turn, word by word exactly as
-  // mc::sample_mask_from_thresholds fills a mask.
-  for (unsigned l = 0; l < live; ++l) {
-    stats::rng r = lanes.lane(l);
-    const std::uint64_t* t =
-        (r() >> 11) < tables.stress ? tables.stressed.data() : tables.relaxed.data();
-    std::size_t i = 0;
-    for (std::size_t blk = 0; i < n; ++blk) {
-      const std::size_t hi = std::min<std::size_t>(n, i + 64);
-      std::uint64_t w = 0;
-      for (unsigned k = 0; i < hi; ++i, ++k) {
-        w |= static_cast<std::uint64_t>((r() >> 11) < t[i]) << k;
-      }
-      out[blk * kXoshiroLanes + l] = w;
-    }
-    lanes.set_lane(l, r);
-  }
-}
-
-}  // namespace detail
-
-void sample_mixture_lanes(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                          lane_block& block, unsigned channel, unsigned live,
-                          simd_level level) {
-  const std::size_t n = tables.stressed.size();
-  const std::size_t words = fault_mask::words_needed(n);
-  if (tables.relaxed.size() != n || tables.stressed_shifted.size() != n ||
-      tables.relaxed_shifted.size() != n || tables.stressed_always.size() != words ||
-      tables.relaxed_always.size() != words) {
-    throw std::invalid_argument("sample_mixture_lanes: inconsistent threshold tables");
-  }
-  if (n != block.bit_size()) {
-    throw std::out_of_range("sample_mixture_lanes: tables and block differ in size");
-  }
-  if (channel >= block.versions() || live > kXoshiroLanes) {
-    throw std::invalid_argument("sample_mixture_lanes: channel or live lanes out of range");
-  }
-  std::uint64_t* out = block.row(channel, 0);
-  switch (level) {
-    case simd_level::avx512:
-      detail::sample_mixture_lanes_avx512(lanes, tables, n, out, live);
-      return;
-    case simd_level::avx2:
-      detail::sample_mixture_lanes_avx2(lanes, tables, n, out, live);
-      return;
-    case simd_level::scalar:
-      break;
-  }
-  detail::sample_mixture_lanes_scalar(lanes, tables, n, out, live);
+xoshiro_lane_tables make_threshold_lane_tables(std::span<const std::uint64_t> thresholds) {
+  xoshiro_lane_tables t;
+  t.relaxed.assign(thresholds.begin(), thresholds.end());
+  shift_thresholds(t.relaxed, t.relaxed_shifted, t.relaxed_always, "make_threshold_lane_tables");
+  return t;
 }
 
 namespace detail {
@@ -400,6 +362,29 @@ void welford_add(moments_lanes& m, unsigned l, double x, const welford_step& s) 
   m.m2[l] += term1;
 }
 
+/// Lane l's record of one pair, the epilogue the fold and the pair step
+/// share: what experiment_accumulator::add(θ1, ω·θD, any1, any_defeated && ω
+/// > 0) records, and θ1 and ω·θD into *thetas when it is not null.
+void record_pair(accumulator_lanes& acc, unsigned l, double theta1, double defeated_q,
+                 bool any1, bool any_defeated, double omega, const welford_step& step,
+                 pair_thetas* thetas) noexcept {
+  // §6.2 axis: only the shared fraction ω of each region produces
+  // coincident failures; ω = 0 pairs can share faults but never a failure
+  // point.
+  const double theta2 = omega * defeated_q;
+  ++acc.samples[l];
+  acc.n1_positive[l] += any1 ? 1 : 0;
+  acc.n2_positive[l] += any_defeated && omega > 0.0 ? 1 : 0;
+  acc.n1_zero_pfd[l] += theta1 == 0.0 ? 1 : 0;
+  acc.n2_zero_pfd[l] += theta2 == 0.0 ? 1 : 0;
+  welford_add(acc.theta1, l, theta1, step);
+  welford_add(acc.theta2, l, theta2, step);
+  if (thetas != nullptr) {
+    thetas->theta1[l] = theta1;
+    thetas->theta2[l] = theta2;
+  }
+}
+
 }  // namespace
 
 void fold_pair_lanes_scalar(accumulator_lanes& acc, const std::uint64_t* block,
@@ -428,58 +413,130 @@ void fold_pair_lanes_scalar(accumulator_lanes& acc, const std::uint64_t* block,
         for (unsigned j = votes - 1; j > 0; --j) ge[j] |= ge[j - 1] & m;
         ge[0] |= m;
       }
-    any1 |= first;
+      any1 |= first;
       theta1 = add_word_q(theta1, first, q + (b << 6));
       any_defeated |= ge[votes - 1];
       defeated_q = add_word_q(defeated_q, ge[votes - 1], q + (b << 6));
     }
-    // §6.2 axis: only the shared fraction ω of each region produces
-    // coincident failures; ω = 0 pairs can share faults but never a failure
-    // point.
-    const double theta2 = omega * defeated_q;
-    ++acc.samples[l];
-    acc.n1_positive[l] += any1 != 0 ? 1 : 0;
-    acc.n2_positive[l] += any_defeated != 0 && omega > 0.0 ? 1 : 0;
-    acc.n1_zero_pfd[l] += theta1 == 0.0 ? 1 : 0;
-    acc.n2_zero_pfd[l] += theta2 == 0.0 ? 1 : 0;
-    welford_add(acc.theta1, l, theta1, step);
-    welford_add(acc.theta2, l, theta2, step);
-    if (thetas != nullptr) {
-      thetas->theta1[l] = theta1;
-      thetas->theta2[l] = theta2;
+    record_pair(acc, l, theta1, defeated_q, any1 != 0, any_defeated != 0, omega, step, thetas);
+  }
+}
+
+void xoshiro_pair_step_scalar(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                              std::uint64_t* ge, accumulator_lanes& acc, unsigned versions,
+                              unsigned votes, double omega, const double* q, std::size_t n,
+                              unsigned live, const welford_step& step,
+                              pair_thetas* thetas) noexcept {
+  // Each live lane in turn: its channels drawn in order, each word by word
+  // as mc::sample_mask_from_thresholds draws it, then folded as
+  // fold_pair_lanes_scalar folds a block column, θ1 and θD side by side over
+  // each word.  Layer j (word b at ge[j·W + b]) holds the faults this lane
+  // drew in >= j+1 of the channels before the last, updated from the top
+  // down as the fold updates its ge[j]; a fault of the last channel is
+  // defeated when it was already in `votes` of them, or in votes - 1 and
+  // drawn again, and the defeated words are stored over layer 0.  Channel
+  // 0's words are kept in the row after the layers.
+  const std::size_t nw = fault_mask::words_needed(n);
+  const unsigned layers = hit_layers(versions, votes);
+  const unsigned last = versions - 1;
+  std::uint64_t* first = ge + layers * nw;
+  for (unsigned l = 0; l < live; ++l) {
+    stats::rng r = lanes.lane(l);
+    // Channel v's words in order, each handed to consume(b, word).
+    const auto draw_channel = [&](const auto& consume) {
+      const std::uint64_t* t = tables.stress_draw && (r() >> 11) < tables.stress
+                                   ? tables.stressed.data()
+                                   : tables.relaxed.data();
+      for (std::size_t b = 0, i = 0; b < nw; ++b) {
+        const std::size_t hi = std::min<std::size_t>(n, i + 64);
+        std::uint64_t w = 0;
+        // A running bit, not a shift by the fault index: the loop is bound by
+        // its instruction count.
+        for (std::uint64_t bit = 1; i < hi; ++i, bit <<= 1) {
+          w |= bit & (std::uint64_t{0} - static_cast<std::uint64_t>((r() >> 11) < t[i]));
+        }
+        consume(b, w);
+      }
+    };
+    draw_channel([&](std::size_t b, std::uint64_t w) {
+      first[b] = w;
+      ge[b] = w;
+      for (unsigned j = 1; j < layers; ++j) ge[j * nw + b] = 0;
+    });
+    for (unsigned v = 1; v < last; ++v) {
+      draw_channel([&](std::size_t b, std::uint64_t w) {
+        for (unsigned j = std::min(layers - 1, v); j > 0; --j) {
+          ge[j * nw + b] |= ge[(j - 1) * nw + b] & w;
+        }
+        ge[b] |= w;
+      });
     }
+    if (last > 0) {
+      draw_channel([&](std::size_t b, std::uint64_t w) {
+        const std::uint64_t held = votes < versions ? ge[(votes - 1) * nw + b] : 0;
+        const std::uint64_t again = votes >= 2 ? ge[(votes - 2) * nw + b] & w : w;
+        ge[b] = held | again;
+      });
+    }
+    // 1of1: the defeated set is channel 0's.
+    const std::uint64_t* defeated = last > 0 ? ge : first;
+    double theta1 = 0.0;
+    double defeated_q = 0.0;
+    std::uint64_t any1 = 0;
+    std::uint64_t any_defeated = 0;
+    for (std::size_t b = 0; b < nw; ++b) {
+      any1 |= first[b];
+      theta1 = add_word_q(theta1, first[b], q + (b << 6));
+      any_defeated |= defeated[b];
+      defeated_q = add_word_q(defeated_q, defeated[b], q + (b << 6));
+    }
+    lanes.set_lane(l, r);
+    record_pair(acc, l, theta1, defeated_q, any1 != 0, any_defeated != 0, omega, step, thetas);
   }
 }
 
 }  // namespace detail
 
-void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned votes,
-                     double omega, std::span<const double> q, unsigned live,
-                     simd_level level, pair_thetas* thetas) {
-  const unsigned versions = block.versions();
+namespace {
+
+/// The shape checks fold_pair_lanes and xoshiro_pair_step_lanes share, and
+/// the factors of running_moments::add, in its own expression order, for the
+/// step the live lanes take.
+detail::welford_step check_pair_step(const accumulator_lanes& acc, unsigned versions,
+                                     unsigned votes, unsigned live, const char* caller) {
   if (votes == 0 || votes > versions || versions > kMaxFoldVersions) {
-    throw std::invalid_argument(
-        "fold_pair_lanes: needs 1 <= votes <= versions <= kMaxFoldVersions");
+    throw std::invalid_argument(std::string(caller) +
+                                ": needs 1 <= votes <= versions <= kMaxFoldVersions");
   }
   if (live > kXoshiroLanes) {
-    throw std::invalid_argument("fold_pair_lanes: more live lanes than lanes");
-  }
-  if (block.bit_size() != q.size()) {
-    throw std::invalid_argument("fold_pair_lanes: block and q sizes differ");
+    throw std::invalid_argument(std::string(caller) + ": more live lanes than lanes");
   }
   for (unsigned l = 1; l < live; ++l) {
     if (acc.samples[l] != acc.samples[0]) {
-      throw std::invalid_argument("fold_pair_lanes: live lanes hold different sample counts");
+      throw std::invalid_argument(std::string(caller) +
+                                  ": live lanes hold different sample counts");
     }
   }
-  if (live == 0) return;
-  // The factors of running_moments::add, in its own expression order.
   detail::welford_step step;
   step.first = acc.samples[0] == 0;
   step.n0 = static_cast<double>(acc.samples[0]);
   step.n = static_cast<double>(acc.samples[0] + 1);
   step.quartic = step.n * step.n - 3.0 * step.n + 3.0;
   step.cubic = step.n - 2.0;
+  return step;
+}
+
+}  // namespace
+
+void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned votes,
+                     double omega, std::span<const double> q, unsigned live,
+                     simd_level level, pair_thetas* thetas) {
+  const unsigned versions = block.versions();
+  const detail::welford_step step = check_pair_step(acc, versions, votes, live, "fold_pair_lanes");
+  if (block.bit_size() != q.size()) {
+    throw std::invalid_argument("fold_pair_lanes: block and q sizes differ");
+  }
+  if (live == 0) return;
   switch (level) {
     case simd_level::avx512:
       detail::fold_pair_lanes_avx512(acc, block.row(0, 0), versions, votes, omega, q.data(),
@@ -494,6 +551,50 @@ void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned v
   }
   detail::fold_pair_lanes_scalar(acc, block.row(0, 0), versions, votes, omega, q.data(),
                                  q.size(), live, step, thetas);
+}
+
+void xoshiro_pair_step_lanes(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                             std::vector<std::uint64_t>& hits, accumulator_lanes& acc,
+                             unsigned versions, unsigned votes, double omega,
+                             std::span<const double> q, unsigned live, simd_level level,
+                             pair_thetas* thetas) {
+  const std::size_t n = tables.relaxed.size();
+  const std::size_t words = fault_mask::words_needed(n);
+  const std::size_t stressed = tables.stress_draw ? n : 0;
+  if (tables.relaxed_shifted.size() != n || tables.relaxed_always.size() != words ||
+      tables.stressed.size() != stressed || tables.stressed_shifted.size() != stressed ||
+      tables.stressed_always.size() != (tables.stress_draw ? words : 0)) {
+    throw std::invalid_argument("xoshiro_pair_step_lanes: inconsistent threshold tables");
+  }
+  if (n != q.size()) {
+    throw std::out_of_range("xoshiro_pair_step_lanes: tables and q differ in size");
+  }
+  const detail::welford_step step =
+      check_pair_step(acc, versions, votes, live, "xoshiro_pair_step_lanes");
+  if (live == 0) return;
+  // One 64-byte aligned run of layers, so a layer entry never straddles a
+  // cache line.
+  constexpr std::size_t kAlign = 64;
+  const std::size_t bytes = detail::hit_bytes(versions, votes, n, level);
+  std::size_t space = (bytes + kAlign + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t);
+  if (hits.size() < space) hits.resize(space);
+  space = hits.size() * sizeof(std::uint64_t);
+  void* base = hits.data();
+  std::uint64_t* layers = static_cast<std::uint64_t*>(std::align(kAlign, bytes, base, space));
+  switch (level) {
+    case simd_level::avx512:
+      detail::xoshiro_pair_step_avx512(lanes, tables, layers, acc, versions, votes, omega,
+                                       q.data(), n, live, step, thetas);
+      return;
+    case simd_level::avx2:
+      detail::xoshiro_pair_step_avx2(lanes, tables, layers, acc, versions, votes, omega,
+                                     q.data(), n, live, step, thetas);
+      return;
+    case simd_level::scalar:
+      break;
+  }
+  detail::xoshiro_pair_step_scalar(lanes, tables, layers, acc, versions, votes, omega, q.data(),
+                                   n, live, step, thetas);
 }
 
 }  // namespace reldiv::core

@@ -7,26 +7,33 @@
 //     drawing each lane decision-for-decision as the scalar reference draws
 //     it on that lane's key (sample_pair_counter_lanes; the batch API below
 //     lays eight consecutive pairs of one stream across the lanes);
-//   * the xoshiro256++ lane kernel: eight stats::rng streams advanced in
-//     lockstep, drawing common-cause-mixture versions decision-for-decision
-//     as the scalar sampler draws them on each stream (sample_mixture_lanes);
 //   * the lane fold: one pair step of eight shards' channel masks folded
 //     into eight structure-of-arrays pair accumulators — θ1, the defeated
 //     set's θ2, the counters and the Welford moments — with the IEEE
 //     operations of the scalar per-shard fold in the same order
-//     (fold_pair_lanes, at the end of this header).
+//     (fold_pair_lanes);
+//   * the xoshiro pair step: eight stats::rng streams advanced in lockstep
+//     through one pair step, drawing every channel decision-for-decision as
+//     the scalar samplers draw it on each stream — a common-cause mixture's
+//     versions or, with no stress draw, a universe's — and, at the vector
+//     levels, summing θ1 and θ2 as it draws, then recording the pair as the
+//     fold does (xoshiro_pair_step_lanes, at the end of this header).
 //
-// The kernels meet in one lane-major block of channel masks (lane_block):
-// word b of channel v of lane l sits at (v·W + b)·8 + l, W the mask's word
-// count, 64-byte aligned.  Each mask word of all eight lanes is therefore one
-// AVX-512 register (two AVX2 registers): the draw kernels store a word of
-// every lane with one masked store, and the fold loads it with one masked
-// load, with no per-lane scatter or gather between them.  The AVX-512
-// mixture kernel fills a row from one hit byte per fault (bit l: lane l's
-// decision), transposing 64 bytes into the eight lane words with one
-// vptestmb per lane; it compares raw draws against thresholds shifted left
-// by 11, and takes the faults whose threshold is 2^53, which that operand
-// cannot hold, from per-word saturated masks (mixture_lane_tables).
+// The counter kernel and the fold meet in one lane-major block of channel
+// masks (lane_block): word b of channel v of lane l sits at (v·W + b)·8 + l,
+// W the mask's word count, 64-byte aligned.  Each mask word of all eight
+// lanes is therefore one AVX-512 register (two AVX2 registers): the counter
+// kernel stores a word of every lane with one masked store, and the fold
+// loads it with one masked load, with no per-lane scatter or gather between
+// them.  The xoshiro pair step needs no block: its vector levels add each
+// fault's q into θ1 under the lanes that drew it while drawing channel 0,
+// keep the hits of the channels before the last per fault, and add into θ2
+// under the defeated lanes while drawing the last.  Its AVX-512 level
+// compares raw draws against thresholds shifted left by 11, and takes the
+// faults whose threshold is 2^53, which that operand cannot hold, from
+// per-word saturated masks (xoshiro_lane_tables).  The fold and the step
+// share one epilogue per level: the counters, the zero tests, ω·θD and the
+// two Welford steps.
 //
 // This TU family (src/core/simd_sampler.*) is the ONLY place in the repo
 // allowed to touch <immintrin.h> — enforced by the reldiv_lint
@@ -100,7 +107,7 @@ void set_simd_level_cap(simd_level cap) noexcept;
 void clear_simd_level_cap() noexcept;
 
 /// Shard streams per kernel call, one per 64-bit lane of an AVX-512 register
-/// (two AVX2 registers): the counter kernel, the xoshiro lane kernel and the
+/// (two AVX2 registers): the counter kernel, the xoshiro pair step and the
 /// lane fold all work on this many shards at once.
 inline constexpr unsigned kXoshiroLanes = 8;
 
@@ -234,7 +241,7 @@ void sample_pair_counter_batch(const counter_sample_plan& plan,
                                simd_level level);
 
 // ---------------------------------------------------------------------------
-// xoshiro256++ lane kernel
+// xoshiro256++ lanes and their threshold tables
 // ---------------------------------------------------------------------------
 
 /// kXoshiroLanes stats::rng states, structure-of-arrays: word[j][l] is state
@@ -252,15 +259,19 @@ struct xoshiro_lanes {
   }
 };
 
-/// The threshold tables of a common-cause mixture in the forms the lane
-/// kernel reads, built once per sampler (make_mixture_lane_tables).  The
-/// 53-bit tables decide a fault as (r() >> 11) < t, which the scalar and AVX2
-/// levels compare.  The AVX-512 level compares the raw draw against t << 11
-/// instead, the same decision for t < 2^53; a threshold of exactly 2^53 (p =
-/// 1, or a stressed p capped at 1) does not fit that operand, so its shifted
-/// entry is 0, which never passes, and its fault is set from the per-word
-/// *_always masks, as counter_word_plan::saturated does for paired32 words.
-struct mixture_lane_tables {
+/// The threshold tables of the xoshiro pair step, built once per sampler or
+/// run: a common-cause mixture's (make_mixture_lane_tables), whose versions
+/// open with a stress draw, or a universe's own (make_threshold_lane_tables),
+/// whose versions do not.  The 53-bit tables decide a fault as (r() >> 11) <
+/// t, which the scalar and AVX2 levels compare.  The AVX-512 level compares
+/// the raw draw against t << 11 instead, the same decision for t < 2^53; a
+/// threshold of exactly 2^53 (p = 1, or a stressed p capped at 1) does not
+/// fit that operand, so its shifted entry is 0, which never passes, and its
+/// fault is set from the per-word *_always masks, as
+/// counter_word_plan::saturated does for paired32 words.  Without a stress
+/// draw the stressed tables are empty.
+struct xoshiro_lane_tables {
+  bool stress_draw = false;  ///< every version opens with a stress draw
   std::uint64_t stress = 0;  ///< the stress draw's 53-bit threshold, bernoulli_threshold(rho)
   std::vector<std::uint64_t> stressed, relaxed;  ///< 53-bit thresholds per fault
   std::vector<std::uint64_t> stressed_shifted, relaxed_shifted;  ///< t << 11, 0 at t = 2^53
@@ -271,28 +282,15 @@ struct mixture_lane_tables {
 /// and whose faults have the 53-bit thresholds `stressed` and `relaxed`.
 /// Throws std::invalid_argument when the two differ in length or a threshold
 /// exceeds 2^53.
-[[nodiscard]] mixture_lane_tables make_mixture_lane_tables(std::uint64_t stress,
+[[nodiscard]] xoshiro_lane_tables make_mixture_lane_tables(std::uint64_t stress,
                                                            std::vector<std::uint64_t> stressed,
                                                            std::vector<std::uint64_t> relaxed);
 
-/// One common-cause-mixture version on each of the first `live` lanes,
-/// written to channel `channel` of `block`.  Lane l < live makes the
-/// decisions mc::common_cause_mixture::sample_mask makes on lanes.lane(l):
-/// one stress draw, stressed iff (r() >> 11) < tables.stress, then one draw
-/// per fault i in index order, bit i of lane l's mask set iff (r() >> 11) <
-/// stressed[i] when stressed, relaxed[i] otherwise.  Lanes l >= live are
-/// neither drawn nor advanced, and their words are not written.  The AVX-512
-/// level stores each fault's eight hit bits as one byte and transposes 64
-/// such bytes into the eight lanes' words; when no live lane is stressed it
-/// compares against the relaxed table with no per-lane blend.  `level` must
-/// not exceed detected_simd_level(); pass active_simd_level().  Throws
-/// std::out_of_range when the tables hold another number of faults than the
-/// block's bit_size() (a sampler built over another universe), and
-/// std::invalid_argument when the tables are inconsistent, channel >=
-/// block.versions() or live > kXoshiroLanes.
-void sample_mixture_lanes(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                          lane_block& block, unsigned channel, unsigned live,
-                          simd_level level);
+/// The tables of versions drawn with no stress draw against the 53-bit
+/// `thresholds` (a universe's bernoulli_thresholds(): the `exact` engine's
+/// draw).  Throws std::invalid_argument when a threshold exceeds 2^53.
+[[nodiscard]] xoshiro_lane_tables make_threshold_lane_tables(
+    std::span<const std::uint64_t> thresholds);
 
 // ---------------------------------------------------------------------------
 // Lane fold
@@ -354,5 +352,39 @@ struct pair_thetas {
 void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned votes,
                      double omega, std::span<const double> q, unsigned live,
                      simd_level level, pair_thetas* thetas = nullptr);
+
+// ---------------------------------------------------------------------------
+// xoshiro pair step
+// ---------------------------------------------------------------------------
+
+/// One pair step of `versions` channels on each of the first `live` lanes,
+/// drawn and recorded in one pass.  Lane l draws its channels in order from
+/// lanes.lane(l), each as the scalar samplers draw a version: with
+/// tables.stress_draw, one stress draw, stressed iff (r() >> 11) <
+/// tables.stress, then one draw per fault i in index order, fault i present
+/// iff (r() >> 11) < stressed[i] when stressed and relaxed[i] otherwise
+/// (mc::common_cause_mixture::sample_mask); without it, the fault draws
+/// against relaxed[i] alone (mc::sample_mask_from_thresholds).  Lane l then
+/// records what fold_pair_lanes records for those channels, bit for bit, and
+/// its stream ends where those scalar draws leave it.  At the vector levels
+/// θ1 is summed while channel 0 is drawn and θD while the last channel is
+/// drawn, each one masked add per fault in ascending order; the channels
+/// before the last keep their hits per fault in `hits` (resized as needed),
+/// layered as the fold layers words, so no lane_block sits between the draw
+/// and the sums.  The scalar level draws a lane's channels into `hits` and
+/// then folds them as the scalar fold does.  Lanes l >=
+/// live keep their streams and accumulators.  When `thetas` is not null, lane
+/// l < live of it receives the θ1 and ω·θD just recorded.  `level` must not
+/// exceed detected_simd_level(); pass active_simd_level().  Throws
+/// std::out_of_range when the tables hold another number of faults than q (a
+/// sampler built over another universe), and std::invalid_argument when the
+/// tables are inconsistent or on the shapes fold_pair_lanes refuses: unless 1
+/// <= votes <= versions <= kMaxFoldVersions and live <= kXoshiroLanes, or when
+/// a live lane's sample count differs from lane 0's.
+void xoshiro_pair_step_lanes(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                             std::vector<std::uint64_t>& hits, accumulator_lanes& acc,
+                             unsigned versions, unsigned votes, double omega,
+                             std::span<const double> q, unsigned live, simd_level level,
+                             pair_thetas* thetas = nullptr);
 
 }  // namespace reldiv::core

@@ -4,41 +4,37 @@
 // simd_sampler.avx2.cpp (the only TU allowed intrinsics: the AVX2 levels
 // and, under a function-level AVX-512 target, the AVX-512 levels).
 //
-// Every kernel reads or writes the raw words of a core::lane_block: channel
-// v's word b of lane l at block[(v·W + b)·kXoshiroLanes + l], every row of
-// kXoshiroLanes words 64-byte aligned.  A draw kernel writes only the lanes
-// below `live` of the rows it draws, and the fold reads only those lanes.
-// The mixture kernels take the sampler's core::mixture_lane_tables: the
-// scalar and AVX2 levels compare (draw >> 11) against its 53-bit tables, the
-// AVX-512 level the raw draw against the shifted tables, OR-ing in the
-// per-word saturated masks, and it collects one hit byte per fault that it
-// transposes into lane words once per 64 faults.
+// The counter kernel and the fold read or write the raw words of a
+// core::lane_block: channel v's word b of lane l at block[(v·W + b)·
+// kXoshiroLanes + l], every row of kXoshiroLanes words 64-byte aligned.  The
+// counter kernel writes only the lanes below `live` of the rows it draws, and
+// the fold reads only those lanes.  The xoshiro pair step takes the
+// core::xoshiro_lane_tables: the scalar and AVX2 levels compare (draw >> 11)
+// against its 53-bit tables, the AVX-512 level the raw draw against the
+// shifted tables, OR-ing in the per-word saturated masks.  It keeps the hits
+// of the channels before the last in `hits` (hit_bytes()): one byte per
+// fault at AVX-512 (bit l: lane l's hit), four lanes' masks per fault at
+// AVX2, and one lane's words at the scalar level, which draws a lane's
+// channels word by word as the scalar reference does and then folds them as
+// the scalar fold does.
 //
 // Every family has one kernel per level and no shared template: the scalar
 // level walks the live lanes one after another, the AVX2 level runs all eight
 // lanes in two registers of four and the AVX-512 level in one register,
-// storing or loading a row at a time under the live-lane mask.  The
-// level-invariant pieces are the inline helpers below (the counter kernel's
-// zero, one and slice words) and the portable wrappers in simd_sampler.cpp
-// (the argument checks and the Welford factors).
+// storing or loading a row at a time under the live-lane mask.  The fold and
+// the pair step share one epilogue per level (the record_pair* helpers).
+// The level-invariant pieces are the inline helpers below (the counter
+// kernel's zero, one and slice words, the pair step's layer count) and the
+// portable wrappers in simd_sampler.cpp (the argument checks and the Welford
+// factors).
 
+#include <algorithm>
 #include <bit>
 
 #include "core/simd_sampler.hpp"
 #include "stats/counter_rng.hpp"
 
 namespace reldiv::core::detail {
-
-/// Raw-word form of core::sample_mixture_lanes: `tables` holds n faults
-/// (checked), and `out` points at channel 0's rows of fault_mask::
-/// words_needed(n) words; live <= kXoshiroLanes.  Defined in
-/// simd_sampler.cpp (scalar) and simd_sampler.avx2.cpp (AVX2, AVX-512).
-void sample_mixture_lanes_scalar(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                                 std::size_t n, std::uint64_t* out, unsigned live) noexcept;
-void sample_mixture_lanes_avx2(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                               std::size_t n, std::uint64_t* out, unsigned live) noexcept;
-void sample_mixture_lanes_avx512(xoshiro_lanes& lanes, const mixture_lane_tables& tables,
-                                 std::size_t n, std::uint64_t* out, unsigned live) noexcept;
 
 /// The lane-invariant factors of one stats::running_moments::add step, for
 /// live lanes that all hold `before` samples.  core::fold_pair_lanes computes
@@ -71,6 +67,58 @@ void fold_pair_lanes_avx512(accumulator_lanes& acc, const std::uint64_t* block,
                             unsigned versions, unsigned votes, double omega,
                             const double* q, std::size_t n, unsigned live,
                             const welford_step& step, pair_thetas* thetas) noexcept;
+
+/// Layers of hits the pair step keeps for the channels before the last:
+/// layer j holds the faults seen in >= j + 1 of them, and only layers below
+/// min(votes, versions - 1) can be non-empty when the last channel is drawn.
+/// At least one: channel 0 always stores its hits in layer 0, and the
+/// AVX-512 level stores the defeated set there too, for the OR that finds
+/// the lanes holding any.
+inline unsigned hit_layers(unsigned versions, unsigned votes) noexcept {
+  return std::max(1u, std::min(votes, versions - 1));
+}
+
+/// Bytes of the pair step's hits for n faults at `level`: hit_layers()
+/// layers of one byte per fault at AVX-512 (bit l: lane l's hit) and of four
+/// lanes' 64-bit masks per fault at AVX2, whose two halves run one after the
+/// other over the same layers; at the scalar level, one lane's words, in
+/// hit_layers() layers and one more row that keeps channel 0's words.
+inline std::size_t hit_bytes(unsigned versions, unsigned votes, std::size_t n,
+                             simd_level level) noexcept {
+  const std::size_t layers = hit_layers(versions, votes);
+  switch (level) {
+    case simd_level::avx512:
+      return layers * n;
+    case simd_level::avx2:
+      return layers * n * 4 * sizeof(std::uint64_t);
+    case simd_level::scalar:
+      break;
+  }
+  return (layers + 1) * fault_mask::words_needed(n) * sizeof(std::uint64_t);
+}
+
+/// Raw form of core::xoshiro_pair_step_lanes, which has checked its
+/// arguments: the tables hold n faults, `hits` holds hit_bytes(versions,
+/// votes, n, level) bytes, 64-byte aligned (the
+/// byte and vector levels read its words through their own types), q holds n
+/// values, 1 <= votes <= versions <= kMaxFoldVersions and live <=
+/// kXoshiroLanes; `thetas` may be null.  Defined in simd_sampler.cpp
+/// (scalar) and simd_sampler.avx2.cpp (AVX2, AVX-512).
+void xoshiro_pair_step_scalar(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                              std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
+                              unsigned votes, double omega, const double* q, std::size_t n,
+                              unsigned live, const welford_step& step,
+                              pair_thetas* thetas) noexcept;
+void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                            std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
+                            unsigned votes, double omega, const double* q, std::size_t n,
+                            unsigned live, const welford_step& step,
+                            pair_thetas* thetas) noexcept;
+void xoshiro_pair_step_avx512(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                              std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
+                              unsigned votes, double omega, const double* q, std::size_t n,
+                              unsigned live, const welford_step& step,
+                              pair_thetas* thetas) noexcept;
 
 /// Bit-slice Bernoulli word over the counter stream (identical fold order to
 /// the reference): consumes counters [base, base + 53 - countr_zero(t)).

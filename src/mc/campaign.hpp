@@ -58,7 +58,7 @@ namespace reldiv::mc {
 /// the result's identity; `threads` affects throughput only.
 struct campaign_config {
   std::uint64_t seed = 1;
-  unsigned threads = 0;  ///< workers; 0 = hardware_concurrency
+  unsigned threads = 0;  ///< workers; 0 = the CPUs the calling thread may run on
   unsigned shards = 0;   ///< logical rng streams for budget-sharded campaigns;
                          ///< 0 = default_logical_shards(budget)
 };

@@ -61,12 +61,6 @@ void common_cause_mixture::sample_mask(stats::rng& r, core::fault_mask& out) con
   sample_mask_from_thresholds(stressed ? thresholds_.stressed : thresholds_.relaxed, r, out);
 }
 
-void common_cause_mixture::sample_mask_lanes(core::xoshiro_lanes& lanes,
-                                             core::lane_block& block, unsigned channel,
-                                             unsigned live, core::simd_level level) const {
-  core::sample_mixture_lanes(lanes, thresholds_, block, channel, live, level);
-}
-
 double common_cause_mixture::marginal(std::size_t i) const {
   if (i >= marginal_.size()) throw std::out_of_range("common_cause_mixture::marginal");
   return marginal_[i];

@@ -24,15 +24,18 @@
 // pair independently, so E[θ2] = Σ p_i² q_i whatever rho is.  Negative rho is
 // not forced diversity between the channels.
 //
-// run_correlated and scenario cells draw into a lane group's lane-major
-// core::lane_block (mc/shard_lanes.hpp): the mixture writes all live lanes of
-// a channel with its lane kernel, whose AVX-512 level compares raw draws
-// against its thresholds shifted left by 11, sets the faults whose threshold
-// saturates (p = 1, or stress·p >= 1) from per-word masks, and transposes
-// one hit byte per fault into the lane words; the copula and the aliased
-// model draw lane by lane into a scratch mask copied into each column.
+// run_correlated and scenario cells run their lane groups through
+// mc/shard_lanes.hpp.  The mixture draws and records each pair step with
+// core::xoshiro_pair_step_lanes against its threshold tables, summing θ1 and
+// θ2 as it draws; its AVX-512 level compares raw draws against the
+// thresholds shifted left by 11 and sets the faults whose threshold
+// saturates (p = 1, or stress·p >= 1) from per-word masks.  The copula and
+// the aliased model draw lane by lane into a scratch mask copied into each
+// lane's column of a lane_block, which the lane fold then reads.
 
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "core/fault_universe.hpp"
 #include "core/simd_sampler.hpp"
@@ -59,16 +62,14 @@ class common_cause_mixture {
   [[nodiscard]] version sample(stats::rng& r) const;
   /// Mask-based sampling: same rng decisions as sample() (bit-exact), writes
   /// presence bits into `out` with no allocation in steady-state reuse.  The
-  /// scalar reference the lane form is pinned against.
+  /// scalar reference the pair step is pinned against.
   void sample_mask(stats::rng& r, core::fault_mask& out) const;
-  /// Lane form: one version on each of the first `live` lanes of `lanes`
-  /// through the core::sample_mixture_lanes kernel, into channel `channel` of
-  /// `block` — lane l's column is what sample_mask would draw on
-  /// lanes.lane(l), and the lane ends where that rng would; lanes from
-  /// `live` on, and their columns, are left untouched.  Throws
-  /// std::out_of_range when the block is not the universe's size.
-  void sample_mask_lanes(core::xoshiro_lanes& lanes, core::lane_block& block,
-                         unsigned channel, unsigned live, core::simd_level level) const;
+  /// The stress draw's and the faults' thresholds in the forms
+  /// core::xoshiro_pair_step_lanes reads: a lane it draws makes the
+  /// decisions sample_mask makes on that lane's stream.
+  [[nodiscard]] const core::xoshiro_lane_tables& lane_tables() const noexcept {
+    return thresholds_;
+  }
   /// Exact marginal presence probability of fault i (== u[i].p by design).
   [[nodiscard]] double marginal(std::size_t i) const;
   /// Exact pairwise correlation of the presence indicators of faults i, j.
@@ -82,9 +83,22 @@ class common_cause_mixture {
   std::vector<double> relaxed_p_;
   /// bernoulli_threshold of rho_, stressed_p_ and relaxed_p_: the 53-bit
   /// tables sample_mask draws against, and their shifted forms and
-  /// saturated-fault words for the lane kernel, built once here.
-  core::mixture_lane_tables thresholds_;
+  /// saturated-fault words for the pair step, built once here.
+  core::xoshiro_lane_tables thresholds_;
 };
+
+/// run_sampler_lanes for the mixture: every pair step one
+/// core::xoshiro_pair_step_lanes against its lane_tables(), which draws each
+/// lane's channels as sample_mask does on that lane's stream.  Throws
+/// std::out_of_range when the mixture was built over a universe of another
+/// size than fold.q.
+template <typename Merge>
+void run_sampler_lanes(const common_cause_mixture& mixture, const shard_plan& plan,
+                       std::uint64_t seed, unsigned threads, const lane_fold& fold,
+                       Merge&& merge) {
+  run_table_lanes(mixture.lane_tables(), plan, seed, 0, plan.shard_count, threads, fold,
+                  std::forward<Merge>(merge));
+}
 
 /// Gaussian-copula sampler: latent correlation |rho| between same-parity
 /// faults and rho between mixed-parity ones (all pairs |rho| when rho >= 0);
@@ -119,7 +133,7 @@ struct correlated_result {
 /// throughput knob only: results are bit-identical for a given (seed,
 /// samples, shards) across any `threads` value.
 struct correlated_config {
-  unsigned threads = 0;  ///< workers; 0 = hardware_concurrency
+  unsigned threads = 0;  ///< workers; 0 = the CPUs the calling thread may run on
   unsigned shards = 0;   ///< logical rng streams; 0 = the budget-scaled
                          ///< default_logical_shards(samples)
 };
@@ -127,14 +141,14 @@ struct correlated_config {
 /// Multithreaded correlated runner on the lane group loop: the sample
 /// budget is split over fixed logical shards, each drawing its pairs from
 /// its own stats::rng::stream(seed, shard) — version a, then version b — and
-/// folding θ1 = Σq over a's faults and θ2 = Σq over the faults a and b
+/// recording θ1 = Σq over a's faults and θ2 = Σq over the faults a and b
 /// share.  Shards run eight per lane group (mc::run_sampler_lanes), so
 /// results do not depend on cfg.threads.  `sampler` needs
-/// `sample_mask(stats::rng&, core::fault_mask&) const`, and draws through
-/// `sample_mask_lanes` when it also has that lane kernel (the mixture does);
-/// both must be const-thread-safe (all samplers in this library are: their
-/// const methods only read immutable tables).  Throws std::out_of_range when
-/// the sampler draws masks of another size than `u`.
+/// `sample_mask(stats::rng&, core::fault_mask&) const`; the mixture's pair
+/// steps run through its lane tables instead, with the same bits.  Samplers
+/// must be const-thread-safe (all samplers in this library are: their const
+/// methods only read immutable tables).  Throws std::out_of_range when the
+/// sampler draws masks of another size than `u`.
 template <typename Sampler>
 [[nodiscard]] correlated_result run_correlated(const core::fault_universe& u,
                                                const Sampler& sampler,

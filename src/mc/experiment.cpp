@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/simd_sampler.hpp"
-#include "mc/sampler.hpp"
 #include "mc/shard_lanes.hpp"
 #include "stats/counter_rng.hpp"
 #include "stats/random.hpp"
@@ -54,8 +53,10 @@ constexpr retired_engine_row kRetiredEngines[] = {
 /// all shards of a run use the same kernels even if a test flips the cap
 /// concurrently.
 ///   * exact: lane l draws versions a and b of each pair from
-///     stats::rng::stream(seed, shard), one sample_version_mask each into
-///     the group's scratch mask, copied into the lane's column of the block.
+///     stats::rng::stream(seed, shard) with core::xoshiro_pair_step_lanes
+///     against the universe's own thresholds (no stress draw), making the
+///     decisions of two sample_version_mask calls and summing θ1 and θ2 as
+///     it draws; the tables are built once per call.
 ///   * fast-simd: the universe is relaid out by make_p_sorted_permutation and
 ///     a counter_sample_plan frozen over it; lane l draws its shard's stream
 ///     counter_stream_key(seed, shard), pair s consuming counters [s*D,
@@ -80,28 +81,20 @@ void run_engine_shards(const core::fault_universe& u, const experiment_config& c
           for (unsigned l = 0; l < active; ++l) {
             keys[l] = stats::counter_stream_key(cfg.seed, first + l);
           }
-          return [&counters, &pu, keys, level](std::uint64_t step, unsigned live,
-                                               core::lane_block& block) {
+          return fold_block_step(fold, [&counters, &pu, keys, level](std::uint64_t step,
+                                                                     unsigned live,
+                                                                     core::lane_block& block) {
             core::sample_pair_counter_lanes(counters, pu, keys, step, block, live, level);
-          };
+          });
         },
         std::forward<Merge>(merge));
     return;
   }
+  const core::xoshiro_lane_tables tables =
+      core::make_threshold_lane_tables(u.bernoulli_thresholds());
   const lane_fold fold{2, 2, 1.0, u.q_array(), level, cfg.keep_samples};
-  run_xoshiro_lanes(
-      plan, cfg.seed, shard_begin, shard_end, cfg.threads, fold,
-      [&u](core::xoshiro_lanes& lanes, unsigned live, core::lane_block& block,
-           core::fault_mask& scratch) {
-        // Each lane's stream draws a, then b, as lane by lane in turn.
-        for (unsigned v = 0; v < 2; ++v) {
-          draw_lane_by_lane(lanes, live, block, v, scratch,
-                            [&u](stats::rng& r, core::fault_mask& m) {
-                              sample_version_mask(u, r, m);
-                            });
-        }
-      },
-      std::forward<Merge>(merge));
+  run_table_lanes(tables, plan, cfg.seed, shard_begin, shard_end, cfg.threads, fold,
+                  std::forward<Merge>(merge));
 }
 
 }  // namespace

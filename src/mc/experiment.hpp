@@ -28,17 +28,19 @@ namespace reldiv::mc {
 /// Which inner sampling kernel drives the experiment.  Both draw from the
 /// same distribution; they differ in speed and rng-stream layout.  Every
 /// engine runs its shards eight at a time through one pair loop,
-/// mc::run_shard_lanes: one shard stream per lane, each step folding one pair
-/// of every lane at once (core::fold_pair_lanes).  The values are the
+/// mc::run_shard_lanes: one shard stream per lane, each step recording one
+/// pair of every lane at once.  The values are the
 /// manifest wire tags.  Tags 0 and 2 belonged to retired engines and stay
 /// reserved: 0 to `fast` (xoshiro pair kernels that realized p on the 2^-32
 /// grid; fast-simd samples the same distribution), 2 to `legacy` (the
 /// original sparse std::vector<uint32_t> path, bit-identical to `exact`).
 enum class sampling_engine : std::uint32_t {
-  /// Packed bitmask kernels consuming each shard's stream
+  /// The xoshiro pair step (core::xoshiro_pair_step_lanes) on the
+  /// universe's own thresholds, consuming each shard's stream
   /// decision-for-decision like the sparse sampler (two sample_version draws
-  /// per pair): the bit-exact reference, pinned by
-  /// tests/mc_mask_equivalence_test.cpp against a sparse per-shard loop.
+  /// per pair) and summing θ1 and θ2 as it draws: the bit-exact reference,
+  /// pinned by tests/mc_mask_equivalence_test.cpp against a sparse per-shard
+  /// loop.
   exact = 1,
   /// Counter-based SIMD engine, the default: the universe is relaid out with
   /// core::make_p_sorted_permutation (equal-p faults gathered into whole
@@ -81,7 +83,7 @@ enum class sampling_engine : std::uint32_t {
 struct experiment_config {
   std::uint64_t samples = 100'000;   ///< number of version-pairs to draw
   std::uint64_t seed = 1;
-  unsigned threads = 0;              ///< workers; 0 = hardware_concurrency.
+  unsigned threads = 0;              ///< workers; 0 = the CPUs the calling thread may run on.
                                      ///< Affects throughput only, never results.
   unsigned shards = 0;               ///< logical rng streams; 0 = the budget-scaled
                                      ///< default_logical_shards(samples).  Part of the

@@ -1,22 +1,27 @@
 #pragma once
 // The lane group loop: the one pair loop of every sampler that draws one
 // shard stream per 64-bit lane (core::kXoshiroLanes shards per group) and
-// folds each pair step of those shards at once (core::fold_pair_lanes).
-// Every experiment engine runs through it: `exact` on xoshiro shard streams
-// through sample_version_mask, fast-simd on the counter lanes.  So do
-// mc::run_correlated and scenario cells, on xoshiro streams through the
-// correlated samplers (the mixture's lane kernel, per-lane sample_mask
-// otherwise).  All of them share one step schedule, one per-shard export and
-// one merge order; run_xoshiro_lanes is the one place that opens xoshiro lane
-// groups.  mc::run_pair_campaign's weighted loop is the only pair loop
-// outside it: its θ2 sums coincidence weights, not q.
+// records each pair step of those shards at once.  Every experiment engine
+// runs through it, and so do mc::run_correlated and scenario cells.  They
+// share one step schedule, one per-shard export and one merge order;
+// run_xoshiro_lanes is the one place that opens xoshiro lane groups.
+// mc::run_pair_campaign's weighted loop is the only pair loop outside it:
+// its θ2 sums coincidence weights, not q.
 //
-// A group's pair step lives in one core::lane_block, allocated once per
-// group: channel v's word b of lane l at (v·W + b)·8 + l, so the lane
-// kernels store, and the fold loads, each mask word of all eight lanes as
-// one register.  A sampler without a lane kernel draws each lane into one
-// fault_mask the group owns and copies it into the lane's column
-// (draw_lane_by_lane).
+// A group's step records one pair per lane into the group's
+// core::accumulator_lanes, in one of two ways:
+//   * the xoshiro pair step (run_table_lanes): core::xoshiro_pair_step_lanes
+//     draws every channel of the eight lanes against a sampler's threshold
+//     tables and sums θ1 and θ2 as it draws — the `exact` engine on a
+//     universe's thresholds, and the common-cause mixture on its stressed
+//     and relaxed ones;
+//   * a draw into a core::lane_block, then core::fold_pair_lanes
+//     (fold_block_step): fast-simd's counter kernel, and samplers without
+//     lane tables, which draw each lane into one fault_mask the group owns
+//     and copy it into the lane's column (run_sampler_lanes).  The block is
+//     lane-major — channel v's word b of lane l at (v·W + b)·8 + l — so the
+//     counter kernel stores, and the fold loads, each mask word of all eight
+//     lanes as one register.
 
 #include <algorithm>
 #include <array>
@@ -56,20 +61,22 @@ struct lane_fold {
 /// calling thread.
 ///
 /// `start(first, active)` opens the group of shards [first, first + active)
-/// and returns its draw: `draw(step, live, block)` fills lane l < live of
-/// the block's fold.versions channels (core::lane_block, fold.q.size() bits)
-/// with pair `step` of shard first + l.
+/// and returns its step: `step(s, live, acc, thetas)` records pair `s` of
+/// shard first + l into lane l < live of `acc` (core::accumulator_lanes),
+/// and its θ1 and θ2 into lane l of *thetas when `thetas` is not null (when
+/// fold.keep_samples is set), as core::fold_pair_lanes records the pair
+/// `fold` describes.
 /// The calling thread calls `start` for every group, in ascending order,
 /// before any group runs, so a start may walk a sequential stream; the groups
-/// then fan out over `threads` workers (0 = hardware concurrency), each draw
-/// used by one worker.
+/// then fan out over `threads` workers (0 = the CPUs the calling thread may
+/// run on), each step used by one worker.
 ///
 /// Shard sizes within a plan differ by at most one and never grow with the
 /// index, so step s of a group runs the lanes whose shard has more than s
 /// pairs: every lane up to the group's last (smallest) shard, then the prefix
 /// of lanes that own one pair more.  A last group with fewer shards leaves
-/// its spare lanes undrawn.  Every shard therefore draws and folds exactly as
-/// it would alone, and neither the grouping nor the thread count changes a
+/// its spare lanes undrawn.  Every shard therefore draws and records exactly
+/// as it would alone, and neither the grouping nor the thread count changes a
 /// bit of any shard's result.  Each lane is exported once through
 /// experiment_accumulator::from_state.
 template <typename Start, typename Merge>
@@ -79,23 +86,22 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
   if (shard_begin > shard_end || shard_end > plan.shard_count) {
     throw std::invalid_argument("run_shard_lanes: shard window out of range");
   }
-  using draw_type = std::decay_t<std::invoke_result_t<Start&, unsigned, unsigned>>;
-  std::vector<draw_type> draws;
+  using step_type = std::decay_t<std::invoke_result_t<Start&, unsigned, unsigned>>;
+  std::vector<step_type> steps;
   for (unsigned first = shard_begin; first < shard_end; first += kLanes) {
-    draws.push_back(start(first, std::min(kLanes, shard_end - first)));
+    steps.push_back(start(first, std::min(kLanes, shard_end - first)));
   }
   const auto group_first = [shard_begin](std::size_t group) {
     return shard_begin + static_cast<unsigned>(group) * kLanes;
   };
   run_jobs(
-      0, draws.size(), threads,
+      0, steps.size(), threads,
       [&](std::size_t group) {
         const unsigned first = group_first(group);
         const unsigned active = std::min(kLanes, shard_end - first);
-        // The worker's own copy: a draw that advances stream state in place
-        // would otherwise share cache lines with its neighbours' in `draws`.
-        auto draw = std::move(draws[group]);
-        core::lane_block block(fold.versions, fold.q.size());
+        // The worker's own copy: a step that advances stream state in place
+        // would otherwise share cache lines with its neighbours' in `steps`.
+        auto step = std::move(steps[group]);
         // Every lane runs `lockstep` steps and the first `longer` lanes one more.
         const std::uint64_t lockstep = plan.shard_samples(first + active - 1);
         unsigned longer = 0;
@@ -106,9 +112,7 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
         std::array<std::vector<double>, kLanes> kept2;
         for (std::uint64_t s = 0; s < plan.shard_samples(first); ++s) {
           const unsigned live = s < lockstep ? active : longer;
-          draw(s, live, block);
-          core::fold_pair_lanes(tallies, block, fold.votes, fold.omega, fold.q, live, fold.level,
-                                fold.keep_samples ? &thetas : nullptr);
+          step(s, live, tallies, fold.keep_samples ? &thetas : nullptr);
           if (fold.keep_samples) {
             for (unsigned l = 0; l < live; ++l) {
               kept1[l].push_back(thetas.theta1[l]);
@@ -141,17 +145,32 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
       });
 }
 
+/// The step of a draw that fills a core::lane_block: `draw(s, live, block)`
+/// writes lane l < live of the block's fold.versions channels (fold.q.size()
+/// bits) with pair s of the lane's shard, and core::fold_pair_lanes records
+/// them.  The block is allocated at the step's first call, on the worker
+/// that runs the group.
+template <typename Draw>
+[[nodiscard]] auto fold_block_step(const lane_fold& fold, Draw draw) {
+  return [&fold, draw = std::move(draw), block = core::lane_block()](
+             std::uint64_t s, unsigned live, core::accumulator_lanes& acc,
+             core::pair_thetas* thetas) mutable {
+    if (block.versions() == 0) block = core::lane_block(fold.versions, fold.q.size());
+    draw(s, live, block);
+    core::fold_pair_lanes(acc, block, fold.votes, fold.omega, fold.q, live, fold.level, thetas);
+  };
+}
+
 /// run_shard_lanes over xoshiro streams: lane l of the group opening at
 /// shard `first` holds stats::rng::stream(seed, first + l), taken from one
 /// jump walk of rng(seed) on the calling thread — the streams run_shards
-/// hands its shards.  `draw(lanes, live, block, scratch)` fills lane l < live
-/// of the block's fold.versions channels from lane l of `lanes`, advancing
-/// it; the group's lanes persist from step to step, and `scratch` is a
-/// fault_mask the group owns for draws that go one lane at a time.
-template <typename Draw, typename Merge>
+/// hands its shards.  `open(lanes)` returns the group's step (run_shard_lanes
+/// says what it records), which owns `lanes` and advances them from step to
+/// step.
+template <typename Open, typename Merge>
 void run_xoshiro_lanes(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin,
                        unsigned shard_end, unsigned threads, const lane_fold& fold,
-                       const Draw& draw, Merge&& merge) {
+                       const Open& open, Merge&& merge) {
   stats::rng walker(seed);  // stream(seed, s) is rng(seed) jumped s times
   unsigned at = 0;          // the shard whose stream `walker` holds
   run_shard_lanes(
@@ -163,54 +182,60 @@ void run_xoshiro_lanes(const shard_plan& plan, std::uint64_t seed, unsigned shar
           lanes.set_lane(l, walker);
           walker.jump();
         }
-        return [&draw, lanes, scratch = core::fault_mask()](
-                   std::uint64_t /*step*/, unsigned live, core::lane_block& block) mutable {
-          draw(lanes, live, block, scratch);
+        return open(lanes);
+      },
+      std::forward<Merge>(merge));
+}
+
+/// Shards [shard_begin, shard_end) through run_xoshiro_lanes, each pair step
+/// one core::xoshiro_pair_step_lanes of fold.versions channels against
+/// `tables`: the pair loop of the `exact` engine (a universe's thresholds)
+/// and of the common-cause mixture.  Throws std::out_of_range when the
+/// tables hold another number of faults than fold.q (a sampler built over
+/// another universe).
+template <typename Merge>
+void run_table_lanes(const core::xoshiro_lane_tables& tables, const shard_plan& plan,
+                     std::uint64_t seed, unsigned shard_begin, unsigned shard_end,
+                     unsigned threads, const lane_fold& fold, Merge&& merge) {
+  run_xoshiro_lanes(
+      plan, seed, shard_begin, shard_end, threads, fold,
+      [&tables, &fold](const core::xoshiro_lanes& lanes) {
+        return [&tables, &fold, lanes = lanes, hits = std::vector<std::uint64_t>()](
+                   std::uint64_t /*step*/, unsigned live, core::accumulator_lanes& acc,
+                   core::pair_thetas* thetas) mutable {
+          core::xoshiro_pair_step_lanes(lanes, tables, hits, acc, fold.versions, fold.votes,
+                                        fold.omega, fold.q, live, fold.level, thetas);
         };
       },
       std::forward<Merge>(merge));
 }
 
-/// Channel v of lanes [0, live) drawn one lane at a time: draw_one(r, scratch)
-/// on each live lane's stream in turn, each mask copied into its lane's
-/// column of `block` — the draw of samplers without a lane kernel.  Throws
-/// std::out_of_range when a drawn mask is not block.bit_size() bits.
-template <typename DrawOne>
-void draw_lane_by_lane(core::xoshiro_lanes& lanes, unsigned live, core::lane_block& block,
-                       unsigned v, core::fault_mask& scratch, const DrawOne& draw_one) {
-  for (unsigned l = 0; l < live; ++l) {
-    stats::rng r = lanes.lane(l);
-    draw_one(r, scratch);
-    lanes.set_lane(l, r);
-    block.store_lane(v, l, scratch);
-  }
-}
-
 /// Every shard of `plan` through run_xoshiro_lanes, each pair's
-/// fold.versions channels drawn in index order from `sampler`: the pair loop
-/// of mc::run_correlated and scenario cells.  A sampler with a lane kernel
-/// (`sample_mask_lanes`, the mixture's) draws all live lanes of a channel at
-/// once; any other calls `sample_mask` on each live lane's stream in turn.
-/// Throws std::out_of_range when the sampler draws masks of another size
-/// than fold.q.size() bits (a sampler built over another universe).
+/// fold.versions channels drawn in index order by `sampler.sample_mask` on
+/// each live lane's stream in turn, each mask copied into its lane's column
+/// of the group's block and folded (fold_block_step): the pair loop of
+/// mc::run_correlated and scenario cells for samplers without lane tables
+/// (the copula, the aliased model).  Throws std::out_of_range when the
+/// sampler draws masks of another size than fold.q.size() bits (a sampler
+/// built over another universe).
 template <typename Sampler, typename Merge>
 void run_sampler_lanes(const Sampler& sampler, const shard_plan& plan, std::uint64_t seed,
                        unsigned threads, const lane_fold& fold, Merge&& merge) {
   run_xoshiro_lanes(
       plan, seed, 0, plan.shard_count, threads, fold,
-      [&sampler, versions = fold.versions, level = fold.level](
-          core::xoshiro_lanes& lanes, unsigned live, core::lane_block& block,
-          core::fault_mask& scratch) {
-        for (unsigned v = 0; v < versions; ++v) {
-          if constexpr (requires { sampler.sample_mask_lanes(lanes, block, v, live, level); }) {
-            sampler.sample_mask_lanes(lanes, block, v, live, level);
-          } else {
-            draw_lane_by_lane(lanes, live, block, v, scratch,
-                              [&sampler](stats::rng& r, core::fault_mask& m) {
-                                sampler.sample_mask(r, m);
-                              });
-          }
-        }
+      [&sampler, &fold](const core::xoshiro_lanes& lanes) {
+        return fold_block_step(
+            fold, [&sampler, versions = fold.versions, lanes = lanes, scratch = core::fault_mask()](
+                      std::uint64_t /*step*/, unsigned live, core::lane_block& block) mutable {
+              for (unsigned v = 0; v < versions; ++v) {
+                for (unsigned l = 0; l < live; ++l) {
+                  stats::rng r = lanes.lane(l);
+                  sampler.sample_mask(r, scratch);
+                  lanes.set_lane(l, r);
+                  block.store_lane(v, l, scratch);
+                }
+              }
+            });
       },
       std::forward<Merge>(merge));
 }

@@ -9,9 +9,9 @@
 // queue; per-shard results are merged in ascending shard order on the
 // calling thread.  Every floating-point operation therefore happens in an
 // order that is a pure function of (seed, samples, shard count) — results
-// are bit-identical for 1 thread, 7 threads, or whatever
-// hardware_concurrency() says on the machine at hand.  Thread count is a
-// throughput knob, never a results knob.
+// are bit-identical for 1 thread, 7 threads, or however many CPUs the
+// machine at hand offers.  Thread count is a throughput knob, never a
+// results knob.
 //
 // Shard granularity is also the checkpoint granularity: run_shards accepts a
 // [shard_begin, shard_end) window, so a caller can process shards in chunks,
@@ -83,8 +83,10 @@ struct shard_plan {
 [[nodiscard]] shard_plan make_shard_plan(std::uint64_t samples,
                                          unsigned requested_shards = 0);
 
-/// Resolve a requested worker count: 0 means hardware_concurrency(), and the
-/// result is capped at `jobs` (no point spinning up idle threads).
+/// Resolve a requested worker count: 0 means the CPUs the calling thread may
+/// run on (its affinity mask on Linux, hardware_concurrency() elsewhere), and
+/// the result is at least 1 and capped at `jobs` (no point spinning up idle
+/// threads).
 [[nodiscard]] unsigned resolve_threads(unsigned requested, std::uint64_t jobs);
 
 /// Run `body(shard, samples, rng)` for every shard in [shard_begin,

@@ -22,6 +22,11 @@
 #include "mc/shard_runner.hpp"
 #include "stats/random.hpp"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace {
 
 using namespace reldiv;
@@ -58,6 +63,32 @@ TEST(ShardPlan, PartitionsTheSampleBudgetExactly) {
   EXPECT_EQ(make_shard_plan(1u << 20, 64).shard_count, 64u);
   EXPECT_EQ(make_shard_plan(10, 256).shard_count, 10u);
   EXPECT_THROW((void)make_shard_plan(0), std::invalid_argument);
+}
+
+TEST(ResolveThreads, ZeroMeansTheCpusTheCallingThreadMayRunOn) {
+  EXPECT_EQ(resolve_threads(3, 8), 3u);
+  EXPECT_EQ(resolve_threads(16, 8), 8u);
+  EXPECT_EQ(resolve_threads(0, 0), 1u);
+  EXPECT_GE(resolve_threads(0, 8), 1u);
+#if defined(__linux__)
+  // A thread pinned to one CPU of its mask (a worker under `taskset -c 1`)
+  // resolves 0 to one thread, whatever hardware_concurrency() says; the
+  // mask is restored before any expectation can return early.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(original), &original), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &original)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+  const unsigned pinned = resolve_threads(0, 8);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(original), &original), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(resolve_threads(0, 1000),
+            static_cast<unsigned>(std::min(CPU_COUNT(&original), 1000)));
+#endif
 }
 
 TEST(RunShards, MergesInShardOrderAndDerivesCanonicalStreams) {
@@ -279,7 +310,7 @@ bool bits_equal(double a, double b) {
 }
 
 TEST(ShardedCorrelated, MatchesScalarShardLoopAtEveryLevel) {
-  // The mixture draws through its lane kernel, the copula (both signs of
+  // The mixture draws through the xoshiro pair step, the copula (both signs of
   // rho) and the aliased model through per-lane sample_mask; each must
   // record exactly what the scalar shard loop records, at any thread count
   // and every SIMD level the host runs.  3001 pairs over the default 46
@@ -325,7 +356,7 @@ TEST(ShardedCorrelated, MatchesScalarShardLoopAtEveryLevel) {
 
 TEST(ShardedCorrelated, MismatchedSamplerThrowsAcrossThreads) {
   // The mask-size guard must propagate out of worker threads, from the
-  // lane-by-lane draw (the copula) and from the mixture's lane kernel.
+  // lane-by-lane draw (the copula) and from the mixture's pair step.
   const auto u = core::make_random_universe(20, 0.4, 0.8, 1);
   const auto other = core::make_random_universe(10, 0.4, 0.8, 2);
   const gaussian_copula_sampler wrong(other, 0.3);

@@ -11,16 +11,18 @@
 //   - bit-identity of run_experiment across thread counts AND SIMD dispatch
 //     levels, shard-window splits, kept samples against the reference shard
 //     loop, and the manifest wire codec;
-//   - the xoshiro256++ lane kernel against mc::common_cause_mixture::
-//     sample_mask on a scalar copy of every lane's stream, at every level
-//     and every live-lane count, including faults whose stressed threshold
-//     saturates and versions whose live lanes all drew one side of the
-//     stress draw;
 //   - the lane fold against mc::experiment_accumulator::add of the sparse
 //     ascending θ sums (running_moments::add underneath), lane by lane, at
 //     every level and every live-lane count;
-//   - for every kernel, the lane_block words of spare lanes (sentinels) are
-//     never written.
+//   - the xoshiro pair step against versions drawn by
+//     mc::common_cause_mixture::sample_mask (or, on the `exact` engine's
+//     tables, mc::sample_version_mask) on a scalar copy of every lane's
+//     stream and recorded by experiment_accumulator::add, at every level,
+//     every live-lane count and adjudication shape, including faults whose
+//     stressed threshold saturates, channels whose live lanes all drew one
+//     side of the stress draw, and `exact` experiments with kept samples;
+//   - for every kernel, the lane_block words, streams and accumulators of
+//     spare lanes (sentinels) are never written.
 
 #include <gtest/gtest.h>
 
@@ -389,7 +391,7 @@ TEST(SimdEquivalenceFuzz, EmptyAndSingleFaultUniverses) {
 }
 
 // ---------------------------------------------------------------------------
-// xoshiro256++ lane kernel vs the scalar mixture sampler
+// The xoshiro pair step's universes and threshold tables
 // ---------------------------------------------------------------------------
 
 /// n faults with random p in (0, 0.4) plus the degenerate atoms: p = 0 at
@@ -434,7 +436,8 @@ TEST(MixtureLaneTables, ShiftedThresholdsAndSaturatedWords) {
   relaxed[64] = kOne;
   relaxed[1] = 0;
   stressed[2] = kOne - 1;
-  const core::mixture_lane_tables t = core::make_mixture_lane_tables(17, stressed, relaxed);
+  const core::xoshiro_lane_tables t = core::make_mixture_lane_tables(17, stressed, relaxed);
+  EXPECT_TRUE(t.stress_draw);
   EXPECT_EQ(t.stress, 17u);
   EXPECT_EQ(t.stressed, stressed);
   EXPECT_EQ(t.relaxed, relaxed);
@@ -453,113 +456,17 @@ TEST(MixtureLaneTables, ShiftedThresholdsAndSaturatedWords) {
   EXPECT_THROW((void)core::make_mixture_lane_tables(0, std::vector<std::uint64_t>(2, kOne + 1),
                                                     std::vector<std::uint64_t>(2, 1)),
                std::invalid_argument);
-}
-
-TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
-  constexpr unsigned kLanes = core::kXoshiroLanes;
-  constexpr double kStress = 1.8;
-  // rho = 1/stress is the feasibility boundary: every fault with
-  // stress * p < 1 gets a relaxed p of 0 up to rounding, clamped to 0 when it
-  // rounds below.
-  const double rhos[] = {0.0, 0.25, 1.0 / kStress};
-  std::vector<std::pair<std::string, core::fault_universe>> universes;
-  for (const std::size_t n : {1u, 40u, 63u, 64u, 65u, 256u, 300u}) {
-    universes.emplace_back("n=" + std::to_string(n), make_lane_test_universe(n, 1000 + n));
-  }
-  for (const std::size_t n : {130u, 200u}) {
-    universes.emplace_back("saturating n=" + std::to_string(n),
-                           make_saturating_lane_universe(n, 2000 + n));
-  }
-  for (const auto level : levels_up_to_detected()) {
-    for (const auto& [name, u] : universes) {
-      for (const double rho : rhos) {
-        const mc::common_cause_mixture mixture(u, rho, kStress);
-        const std::string what = std::string(core::simd_level_name(level)) + " " + name +
-                                 " rho=" + std::to_string(rho);
-        // Eight distinct jump-derived streams, as a cell's shard group has.
-        core::xoshiro_lanes lanes;
-        std::array<stats::rng, kLanes> scalar;
-        stats::rng walker(77 + u.size());
-        for (unsigned l = 0; l < kLanes; ++l) {
-          lanes.set_lane(l, walker);
-          scalar[l] = walker;
-          walker.jump();
-        }
-        // The kernel writes channel 1 of a two-channel block; channel 0 and
-        // the spare lanes keep their sentinels or last draws.
-        core::lane_block block(2, u.size());
-        fill_sentinels(block);
-        core::fault_mask got;
-        core::fault_mask want;
-        // Versions with no stressed live lane, and with some.
-        std::array<int, 2> sides{};
-        for (int version = 0; version < 1000; ++version) {
-          // Cycle the live-lane count through 1..8 (a full group every
-          // eighth call): lanes past it must be neither drawn nor advanced,
-          // so their scalar copies stay put too.
-          const unsigned live = 1 + static_cast<unsigned>(version) % kLanes;
-          unsigned stressed = 0;
-          for (unsigned l = 0; l < live; ++l) {
-            stats::rng peek = scalar[l];
-            stressed += peek.bernoulli(rho) ? 1 : 0;
-          }
-          ++sides[stressed == 0 ? 0 : 1];
-          const core::lane_block before = block;
-          mixture.sample_mask_lanes(lanes, block, 1, live, level);
-          const std::string at = what + " version " + std::to_string(version) + " live " +
-                                 std::to_string(live) + " lane ";
-          for (unsigned l = 0; l < kLanes; ++l) {
-            if (l < live) {
-              mixture.sample_mask(scalar[l], want);
-              block.load_lane(1, l, got);
-              expect_masks_equal(got, want, at + std::to_string(l));
-            } else {
-              ASSERT_EQ(lanes.lane(l).state(), scalar[l].state())
-                  << at << l << " (spare lane advanced)";
-            }
-          }
-          for (std::size_t b = 0; b < block.words_per_channel(); ++b) {
-            for (unsigned l = 0; l < kLanes; ++l) {
-              ASSERT_EQ(block.row(0, b)[l], before.row(0, b)[l]) << at << l << " channel 0";
-              if (l >= live) {
-                ASSERT_EQ(block.row(1, b)[l], before.row(1, b)[l]) << at << l << " (spare)";
-              }
-            }
-          }
-          if (::testing::Test::HasFatalFailure()) return;
-        }
-        for (unsigned l = 0; l < kLanes; ++l) {
-          EXPECT_EQ(lanes.lane(l).state(), scalar[l].state())
-              << what << " lane " << l << " final state";
-        }
-        // rho = 0.25 meets versions with no stressed live lane (the AVX-512
-        // level's skipped blend) and versions with some.
-        if (rho == 0.25) {
-          EXPECT_GT(sides[0], 0) << what;
-          EXPECT_GT(sides[1], 0) << what;
-        }
-      }
-    }
-  }
-}
-
-TEST(XoshiroLaneKernel, RejectsMismatchedThresholdSpans) {
-  core::xoshiro_lanes lanes;
-  const core::mixture_lane_tables tables =
-      core::make_mixture_lane_tables(0, std::vector<std::uint64_t>(5, 1),
-                                     std::vector<std::uint64_t>(5, 1));
-  core::lane_block block(2, 5);
-  const auto draw = [&](const core::mixture_lane_tables& t, unsigned channel, unsigned live) {
-    core::sample_mixture_lanes(lanes, t, block, channel, live, core::simd_level::scalar);
-  };
-  EXPECT_NO_THROW(draw(tables, 1, core::kXoshiroLanes));
-  EXPECT_THROW(draw(tables, 0, core::kXoshiroLanes + 1), std::invalid_argument);
-  EXPECT_THROW(draw(tables, 2, 1), std::invalid_argument);
-  core::mixture_lane_tables torn = tables;
-  torn.relaxed_always.clear();
-  EXPECT_THROW(draw(torn, 0, 1), std::invalid_argument);
-  block = core::lane_block(2, 6);  // a sampler over another universe
-  EXPECT_THROW(draw(tables, 0, 1), std::out_of_range);
+  // A universe's own thresholds: no stress draw, and no stressed tables.
+  const core::xoshiro_lane_tables plain = core::make_threshold_lane_tables(relaxed);
+  EXPECT_FALSE(plain.stress_draw);
+  EXPECT_EQ(plain.relaxed, relaxed);
+  EXPECT_EQ(plain.relaxed_shifted, t.relaxed_shifted);
+  EXPECT_EQ(plain.relaxed_always, t.relaxed_always);
+  EXPECT_TRUE(plain.stressed.empty());
+  EXPECT_TRUE(plain.stressed_shifted.empty());
+  EXPECT_TRUE(plain.stressed_always.empty());
+  EXPECT_THROW((void)core::make_threshold_lane_tables(std::vector<std::uint64_t>(3, kOne + 1)),
+               std::invalid_argument);
 }
 
 TEST(LaneBlock, LaneColumnsRoundTripThroughMasks) {
@@ -741,6 +648,290 @@ TEST(LaneFold, RejectsBadShapes) {
 }
 
 // ---------------------------------------------------------------------------
+// xoshiro pair step vs the scalar samplers and experiment_accumulator::add
+// ---------------------------------------------------------------------------
+
+/// Eight distinct jump-derived streams, as a cell's shard group has.
+core::xoshiro_lanes jump_lanes(std::uint64_t seed) {
+  core::xoshiro_lanes lanes;
+  stats::rng walker(seed);
+  for (unsigned l = 0; l < core::kXoshiroLanes; ++l) {
+    lanes.set_lane(l, walker);
+    walker.jump();
+  }
+  return lanes;
+}
+
+/// The scalar reference of one lane's pair step: `versions` channels drawn
+/// in order by draw(r, mask), then what experiment_accumulator::add records
+/// for them — θ1 over channel 0, ω·θD over the faults at least `votes`
+/// channels hold, each an ascending sparse sum.  Returns (θ1, ω·θD).
+template <typename Draw>
+std::pair<double, double> reference_pair(stats::rng& r, const Draw& draw, unsigned versions,
+                                         unsigned votes, double omega,
+                                         std::span<const double> q,
+                                         mc::experiment_accumulator& acc) {
+  std::vector<core::fault_mask> channels(versions);
+  for (core::fault_mask& m : channels) draw(r, m);
+  core::fault_mask defeated(q.size());
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    unsigned hits = 0;
+    for (const core::fault_mask& m : channels) hits += m.test(i) ? 1 : 0;
+    if (hits >= votes) defeated.set(i);
+  }
+  const double theta1 = core::masked_q_sum(channels[0], q);
+  const double theta2 = omega * core::masked_q_sum(defeated, q);
+  acc.add(theta1, theta2, channels[0].any(), defeated.any() && omega > 0.0);
+  return {theta1, theta2};
+}
+
+TEST(XoshiroLaneKernel, MatchesScalarMixtureOnEveryLaneAtEveryLevel) {
+  // The pair step of a scenario cell (2of2, ω = 1) on the mixture's tables:
+  // lane l must record what two sample_mask calls on a scalar copy of its
+  // stream and experiment_accumulator::add record, bit for bit, and its
+  // stream must end where the copy's does.
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  constexpr double kStress = 1.8;
+  // rho = 1/stress is the feasibility boundary: every fault with
+  // stress * p < 1 gets a relaxed p of 0 up to rounding, clamped to 0 when it
+  // rounds below.
+  const double rhos[] = {0.0, 0.25, 1.0 / kStress};
+  std::vector<std::pair<std::string, core::fault_universe>> universes;
+  for (const std::size_t n : {1u, 40u, 63u, 64u, 65u, 256u, 300u}) {
+    universes.emplace_back("n=" + std::to_string(n), make_lane_test_universe(n, 1000 + n));
+  }
+  for (const std::size_t n : {130u, 200u}) {
+    universes.emplace_back("saturating n=" + std::to_string(n),
+                           make_saturating_lane_universe(n, 2000 + n));
+  }
+  stats::rng scribbles(99);
+  for (const auto level : levels_up_to_detected()) {
+    for (const auto& [name, u] : universes) {
+      for (const double rho : rhos) {
+        const mc::common_cause_mixture mixture(u, rho, kStress);
+        const auto sample = [&mixture](stats::rng& r, core::fault_mask& m) {
+          mixture.sample_mask(r, m);
+        };
+        const std::string what = std::string(core::simd_level_name(level)) + " " + name +
+                                 " rho=" + std::to_string(rho);
+        core::xoshiro_lanes lanes = jump_lanes(77 + u.size());
+        std::array<stats::rng, kLanes> scalar;
+        for (unsigned l = 0; l < kLanes; ++l) scalar[l] = lanes.lane(l);
+        // One accumulator per live count, so its live lanes always hold one
+        // sample count; lanes past it hold random bits that must survive.
+        std::array<core::accumulator_lanes, kLanes + 1> got{};
+        for (unsigned live = 1; live <= kLanes; ++live) {
+          for (unsigned l = live; l < kLanes; ++l) scribble_lane(got[live], l, scribbles);
+        }
+        const std::array<core::accumulator_lanes, kLanes + 1> start = got;
+        std::vector<std::vector<mc::experiment_accumulator>> want(kLanes + 1);
+        for (unsigned live = 1; live <= kLanes; ++live) want[live].resize(live);
+        std::vector<std::uint64_t> hits;
+        // Pair steps whose channel 0 has no stressed live lane, and some.
+        std::array<int, 2> sides{};
+        for (int pair = 0; pair < 500; ++pair) {
+          // Cycle the live-lane count through 1..8 (a full group every
+          // eighth step): lanes past it must be neither drawn nor advanced,
+          // so their scalar copies stay put too.
+          const unsigned live = 1 + static_cast<unsigned>(pair) % kLanes;
+          unsigned stressed = 0;
+          for (unsigned l = 0; l < live; ++l) {
+            stats::rng peek = scalar[l];
+            stressed += peek.bernoulli(rho) ? 1 : 0;
+          }
+          ++sides[stressed == 0 ? 0 : 1];
+          core::xoshiro_pair_step_lanes(lanes, mixture.lane_tables(), hits, got[live], 2, 2,
+                                        1.0, u.q_array(), live, level);
+          for (unsigned l = 0; l < live; ++l) {
+            (void)reference_pair(scalar[l], sample, 2, 2, 1.0, u.q_array(), want[live][l]);
+          }
+          const std::string at = what + " pair " + std::to_string(pair) + " live " +
+                                 std::to_string(live) + " lane ";
+          for (unsigned l = 0; l < kLanes; ++l) {
+            ASSERT_EQ(lanes.lane(l).state(), scalar[l].state())
+                << at << l << (l < live ? " stream" : " (spare lane advanced)");
+            if (l < live) {
+              expect_lane_state(got[live], l, want[live][l].state(), at + std::to_string(l));
+            } else {
+              ASSERT_EQ(lane_bits(got[live], l), lane_bits(start[live], l))
+                  << at << l << " (spare accumulator written)";
+            }
+          }
+          if (::testing::Test::HasFailure()) return;
+        }
+        // rho = 0.25 meets channels with no stressed live lane (the skipped
+        // blend) and channels with some.
+        if (rho == 0.25) {
+          EXPECT_GT(sides[0], 0) << what;
+          EXPECT_GT(sides[1], 0) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(XoshiroPairStep, RecordsEveryAdjudicationAndOverlapAtEveryLevel) {
+  // Every adjudication shape, ω and live-lane schedule a lane group meets:
+  // `active` lanes run a few lockstep pair steps, then the first `longer`
+  // of them one more, as run_shard_lanes schedules shards whose sizes differ
+  // by one (live 0 is a group's empty tail).  Each step must record what the
+  // scalar mixture's versions and experiment_accumulator::add record, and
+  // hand each live lane's θ1 and ω·θD to pair_thetas, leaving its spare
+  // lanes as they were.  Universes of 0 faults (stress draws only), 1 fault
+  // and 65 faults with p = 0 and p = 1 atoms, and a saturating one.
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  const std::pair<unsigned, unsigned> adjudications[] = {{1, 1}, {2, 1}, {2, 2}, {3, 2},
+                                                         {3, 3}, {5, 3}, {64, 2}};
+  std::vector<std::pair<std::string, core::fault_universe>> universes;
+  universes.emplace_back("n=0", core::fault_universe());
+  universes.emplace_back("n=1", core::make_homogeneous_universe(1, 0.5, 0.1));
+  universes.emplace_back("n=65", make_lane_test_universe(65, 3065));
+  universes.emplace_back("saturating n=130", make_saturating_lane_universe(130, 3130));
+  stats::rng scribbles(7);
+  for (const auto level : levels_up_to_detected()) {
+    for (const auto& [name, u] : universes) {
+      const mc::common_cause_mixture mixture(u, 0.3, 1.8);
+      const auto sample = [&mixture](stats::rng& r, core::fault_mask& m) {
+        mixture.sample_mask(r, m);
+      };
+      for (const auto& [versions, votes] : adjudications) {
+        // 64 channels of 130 faults cost a while at the scalar level; one
+        // universe with every word kind is enough there.
+        if (versions == 64 && u.size() > 65) continue;
+        for (const double omega : {0.0, 0.6, 1.0}) {
+          for (unsigned active = 0; active <= kLanes; ++active) {
+            const unsigned longer = active / 2;
+            const std::string what = std::string(core::simd_level_name(level)) + " " + name +
+                                     " " + std::to_string(votes) + "of" +
+                                     std::to_string(versions) +
+                                     " omega=" + std::to_string(omega) +
+                                     " active=" + std::to_string(active);
+            core::xoshiro_lanes lanes = jump_lanes(500 + versions + active);
+            std::array<stats::rng, kLanes> scalar;
+            for (unsigned l = 0; l < kLanes; ++l) scalar[l] = lanes.lane(l);
+            core::accumulator_lanes got;
+            for (unsigned l = active; l < kLanes; ++l) scribble_lane(got, l, scribbles);
+            const core::accumulator_lanes start = got;
+            std::vector<mc::experiment_accumulator> want(active);
+            std::vector<std::uint64_t> hits;
+            for (int pair = 0; pair < 4; ++pair) {
+              const unsigned live = pair < 3 ? active : longer;
+              core::pair_thetas thetas;
+              for (unsigned l = 0; l < kLanes; ++l) {
+                thetas.theta1[l] = -1.0 - l;
+                thetas.theta2[l] = -2.0 - l;
+              }
+              core::xoshiro_pair_step_lanes(lanes, mixture.lane_tables(), hits, got, versions,
+                                            votes, omega, u.q_array(), live, level, &thetas);
+              const std::string at = what + " pair " + std::to_string(pair) + " lane ";
+              for (unsigned l = 0; l < kLanes; ++l) {
+                if (l < live) {
+                  const auto [theta1, theta2] = reference_pair(scalar[l], sample, versions, votes,
+                                                               omega, u.q_array(), want[l]);
+                  EXPECT_TRUE(bits_equal(thetas.theta1[l], theta1)) << at << l << " theta1";
+                  EXPECT_TRUE(bits_equal(thetas.theta2[l], theta2)) << at << l << " theta2";
+                } else {
+                  EXPECT_EQ(thetas.theta1[l], -1.0 - l) << at << l << " (spare theta1)";
+                  EXPECT_EQ(thetas.theta2[l], -2.0 - l) << at << l << " (spare theta2)";
+                }
+                ASSERT_EQ(lanes.lane(l).state(), scalar[l].state()) << at << l << " stream";
+                if (l < active) {
+                  expect_lane_state(got, l, want[l].state(), at + std::to_string(l));
+                } else {
+                  EXPECT_EQ(lane_bits(got, l), lane_bits(start, l))
+                      << at << l << " (spare accumulator written)";
+                }
+              }
+              if (::testing::Test::HasFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(XoshiroPairStep, ExactTablesMatchSampleVersionMask) {
+  // The `exact` engine's step: no stress draw, the universe's own
+  // thresholds, 2of2 and ω = 1.  Lane l must record what two
+  // sample_version_mask calls on its stream record.  The universes hold p =
+  // 0 and p = 1 faults (p = 1's shifted threshold saturates, so the AVX-512
+  // level takes it from the word's saturated mask) in every word position.
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  for (const auto level : levels_up_to_detected()) {
+    for (const std::size_t n : {1u, 2u, 63u, 64u, 65u, 130u, 300u}) {
+      const core::fault_universe u = make_lane_test_universe(n, 4000 + n);
+      const core::xoshiro_lane_tables tables =
+          core::make_threshold_lane_tables(u.bernoulli_thresholds());
+      const auto sample = [&u](stats::rng& r, core::fault_mask& m) {
+        mc::sample_version_mask(u, r, m);
+      };
+      const std::string what =
+          std::string(core::simd_level_name(level)) + " n=" + std::to_string(n);
+      core::xoshiro_lanes lanes = jump_lanes(n);
+      std::array<stats::rng, kLanes> scalar;
+      for (unsigned l = 0; l < kLanes; ++l) scalar[l] = lanes.lane(l);
+      core::accumulator_lanes got;
+      std::vector<mc::experiment_accumulator> want(kLanes);
+      std::vector<std::uint64_t> hits;
+      for (int pair = 0; pair < 64; ++pair) {
+        core::xoshiro_pair_step_lanes(lanes, tables, hits, got, 2, 2, 1.0, u.q_array(), kLanes,
+                                      level);
+        for (unsigned l = 0; l < kLanes; ++l) {
+          (void)reference_pair(scalar[l], sample, 2, 2, 1.0, u.q_array(), want[l]);
+          const std::string at = what + " pair " + std::to_string(pair) + " lane " +
+                                 std::to_string(l);
+          ASSERT_EQ(lanes.lane(l).state(), scalar[l].state()) << at << " stream";
+          expect_lane_state(got, l, want[l].state(), at);
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(XoshiroLaneKernel, RejectsMismatchedThresholdSpans) {
+  core::xoshiro_lanes lanes;
+  core::accumulator_lanes acc;
+  std::vector<std::uint64_t> hits;
+  const core::xoshiro_lane_tables tables =
+      core::make_mixture_lane_tables(0, std::vector<std::uint64_t>(5, 1),
+                                     std::vector<std::uint64_t>(5, 1));
+  std::vector<double> q(5, 0.1);
+  const auto step = [&](const core::xoshiro_lane_tables& t, unsigned versions, unsigned votes,
+                        unsigned live) {
+    core::xoshiro_pair_step_lanes(lanes, t, hits, acc, versions, votes, 1.0, q, live,
+                                  core::simd_level::scalar);
+  };
+  EXPECT_NO_THROW(step(tables, 2, 2, core::kXoshiroLanes));
+  EXPECT_THROW(step(tables, 2, 2, core::kXoshiroLanes + 1), std::invalid_argument);
+  EXPECT_THROW(step(tables, 2, 0, 1), std::invalid_argument);
+  EXPECT_THROW(step(tables, 2, 3, 1), std::invalid_argument);
+  EXPECT_THROW(step(tables, core::kMaxFoldVersions + 1, 2, 1), std::invalid_argument);
+  EXPECT_THROW(step(tables, 0, 1, 1), std::invalid_argument);
+  using table_field = std::vector<std::uint64_t> core::xoshiro_lane_tables::*;
+  for (const table_field table :
+       {&core::xoshiro_lane_tables::relaxed_always, &core::xoshiro_lane_tables::stressed_always,
+        &core::xoshiro_lane_tables::stressed_shifted, &core::xoshiro_lane_tables::relaxed}) {
+    core::xoshiro_lane_tables torn = tables;
+    (torn.*table).pop_back();
+    EXPECT_THROW(step(torn, 2, 2, 1), std::invalid_argument);
+  }
+  core::xoshiro_lane_tables plain = core::make_threshold_lane_tables(tables.relaxed);
+  EXPECT_NO_THROW(step(plain, 2, 2, 1));
+  plain.stressed = tables.stressed;  // stressed tables without a stress draw
+  EXPECT_THROW(step(plain, 2, 2, 1), std::invalid_argument);
+  // Live lanes holding different sample counts.
+  acc = core::accumulator_lanes();
+  acc.samples[2] = 5;
+  EXPECT_THROW(step(tables, 2, 2, 3), std::invalid_argument);
+  EXPECT_NO_THROW(step(tables, 2, 2, 2));
+  // A sampler over another universe.
+  q.assign(6, 0.1);
+  EXPECT_THROW(step(tables, 2, 2, 1), std::out_of_range);
+}
+
+// ---------------------------------------------------------------------------
 // Engine-level bit-identity
 // ---------------------------------------------------------------------------
 
@@ -785,6 +976,49 @@ void expect_results_identical(const mc::experiment_result& x,
   EXPECT_EQ(sx.keeping_samples, sy.keeping_samples) << what;
   EXPECT_EQ(value_bits(sx.theta1_samples), value_bits(sy.theta1_samples)) << what;
   EXPECT_EQ(value_bits(sx.theta2_samples), value_bits(sy.theta2_samples)) << what;
+}
+
+TEST(ExactEngine, KeptSamplesMatchReferenceShardLoopAtEveryLevel) {
+  // `exact` draws through the xoshiro pair step on the universe's own
+  // thresholds: every kept θ, and the whole state, must be what two
+  // sample_version_mask calls per pair record shard by shard in ascending
+  // order, at every level the host runs and any thread count.  13 shards of
+  // 1003 pairs: a partial last group, and shards 0-1 one pair longer than the
+  // rest.  The universe holds p = 0 and p = 1 faults.
+  const core::fault_universe u = make_lane_test_universe(130, 5130);
+  mc::experiment_config cfg;
+  cfg.samples = 1003;
+  cfg.seed = 31;
+  cfg.shards = 13;
+  cfg.keep_samples = true;
+  cfg.engine = mc::sampling_engine::exact;
+  const mc::shard_plan plan = mc::make_shard_plan(cfg.samples, cfg.shards);
+  mc::experiment_accumulator want_acc(true);
+  core::fault_mask a;
+  core::fault_mask b;
+  for (unsigned shard = 0; shard < plan.shard_count; ++shard) {
+    mc::experiment_accumulator acc(true);
+    stats::rng r = stats::rng::stream(cfg.seed, shard);
+    for (std::uint64_t s = 0; s < plan.shard_samples(shard); ++s) {
+      mc::sample_version_mask(u, r, a);
+      mc::sample_version_mask(u, r, b);
+      const core::pair_intersection_result pair = core::intersect_q_sum(a, b, u.q_array());
+      acc.add(core::masked_q_sum(a, u.q_array()), pair.pfd, a.any(), pair.any_common);
+    }
+    want_acc.merge(acc);
+  }
+  mc::experiment_result want = want_acc.to_result(cfg.ci_level);
+  want.shards = plan.shard_count;
+  for (const auto level : levels_up_to_detected()) {
+    core::set_simd_level_cap(level);
+    for (const unsigned threads : {1u, 3u}) {
+      cfg.threads = threads;
+      expect_results_identical(mc::run_experiment(u, cfg), want,
+                               std::string(core::simd_level_name(level)) +
+                                   " threads=" + std::to_string(threads));
+    }
+    core::clear_simd_level_cap();
+  }
 }
 
 TEST(FastSimdEngine, BitIdenticalAcrossThreadCounts) {

@@ -740,7 +740,7 @@ constexpr command kCommands[] = {
      "                       (experiment); 0 = budget-scaled\n"
      "  --budget N           scenario/experiment: samples; demand: demands per target\n"
      "  --engine NAME        experiment engine: {engines}\n"
-     "  --threads N          worker threads (default 0 = hardware)\n"
+     "  --threads N          worker threads (default 0 = the CPUs this process may use)\n"
      "  --out-csv PATH / --out-json PATH      results tables\n"
      "  --quiet              suppress the progress line\n",
      cmd_single},
