@@ -1,6 +1,7 @@
 #pragma once
 // main() of the google-benchmark perf binaries (bench_p1_perf,
-// bench_runner_scaling, bench_campaign_scaling, bench_p4_simd): it records
+// bench_runner_scaling, bench_campaign_scaling, bench_p4_simd,
+// bench_p5_service): it records
 // the SIMD level every uncapped variant runs at (RELDIV_SIMD applies) as
 // context.simd_level.  bench/compare_bench.py gates ratios of uncapped
 // variants only between runs that report the same level, and ratios of the

@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <string>
 
+#include "bench_main.hpp"
 #include "mc/distributed.hpp"
 #include "mc/run_dir.hpp"
 #include "mc/service.hpp"
@@ -118,4 +119,4 @@ BENCHMARK(BM_ServiceStatusQuery)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 
-BENCHMARK_MAIN();
+RELDIV_BENCHMARK_MAIN()

@@ -228,10 +228,9 @@ bool reap_claim_if_stale(const fs::path& run_dir, std::uint64_t index,
 
 /// Shared init path: create the directory skeleton, then either adopt an
 /// existing manifest (same kind + fingerprint, else refuse) or write the new
-/// one with its JSON mirror.
+/// one.
 void init_run_dir_files(const fs::path& run_dir, state_kind manifest_kind,
-                        std::uint64_t fingerprint, const std::string& manifest_blob,
-                        const std::string& json_mirror) {
+                        std::uint64_t fingerprint, const std::string& manifest_blob) {
   std::error_code ec;
   fs::create_directories(cells_dir(run_dir), ec);
   if (ec) {
@@ -240,7 +239,6 @@ void init_run_dir_files(const fs::path& run_dir, state_kind manifest_kind,
   }
 
   const fs::path mpath = manifest_path(run_dir);
-  const fs::path jpath = run_dir / "manifest.json";
   if (fs::exists(mpath)) {
     // Resume: the directory must belong to this exact run.
     const std::string existing = read_file(mpath);
@@ -250,15 +248,8 @@ void init_run_dir_files(const fs::path& run_dir, state_kind manifest_kind,
                           " holds a different run (manifest kind or fingerprint "
                           "mismatch); refusing to mix runs");
     }
-    // Heal the human-readable mirror if a crash landed between the two
-    // writes (the binary manifest is the one that matters for correctness).
-    if (!fs::exists(jpath)) write_file_atomic(jpath, json_mirror);
     return;
   }
-  // Mirror first: once the authoritative manifest exists the directory is
-  // live, and the mirror must already be in place for any later artifact
-  // upload or operator inspection.
-  write_file_atomic(jpath, json_mirror);
   write_file_atomic(mpath, manifest_blob);
 }
 
@@ -319,7 +310,8 @@ void fold_cells(const fs::path& run_dir, std::uint64_t cells, std::uint64_t fing
 // rest of this file — run_handle, the worker loop, the coordinator — is
 // kind-agnostic and reaches a row through std::visit over the manifest.
 //
-//   kind / decode / encode / json / fingerprint / cells   manifest identity
+//   kind / decode / encode / fingerprint   manifest identity (manifest_kind)
+//   cells          the manifest's cell or window count
 //   prepare        validate a manifest before init writes it
 //   cell_function  index -> encoded state file (what a worker writes)
 //   merge          the completed cells -> the typed single-process result
@@ -331,12 +323,7 @@ template <class Manifest>
 struct job_row;
 
 template <>
-struct job_row<sweep_manifest> {
-  static constexpr job_kind kind = job_kind::scenario_grid;
-  static constexpr auto decode = &decode_manifest;
-  static constexpr auto encode = &encode_manifest;
-  static constexpr auto json = &manifest_json;
-  static constexpr auto fingerprint = &manifest_fingerprint;
+struct job_row<sweep_manifest> : manifest_kind<sweep_manifest> {
   static std::uint64_t cells(const sweep_manifest& m) { return m.cell_count; }
 
   /// enumerate_cells refuses an infeasible grid and pins the cell count.
@@ -390,12 +377,7 @@ struct job_row<sweep_manifest> {
 };
 
 template <>
-struct job_row<demand_manifest> {
-  static constexpr job_kind kind = job_kind::demand_campaign;
-  static constexpr auto decode = &decode_demand_manifest;
-  static constexpr auto encode = &encode_demand_manifest;
-  static constexpr auto json = &demand_manifest_json;
-  static constexpr auto fingerprint = &demand_manifest_fingerprint;
+struct job_row<demand_manifest> : manifest_kind<demand_manifest> {
   static std::uint64_t cells(const demand_manifest& m) { return m.window_count(); }
 
   static demand_manifest prepare(demand_manifest m) {
@@ -438,12 +420,7 @@ struct job_row<demand_manifest> {
 };
 
 template <>
-struct job_row<experiment_manifest> {
-  static constexpr job_kind kind = job_kind::experiment_shards;
-  static constexpr auto decode = &decode_experiment_manifest;
-  static constexpr auto encode = &encode_experiment_manifest;
-  static constexpr auto json = &experiment_manifest_json;
-  static constexpr auto fingerprint = &experiment_manifest_fingerprint;
+struct job_row<experiment_manifest> : manifest_kind<experiment_manifest> {
   static std::uint64_t cells(const experiment_manifest& m) { return m.window_count(); }
 
   static experiment_manifest prepare(experiment_manifest m) {
@@ -552,7 +529,7 @@ run_handle run_handle::init(const manifest_variant& m, const fs::path& run_dir) 
       [&h](const auto& mm) {
         using row = row_of<decltype(mm)>;
         init_run_dir_files(h.dir_, manifest_kind_of(row::kind), h.fingerprint_,
-                           row::encode(mm), row::json(mm));
+                           row::encode(mm));
       },
       h.manifest_);
   return h;

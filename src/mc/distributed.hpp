@@ -121,8 +121,8 @@ class run_handle {
   /// Open an existing run directory, dispatching on its manifest's kind.
   [[nodiscard]] static run_handle open(const std::filesystem::path& run_dir);
 
-  /// Create (or resume) a run directory: make `<run_dir>/cells/`, write the
-  /// binary manifest and its JSON mirror atomically.  Re-opening an existing
+  /// Create (or resume) a run directory: make `<run_dir>/cells/` and write
+  /// the binary manifest atomically.  Re-opening an existing
   /// directory is the resume path — its manifest must carry the same kind
   /// and fingerprint, otherwise run_dir_error is thrown.  A scenario
   /// manifest's cell_count is re-enumerated from its axes, which refuses an

@@ -80,6 +80,9 @@ enum class sampling_engine : std::uint32_t {
 /// N" for any other tag no engine holds.
 [[nodiscard]] sampling_engine sampling_engine_from_tag(std::uint32_t tag);
 
+/// Level of the reported confidence intervals unless a config says otherwise.
+inline constexpr double kDefaultCiLevel = 0.99;
+
 struct experiment_config {
   std::uint64_t samples = 100'000;   ///< number of version-pairs to draw
   std::uint64_t seed = 1;
@@ -90,7 +93,7 @@ struct experiment_config {
                                      ///< result's identity: changing it changes the
                                      ///< rng layout.
   bool keep_samples = false;         ///< retain per-sample PFDs (memory!)
-  double ci_level = 0.99;            ///< level for the reported intervals
+  double ci_level = kDefaultCiLevel;  ///< level for the reported intervals
   sampling_engine engine = sampling_engine::fast_simd;
 };
 
@@ -119,7 +122,7 @@ struct experiment_result {
   std::uint64_t n1_zero_pfd = 0;  ///< versions with PFD == 0
   std::uint64_t n2_zero_pfd = 0;  ///< pairs with PFD == 0
 
-  double ci_level = 0.99;
+  double ci_level = kDefaultCiLevel;
 
   std::optional<std::vector<double>> theta1_samples;
   std::optional<std::vector<double>> theta2_samples;
@@ -179,7 +182,7 @@ class experiment_accumulator {
   [[nodiscard]] static experiment_accumulator from_state(const accumulator_state& s);
 
   /// Package the accumulated statistics as an experiment_result.
-  [[nodiscard]] experiment_result to_result(double ci_level = 0.99) const;
+  [[nodiscard]] experiment_result to_result(double ci_level = kDefaultCiLevel) const;
 
  private:
   std::uint64_t samples_ = 0;
@@ -227,7 +230,7 @@ struct experiment_manifest {
                         ///< make_experiment_manifest to resolve a config)
   sampling_engine engine = sampling_engine::fast_simd;
   bool keep_samples = false;
-  double ci_level = 0.99;
+  double ci_level = kDefaultCiLevel;
   unsigned window = 0;  ///< shards per distributed window
 
   /// The experiment_config this manifest pins (threads is a throughput knob,

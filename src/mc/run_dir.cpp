@@ -2,11 +2,14 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "mc/io_env.hpp"
+#include "mc/manifest_fields.hpp"
 #include "stats/wire.hpp"
 
 namespace reldiv::mc {
@@ -17,34 +20,96 @@ using stats::wire_writer;
 
 namespace {
 
-// Vector codecs with a length sanity check: a mangled length prefix must
-// throw, not drive a multi-exabyte reserve.
-void write_f64_vec(wire_writer& w, const std::vector<double>& v) {
-  w.put_u64(v.size());
-  for (const double x : v) w.put_f64(x);
+// ---------------------------------------------------------------------------
+// Field codecs: a value's wire encoding follows from its C++ type.  bool is
+// a u8, floating point an f64, enums and `unsigned` counts a u32, other
+// integers a u64; strings, universes and vectors lead with a u64 length.
+// ---------------------------------------------------------------------------
+
+using named_universe = std::pair<std::string, core::fault_universe>;
+
+template <class T>
+void put(wire_writer& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.put_u8(v ? 1 : 0);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    w.put_f64(v);
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, unsigned>) {
+    w.put_u32(static_cast<std::uint32_t>(v));
+  } else if constexpr (std::is_integral_v<T>) {
+    w.put_u64(v);
+  } else if constexpr (std::is_same_v<T, core::architecture>) {
+    w.put_u32(v.versions);
+    w.put_u32(v.votes_to_defeat);
+  } else if constexpr (std::is_same_v<T, core::fault_universe>) {
+    w.put_u64(v.size());
+    for (const auto& atom : v.atoms()) {
+      w.put_f64(atom.p);
+      w.put_f64(atom.q);
+    }
+  } else if constexpr (std::is_same_v<T, named_universe>) {
+    w.put_bytes(v.first);
+    put(w, v.second);
+  } else {
+    w.put_u64(v.size());
+    for (const auto& x : v) put(w, x);
+  }
 }
 
-std::vector<double> read_f64_vec(wire_reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n > r.remaining() / 8) throw stats::wire_error("wire: vector length exceeds buffer");
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.get_f64());
-  return v;
-}
-
-void write_u64_vec(wire_writer& w, const std::vector<std::uint64_t>& v) {
-  w.put_u64(v.size());
-  for (const std::uint64_t x : v) w.put_u64(x);
-}
-
-std::vector<std::uint64_t> read_u64_vec(wire_reader& r) {
-  const std::uint64_t n = r.get_u64();
-  if (n > r.remaining() / 8) throw stats::wire_error("wire: vector length exceeds buffer");
-  std::vector<std::uint64_t> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.get_u64());
-  return v;
+template <class T>
+void get(wire_reader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.get_u8() != 0;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = r.get_f64();
+  } else if constexpr (std::is_same_v<T, unsigned>) {
+    v = r.get_u32();
+  } else if constexpr (std::is_integral_v<T>) {
+    v = r.get_u64();
+  } else if constexpr (std::is_same_v<T, correlation_model>) {
+    const std::uint32_t model = r.get_u32();
+    if (model > static_cast<std::uint32_t>(correlation_model::copula)) {
+      throw stats::wire_error("wire: unknown correlation model " + std::to_string(model));
+    }
+    v = static_cast<correlation_model>(model);
+  } else if constexpr (std::is_same_v<T, sampling_engine>) {
+    // Wire values are append-only: exact=1, fast_simd=3; 0 (fast) and 2
+    // (legacy) were retired engines and are refused.
+    try {
+      v = sampling_engine_from_tag(r.get_u32());
+    } catch (const std::invalid_argument& e) {
+      throw stats::wire_error(std::string("wire: ") + e.what());
+    }
+  } else if constexpr (std::is_same_v<T, core::architecture>) {
+    v.versions = r.get_u32();
+    v.votes_to_defeat = r.get_u32();
+  } else if constexpr (std::is_same_v<T, core::fault_universe>) {
+    const std::uint64_t n = r.get_u64();
+    if (n > r.remaining() / 16) throw stats::wire_error("wire: universe size exceeds buffer");
+    std::vector<double> p(n);
+    std::vector<double> q(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      p[i] = r.get_f64();
+      q[i] = r.get_f64();
+    }
+    // allow_q_overflow: a deliberately pessimistic §6.2 universe must
+    // round-trip; per-atom range validation still applies.
+    v = core::fault_universe::from_arrays(p, q, /*allow_q_overflow=*/true);
+  } else if constexpr (std::is_same_v<T, named_universe>) {
+    v.first = std::string(r.get_bytes());
+    get(r, v.second);
+  } else {
+    // Every element takes at least 8 bytes: a mangled length prefix must
+    // throw, not drive a multi-exabyte allocation.
+    using elem = typename T::value_type;
+    std::string what = "vector length";
+    if constexpr (std::is_same_v<elem, named_universe>) what = "universe count";
+    if constexpr (std::is_same_v<elem, core::architecture>) what = "adjudication count";
+    const std::uint64_t n = r.get_u64();
+    if (n > r.remaining() / 8) throw stats::wire_error("wire: " + what + " exceeds buffer");
+    v.assign(n, elem{});
+    for (elem& x : v) get(r, x);
+  }
 }
 
 // Payload-level codecs (no container framing) so composite states can nest.
@@ -58,8 +123,8 @@ void write_accumulator_payload(wire_writer& w, const accumulator_state& s) {
   w.put_u64(s.n1_zero_pfd);
   w.put_u64(s.n2_zero_pfd);
   w.put_u8(s.keeping_samples ? 1 : 0);
-  write_f64_vec(w, s.theta1_samples);
-  write_f64_vec(w, s.theta2_samples);
+  put(w, s.theta1_samples);
+  put(w, s.theta2_samples);
 }
 
 accumulator_state read_accumulator_payload(wire_reader& r) {
@@ -72,8 +137,8 @@ accumulator_state read_accumulator_payload(wire_reader& r) {
   s.n1_zero_pfd = r.get_u64();
   s.n2_zero_pfd = r.get_u64();
   s.keeping_samples = r.get_u8() != 0;
-  s.theta1_samples = read_f64_vec(r);
-  s.theta2_samples = read_f64_vec(r);
+  get(r, s.theta1_samples);
+  get(r, s.theta2_samples);
   return s;
 }
 
@@ -133,114 +198,83 @@ cell_state read_cell_payload(wire_reader& r) {
   return c;
 }
 
-/// True when the extended axes sit at their historical defaults — such a
-/// manifest is written WITHOUT the extension block, so its payload bytes
-/// (and therefore its fingerprint) are identical to every earlier release.
-bool axes_extension_is_default(const scenario_axes& axes) {
-  return axes.rho_model == correlation_model::mixture && axes.adjudications.size() == 1 &&
-         axes.adjudications[0].versions == 2 &&
-         axes.adjudications[0].votes_to_defeat == 2 && axes.cell_budgets.empty();
-}
+// ---------------------------------------------------------------------------
+// Manifest payloads, walked from the declarations in mc/manifest_fields.hpp
+// ---------------------------------------------------------------------------
 
 // Version tag of the appended axes-extension block (append-only, like the
 // engine wire values).
 constexpr std::uint32_t kAxesExtensionVersion = 1;
 
-void write_manifest_payload(wire_writer& w, const sweep_manifest& m) {
-  w.put_u64(m.seed);
-  w.put_u32(m.shards);
-  w.put_f64(m.axes.stress);
-  w.put_u64(m.axes.universes.size());
-  for (const auto& [name, universe] : m.axes.universes) {
-    w.put_bytes(name);
-    w.put_u64(universe.size());
-    for (const auto& atom : universe.atoms()) {
-      w.put_f64(atom.p);
-      w.put_f64(atom.q);
+/// Visits one wire group of a manifest's declared fields.
+template <class Writer>
+struct wire_group_visitor {
+  Writer& io;
+  wire_group group;
+  template <class T>
+  void operator()(const field& f, T& value) const {
+    if (f.wire != group) return;
+    if constexpr (std::is_same_v<Writer, wire_writer>) {
+      put(io, value);
+    } else {
+      get(io, value);
     }
   }
-  write_f64_vec(w, m.axes.correlations);
-  write_f64_vec(w, m.axes.overlaps);
-  {
-    std::vector<std::uint64_t> aliasing(m.axes.aliasing.begin(), m.axes.aliasing.end());
-    write_u64_vec(w, aliasing);
-  }
-  write_u64_vec(w, m.axes.budgets);
-  w.put_u64(m.cell_count);
-  // Extended axes (correlation model, k-out-of-m adjudication, per-cell
-  // refinement budgets) append AFTER the historical payload and only when
-  // non-default; the reader takes their absence as the defaults.
-  if (!axes_extension_is_default(m.axes)) {
-    w.put_u32(kAxesExtensionVersion);
-    w.put_u32(static_cast<std::uint32_t>(m.axes.rho_model));
-    w.put_u64(m.axes.adjudications.size());
-    for (const core::architecture& arch : m.axes.adjudications) {
-      w.put_u32(arch.versions);
-      w.put_u32(arch.votes_to_defeat);
-    }
-    write_u64_vec(w, m.axes.cell_budgets);
-  }
+};
+
+template <class M>
+std::string group_bytes(const M& m, wire_group group) {
+  wire_writer w;
+  wire_group_visitor<wire_writer> v{w, group};
+  fields(v, m);
+  return w.take();
 }
 
-sweep_manifest read_manifest_payload(wire_reader& r) {
-  sweep_manifest m;
-  m.seed = r.get_u64();
-  m.shards = r.get_u32();
-  m.axes.stress = r.get_f64();
-  const std::uint64_t universes = r.get_u64();
-  if (universes > r.remaining() / 8) {
-    throw stats::wire_error("wire: universe count exceeds buffer");
+/// The payload: the job-kind tag (demand and experiment), the main and
+/// count groups, and the extension block when it is off its defaults.
+template <class M>
+std::string manifest_payload(const M& m) {
+  wire_writer w;
+  if constexpr (!std::is_same_v<M, sweep_manifest>) {
+    w.put_u32(static_cast<std::uint32_t>(manifest_kind<M>::kind));
   }
-  m.axes.universes.reserve(universes);
-  for (std::uint64_t u = 0; u < universes; ++u) {
-    std::string name(r.get_bytes());
-    const std::uint64_t n = r.get_u64();
-    if (n > r.remaining() / 16) throw stats::wire_error("wire: universe size exceeds buffer");
-    std::vector<double> p;
-    std::vector<double> q;
-    p.reserve(n);
-    q.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      p.push_back(r.get_f64());
-      q.push_back(r.get_f64());
-    }
-    // allow_q_overflow: a deliberately pessimistic §6.2 universe must
-    // round-trip; per-atom range validation still applies.
-    m.axes.universes.emplace_back(
-        std::move(name), core::fault_universe::from_arrays(p, q, /*allow_q_overflow=*/true));
+  std::string payload = w.take() + group_bytes(m, wire_group::main) +
+                        group_bytes(m, wire_group::count);
+  const std::string extension = group_bytes(m, wire_group::extension);
+  if (extension != group_bytes(M{}, wire_group::extension)) {
+    wire_writer version;
+    version.put_u32(kAxesExtensionVersion);
+    payload += version.buffer() + extension;
   }
-  m.axes.correlations = read_f64_vec(r);
-  m.axes.overlaps = read_f64_vec(r);
-  {
-    const std::vector<std::uint64_t> aliasing = read_u64_vec(r);
-    m.axes.aliasing.assign(aliasing.begin(), aliasing.end());
+  return payload;
+}
+
+template <class M>
+M read_manifest_payload(wire_reader& r) {
+  M m;
+  if constexpr (!std::is_same_v<M, sweep_manifest>) {
+    if (r.get_u32() != static_cast<std::uint32_t>(manifest_kind<M>::kind)) {
+      throw stats::wire_error("wire: " + std::string(manifest_kind<M>::spec_name) +
+                              " manifest job-kind tag mismatch");
+    }
   }
-  m.axes.budgets = read_u64_vec(r);
-  m.cell_count = r.get_u64();
-  if (r.remaining() > 0) {
-    const std::uint32_t ext = r.get_u32();
-    if (ext != kAxesExtensionVersion) {
-      throw stats::wire_error("wire: unknown axes extension version " +
-                              std::to_string(ext));
+  for (const wire_group group : {wire_group::main, wire_group::count}) {
+    wire_group_visitor<wire_reader> v{r, group};
+    fields(v, m);
+  }
+  if constexpr (std::is_same_v<M, sweep_manifest>) {
+    // An absent extension block means the extension fields' defaults.
+    if (r.remaining() > 0) {
+      const std::uint32_t ext = r.get_u32();
+      if (ext != kAxesExtensionVersion) {
+        throw stats::wire_error("wire: unknown axes extension version " +
+                                std::to_string(ext));
+      }
+      wire_group_visitor<wire_reader> v{r, wire_group::extension};
+      fields(v, m);
     }
-    const std::uint32_t model = r.get_u32();
-    if (model > static_cast<std::uint32_t>(correlation_model::copula)) {
-      throw stats::wire_error("wire: unknown correlation model " + std::to_string(model));
-    }
-    m.axes.rho_model = static_cast<correlation_model>(model);
-    const std::uint64_t archs = r.get_u64();
-    if (archs > r.remaining() / 8) {
-      throw stats::wire_error("wire: adjudication count exceeds buffer");
-    }
-    m.axes.adjudications.clear();
-    m.axes.adjudications.reserve(archs);
-    for (std::uint64_t i = 0; i < archs; ++i) {
-      core::architecture arch;
-      arch.versions = r.get_u32();
-      arch.votes_to_defeat = r.get_u32();
-      m.axes.adjudications.push_back(arch);
-    }
-    m.axes.cell_budgets = read_u64_vec(r);
+  } else {
+    m.validate();
   }
   return m;
 }
@@ -261,27 +295,6 @@ auto decode_payload(state_kind kind, std::string_view blob, Fn&& read) {
   } catch (const std::invalid_argument& e) {
     throw run_dir_error(std::string("run_dir: state payload invalid: ") + e.what());
   }
-}
-
-void append_json_f64_array(std::string& out, const std::vector<double>& v) {
-  out += '[';
-  char buf[64];
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    std::snprintf(buf, sizeof(buf), "%.17g", v[i]);
-    out += buf;
-  }
-  out += ']';
-}
-
-template <typename T>
-void append_json_u64_array(std::string& out, const std::vector<T>& v) {
-  out += '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(static_cast<std::uint64_t>(v[i]));
-  }
-  out += ']';
 }
 
 }  // namespace
@@ -418,7 +431,7 @@ accumulator_state decode_accumulator_state(std::string_view blob) {
 std::string encode_demand_tally(const demand_tally& t) {
   wire_writer w;
   w.put_u64(t.demands);
-  write_u64_vec(w, t.failures);
+  put(w, t.failures);
   return encode_state_blob(state_kind::demand, w.buffer());
 }
 
@@ -426,7 +439,7 @@ demand_tally decode_demand_tally(std::string_view blob) {
   return decode_payload(state_kind::demand, blob, [](wire_reader& r) {
     demand_tally t;
     t.demands = r.get_u64();
-    t.failures = read_u64_vec(r);
+    get(r, t.failures);
     return t;
   });
 }
@@ -470,7 +483,7 @@ std::string encode_demand_window_state(const demand_window_state& s) {
   w.put_u64(s.result.target_begin);
   w.put_u64(s.result.target_end);
   w.put_u64(s.result.demands);
-  write_u64_vec(w, s.result.failures);
+  put(w, s.result.failures);
   return encode_state_blob(state_kind::demand_window, w.buffer());
 }
 
@@ -482,7 +495,7 @@ demand_window_state decode_demand_window_state(std::string_view blob) {
     s.result.target_begin = r.get_u64();
     s.result.target_end = r.get_u64();
     s.result.demands = r.get_u64();
-    s.result.failures = read_u64_vec(r);
+    get(r, s.result.failures);
     if (s.result.target_begin > s.result.target_end ||
         s.result.failures.size() != s.result.target_end - s.result.target_begin) {
       throw stats::wire_error("wire: demand window bounds disagree with its counts");
@@ -564,14 +577,12 @@ cached_result decode_cached_result(std::string_view blob) {
 // ---------------------------------------------------------------------------
 
 std::string encode_manifest(const sweep_manifest& m) {
-  wire_writer w;
-  write_manifest_payload(w, m);
-  return encode_state_blob(state_kind::manifest, w.buffer());
+  return encode_state_blob(state_kind::manifest, manifest_payload(m));
 }
 
 sweep_manifest decode_manifest(std::string_view blob) {
-  sweep_manifest m = decode_payload(state_kind::manifest, blob,
-                                    [](wire_reader& r) { return read_manifest_payload(r); });
+  sweep_manifest m =
+      decode_payload(state_kind::manifest, blob, read_manifest_payload<sweep_manifest>);
   // The cell count is derived data; a mismatch means the axes and the count
   // were written by disagreeing code, and no cell index can be trusted.
   std::size_t expected = 0;
@@ -588,211 +599,33 @@ sweep_manifest decode_manifest(std::string_view blob) {
 }
 
 std::uint64_t manifest_fingerprint(const sweep_manifest& m) {
-  wire_writer w;
-  write_manifest_payload(w, m);
-  return stats::fnv1a64(w.buffer());
+  return stats::fnv1a64(manifest_payload(m));
 }
-
-std::string manifest_json(const sweep_manifest& m) {
-  std::string out = "{\n  \"format_version\": " + std::to_string(kStateFormatVersion);
-  out += ",\n  \"seed\": " + std::to_string(m.seed);
-  out += ",\n  \"shards\": " + std::to_string(m.shards);
-  out += ",\n  \"cell_count\": " + std::to_string(m.cell_count);
-  out += ",\n  \"fingerprint\": " + std::to_string(manifest_fingerprint(m));
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", m.axes.stress);
-  out += ",\n  \"stress\": ";
-  out += buf;
-  out += ",\n  \"universes\": [";
-  for (std::size_t u = 0; u < m.axes.universes.size(); ++u) {
-    if (u > 0) out += ',';
-    out += "{\"name\":\"" + m.axes.universes[u].first +
-           "\",\"faults\":" + std::to_string(m.axes.universes[u].second.size()) + "}";
-  }
-  out += "]";
-  out += ",\n  \"correlations\": ";
-  append_json_f64_array(out, m.axes.correlations);
-  out += ",\n  \"overlaps\": ";
-  append_json_f64_array(out, m.axes.overlaps);
-  out += ",\n  \"aliasing\": ";
-  append_json_u64_array(out, m.axes.aliasing);
-  out += ",\n  \"rho_model\": \"";
-  out += m.axes.rho_model == correlation_model::copula ? "copula" : "mixture";
-  out += '"';
-  out += ",\n  \"adjudications\": [";
-  for (std::size_t i = 0; i < m.axes.adjudications.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"versions\":" + std::to_string(m.axes.adjudications[i].versions) +
-           ",\"votes\":" + std::to_string(m.axes.adjudications[i].votes_to_defeat) + "}";
-  }
-  out += "]";
-  out += ",\n  \"budgets\": ";
-  append_json_u64_array(out, m.axes.budgets);
-  if (!m.axes.cell_budgets.empty()) {
-    out += ",\n  \"cell_budgets\": ";
-    append_json_u64_array(out, m.axes.cell_budgets);
-  }
-  out += "\n}\n";
-  return out;
-}
-
-namespace {
-
-// The demand and experiment manifest payloads lead with their job kind so
-// the three manifest payloads can never alias under the shared FNV-1a
-// fingerprint hash (the scenario payload predates the tag and keeps its
-// PR 4 layout for fingerprint stability).
-
-void write_demand_manifest_payload(wire_writer& w, const demand_manifest& m) {
-  w.put_u32(static_cast<std::uint32_t>(job_kind::demand_campaign));
-  w.put_u64(m.seed);
-  w.put_u64(m.demands);
-  w.put_u64(m.window);
-  write_f64_vec(w, m.target_pfd);
-}
-
-demand_manifest read_demand_manifest_payload(wire_reader& r) {
-  demand_manifest m;
-  if (r.get_u32() != static_cast<std::uint32_t>(job_kind::demand_campaign)) {
-    throw stats::wire_error("wire: demand manifest job-kind tag mismatch");
-  }
-  m.seed = r.get_u64();
-  m.demands = r.get_u64();
-  m.window = r.get_u64();
-  m.target_pfd = read_f64_vec(r);
-  m.validate();
-  return m;
-}
-
-void write_experiment_manifest_payload(wire_writer& w, const experiment_manifest& m) {
-  w.put_u32(static_cast<std::uint32_t>(job_kind::experiment_shards));
-  w.put_u64(m.seed);
-  w.put_u64(m.samples);
-  w.put_u32(m.shards);
-  w.put_u32(static_cast<std::uint32_t>(m.engine));
-  w.put_u8(m.keep_samples ? 1 : 0);
-  w.put_f64(m.ci_level);
-  w.put_u32(m.window);
-  w.put_u64(m.universe.size());
-  for (const auto& atom : m.universe.atoms()) {
-    w.put_f64(atom.p);
-    w.put_f64(atom.q);
-  }
-}
-
-experiment_manifest read_experiment_manifest_payload(wire_reader& r) {
-  experiment_manifest m;
-  if (r.get_u32() != static_cast<std::uint32_t>(job_kind::experiment_shards)) {
-    throw stats::wire_error("wire: experiment manifest job-kind tag mismatch");
-  }
-  m.seed = r.get_u64();
-  m.samples = r.get_u64();
-  m.shards = r.get_u32();
-  // Wire values are append-only: exact=1, fast_simd=3; 0 (fast) and 2
-  // (legacy) were retired engines and are refused.
-  try {
-    m.engine = sampling_engine_from_tag(r.get_u32());
-  } catch (const std::invalid_argument& e) {
-    throw stats::wire_error(std::string("wire: ") + e.what());
-  }
-  m.keep_samples = r.get_u8() != 0;
-  m.ci_level = r.get_f64();
-  m.window = r.get_u32();
-  const std::uint64_t n = r.get_u64();
-  if (n > r.remaining() / 16) throw stats::wire_error("wire: universe size exceeds buffer");
-  std::vector<double> p;
-  std::vector<double> q;
-  p.reserve(n);
-  q.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    p.push_back(r.get_f64());
-    q.push_back(r.get_f64());
-  }
-  m.universe = core::fault_universe::from_arrays(p, q, /*allow_q_overflow=*/true);
-  m.validate();
-  return m;
-}
-
-}  // namespace
 
 std::string encode_demand_manifest(const demand_manifest& m) {
-  wire_writer w;
-  write_demand_manifest_payload(w, m);
-  return encode_state_blob(state_kind::demand_manifest, w.buffer());
+  return encode_state_blob(state_kind::demand_manifest, manifest_payload(m));
 }
 
 demand_manifest decode_demand_manifest(std::string_view blob) {
   return decode_payload(state_kind::demand_manifest, blob,
-                        [](wire_reader& r) { return read_demand_manifest_payload(r); });
+                        read_manifest_payload<demand_manifest>);
 }
 
 std::uint64_t demand_manifest_fingerprint(const demand_manifest& m) {
-  wire_writer w;
-  write_demand_manifest_payload(w, m);
-  return stats::fnv1a64(w.buffer());
-}
-
-std::string demand_manifest_json(const demand_manifest& m) {
-  m.validate();
-  std::string out = "{\n  \"format_version\": " + std::to_string(kStateFormatVersion);
-  out += ",\n  \"job_kind\": \"demand_campaign\"";
-  out += ",\n  \"seed\": " + std::to_string(m.seed);
-  out += ",\n  \"demands\": " + std::to_string(m.demands);
-  out += ",\n  \"targets\": " + std::to_string(m.target_pfd.size());
-  out += ",\n  \"window\": " + std::to_string(m.window);
-  out += ",\n  \"window_count\": " + std::to_string(m.window_count());
-  out += ",\n  \"fingerprint\": " + std::to_string(demand_manifest_fingerprint(m));
-  const auto [lo, hi] =
-      std::minmax_element(m.target_pfd.begin(), m.target_pfd.end());
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", *lo);
-  out += ",\n  \"pfd_min\": ";
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "%.17g", *hi);
-  out += ",\n  \"pfd_max\": ";
-  out += buf;
-  out += "\n}\n";
-  return out;
+  return stats::fnv1a64(manifest_payload(m));
 }
 
 std::string encode_experiment_manifest(const experiment_manifest& m) {
-  wire_writer w;
-  write_experiment_manifest_payload(w, m);
-  return encode_state_blob(state_kind::experiment_manifest, w.buffer());
+  return encode_state_blob(state_kind::experiment_manifest, manifest_payload(m));
 }
 
 experiment_manifest decode_experiment_manifest(std::string_view blob) {
-  return decode_payload(state_kind::experiment_manifest, blob, [](wire_reader& r) {
-    return read_experiment_manifest_payload(r);
-  });
+  return decode_payload(state_kind::experiment_manifest, blob,
+                        read_manifest_payload<experiment_manifest>);
 }
 
 std::uint64_t experiment_manifest_fingerprint(const experiment_manifest& m) {
-  wire_writer w;
-  write_experiment_manifest_payload(w, m);
-  return stats::fnv1a64(w.buffer());
-}
-
-std::string experiment_manifest_json(const experiment_manifest& m) {
-  m.validate();
-  std::string out = "{\n  \"format_version\": " + std::to_string(kStateFormatVersion);
-  out += ",\n  \"job_kind\": \"experiment_shards\"";
-  out += ",\n  \"seed\": " + std::to_string(m.seed);
-  out += ",\n  \"samples\": " + std::to_string(m.samples);
-  out += ",\n  \"shards\": " + std::to_string(m.shards);
-  out += ",\n  \"engine\": " + std::to_string(static_cast<std::uint32_t>(m.engine));
-  out += ",\n  \"keep_samples\": ";
-  out += m.keep_samples ? "true" : "false";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", m.ci_level);
-  out += ",\n  \"ci_level\": ";
-  out += buf;
-  out += ",\n  \"window\": " + std::to_string(m.window);
-  out += ",\n  \"window_count\": " + std::to_string(m.window_count());
-  out += ",\n  \"faults\": " + std::to_string(m.universe.size());
-  out += ",\n  \"fingerprint\": " + std::to_string(experiment_manifest_fingerprint(m));
-  out += "\n}\n";
-  return out;
+  return stats::fnv1a64(manifest_payload(m));
 }
 
 // ---------------------------------------------------------------------------

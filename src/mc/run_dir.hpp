@@ -20,14 +20,15 @@
 //
 // A sweep *run directory* is:
 //
-//   <run_dir>/manifest.state      authoritative binary manifest (this
-//                                 container format, kind = manifest):
-//                                 the full scenario_axes (universes
-//                                 serialized atom-for-atom), grid seed and
-//                                 shard layout, and the enumerated cell
-//                                 count.  Its payload's FNV-1a hash is the
-//                                 run's *fingerprint*.
-//   <run_dir>/manifest.json       human-readable mirror (never parsed).
+//   <run_dir>/manifest.state      the run's manifest (this container
+//                                 format, kind = the job's manifest kind):
+//                                 every field mc/manifest_fields.hpp
+//                                 declares on the wire, universes
+//                                 atom-for-atom.  Its payload's FNV-1a hash
+//                                 is the run's *fingerprint*.  `describe`
+//                                 (describe_manifest_json) is its
+//                                 human-readable view; the directory holds
+//                                 no JSON copy.
 //   <run_dir>/cells/cell_NNNNNN.state
 //                                 one completed cell: the run fingerprint,
 //                                 the cell index, and the full
@@ -232,24 +233,17 @@ struct sweep_manifest {
 /// layout can never be merged into this run.
 [[nodiscard]] std::uint64_t manifest_fingerprint(const sweep_manifest& m);
 
-/// Human-readable JSON mirror of the manifest (axes summary + identity
-/// fields).  Written next to the binary manifest for operators and CI
-/// artifacts; never parsed back.
-[[nodiscard]] std::string manifest_json(const sweep_manifest& m);
-
 // Demand-campaign manifest (kind = demand_manifest).  The payload leads with
 // the job kind so the three manifest payloads can never alias under the
 // fingerprint hash.
 [[nodiscard]] std::string encode_demand_manifest(const demand_manifest& m);
 [[nodiscard]] demand_manifest decode_demand_manifest(std::string_view blob);
 [[nodiscard]] std::uint64_t demand_manifest_fingerprint(const demand_manifest& m);
-[[nodiscard]] std::string demand_manifest_json(const demand_manifest& m);
 
 // Experiment shard-window manifest (kind = experiment_manifest).
 [[nodiscard]] std::string encode_experiment_manifest(const experiment_manifest& m);
 [[nodiscard]] experiment_manifest decode_experiment_manifest(std::string_view blob);
 [[nodiscard]] std::uint64_t experiment_manifest_fingerprint(const experiment_manifest& m);
-[[nodiscard]] std::string experiment_manifest_json(const experiment_manifest& m);
 
 // ---------------------------------------------------------------------------
 // Filesystem layer

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "demand/raster.hpp"
@@ -212,15 +215,92 @@ std::vector<raw_section> lex_spec(std::string_view text, parse_ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed key access
+// Typed values: one parser, by C++ type, for the declared fields and the
+// universe generators' parameters alike
 // ---------------------------------------------------------------------------
+
+using named_universe = std::pair<std::string, core::fault_universe>;
+
+/// Parses one spec value into `out`: the empty string on success, else the
+/// diagnostic's message.  An enum is spelled by one of `names` (its values
+/// in wire order); a string given `names` must be one of them; a list is
+/// space-separated and needs one value.
+template <class T>
+std::string parse_value(std::string_view text, T& out, std::string_view names = {}) {
+  const std::string got = ", got '" + std::string(text) + "'";
+  if constexpr (std::is_same_v<T, sampling_engine>) {
+    try {
+      out = parse_sampling_engine(text);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return {};
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::string>) {
+    const std::vector<std::string_view> tokens = split_tokens(names);
+    const auto it = std::find(tokens.begin(), tokens.end(), text);
+    if constexpr (std::is_enum_v<T>) {
+      out = static_cast<T>(it - tokens.begin());
+    } else {
+      out = std::string(text);
+    }
+    if (it != tokens.end() || (std::is_same_v<T, std::string> && tokens.empty())) return {};
+    std::string expected = "expected";
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      expected += (i > 0 ? " or " : " ") + std::string(tokens[i]);
+    }
+    return expected + got;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = text == "true" || text == "1";
+    return out || text == "false" || text == "0" ? std::string() : "expected true or false" + got;
+  } else if constexpr (std::is_same_v<T, core::architecture>) {
+    // MofN: M votes to defeat of N versions, N <= 64.
+    const std::size_t of = text.find("of");
+    std::uint64_t votes = 0;
+    std::uint64_t versions = 0;
+    if (of == std::string_view::npos || parse_u64(text.substr(0, of), votes) != num_status::ok ||
+        parse_u64(text.substr(of + 2), versions) != num_status::ok || votes == 0 ||
+        votes > versions || versions > 64) {
+      return "expected MofN tokens (votes-to-defeat of versions, e.g. 2of2 2of3)" + got;
+    }
+    out = core::architecture{static_cast<unsigned>(versions), static_cast<unsigned>(votes)};
+    return {};
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    std::string what = "number";
+    num_status st = num_status::ok;
+    if constexpr (std::is_floating_point_v<T>) {
+      st = parse_f64(text, out);
+    } else {
+      std::uint64_t v = 0;
+      st = parse_u64(text, v);
+      what = "unsigned integer";
+      // A count the library holds as `unsigned` (shards, window): values
+      // past 2^32 - 1 are refused here rather than truncated.
+      if constexpr (sizeof(T) < sizeof(v)) {
+        what = "32-bit unsigned integer";
+        if (st == num_status::ok && v > std::numeric_limits<T>::max()) {
+          st = num_status::out_of_range;
+        }
+      }
+      out = static_cast<T>(v);
+    }
+    if (st == num_status::out_of_range) {
+      return "'" + std::string(text) + "' overflows the " + what + " range";
+    }
+    return st == num_status::ok ? std::string() : "expected " + what + got;
+  } else {
+    out.clear();
+    for (const std::string_view tok : split_tokens(text)) {
+      if (std::string err = parse_value(tok, out.emplace_back(), names); !err.empty()) return err;
+    }
+    return out.empty() ? "list needs at least one value" : std::string();
+  }
+}
 
 class section_view {
  public:
   section_view(raw_section& sec, parse_ctx& ctx) : sec_(&sec), ctx_(&ctx) {}
 
   [[nodiscard]] std::size_t line() const { return sec_->line; }
-  [[nodiscard]] const std::string& arg() const { return sec_->arg; }
 
   [[nodiscard]] raw_entry* find(std::string_view key) {
     for (raw_entry& e : sec_->entries) {
@@ -237,118 +317,33 @@ class section_view {
                        [&](const raw_entry& e) { return e.key == key; });
   }
 
-  std::uint64_t u64_or(std::string_view key, std::uint64_t def) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) return def;
-    std::uint64_t v = 0;
-    report_num(parse_u64(e->value, v), *e, "unsigned integer");
-    return v;
-  }
-
-  /// A count the library holds as `unsigned` (shards, window): values past
-  /// 2^32 - 1 are refused here rather than truncated.
-  unsigned u32_or(std::string_view key, unsigned def) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) return def;
-    std::uint64_t v = 0;
-    num_status st = parse_u64(e->value, v);
-    if (st == num_status::ok && v > std::numeric_limits<unsigned>::max()) {
-      st = num_status::out_of_range;
+  /// The key's value; nullopt when it is absent or bad (an error at its own
+  /// line).  `f` gives the accepted spellings and the range check.
+  template <class T>
+  std::optional<T> get(std::string_view key, const field& f = {}) {
+    raw_entry* e = find(key);
+    if (e == nullptr) return std::nullopt;
+    T v{};
+    std::string err = parse_value(e->value, v, f.names);
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (err.empty() && f.valid != nullptr && !f.valid(static_cast<double>(v))) {
+        err = "must be " + std::string(f.must) + ", got '" + e->value + "'";
+      }
     }
-    if (!report_num(st, *e, "32-bit unsigned integer")) return def;
-    return static_cast<unsigned>(v);
+    if (err.empty()) return v;
+    ctx_->error(e->line, e->key, std::move(err));
+    return std::nullopt;
   }
 
-  std::optional<std::uint64_t> u64_required(std::string_view key) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) {
-      ctx_->error(sec_->line, std::string(key), "required key missing");
-      return std::nullopt;
-    }
-    std::uint64_t v = 0;
-    if (!report_num(parse_u64(e->value, v), *e, "unsigned integer")) return std::nullopt;
-    return v;
+  template <class T>
+  T value_or(std::string_view key, T def, const field& f = {}) {
+    return get<T>(key, f).value_or(std::move(def));
   }
 
-  double f64_or(std::string_view key, double def) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) return def;
-    double v = 0.0;
-    report_num(parse_f64(e->value, v), *e, "number");
-    return v;
-  }
-
-  /// A finite number no smaller than `lo`: any other value is an error at
-  /// its own line ("must be " + `bound`), and `def` stands in for it so that
-  /// no later check reports it again.
-  double f64_at_least_or(std::string_view key, double def, double lo, std::string_view bound) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) return def;
-    double v = 0.0;
-    if (!report_num(parse_f64(e->value, v), *e, "number")) return def;
-    if (!(std::isfinite(v) && v >= lo)) {
-      ctx_->error(e->line, e->key, "must be " + std::string(bound) + ", got '" + e->value + "'");
-      return def;
-    }
-    return v;
-  }
-
-  std::optional<double> f64_required(std::string_view key) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) {
-      ctx_->error(sec_->line, std::string(key), "required key missing");
-      return std::nullopt;
-    }
-    double v = 0.0;
-    if (!report_num(parse_f64(e->value, v), *e, "number")) return std::nullopt;
-    return v;
-  }
-
-  std::string str_or(std::string_view key, std::string def) {
-    const raw_entry* e = find(key);
-    return e != nullptr ? e->value : def;
-  }
-
-  bool bool_or(std::string_view key, bool def) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) return def;
-    if (e->value == "true" || e->value == "1") return true;
-    if (e->value == "false" || e->value == "0") return false;
-    ctx_->error(e->line, e->key, "expected true or false, got '" + e->value + "'");
-    return def;
-  }
-
-  std::vector<double> f64_list_or(std::string_view key, std::vector<double> def) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) return def;
-    std::vector<double> out;
-    for (const std::string_view tok : split_tokens(e->value)) {
-      double v = 0.0;
-      if (!report_num(parse_f64(tok, v), *e, "number", tok)) return def;
-      out.push_back(v);
-    }
-    if (out.empty()) {
-      ctx_->error(e->line, e->key, "list needs at least one value");
-      return def;
-    }
-    return out;
-  }
-
-  std::vector<std::uint64_t> u64_list_or(std::string_view key,
-                                         std::vector<std::uint64_t> def) {
-    const raw_entry* e = find(key);
-    if (e == nullptr) return def;
-    std::vector<std::uint64_t> out;
-    for (const std::string_view tok : split_tokens(e->value)) {
-      std::uint64_t v = 0;
-      if (!report_num(parse_u64(tok, v), *e, "unsigned integer", tok)) return def;
-      out.push_back(v);
-    }
-    if (out.empty()) {
-      ctx_->error(e->line, e->key, "list needs at least one value");
-      return def;
-    }
-    return out;
+  template <class T>
+  std::optional<T> required(std::string_view key, const field& f = {}) {
+    if (!has(key)) ctx_->error(sec_->line, std::string(key), "required key missing");
+    return get<T>(key, f);
   }
 
   /// Every key the resolver did not consume is unknown for this section.
@@ -359,20 +354,6 @@ class section_view {
   }
 
  private:
-  bool report_num(num_status st, const raw_entry& e, std::string_view what,
-                  std::string_view token = {}) {
-    if (st == num_status::ok) return true;
-    const std::string shown(token.empty() ? std::string_view(e.value) : token);
-    if (st == num_status::out_of_range) {
-      ctx_->error(e.line, e.key, "'" + shown + "' overflows the " + std::string(what) +
-                                     " range");
-    } else {
-      ctx_->error(e.line, e.key,
-                  "expected " + std::string(what) + ", got '" + shown + "'");
-    }
-    return false;
-  }
-
   raw_section* sec_;
   parse_ctx* ctx_;
 };
@@ -386,61 +367,61 @@ double next_unit(std::uint64_t& state) {
 }
 
 std::optional<core::fault_universe> resolve_universe(section_view& sec, parse_ctx& ctx) {
-  const std::string generator = sec.str_or("generator", "");
+  const std::string generator = sec.value_or<std::string>("generator", "");
   if (generator.empty()) {
     ctx.error(sec.line(), "generator", "required key missing");
     return std::nullopt;
   }
   try {
     if (generator == "safety_grade") {
-      const auto n = sec.u64_required("faults");
-      const double p_lo = sec.f64_or("p_lo", 0.0);
-      const double p_hi = sec.f64_or("p_hi", 0.0);
-      const double q_total = sec.f64_or("q_total", 1.0);
-      const std::uint64_t gen_seed = sec.u64_or("gen_seed", 1);
+      const auto n = sec.required<std::uint64_t>("faults");
+      const double p_lo = sec.value_or("p_lo", 0.0);
+      const double p_hi = sec.value_or("p_hi", 0.0);
+      const double q_total = sec.value_or("q_total", 1.0);
+      const std::uint64_t gen_seed = sec.value_or<std::uint64_t>("gen_seed", 1);
       if (!n) return std::nullopt;
       return core::make_safety_grade_universe(*n, p_lo, p_hi, q_total, gen_seed);
     }
     if (generator == "many_small") {
-      const auto n = sec.u64_required("faults");
-      const double p_lo = sec.f64_or("p_lo", 0.0);
-      const double p_hi = sec.f64_or("p_hi", 0.0);
-      const double q_total = sec.f64_or("q_total", 1.0);
-      const double jitter = sec.f64_or("jitter", 0.0);
-      const std::uint64_t gen_seed = sec.u64_or("gen_seed", 1);
+      const auto n = sec.required<std::uint64_t>("faults");
+      const double p_lo = sec.value_or("p_lo", 0.0);
+      const double p_hi = sec.value_or("p_hi", 0.0);
+      const double q_total = sec.value_or("q_total", 1.0);
+      const double jitter = sec.value_or("jitter", 0.0);
+      const std::uint64_t gen_seed = sec.value_or<std::uint64_t>("gen_seed", 1);
       if (!n) return std::nullopt;
       return core::make_many_small_faults_universe(*n, p_lo, p_hi, q_total, jitter,
                                                    gen_seed);
     }
     if (generator == "random") {
-      const auto n = sec.u64_required("faults");
-      const double p_max = sec.f64_or("p_max", 0.0);
-      const double q_total = sec.f64_or("q_total", 1.0);
-      const std::uint64_t gen_seed = sec.u64_or("gen_seed", 1);
+      const auto n = sec.required<std::uint64_t>("faults");
+      const double p_max = sec.value_or("p_max", 0.0);
+      const double q_total = sec.value_or("q_total", 1.0);
+      const std::uint64_t gen_seed = sec.value_or<std::uint64_t>("gen_seed", 1);
       if (!n) return std::nullopt;
       return core::make_random_universe(*n, p_max, q_total, gen_seed);
     }
     if (generator == "dominant") {
-      const auto n = sec.u64_required("faults");
-      const double p_dominant = sec.f64_or("p_dominant", 0.0);
-      const double p_background = sec.f64_or("p_background", 0.0);
-      const double q_total = sec.f64_or("q_total", 1.0);
-      const std::uint64_t gen_seed = sec.u64_or("gen_seed", 1);
+      const auto n = sec.required<std::uint64_t>("faults");
+      const double p_dominant = sec.value_or("p_dominant", 0.0);
+      const double p_background = sec.value_or("p_background", 0.0);
+      const double q_total = sec.value_or("q_total", 1.0);
+      const std::uint64_t gen_seed = sec.value_or<std::uint64_t>("gen_seed", 1);
       if (!n) return std::nullopt;
       return core::make_dominant_fault_universe(*n, p_dominant, p_background, q_total,
                                                 gen_seed);
     }
     if (generator == "homogeneous") {
-      const auto n = sec.u64_required("faults");
-      const auto p = sec.f64_required("p");
-      const auto q = sec.f64_required("q");
+      const auto n = sec.required<std::uint64_t>("faults");
+      const auto p = sec.required<double>("p");
+      const auto q = sec.required<double>("q");
       if (!n || !p || !q) return std::nullopt;
       return core::make_homogeneous_universe(*n, *p, *q);
     }
     if (generator == "explicit") {
-      const std::vector<double> p = sec.f64_list_or("p", {});
-      const std::vector<double> q = sec.f64_list_or("q", {});
-      const bool allow_q_overflow = sec.bool_or("allow_q_overflow", false);
+      const std::vector<double> p = sec.value_or<std::vector<double>>("p", {});
+      const std::vector<double> q = sec.value_or<std::vector<double>>("q", {});
+      const bool allow_q_overflow = sec.value_or("allow_q_overflow", false);
       if (p.empty() || q.empty()) {
         ctx.error(sec.line(), "p", "explicit universes need p and q lists");
         return std::nullopt;
@@ -453,22 +434,17 @@ std::optional<core::fault_universe> resolve_universe(section_view& sec, parse_ct
     }
     if (generator == "raster") {
       raster_universe_params rp;
-      const auto n = sec.u64_required("faults");
-      rp.p_lo = sec.f64_or("p_lo", 0.0);
-      rp.p_hi = sec.f64_or("p_hi", 0.0);
-      rp.q_total = sec.f64_or("q_total", 1.0);
-      rp.seed = sec.u64_or("gen_seed", 1);
-      rp.cols = sec.u64_or("cols", 64);
-      rp.rows = sec.u64_or("rows", 64);
-      rp.profile = sec.str_or("profile", "uniform");
-      rp.sigma = sec.f64_or("sigma", 0.25);
+      const auto n = sec.required<std::uint64_t>("faults");
+      rp.p_lo = sec.value_or("p_lo", 0.0);
+      rp.p_hi = sec.value_or("p_hi", 0.0);
+      rp.q_total = sec.value_or("q_total", 1.0);
+      rp.seed = sec.value_or<std::uint64_t>("gen_seed", 1);
+      rp.cols = sec.value_or<std::uint64_t>("cols", rp.cols);
+      rp.rows = sec.value_or<std::uint64_t>("rows", rp.rows);
+      rp.profile = sec.value_or<std::string>("profile", rp.profile, {.names = "uniform gaussian"});
+      rp.sigma = sec.value_or("sigma", rp.sigma);
       if (!n) return std::nullopt;
       rp.faults = *n;
-      if (rp.profile != "uniform" && rp.profile != "gaussian") {
-        ctx.error(sec.line(), "profile", "expected uniform or gaussian, got '" +
-                                             rp.profile + "'");
-        return std::nullopt;
-      }
       return make_raster_universe(rp);
     }
   } catch (const std::exception& e) {
@@ -479,22 +455,6 @@ std::optional<core::fault_universe> resolve_universe(section_view& sec, parse_ct
   }
   ctx.error(sec.line(), "generator", "unknown generator '" + generator + "'");
   return std::nullopt;
-}
-
-std::optional<core::architecture> parse_adjudication(std::string_view tok) {
-  const std::size_t of = tok.find("of");
-  if (of == std::string_view::npos) return std::nullopt;
-  std::uint64_t votes = 0;
-  std::uint64_t versions = 0;
-  if (parse_u64(tok.substr(0, of), votes) != num_status::ok ||
-      parse_u64(tok.substr(of + 2), versions) != num_status::ok) {
-    return std::nullopt;
-  }
-  if (votes == 0 || versions == 0 || votes > versions || versions > 64) {
-    return std::nullopt;
-  }
-  return core::architecture{static_cast<unsigned>(versions),
-                            static_cast<unsigned>(votes)};
 }
 
 universe_decl decl_from_section(const raw_section& sec) {
@@ -510,6 +470,71 @@ universe_decl decl_from_section(const raw_section& sec) {
   }
   return d;
 }
+
+/// One [universe NAME] section, and its universe unless the section has
+/// errors of its own.
+struct resolved_universe {
+  std::string name;
+  std::optional<core::fault_universe> universe;
+};
+
+/// Reads every declared field from its spec section into its member.  An
+/// absent key leaves the member's default (its initializer in the struct);
+/// a bad value is a diagnostic at the key's own line.
+struct field_reader {
+  parse_ctx& ctx;
+  std::vector<raw_section>& sections;
+  const std::vector<resolved_universe>& universes;
+  sweep_spec& spec;
+
+  template <class T>
+  void operator()(const field& f, T& value) {
+    if (std::optional<T> v = get<T>(f)) value = std::move(*v);
+  }
+
+  /// An experiment's universe: the section its key names.  A section that
+  /// failed to resolve has reported its own errors.
+  void operator()(const field& f, core::fault_universe& value) {
+    const std::optional<std::string> name = get<std::string>(f);
+    if (!name) return;
+    spec.experiment_universe = *name;
+    for (const resolved_universe& u : universes) {
+      if (u.name != *name) continue;
+      if (u.universe) value = *u.universe;
+      return;
+    }
+    const raw_entry* e = section_view(*section(f.section), ctx).find(f.key);
+    ctx.error(e->line, e->key, "no [universe " + *name + "] section in this spec");
+  }
+
+  /// A scenario's universe axis: every resolved section.
+  void operator()(const field&, std::vector<named_universe>& value) {
+    if (universes.empty()) {
+      ctx.error(section("sweep")->line, "universe",
+                "scenario specs need at least one [universe NAME] section");
+    }
+    for (const resolved_universe& u : universes) {
+      if (u.universe) value.emplace_back(u.name, *u.universe);
+    }
+  }
+
+ private:
+  /// The first section of that name (later ones are duplicate errors).
+  [[nodiscard]] raw_section* section(std::string_view name) const {
+    for (raw_section& sec : sections) {
+      if (sec.name == name) return &sec;
+    }
+    return nullptr;
+  }
+
+  template <class T>
+  std::optional<T> get(const field& f) {
+    raw_section* sec = section(f.section);
+    if (sec == nullptr) return std::nullopt;
+    section_view view(*sec, ctx);
+    return f.required ? view.required<T>(f.key, f) : view.get<T>(f.key, f);
+  }
+};
 
 }  // namespace
 
@@ -670,7 +695,7 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
   }
 
   section_view sweep(*sweep_sec, ctx);
-  const std::string kind_str = sweep.str_or("kind", "");
+  const std::string kind_str = sweep.value_or<std::string>("kind", "");
   job_kind kind = job_kind::scenario_grid;
   bool kind_named = false;
   if (kind_str == "scenario") {
@@ -687,8 +712,6 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
     ctx.error(sweep.line(), "kind",
               "expected scenario, demand, or experiment, got '" + kind_str + "'");
   }
-  std::uint64_t seed = sweep.u64_or("seed", 1);
-  if (overrides.seed) seed = *overrides.seed;
 
   sweep_spec spec;
   spec.kind = kind;
@@ -706,119 +729,52 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
                 "a " + kind_str + " spec takes no " + flag + " (" + takers + " only)");
     }
   };
+  auto finish = [&](raw_section* sec) {
+    if (sec != nullptr) section_view(*sec, ctx).finish();
+  };
+
+  // Scenario and experiment specs resolve every [universe NAME] section.
+  std::vector<resolved_universe> universes;
+  for (raw_section* usec : universe_secs) {
+    if (kind == job_kind::demand_campaign) {
+      reject(usec, "not allowed in a demand spec");
+      continue;
+    }
+    section_view uview(*usec, ctx);
+    universes.push_back({usec->arg, resolve_universe(uview, ctx)});
+    uview.finish();
+    spec.universes.push_back(decl_from_section(*usec));
+  }
+  field_reader read{ctx, sections, universes, spec};
 
   if (kind == job_kind::scenario_grid) {
     reject(demand_sec, "not allowed in a scenario spec");
     reject(experiment_sec, "not allowed in a scenario spec");
     reject_override(overrides.engine.has_value(), "--engine", "experiment specs");
-    scenario_axes axes;
-    // Checked here under either model: the mixture would only refuse it
-    // later as an infeasible axis, and the copula ignores it.
-    axes.stress = sweep.f64_at_least_or("stress", 1.8, 1.0, "a finite number >= 1");
-    const std::string model = sweep.str_or("rho_model", "mixture");
-    if (model == "copula") {
-      axes.rho_model = correlation_model::copula;
-    } else if (model != "mixture") {
-      ctx.error(sweep.line(), "rho_model",
-                "expected mixture or copula, got '" + model + "'");
-    }
-    unsigned shards = sweep.u32_or("shards", 0);
-    if (overrides.shards) shards = *overrides.shards;
-    sweep.finish();
-
-    if (universe_secs.empty()) {
-      ctx.error(sweep_sec->line, "universe",
-                "scenario specs need at least one [universe NAME] section");
-    }
-    for (raw_section* usec : universe_secs) {
-      section_view uview(*usec, ctx);
-      auto resolved = resolve_universe(uview, ctx);
-      uview.finish();
-      spec.universes.push_back(decl_from_section(*usec));
-      if (resolved) axes.universes.emplace_back(usec->arg, std::move(*resolved));
-    }
-
-    std::size_t axes_line = sweep_sec->line;
-    if (axes_sec != nullptr) {
-      axes_line = axes_sec->line;
-      section_view aview(*axes_sec, ctx);
-      axes.correlations = aview.f64_list_or("rho", {0.0});
-      axes.overlaps = aview.f64_list_or("omega", {1.0});
-      {
-        const auto aliasing = aview.u64_list_or("aliasing", {1});
-        axes.aliasing.assign(aliasing.begin(), aliasing.end());
-      }
-      if (raw_entry* adj = aview.find("adjudication"); adj != nullptr) {
-        axes.adjudications.clear();
-        for (const std::string_view tok : split_tokens(adj->value)) {
-          const auto arch = parse_adjudication(tok);
-          if (!arch) {
-            ctx.error(adj->line, adj->key,
-                      "expected MofN tokens (votes-to-defeat of versions, e.g. "
-                      "2of2 2of3), got '" +
-                          std::string(tok) + "'");
-            break;
-          }
-          axes.adjudications.push_back(*arch);
-        }
-        if (axes.adjudications.empty()) {
-          axes.adjudications = {core::architecture::one_out_of_two()};
+    sweep_manifest m;
+    fields(read, m);
+    if (overrides.seed) m.seed = *overrides.seed;
+    if (overrides.shards) m.shards = *overrides.shards;
+    if (overrides.budget) {
+      if (axes_sec != nullptr) {
+        if (const raw_entry* cb = section_view(*axes_sec, ctx).find("cell_budget")) {
+          ctx.error(cb->line, cb->key,
+                    "--budget cannot override a refined per-cell budget list");
         }
       }
-      axes.budgets = aview.u64_list_or("budget", {100'000});
-      axes.cell_budgets = aview.u64_list_or("cell_budget", {});
-      if (raw_entry* cb = aview.find("cell_budget");
-          cb != nullptr && overrides.budget) {
-        ctx.error(cb->line, cb->key,
-                  "--budget cannot override a refined per-cell budget list");
-      }
-      aview.finish();
+      m.axes.budgets = {*overrides.budget};
     }
-    if (overrides.budget) axes.budgets = {*overrides.budget};
-
     spec.has_refine = refine_sec != nullptr;
-    if (refine_sec != nullptr) {
-      section_view rview(*refine_sec, ctx);
-      refine_rule& rule = spec.refine;
-      rule.metric = rview.str_or("metric", rule.metric);
-      if (rule.metric != "mean_theta2" && rule.metric != "risk_ratio") {
-        ctx.error(rview.line(), "metric",
-                  "expected mean_theta2 or risk_ratio, got '" + rule.metric + "'");
-      }
-      rule.target_rel_halfwidth = rview.f64_or("target_rel_halfwidth",
-                                               rule.target_rel_halfwidth);
-      rule.z = rview.f64_or("z", rule.z);
-      rule.gradient_weight = rview.f64_or("gradient_weight", rule.gradient_weight);
-      rule.mean_floor = rview.f64_or("mean_floor", rule.mean_floor);
-      rule.min_budget = rview.u64_or("min_budget", rule.min_budget);
-      rule.max_budget = rview.u64_or("max_budget", rule.max_budget);
-      rule.max_growth = rview.f64_or("max_growth", rule.max_growth);
-      rule.round_to = rview.u64_or("round_to", rule.round_to);
-      if (!(rule.target_rel_halfwidth > 0.0)) {
-        ctx.error(rview.line(), "target_rel_halfwidth", "must be > 0");
-      }
-      if (!(rule.z > 0.0)) ctx.error(rview.line(), "z", "must be > 0");
-      if (!(rule.gradient_weight >= 0.0)) {
-        ctx.error(rview.line(), "gradient_weight", "must be >= 0");
-      }
-      if (!(rule.mean_floor > 0.0)) ctx.error(rview.line(), "mean_floor", "must be > 0");
-      if (rule.min_budget == 0) ctx.error(rview.line(), "min_budget", "must be > 0");
-      if (!(rule.max_growth >= 1.0)) {
-        ctx.error(rview.line(), "max_growth", "must be >= 1");
-      }
-      if (rule.round_to == 0) ctx.error(rview.line(), "round_to", "must be > 0");
-      rview.finish();
-    }
-
+    if (spec.has_refine) spec_fields(read, spec);
+    finish(sweep_sec);
+    finish(axes_sec);
+    finish(refine_sec);
     if (ctx.ok()) {
-      sweep_manifest m;
-      m.axes = std::move(axes);
-      m.seed = seed;
-      m.shards = shards;
       try {
         m.cell_count = enumerate_cells(m.axes).size();
       } catch (const std::invalid_argument& e) {
-        ctx.error(axes_line, "axes", std::string("infeasible axes: ") + e.what());
+        ctx.error(axes_sec != nullptr ? axes_sec->line : sweep_sec->line, "axes",
+                  std::string("infeasible axes: ") + e.what());
       }
       spec.manifest = std::move(m);
     }
@@ -826,45 +782,32 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
     reject(axes_sec, "not allowed in a demand spec");
     reject(refine_sec, "refinement applies to scenario grids only");
     reject(experiment_sec, "not allowed in a demand spec");
-    for (raw_section* usec : universe_secs) {
-      reject(usec, "not allowed in a demand spec");
-    }
     reject_override(overrides.shards.has_value(), "--shards",
                     "scenario and experiment specs");
     reject_override(overrides.engine.has_value(), "--engine", "experiment specs");
-    sweep.finish();
+    demand_manifest m;
+    fields(read, m);
+    if (overrides.seed) m.seed = *overrides.seed;
+    finish(sweep_sec);
     if (demand_sec == nullptr) {
       ctx.error(sweep_sec->line, "demand", "demand specs need a [demand] section");
     } else {
-      section_view dview(*demand_sec, ctx);
-      demand_manifest m;
-      m.seed = seed;
-      const auto demands = dview.u64_required("demands");
-      const auto window = dview.u64_required("window");
-      if (demands) m.demands = *demands;
-      if (window) m.window = *window;
       if (overrides.budget) m.demands = *overrides.budget;
+      const section_view dview(*demand_sec, ctx);
       const bool explicit_roster = dview.has("target_pfd");
       const bool compact_roster = dview.has("targets");
       if (explicit_roster && compact_roster) {
         ctx.error(dview.line(), "targets",
                   "give either targets/pfd_lo/pfd_ratio or target_pfd, not both");
-      } else if (explicit_roster) {
-        m.target_pfd = dview.f64_list_or("target_pfd", {});
       } else if (compact_roster) {
-        const auto targets = dview.u64_required("targets");
-        spec.roster_pfd_lo = dview.f64_or("pfd_lo", 1e-6);
-        spec.roster_pfd_ratio = dview.f64_or("pfd_ratio", 1000.0);
-        if (targets) {
-          spec.roster_targets = *targets;
-          m.target_pfd = make_loguniform_roster(*targets, spec.roster_pfd_lo,
-                                                spec.roster_pfd_ratio, m.seed);
-        }
-      } else {
+        spec_fields(read, spec);
+        m.target_pfd = make_loguniform_roster(spec.roster_targets, spec.roster_pfd_lo,
+                                              spec.roster_pfd_ratio, m.seed);
+      } else if (!explicit_roster) {
         ctx.error(dview.line(), "targets",
                   "demand specs need a roster: targets/pfd_lo/pfd_ratio or target_pfd");
       }
-      dview.finish();
+      finish(demand_sec);
       if (ctx.ok()) {
         try {
           m.validate();
@@ -878,51 +821,24 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
     reject(axes_sec, "not allowed in an experiment spec");
     reject(refine_sec, "refinement applies to scenario grids only");
     reject(demand_sec, "not allowed in an experiment spec");
-    unsigned shards = sweep.u32_or("shards", 0);
-    if (overrides.shards) shards = *overrides.shards;
-    sweep.finish();
+    experiment_manifest m;
+    fields(read, m);
+    if (overrides.seed) m.seed = *overrides.seed;
+    if (overrides.shards) m.shards = *overrides.shards;
+    finish(sweep_sec);
     if (experiment_sec == nullptr) {
-      ctx.error(sweep_sec->line, "experiment",
-                "experiment specs need an [experiment] section");
+      ctx.error(sweep_sec->line, "experiment", "experiment specs need an [experiment] section");
     } else {
-      section_view eview(*experiment_sec, ctx);
-      const std::string uname = eview.str_or("universe", "");
-      std::optional<core::fault_universe> universe;
-      for (raw_section* usec : universe_secs) {
-        section_view uview(*usec, ctx);
-        auto resolved = resolve_universe(uview, ctx);
-        uview.finish();
-        spec.universes.push_back(decl_from_section(*usec));
-        if (usec->arg == uname && resolved) universe = std::move(*resolved);
-      }
-      if (uname.empty()) {
-        ctx.error(eview.line(), "universe", "required key missing");
-      } else if (!universe && ctx.ok()) {
-        ctx.error(eview.line(), "universe",
-                  "no [universe " + uname + "] section in this spec");
-      }
-      experiment_config cfg;
-      const auto samples = eview.u64_required("samples");
-      if (samples) cfg.samples = *samples;
-      if (overrides.budget) cfg.samples = *overrides.budget;
-      cfg.seed = seed;
-      cfg.shards = shards;
-      cfg.keep_samples = eview.bool_or("keep_samples", false);
-      cfg.ci_level = eview.f64_or("ci_level", 0.99);
-      try {
-        cfg.engine = parse_sampling_engine(
-            eview.str_or("engine", std::string(sampling_engine_name(cfg.engine))));
-      } catch (const std::invalid_argument& e) {
-        ctx.error(eview.line(), "engine", e.what());
-      }
-      if (overrides.engine) cfg.engine = *overrides.engine;
-      const unsigned window = eview.u32_or("window", 0);
-      eview.finish();
-      if (ctx.ok() && universe) {
+      if (overrides.budget) m.samples = *overrides.budget;
+      if (overrides.engine) m.engine = *overrides.engine;
+      finish(experiment_sec);
+      if (ctx.ok()) {
+        // Resolves the 0 defaults of shards (budget-scaled) and window (one
+        // window over every shard).
         try {
-          spec.manifest = make_experiment_manifest(*universe, cfg, window);
+          spec.manifest = make_experiment_manifest(m.universe, m.config(), m.window);
         } catch (const std::invalid_argument& e) {
-          ctx.error(eview.line(), "experiment", std::string("infeasible: ") + e.what());
+          ctx.error(experiment_sec->line, "experiment", std::string("infeasible: ") + e.what());
         }
       }
     }
@@ -933,156 +849,104 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
 }
 
 // ---------------------------------------------------------------------------
-// Writers
+// Writers: write_sweep_spec, spec_from_manifest and describe_manifest_json
+// walk the declarations
 // ---------------------------------------------------------------------------
 
 namespace {
 
-void append_adjudication(std::string& out, const core::architecture& arch) {
-  append_u64(out, arch.votes_to_defeat);
-  out += "of";
-  append_u64(out, arch.versions);
-}
-
-void append_kv_u64(std::string& out, const char* key, std::uint64_t v) {
-  out += key;
-  out += " = ";
-  append_u64(out, v);
-  out += '\n';
-}
-
-void append_kv_f64(std::string& out, const char* key, double v) {
-  out += key;
-  out += " = ";
-  append_f64(out, v);
-  out += '\n';
-}
-
-template <typename T, typename Fn>
-void append_kv_list(std::string& out, const char* key, const std::vector<T>& v,
-                    Fn&& append_one) {
-  out += key;
-  out += " =";
-  for (const T& x : v) {
-    out += ' ';
-    append_one(out, x);
+/// A value as spec text (lists space-separated, an enum by its name) or as
+/// describe JSON (lists as arrays, an enum with names as its quoted name,
+/// the engine as its wire value, universes as atom arrays).
+template <class T>
+void render(std::string& out, const T& v, std::string_view names, bool json) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out += v ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, sampling_engine>) {
+    if (json) {
+      append_u64(out, static_cast<std::uint64_t>(v));
+    } else {
+      out += sampling_engine_name(v);
+    }
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::string name(split_tokens(names).at(static_cast<std::size_t>(v)));
+    out += json ? "\"" + name + "\"" : name;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    append_f64(out, v);
+  } else if constexpr (std::is_integral_v<T>) {
+    append_u64(out, v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out += v;
+  } else if constexpr (std::is_same_v<T, core::architecture>) {
+    if (!json) {
+      append_u64(out, v.votes_to_defeat);
+      out += "of";
+      append_u64(out, v.versions);
+      return;
+    }
+    out += "{\"versions\":";
+    append_u64(out, v.versions);
+    out += ",\"votes\":";
+    append_u64(out, v.votes_to_defeat);
+    out += '}';
+  } else if constexpr (std::is_same_v<T, core::fault_universe>) {
+    out += '[';
+    const auto atoms = v.atoms();
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      out += i > 0 ? ",{\"p\":" : "{\"p\":";
+      append_f64(out, atoms[i].p);
+      out += ",\"q\":";
+      append_f64(out, atoms[i].q);
+      out += '}';
+    }
+    out += ']';
+  } else if constexpr (std::is_same_v<T, named_universe>) {
+    out += "{\"name\":\"" + v.first + "\",\"atoms\":";
+    render(out, v.second, names, json);
+    out += '}';
+  } else {
+    if (json) out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) out += json ? ',' : ' ';
+      render(out, v[i], names, json);
+    }
+    if (json) out += ']';
   }
-  out += '\n';
 }
 
-}  // namespace
+/// Writes one spec section's declared fields as `key = value` lines, or —
+/// with no section — every described field as `"name": value` JSON.
+struct field_writer {
+  std::string& out;
+  std::string_view section;
+  const sweep_spec* spec = nullptr;
 
-std::string write_sweep_spec(const sweep_spec& spec) {
-  std::string out = "[sweep]\n";
-  switch (spec.kind) {
-    case job_kind::scenario_grid: {
-      const auto& m = std::get<sweep_manifest>(spec.manifest);
-      out += "kind = scenario\n";
-      append_kv_u64(out, "seed", m.seed);
-      append_kv_u64(out, "shards", m.shards);
-      append_kv_f64(out, "stress", m.axes.stress);
-      out += "rho_model = ";
-      out += m.axes.rho_model == correlation_model::copula ? "copula" : "mixture";
-      out += '\n';
-      for (const universe_decl& decl : spec.universes) {
-        out += "\n[universe ";
-        out += decl.name;
-        out += "]\ngenerator = ";
-        out += decl.generator;
-        out += '\n';
-        for (const auto& [key, value] : decl.params) {
-          out += key;
-          out += " = ";
-          out += value;
-          out += '\n';
-        }
-      }
-      out += "\n[axes]\n";
-      append_kv_list(out, "rho", m.axes.correlations,
-                     [](std::string& o, double v) { append_f64(o, v); });
-      append_kv_list(out, "omega", m.axes.overlaps,
-                     [](std::string& o, double v) { append_f64(o, v); });
-      append_kv_list(out, "aliasing", m.axes.aliasing,
-                     [](std::string& o, std::size_t v) { append_u64(o, v); });
-      append_kv_list(out, "adjudication", m.axes.adjudications, append_adjudication);
-      append_kv_list(out, "budget", m.axes.budgets,
-                     [](std::string& o, std::uint64_t v) { append_u64(o, v); });
-      if (!m.axes.cell_budgets.empty()) {
-        append_kv_list(out, "cell_budget", m.axes.cell_budgets,
-                       [](std::string& o, std::uint64_t v) { append_u64(o, v); });
-      }
-      if (spec.has_refine) {
-        const refine_rule& r = spec.refine;
-        out += "\n[refine]\n";
-        out += "metric = ";
-        out += r.metric;
-        out += '\n';
-        append_kv_f64(out, "target_rel_halfwidth", r.target_rel_halfwidth);
-        append_kv_f64(out, "z", r.z);
-        append_kv_f64(out, "gradient_weight", r.gradient_weight);
-        append_kv_f64(out, "mean_floor", r.mean_floor);
-        append_kv_u64(out, "min_budget", r.min_budget);
-        append_kv_u64(out, "max_budget", r.max_budget);
-        append_kv_f64(out, "max_growth", r.max_growth);
-        append_kv_u64(out, "round_to", r.round_to);
-      }
-      break;
+  template <class T>
+  void operator()(const field& f, const T& value) const {
+    if constexpr (requires { value.empty(); }) {
+      if (f.omit_empty && value.empty()) return;
     }
-    case job_kind::demand_campaign: {
-      const auto& m = std::get<demand_manifest>(spec.manifest);
-      out += "kind = demand\n";
-      append_kv_u64(out, "seed", m.seed);
-      out += "\n[demand]\n";
-      append_kv_u64(out, "demands", m.demands);
-      append_kv_u64(out, "window", m.window);
-      if (spec.roster_targets > 0) {
-        append_kv_u64(out, "targets", spec.roster_targets);
-        append_kv_f64(out, "pfd_lo", spec.roster_pfd_lo);
-        append_kv_f64(out, "pfd_ratio", spec.roster_pfd_ratio);
-      } else {
-        append_kv_list(out, "target_pfd", m.target_pfd,
-                       [](std::string& o, double v) { append_f64(o, v); });
-      }
-      break;
+    if (section.empty()) {
+      if (f.name.empty()) return;
+      out += ",\n  \"" + std::string(f.name) + "\": ";
+      render(out, value, f.names, /*json=*/true);
+      return;
     }
-    case job_kind::experiment_shards: {
-      const auto& m = std::get<experiment_manifest>(spec.manifest);
-      out += "kind = experiment\n";
-      append_kv_u64(out, "seed", m.seed);
-      append_kv_u64(out, "shards", m.shards);
-      for (const universe_decl& decl : spec.universes) {
-        out += "\n[universe ";
-        out += decl.name;
-        out += "]\ngenerator = ";
-        out += decl.generator;
-        out += '\n';
-        for (const auto& [key, value] : decl.params) {
-          out += key;
-          out += " = ";
-          out += value;
-          out += '\n';
-        }
-      }
-      out += "\n[experiment]\n";
-      out += "universe = ";
-      out += spec.universes.empty() ? std::string("u") : spec.universes.front().name;
-      out += '\n';
-      append_kv_u64(out, "samples", m.samples);
-      out += "engine = ";
-      out += sampling_engine_name(m.engine);
-      out += '\n';
-      append_kv_u64(out, "window", m.window);
-      append_kv_f64(out, "ci_level", m.ci_level);
-      out += "keep_samples = ";
-      out += m.keep_samples ? "true" : "false";
-      out += '\n';
-      break;
+    if (f.section != section) return;
+    // A compact demand roster stands in for the list it generates.
+    if (f.key == "target_pfd" && spec->roster_targets > 0) {
+      spec_fields(*this, *spec);
+      return;
     }
+    out += std::string(f.key) + " = ";
+    if constexpr (std::is_same_v<T, core::fault_universe>) {
+      out += spec->experiment_universe;
+    } else {
+      render(out, value, f.names, /*json=*/false);
+    }
+    out += '\n';
   }
-  return out;
-}
-
-namespace {
+};
 
 universe_decl explicit_decl(std::string name, const core::fault_universe& u) {
   universe_decl d;
@@ -1102,144 +966,72 @@ universe_decl explicit_decl(std::string name, const core::fault_universe& u) {
   return d;
 }
 
+template <class M>
+using kind_of = manifest_kind<std::remove_cvref_t<M>>;
+
 }  // namespace
+
+std::string write_sweep_spec(const sweep_spec& spec) {
+  return std::visit(
+      [&spec](const auto& m) {
+        std::string out = "[sweep]\nkind = " + std::string(kind_of<decltype(m)>::spec_name) + '\n';
+        field_writer w{out, "sweep", &spec};
+        fields(w, m);
+        for (const universe_decl& decl : spec.universes) {
+          out += "\n[universe " + decl.name + "]\ngenerator = " + decl.generator + '\n';
+          for (const auto& [key, value] : decl.params) out += key + " = " + value + '\n';
+        }
+        w.section = kind_of<decltype(m)>::section;
+        out += "\n[" + std::string(w.section) + "]\n";
+        fields(w, m);
+        if (spec.has_refine) {
+          w.section = "refine";
+          out += "\n[refine]\n";
+          spec_fields(w, spec);
+        }
+        return out;
+      },
+      spec.manifest);
+}
 
 sweep_spec spec_from_manifest(
     const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest) {
   sweep_spec spec;
-  if (const auto* m = std::get_if<sweep_manifest>(&manifest)) {
-    spec.kind = job_kind::scenario_grid;
-    for (const auto& [name, universe] : m->axes.universes) {
-      spec.universes.push_back(explicit_decl(name, universe));
-    }
-    spec.manifest = *m;
-  } else if (const auto* d = std::get_if<demand_manifest>(&manifest)) {
-    spec.kind = job_kind::demand_campaign;
-    spec.manifest = *d;
-  } else {
-    const auto& e = std::get<experiment_manifest>(manifest);
-    spec.kind = job_kind::experiment_shards;
-    spec.universes.push_back(explicit_decl("u", e.universe));
-    spec.manifest = e;
-  }
+  spec.manifest = manifest;
+  std::visit(
+      [&spec](const auto& m) {
+        spec.kind = kind_of<decltype(m)>::kind;
+        // Universes become explicit atom lists.
+        auto declare = [&spec]<class T>(const field&, const T& value) {
+          if constexpr (std::is_same_v<T, core::fault_universe>) {
+            spec.experiment_universe = "u";
+            spec.universes.push_back(explicit_decl("u", value));
+          } else if constexpr (std::is_same_v<T, std::vector<named_universe>>) {
+            for (const auto& [name, universe] : value) {
+              spec.universes.push_back(explicit_decl(name, universe));
+            }
+          }
+        };
+        fields(declare, m);
+      },
+      manifest);
   return spec;
 }
 
 std::string describe_manifest_json(
     const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest) {
-  std::string out;
-  auto atoms_json = [](std::string& o, const core::fault_universe& u) {
-    o += "[";
-    const auto atoms = u.atoms();
-    for (std::size_t i = 0; i < atoms.size(); ++i) {
-      if (i > 0) o += ',';
-      o += "{\"p\":";
-      append_f64(o, atoms[i].p);
-      o += ",\"q\":";
-      append_f64(o, atoms[i].q);
-      o += "}";
-    }
-    o += "]";
-  };
-  if (const auto* m = std::get_if<sweep_manifest>(&manifest)) {
-    out += "{\n  \"kind\": \"scenario_grid\",\n  \"fingerprint\": ";
-    append_u64(out, manifest_fingerprint(*m));
-    out += ",\n  \"seed\": ";
-    append_u64(out, m->seed);
-    out += ",\n  \"shards\": ";
-    append_u64(out, m->shards);
-    out += ",\n  \"cell_count\": ";
-    append_u64(out, m->cell_count);
-    out += ",\n  \"stress\": ";
-    append_f64(out, m->axes.stress);
-    out += ",\n  \"rho_model\": \"";
-    out += m->axes.rho_model == correlation_model::copula ? "copula" : "mixture";
-    out += "\",\n  \"universes\": [";
-    for (std::size_t u = 0; u < m->axes.universes.size(); ++u) {
-      if (u > 0) out += ',';
-      out += "{\"name\":\"";
-      out += m->axes.universes[u].first;
-      out += "\",\"atoms\":";
-      atoms_json(out, m->axes.universes[u].second);
-      out += "}";
-    }
-    out += "],\n  \"correlations\": [";
-    for (std::size_t i = 0; i < m->axes.correlations.size(); ++i) {
-      if (i > 0) out += ',';
-      append_f64(out, m->axes.correlations[i]);
-    }
-    out += "],\n  \"overlaps\": [";
-    for (std::size_t i = 0; i < m->axes.overlaps.size(); ++i) {
-      if (i > 0) out += ',';
-      append_f64(out, m->axes.overlaps[i]);
-    }
-    out += "],\n  \"aliasing\": [";
-    for (std::size_t i = 0; i < m->axes.aliasing.size(); ++i) {
-      if (i > 0) out += ',';
-      append_u64(out, m->axes.aliasing[i]);
-    }
-    out += "],\n  \"adjudications\": [";
-    for (std::size_t i = 0; i < m->axes.adjudications.size(); ++i) {
-      if (i > 0) out += ',';
-      out += "{\"versions\":";
-      append_u64(out, m->axes.adjudications[i].versions);
-      out += ",\"votes\":";
-      append_u64(out, m->axes.adjudications[i].votes_to_defeat);
-      out += "}";
-    }
-    out += "],\n  \"budgets\": [";
-    for (std::size_t i = 0; i < m->axes.budgets.size(); ++i) {
-      if (i > 0) out += ',';
-      append_u64(out, m->axes.budgets[i]);
-    }
-    out += "]";
-    if (!m->axes.cell_budgets.empty()) {
-      out += ",\n  \"cell_budgets\": [";
-      for (std::size_t i = 0; i < m->axes.cell_budgets.size(); ++i) {
-        if (i > 0) out += ',';
-        append_u64(out, m->axes.cell_budgets[i]);
-      }
-      out += "]";
-    }
-    out += "\n}\n";
-  } else if (const auto* d = std::get_if<demand_manifest>(&manifest)) {
-    out += "{\n  \"kind\": \"demand_campaign\",\n  \"fingerprint\": ";
-    append_u64(out, demand_manifest_fingerprint(*d));
-    out += ",\n  \"seed\": ";
-    append_u64(out, d->seed);
-    out += ",\n  \"demands\": ";
-    append_u64(out, d->demands);
-    out += ",\n  \"window\": ";
-    append_u64(out, d->window);
-    out += ",\n  \"target_pfd\": [";
-    for (std::size_t i = 0; i < d->target_pfd.size(); ++i) {
-      if (i > 0) out += ',';
-      append_f64(out, d->target_pfd[i]);
-    }
-    out += "]\n}\n";
-  } else {
-    const auto& e = std::get<experiment_manifest>(manifest);
-    out += "{\n  \"kind\": \"experiment_shards\",\n  \"fingerprint\": ";
-    append_u64(out, experiment_manifest_fingerprint(e));
-    out += ",\n  \"seed\": ";
-    append_u64(out, e.seed);
-    out += ",\n  \"samples\": ";
-    append_u64(out, e.samples);
-    out += ",\n  \"shards\": ";
-    append_u64(out, e.shards);
-    out += ",\n  \"engine\": ";
-    append_u64(out, static_cast<std::uint64_t>(e.engine));
-    out += ",\n  \"keep_samples\": ";
-    out += e.keep_samples ? "true" : "false";
-    out += ",\n  \"ci_level\": ";
-    append_f64(out, e.ci_level);
-    out += ",\n  \"window\": ";
-    append_u64(out, e.window);
-    out += ",\n  \"atoms\": ";
-    atoms_json(out, e.universe);
-    out += "\n}\n";
-  }
-  return out;
+  return std::visit(
+      [](const auto& m) {
+        std::string out = "{\n  \"kind\": \"" +
+                          std::string(job_kind_name(kind_of<decltype(m)>::kind)) +
+                          "\",\n  \"fingerprint\": ";
+        append_u64(out, kind_of<decltype(m)>::fingerprint(m));
+        field_writer w{out, {}};
+        fields(w, m);
+        out += "\n}\n";
+        return out;
+      },
+      manifest);
 }
 
 // ---------------------------------------------------------------------------

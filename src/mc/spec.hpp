@@ -9,11 +9,15 @@
 // byte-identical to one built in code — the manifest fingerprint is the
 // only identity either path has.
 //
-// Section reference (full key list in README "Launching sweeps from spec
-// files"):
+// Keys.  Every manifest field's section, key, default and value check is
+// declared once in mc/manifest_fields.hpp, and the spec-only keys (the
+// [refine] rule, the compact demand roster) in spec_fields below; the
+// reader, write_sweep_spec, spec_from_manifest and describe_manifest_json
+// all walk those declarations.  An absent key takes the member's default.
+// Sections:
 //
-//   [sweep]            kind = scenario|demand|experiment, seed, shards,
-//                      stress, rho_model = mixture|copula
+//   [sweep]            kind = scenario|demand|experiment, then the kind's
+//                      sweep keys: seed, shards, stress, rho_model
 //   [universe NAME]    generator = safety_grade|many_small|random|dominant|
 //                      homogeneous|explicit|raster + generator params
 //   [axes]             rho / omega / aliasing / adjudication (MofN tokens,
@@ -25,14 +29,17 @@
 //   [demand]           demands, window, and the roster: either the compact
 //                      loguniform form (targets, pfd_lo, pfd_ratio) or an
 //                      explicit target_pfd list
-//   [experiment]       universe = NAME, samples, engine, window, ci_level,
-//                      keep_samples
+//   [experiment]       samples, engine, keep_samples, ci_level, window,
+//                      universe = NAME
 //
 // Error contract (the PR 7 parse-robustness contract): parsing never
 // throws.  Every malformed line, duplicate key, unknown section/key,
 // overflowing integer (std::from_chars), or infeasible resolved value
 // becomes a spec_error carrying an exact `file:line: field: message`
-// position; the CLI prints them and exits 2.
+// position; the CLI prints them and exits 2.  A value one key alone makes
+// wrong is reported at that key's line; checks across keys or overrides
+// (infeasible axes, the roster's either/or, --budget against cell_budget)
+// at the section's.
 //
 // Adaptive refinement: compute_refined_budgets re-budgets every cell of a
 // scenario grid as a PURE function of the merged round-N CSV table (no
@@ -49,15 +56,18 @@
 // response gradients, and the emitted round-N+1 spec (same grid shape,
 // `cell_budget` overrides) is byte-identical across thread counts.
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 #include "mc/campaign.hpp"
 #include "mc/experiment.hpp"
+#include "mc/manifest_fields.hpp"
 #include "mc/run_dir.hpp"
 #include "mc/scenario.hpp"
 
@@ -85,7 +95,7 @@ struct universe_decl {
   std::size_t line = 0;  ///< section header line (0 for synthesized decls)
 };
 
-/// The adaptive refinement rule + knobs, declared in [refine].
+/// The adaptive refinement rule + knobs, declared in [refine] (spec_fields).
 struct refine_rule {
   std::string metric = "mean_theta2";  ///< gradient metric: mean_theta2 | risk_ratio
   double target_rel_halfwidth = 0.05;  ///< CI convergence target
@@ -103,15 +113,47 @@ struct sweep_spec {
   job_kind kind = job_kind::scenario_grid;
   std::variant<sweep_manifest, demand_manifest, experiment_manifest> manifest;
   std::vector<universe_decl> universes;  ///< declarations, writer-ready
+  std::string experiment_universe;       ///< the [universe NAME] an experiment draws from
   /// Compact demand roster declaration (kind == demand_campaign, when the
   /// spec used the loguniform form): targets > 0 means (targets, pfd_lo,
-  /// pfd_ratio) regenerates the manifest's target_pfd exactly.
+  /// pfd_ratio) regenerates the manifest's target_pfd exactly, and the
+  /// writer gives these keys in target_pfd's place.
   std::uint64_t roster_targets = 0;
   double roster_pfd_lo = 1e-6;
   double roster_pfd_ratio = 1000.0;
   bool has_refine = false;
   refine_rule refine;
 };
+
+/// The spec-only rows: keys no manifest holds, so off the wire and outside
+/// the fingerprint (the compact roster enters it through the target_pfd it
+/// generates, and the writer gives these keys in target_pfd's place).
+template <class V, class Spec>
+  requires std::same_as<std::remove_const_t<Spec>, sweep_spec>
+void spec_fields(V& v, Spec& s) {
+  const auto row = [&v](std::string_view section, std::string_view key, auto& member,
+                        std::string_view must = {}, bool (*valid)(double) = nullptr) {
+    v(field{.section = section, .key = key, .wire = wire_group::none, .valid = valid,
+            .must = must},
+      member);
+  };
+  constexpr auto positive = [](double x) { return x > 0.0; };
+  v(field{.section = "refine", .key = "metric", .wire = wire_group::none,
+          .names = "mean_theta2 risk_ratio"},
+    s.refine.metric);
+  row("refine", "target_rel_halfwidth", s.refine.target_rel_halfwidth, "> 0", positive);
+  row("refine", "z", s.refine.z, "> 0", positive);
+  row("refine", "gradient_weight", s.refine.gradient_weight, ">= 0",
+      [](double x) { return x >= 0.0; });
+  row("refine", "mean_floor", s.refine.mean_floor, "> 0", positive);
+  row("refine", "min_budget", s.refine.min_budget, "> 0", positive);
+  row("refine", "max_budget", s.refine.max_budget);
+  row("refine", "max_growth", s.refine.max_growth, ">= 1", [](double x) { return x >= 1.0; });
+  row("refine", "round_to", s.refine.round_to, "> 0", positive);
+  row("demand", "targets", s.roster_targets);
+  row("demand", "pfd_lo", s.roster_pfd_lo);
+  row("demand", "pfd_ratio", s.roster_pfd_ratio);
+}
 
 /// CLI overrides applied BEFORE resolution, so `--spec f --seed N` equals
 /// editing the file: each set field replaces the spec's value, and a field
@@ -139,7 +181,8 @@ struct spec_parse_result {
 /// Canonical spec text for a resolved spec: parsing it back yields a
 /// manifest with the SAME fingerprint (spec -> manifest -> spec round-trips
 /// through the fingerprint unchanged).  Doubles emit as %.17g, which
-/// std::from_chars recovers bit-exactly.
+/// std::from_chars recovers bit-exactly.  Keys follow the declared field
+/// order within each section.
 [[nodiscard]] std::string write_sweep_spec(const sweep_spec& spec);
 
 /// Recover a launchable spec from a bare manifest (the `describe` path):
@@ -149,9 +192,10 @@ struct spec_parse_result {
 [[nodiscard]] sweep_spec spec_from_manifest(
     const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest);
 
-/// The run's spec/axes as %.17g-clean JSON (atom-for-atom universes
-/// included) — what `run_handle::describe()` and `reldiv_sweep describe`
-/// print.
+/// The run's manifest as %.17g-clean JSON: kind, fingerprint, then every
+/// declared field with a JSON key, in declared order (atom-for-atom
+/// universes included) — what `run_handle::describe()` and `reldiv_sweep
+/// describe` print, and the only JSON rendering of a manifest.
 [[nodiscard]] std::string describe_manifest_json(
     const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest);
 

@@ -191,7 +191,7 @@ TEST_F(DistributedJobsTest, DemandInitResumeAndKindSafety) {
   const mc::run_handle opened = mc::run_handle::open(dir_);
   EXPECT_EQ(opened.kind(), mc::job_kind::demand_campaign);
   EXPECT_TRUE(fs::exists(mc::manifest_path(dir_)));
-  EXPECT_TRUE(fs::exists(dir_ / "manifest.json"));
+  EXPECT_FALSE(fs::exists(dir_ / "manifest.json"));  // describe is the JSON view
   EXPECT_EQ(mc::demand_manifest_fingerprint(opened.demand_campaign_manifest()),
             mc::demand_manifest_fingerprint(m));
 

@@ -68,7 +68,7 @@ TEST_F(DistributedTest, InitWritesManifestAndJsonMirror) {
   EXPECT_EQ(m.cell_count, 16u);
   EXPECT_EQ(m.seed, 31337u);
   EXPECT_TRUE(fs::exists(mc::manifest_path(dir_)));
-  EXPECT_TRUE(fs::exists(dir_ / "manifest.json"));
+  EXPECT_FALSE(fs::exists(dir_ / "manifest.json"));  // describe is the JSON view
   EXPECT_TRUE(fs::exists(mc::cells_dir(dir_)));
 
   const mc::run_handle loaded = mc::run_handle::open(dir_);

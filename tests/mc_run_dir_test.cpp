@@ -17,6 +17,7 @@
 
 #include "core/generators.hpp"
 #include "mc/scenario.hpp"
+#include "mc/spec.hpp"
 #include "stats/wire.hpp"
 
 namespace mc = reldiv::mc;
@@ -425,7 +426,7 @@ TEST(RunDirCodecTest, DemandManifestRoundTripAndFingerprint) {
   other.target_pfd[0] += 1e-9;
   EXPECT_NE(mc::demand_manifest_fingerprint(other), mc::demand_manifest_fingerprint(m));
 
-  EXPECT_NE(mc::demand_manifest_json(m).find("\"demand_campaign\""), std::string::npos);
+  EXPECT_NE(mc::describe_manifest_json(m).find("\"demand_campaign\""), std::string::npos);
 }
 
 TEST(RunDirCodecTest, ExperimentManifestRoundTripAndFingerprint) {
@@ -452,7 +453,7 @@ TEST(RunDirCodecTest, ExperimentManifestRoundTripAndFingerprint) {
   EXPECT_NE(mc::experiment_manifest_fingerprint(other),
             mc::experiment_manifest_fingerprint(m));
 
-  EXPECT_NE(mc::experiment_manifest_json(m).find("\"experiment_shards\""),
+  EXPECT_NE(mc::describe_manifest_json(m).find("\"experiment_shards\""),
             std::string::npos);
 }
 

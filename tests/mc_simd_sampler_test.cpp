@@ -45,6 +45,7 @@
 #include "mc/experiment.hpp"
 #include "mc/run_dir.hpp"
 #include "mc/sampler.hpp"
+#include "mc/spec.hpp"
 #include "stats/counter_rng.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/random.hpp"
@@ -1192,7 +1193,7 @@ TEST(FastSimdEngine, ManifestWireCodecRoundTripsFastSimd) {
   EXPECT_EQ(decoded.engine, mc::sampling_engine::fast_simd);
   EXPECT_EQ(mc::experiment_manifest_fingerprint(decoded),
             mc::experiment_manifest_fingerprint(m));
-  EXPECT_NE(mc::experiment_manifest_json(m).find("\"engine\": 3"),
+  EXPECT_NE(mc::describe_manifest_json(m).find("\"engine\": 3"),
             std::string::npos);
 }
 

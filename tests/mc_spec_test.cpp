@@ -192,6 +192,22 @@ TEST(SweepSpec, ScenarioRoundTripPreservesFingerprint) {
   EXPECT_EQ(mc::manifest_fingerprint(m), mc::manifest_fingerprint(m2));
   // And the writer is a fixed point: write(parse(write(s))) == write(s).
   EXPECT_EQ(mc::write_sweep_spec(again), text);
+
+  // The writer is shared by every kind: an experiment drawing from its
+  // second universe section round-trips to the same universe.
+  const mc::sweep_spec experiment = parse_ok(
+      "[sweep]\nkind = experiment\nseed = 9\nshards = 16\n"
+      "[universe a]\ngenerator = homogeneous\nfaults = 8\np = 0.01\nq = 0.02\n"
+      "[universe b]\ngenerator = homogeneous\nfaults = 16\np = 0.02\nq = 0.01\n"
+      "[experiment]\nuniverse = b\nsamples = 4000\nwindow = 4\n");
+  const std::string written = mc::write_sweep_spec(experiment);
+  const mc::sweep_spec experiment2 = parse_ok(written);
+  EXPECT_EQ(mc::experiment_manifest_fingerprint(
+                std::get<mc::experiment_manifest>(experiment2.manifest)),
+            mc::experiment_manifest_fingerprint(
+                std::get<mc::experiment_manifest>(experiment.manifest)))
+      << written;
+  EXPECT_EQ(mc::write_sweep_spec(experiment2), written);
 }
 
 TEST(SweepSpec, NewAxesRoundTripPreservesFingerprint) {
@@ -343,8 +359,59 @@ TEST(SweepSpec, RetiredLegacyEngineIsAPositionedDiagnostic) {
         "[universe u]\ngenerator = homogeneous\nfaults = 8\np = 0.01\nq = 0.02\n"
         "[experiment]\nuniverse = u\nsamples = 1000\nengine = " +
         std::string(name) + "\n");
-    ASSERT_TRUE(has_error(errors, 8, "engine")) << name;
-    EXPECT_EQ(errors.front().render(), std::string("test.spec:8: engine: ") + message);
+    ASSERT_TRUE(has_error(errors, 11, "engine")) << name;
+    EXPECT_EQ(errors.front().render(), std::string("test.spec:11: engine: ") + message);
+  }
+}
+
+TEST(SweepSpec, KeyLocalDiagnosticsPointAtTheKey) {
+  // A value that its key alone makes wrong is reported at that key's line
+  // and field, never at its section's header.  Every key sits below its
+  // header here.
+  const std::string sweep = "[sweep]\nkind = scenario\nseed = 3\n";  // lines 1-3
+  const std::string universe =
+      "[universe u]\ngenerator = homogeneous\nfaults = 4\np = 0.1\nq = 0.1\n";  // 5 lines
+  const std::string axes = "[axes]\nrho = 0\nbudget = 10\n";                    // 3 lines
+  const auto refine = [&](const std::string& key_line) {
+    // [refine] at line 12, max_budget at 13, the key at 14.
+    return sweep + universe + axes + "[refine]\nmax_budget = 0\n" + key_line + "\n";
+  };
+  const auto experiment = [](const std::string& lines) {
+    // [experiment] at line 8, samples at 9, the key at 10.
+    return "[sweep]\nkind = experiment\n"
+           "[universe u]\ngenerator = homogeneous\nfaults = 8\np = 0.01\nq = 0.02\n"
+           "[experiment]\nsamples = 1000\n" +
+           lines;
+  };
+  struct row {
+    std::string text;
+    std::size_t line;
+    std::string field;
+  };
+  const row rows[] = {
+      {"[sweep]\nkind = scenario\nseed = 3\nrho_model = gaussian\n" + universe + axes, 4,
+       "rho_model"},
+      {experiment("engine = warp\nuniverse = u\n"), 10, "engine"},
+      {experiment("universe = nope\n"), 10, "universe"},
+      {experiment("ci_level = 1.5\nuniverse = u\n"), 10, "ci_level"},
+      {refine("metric = sd_theta2"), 14, "metric"},
+      {refine("target_rel_halfwidth = 0"), 14, "target_rel_halfwidth"},
+      {refine("z = -1"), 14, "z"},
+      {refine("gradient_weight = -1"), 14, "gradient_weight"},
+      {refine("mean_floor = 0"), 14, "mean_floor"},
+      {refine("min_budget = 0"), 14, "min_budget"},
+      {refine("max_growth = 0.5"), 14, "max_growth"},
+      {refine("round_to = 0"), 14, "round_to"},
+      {sweep + "[universe r]\ngenerator = raster\nfaults = 4\np_hi = 0.1\nprofile = weird\n" +
+           axes,
+       8, "profile"},
+  };
+  for (const row& r : rows) {
+    const auto errors = parse_errors(r.text);
+    std::string what = r.field + ":";
+    for (const mc::spec_error& e : errors) what += " [" + e.render() + "]";
+    EXPECT_EQ(errors.size(), 1u) << what;
+    EXPECT_TRUE(has_error(errors, r.line, r.field)) << what;
   }
 }
 
