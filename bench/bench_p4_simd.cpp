@@ -17,12 +17,12 @@
 // eight shard streams per AVX-512 instruction (four per AVX2 instruction)
 // and sums each pair's θ1 and θ2 as it draws.  Both produce the same bits.
 //
-// The pair-step and lane-fold rows split out the layers on the same
-// universe and ρ: BM_XoshiroPairStep* draws and records pair steps of eight
-// shard streams (the whole cell's per-pair work), and BM_LaneFold* folds
-// pre-drawn lane_blocks into eight accumulators (the fold fast-simd's
-// counter kernel and the lane-by-lane samplers still use), each dispatched,
-// at the avx2 cap and at the scalar cap.
+// The pair-step rows split out each engine's per-pair work on one lane
+// group: BM_XoshiroPairStep* draws and records pair steps of eight shard
+// streams on that cell's universe and ρ, and BM_CounterPairStep* draws and
+// records fast-simd pair steps of eight counter streams on perfbench
+// experiment_rare's universe (256 safety-grade faults, p <= 1e-3), each
+// dispatched, at the avx2 cap and at the scalar cap.
 //
 // The *Avx2 twins of the random-universe runs and the scenario cell run at
 // the avx2 cap, so on an AVX-512 host "dispatched vs avx2 cap" is the
@@ -38,6 +38,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -51,6 +52,7 @@
 #include "mc/correlated.hpp"
 #include "mc/experiment.hpp"
 #include "mc/scenario.hpp"
+#include "stats/counter_rng.hpp"
 #include "stats/random.hpp"
 
 namespace {
@@ -194,7 +196,7 @@ void BM_ScenarioMixtureCellAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioMixtureCellAvx2)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// --- the same cell's pair step, and the fold the block-filling draws use --
+// --- the per-pair work of one lane group: the cell's and fast-simd's -------
 
 /// scenario_ci.spec's `many_small` universe, as the cell above builds it.
 core::fault_universe many_small_universe() {
@@ -254,32 +256,23 @@ void BM_XoshiroPairStepScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_XoshiroPairStepScalar)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-/// 2of2 folds (ω = 1) of pre-drawn pair steps of the same mixture, cycling
-/// through 64 blocks so the draw stays out of the timing, at SIMD cap `cap`.
-void run_lane_fold_bench(benchmark::State& state, std::optional<core::simd_level> cap) {
+/// fast-simd pair steps of eight counter streams, the first lane group of
+/// a run at seed 2026, on perfbench experiment_rare's universe relaid out as
+/// the engine relays it, at SIMD cap `cap` (none: the dispatched level).
+void run_counter_step_bench(benchmark::State& state, std::optional<core::simd_level> cap) {
   if (cap) core::set_simd_level_cap(*cap);
   const core::simd_level level = core::active_simd_level();
-  const core::fault_universe u = many_small_universe();
-  const mc::common_cause_mixture mixture(u, 0.25, 1.8);
-  core::xoshiro_lanes lanes = first_group_lanes(2026);
-  std::vector<core::lane_block> blocks(64, core::lane_block(2, u.size()));
-  core::fault_mask m;
-  for (core::lane_block& block : blocks) {
-    for (unsigned v = 0; v < 2; ++v) {
-      for (unsigned l = 0; l < core::kXoshiroLanes; ++l) {
-        stats::rng r = lanes.lane(l);
-        mixture.sample_mask(r, m);
-        lanes.set_lane(l, r);
-        block.store_lane(v, l, m);
-      }
-    }
-  }
+  const core::fault_universe u =
+      core::make_p_sorted_permutation(core::make_safety_grade_universe(256, 0.0, 1e-3, 0.6, 13))
+          .universe;
+  const core::counter_sample_plan plan = core::make_counter_sample_plan(u);
+  std::array<std::uint64_t, core::kXoshiroLanes> keys{};
+  for (unsigned l = 0; l < core::kXoshiroLanes; ++l) keys[l] = stats::counter_stream_key(2026, l);
   core::accumulator_lanes acc;
-  std::size_t next = 0;
+  std::uint64_t pair = 0;
   for (auto _ : state) {
     for (int step = 0; step < kStepsPerIteration; ++step) {
-      core::fold_pair_lanes(acc, blocks[next], 2, 1.0, u.q_array(), core::kXoshiroLanes, level);
-      next = (next + 1) % blocks.size();
+      core::counter_pair_step_lanes(plan, u, keys, pair++, acc, core::kXoshiroLanes, level);
     }
     benchmark::DoNotOptimize(acc.theta2.m1.data());
     benchmark::ClobberMemory();
@@ -289,18 +282,18 @@ void run_lane_fold_bench(benchmark::State& state, std::optional<core::simd_level
   core::clear_simd_level_cap();
 }
 
-void BM_LaneFold(benchmark::State& state) { run_lane_fold_bench(state, std::nullopt); }
-BENCHMARK(BM_LaneFold)->Unit(benchmark::kMicrosecond)->UseRealTime();
+void BM_CounterPairStep(benchmark::State& state) { run_counter_step_bench(state, std::nullopt); }
+BENCHMARK(BM_CounterPairStep)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-void BM_LaneFoldAvx2(benchmark::State& state) {
-  run_lane_fold_bench(state, core::simd_level::avx2);
+void BM_CounterPairStepAvx2(benchmark::State& state) {
+  run_counter_step_bench(state, core::simd_level::avx2);
 }
-BENCHMARK(BM_LaneFoldAvx2)->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_CounterPairStepAvx2)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-void BM_LaneFoldScalar(benchmark::State& state) {
-  run_lane_fold_bench(state, core::simd_level::scalar);
+void BM_CounterPairStepScalar(benchmark::State& state) {
+  run_counter_step_bench(state, core::simd_level::scalar);
 }
-BENCHMARK(BM_LaneFoldScalar)->Unit(benchmark::kMicrosecond)->UseRealTime();
+BENCHMARK(BM_CounterPairStepScalar)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 

@@ -9,7 +9,8 @@ Two kinds of comparison:
   on the same universe at the same SIMD cap, sparse vs mask sampling, one
   thread vs all of them for the correlated runner, serial vs campaign KL
   scoring, the SIMD kernels vs their scalar level and their avx2 cap (the
-  whole mixture cell, its xoshiro pair step, and the lane fold).  A
+  whole mixture cell, its xoshiro pair step, and fast-simd's counter pair
+  step).  A
   single-threaded ratio divides out the machine, so a baseline
   recorded on one host gates a fresh run on another: if the fast path's
   advantage over its own baseline shrank by more than --max-regression
@@ -103,14 +104,16 @@ KEY_RATIOS = [
     ("scenario mixture cell dispatched vs avx2 cap",
      "BM_ScenarioMixtureCellAvx2/real_time",
      "BM_ScenarioMixtureCellLanes/real_time", False, "dispatched"),
-    # The mixture cell's per-pair work on its own universe and rho: the
-    # xoshiro pair step drawing and recording pair steps, and the lane fold
-    # the block-filling draws (fast-simd's counter kernel) still use.
+    # Each engine's per-pair work on one lane group: the xoshiro pair step
+    # on the mixture cell's universe and rho, and fast-simd's counter pair
+    # step on perfbench experiment_rare's universe, each drawing and
+    # recording pair steps.
     ("xoshiro pair step dispatched vs scalar",
      "BM_XoshiroPairStepScalar/real_time", "BM_XoshiroPairStep/real_time",
      False, "dispatched"),
-    ("lane fold dispatched vs scalar",
-     "BM_LaneFoldScalar/real_time", "BM_LaneFold/real_time", False, "dispatched"),
+    ("counter pair step dispatched vs scalar",
+     "BM_CounterPairStepScalar/real_time", "BM_CounterPairStep/real_time", False,
+     "dispatched"),
     ("service memoized query vs cold submit->merge",
      "BM_ServiceSubmitToMerged/real_time",
      "BM_ServiceMemoizedQuery/real_time", False, None),

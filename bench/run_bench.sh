@@ -20,8 +20,9 @@
 #                   heterogeneous and random n=1024 universes,
 #                   scenario_ci's 256-fault mixture cell with the xoshiro
 #                   pair step vs its scalar level, and both SIMD families
-#                   dispatched vs capped at AVX2; the cell's pair step and
-#                   the lane fold on their own (ns per pair) at each level.
+#                   dispatched vs capped at AVX2; the cell's xoshiro pair
+#                   step and fast-simd's counter pair step on their own (ns
+#                   per pair) at each level.
 #   BENCH_p5.json — sweep-service front-end (bench_p5_service): queue
 #                   submit -> merged latency (cold) vs the fingerprint-
 #                   memoized result-cache query (hot), plus the status probe.
@@ -143,9 +144,10 @@ ratio_line(p4, "fast-simd random n=1024", "BM_RunExperimentFastSimdRandomAvx2/re
            "BM_RunExperimentFastSimdRandom/real_time", "avx2 cap", "dispatched")
 ratio_line(p4, "scenario_ci mixture cell", "BM_ScenarioMixtureCellAvx2/real_time",
            "BM_ScenarioMixtureCellLanes/real_time", "avx2 cap", "dispatched", fmt=".0f")
-# The cell's pair step and the lane fold: an iteration is 1000 pairs, so
-# microseconds read as ns per pair.
-for layer, row in (("xoshiro pair step", "BM_XoshiroPairStep"), ("lane fold", "BM_LaneFold")):
+# The cell's xoshiro pair step and fast-simd's counter pair step: an
+# iteration is 1000 pairs, so microseconds read as ns per pair.
+for layer, row in (("xoshiro pair step", "BM_XoshiroPairStep"),
+                   ("counter pair step", "BM_CounterPairStep")):
     ratio_line(p4, f"{layer} (ns per pair)", f"{row}Scalar/real_time", f"{row}/real_time",
                "scalar level", "dispatched", unit="", fmt=".1f")
     ratio_line(p4, f"{layer} (ns per pair)", f"{row}Avx2/real_time", f"{row}/real_time",

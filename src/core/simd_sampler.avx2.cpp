@@ -1,12 +1,12 @@
-// AVX2 and AVX-512 levels of the fast-simd counter lane kernel, the lane
-// fold and the xoshiro pair step.  This is the ONLY translation unit in the
-// repo allowed to include <immintrin.h> (reldiv_lint `simd-isolation`
-// enforces it) and the only one compiled with -mavx2; the AVX-512 functions
-// carry a function-level target attribute (RELDIV_AVX512 below) instead of
-// a TU flag, so the build needs no second SIMD TU.  It is reached solely
-// through the runtime dispatch in simd_sampler.cpp, which calls an AVX2
-// function only after __builtin_cpu_supports("avx2") and an AVX-512 one only
-// after avx512f, avx512dq and avx512bw say the host can run it.  When the
+// AVX2 and AVX-512 levels of the counter pair step (fast-simd) and the
+// xoshiro pair step.  This is the ONLY translation unit in the repo allowed
+// to include <immintrin.h> (reldiv_lint `simd-isolation` enforces it) and
+// the only one compiled with -mavx2; the AVX-512 functions carry a
+// function-level target attribute (RELDIV_AVX512 below) instead of a TU
+// flag, so the build needs no second SIMD TU.  It is reached solely through
+// the runtime dispatch in simd_sampler.cpp, which calls an AVX2 function
+// only after __builtin_cpu_supports("avx2") and an AVX-512 one only after
+// avx512f, avx512dq and avx512bw say the host can run it.  When the
 // toolchain cannot compile AVX2 (non-x86, or no -mavx2), the fallback
 // definitions at the bottom keep the link whole and report avx2_compiled()
 // == false, so dispatch never selects any of these paths.
@@ -15,37 +15,36 @@
 // register and eight per AVX-512 register, and is decision-for-decision equal
 // to the scalar level because each lane evaluates the identical integer
 // arithmetic and compares against the same integer thresholds:
-//   * counter kernel: stats::counter_draw — the splitmix64 finalizer on
+//   * counter step: stats::counter_draw — the splitmix64 finalizer on
 //     key + (counter+1)*gamma, one key per lane, one fault of every lane per
 //     step; AVX2 synthesizes each 64-bit constant multiply from three 32x32
 //     _mm256_mul_epu32 partial products, AVX-512 uses the native 64-bit
 //     _mm512_mullo_epi64 and compares straight into a mask;
-//   * pair step: stats::rng::operator() — xoshiro256++'s adds, xors, shifts
-//     and rotates, one independent engine per lane (AVX-512 folds the xor
-//     pairs into _mm512_ternarylogic_epi64 and rotates with one
+//   * xoshiro step: stats::rng::operator() — xoshiro256++'s adds, xors,
+//     shifts and rotates, one independent engine per lane (AVX-512 folds the
+//     xor pairs into _mm512_ternarylogic_epi64 and rotates with one
 //     instruction) — drawing every channel of a pair step in turn;
 //   * θ sums: each lane's θ1 and θD take the faults it holds in ascending
 //     order, as one masked add per fault (AVX2 adds +0.0 in the lanes
 //     without it), and the Welford step of stats::running_moments::add runs
 //     its IEEE operations in the same order, products and sums each rounded
-//     on their own.  The fold sums over the faults any lane of a block word
-//     holds; the pair step sums as it draws, so no block sits in between.
-// The counter kernel and the fold meet in the lane-major core::lane_block: a
-// mask word of eight lanes is one 64-byte row, so the kernel writes a word of
-// every live lane with one masked store (two at AVX2) and the fold reads it
-// with one masked load, leaving the words of spare lanes untouched.  The
-// pair step keeps the channels before the last per fault instead: one hit
-// byte per fault at AVX-512 (bit l: lane l), whose layers the last channel's
-// compare reads as a mask register, and four lanes' masks per fault at AVX2,
-// whose two halves run one after the other to keep their state in the
-// sixteen ymm registers.
+//     on their own.
+// Neither step writes the masks it draws anywhere: the counter step hands
+// each finished mask word of the lanes, in registers, to a sink that adds
+// the faults of a and of a ∧ b into θ1 and θ2 over the faults any lane
+// holds (the batch API's sink stores the word instead), and the xoshiro step
+// sums as it draws.  The xoshiro step keeps the channels before the last per
+// fault: one hit byte per fault at AVX-512 (bit l: lane l), whose layers the
+// last channel's compare reads as a mask register, and four lanes' masks per
+// fault at AVX2, whose two halves run one after the other to keep their
+// state in the sixteen ymm registers.
 // The AVX2 threshold compares use _mm256_cmpgt_epi64, which is safe in the
 // signed domain because both operands are <= 2^53 (hence positive as int64);
-// the AVX-512 compares are unsigned.  The AVX-512 pair step compares the raw
-// draw against the threshold shifted left by 11 (r < t << 11 iff (r >> 11) <
-// t), which saves the per-fault shift; thresholds of 2^53 do not fit that
-// operand and arrive as per-word "always" masks instead, OR-ed in fault by
-// fault only in the words that hold one.
+// the AVX-512 compares are unsigned.  The AVX-512 xoshiro step compares the
+// raw draw against the threshold shifted left by 11 (r < t << 11 iff (r >>
+// 11) < t), which saves the per-fault shift; thresholds of 2^53 do not fit
+// that operand and arrive as per-word "always" masks instead, OR-ed in fault
+// by fault only in the words that hold one.
 //
 // GCC builds _mm512_{srli,slli,rol}_epi64 on _mm512_undefined_epi32(), which
 // trips -Wmaybe-uninitialized; the kernels use the _mm512_maskz_* forms with
@@ -87,6 +86,12 @@ inline __m256i load_u64x4(const std::uint64_t* p, __m256i live) noexcept {
 inline void store_u64x4(std::uint64_t* p, __m256i live, __m256i v) noexcept {
   // reldiv-lint: allow(wire-cast) masked vector store to a word array, not byte serialization
   _mm256_maskstore_epi64(reinterpret_cast<long long*>(p), live, v);
+}
+
+/// Unaligned store of one register into four consecutive 64-bit words.
+inline void store_u64x4(std::uint64_t* p, __m256i v) noexcept {
+  // reldiv-lint: allow(wire-cast) vector register store to a word array, not byte serialization
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
 }
 
 /// x * c for a 64-bit constant c, per 64-bit lane: lo32(x)*lo32(c) +
@@ -203,7 +208,7 @@ struct xoshiro8 {
   }
 };
 
-// --- lane fold, AVX2: one call per half of four lanes ------------------------
+// --- pair records, AVX2: one call per half of four lanes --------------------
 
 /// OR of the four 64-bit lanes of v.
 inline std::uint64_t or_lanes4(__m256i v) noexcept {
@@ -280,7 +285,7 @@ inline unsigned zero_lanes4(__m256d x) noexcept {
 }
 
 /// Lanes [o, o + 4) of one pair's record, those below `live`: the epilogue
-/// fold_pair_lanes_avx2 and xoshiro_pair_step_avx2 share.  Lane o + j
+/// counter_pair_step_avx2 and xoshiro_pair_step_avx2 share.  Lane o + j
 /// records θ1 and ω·θD from lane j of theta1 and defeated_q, and bit j of
 /// any1 / any_defeated says whether it holds a fault / a defeated one: what
 /// experiment_accumulator::add records, and θ1 and ω·θD into *thetas when
@@ -309,37 +314,135 @@ inline void record_half4(accumulator_lanes& acc, unsigned o, __m256d theta1,
   }
 }
 
-/// fold_pair_lanes_avx2 on lanes [o, o + 4) of one register, of which those
-/// below `live` are folded.
-void fold_half_avx2(accumulator_lanes& acc, const std::uint64_t* block, unsigned versions,
-                    unsigned votes, double omega, const double* q, std::size_t n, unsigned o,
-                    unsigned live, const welford_step& step, pair_thetas* thetas) noexcept {
-  const __m256i live_lanes = live_lanes4(o, live);
-  const std::size_t nw = fault_mask::words_needed(n);
-  const std::uint64_t* half = block + o;  // lane o of channel 0's word 0
-  __m256i ge[kMaxFoldVersions];           // layers [0, votes) are set before use
-  __m256d theta1 = _mm256_setzero_pd();
-  __m256d defeated_q = _mm256_setzero_pd();
-  __m256i any1 = _mm256_setzero_si256();
-  __m256i any_defeated = _mm256_setzero_si256();
-  for (std::size_t b = 0; b < nw; ++b) {
-    const __m256i first = load_u64x4(half + b * kXoshiroLanes, live_lanes);
-    ge[0] = first;
-    for (unsigned j = 1; j < votes; ++j) ge[j] = _mm256_setzero_si256();
-    for (unsigned v = 1; v < versions; ++v) {
-      const __m256i m = load_u64x4(half + (v * nw + b) * kXoshiroLanes, live_lanes);
-      for (unsigned j = votes - 1; j > 0; --j) {
-        ge[j] = _mm256_or_si256(ge[j], _mm256_and_si256(ge[j - 1], m));
+// --- counter draw, AVX2 ------------------------------------------------------
+
+/// The counter pair step's AVX2 draw: lanes 0-3 in one register, lanes 4-7
+/// in the other.  Lane l's Weyl state keys[l] + (c + 1) * gamma steps by
+/// gamma from counter to counter, and every lane draws.  sink(blk, a, b)
+/// takes word blk of versions a and b, lanes [4r, 4r + 4) in a[r] and b[r],
+/// zero in the lanes >= live.
+template <typename Sink>
+inline void draw_counter4(const counter_sample_plan& plan, const std::uint64_t* t32,
+                          const std::uint64_t* t53, const std::uint64_t* keys,
+                          std::uint64_t pair_index, unsigned live, Sink& sink) noexcept {
+  constexpr unsigned kRegs = 2;
+  static_assert(kXoshiroLanes == 4 * kRegs, "two AVX2 registers of four 64-bit lanes");
+  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
+  const __m256i gamma = _mm256_set1_epi64x(static_cast<long long>(g));
+  const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
+  const __m256i lane_keys[kRegs] = {load_u64x4(keys), load_u64x4(keys + 4)};
+  const __m256i live_lanes[kRegs] = {live_lanes4(0, live), live_lanes4(4, live)};
+  std::uint64_t a_row[kXoshiroLanes] = {};
+  std::uint64_t b_row[kXoshiroLanes] = {};
+  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
+    const counter_word_plan& w = plan.words[blk];
+    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
+    __m256i wa[kRegs];
+    __m256i wb[kRegs];
+    if (counter_word_per_lane(w, keys, base, a_row, b_row, live)) {
+      for (unsigned r = 0; r < kRegs; ++r) {
+        wa[r] = load_u64x4(a_row + 4 * r, live_lanes[r]);
+        wb[r] = load_u64x4(b_row + 4 * r, live_lanes[r]);
       }
-      ge[0] = _mm256_or_si256(ge[0], m);
+      sink(blk, wa, wb);
+      continue;
     }
-    any1 = _mm256_or_si256(any1, first);
-    any_defeated = _mm256_or_si256(any_defeated, ge[votes - 1]);
-    add_word_q4(theta1, defeated_q, first, ge[votes - 1], q + (b << 6));
+    const __m256i start = _mm256_set1_epi64x(static_cast<long long>((base + 1) * g));
+    __m256i z[kRegs];
+    for (unsigned r = 0; r < kRegs; ++r) {
+      z[r] = _mm256_add_epi64(lane_keys[r], start);
+      wa[r] = _mm256_setzero_si256();
+      wb[r] = _mm256_setzero_si256();
+    }
+    if (w.kind == counter_word_kind::paired32) {
+      // One 32-bit compare per fault decides both versions, as at AVX-512:
+      // the high half of the draw (element 2l+1) for a and the low half
+      // (element 2l) for b, unsigned through the sign-bias trick (x ^ 2^31 <
+      // t ^ 2^31 as signed).  half[h][r] collects the bits of faults 32h to
+      // 32h+31; a threshold of 2^32 reads as 0, and its faults are
+      // w.saturated.
+      const std::uint64_t* t = t32 + (blk << 6);
+      const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000U));
+      __m256i half[2][kRegs];
+      for (unsigned h = 0; h < 2; ++h) {
+        for (__m256i& bits : half[h]) bits = _mm256_setzero_si256();
+        const unsigned end = w.occupancy > 32 * h ? std::min(w.occupancy - 32 * h, 32u) : 0;
+        for (unsigned k = 0; k < end; ++k) {
+          const __m256i tk = _mm256_xor_si256(
+              _mm256_set1_epi32(static_cast<int>(t[32 * h + k] & 0xffffffffU)), bias);
+          const __m256i bit = _mm256_set1_epi32(static_cast<int>(kFaultBit[k]));
+          for (unsigned r = 0; r < kRegs; ++r) {
+            const __m256i x = splitmix_mix4(z[r]);
+            z[r] = _mm256_add_epi64(z[r], gamma);
+            const __m256i hit = _mm256_cmpgt_epi32(tk, _mm256_xor_si256(x, bias));
+            half[h][r] = _mm256_or_si256(half[h][r], _mm256_and_si256(hit, bit));
+          }
+        }
+      }
+      const __m256i saturated = _mm256_set1_epi64x(static_cast<long long>(w.saturated));
+      for (unsigned r = 0; r < kRegs; ++r) {
+        const __m256i a_bits = _mm256_or_si256(_mm256_srli_epi64(half[0][r], 32),
+                                               _mm256_andnot_si256(lo_mask, half[1][r]));
+        const __m256i b_bits = _mm256_or_si256(_mm256_and_si256(half[0][r], lo_mask),
+                                               _mm256_slli_epi64(half[1][r], 32));
+        wa[r] = _mm256_or_si256(a_bits, saturated);
+        wb[r] = _mm256_or_si256(b_bits, saturated);
+      }
+    } else {
+      // wide53: one draw per fault per version, a's word first.
+      const std::uint64_t* t = t53 + (blk << 6);
+      for (__m256i* word : {wa, wb}) {
+        for (unsigned k = 0; k < w.occupancy; ++k) {
+          const __m256i tk = _mm256_set1_epi64x(static_cast<long long>(t[k]));
+          const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(kFaultBit[k]));
+          for (unsigned r = 0; r < kRegs; ++r) {
+            const __m256i x = splitmix_mix4(z[r]);
+            z[r] = _mm256_add_epi64(z[r], gamma);
+            const __m256i hit = _mm256_cmpgt_epi64(tk, _mm256_srli_epi64(x, 11));
+            word[r] = _mm256_or_si256(word[r], _mm256_and_si256(hit, bit));
+          }
+        }
+      }
+    }
+    for (unsigned r = 0; r < kRegs; ++r) {
+      wa[r] = _mm256_and_si256(wa[r], live_lanes[r]);
+      wb[r] = _mm256_and_si256(wb[r], live_lanes[r]);
+    }
+    sink(blk, wa, wb);
   }
-  record_half4(acc, o, theta1, defeated_q, nonzero_lanes4(any1), nonzero_lanes4(any_defeated),
-               omega, step, live, thetas);
 }
+
+/// The counter step's sink at AVX2: θ1 += the q of a's faults and θ2 += the
+/// q of a ∧ b's, per half of four lanes, and the lanes holding any.
+struct counter_sums4 {
+  const double* q;
+  __m256d theta1[2], theta2[2];
+  __m256i any1[2], any2[2];
+
+  void operator()(std::size_t blk, const __m256i* a, const __m256i* b) noexcept {
+    for (unsigned r = 0; r < 2; ++r) {
+      const __m256i common = _mm256_and_si256(a[r], b[r]);
+      any1[r] = _mm256_or_si256(any1[r], a[r]);
+      any2[r] = _mm256_or_si256(any2[r], common);
+      add_word_q4(theta1[r], theta2[r], a[r], common, q + (blk << 6));
+    }
+  }
+};
+
+/// The batch's sink at AVX2: word blk of a and b stored, lane-major.
+struct counter_store4 {
+  std::uint64_t* words;
+  std::size_t nw;
+
+  void operator()(std::size_t blk, const __m256i* a, const __m256i* b) const noexcept {
+    for (unsigned r = 0; r < 2; ++r) {
+      store_u64x4(words + blk * kXoshiroLanes + 4 * r, a[r]);
+      store_u64x4(words + (nw + blk) * kXoshiroLanes + 4 * r, b[r]);
+    }
+  }
+};
+
+// --- xoshiro pair step, AVX2 ---------------------------------------------------
 
 /// The part a channel plays in a pair step of `versions` channels: the
 /// first sums θ1 and keeps its hits in layer 0 (a lone channel, 1of1, is
@@ -459,7 +562,7 @@ void step_half_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
                nonzero_lanes4(s.any_defeated), omega, step, live, thetas);
 }
 
-// --- lane fold, AVX-512: all eight lanes in one register ---------------------
+// --- pair records, AVX-512: all eight lanes in one register -----------------
 
 /// OR of the eight 64-bit lanes of v.  _mm512_reduce_or_epi64 and
 /// _mm512_castsi512_si256 extract halves onto an undefined register, like
@@ -540,7 +643,7 @@ RELDIV_AVX512 inline void count8(std::array<std::uint64_t, kXoshiroLanes>& c,
 }
 
 /// One pair's record on the lanes `live` selects: the epilogue
-/// fold_pair_lanes_avx512 and xoshiro_pair_step_avx512 share.  Lane l
+/// counter_pair_step_avx512 and xoshiro_pair_step_avx512 share.  Lane l
 /// records θ1 and ω·θD from lane l of theta1 and defeated_q, and bit l of
 /// any1 / any_defeated says whether it holds a fault / a defeated one: what
 /// experiment_accumulator::add records, and θ1 and ω·θD into *thetas when it
@@ -564,6 +667,121 @@ RELDIV_AVX512 inline void record_pair8(accumulator_lanes& acc, __m512d theta1,
     _mm512_mask_storeu_pd(thetas->theta2.data(), live, theta2);
   }
 }
+
+// --- counter draw, AVX-512 ---------------------------------------------------
+
+/// One version's wide53 word in every lane: bit k set iff (draw >> 11) <
+/// t[k], drawing counter after counter from the Weyl states z.
+RELDIV_AVX512 inline __m512i wide53_word8(__m512i& z, __m512i gamma, const std::uint64_t* t,
+                                          unsigned occupancy) noexcept {
+  __m512i word = _mm512_setzero_si512();
+  for (unsigned k = 0; k < occupancy; ++k) {
+    const __m512i x = splitmix_mix8(z);
+    z = _mm512_add_epi64(z, gamma);
+    const __mmask8 hit =
+        _mm512_cmplt_epu64_mask(srli512<11>(x), _mm512_set1_epi64(static_cast<long long>(t[k])));
+    word = _mm512_mask_or_epi64(word, hit, word,
+                                _mm512_set1_epi64(static_cast<long long>(kFaultBit[k])));
+  }
+  return word;
+}
+
+/// The counter pair step's AVX-512 draw: all eight lanes in one register; a
+/// lane's compare result sets bit k of its word through a masked or of a
+/// broadcast bit constant.  sink(blk, a, b) takes word blk of versions a
+/// and b of every lane, zero in the lanes >= live.
+template <typename Sink>
+RELDIV_AVX512 inline void draw_counter8(const counter_sample_plan& plan,
+                                        const std::uint64_t* t32, const std::uint64_t* t53,
+                                        const std::uint64_t* keys, std::uint64_t pair_index,
+                                        unsigned live, Sink& sink) noexcept {
+  static_assert(kXoshiroLanes == 8, "one counter stream per 64-bit AVX-512 lane");
+  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
+  const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
+  const __m512i gamma = _mm512_set1_epi64(static_cast<long long>(g));
+  const __m512i lane_keys = _mm512_loadu_si512(keys);
+  std::uint64_t a_row[kXoshiroLanes] = {};
+  std::uint64_t b_row[kXoshiroLanes] = {};
+  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
+    const counter_word_plan& w = plan.words[blk];
+    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
+    if (counter_word_per_lane(w, keys, base, a_row, b_row, live)) {
+      sink(blk, _mm512_maskz_loadu_epi64(live_lanes, a_row),
+           _mm512_maskz_loadu_epi64(live_lanes, b_row));
+      continue;
+    }
+    __m512i z =
+        _mm512_add_epi64(lane_keys, _mm512_set1_epi64(static_cast<long long>((base + 1) * g)));
+    __m512i wa;
+    __m512i wb;
+    if (w.kind == counter_word_kind::paired32) {
+      // One unsigned 32-bit compare per fault decides both versions: the high
+      // half of lane l's draw (32-bit element 2l+1) against t for a, the low
+      // half (element 2l) for b.  Element 2l+1 / 2l of half[0] collects a's
+      // / b's bits of faults 0-31, of half[1] those of faults 32-63.  A
+      // threshold of 2^32 reads as 0 here and never passes; its faults are
+      // w.saturated.
+      const std::uint64_t* t = t32 + (blk << 6);
+      __m512i half[2];
+      for (unsigned h = 0; h < 2; ++h) {
+        __m512i bits = _mm512_setzero_si512();
+        const unsigned end = w.occupancy > 32 * h ? std::min(w.occupancy - 32 * h, 32u) : 0;
+        const std::uint64_t* th = t + 32 * h;
+        for (unsigned k = 0; k < end; ++k) {
+          const __m512i x = splitmix_mix8(z);
+          z = _mm512_add_epi64(z, gamma);
+          const __mmask16 hit = _mm512_cmplt_epu32_mask(
+              x, _mm512_set1_epi32(static_cast<int>(th[k] & 0xffffffffU)));
+          bits = _mm512_mask_or_epi32(bits, hit, bits,
+                                      _mm512_set1_epi32(static_cast<int>(kFaultBit[k])));
+        }
+        half[h] = bits;
+      }
+      constexpr int kOrAnd = 0xf8;     // a | (b & c)
+      constexpr int kOrAndNot = 0xf4;  // a | (b & ~c)
+      const __m512i hi_dwords = _mm512_set1_epi64(static_cast<long long>(0xffffffff00000000ULL));
+      const __m512i saturated = _mm512_set1_epi64(static_cast<long long>(w.saturated));
+      wa = _mm512_or_si512(
+          _mm512_ternarylogic_epi64(srli512<32>(half[0]), half[1], hi_dwords, kOrAnd), saturated);
+      wb = _mm512_or_si512(
+          _mm512_ternarylogic_epi64(slli512<32>(half[1]), half[0], hi_dwords, kOrAndNot),
+          saturated);
+    } else {
+      // wide53: one draw per fault per version, a's word first.
+      wa = wide53_word8(z, gamma, t53 + (blk << 6), w.occupancy);
+      wb = wide53_word8(z, gamma, t53 + (blk << 6), w.occupancy);
+    }
+    sink(blk, _mm512_maskz_mov_epi64(live_lanes, wa), _mm512_maskz_mov_epi64(live_lanes, wb));
+  }
+}
+
+/// The counter step's sink at AVX-512: θ1 += the q of a's faults and θ2 +=
+/// the q of a ∧ b's, and the lanes holding any.
+struct counter_sums8 {
+  const double* q;
+  __m512d theta1, theta2;
+  __m512i any1, any2;
+
+  RELDIV_AVX512 void operator()(std::size_t blk, __m512i a, __m512i b) noexcept {
+    const __m512i common = _mm512_and_si512(a, b);
+    any1 = _mm512_or_si512(any1, a);
+    any2 = _mm512_or_si512(any2, common);
+    add_word_q8(theta1, theta2, a, common, q + (blk << 6));
+  }
+};
+
+/// The batch's sink at AVX-512: word blk of a and b stored, lane-major.
+struct counter_store8 {
+  std::uint64_t* words;
+  std::size_t nw;
+
+  RELDIV_AVX512 void operator()(std::size_t blk, __m512i a, __m512i b) const noexcept {
+    _mm512_storeu_si512(words + blk * kXoshiroLanes, a);
+    _mm512_storeu_si512(words + (nw + blk) * kXoshiroLanes, b);
+  }
+};
+
+// --- xoshiro pair step, AVX-512 -------------------------------------------------
 
 /// OR of the n bytes at p: the lanes any of n hit bytes holds.
 RELDIV_AVX512 inline __mmask8 or_bytes8(const std::uint8_t* p, std::size_t n) noexcept {
@@ -745,220 +963,56 @@ RELDIV_AVX512 void xoshiro_pair_step_avx512(xoshiro_lanes& lanes,
   record_pair8(acc, s.theta1, s.defeated_q, any1, any_defeated, omega, step, live_lanes, thetas);
 }
 
-void fold_pair_lanes_avx2(accumulator_lanes& acc, const std::uint64_t* block,
-                          unsigned versions, unsigned votes, double omega, const double* q,
-                          std::size_t n, unsigned live, const welford_step& step,
-                          pair_thetas* thetas) noexcept {
-  fold_half_avx2(acc, block, versions, votes, omega, q, n, 0, live, step, thetas);
-  if (live > 4) fold_half_avx2(acc, block, versions, votes, omega, q, n, 4, live, step, thetas);
-}
-
-RELDIV_AVX512 void fold_pair_lanes_avx512(accumulator_lanes& acc, const std::uint64_t* block,
-                                          unsigned versions, unsigned votes, double omega,
-                                          const double* q, std::size_t n, unsigned live,
-                                          const welford_step& step,
-                                          pair_thetas* thetas) noexcept {
-  // The scalar level's word loop with a lane per shard: each word of a
-  // channel is one masked load of its row, the defeated-set layers ge[j] are
-  // registers of eight lane words, and each θ sum takes one masked add per
-  // fault any lane holds.
-  const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
-  const std::size_t nw = fault_mask::words_needed(n);
-  __m512i ge[kMaxFoldVersions];  // layers [0, votes) are set before use
-  __m512d theta1 = _mm512_setzero_pd();
-  __m512d defeated_q = _mm512_setzero_pd();
-  __m512i any1 = _mm512_setzero_si512();
-  __m512i any_defeated = _mm512_setzero_si512();
-  for (std::size_t b = 0; b < nw; ++b) {
-    const __m512i first = _mm512_maskz_load_epi64(live_lanes, block + b * kXoshiroLanes);
-    ge[0] = first;
-    for (unsigned j = 1; j < votes; ++j) ge[j] = _mm512_setzero_si512();
-    for (unsigned v = 1; v < versions; ++v) {
-      const __m512i m =
-          _mm512_maskz_load_epi64(live_lanes, block + (v * nw + b) * kXoshiroLanes);
-      constexpr int kOrAnd = 0xf8;  // a | (b & c)
-      for (unsigned j = votes - 1; j > 0; --j) {
-        ge[j] = _mm512_ternarylogic_epi64(ge[j], ge[j - 1], m, kOrAnd);
-      }
-      ge[0] = _mm512_or_si512(ge[0], m);
-    }
-    any1 = _mm512_or_si512(any1, first);
-    any_defeated = _mm512_or_si512(any_defeated, ge[votes - 1]);
-    add_word_q8(theta1, defeated_q, first, ge[votes - 1], q + (b << 6));
-  }
-  record_pair8(acc, theta1, defeated_q, _mm512_test_epi64_mask(any1, any1),
-               _mm512_test_epi64_mask(any_defeated, any_defeated), omega, step, live_lanes,
-               thetas);
-}
-
-void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
-                                    const std::uint64_t* t32, const std::uint64_t* t53,
-                                    const std::uint64_t* keys, std::uint64_t pair_index,
-                                    std::uint64_t* a, std::uint64_t* b,
-                                    unsigned live) noexcept {
-  // Lanes 0-3 in one register, lanes 4-7 in the other.  Lane l's Weyl state
-  // keys[l] + (c + 1) * gamma steps by gamma from counter to counter; every
-  // lane draws, only the first `live` are stored.
-  constexpr unsigned kRegs = 2;
-  static_assert(kXoshiroLanes == 4 * kRegs, "two AVX2 registers of four 64-bit lanes");
-  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
-  const __m256i gamma = _mm256_set1_epi64x(static_cast<long long>(g));
-  const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
-  const __m256i lane_keys[kRegs] = {load_u64x4(keys), load_u64x4(keys + 4)};
-  const __m256i live_lanes[kRegs] = {live_lanes4(0, live), live_lanes4(4, live)};
-  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
-    const counter_word_plan& w = plan.words[blk];
-    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
-    std::uint64_t* a_row = a + blk * kXoshiroLanes;
-    std::uint64_t* b_row = b + blk * kXoshiroLanes;
-    if (counter_word_per_lane(w, keys, base, a_row, b_row, live)) continue;
-    const __m256i start = _mm256_set1_epi64x(static_cast<long long>((base + 1) * g));
-    __m256i z[kRegs];
-    __m256i wa[kRegs];
-    __m256i wb[kRegs];
-    for (unsigned r = 0; r < kRegs; ++r) {
-      z[r] = _mm256_add_epi64(lane_keys[r], start);
-      wa[r] = _mm256_setzero_si256();
-      wb[r] = _mm256_setzero_si256();
-    }
-    if (w.kind == counter_word_kind::paired32) {
-      // One 32-bit compare per fault decides both versions, as at AVX-512:
-      // the high half of the draw (element 2l+1) for a and the low half
-      // (element 2l) for b, unsigned through the sign-bias trick (x ^ 2^31 <
-      // t ^ 2^31 as signed).  half[h][r] collects the bits of faults 32h to
-      // 32h+31; a threshold of 2^32 reads as 0, and its faults are
-      // w.saturated.
-      const std::uint64_t* t = t32 + (blk << 6);
-      const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000U));
-      __m256i half[2][kRegs];
-      for (unsigned h = 0; h < 2; ++h) {
-        for (__m256i& bits : half[h]) bits = _mm256_setzero_si256();
-        const unsigned end = w.occupancy > 32 * h ? std::min(w.occupancy - 32 * h, 32u) : 0;
-        for (unsigned k = 0; k < end; ++k) {
-          const __m256i tk = _mm256_xor_si256(
-              _mm256_set1_epi32(static_cast<int>(t[32 * h + k] & 0xffffffffU)), bias);
-          const __m256i bit = _mm256_set1_epi32(static_cast<int>(kFaultBit[k]));
-          for (unsigned r = 0; r < kRegs; ++r) {
-            const __m256i x = splitmix_mix4(z[r]);
-            z[r] = _mm256_add_epi64(z[r], gamma);
-            const __m256i hit = _mm256_cmpgt_epi32(tk, _mm256_xor_si256(x, bias));
-            half[h][r] = _mm256_or_si256(half[h][r], _mm256_and_si256(hit, bit));
-          }
-        }
-      }
-      const __m256i saturated = _mm256_set1_epi64x(static_cast<long long>(w.saturated));
-      for (unsigned r = 0; r < kRegs; ++r) {
-        const __m256i a_bits = _mm256_or_si256(_mm256_srli_epi64(half[0][r], 32),
-                                               _mm256_andnot_si256(lo_mask, half[1][r]));
-        const __m256i b_bits = _mm256_or_si256(_mm256_and_si256(half[0][r], lo_mask),
-                                               _mm256_slli_epi64(half[1][r], 32));
-        wa[r] = _mm256_or_si256(a_bits, saturated);
-        wb[r] = _mm256_or_si256(b_bits, saturated);
-      }
-    } else {
-      // wide53: one draw per fault per version, a's word first.
-      const std::uint64_t* t = t53 + (blk << 6);
-      for (__m256i* word : {wa, wb}) {
-        for (unsigned k = 0; k < w.occupancy; ++k) {
-          const __m256i tk = _mm256_set1_epi64x(static_cast<long long>(t[k]));
-          const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(kFaultBit[k]));
-          for (unsigned r = 0; r < kRegs; ++r) {
-            const __m256i x = splitmix_mix4(z[r]);
-            z[r] = _mm256_add_epi64(z[r], gamma);
-            const __m256i hit = _mm256_cmpgt_epi64(tk, _mm256_srli_epi64(x, 11));
-            word[r] = _mm256_or_si256(word[r], _mm256_and_si256(hit, bit));
-          }
-        }
-      }
-    }
-    for (unsigned r = 0; r < kRegs; ++r) {
-      store_u64x4(a_row + 4 * r, live_lanes[r], wa[r]);
-      store_u64x4(b_row + 4 * r, live_lanes[r], wb[r]);
-    }
+void counter_pair_step_avx2(const counter_sample_plan& plan, const std::uint64_t* t32,
+                            const std::uint64_t* t53, const std::uint64_t* keys,
+                            std::uint64_t pair_index, accumulator_lanes& acc, const double* q,
+                            unsigned live, const welford_step& step,
+                            pair_thetas* thetas) noexcept {
+  // Both halves draw each word together; each half's θ1 and θ2 take its
+  // lanes' faults in ascending order, and the halves record one after the
+  // other.
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256i none = _mm256_setzero_si256();
+  counter_sums4 sums{q, {zero, zero}, {zero, zero}, {none, none}, {none, none}};
+  draw_counter4(plan, t32, t53, keys, pair_index, live, sums);
+  for (unsigned r = 0; r < 2 && 4 * r < live; ++r) {
+    record_half4(acc, 4 * r, sums.theta1[r], sums.theta2[r], nonzero_lanes4(sums.any1[r]),
+                 nonzero_lanes4(sums.any2[r]), 1.0, step, live, thetas);
   }
 }
 
-/// One version's wide53 word in every lane: bit k set iff (draw >> 11) <
-/// t[k], drawing counter after counter from the Weyl states z.
-RELDIV_AVX512 inline __m512i wide53_word8(__m512i& z, __m512i gamma, const std::uint64_t* t,
-                                          unsigned occupancy) noexcept {
-  __m512i word = _mm512_setzero_si512();
-  for (unsigned k = 0; k < occupancy; ++k) {
-    const __m512i x = splitmix_mix8(z);
-    z = _mm512_add_epi64(z, gamma);
-    const __mmask8 hit =
-        _mm512_cmplt_epu64_mask(srli512<11>(x), _mm512_set1_epi64(static_cast<long long>(t[k])));
-    word = _mm512_mask_or_epi64(word, hit, word,
-                                _mm512_set1_epi64(static_cast<long long>(kFaultBit[k])));
-  }
-  return word;
+void counter_pair_words_avx2(const counter_sample_plan& plan, const std::uint64_t* t32,
+                             const std::uint64_t* t53, const std::uint64_t* keys,
+                             std::uint64_t pair_index, std::uint64_t* words,
+                             unsigned live) noexcept {
+  counter_store4 store{words, plan.words.size()};
+  draw_counter4(plan, t32, t53, keys, pair_index, live, store);
 }
 
-RELDIV_AVX512 void sample_pair_counter_lanes_avx512(const counter_sample_plan& plan,
-                                                    const std::uint64_t* t32,
-                                                    const std::uint64_t* t53,
-                                                    const std::uint64_t* keys,
-                                                    std::uint64_t pair_index,
-                                                    std::uint64_t* a, std::uint64_t* b,
-                                                    unsigned live) noexcept {
-  // All eight lanes in one register; a lane's compare result sets bit k of
-  // its word through a masked or of a broadcast bit constant, and each
-  // finished word of the live lanes is one masked store of its row.
-  static_assert(kXoshiroLanes == 8, "one counter stream per 64-bit AVX-512 lane");
-  constexpr std::uint64_t g = stats::kSplitmix64Gamma;
-  const __mmask8 live_lanes = static_cast<__mmask8>((1u << live) - 1);
-  const __m512i gamma = _mm512_set1_epi64(static_cast<long long>(g));
-  const __m512i lane_keys = _mm512_loadu_si512(keys);
-  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
-    const counter_word_plan& w = plan.words[blk];
-    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
-    std::uint64_t* a_row = a + blk * kXoshiroLanes;
-    std::uint64_t* b_row = b + blk * kXoshiroLanes;
-    if (counter_word_per_lane(w, keys, base, a_row, b_row, live)) continue;
-    __m512i z =
-        _mm512_add_epi64(lane_keys, _mm512_set1_epi64(static_cast<long long>((base + 1) * g)));
-    __m512i wa;
-    __m512i wb;
-    if (w.kind == counter_word_kind::paired32) {
-      // One unsigned 32-bit compare per fault decides both versions: the high
-      // half of lane l's draw (32-bit element 2l+1) against t for a, the low
-      // half (element 2l) for b.  Element 2l+1 / 2l of half[0] collects a's
-      // / b's bits of faults 0-31, of half[1] those of faults 32-63.  A
-      // threshold of 2^32 reads as 0 here and never passes; its faults are
-      // w.saturated.
-      const std::uint64_t* t = t32 + (blk << 6);
-      __m512i half[2];
-      for (unsigned h = 0; h < 2; ++h) {
-        __m512i bits = _mm512_setzero_si512();
-        const unsigned end = w.occupancy > 32 * h ? std::min(w.occupancy - 32 * h, 32u) : 0;
-        const std::uint64_t* th = t + 32 * h;
-        for (unsigned k = 0; k < end; ++k) {
-          const __m512i x = splitmix_mix8(z);
-          z = _mm512_add_epi64(z, gamma);
-          const __mmask16 hit = _mm512_cmplt_epu32_mask(
-              x, _mm512_set1_epi32(static_cast<int>(th[k] & 0xffffffffU)));
-          bits = _mm512_mask_or_epi32(bits, hit, bits,
-                                      _mm512_set1_epi32(static_cast<int>(kFaultBit[k])));
-        }
-        half[h] = bits;
-      }
-      constexpr int kOrAnd = 0xf8;     // a | (b & c)
-      constexpr int kOrAndNot = 0xf4;  // a | (b & ~c)
-      const __m512i hi_dwords = _mm512_set1_epi64(static_cast<long long>(0xffffffff00000000ULL));
-      const __m512i saturated = _mm512_set1_epi64(static_cast<long long>(w.saturated));
-      wa = _mm512_or_si512(
-          _mm512_ternarylogic_epi64(srli512<32>(half[0]), half[1], hi_dwords, kOrAnd), saturated);
-      wb = _mm512_or_si512(
-          _mm512_ternarylogic_epi64(slli512<32>(half[1]), half[0], hi_dwords, kOrAndNot),
-          saturated);
-    } else {
-      // wide53: one draw per fault per version, a's word first.
-      wa = wide53_word8(z, gamma, t53 + (blk << 6), w.occupancy);
-      wb = wide53_word8(z, gamma, t53 + (blk << 6), w.occupancy);
-    }
-    _mm512_mask_store_epi64(a_row, live_lanes, wa);
-    _mm512_mask_store_epi64(b_row, live_lanes, wb);
-  }
+RELDIV_AVX512 void counter_pair_step_avx512(const counter_sample_plan& plan,
+                                            const std::uint64_t* t32, const std::uint64_t* t53,
+                                            const std::uint64_t* keys, std::uint64_t pair_index,
+                                            accumulator_lanes& acc, const double* q,
+                                            unsigned live, const welford_step& step,
+                                            pair_thetas* thetas) noexcept {
+  // Each word of the eight lanes adds its faults into the sums straight from
+  // the draw's registers, one masked add per fault any lane holds.
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512i none = _mm512_setzero_si512();
+  counter_sums8 sums{q, zero, zero, none, none};
+  draw_counter8(plan, t32, t53, keys, pair_index, live, sums);
+  record_pair8(acc, sums.theta1, sums.theta2, _mm512_test_epi64_mask(sums.any1, sums.any1),
+               _mm512_test_epi64_mask(sums.any2, sums.any2), 1.0, step,
+               static_cast<__mmask8>((1u << live) - 1), thetas);
+}
+
+RELDIV_AVX512 void counter_pair_words_avx512(const counter_sample_plan& plan,
+                                             const std::uint64_t* t32, const std::uint64_t* t53,
+                                             const std::uint64_t* keys,
+                                             std::uint64_t pair_index, std::uint64_t* words,
+                                             unsigned live) noexcept {
+  counter_store8 store{words, plan.words.size()};
+  draw_counter8(plan, t32, t53, keys, pair_index, live, store);
 }
 
 #undef RELDIV_AVX512
@@ -971,24 +1025,39 @@ namespace reldiv::core::detail {
 
 bool avx2_compiled() noexcept { return false; }
 
-void sample_pair_counter_lanes_avx2(const counter_sample_plan& plan,
-                                    const std::uint64_t* t32, const std::uint64_t* t53,
-                                    const std::uint64_t* keys, std::uint64_t pair_index,
-                                    std::uint64_t* a, std::uint64_t* b,
-                                    unsigned live) noexcept {
+void counter_pair_step_avx2(const counter_sample_plan& plan, const std::uint64_t* t32,
+                            const std::uint64_t* t53, const std::uint64_t* keys,
+                            std::uint64_t pair_index, accumulator_lanes& acc, const double* q,
+                            unsigned live, const welford_step& step,
+                            pair_thetas* thetas) noexcept {
   // Unreachable through dispatch (detected_simd_level() caps at scalar when
   // avx2_compiled() is false), but defined so a direct caller still gets
   // correct bits.
-  sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, a, b, live);
+  counter_pair_step_scalar(plan, t32, t53, keys, pair_index, acc, q, live, step, thetas);
 }
 
-void sample_pair_counter_lanes_avx512(const counter_sample_plan& plan,
-                                      const std::uint64_t* t32, const std::uint64_t* t53,
-                                      const std::uint64_t* keys, std::uint64_t pair_index,
-                                      std::uint64_t* a, std::uint64_t* b,
-                                      unsigned live) noexcept {
-  // Unreachable through dispatch, like the AVX2 fallback above.
-  sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, a, b, live);
+void counter_pair_step_avx512(const counter_sample_plan& plan, const std::uint64_t* t32,
+                              const std::uint64_t* t53, const std::uint64_t* keys,
+                              std::uint64_t pair_index, accumulator_lanes& acc,
+                              const double* q, unsigned live, const welford_step& step,
+                              pair_thetas* thetas) noexcept {
+  // Unreachable through dispatch, like the AVX2 fallback above; so are the
+  // fallbacks below.
+  counter_pair_step_scalar(plan, t32, t53, keys, pair_index, acc, q, live, step, thetas);
+}
+
+void counter_pair_words_avx2(const counter_sample_plan& plan, const std::uint64_t* t32,
+                             const std::uint64_t* t53, const std::uint64_t* keys,
+                             std::uint64_t pair_index, std::uint64_t* words,
+                             unsigned live) noexcept {
+  counter_pair_words_scalar(plan, t32, t53, keys, pair_index, words, live);
+}
+
+void counter_pair_words_avx512(const counter_sample_plan& plan, const std::uint64_t* t32,
+                               const std::uint64_t* t53, const std::uint64_t* keys,
+                               std::uint64_t pair_index, std::uint64_t* words,
+                               unsigned live) noexcept {
+  counter_pair_words_scalar(plan, t32, t53, keys, pair_index, words, live);
 }
 
 void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
@@ -996,7 +1065,6 @@ void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tab
                             unsigned votes, double omega, const double* q, std::size_t n,
                             unsigned live, const welford_step& step,
                             pair_thetas* thetas) noexcept {
-  // Unreachable through dispatch, like the counter fallbacks above.
   xoshiro_pair_step_scalar(lanes, tables, hits, acc, versions, votes, omega, q, n, live, step,
                            thetas);
 }
@@ -1008,20 +1076,6 @@ void xoshiro_pair_step_avx512(xoshiro_lanes& lanes, const xoshiro_lane_tables& t
                               pair_thetas* thetas) noexcept {
   xoshiro_pair_step_scalar(lanes, tables, hits, acc, versions, votes, omega, q, n, live, step,
                            thetas);
-}
-
-void fold_pair_lanes_avx2(accumulator_lanes& acc, const std::uint64_t* block,
-                          unsigned versions, unsigned votes, double omega, const double* q,
-                          std::size_t n, unsigned live, const welford_step& step,
-                          pair_thetas* thetas) noexcept {
-  fold_pair_lanes_scalar(acc, block, versions, votes, omega, q, n, live, step, thetas);
-}
-
-void fold_pair_lanes_avx512(accumulator_lanes& acc, const std::uint64_t* block,
-                            unsigned versions, unsigned votes, double omega,
-                            const double* q, std::size_t n, unsigned live,
-                            const welford_step& step, pair_thetas* thetas) noexcept {
-  fold_pair_lanes_scalar(acc, block, versions, votes, omega, q, n, live, step, thetas);
 }
 
 }  // namespace reldiv::core::detail

@@ -1,5 +1,5 @@
-// SIMD dispatch, fast-simd plan construction, the lane_block and xoshiro
-// lane table helpers, and the scalar level of all three kernel families.  The
+// SIMD dispatch, fast-simd plan construction, the xoshiro lane table
+// helpers, the per-lane record, and the scalar level of both pair steps.  The
 // AVX2 and AVX-512 levels live in simd_sampler.avx2.cpp (the one TU compiled
 // with -mavx2, its AVX-512 functions under a function-level target
 // attribute); this TU stays portable and decides at runtime which one runs.
@@ -146,143 +146,6 @@ counter_sample_plan make_counter_sample_plan(const fault_universe& u) {
   return plan;
 }
 
-void lane_block::store_lane(unsigned v, unsigned l, const fault_mask& m) {
-  if (m.bit_size() != bits_ || v >= versions_ || l >= kXoshiroLanes) {
-    throw std::out_of_range("lane_block::store_lane: mask, channel or lane out of range");
-  }
-  for (std::size_t b = 0; b < m.word_count(); ++b) row(v, b)[l] = m.words()[b];
-}
-
-void lane_block::load_lane(unsigned v, unsigned l, fault_mask& out) const {
-  if (v >= versions_ || l >= kXoshiroLanes) {
-    throw std::out_of_range("lane_block::load_lane: channel or lane out of range");
-  }
-  if (out.bit_size() != bits_) out.resize(bits_);
-  for (std::size_t b = 0; b < out.word_count(); ++b) out.words()[b] = row(v, b)[l];
-}
-
-namespace detail {
-
-void sample_pair_counter_lanes_scalar(const counter_sample_plan& plan,
-                                      const std::uint64_t* t32, const std::uint64_t* t53,
-                                      const std::uint64_t* keys, std::uint64_t pair_index,
-                                      std::uint64_t* a, std::uint64_t* b,
-                                      unsigned live) noexcept {
-  // Word by word, each live lane in turn, exactly as
-  // mc::sample_version_pair_counter_reference fills a word.
-  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
-    const counter_word_plan& w = plan.words[blk];
-    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
-    std::uint64_t* a_row = a + blk * kXoshiroLanes;
-    std::uint64_t* b_row = b + blk * kXoshiroLanes;
-    if (counter_word_per_lane(w, keys, base, a_row, b_row, live)) continue;
-    const std::uint64_t* t32w = t32 + (blk << 6);
-    const std::uint64_t* t53w = t53 + (blk << 6);
-    for (unsigned l = 0; l < live; ++l) {
-      std::uint64_t wa = 0;
-      std::uint64_t wb = 0;
-      if (w.kind == counter_word_kind::paired32) {
-        for (unsigned k = 0; k < w.occupancy; ++k) {
-          const std::uint64_t x = stats::counter_draw(keys[l], base + k);
-          wa |= static_cast<std::uint64_t>((x >> 32) < t32w[k]) << k;
-          wb |= static_cast<std::uint64_t>((x & 0xffffffffULL) < t32w[k]) << k;
-        }
-      } else {
-        for (unsigned k = 0; k < w.occupancy; ++k) {
-          const std::uint64_t xa = stats::counter_draw(keys[l], base + k);
-          const std::uint64_t xb = stats::counter_draw(keys[l], base + w.occupancy + k);
-          wa |= static_cast<std::uint64_t>((xa >> 11) < t53w[k]) << k;
-          wb |= static_cast<std::uint64_t>((xb >> 11) < t53w[k]) << k;
-        }
-      }
-      a_row[l] = wa;
-      b_row[l] = wb;
-    }
-  }
-}
-
-namespace {
-
-/// core::sample_pair_counter_lanes on lanes [0, live) of `block`, whose shape
-/// and plan have been checked against `u`.
-void draw_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
-                        const std::uint64_t* keys, std::uint64_t pair_index, lane_block& block,
-                        unsigned live, simd_level level) {
-  if (plan.bits == 0 || live == 0) return;
-  const std::uint64_t* t32 = u.bernoulli_thresholds32().data();
-  const std::uint64_t* t53 = u.bernoulli_thresholds().data();
-  std::uint64_t* a = block.row(0, 0);
-  std::uint64_t* b = block.row(1, 0);
-  switch (level) {
-    case simd_level::avx512:
-      sample_pair_counter_lanes_avx512(plan, t32, t53, keys, pair_index, a, b, live);
-      return;
-    case simd_level::avx2:
-      sample_pair_counter_lanes_avx2(plan, t32, t53, keys, pair_index, a, b, live);
-      return;
-    case simd_level::scalar:
-      break;
-  }
-  sample_pair_counter_lanes_scalar(plan, t32, t53, keys, pair_index, a, b, live);
-}
-
-void check_counter_plan(const counter_sample_plan& plan, const fault_universe& u,
-                        const char* caller) {
-  if (plan.bits != u.size() || plan.words.size() != u.mask_words()) {
-    throw std::invalid_argument(std::string(caller) + ": plan does not match universe");
-  }
-}
-
-}  // namespace
-
-}  // namespace detail
-
-void sample_pair_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
-                               std::span<const std::uint64_t, kXoshiroLanes> keys,
-                               std::uint64_t pair_index, lane_block& block, unsigned live,
-                               simd_level level) {
-  detail::check_counter_plan(plan, u, "sample_pair_counter_lanes");
-  if (block.versions() != 2 || block.bit_size() != plan.bits) {
-    throw std::invalid_argument(
-        "sample_pair_counter_lanes: block is not two channels of the plan's size");
-  }
-  if (live > kXoshiroLanes) {
-    throw std::invalid_argument("sample_pair_counter_lanes: more live lanes than lanes");
-  }
-  detail::draw_counter_lanes(plan, u, keys.data(), pair_index, block, live, level);
-}
-
-void sample_pair_counter_batch(const counter_sample_plan& plan,
-                               const fault_universe& u, std::uint64_t key,
-                               std::uint64_t first_pair, std::size_t count,
-                               std::span<fault_mask> a, std::span<fault_mask> b,
-                               simd_level level) {
-  detail::check_counter_plan(plan, u, "sample_pair_counter_batch");
-  if (a.size() < count || b.size() < count) {
-    throw std::invalid_argument(
-        "sample_pair_counter_batch: mask spans shorter than batch");
-  }
-  // Pair first_pair + j + l of `key` is pair first_pair + j of the stream
-  // l * D counters on: counter_draw(key, c) depends on key + (c + 1) * gamma.
-  std::array<std::uint64_t, kXoshiroLanes> keys{};
-  for (unsigned l = 0; l < kXoshiroLanes; ++l) {
-    keys[l] = key + l * plan.draws_per_pair * stats::kSplitmix64Gamma;
-  }
-  // One block per thread, reshaped only when the universe size changes: a
-  // caller that draws eight pairs per call (perfbench's kernel probe) would
-  // otherwise pay an aligned allocation per call.
-  thread_local lane_block block;
-  if (block.versions() != 2 || block.bit_size() != plan.bits) block = lane_block(2, plan.bits);
-  for (std::size_t j = 0; j < count; j += kXoshiroLanes) {
-    const auto live = static_cast<unsigned>(std::min<std::size_t>(kXoshiroLanes, count - j));
-    detail::draw_counter_lanes(plan, u, keys.data(), first_pair + j, block, live, level);
-    for (unsigned l = 0; l < live; ++l) {
-      block.load_lane(0, l, a[j + l]);
-      block.load_lane(1, l, b[j + l]);
-    }
-  }
-}
-
 namespace {
 
 constexpr std::uint64_t kSaturated = std::uint64_t{1} << kBernoulliBits;
@@ -362,8 +225,8 @@ void welford_add(moments_lanes& m, unsigned l, double x, const welford_step& s) 
   m.m2[l] += term1;
 }
 
-/// Lane l's record of one pair, the epilogue the fold and the pair step
-/// share: what experiment_accumulator::add(θ1, ω·θD, any1, any_defeated && ω
+/// Lane l's record of one pair, the epilogue both steps share at the scalar
+/// level: what experiment_accumulator::add(θ1, ω·θD, any1, any_defeated && ω
 /// > 0) records, and θ1 and ω·θD into *thetas when it is not null.
 void record_pair(accumulator_lanes& acc, unsigned l, double theta1, double defeated_q,
                  bool any1, bool any_defeated, double omega, const welford_step& step,
@@ -385,65 +248,131 @@ void record_pair(accumulator_lanes& acc, unsigned l, double theta1, double defea
   }
 }
 
-}  // namespace
-
-void fold_pair_lanes_scalar(accumulator_lanes& acc, const std::uint64_t* block,
-                            unsigned versions, unsigned votes, double omega,
-                            const double* q, std::size_t n, unsigned live,
-                            const welford_step& step, pair_thetas* thetas) noexcept {
-  // Each live lane in turn, word by word.  ge[j] holds the faults of this
-  // word seen in >= j+1 of the channels folded in so far, so folding channel
-  // v in is ge[j] |= ge[j-1] & v from the top down; ge[votes-1] ends as the
-  // defeated set.
-  const std::size_t nw = fault_mask::words_needed(n);
-  const std::size_t channel_stride = nw * kXoshiroLanes;
+/// The per-lane record (core::record_pair_lane) of `versions` channels of nw
+/// words, channel v's word b read as word(v, b).  Word by word, ge[j] holds
+/// the faults of the word seen in >= j+1 of the channels layered in so far,
+/// so layering channel v in is ge[j] |= ge[j-1] & v from the top down;
+/// ge[votes-1] ends as the defeated set.  θ1 and θD take the words side by
+/// side, each ascending.
+template <typename Word>
+void record_lane(accumulator_lanes& acc, unsigned l, std::size_t nw, unsigned versions,
+                 unsigned votes, double omega, const double* q, const welford_step& step,
+                 pair_thetas* thetas, const Word& word) noexcept {
   std::array<std::uint64_t, kMaxFoldVersions> ge{};
-  for (unsigned l = 0; l < live; ++l) {
-    double theta1 = 0.0;
-    double defeated_q = 0.0;
-    std::uint64_t any1 = 0;
-    std::uint64_t any_defeated = 0;
-    for (std::size_t b = 0; b < nw; ++b) {
-      const std::uint64_t* column = block + b * kXoshiroLanes + l;
-      const std::uint64_t first = column[0];
-      ge[0] = first;
-      std::fill_n(ge.begin() + 1, votes - 1, 0);
-      for (unsigned v = 1; v < versions; ++v) {
-        const std::uint64_t m = column[v * channel_stride];
-        for (unsigned j = votes - 1; j > 0; --j) ge[j] |= ge[j - 1] & m;
-        ge[0] |= m;
-      }
-      any1 |= first;
-      theta1 = add_word_q(theta1, first, q + (b << 6));
-      any_defeated |= ge[votes - 1];
-      defeated_q = add_word_q(defeated_q, ge[votes - 1], q + (b << 6));
+  double theta1 = 0.0;
+  double defeated_q = 0.0;
+  std::uint64_t any1 = 0;
+  std::uint64_t any_defeated = 0;
+  for (std::size_t b = 0; b < nw; ++b) {
+    const std::uint64_t first = word(0u, b);
+    ge[0] = first;
+    std::fill_n(ge.begin() + 1, votes - 1, 0);
+    for (unsigned v = 1; v < versions; ++v) {
+      const std::uint64_t m = word(v, b);
+      for (unsigned j = votes - 1; j > 0; --j) ge[j] |= ge[j - 1] & m;
+      ge[0] |= m;
     }
-    record_pair(acc, l, theta1, defeated_q, any1 != 0, any_defeated != 0, omega, step, thetas);
+    any1 |= first;
+    theta1 = add_word_q(theta1, first, q + (b << 6));
+    any_defeated |= ge[votes - 1];
+    defeated_q = add_word_q(defeated_q, ge[votes - 1], q + (b << 6));
+  }
+  record_pair(acc, l, theta1, defeated_q, any1 != 0, any_defeated != 0, omega, step, thetas);
+}
+
+/// The counter pair step's scalar draw: word by word, each live lane in turn,
+/// exactly as mc::sample_version_pair_counter_reference fills a word.
+/// sink(blk, a, b) takes word blk of the live lanes, lane l's at a[l] and
+/// b[l].
+template <typename Sink>
+void draw_counter_scalar(const counter_sample_plan& plan, const std::uint64_t* t32,
+                         const std::uint64_t* t53, const std::uint64_t* keys,
+                         std::uint64_t pair_index, unsigned live, const Sink& sink) noexcept {
+  std::array<std::uint64_t, kXoshiroLanes> a{};
+  std::array<std::uint64_t, kXoshiroLanes> b{};
+  for (std::size_t blk = 0; blk < plan.words.size(); ++blk) {
+    const counter_word_plan& w = plan.words[blk];
+    const std::uint64_t base = pair_index * plan.draws_per_pair + w.draw_offset;
+    if (!counter_word_per_lane(w, keys, base, a.data(), b.data(), live)) {
+      const std::uint64_t* t32w = t32 + (blk << 6);
+      const std::uint64_t* t53w = t53 + (blk << 6);
+      for (unsigned l = 0; l < live; ++l) {
+        std::uint64_t wa = 0;
+        std::uint64_t wb = 0;
+        if (w.kind == counter_word_kind::paired32) {
+          for (unsigned k = 0; k < w.occupancy; ++k) {
+            const std::uint64_t x = stats::counter_draw(keys[l], base + k);
+            wa |= static_cast<std::uint64_t>((x >> 32) < t32w[k]) << k;
+            wb |= static_cast<std::uint64_t>((x & 0xffffffffULL) < t32w[k]) << k;
+          }
+        } else {
+          for (unsigned k = 0; k < w.occupancy; ++k) {
+            const std::uint64_t xa = stats::counter_draw(keys[l], base + k);
+            const std::uint64_t xb = stats::counter_draw(keys[l], base + w.occupancy + k);
+            wa |= static_cast<std::uint64_t>((xa >> 11) < t53w[k]) << k;
+            wb |= static_cast<std::uint64_t>((xb >> 11) < t53w[k]) << k;
+          }
+        }
+        a[l] = wa;
+        b[l] = wb;
+      }
+    }
+    sink(blk, a, b);
   }
 }
 
-void xoshiro_pair_step_scalar(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
-                              std::uint64_t* ge, accumulator_lanes& acc, unsigned versions,
-                              unsigned votes, double omega, const double* q, std::size_t n,
-                              unsigned live, const welford_step& step,
+}  // namespace
+
+void counter_pair_step_scalar(const counter_sample_plan& plan, const std::uint64_t* t32,
+                              const std::uint64_t* t53, const std::uint64_t* keys,
+                              std::uint64_t pair_index, accumulator_lanes& acc,
+                              const double* q, unsigned live, const welford_step& step,
                               pair_thetas* thetas) noexcept {
-  // Each live lane in turn: its channels drawn in order, each word by word
-  // as mc::sample_mask_from_thresholds draws it, then folded as
-  // fold_pair_lanes_scalar folds a block column, θ1 and θD side by side over
-  // each word.  Layer j (word b at ge[j·W + b]) holds the faults this lane
-  // drew in >= j+1 of the channels before the last, updated from the top
-  // down as the fold updates its ge[j]; a fault of the last channel is
-  // defeated when it was already in `votes` of them, or in votes - 1 and
-  // drawn again, and the defeated words are stored over layer 0.  Channel
-  // 0's words are kept in the row after the layers.
+  // Each lane's θ1 over a and θ2 over a ∧ b, word by word as the draw hands
+  // them over, so each sum ascends.
+  std::array<double, kXoshiroLanes> theta1{};
+  std::array<double, kXoshiroLanes> theta2{};
+  std::array<std::uint64_t, kXoshiroLanes> any1{};
+  std::array<std::uint64_t, kXoshiroLanes> any2{};
+  draw_counter_scalar(plan, t32, t53, keys, pair_index, live,
+                      [&](std::size_t blk, const auto& a, const auto& b) {
+                        for (unsigned l = 0; l < live; ++l) {
+                          const std::uint64_t common = a[l] & b[l];
+                          theta1[l] = add_word_q(theta1[l], a[l], q + (blk << 6));
+                          theta2[l] = add_word_q(theta2[l], common, q + (blk << 6));
+                          any1[l] |= a[l];
+                          any2[l] |= common;
+                        }
+                      });
+  for (unsigned l = 0; l < live; ++l) {
+    record_pair(acc, l, theta1[l], theta2[l], any1[l] != 0, any2[l] != 0, 1.0, step, thetas);
+  }
+}
+
+void counter_pair_words_scalar(const counter_sample_plan& plan, const std::uint64_t* t32,
+                               const std::uint64_t* t53, const std::uint64_t* keys,
+                               std::uint64_t pair_index, std::uint64_t* words,
+                               unsigned live) noexcept {
+  const std::size_t nw = plan.words.size();
+  draw_counter_scalar(plan, t32, t53, keys, pair_index, live,
+                      [&](std::size_t blk, const auto& a, const auto& b) {
+                        std::copy_n(a.begin(), live, words + blk * kXoshiroLanes);
+                        std::copy_n(b.begin(), live, words + (nw + blk) * kXoshiroLanes);
+                      });
+}
+
+void xoshiro_pair_step_scalar(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
+                              std::uint64_t* channels, accumulator_lanes& acc,
+                              unsigned versions, unsigned votes, double omega, const double* q,
+                              std::size_t n, unsigned live, const welford_step& step,
+                              pair_thetas* thetas) noexcept {
+  // Each live lane in turn: its channels drawn in order, channel v's word b
+  // into channels[v·W + b] as mc::sample_mask_from_thresholds draws it, then
+  // recorded by the per-lane record.
   const std::size_t nw = fault_mask::words_needed(n);
-  const unsigned layers = hit_layers(versions, votes);
-  const unsigned last = versions - 1;
-  std::uint64_t* first = ge + layers * nw;
   for (unsigned l = 0; l < live; ++l) {
     stats::rng r = lanes.lane(l);
-    // Channel v's words in order, each handed to consume(b, word).
-    const auto draw_channel = [&](const auto& consume) {
+    for (unsigned v = 0; v < versions; ++v) {
       const std::uint64_t* t = tables.stress_draw && (r() >> 11) < tables.stress
                                    ? tables.stressed.data()
                                    : tables.relaxed.data();
@@ -455,43 +384,12 @@ void xoshiro_pair_step_scalar(xoshiro_lanes& lanes, const xoshiro_lane_tables& t
         for (std::uint64_t bit = 1; i < hi; ++i, bit <<= 1) {
           w |= bit & (std::uint64_t{0} - static_cast<std::uint64_t>((r() >> 11) < t[i]));
         }
-        consume(b, w);
+        channels[v * nw + b] = w;
       }
-    };
-    draw_channel([&](std::size_t b, std::uint64_t w) {
-      first[b] = w;
-      ge[b] = w;
-      for (unsigned j = 1; j < layers; ++j) ge[j * nw + b] = 0;
-    });
-    for (unsigned v = 1; v < last; ++v) {
-      draw_channel([&](std::size_t b, std::uint64_t w) {
-        for (unsigned j = std::min(layers - 1, v); j > 0; --j) {
-          ge[j * nw + b] |= ge[(j - 1) * nw + b] & w;
-        }
-        ge[b] |= w;
-      });
-    }
-    if (last > 0) {
-      draw_channel([&](std::size_t b, std::uint64_t w) {
-        const std::uint64_t held = votes < versions ? ge[(votes - 1) * nw + b] : 0;
-        const std::uint64_t again = votes >= 2 ? ge[(votes - 2) * nw + b] & w : w;
-        ge[b] = held | again;
-      });
-    }
-    // 1of1: the defeated set is channel 0's.
-    const std::uint64_t* defeated = last > 0 ? ge : first;
-    double theta1 = 0.0;
-    double defeated_q = 0.0;
-    std::uint64_t any1 = 0;
-    std::uint64_t any_defeated = 0;
-    for (std::size_t b = 0; b < nw; ++b) {
-      any1 |= first[b];
-      theta1 = add_word_q(theta1, first[b], q + (b << 6));
-      any_defeated |= defeated[b];
-      defeated_q = add_word_q(defeated_q, defeated[b], q + (b << 6));
     }
     lanes.set_lane(l, r);
-    record_pair(acc, l, theta1, defeated_q, any1 != 0, any_defeated != 0, omega, step, thetas);
+    record_lane(acc, l, nw, versions, votes, omega, q, step, thetas,
+                [channels, nw](unsigned v, std::size_t b) { return channels[v * nw + b]; });
   }
 }
 
@@ -499,15 +397,30 @@ void xoshiro_pair_step_scalar(xoshiro_lanes& lanes, const xoshiro_lane_tables& t
 
 namespace {
 
-/// The shape checks fold_pair_lanes and xoshiro_pair_step_lanes share, and
-/// the factors of running_moments::add, in its own expression order, for the
-/// step the live lanes take.
-detail::welford_step check_pair_step(const accumulator_lanes& acc, unsigned versions,
-                                     unsigned votes, unsigned live, const char* caller) {
+/// The factors of running_moments::add, in its own expression order, for a
+/// step from `before` samples.
+detail::welford_step make_welford_step(std::uint64_t before) noexcept {
+  detail::welford_step step;
+  step.first = before == 0;
+  step.n0 = static_cast<double>(before);
+  step.n = static_cast<double>(before + 1);
+  step.quartic = step.n * step.n - 3.0 * step.n + 3.0;
+  step.cubic = step.n - 2.0;
+  return step;
+}
+
+void check_shape(unsigned versions, unsigned votes, const char* caller) {
   if (votes == 0 || votes > versions || versions > kMaxFoldVersions) {
     throw std::invalid_argument(std::string(caller) +
                                 ": needs 1 <= votes <= versions <= kMaxFoldVersions");
   }
+}
+
+/// The checks both pair steps share, and the Welford factors of the step the
+/// live lanes take.
+detail::welford_step check_pair_step(const accumulator_lanes& acc, unsigned versions,
+                                     unsigned votes, unsigned live, const char* caller) {
+  check_shape(versions, votes, caller);
   if (live > kXoshiroLanes) {
     throw std::invalid_argument(std::string(caller) + ": more live lanes than lanes");
   }
@@ -517,40 +430,114 @@ detail::welford_step check_pair_step(const accumulator_lanes& acc, unsigned vers
                                   ": live lanes hold different sample counts");
     }
   }
-  detail::welford_step step;
-  step.first = acc.samples[0] == 0;
-  step.n0 = static_cast<double>(acc.samples[0]);
-  step.n = static_cast<double>(acc.samples[0] + 1);
-  step.quartic = step.n * step.n - 3.0 * step.n + 3.0;
-  step.cubic = step.n - 2.0;
-  return step;
+  return make_welford_step(acc.samples[0]);
+}
+
+void check_counter_plan(const counter_sample_plan& plan, const fault_universe& u,
+                        const char* caller) {
+  if (plan.bits != u.size() || plan.words.size() != u.mask_words()) {
+    throw std::invalid_argument(std::string(caller) + ": plan does not match universe");
+  }
 }
 
 }  // namespace
 
-void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned votes,
-                     double omega, std::span<const double> q, unsigned live,
-                     simd_level level, pair_thetas* thetas) {
-  const unsigned versions = block.versions();
-  const detail::welford_step step = check_pair_step(acc, versions, votes, live, "fold_pair_lanes");
-  if (block.bit_size() != q.size()) {
-    throw std::invalid_argument("fold_pair_lanes: block and q sizes differ");
+void record_pair_lane(accumulator_lanes& acc, unsigned lane,
+                      std::span<const fault_mask> channels, unsigned votes, double omega,
+                      std::span<const double> q, pair_thetas* thetas) {
+  const auto versions = static_cast<unsigned>(std::min<std::size_t>(channels.size(),
+                                                                    kMaxFoldVersions + 1));
+  check_shape(versions, votes, "record_pair_lane");
+  if (lane >= kXoshiroLanes) {
+    throw std::invalid_argument("record_pair_lane: lane out of range");
   }
+  for (const fault_mask& m : channels) {
+    if (m.bit_size() != q.size()) {
+      throw std::out_of_range("record_pair_lane: channel and q sizes differ");
+    }
+  }
+  detail::record_lane(acc, lane, fault_mask::words_needed(q.size()), versions, votes, omega,
+                      q.data(), make_welford_step(acc.samples[lane]), thetas,
+                      [channels](unsigned v, std::size_t b) { return channels[v].words()[b]; });
+}
+
+void counter_pair_step_lanes(const counter_sample_plan& plan, const fault_universe& u,
+                             std::span<const std::uint64_t, kXoshiroLanes> keys,
+                             std::uint64_t pair_index, accumulator_lanes& acc, unsigned live,
+                             simd_level level, pair_thetas* thetas) {
+  check_counter_plan(plan, u, "counter_pair_step_lanes");
+  const detail::welford_step step = check_pair_step(acc, 2, 2, live, "counter_pair_step_lanes");
   if (live == 0) return;
+  const std::uint64_t* t32 = u.bernoulli_thresholds32().data();
+  const std::uint64_t* t53 = u.bernoulli_thresholds().data();
+  const double* q = u.q_array().data();
   switch (level) {
     case simd_level::avx512:
-      detail::fold_pair_lanes_avx512(acc, block.row(0, 0), versions, votes, omega, q.data(),
-                                     q.size(), live, step, thetas);
+      detail::counter_pair_step_avx512(plan, t32, t53, keys.data(), pair_index, acc, q, live,
+                                       step, thetas);
       return;
     case simd_level::avx2:
-      detail::fold_pair_lanes_avx2(acc, block.row(0, 0), versions, votes, omega, q.data(),
-                                   q.size(), live, step, thetas);
+      detail::counter_pair_step_avx2(plan, t32, t53, keys.data(), pair_index, acc, q, live,
+                                     step, thetas);
       return;
     case simd_level::scalar:
       break;
   }
-  detail::fold_pair_lanes_scalar(acc, block.row(0, 0), versions, votes, omega, q.data(),
-                                 q.size(), live, step, thetas);
+  detail::counter_pair_step_scalar(plan, t32, t53, keys.data(), pair_index, acc, q, live, step,
+                                   thetas);
+}
+
+void sample_pair_counter_batch(const counter_sample_plan& plan,
+                               const fault_universe& u, std::uint64_t key,
+                               std::uint64_t first_pair, std::size_t count,
+                               std::span<fault_mask> a, std::span<fault_mask> b,
+                               simd_level level) {
+  check_counter_plan(plan, u, "sample_pair_counter_batch");
+  if (a.size() < count || b.size() < count) {
+    throw std::invalid_argument(
+        "sample_pair_counter_batch: mask spans shorter than batch");
+  }
+  // Pair first_pair + j + l of `key` is pair first_pair + j of the stream
+  // l * D counters on: counter_draw(key, c) depends on key + (c + 1) * gamma.
+  std::array<std::uint64_t, kXoshiroLanes> keys{};
+  for (unsigned l = 0; l < kXoshiroLanes; ++l) {
+    keys[l] = key + l * plan.draws_per_pair * stats::kSplitmix64Gamma;
+  }
+  const std::uint64_t* t32 = u.bernoulli_thresholds32().data();
+  const std::uint64_t* t53 = u.bernoulli_thresholds().data();
+  const std::size_t nw = plan.words.size();
+  // One scratch per thread that only grows: a caller that draws eight pairs
+  // per call (perfbench's kernel probe) would otherwise pay an allocation per
+  // call.
+  thread_local std::vector<std::uint64_t> words;
+  if (words.size() < 2 * nw * kXoshiroLanes) words.resize(2 * nw * kXoshiroLanes);
+  for (std::size_t j = 0; j < count; j += kXoshiroLanes) {
+    const auto live = static_cast<unsigned>(std::min<std::size_t>(kXoshiroLanes, count - j));
+    switch (level) {
+      case simd_level::avx512:
+        detail::counter_pair_words_avx512(plan, t32, t53, keys.data(), first_pair + j,
+                                          words.data(), live);
+        break;
+      case simd_level::avx2:
+        detail::counter_pair_words_avx2(plan, t32, t53, keys.data(), first_pair + j,
+                                        words.data(), live);
+        break;
+      case simd_level::scalar:
+        detail::counter_pair_words_scalar(plan, t32, t53, keys.data(), first_pair + j,
+                                          words.data(), live);
+        break;
+    }
+    for (unsigned l = 0; l < live; ++l) {
+      fault_mask& ma = a[j + l];
+      fault_mask& mb = b[j + l];
+      if (ma.bit_size() != plan.bits) ma.resize(plan.bits);
+      if (mb.bit_size() != plan.bits) mb.resize(plan.bits);
+      for (std::size_t w = 0; w < nw; ++w) {
+        ma.words()[w] = words[w * kXoshiroLanes + l];
+        mb.words()[w] = words[(nw + w) * kXoshiroLanes + l];
+      }
+    }
+  }
 }
 
 void xoshiro_pair_step_lanes(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,

@@ -1,50 +1,49 @@
 #pragma once
-// The runtime-dispatched SIMD kernels of the library, in three families, each
-// running one shard stream per 64-bit lane (one zmm register at AVX-512, two
-// ymm registers at AVX2):
+// The runtime-dispatched SIMD kernels of the library, two pair steps that
+// each run one shard stream per 64-bit lane (one zmm register at AVX-512,
+// two ymm registers at AVX2) and draw and record one pair step of eight
+// shards in one pass:
 //
-//   * the fast-simd counter kernel: version pair s of eight counter streams,
-//     drawing each lane decision-for-decision as the scalar reference draws
-//     it on that lane's key (sample_pair_counter_lanes; the batch API below
-//     lays eight consecutive pairs of one stream across the lanes);
-//   * the lane fold: one pair step of eight shards' channel masks folded
-//     into eight structure-of-arrays pair accumulators — θ1, the defeated
-//     set's θ2, the counters and the Welford moments — with the IEEE
-//     operations of the scalar per-shard fold in the same order
-//     (fold_pair_lanes);
+//   * the counter pair step: version pair s of eight counter streams (the
+//     fast-simd engine), drawing each lane decision-for-decision as the
+//     scalar reference draws it on that lane's key and adding each mask
+//     word's faults into θ1 and θ2 as the word leaves its draw loop
+//     (counter_pair_step_lanes; the batch API below runs the same draw and
+//     stores the words instead);
 //   * the xoshiro pair step: eight stats::rng streams advanced in lockstep
 //     through one pair step, drawing every channel decision-for-decision as
 //     the scalar samplers draw it on each stream — a common-cause mixture's
 //     versions or, with no stress draw, a universe's — and, at the vector
-//     levels, summing θ1 and θ2 as it draws, then recording the pair as the
-//     fold does (xoshiro_pair_step_lanes, at the end of this header).
+//     levels, summing θ1 and θ2 as it draws (xoshiro_pair_step_lanes, at
+//     the end of this header).
 //
-// The counter kernel and the fold meet in one lane-major block of channel
-// masks (lane_block): word b of channel v of lane l sits at (v·W + b)·8 + l,
-// W the mask's word count, 64-byte aligned.  Each mask word of all eight
-// lanes is therefore one AVX-512 register (two AVX2 registers): the counter
-// kernel stores a word of every lane with one masked store, and the fold
-// loads it with one masked load, with no per-lane scatter or gather between
-// them.  The xoshiro pair step needs no block: its vector levels add each
-// fault's q into θ1 under the lanes that drew it while drawing channel 0,
-// keep the hits of the channels before the last per fault, and add into θ2
-// under the defeated lanes while drawing the last.  Its AVX-512 level
-// compares raw draws against thresholds shifted left by 11, and takes the
-// faults whose threshold is 2^53, which that operand cannot hold, from
-// per-word saturated masks (xoshiro_lane_tables).  The fold and the step
-// share one epilogue per level: the counters, the zero tests, ω·θD and the
-// two Welford steps.
+// Each lane of either step records what the per-lane record
+// (record_pair_lane) records for its channels: θ1, the defeated set's θ2,
+// the counters and the Welford moments, into eight structure-of-arrays pair
+// accumulators, with the IEEE operations of experiment_accumulator::add in
+// the same order.  The per-lane record is also the whole record of the
+// samplers without lane tables (the copula, the aliased model), which draw
+// one lane at a time.  Neither step stores the masks it draws: the counter
+// step sums each word of the eight lanes from the registers that drew it,
+// and the xoshiro step adds each fault's q into θ1 under the lanes
+// that drew it while drawing channel 0, keeps the hits of the channels
+// before the last per fault, and adds into θ2 under the defeated lanes while
+// drawing the last.  Its AVX-512 level compares raw draws against
+// thresholds shifted left by 11, and takes the faults whose threshold is
+// 2^53, which that operand cannot hold, from per-word saturated masks
+// (xoshiro_lane_tables).  The two steps share one epilogue per level: the
+// counters, the zero tests, ω·θD and the two Welford steps.
 //
 // This TU family (src/core/simd_sampler.*) is the ONLY place in the repo
 // allowed to touch <immintrin.h> — enforced by the reldiv_lint
 // `simd-isolation` rule — everything else calls the dispatched API below.
-// All families take the same simd_level, so RELDIV_SIMD and the
-// programmatic cap govern them alike.
+// Both steps take the same simd_level, so RELDIV_SIMD and the programmatic
+// cap govern them alike.
 //
-// Contract: for any universe, key and pair index, the counter kernel
-// produces bits identical to mc::sample_version_pair_counter_reference at
-// EVERY dispatch level.  The SIMD level is a pure throughput knob, exactly
-// like the thread count: runtime CPUID dispatch (plus the RELDIV_SIMD
+// Contract: for any universe, key and pair index, the counter step draws
+// bits identical to mc::sample_version_pair_counter_reference at EVERY
+// dispatch level.  The SIMD level is a pure throughput knob, exactly like
+// the thread count: runtime CPUID dispatch (plus the RELDIV_SIMD
 // environment override and a programmatic cap for tests/benches) selects
 // between a scalar level, AVX2 and AVX-512, and all of them are
 // decision-for-decision identical because every lane's draw is
@@ -57,14 +56,12 @@
 //   2. plan: make_counter_sample_plan freezes per-word kernel kinds and the
 //      per-pair draw budget over the permuted layout;
 //   3. lanes: shards run in groups of eight, one counter stream per lane;
-//      each step draws one pair per shard into the group's lane_block
-//      (sample_pair_counter_lanes) and folds the eight pairs at once
-//      (fold_pair_lanes).
+//      each step draws one pair per shard and records the eight pairs at
+//      once (counter_pair_step_lanes).
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <span>
 #include <vector>
 
@@ -106,75 +103,74 @@ enum class simd_level : std::uint8_t {
 void set_simd_level_cap(simd_level cap) noexcept;
 void clear_simd_level_cap() noexcept;
 
-/// Shard streams per kernel call, one per 64-bit lane of an AVX-512 register
-/// (two AVX2 registers): the counter kernel, the xoshiro pair step and the
-/// lane fold all work on this many shards at once.
+/// Shard streams per step, one per 64-bit lane of an AVX-512 register (two
+/// AVX2 registers): the counter and xoshiro pair steps both work on this
+/// many shards at once.
 inline constexpr unsigned kXoshiroLanes = 8;
 
-/// Standard allocator of 64-byte aligned storage: a lane_block row, the
-/// mask words of eight lanes, starts on a cache line and loads as one
-/// aligned AVX-512 register.
-template <typename T>
-struct cacheline_allocator {
-  using value_type = T;
-  static constexpr std::align_val_t kAlign{64};
+// ---------------------------------------------------------------------------
+// Pair records
+// ---------------------------------------------------------------------------
 
-  cacheline_allocator() = default;
-  template <typename U>
-  explicit cacheline_allocator(const cacheline_allocator<U>& /*other*/) noexcept {}
+/// Most channels one pair step takes (the spec parser's and enumerate_cells'
+/// `versions <= 64`): it bounds the defeated-set layers.
+inline constexpr unsigned kMaxFoldVersions = 64;
 
-  [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
-  }
-  void deallocate(T* p, std::size_t /*n*/) noexcept { ::operator delete(p, kAlign); }
-  friend bool operator==(const cacheline_allocator&, const cacheline_allocator&) = default;
+/// stats::running_moments of kXoshiroLanes lanes without their count,
+/// structure-of-arrays: each field of all lanes is one AVX-512 register.
+struct moments_lanes {
+  std::array<double, kXoshiroLanes> m1{}, m2{}, m3{}, m4{}, min{}, max{};
 };
 
-/// The channel masks of one pair step of a lane group, lane-major: word b of
-/// channel v of lane l is row(v, b)[l], at index (v·W + b)·kXoshiroLanes + l
-/// with W = words_per_channel().  Every row starts on a 64-byte boundary, so
-/// word b of one channel in all eight lanes is one AVX-512 register (two
-/// AVX2 registers).  The draw kernels write the rows of the lanes they draw
-/// and the fold reads them; a lane past a call's `live` count is neither
-/// written nor read, so its words keep whatever they held.  Tail bits past
-/// bit_size() in a channel's last word are zero in every lane a kernel
-/// writes, as in a fault_mask.
-class lane_block {
- public:
-  lane_block() = default;
-  lane_block(unsigned versions, std::size_t bits)
-      : versions_(versions),
-        bits_(bits),
-        words_(static_cast<std::size_t>(versions) * fault_mask::words_needed(bits) *
-               kXoshiroLanes) {}
+/// kXoshiroLanes pair accumulators (mc::experiment_accumulator without kept
+/// samples), structure-of-arrays; lane l's θ moments have count samples[l].
+struct accumulator_lanes {
+  std::array<std::uint64_t, kXoshiroLanes> samples{}, n1_positive{}, n2_positive{},
+      n1_zero_pfd{}, n2_zero_pfd{};
+  moments_lanes theta1, theta2;
 
-  [[nodiscard]] unsigned versions() const noexcept { return versions_; }
-  [[nodiscard]] std::size_t bit_size() const noexcept { return bits_; }
-  [[nodiscard]] std::size_t words_per_channel() const noexcept {
-    return fault_mask::words_needed(bits_);
+  [[nodiscard]] stats::running_moments_state theta1_state(unsigned l) const noexcept {
+    return moments_state(theta1, l);
   }
-
-  /// The kXoshiroLanes words of word b of channel v, lane l at [l].
-  [[nodiscard]] std::uint64_t* row(unsigned v, std::size_t b) noexcept {
-    return words_.data() + (v * words_per_channel() + b) * kXoshiroLanes;
+  [[nodiscard]] stats::running_moments_state theta2_state(unsigned l) const noexcept {
+    return moments_state(theta2, l);
   }
-  [[nodiscard]] const std::uint64_t* row(unsigned v, std::size_t b) const noexcept {
-    return words_.data() + (v * words_per_channel() + b) * kXoshiroLanes;
-  }
-
-  /// Lane l of channel v := m.  Throws std::out_of_range unless m has
-  /// bit_size() bits, v < versions() and l < kXoshiroLanes.
-  void store_lane(unsigned v, unsigned l, const fault_mask& m);
-  /// out := lane l of channel v, resized to bit_size() only when its size
-  /// differs.  Throws std::out_of_range unless v < versions() and l <
-  /// kXoshiroLanes.
-  void load_lane(unsigned v, unsigned l, fault_mask& out) const;
 
  private:
-  unsigned versions_ = 0;
-  std::size_t bits_ = 0;
-  std::vector<std::uint64_t, cacheline_allocator<std::uint64_t>> words_;
+  [[nodiscard]] stats::running_moments_state moments_state(const moments_lanes& m,
+                                                           unsigned l) const noexcept {
+    return {samples[l], m.m1[l], m.m2[l], m.m3[l], m.m4[l], m.min[l], m.max[l]};
+  }
 };
+
+/// The θ1 and θ2 one pair step recorded on each lane: what a shard keeping
+/// its samples appends for that pair.
+struct pair_thetas {
+  std::array<double, kXoshiroLanes> theta1{}, theta2{};
+};
+
+/// The per-lane record of one pair step whose channels are `channels`: the
+/// lane's fault set D is the faults present in at least `votes` of them, and
+/// lane `lane` of acc records what mc::experiment_accumulator::add(θ1, ω·θD,
+/// channels[0].any(), D ≠ ∅ && ω > 0) records, bit for bit: θ1 = Σ q[i] over
+/// channel 0's faults and θD = Σ q[i] over D, each in ascending fault order
+/// from +0.0 (the order of core::masked_q_sum), then the Welford step of
+/// stats::running_moments::add on θ1 and on ω·θD with the same IEEE
+/// operations in the same order.  The other lanes keep their state.  When
+/// `thetas` is not null, its lane `lane` receives the θ1 and ω·θD just
+/// recorded.  Both pair steps record each live lane as this does; the
+/// samplers without lane tables (the copula, the aliased model) record
+/// through it directly.  Throws std::invalid_argument unless 1 <= votes <=
+/// channels.size() <= kMaxFoldVersions and lane < kXoshiroLanes, and
+/// std::out_of_range when a channel does not have q.size() bits (a sampler
+/// built over another universe).
+void record_pair_lane(accumulator_lanes& acc, unsigned lane,
+                      std::span<const fault_mask> channels, unsigned votes, double omega,
+                      std::span<const double> q, pair_thetas* thetas = nullptr);
+
+// ---------------------------------------------------------------------------
+// Counter pair step
+// ---------------------------------------------------------------------------
 
 /// Per-word kernel kind of the counter sampler, derived from the universe's
 /// sample_blocks plan + fast32_grid_safe exactly as the pinned reference
@@ -210,30 +206,34 @@ struct counter_sample_plan {
 [[nodiscard]] counter_sample_plan make_counter_sample_plan(const fault_universe& u);
 
 /// Version pair `pair_index` of counter streams keys[0..live), one stream per
-/// lane: lane l < live of channel 0 (version a) and channel 1 (version b) of
-/// `block` receives exactly the masks mc::sample_version_pair_counter_reference(u,
-/// keys[l], pair_index) writes.  Slice words run per lane in scalar code
-/// (counter_slice_word); paired32 and wide53 words draw one fault of every
-/// lane per vector step and store each word of all lanes at once.  Lanes l
-/// >= live are not drawn: their keys are ignored and their words are not
-/// written.  `level` must not exceed detected_simd_level(); pass
-/// active_simd_level().  Throws std::invalid_argument when the plan does not
-/// match `u`, the block is not two channels of plan.bits bits, or live >
-/// kXoshiroLanes.
-void sample_pair_counter_lanes(const counter_sample_plan& plan, const fault_universe& u,
-                               std::span<const std::uint64_t, kXoshiroLanes> keys,
-                               std::uint64_t pair_index, lane_block& block, unsigned live,
-                               simd_level level);
+/// lane, drawn and recorded in one pass: lane l < live draws exactly the
+/// masks a and b mc::sample_version_pair_counter_reference(u, keys[l],
+/// pair_index) writes and records what record_pair_lane records for the
+/// channels (a, b) with votes 2 and ω = 1 over q = u.q_array(): θ1 = Σq over
+/// a's faults and θ2 = Σq over the faults a and b share.  Each mask word of
+/// the lanes is added into the sums as it leaves its draw: zero, one and
+/// slice words run per lane in scalar code (counter_slice_word), paired32
+/// and wide53 words draw one fault of every lane per vector step and are
+/// summed from the registers that drew them.  Lanes l >= live are not drawn
+/// (their keys are ignored) and keep their accumulators.  When `thetas` is
+/// not null, lane l < live of it receives the θ1 and θ2 just recorded.
+/// `level` must not exceed detected_simd_level(); pass active_simd_level().
+/// Throws std::invalid_argument when the plan does not match `u`, live >
+/// kXoshiroLanes, or a live lane's sample count differs from lane 0's.
+void counter_pair_step_lanes(const counter_sample_plan& plan, const fault_universe& u,
+                             std::span<const std::uint64_t, kXoshiroLanes> keys,
+                             std::uint64_t pair_index, accumulator_lanes& acc, unsigned live,
+                             simd_level level, pair_thetas* thetas = nullptr);
 
 /// Sample version-pairs [first_pair, first_pair + count) of counter stream
-/// `key` into a[0..count) / b[0..count): an adapter over
-/// sample_pair_counter_lanes that puts eight consecutive pairs in the lanes,
+/// `key` into a[0..count) / b[0..count): the counter pair step's draw with
+/// the words stored instead of summed, eight consecutive pairs in the lanes,
 /// pair first_pair + j + l in lane l as pair first_pair + j of key + l·D·γ
 /// (D = plan.draws_per_pair, γ = stats::kSplitmix64Gamma), which is the same
-/// stream l·D counters on, and copies each lane out of the block.  Masks are
-/// resized to plan.bits as needed.  `level` must not exceed
-/// detected_simd_level(); pass active_simd_level() unless pinning a level in
-/// a test.  Throws std::invalid_argument when the plan does not match `u`.
+/// stream l·D counters on.  Masks are resized to plan.bits as needed.
+/// `level` must not exceed detected_simd_level(); pass active_simd_level()
+/// unless pinning a level in a test.  Throws std::invalid_argument when the
+/// plan does not match `u` or a mask span is shorter than `count`.
 void sample_pair_counter_batch(const counter_sample_plan& plan,
                                const fault_universe& u, std::uint64_t key,
                                std::uint64_t first_pair, std::size_t count,
@@ -293,67 +293,6 @@ struct xoshiro_lane_tables {
     std::span<const std::uint64_t> thresholds);
 
 // ---------------------------------------------------------------------------
-// Lane fold
-// ---------------------------------------------------------------------------
-
-/// Most channels one fold step takes (the spec parser's and enumerate_cells'
-/// `versions <= 64`): it bounds the defeated-set layers.
-inline constexpr unsigned kMaxFoldVersions = 64;
-
-/// stats::running_moments of kXoshiroLanes lanes without their count,
-/// structure-of-arrays: each field of all lanes is one AVX-512 register.
-struct moments_lanes {
-  std::array<double, kXoshiroLanes> m1{}, m2{}, m3{}, m4{}, min{}, max{};
-};
-
-/// kXoshiroLanes pair accumulators (mc::experiment_accumulator without kept
-/// samples), structure-of-arrays; lane l's θ moments have count samples[l].
-struct accumulator_lanes {
-  std::array<std::uint64_t, kXoshiroLanes> samples{}, n1_positive{}, n2_positive{},
-      n1_zero_pfd{}, n2_zero_pfd{};
-  moments_lanes theta1, theta2;
-
-  [[nodiscard]] stats::running_moments_state theta1_state(unsigned l) const noexcept {
-    return moments_state(theta1, l);
-  }
-  [[nodiscard]] stats::running_moments_state theta2_state(unsigned l) const noexcept {
-    return moments_state(theta2, l);
-  }
-
- private:
-  [[nodiscard]] stats::running_moments_state moments_state(const moments_lanes& m,
-                                                           unsigned l) const noexcept {
-    return {samples[l], m.m1[l], m.m2[l], m.m3[l], m.m4[l], m.min[l], m.max[l]};
-  }
-};
-
-/// The θ1 and θ2 one fold step recorded on each lane: what a shard keeping
-/// its samples appends for that pair.
-struct pair_thetas {
-  std::array<double, kXoshiroLanes> theta1{}, theta2{};
-};
-
-/// One pair step on each of the first `live` lanes: lane l's channels are
-/// lane l of the block's versions() channels, and its fault set D is the
-/// faults present in at least `votes` of them.  Lane l then records what
-/// mc::experiment_accumulator::add(θ1, ω·θD, first.any(), D ≠ ∅ && ω > 0)
-/// records, bit for bit: θ1 = Σ q[i] over channel 0's faults and θD = Σ q[i]
-/// over D, each in ascending fault order from +0.0 (the order of
-/// core::masked_q_sum), then the Welford step of stats::running_moments::add
-/// on θ1 and on ω·θD with the same IEEE operations in the same order.  The
-/// live lanes must hold the same sample count; lanes l >= live keep their
-/// state and their words are not read.  When `thetas` is not null, lane l <
-/// live of it receives the θ1 and ω·θD just recorded, and its other lanes
-/// are left as they were.  `level` must not exceed detected_simd_level();
-/// pass active_simd_level().  Throws std::invalid_argument unless 1 <= votes
-/// <= block.versions() <= kMaxFoldVersions, block.bit_size() == q.size() and
-/// live <= kXoshiroLanes, or when a live lane's sample count differs from
-/// lane 0's.
-void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned votes,
-                     double omega, std::span<const double> q, unsigned live,
-                     simd_level level, pair_thetas* thetas = nullptr);
-
-// ---------------------------------------------------------------------------
 // xoshiro pair step
 // ---------------------------------------------------------------------------
 
@@ -365,21 +304,20 @@ void fold_pair_lanes(accumulator_lanes& acc, const lane_block& block, unsigned v
 /// iff (r() >> 11) < stressed[i] when stressed and relaxed[i] otherwise
 /// (mc::common_cause_mixture::sample_mask); without it, the fault draws
 /// against relaxed[i] alone (mc::sample_mask_from_thresholds).  Lane l then
-/// records what fold_pair_lanes records for those channels, bit for bit, and
-/// its stream ends where those scalar draws leave it.  At the vector levels
-/// θ1 is summed while channel 0 is drawn and θD while the last channel is
-/// drawn, each one masked add per fault in ascending order; the channels
+/// records what record_pair_lane records for those channels, bit for bit,
+/// and its stream ends where those scalar draws leave it.  At the vector
+/// levels θ1 is summed while channel 0 is drawn and θD while the last channel
+/// is drawn, each one masked add per fault in ascending order; the channels
 /// before the last keep their hits per fault in `hits` (resized as needed),
-/// layered as the fold layers words, so no lane_block sits between the draw
-/// and the sums.  The scalar level draws a lane's channels into `hits` and
-/// then folds them as the scalar fold does.  Lanes l >=
-/// live keep their streams and accumulators.  When `thetas` is not null, lane
-/// l < live of it receives the θ1 and ω·θD just recorded.  `level` must not
-/// exceed detected_simd_level(); pass active_simd_level().  Throws
-/// std::out_of_range when the tables hold another number of faults than q (a
-/// sampler built over another universe), and std::invalid_argument when the
-/// tables are inconsistent or on the shapes fold_pair_lanes refuses: unless 1
-/// <= votes <= versions <= kMaxFoldVersions and live <= kXoshiroLanes, or when
+/// layered as the per-lane record layers words.  The scalar level draws a
+/// lane's channels into `hits` and then records them as record_pair_lane
+/// does.  Lanes l >= live keep their streams and accumulators.  When
+/// `thetas` is not null, lane l < live of it receives the θ1 and ω·θD just
+/// recorded.  `level` must not exceed detected_simd_level(); pass
+/// active_simd_level().  Throws std::out_of_range when the tables hold
+/// another number of faults than q (a sampler built over another universe),
+/// and std::invalid_argument when the tables are inconsistent, unless 1 <=
+/// votes <= versions <= kMaxFoldVersions and live <= kXoshiroLanes, or when
 /// a live lane's sample count differs from lane 0's.
 void xoshiro_pair_step_lanes(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
                              std::vector<std::uint64_t>& hits, accumulator_lanes& acc,

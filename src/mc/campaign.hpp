@@ -6,11 +6,11 @@
 // against a budget of simulated demands or version draws.  This header
 // provides the one engine they all sit on, layered on shard_runner:
 //
-//  * run_jobs        — deterministic job fan-out: jobs are executed by any
-//                      number of workers but merged in ascending job order on
-//                      the calling thread, so thread count never leaks into
-//                      results.  The scenario grid fans sweep cells out
-//                      through it.
+//  * run_jobs        — deterministic job fan-out (shard_runner.hpp, exported
+//                      here): jobs are executed by any number of workers but
+//                      merged in ascending job order on the calling thread,
+//                      so thread count never leaks into results.  The
+//                      scenario grid fans sweep cells out through it.
 //  * demand campaign — score a fixed roster of per-target hit probabilities
 //                      over a shared demand budget.  One rng stream PER
 //                      TARGET, seeded by target_stream_seed(seed, t) (a
@@ -35,15 +35,8 @@
 // count / roster order) is part of the result's identity and is recorded in
 // the result structs.
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
-#include <mutex>
-#include <optional>
 #include <span>
-#include <stdexcept>
-#include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,61 +55,6 @@ struct campaign_config {
   unsigned shards = 0;   ///< logical rng streams for budget-sharded campaigns;
                          ///< 0 = default_logical_shards(budget)
 };
-
-/// Run `body(job)` for every job in [job_begin, job_end), distributing jobs
-/// over `threads` workers, then call `merge(job, result)` in ascending job
-/// order on the calling thread.  The rng-free sibling of run_shards: each
-/// job derives whatever randomness it needs from its own index, so the set
-/// of per-job computations — and the merge sequence — is independent of the
-/// thread count.  `body` must not touch shared mutable state; `merge` runs
-/// serially.  The first exception thrown by a `body` invocation (lowest job
-/// index wins) is rethrown after all workers join.
-template <typename Body, typename Merge>
-void run_jobs(std::size_t job_begin, std::size_t job_end, unsigned threads, Body&& body,
-              Merge&& merge) {
-  using result_type = std::decay_t<std::invoke_result_t<Body&, std::size_t>>;
-  if (job_begin > job_end) {
-    throw std::invalid_argument("run_jobs: job window out of range");
-  }
-  const std::size_t jobs = job_end - job_begin;
-  if (jobs == 0) return;
-
-  std::vector<std::optional<result_type>> results(jobs);
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::size_t first_error_job = jobs;
-
-  auto work = [&]() noexcept {
-    for (std::size_t j = next.fetch_add(1, std::memory_order_relaxed); j < jobs;
-         j = next.fetch_add(1, std::memory_order_relaxed)) {
-      try {
-        results[j].emplace(body(job_begin + j));
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (j < first_error_job) {
-          first_error_job = j;
-          first_error = std::current_exception();
-        }
-      }
-    }
-  };
-
-  const unsigned workers = resolve_threads(threads, jobs);
-  if (workers <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(work);
-    for (auto& th : pool) th.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  for (std::size_t j = 0; j < jobs; ++j) {
-    merge(job_begin + j, std::move(*results[j]));
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Target-roster demand campaign

@@ -30,8 +30,9 @@
 // θ2 as it draws; its AVX-512 level compares raw draws against the
 // thresholds shifted left by 11 and sets the faults whose threshold
 // saturates (p = 1, or stress·p >= 1) from per-word masks.  The copula and
-// the aliased model draw lane by lane into a scratch mask copied into each
-// lane's column of a lane_block, which the lane fold then reads.
+// the aliased model draw each lane's channels in turn into masks the lane
+// group owns and record them with the scalar per-lane record
+// (core::record_pair_lane).
 
 #include <cstdint>
 #include <stdexcept>

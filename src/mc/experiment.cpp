@@ -46,8 +46,8 @@ constexpr retired_engine_row kRetiredEngines[] = {
 /// run_experiment_window: shards [shard_begin, shard_end) of the experiment
 /// `cfg` defines, eight per lane group through run_shard_lanes, each handed
 /// to `merge(shard, experiment_accumulator&&)` in ascending shard order.
-/// Every engine folds two channels with votes 2 and ω = 1, which records
-/// exactly what experiment_accumulator::add of masked_q_sum and
+/// Every engine records a pair as two channels with votes 2 and ω = 1, which
+/// is exactly what experiment_accumulator::add of masked_q_sum and
 /// intersect_q_sum records (1.0·x = x; both sums ascend from +0.0).  The
 /// dispatch level and every per-run table are fixed here, once per call, so
 /// all shards of a run use the same kernels even if a test flips the cap
@@ -60,7 +60,8 @@ constexpr retired_engine_row kRetiredEngines[] = {
 ///   * fast-simd: the universe is relaid out by make_p_sorted_permutation and
 ///     a counter_sample_plan frozen over it; lane l draws its shard's stream
 ///     counter_stream_key(seed, shard), pair s consuming counters [s*D,
-///     (s+1)*D).  θ accumulation runs over the permuted q layout, which is
+///     (s+1)*D), drawn and recorded by core::counter_pair_step_lanes.  θ
+///     accumulation runs over the permuted q layout, which is
 ///     part of this engine's pinned stream contract — per-seed values are
 ///     not comparable to the `exact` engine, but are bit-identical across
 ///     thread counts, shard windows and SIMD levels.
@@ -81,11 +82,11 @@ void run_engine_shards(const core::fault_universe& u, const experiment_config& c
           for (unsigned l = 0; l < active; ++l) {
             keys[l] = stats::counter_stream_key(cfg.seed, first + l);
           }
-          return fold_block_step(fold, [&counters, &pu, keys, level](std::uint64_t step,
-                                                                     unsigned live,
-                                                                     core::lane_block& block) {
-            core::sample_pair_counter_lanes(counters, pu, keys, step, block, live, level);
-          });
+          return [&counters, &pu, keys, level](std::uint64_t step, unsigned live,
+                                               core::accumulator_lanes& acc,
+                                               core::pair_thetas* thetas) {
+            core::counter_pair_step_lanes(counters, pu, keys, step, acc, live, level, thetas);
+          };
         },
         std::forward<Merge>(merge));
     return;

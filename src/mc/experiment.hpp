@@ -7,10 +7,12 @@
 //
 // Determinism contract: the sample budget is decomposed into a fixed number
 // of logical rng shards (experiment_config::shards, default
-// default_logical_shards(samples)) executed by the shard_runner subsystem, so for a
-// given (seed, samples, shards, engine) the result is bit-identical
-// regardless of experiment_config::threads or the machine's core count.
-// Thread count is a throughput knob, never a results knob.
+// default_logical_shards(samples)), run eight per lane group by
+// mc::run_shard_lanes, whose every step draws one pair per shard and records
+// it in the same pass; so for a given (seed, samples, shards, engine) the
+// result is bit-identical regardless of experiment_config::threads or the
+// machine's core count.  Thread count is a throughput knob, never a results
+// knob.
 
 #include <cstdint>
 #include <optional>
@@ -48,8 +50,9 @@ enum class sampling_engine : std::uint32_t {
   /// a core::counter_sample_plan is frozen over the permuted layout, and
   /// shards run in groups of eight (mc::run_shard_lanes), one shard's
   /// counter stream per 64-bit lane: each step draws one version pair per
-  /// shard (core::sample_pair_counter_lanes) and folds the eight pairs at
-  /// once (core::fold_pair_lanes), under runtime SIMD dispatch.  Per-fault
+  /// shard and records the eight pairs in the same pass, summing θ1 and θ2
+  /// from each mask word of the lanes as it is drawn
+  /// (core::counter_pair_step_lanes), under runtime SIMD dispatch.  Per-fault
   /// probabilities are realized exactly on bit-sliced words, on the 2^-32
   /// grid on the other words, and exactly (53-bit) everywhere when any p is
   /// too small for that grid (see fault_universe::fast32_grid_safe).  Every

@@ -8,20 +8,19 @@
 // mc::run_pair_campaign's weighted loop is the only pair loop outside it:
 // its θ2 sums coincidence weights, not q.
 //
-// A group's step records one pair per lane into the group's
-// core::accumulator_lanes, in one of two ways:
+// A group's step draws one pair per lane and records it into the group's
+// core::accumulator_lanes in the same pass, in one of three ways:
 //   * the xoshiro pair step (run_table_lanes): core::xoshiro_pair_step_lanes
 //     draws every channel of the eight lanes against a sampler's threshold
 //     tables and sums θ1 and θ2 as it draws — the `exact` engine on a
 //     universe's thresholds, and the common-cause mixture on its stressed
 //     and relaxed ones;
-//   * a draw into a core::lane_block, then core::fold_pair_lanes
-//     (fold_block_step): fast-simd's counter kernel, and samplers without
-//     lane tables, which draw each lane into one fault_mask the group owns
-//     and copy it into the lane's column (run_sampler_lanes).  The block is
-//     lane-major — channel v's word b of lane l at (v·W + b)·8 + l — so the
-//     counter kernel stores, and the fold loads, each mask word of all eight
-//     lanes as one register.
+//   * the counter pair step: core::counter_pair_step_lanes draws fast-simd's
+//     counter streams and sums each mask word of the eight lanes as it
+//     leaves its draw (run_engine_shards in experiment.cpp);
+//   * samplers without lane tables (the copula, the aliased model) draw
+//     each lane's channels into fault_masks the group owns and record them
+//     with core::record_pair_lane (run_sampler_lanes).
 
 #include <algorithm>
 #include <array>
@@ -35,17 +34,16 @@
 
 #include "core/fault_mask.hpp"
 #include "core/simd_sampler.hpp"
-#include "mc/campaign.hpp"
 #include "mc/experiment.hpp"
 #include "mc/shard_runner.hpp"
 #include "stats/random.hpp"
 
 namespace reldiv::mc {
 
-/// How the pair steps of a lane group fold: θ1 is the first channel's Σq,
+/// How the pair steps of a lane group record: θ1 is the first channel's Σq,
 /// θ2 = ω·Σq over the faults at least `votes` of the `versions` channels
-/// hold, at dispatch level `level`.  keep_samples retains every pair's θ1
-/// and θ2 in the exported shard accumulators.
+/// hold, with the pair steps at dispatch level `level`.  keep_samples
+/// retains every pair's θ1 and θ2 in the exported shard accumulators.
 struct lane_fold {
   unsigned versions = 2;
   unsigned votes = 2;
@@ -64,7 +62,7 @@ struct lane_fold {
 /// and returns its step: `step(s, live, acc, thetas)` records pair `s` of
 /// shard first + l into lane l < live of `acc` (core::accumulator_lanes),
 /// and its θ1 and θ2 into lane l of *thetas when `thetas` is not null (when
-/// fold.keep_samples is set), as core::fold_pair_lanes records the pair
+/// fold.keep_samples is set), as core::record_pair_lane records the pair
 /// `fold` describes.
 /// The calling thread calls `start` for every group, in ascending order,
 /// before any group runs, so a start may walk a sequential stream; the groups
@@ -145,22 +143,6 @@ void run_shard_lanes(const shard_plan& plan, unsigned shard_begin, unsigned shar
       });
 }
 
-/// The step of a draw that fills a core::lane_block: `draw(s, live, block)`
-/// writes lane l < live of the block's fold.versions channels (fold.q.size()
-/// bits) with pair s of the lane's shard, and core::fold_pair_lanes records
-/// them.  The block is allocated at the step's first call, on the worker
-/// that runs the group.
-template <typename Draw>
-[[nodiscard]] auto fold_block_step(const lane_fold& fold, Draw draw) {
-  return [&fold, draw = std::move(draw), block = core::lane_block()](
-             std::uint64_t s, unsigned live, core::accumulator_lanes& acc,
-             core::pair_thetas* thetas) mutable {
-    if (block.versions() == 0) block = core::lane_block(fold.versions, fold.q.size());
-    draw(s, live, block);
-    core::fold_pair_lanes(acc, block, fold.votes, fold.omega, fold.q, live, fold.level, thetas);
-  };
-}
-
 /// run_shard_lanes over xoshiro streams: lane l of the group opening at
 /// shard `first` holds stats::rng::stream(seed, first + l), taken from one
 /// jump walk of rng(seed) on the calling thread — the streams run_shards
@@ -212,30 +194,28 @@ void run_table_lanes(const core::xoshiro_lane_tables& tables, const shard_plan& 
 
 /// Every shard of `plan` through run_xoshiro_lanes, each pair's
 /// fold.versions channels drawn in index order by `sampler.sample_mask` on
-/// each live lane's stream in turn, each mask copied into its lane's column
-/// of the group's block and folded (fold_block_step): the pair loop of
-/// mc::run_correlated and scenario cells for samplers without lane tables
-/// (the copula, the aliased model).  Throws std::out_of_range when the
-/// sampler draws masks of another size than fold.q.size() bits (a sampler
-/// built over another universe).
+/// each live lane's stream in turn and recorded by core::record_pair_lane:
+/// the pair loop of mc::run_correlated and scenario cells for samplers
+/// without lane tables (the copula, the aliased model).  Throws
+/// std::out_of_range when the sampler draws masks of another size than
+/// fold.q.size() bits (a sampler built over another universe).
 template <typename Sampler, typename Merge>
 void run_sampler_lanes(const Sampler& sampler, const shard_plan& plan, std::uint64_t seed,
                        unsigned threads, const lane_fold& fold, Merge&& merge) {
   run_xoshiro_lanes(
       plan, seed, 0, plan.shard_count, threads, fold,
       [&sampler, &fold](const core::xoshiro_lanes& lanes) {
-        return fold_block_step(
-            fold, [&sampler, versions = fold.versions, lanes = lanes, scratch = core::fault_mask()](
-                      std::uint64_t /*step*/, unsigned live, core::lane_block& block) mutable {
-              for (unsigned v = 0; v < versions; ++v) {
-                for (unsigned l = 0; l < live; ++l) {
-                  stats::rng r = lanes.lane(l);
-                  sampler.sample_mask(r, scratch);
-                  lanes.set_lane(l, r);
-                  block.store_lane(v, l, scratch);
-                }
-              }
-            });
+        return [&sampler, &fold, lanes = lanes,
+                channels = std::vector<core::fault_mask>(fold.versions)](
+                   std::uint64_t /*step*/, unsigned live, core::accumulator_lanes& acc,
+                   core::pair_thetas* thetas) mutable {
+          for (unsigned l = 0; l < live; ++l) {
+            stats::rng r = lanes.lane(l);
+            for (core::fault_mask& m : channels) sampler.sample_mask(r, m);
+            lanes.set_lane(l, r);
+            core::record_pair_lane(acc, l, channels, fold.votes, fold.omega, fold.q, thetas);
+          }
+        };
       },
       std::forward<Merge>(merge));
 }

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <mutex>
@@ -89,53 +90,36 @@ struct shard_plan {
 /// threads).
 [[nodiscard]] unsigned resolve_threads(unsigned requested, std::uint64_t jobs);
 
-/// Run `body(shard, samples, rng)` for every shard in [shard_begin,
-/// shard_end) of `plan`, distributing shards over `threads` workers
-/// (resolved via resolve_threads), then call `merge(shard, result)` in
-/// ascending shard order on the calling thread.
-///
-/// Shard `s` always receives `stats::rng::stream(seed, s)` and
-/// `plan.shard_samples(s)` samples, so the set of per-shard computations —
-/// and the merge sequence — is independent of the thread count and of
-/// scheduling.  `body` must not touch shared mutable state (it runs
-/// concurrently); `merge` runs serially.  The first exception thrown by a
-/// `body` invocation (lowest shard index wins) is rethrown after all workers
-/// join.
+/// Run `body(job)` for every job in [job_begin, job_end), distributing jobs
+/// over `threads` workers (resolved via resolve_threads), then call
+/// `merge(job, result)` in ascending job order on the calling thread: the
+/// one worker pool of the library, under run_shards, run_shard_lanes and the
+/// campaign layer.  Each job derives whatever randomness it needs from its
+/// own index, so the set of per-job computations — and the merge sequence —
+/// is independent of the thread count.  `body` must not touch shared mutable
+/// state; `merge` runs serially.  The first exception thrown by a `body`
+/// invocation (lowest job index wins) is rethrown after all workers join.
 template <typename Body, typename Merge>
-void run_shards(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin,
-                unsigned shard_end, unsigned threads, Body&& body, Merge&& merge) {
-  using acc_type = std::decay_t<std::invoke_result_t<Body&, unsigned, std::uint64_t,
-                                                     stats::rng&>>;
-  if (shard_begin > shard_end || shard_end > plan.shard_count) {
-    throw std::invalid_argument("run_shards: shard window out of range");
+void run_jobs(std::size_t job_begin, std::size_t job_end, unsigned threads, Body&& body,
+              Merge&& merge) {
+  using result_type = std::decay_t<std::invoke_result_t<Body&, std::size_t>>;
+  if (job_begin > job_end) {
+    throw std::invalid_argument("run_jobs: job window out of range");
   }
-  const unsigned jobs = shard_end - shard_begin;
+  const std::size_t jobs = job_end - job_begin;
   if (jobs == 0) return;
 
-  // Derive the shard streams incrementally (stream(seed, s) is rng(seed)
-  // jumped s times): O(shard_end) jumps total instead of O(shard_end^2) if
-  // each worker re-derived its stream from scratch.
-  std::vector<stats::rng> streams;
-  streams.reserve(jobs);
-  stats::rng walker(seed);
-  for (unsigned s = 0; s < shard_begin; ++s) walker.jump();
-  for (unsigned j = 0; j < jobs; ++j) {
-    streams.push_back(walker);
-    walker.jump();
-  }
-
-  std::vector<std::optional<acc_type>> results(jobs);
-  std::atomic<unsigned> next{0};
+  std::vector<std::optional<result_type>> results(jobs);
+  std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  unsigned first_error_job = jobs;
+  std::size_t first_error_job = jobs;
 
   auto work = [&]() noexcept {
-    for (unsigned j = next.fetch_add(1, std::memory_order_relaxed); j < jobs;
+    for (std::size_t j = next.fetch_add(1, std::memory_order_relaxed); j < jobs;
          j = next.fetch_add(1, std::memory_order_relaxed)) {
-      const unsigned shard = shard_begin + j;
       try {
-        results[j].emplace(body(shard, plan.shard_samples(shard), streams[j]));
+        results[j].emplace(body(job_begin + j));
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
         if (j < first_error_job) {
@@ -157,9 +141,49 @@ void run_shards(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin
   }
   if (first_error) std::rethrow_exception(first_error);
 
-  for (unsigned j = 0; j < jobs; ++j) {
-    merge(shard_begin + j, std::move(*results[j]));
+  for (std::size_t j = 0; j < jobs; ++j) {
+    merge(job_begin + j, std::move(*results[j]));
   }
+}
+
+/// Run `body(shard, samples, rng)` for every shard in [shard_begin,
+/// shard_end) of `plan`, distributing shards over `threads` workers
+/// (resolved via resolve_threads), then call `merge(shard, result)` in
+/// ascending shard order on the calling thread.
+///
+/// Shard `s` always receives `stats::rng::stream(seed, s)` and
+/// `plan.shard_samples(s)` samples, so the set of per-shard computations —
+/// and the merge sequence — is independent of the thread count and of
+/// scheduling.  `body` must not touch shared mutable state (it runs
+/// concurrently); `merge` runs serially.  The first exception thrown by a
+/// `body` invocation (lowest shard index wins) is rethrown after all workers
+/// join.
+template <typename Body, typename Merge>
+void run_shards(const shard_plan& plan, std::uint64_t seed, unsigned shard_begin,
+                unsigned shard_end, unsigned threads, Body&& body, Merge&& merge) {
+  if (shard_begin > shard_end || shard_end > plan.shard_count) {
+    throw std::invalid_argument("run_shards: shard window out of range");
+  }
+  // Derive the shard streams incrementally (stream(seed, s) is rng(seed)
+  // jumped s times): O(shard_end) jumps total instead of O(shard_end^2) if
+  // each worker re-derived its stream from scratch.
+  std::vector<stats::rng> streams;
+  streams.reserve(shard_end - shard_begin);
+  stats::rng walker(seed);
+  for (unsigned s = 0; s < shard_begin; ++s) walker.jump();
+  for (unsigned s = shard_begin; s < shard_end; ++s) {
+    streams.push_back(walker);
+    walker.jump();
+  }
+  run_jobs(
+      shard_begin, shard_end, threads,
+      [&](std::size_t shard) {
+        const auto s = static_cast<unsigned>(shard);
+        return body(s, plan.shard_samples(s), streams[s - shard_begin]);
+      },
+      [&](std::size_t shard, auto&& result) {
+        merge(static_cast<unsigned>(shard), std::forward<decltype(result)>(result));
+      });
 }
 
 /// Convenience overload: run every shard of the plan.

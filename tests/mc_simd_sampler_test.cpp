@@ -1,19 +1,22 @@
 // The fast-simd engine's correctness anchors:
 //   - counter rng identity with the splitmix64 stream it compresses;
-//   - the randomized equivalence fuzz pinning the counter kernel (scalar,
-//     AVX2 and AVX-512, each when the host has it) decision-for-decision
-//     against the normative mc::sample_version_pair_counter_reference, both
-//     as the batch API lays one stream across the lanes and as
-//     core::sample_pair_counter_lanes runs eight streams, one per lane;
+//   - the randomized equivalence fuzz pinning the counter draw (scalar, AVX2
+//     and AVX-512, each when the host has it) decision-for-decision against
+//     the normative mc::sample_version_pair_counter_reference through the
+//     batch API, which lays one stream across the lanes;
+//   - the counter pair step (core::counter_pair_step_lanes) against that
+//     reference and mc::experiment_accumulator::add, field by field and bit
+//     for bit, at every level, on every counter word kind, every live-lane
+//     count and the schedule of shards one pair longer than the rest;
 //   - universe permutation round-trips (indices, masks, q values) and the
 //     regression that a permuted heterogeneous universe becomes mostly
 //     bit-sliceable (make_sample_blocks re-derivation after remap);
 //   - bit-identity of run_experiment across thread counts AND SIMD dispatch
 //     levels, shard-window splits, kept samples against the reference shard
 //     loop, and the manifest wire codec;
-//   - the lane fold against mc::experiment_accumulator::add of the sparse
-//     ascending θ sums (running_moments::add underneath), lane by lane, at
-//     every level and every live-lane count;
+//   - the per-lane record (core::record_pair_lane) against
+//     mc::experiment_accumulator::add of the sparse ascending θ sums
+//     (running_moments::add underneath), for every votes-of-versions shape;
 //   - the xoshiro pair step against versions drawn by
 //     mc::common_cause_mixture::sample_mask (or, on the `exact` engine's
 //     tables, mc::sample_version_mask) on a scalar copy of every lane's
@@ -21,8 +24,8 @@
 //     every live-lane count and adjudication shape, including faults whose
 //     stressed threshold saturates, channels whose live lanes all drew one
 //     side of the stress draw, and `exact` experiments with kept samples;
-//   - for every kernel, the lane_block words, streams and accumulators of
-//     spare lanes (sentinels) are never written.
+//   - for every step, the streams, accumulators and θ outputs of spare lanes
+//     (random bits and sentinels) are never written.
 
 #include <gtest/gtest.h>
 
@@ -210,42 +213,9 @@ void expect_masks_equal(const core::fault_mask& got, const core::fault_mask& wan
   }
 }
 
-/// A word no kernel writes: the pattern spare lanes of a block start with.
-std::uint64_t sentinel_word(std::size_t index) {
-  return 0x5e9e1a5e9e1a0000ULL ^ (index * 0x9e3779b97f4a7c15ULL);
-}
-
-/// Every word of `block` set to its sentinel.
-void fill_sentinels(core::lane_block& block) {
-  std::size_t index = 0;
-  for (unsigned v = 0; v < block.versions(); ++v) {
-    for (std::size_t b = 0; b < block.words_per_channel(); ++b) {
-      for (unsigned l = 0; l < core::kXoshiroLanes; ++l) {
-        block.row(v, b)[l] = sentinel_word(index++);
-      }
-    }
-  }
-}
-
-/// Every word of lanes [from, kXoshiroLanes) of every channel still holds
-/// its sentinel.
-void expect_sentinels(const core::lane_block& block, unsigned from, const std::string& what) {
-  std::size_t index = 0;
-  for (unsigned v = 0; v < block.versions(); ++v) {
-    for (std::size_t b = 0; b < block.words_per_channel(); ++b) {
-      for (unsigned l = 0; l < core::kXoshiroLanes; ++l, ++index) {
-        if (l < from) continue;
-        ASSERT_EQ(block.row(v, b)[l], sentinel_word(index))
-            << what << ": spare lane " << l << " channel " << v << " word " << b << " written";
-      }
-    }
-  }
-}
-
 /// One fuzz case at the given dispatch level: every pair of the batch window
-/// must match the reference, and so must every live lane of
-/// sample_pair_counter_lanes on its own key, for every live-lane count, with
-/// the spare lanes' sentinel words left as they were.
+/// must match the reference, across a batch boundary, at a nonzero first
+/// pair and in a window of fewer pairs than lanes.
 void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
                           core::simd_level level, const std::string& what) {
   const auto plan = core::make_counter_sample_plan(u);
@@ -267,30 +237,6 @@ void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
   core::sample_pair_counter_batch(plan, u, key, /*first_pair=*/7, 1, sa, sb, level);
   expect_masks_equal(sa[0], a[7], what + " seek (a)");
   expect_masks_equal(sb[0], b[7], what + " seek (b)");
-
-  // Eight distinct streams, one per lane, into one block whose words start
-  // as sentinels: a call with `live` lanes writes no lane past it, and the
-  // calls run with ascending live counts.
-  constexpr unsigned kLanes = core::kXoshiroLanes;
-  std::array<std::uint64_t, kLanes> keys{};
-  for (unsigned l = 0; l < kLanes; ++l) keys[l] = stats::counter_stream_key(key, l);
-  core::lane_block block(2, u.size());
-  fill_sentinels(block);
-  core::fault_mask la, lb;
-  for (unsigned live = 0; live <= kLanes; ++live) {
-    const std::uint64_t pair = 3 * live + 1;
-    core::sample_pair_counter_lanes(plan, u, keys, pair, block, live, level);
-    for (unsigned l = 0; l < live; ++l) {
-      const std::string at =
-          what + " live " + std::to_string(live) + " lane " + std::to_string(l);
-      mc::sample_version_pair_counter_reference(u, keys[l], pair, ra, rb);
-      block.load_lane(0, l, la);
-      block.load_lane(1, l, lb);
-      expect_masks_equal(la, ra, at + " (a)");
-      expect_masks_equal(lb, rb, at + " (b)");
-    }
-    expect_sentinels(block, live, what + " live " + std::to_string(live));
-  }
 }
 
 /// 2011 faults rarer than the 2^-32 grid (p = 1e-12) with three p = 0.1
@@ -324,45 +270,67 @@ core::fault_universe make_saturated_universe(std::uint64_t seed) {
   return core::fault_universe(std::move(atoms));
 }
 
-/// The ~140-universe fuzz corpus: random heterogeneous universes (every word
-/// kind: slice, paired32, wide53, degenerate, saturated) × keys.
+/// Seed `seed`'s universes of the fuzz corpus, named: random heterogeneous
+/// universes covering every counter word kind (slice, paired32, wide53,
+/// zero, one, saturated paired32) and partial last words.
+std::vector<std::pair<std::string, core::fault_universe>> fuzz_universes(std::uint64_t seed) {
+  const std::string at = "/" + std::to_string(seed);
+  std::vector<std::pair<std::string, core::fault_universe>> out;
+  // Random p in (0, p_max): exercises paired32 words (and wide53 when p_max
+  // is tiny enough to break the 2^-32 grid).
+  out.emplace_back("random" + at, core::make_random_universe(64 + 13 * seed, 0.4, 0.3, seed));
+  out.emplace_back("tiny-p" + at, core::make_random_universe(96, 1e-10, 0.3, seed));
+  // Palette universes: mixed words before sorting, sliceable after.
+  const auto scattered = make_scattered_palette_universe(128 + 8 * seed, seed);
+  out.emplace_back("scattered" + at, scattered);
+  out.emplace_back("sorted" + at, core::make_p_sorted_permutation(scattered).universe);
+  // Degenerate thresholds (p = 0 and p = 1 words) + uneven tail.
+  const std::vector<core::fault_block> blocks = {
+      {64, 0.0, 0.001}, {64, 1.0, 0.001}, {64, 0.5, 0.001}, {37, 0.25, 0.001}};
+  out.emplace_back("degenerate" + at, core::make_grouped_universe(blocks));
+  out.emplace_back("off-grid" + at, make_off_grid_universe(seed));
+  out.emplace_back("saturated" + at, make_saturated_universe(seed));
+  return out;
+}
+
+/// The ~140-universe fuzz corpus × keys.
 void run_equivalence_fuzz(core::simd_level level) {
   const std::string lvl = core::simd_level_name(level);
   int cases = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const std::uint64_t key = stats::counter_stream_key(seed, 3);
-    // Random p in (0, p_max): exercises paired32 words (and wide53 when
-    // p_max is tiny enough to break the 2^-32 grid).
-    run_equivalence_case(core::make_random_universe(64 + 13 * seed, 0.4, 0.3, seed),
-                         key, level, lvl + " random/" + std::to_string(seed));
-    run_equivalence_case(core::make_random_universe(96, 1e-10, 0.3, seed), key,
-                         level, lvl + " tiny-p/" + std::to_string(seed));
-    // Palette universes: mixed words before sorting, sliceable after.
-    const auto scattered = make_scattered_palette_universe(128 + 8 * seed, seed);
-    run_equivalence_case(scattered, key, level,
-                         lvl + " scattered/" + std::to_string(seed));
-    run_equivalence_case(core::make_p_sorted_permutation(scattered).universe, key,
-                         level, lvl + " sorted/" + std::to_string(seed));
-    // Degenerate thresholds (p = 0 and p = 1 words) + uneven tail.
-    std::vector<core::fault_block> blocks = {{64, 0.0, 0.001},
-                                             {64, 1.0, 0.001},
-                                             {64, 0.5, 0.001},
-                                             {37, 0.25, 0.001}};
-    run_equivalence_case(core::make_grouped_universe(blocks), key, level,
-                         lvl + " degenerate/" + std::to_string(seed));
-    const core::fault_universe off_grid = make_off_grid_universe(seed);
-    ASSERT_FALSE(off_grid.fast32_grid_safe());
-    run_equivalence_case(off_grid, key, level, lvl + " off-grid/" + std::to_string(seed));
-    const core::fault_universe saturated = make_saturated_universe(seed);
-    const core::counter_sample_plan plan = core::make_counter_sample_plan(saturated);
-    for (const core::counter_word_plan& w : plan.words) {
-      ASSERT_EQ(w.kind, core::counter_word_kind::paired32);
-      ASSERT_EQ(std::popcount(w.saturated), 2);
+    for (const auto& [name, u] : fuzz_universes(seed)) {
+      run_equivalence_case(u, key, level, lvl + " " + name);
+      ++cases;
     }
-    run_equivalence_case(saturated, key, level, lvl + " saturated/" + std::to_string(seed));
-    cases += 7;
   }
   EXPECT_GE(cases, 140);
+}
+
+TEST(SimdEquivalenceFuzz, CorpusCoversEveryWordKind) {
+  // The off-grid universe must send its mixed words to wide53 and the
+  // saturated one every word to paired32 with two saturated faults; with the
+  // rest, the corpus holds every word kind and partial last words.
+  std::array<int, 5> kinds{};
+  int partial = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const auto& [name, u] : fuzz_universes(seed)) {
+      const core::counter_sample_plan plan = core::make_counter_sample_plan(u);
+      for (const core::counter_word_plan& w : plan.words) ++kinds[static_cast<int>(w.kind)];
+      partial += u.size() % 64 != 0 ? 1 : 0;
+      if (name.starts_with("off-grid")) {
+        EXPECT_FALSE(u.fast32_grid_safe()) << name;
+      }
+      if (name.starts_with("saturated")) {
+        for (const core::counter_word_plan& w : plan.words) {
+          EXPECT_EQ(w.kind, core::counter_word_kind::paired32) << name;
+          EXPECT_EQ(std::popcount(w.saturated), 2) << name;
+        }
+      }
+    }
+  }
+  for (std::size_t k = 0; k < kinds.size(); ++k) EXPECT_GT(kinds[k], 0) << "word kind " << k;
+  EXPECT_GT(partial, 0);
 }
 
 TEST(SimdEquivalenceFuzz, ScalarFallbackMatchesReference) {
@@ -470,36 +438,8 @@ TEST(MixtureLaneTables, ShiftedThresholdsAndSaturatedWords) {
                std::invalid_argument);
 }
 
-TEST(LaneBlock, LaneColumnsRoundTripThroughMasks) {
-  core::lane_block block(3, 70);
-  EXPECT_EQ(block.versions(), 3u);
-  EXPECT_EQ(block.bit_size(), 70u);
-  EXPECT_EQ(block.words_per_channel(), 2u);
-  for (unsigned v = 0; v < 3; ++v) {
-    for (std::size_t b = 0; b < 2; ++b) {
-      EXPECT_EQ(std::bit_cast<std::uintptr_t>(block.row(v, b)) % 64, 0u) << v << " " << b;
-      EXPECT_EQ(block.row(v, b), block.row(0, 0) + (v * 2 + b) * core::kXoshiroLanes);
-    }
-  }
-  core::fault_mask m(70);
-  for (const std::size_t i : {0u, 5u, 63u, 64u, 69u}) m.set(i);
-  block.store_lane(2, 5, m);
-  EXPECT_EQ(block.row(2, 0)[5], m.words()[0]);
-  EXPECT_EQ(block.row(2, 1)[5], m.words()[1]);
-  core::fault_mask back(3);
-  block.load_lane(2, 5, back);
-  EXPECT_EQ(back, m);
-  EXPECT_THROW(block.store_lane(2, 5, core::fault_mask(69)), std::out_of_range);
-  EXPECT_THROW(block.store_lane(3, 0, m), std::out_of_range);
-  EXPECT_THROW(block.load_lane(0, core::kXoshiroLanes, back), std::out_of_range);
-  const core::lane_block copy = block;
-  core::fault_mask from_copy;
-  copy.load_lane(2, 5, from_copy);
-  EXPECT_EQ(from_copy, m);
-}
-
 // ---------------------------------------------------------------------------
-// Lane fold vs running_moments::add and the sparse sums
+// The per-lane record vs running_moments::add and the sparse sums
 // ---------------------------------------------------------------------------
 
 bool bits_equal(double a, double b) {
@@ -550,102 +490,227 @@ void scribble_lane(core::accumulator_lanes& a, unsigned l, stats::rng& r) {
   }
 }
 
-TEST(LaneFold, MatchesRunningMomentsAndSparseSumsOnEveryLaneAtEveryLevel) {
+/// The faults present in at least `votes` of `channels`.
+core::fault_mask defeated_set(const std::vector<core::fault_mask>& channels, unsigned votes,
+                              std::size_t n) {
+  core::fault_mask defeated(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    unsigned hits = 0;
+    for (const core::fault_mask& m : channels) hits += m.test(i) ? 1 : 0;
+    if (hits >= votes) defeated.set(i);
+  }
+  return defeated;
+}
+
+TEST(RecordPairLane, MatchesRunningMomentsAndSparseSumsOnEveryVotesShape) {
+  // Every votes-of-versions shape up to kMaxFoldVersions channels, ω 0, 0.6
+  // and 1, universes of one fault to several words with partial last words:
+  // lanes 0 and 7 record ten pairs each, alternating, and each record must
+  // be what experiment_accumulator::add of the sparse ascending sums records,
+  // bit for bit, with θ1 and ω·θD handed to pair_thetas and every other lane
+  // of the accumulators and of the θs left as it was.
   constexpr unsigned kLanes = core::kXoshiroLanes;
-  constexpr int kSteps = 10;
-  const std::vector<core::simd_level> levels = levels_up_to_detected();
-  const std::pair<unsigned, unsigned> adjudications[] = {{1, 1}, {2, 2}, {3, 2}, {64, 64}};
+  constexpr int kSteps = 20;
   const double densities[] = {0.02, 0.3, 0.7, 0.97};
+  std::vector<std::pair<unsigned, unsigned>> shapes;
+  for (const unsigned versions : {1u, 2u, 3u, 5u}) {
+    for (unsigned votes = 1; votes <= versions; ++votes) shapes.emplace_back(versions, votes);
+  }
+  for (const unsigned votes : {1u, 2u, 33u, 63u, 64u}) {
+    shapes.emplace_back(core::kMaxFoldVersions, votes);
+  }
   stats::rng r(4242);
   for (const std::size_t n : {1u, 63u, 64u, 65u, 256u}) {
     // q spans several binades so a reordered add or Welford term moves bits.
     std::vector<double> q(n);
     for (double& qi : q) qi = std::ldexp(r.uniform(), -static_cast<int>(r() % 12)) / 8.0;
-    for (const auto& [versions, votes] : adjudications) {
+    for (const auto& [versions, votes] : shapes) {
       for (const double omega : {0.0, 0.6, 1.0}) {
-        for (unsigned live = 0; live <= kLanes; ++live) {
-          const std::string what = "n=" + std::to_string(n) + " " + std::to_string(votes) +
-                                   "of" + std::to_string(versions) +
-                                   " omega=" + std::to_string(omega) +
-                                   " live=" + std::to_string(live);
-          // Live lanes start empty (the first step meets no earlier pair);
-          // the spare lanes hold random bits that must survive every step.
-          core::accumulator_lanes start;
-          for (unsigned l = live; l < kLanes; ++l) scribble_lane(start, l, r);
-          std::vector<core::accumulator_lanes> got(levels.size(), start);
-          std::vector<mc::experiment_accumulator> want(live);
-          // Spare lanes' words hold sentinels that no fold may change.
-          core::lane_block block(versions, n);
-          fill_sentinels(block);
-          std::vector<core::fault_mask> channels(versions);
-          for (int step = 0; step < kSteps; ++step) {
-            // Step 0 clears every mask and step 1 sets every bit; the rest
-            // draw each mask at its own density.
-            for (unsigned l = 0; l < live; ++l) {
-              for (unsigned v = 0; v < versions; ++v) {
-                core::fault_mask& m = channels[v];
-                m.resize(n);
-                const double density = densities[r() % 4];
-                for (std::size_t i = 0; i < n; ++i) {
-                  if (step == 1 || (step > 1 && r.uniform() < density)) m.set(i);
-                }
-                block.store_lane(v, l, m);
-              }
-              core::fault_mask defeated(n);
-              for (std::size_t i = 0; i < n; ++i) {
-                unsigned hits = 0;
-                for (const core::fault_mask& m : channels) hits += m.test(i) ? 1 : 0;
-                if (hits >= votes) defeated.set(i);
-              }
-              const core::fault_mask& first = channels[0];
-              want[l].add(core::masked_q_sum(first, q), omega * core::masked_q_sum(defeated, q),
-                          first.any(), defeated.any() && omega > 0.0);
+        const std::string what = "n=" + std::to_string(n) + " " + std::to_string(votes) + "of" +
+                                 std::to_string(versions) + " omega=" + std::to_string(omega);
+        // Lanes 0 and 7 start empty (their first record meets no earlier
+        // pair); the others hold random bits that must survive.
+        core::accumulator_lanes got;
+        for (unsigned l = 1; l + 1 < kLanes; ++l) scribble_lane(got, l, r);
+        std::array<mc::experiment_accumulator, kLanes> want;
+        std::vector<core::fault_mask> channels(versions);
+        for (int step = 0; step < kSteps; ++step) {
+          const unsigned lane = step % 2 == 0 ? 0 : kLanes - 1;
+          // Steps 0 and 1 clear every mask and steps 2 and 3 set every bit;
+          // the rest draw each mask at its own density.
+          for (core::fault_mask& m : channels) {
+            m.resize(n);
+            const double density = densities[r() % 4];
+            for (std::size_t i = 0; i < n; ++i) {
+              if ((step / 2 == 1) || (step > 3 && r.uniform() < density)) m.set(i);
             }
-            for (std::size_t k = 0; k < levels.size(); ++k) {
-              core::fold_pair_lanes(got[k], block, votes, omega, q, live, levels[k]);
-            }
-            const std::string at = what + " step " + std::to_string(step);
-            expect_sentinels(block, live, at);
-            for (unsigned l = 0; l < live; ++l) {
-              expect_lane_state(got[0], l, want[l].state(), at + " lane " + std::to_string(l));
-            }
-            for (std::size_t k = 0; k < levels.size(); ++k) {
-              const std::string level = core::simd_level_name(levels[k]);
-              for (unsigned l = 0; l < kLanes; ++l) {
-                EXPECT_EQ(lane_bits(got[k], l), lane_bits(l < live ? got[0] : start, l))
-                    << at << " lane " << l << ": " << level
-                    << (l < live ? " differs from scalar" : " touched a spare lane");
-              }
-            }
-            if (::testing::Test::HasFailure()) return;
           }
+          const core::fault_mask defeated = defeated_set(channels, votes, n);
+          const double theta1 = core::masked_q_sum(channels[0], q);
+          const double theta2 = omega * core::masked_q_sum(defeated, q);
+          want[lane].add(theta1, theta2, channels[0].any(), defeated.any() && omega > 0.0);
+          const core::accumulator_lanes before = got;
+          core::pair_thetas thetas;
+          for (unsigned l = 0; l < kLanes; ++l) thetas.theta1[l] = thetas.theta2[l] = -1.0 - l;
+          core::record_pair_lane(got, lane, channels, votes, omega, q, &thetas);
+          const std::string at =
+              what + " step " + std::to_string(step) + " lane " + std::to_string(lane);
+          expect_lane_state(got, lane, want[lane].state(), at);
+          for (unsigned l = 0; l < kLanes; ++l) {
+            if (l == lane) {
+              EXPECT_TRUE(bits_equal(thetas.theta1[l], theta1)) << at << " theta1";
+              EXPECT_TRUE(bits_equal(thetas.theta2[l], theta2)) << at << " theta2";
+            } else {
+              EXPECT_EQ(lane_bits(got, l), lane_bits(before, l)) << at << ": lane " << l;
+              EXPECT_EQ(thetas.theta1[l], -1.0 - l) << at << ": theta1 of lane " << l;
+              EXPECT_EQ(thetas.theta2[l], -1.0 - l) << at << ": theta2 of lane " << l;
+            }
+          }
+          if (::testing::Test::HasFailure()) return;
         }
       }
     }
   }
 }
 
-TEST(LaneFold, RejectsBadShapes) {
+TEST(RecordPairLane, RejectsBadShapes) {
   core::accumulator_lanes acc;
   const std::vector<double> q(10, 0.1);
-  core::lane_block block(2, 10);
-  const auto fold = [&](unsigned votes, unsigned live) {
-    core::fold_pair_lanes(acc, block, votes, 1.0, q, live, core::simd_level::scalar);
+  std::vector<core::fault_mask> channels(2, core::fault_mask(10));
+  const auto record = [&](unsigned votes, unsigned lane) {
+    core::record_pair_lane(acc, lane, channels, votes, 1.0, q);
   };
-  EXPECT_THROW(fold(0, 8), std::invalid_argument);
-  EXPECT_THROW(fold(3, 8), std::invalid_argument);
-  EXPECT_THROW(fold(2, 9), std::invalid_argument);
-  block = core::lane_block(2, 11);
-  EXPECT_THROW(fold(2, 8), std::invalid_argument);
-  block = core::lane_block(2, 10);
-  EXPECT_NO_THROW(fold(2, 3));
+  EXPECT_THROW(record(0, 0), std::invalid_argument);
+  EXPECT_THROW(record(3, 0), std::invalid_argument);
+  EXPECT_THROW(record(2, core::kXoshiroLanes), std::invalid_argument);
+  EXPECT_NO_THROW(record(2, core::kXoshiroLanes - 1));
+  // A lane records on its own count, whatever the others hold.
   acc.samples[2] = 5;
-  EXPECT_THROW(fold(2, 3), std::invalid_argument);
-  EXPECT_NO_THROW(fold(2, 2));
-  block = core::lane_block(core::kMaxFoldVersions + 1, 10);
-  EXPECT_THROW(fold(2, 2), std::invalid_argument);
-  block = core::lane_block(0, 10);
-  EXPECT_THROW(fold(1, 2), std::invalid_argument);
+  EXPECT_NO_THROW(record(2, 0));
+  EXPECT_NO_THROW(record(2, 2));
+  EXPECT_EQ(acc.samples[2], 6u);
+  // A channel of another size: a sampler built over another universe.
+  channels[1] = core::fault_mask(11);
+  EXPECT_THROW(record(2, 0), std::out_of_range);
+  channels.assign(core::kMaxFoldVersions + 1, core::fault_mask(10));
+  EXPECT_THROW(record(2, 0), std::invalid_argument);
+  channels.clear();
+  EXPECT_THROW(record(1, 0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Counter pair step vs the reference draw and experiment_accumulator::add
+// ---------------------------------------------------------------------------
+
+/// One lane's reference pair step: pair `pair` of counter stream `key`
+/// drawn by mc::sample_version_pair_counter_reference and recorded as the
+/// fast-simd shard loop records it, by experiment_accumulator::add of
+/// masked_q_sum(a) and intersect_q_sum(a, b).  Returns (θ1, θ2).
+std::pair<double, double> reference_counter_pair(const core::fault_universe& u,
+                                                 std::uint64_t key, std::uint64_t pair,
+                                                 mc::experiment_accumulator& acc) {
+  core::fault_mask a;
+  core::fault_mask b;
+  mc::sample_version_pair_counter_reference(u, key, pair, a, b);
+  const core::pair_intersection_result common = core::intersect_q_sum(a, b, u.q_array());
+  const double theta1 = core::masked_q_sum(a, u.q_array());
+  acc.add(theta1, common.pfd, a.any(), common.any_common);
+  return {theta1, common.pfd};
+}
+
+/// The counter pair step on u at `level`, on eight distinct streams, for
+/// every group size: `active` lanes run three lockstep pair steps, then the
+/// first `longer` of them one more, as run_shard_lanes schedules shards whose
+/// sizes differ by one (active 0 is a group's empty tail).  Every step must
+/// record what the reference records on each live lane and hand its θ1 and
+/// θ2 to pair_thetas, leaving the accumulators and θs of the spare lanes as
+/// they were.
+void run_counter_step_case(const core::fault_universe& u, std::uint64_t seed,
+                           core::simd_level level, const std::string& what,
+                           stats::rng& scribbles) {
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  const core::counter_sample_plan plan = core::make_counter_sample_plan(u);
+  std::array<std::uint64_t, kLanes> keys{};
+  for (unsigned l = 0; l < kLanes; ++l) keys[l] = stats::counter_stream_key(seed, l);
+  for (unsigned active = 0; active <= kLanes; ++active) {
+    const unsigned longer = active / 2;
+    core::accumulator_lanes got;
+    for (unsigned l = active; l < kLanes; ++l) scribble_lane(got, l, scribbles);
+    const core::accumulator_lanes start = got;
+    std::vector<mc::experiment_accumulator> want(active);
+    for (std::uint64_t pair = 0; pair < 4; ++pair) {
+      const unsigned live = pair < 3 ? active : longer;
+      core::pair_thetas thetas;
+      for (unsigned l = 0; l < kLanes; ++l) {
+        thetas.theta1[l] = -1.0 - l;
+        thetas.theta2[l] = -2.0 - l;
+      }
+      core::counter_pair_step_lanes(plan, u, keys, pair, got, live, level, &thetas);
+      const std::string at = what + " active " + std::to_string(active) + " pair " +
+                             std::to_string(pair) + " lane ";
+      for (unsigned l = 0; l < kLanes; ++l) {
+        if (l < live) {
+          const auto [theta1, theta2] = reference_counter_pair(u, keys[l], pair, want[l]);
+          EXPECT_TRUE(bits_equal(thetas.theta1[l], theta1)) << at << l << " theta1";
+          EXPECT_TRUE(bits_equal(thetas.theta2[l], theta2)) << at << l << " theta2";
+        } else {
+          EXPECT_EQ(thetas.theta1[l], -1.0 - l) << at << l << " (spare theta1)";
+          EXPECT_EQ(thetas.theta2[l], -2.0 - l) << at << l << " (spare theta2)";
+        }
+        if (l < active) {
+          expect_lane_state(got, l, want[l].state(), at + std::to_string(l));
+        } else {
+          EXPECT_EQ(lane_bits(got, l), lane_bits(start, l))
+              << at << l << " (spare accumulator written)";
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(CounterPairStep, MatchesReferenceOnEveryWordKindAtEveryLevel) {
+  // The fuzz corpus's zero, one, slice, paired32 (p = 1 atoms saturating
+  // their 32-bit threshold) and wide53 words, partial last words, and the
+  // empty and one-fault universes.
+  stats::rng scribbles(11);
+  for (const auto level : levels_up_to_detected()) {
+    const std::string lvl = core::simd_level_name(level);
+    run_counter_step_case(core::fault_universe(), 1, level, lvl + " empty", scribbles);
+    run_counter_step_case(core::make_homogeneous_universe(1, 0.5, 0.1), 1, level,
+                          lvl + " single", scribbles);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      for (const auto& [name, u] : fuzz_universes(seed)) {
+        run_counter_step_case(u, seed, level, lvl + " " + name, scribbles);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(CounterPairStep, RejectsBadShapes) {
+  const core::fault_universe u = core::make_random_universe(70, 0.3, 0.5, 2);
+  const core::counter_sample_plan plan = core::make_counter_sample_plan(u);
+  const std::array<std::uint64_t, core::kXoshiroLanes> keys{1, 2, 3, 4, 5, 6, 7, 8};
+  core::accumulator_lanes acc;
+  const auto step = [&](const core::counter_sample_plan& p, const core::fault_universe& v,
+                        unsigned live) {
+    core::counter_pair_step_lanes(p, v, keys, 0, acc, live, core::simd_level::scalar);
+  };
+  EXPECT_NO_THROW(step(plan, u, core::kXoshiroLanes));
+  EXPECT_THROW(step(plan, u, core::kXoshiroLanes + 1), std::invalid_argument);
+  // A plan built over another universe.
+  const core::fault_universe other = core::make_random_universe(71, 0.3, 0.5, 2);
+  EXPECT_THROW(step(plan, other, 1), std::invalid_argument);
+  EXPECT_THROW(step(core::make_counter_sample_plan(other), u, 1), std::invalid_argument);
+  // Live lanes holding different sample counts; live 0 records nothing.
+  acc = core::accumulator_lanes();
+  acc.samples[2] = 5;
+  EXPECT_THROW(step(plan, u, 3), std::invalid_argument);
+  EXPECT_NO_THROW(step(plan, u, 2));
+  EXPECT_NO_THROW(step(plan, u, 0));
+  EXPECT_EQ(acc.samples[0], 1u);
+  EXPECT_EQ(acc.samples[2], 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -674,12 +739,7 @@ std::pair<double, double> reference_pair(stats::rng& r, const Draw& draw, unsign
                                          mc::experiment_accumulator& acc) {
   std::vector<core::fault_mask> channels(versions);
   for (core::fault_mask& m : channels) draw(r, m);
-  core::fault_mask defeated(q.size());
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    unsigned hits = 0;
-    for (const core::fault_mask& m : channels) hits += m.test(i) ? 1 : 0;
-    if (hits >= votes) defeated.set(i);
-  }
+  const core::fault_mask defeated = defeated_set(channels, votes, q.size());
   const double theta1 = core::masked_q_sum(channels[0], q);
   const double theta2 = omega * core::masked_q_sum(defeated, q);
   acc.add(theta1, theta2, channels[0].any(), defeated.any() && omega > 0.0);

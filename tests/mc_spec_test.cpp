@@ -591,7 +591,7 @@ TEST(SweepSpec, TwoOutOfThreeMixtureCellMatchesBruteForce) {
 }
 
 TEST(SweepSpec, PairMixtureCellsMatchBruteForceAtEveryLevel) {
-  // Every cell shape the pair fold serves — the mixture, the copula at
+  // Every cell shape the pair loop serves — the mixture, the copula at
   // negative and positive rho, and the {2,2} pair, 2-out-of-3 and a simplex
   // adjudication — at the scalar cap, the AVX2 cap and uncapped, against the
   // brute-force shard loop, full accumulator state bit for bit.  The budgets
