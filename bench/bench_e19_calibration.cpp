@@ -70,8 +70,10 @@ int main() {
   stats::rng r2(194);
   const std::uint64_t demands = 100;  // short campaigns: binomial noise matters
   std::vector<std::uint64_t> failures;
+  core::fault_mask version;
   for (int v = 0; v < 200; ++v) {
-    const double pfd = mc::pfd_of(mc::sample_version(u, r2), u);
+    mc::sample_version_mask(u, r2, version);
+    const double pfd = mc::pfd_of(version, u);
     std::uint64_t f = 0;
     for (std::uint64_t k = 0; k < demands; ++k) {
       if (r2.bernoulli(pfd)) ++f;

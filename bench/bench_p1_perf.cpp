@@ -11,6 +11,7 @@
 #include "core/pfd_distribution.hpp"
 #include "mc/experiment.hpp"
 #include "mc/sampler.hpp"
+#include "sparse_oracle.hpp"
 #include "stats/poisson_binomial.hpp"
 #include "stats/random.hpp"
 
@@ -55,12 +56,14 @@ void BM_GridDistribution(benchmark::State& state) {
 }
 BENCHMARK(BM_GridDistribution)->Range(64, 1024);
 
+// The sparse index-list sampler the mask kernels replaced (the test oracle
+// of tests/sparse_oracle.hpp): the baseline of the mask sampler below.
 void BM_SampleVersion(benchmark::State& state) {
   const auto u = core::make_random_universe(static_cast<std::size_t>(state.range(0)), 0.3,
                                             0.8, 5);
   stats::rng r(6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mc::sample_version(u, r));
+    benchmark::DoNotOptimize(sparse::sample_version(u, r));
   }
 }
 BENCHMARK(BM_SampleVersion)->Range(16, 1024);
@@ -84,11 +87,11 @@ void BM_PairPfdSparse(benchmark::State& state) {
   const auto u = core::make_random_universe(static_cast<std::size_t>(state.range(0)), 0.3,
                                             0.8, 5);
   stats::rng r(6);
-  const auto a = mc::sample_version(u, r);
-  const auto b = mc::sample_version(u, r);
+  const auto a = sparse::sample_version(u, r);
+  const auto b = sparse::sample_version(u, r);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mc::pair_pfd(a, b, u));
-    benchmark::DoNotOptimize(mc::common_faults(a, b).empty());
+    benchmark::DoNotOptimize(sparse::pair_pfd(a, b, u));
+    benchmark::DoNotOptimize(sparse::common_faults(a, b).empty());
   }
 }
 BENCHMARK(BM_PairPfdSparse)->Range(16, 1024);
@@ -97,10 +100,10 @@ void BM_PairPfdMask(benchmark::State& state) {
   const auto u = core::make_random_universe(static_cast<std::size_t>(state.range(0)), 0.3,
                                             0.8, 5);
   stats::rng r(6);
-  const auto a = mc::sample_version(u, r);
-  const auto b = mc::sample_version(u, r);
-  const auto ma = mc::to_mask(a, u.size());
-  const auto mb = mc::to_mask(b, u.size());
+  core::fault_mask ma;
+  core::fault_mask mb;
+  mc::sample_version_mask(u, r, ma);
+  mc::sample_version_mask(u, r, mb);
   for (auto _ : state) {
     benchmark::DoNotOptimize(mc::pair_pfd_stats(ma, mb, u));
   }

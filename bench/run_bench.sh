@@ -5,7 +5,8 @@
 #   BENCH_p1.json — kernel + end-to-end engine comparison (bench_p1_perf;
 #                   BM_RunExperimentExact is the bit-exact reference engine,
 #                   BM_RunExperimentFastSimd the default one, BM_SampleVersion
-#                   the sparse sampler the mask kernels replaced).
+#                   the sparse sampler the mask kernels replaced, now the
+#                   test oracle tests/sparse_oracle.hpp).
 #   BENCH_p2.json — deterministic sharded-runner throughput across worker
 #                   counts (bench_runner_scaling; one thread is the
 #                   baseline).

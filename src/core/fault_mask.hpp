@@ -114,7 +114,7 @@ class fault_mask {
     return *this;
   }
 
-  /// Ascending indices of set bits (the sparse `version` representation).
+  /// Ascending indices of set bits (the sparse index-list form of the set).
   [[nodiscard]] std::vector<std::uint32_t> to_indices() const {
     std::vector<std::uint32_t> out;
     out.reserve(popcount());

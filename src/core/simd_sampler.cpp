@@ -206,6 +206,19 @@ double add_word_q(double sum, std::uint64_t w, const double* q) noexcept {
   return sum;
 }
 
+/// Σ w[i] over the set bits i of `word`, ascending, onto sum, with
+/// `positive` set when some of those w[i] is above 0.
+double add_word_weights(double sum, std::uint64_t word, const double* w,
+                        std::uint64_t& positive) noexcept {
+  while (word != 0) {
+    const double wi = w[std::countr_zero(word)];
+    sum += wi;
+    positive |= wi > 0.0 ? 1 : 0;
+    word &= word - 1;
+  }
+  return sum;
+}
+
 /// stats::running_moments::add(x) on lane l of m, term for term.
 void welford_add(moments_lanes& m, unsigned l, double x, const welford_step& s) noexcept {
   if (s.first) {
@@ -253,11 +266,13 @@ void record_pair(accumulator_lanes& acc, unsigned l, double theta1, double defea
 /// the faults of the word seen in >= j+1 of the channels layered in so far,
 /// so layering channel v in is ge[j] |= ge[j-1] & v from the top down;
 /// ge[votes-1] ends as the defeated set.  θ1 and θD take the words side by
-/// side, each ascending.
+/// side, each ascending; θD sums `weights` instead of q when it is not null,
+/// and then the defeated set counts as non-empty only through a weight
+/// above 0.
 template <typename Word>
 void record_lane(accumulator_lanes& acc, unsigned l, std::size_t nw, unsigned versions,
-                 unsigned votes, double omega, const double* q, const welford_step& step,
-                 pair_thetas* thetas, const Word& word) noexcept {
+                 unsigned votes, double omega, const double* q, const double* weights,
+                 const welford_step& step, pair_thetas* thetas, const Word& word) noexcept {
   std::array<std::uint64_t, kMaxFoldVersions> ge{};
   double theta1 = 0.0;
   double defeated_q = 0.0;
@@ -274,8 +289,12 @@ void record_lane(accumulator_lanes& acc, unsigned l, std::size_t nw, unsigned ve
     }
     any1 |= first;
     theta1 = add_word_q(theta1, first, q + (b << 6));
-    any_defeated |= ge[votes - 1];
-    defeated_q = add_word_q(defeated_q, ge[votes - 1], q + (b << 6));
+    if (weights == nullptr) {
+      any_defeated |= ge[votes - 1];
+      defeated_q = add_word_q(defeated_q, ge[votes - 1], q + (b << 6));
+    } else {
+      defeated_q = add_word_weights(defeated_q, ge[votes - 1], weights + (b << 6), any_defeated);
+    }
   }
   record_pair(acc, l, theta1, defeated_q, any1 != 0, any_defeated != 0, omega, step, thetas);
 }
@@ -388,7 +407,7 @@ void xoshiro_pair_step_scalar(xoshiro_lanes& lanes, const xoshiro_lane_tables& t
       }
     }
     lanes.set_lane(l, r);
-    record_lane(acc, l, nw, versions, votes, omega, q, step, thetas,
+    record_lane(acc, l, nw, versions, votes, omega, q, nullptr, step, thetas,
                 [channels, nw](unsigned v, std::size_t b) { return channels[v * nw + b]; });
   }
 }
@@ -444,7 +463,8 @@ void check_counter_plan(const counter_sample_plan& plan, const fault_universe& u
 
 void record_pair_lane(accumulator_lanes& acc, unsigned lane,
                       std::span<const fault_mask> channels, unsigned votes, double omega,
-                      std::span<const double> q, pair_thetas* thetas) {
+                      std::span<const double> q, pair_thetas* thetas,
+                      std::span<const double> weights) {
   const auto versions = static_cast<unsigned>(std::min<std::size_t>(channels.size(),
                                                                     kMaxFoldVersions + 1));
   check_shape(versions, votes, "record_pair_lane");
@@ -456,8 +476,12 @@ void record_pair_lane(accumulator_lanes& acc, unsigned lane,
       throw std::out_of_range("record_pair_lane: channel and q sizes differ");
     }
   }
+  if (!weights.empty() && weights.size() != q.size()) {
+    throw std::invalid_argument("record_pair_lane: weights and q sizes differ");
+  }
   detail::record_lane(acc, lane, fault_mask::words_needed(q.size()), versions, votes, omega,
-                      q.data(), make_welford_step(acc.samples[lane]), thetas,
+                      q.data(), weights.empty() ? nullptr : weights.data(),
+                      make_welford_step(acc.samples[lane]), thetas,
                       [channels](unsigned v, std::size_t b) { return channels[v].words()[b]; });
 }
 

@@ -22,8 +22,9 @@
 // the counters and the Welford moments, into eight structure-of-arrays pair
 // accumulators, with the IEEE operations of experiment_accumulator::add in
 // the same order.  The per-lane record is also the whole record of the
-// samplers without lane tables (the copula, the aliased model), which draw
-// one lane at a time.  Neither step stores the masks it draws: the counter
+// samplers without lane tables (the copula, the aliased model) and of the
+// pair campaign, which draw one lane at a time; the campaign hands it a θ2
+// weight span.  Neither step stores the masks it draws: the counter
 // step sums each word of the eight lanes from the registers that drew it,
 // and the xoshiro step adds each fault's q into θ1 under the lanes
 // that drew it while drawing channel 0, keeps the hits of the channels
@@ -160,13 +161,22 @@ struct pair_thetas {
 /// `thetas` is not null, its lane `lane` receives the θ1 and ω·θD just
 /// recorded.  Both pair steps record each live lane as this does; the
 /// samplers without lane tables (the copula, the aliased model) record
-/// through it directly.  Throws std::invalid_argument unless 1 <= votes <=
-/// channels.size() <= kMaxFoldVersions and lane < kXoshiroLanes, and
-/// std::out_of_range when a channel does not have q.size() bits (a sampler
-/// built over another universe).
+/// through it directly.
+///
+/// A non-empty `weights` span replaces q in θD alone: θD = Σ weights[i] over
+/// D, in the same ascending order, and D counts as non-empty only when some
+/// fault of D has weights[i] > 0.  That is mc::run_pair_campaign's record,
+/// whose weights are per-fault coincidence masses (a shared fault whose
+/// regions never coincide is no common failure point).
+///
+/// Throws std::invalid_argument unless 1 <= votes <= channels.size() <=
+/// kMaxFoldVersions and lane < kXoshiroLanes, or when `weights` is neither
+/// empty nor of q.size() entries, and std::out_of_range when a channel does
+/// not have q.size() bits (a sampler built over another universe).
 void record_pair_lane(accumulator_lanes& acc, unsigned lane,
                       std::span<const fault_mask> channels, unsigned votes, double omega,
-                      std::span<const double> q, pair_thetas* thetas = nullptr);
+                      std::span<const double> q, pair_thetas* thetas = nullptr,
+                      std::span<const double> weights = {});
 
 // ---------------------------------------------------------------------------
 // Counter pair step

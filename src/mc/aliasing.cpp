@@ -69,12 +69,6 @@ double aliased_model::true_p_max() const {
   return m;
 }
 
-version aliased_model::sample(stats::rng& r) const {
-  core::fault_mask m;
-  sample_mask(r, m);
-  return to_version(m);
-}
-
 void aliased_model::sample_mask(stats::rng& r, core::fault_mask& out) const {
   if (out.bit_size() != regions_.size()) out.resize(regions_.size());
   out.clear();

@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/fault_mask.hpp"
 #include "core/fault_universe.hpp"
-#include "mc/sampler.hpp"
 #include "stats/random.hpp"
 
 namespace reldiv::mc {
@@ -51,11 +51,8 @@ class aliased_model {
   [[nodiscard]] double true_p_max() const;
 
   /// Sample a version at the mistake level (region present iff any of its
-  /// mistakes fires).  Fault indices refer to regions.
-  [[nodiscard]] version sample(stats::rng& r) const;
-
-  /// Mask-based sampling: same rng decisions as sample() (bit-exact); bit i
-  /// of `out` is region i's presence.
+  /// mistakes fires, the region's mistakes drawn in order until one does):
+  /// bit i of `out` is region i's presence.
   void sample_mask(stats::rng& r, core::fault_mask& out) const;
 
  private:

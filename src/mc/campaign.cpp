@@ -1,10 +1,43 @@
 #include "mc/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 
+#include "core/simd_sampler.hpp"
 #include "mc/sampler.hpp"
+#include "mc/shard_lanes.hpp"
 
 namespace reldiv::mc {
+
+namespace {
+
+/// Targets per demand-campaign worker.  A target is one binomial draw of a
+/// few hundred nanoseconds, so a worker costs more to start than a short
+/// roster saves: on the 4-CPU host this was measured on, two workers first
+/// beat one at a roster of about 512 targets (10^6 demands each).
+constexpr std::size_t kTargetsPerWorker = 512;
+
+/// Score targets [begin, end) of the roster into out[t - begin], each
+/// target's failure count one binomial draw from its own stream, over at
+/// most ⌈(end - begin) / kTargetsPerWorker⌉ workers: a window too short to
+/// feed two runs on the calling thread.
+void score_targets(std::span<const double> target_pfd, std::uint64_t demands,
+                   const campaign_config& cfg, std::size_t begin, std::size_t end,
+                   std::span<std::uint64_t> out) {
+  const std::size_t fed = (end - begin + kTargetsPerWorker - 1) / kTargetsPerWorker;
+  run_jobs(
+      begin, end, fed > 1 ? resolve_threads(cfg.threads, fed) : 1,
+      [&](std::size_t target) {
+        // O(1) per-target stream derivation: workers seed their own streams,
+        // so there is no serial jump walk to amortize and any window of a
+        // huge roster starts instantly.
+        stats::rng r(target_stream_seed(cfg.seed, target));
+        return stats::binomial_deviate(r, demands, target_pfd[target]);
+      },
+      [&](std::size_t target, std::uint64_t&& fails) { out[target - begin] = fails; });
+}
+
+}  // namespace
 
 std::vector<double> demand_tally::rates() const {
   std::vector<double> out;
@@ -34,18 +67,8 @@ void run_demand_campaign_window(std::span<const double> target_pfd, std::uint64_
   if (out.failures.size() != target_pfd.size() || out.demands != demands) {
     throw std::invalid_argument("run_demand_campaign: tally does not match campaign");
   }
-  if (target_begin == target_end) return;
-
-  run_jobs(
-      target_begin, target_end, cfg.threads,
-      [&](std::size_t target) {
-        // O(1) per-target stream derivation: workers seed their own streams,
-        // so there is no serial jump walk to amortize and any window of a
-        // huge roster starts instantly.
-        stats::rng r(target_stream_seed(cfg.seed, target));
-        return stats::binomial_deviate(r, demands, target_pfd[target]);
-      },
-      [&out](std::size_t target, std::uint64_t&& fails) { out.failures[target] = fails; });
+  score_targets(target_pfd, demands, cfg, target_begin, target_end,
+                std::span(out.failures).subspan(target_begin, target_end - target_begin));
 }
 
 demand_tally run_demand_campaign(std::span<const double> target_pfd, std::uint64_t demands,
@@ -93,45 +116,14 @@ void demand_manifest::validate() const {
 demand_window_result run_demand_window(const demand_manifest& m, std::uint64_t index,
                                        unsigned threads) {
   const auto [begin, end] = m.window_bounds(index);
-  demand_tally scratch;
-  scratch.demands = m.demands;
-  scratch.failures.assign(m.target_pfd.size(), 0);
-  run_demand_campaign_window(m.target_pfd, m.demands, m.config(threads), begin, end,
-                             scratch);
   demand_window_result out;
   out.target_begin = begin;
   out.target_end = end;
   out.demands = m.demands;
-  out.failures.assign(scratch.failures.begin() + static_cast<std::ptrdiff_t>(begin),
-                      scratch.failures.begin() + static_cast<std::ptrdiff_t>(end));
+  out.failures.assign(end - begin, 0);
+  score_targets(m.target_pfd, m.demands, m.config(threads), begin, end, out.failures);
   return out;
 }
-
-namespace {
-
-/// Σ w[i] over faults common to a and b, plus "some common fault has
-/// positive weight" — the coincidence-weighted sibling of
-/// core::intersect_q_sum (a common fault with w == 0 never produces a
-/// common failure point, so it must not count toward N2 > 0).
-core::pair_intersection_result intersect_weighted_sum(const core::fault_mask& a,
-                                                      const core::fault_mask& b,
-                                                      std::span<const double> w) noexcept {
-  core::pair_intersection_result out;
-  const std::uint64_t* wa = a.words();
-  const std::uint64_t* wb = b.words();
-  for (std::size_t blk = 0; blk < a.word_count(); ++blk) {
-    std::uint64_t common = wa[blk] & wb[blk];
-    while (common != 0) {
-      const double wi = w[(blk << 6) + static_cast<std::size_t>(std::countr_zero(common))];
-      out.pfd += wi;
-      if (wi > 0.0) out.any_common = true;
-      common &= common - 1;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 experiment_result run_pair_campaign(const core::fault_universe& channel_a,
                                     const core::fault_universe& channel_b,
@@ -147,21 +139,23 @@ experiment_result run_pair_campaign(const core::fault_universe& channel_a,
     throw std::invalid_argument("run_pair_campaign: samples must be > 0");
   }
   const shard_plan plan = make_shard_plan(samples, cfg.shards);
+  const lane_fold fold{.q = channel_a.q_array()};
   experiment_accumulator total;
-  run_shards(
-      plan, cfg.seed, cfg.threads,
-      [&](unsigned /*shard*/, std::uint64_t count, stats::rng& r) {
-        experiment_accumulator acc;
-        core::fault_mask a(channel_a.size());
-        core::fault_mask b(channel_b.size());
-        for (std::uint64_t s = 0; s < count; ++s) {
-          sample_version_mask(channel_a, r, a);
-          sample_version_mask(channel_b, r, b);
-          const double t1 = core::masked_q_sum(a, channel_a.q_array());
-          const auto pair = intersect_weighted_sum(a, b, coincidence_q);
-          acc.add(t1, pair.pfd, a.any(), pair.any_common);
-        }
-        return acc;
+  run_xoshiro_lanes(
+      plan, cfg.seed, 0, plan.shard_count, cfg.threads, fold,
+      [&](const core::xoshiro_lanes& lanes) {
+        return [&, lanes = lanes, channels = std::array<core::fault_mask, 2>()](
+                   std::uint64_t /*step*/, unsigned live, core::accumulator_lanes& acc,
+                   core::pair_thetas* thetas) mutable {
+          for (unsigned l = 0; l < live; ++l) {
+            stats::rng r = lanes.lane(l);
+            sample_version_mask(channel_a, r, channels[0]);
+            sample_version_mask(channel_b, r, channels[1]);
+            lanes.set_lane(l, r);
+            core::record_pair_lane(acc, l, channels, fold.votes, fold.omega, fold.q, thetas,
+                                   coincidence_q);
+          }
+        };
       },
       [&total](unsigned /*shard*/, experiment_accumulator&& acc) { total.merge(acc); });
   experiment_result result = total.to_result();

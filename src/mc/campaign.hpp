@@ -25,10 +25,12 @@
 //                      with per-fault coincidence weights for functional
 //                      diversity): the sample budget is decomposed by
 //                      make_shard_plan (budget-scaled logical shards), each
-//                      shard owning stream(seed, shard), shard accumulators
-//                      merged in shard order into an experiment_accumulator.
-//                      forced/functional scoring and the scenario grid's
-//                      correlated cells ride on it.
+//                      shard owning stream(seed, shard), and the shards run
+//                      eight per lane group through the library's one pair
+//                      loop (mc::run_xoshiro_lanes, shard_lanes.hpp), their
+//                      accumulators merged in shard order into an
+//                      experiment_accumulator.  forced/functional scoring
+//                      rides on it.
 //
 // Determinism contract (inherited from shard_runner): thread count is a
 // throughput knob, never a results knob.  The chosen logical layout (shard
@@ -93,7 +95,10 @@ struct demand_tally {
 /// stats::rng(target_stream_seed(cfg.seed, t)), accumulated into `out`
 /// (which must already be sized to the full roster with out.demands ==
 /// demands).  The per-target streams make the result independent of both
-/// the thread count and how the roster is windowed across calls.
+/// the thread count and how the roster is windowed across calls.  A target
+/// is a few hundred nanoseconds of work, so the window starts at most one
+/// of cfg.threads' workers per 512 targets; a short window runs on the
+/// calling thread.
 void run_demand_campaign_window(std::span<const double> target_pfd, std::uint64_t demands,
                                 const campaign_config& cfg, std::size_t target_begin,
                                 std::size_t target_end, demand_tally& out);
@@ -162,18 +167,21 @@ struct demand_window_result {
 
 /// Monte-Carlo scoring of a 1-out-of-2 pair whose channels are developed by
 /// (possibly) different processes over the SAME failure regions: per sample,
-/// version A is drawn from `channel_a`, B from `channel_b` (53-bit
-/// exact-stream kernels), θ1 is A's PFD and θ2 is Σ coincidence_q[i] over
-/// faults present in both.  `coincidence_q` carries functional-diversity
+/// version A is drawn from `channel_a`, then B from `channel_b`, each with
+/// sample_version_mask (53-bit exact-stream thresholds); θ1 is A's PFD and
+/// θ2 is Σ coincidence_q[i] over faults present in both, each summed in
+/// ascending fault order.  `coincidence_q` carries functional-diversity
 /// overlap thinning (ω_i·q_i); pass channel_a.q_array() for plain forced
 /// diversity.  A pair counts toward n2_positive only when some common fault
 /// has coincidence_q > 0 (a shared fault whose regions never coincide is not
-/// a common failure point).
+/// a common failure point).  Each pair is recorded by core::record_pair_lane
+/// with coincidence_q as its θ2 weight span.
 ///
 /// The budget is decomposed by make_shard_plan(samples, cfg.shards); shard s
-/// draws from stream(cfg.seed, s) and accumulators merge in shard order —
-/// bit-identical across thread counts.  The layout is recorded in the
-/// result's `shards` field.
+/// draws from stream(cfg.seed, s), the shards run eight per lane group
+/// (mc::run_xoshiro_lanes) fanned out over cfg.threads, and accumulators
+/// merge in shard order — bit-identical across thread counts.  The layout
+/// is recorded in the result's `shards` field.
 [[nodiscard]] experiment_result run_pair_campaign(const core::fault_universe& channel_a,
                                                   const core::fault_universe& channel_b,
                                                   std::span<const double> coincidence_q,

@@ -48,14 +48,6 @@ common_cause_mixture::common_cause_mixture(const core::fault_universe& u, double
                                                std::move(relaxed_thresh));
 }
 
-version common_cause_mixture::sample(stats::rng& r) const {
-  // Delegate to the mask sampler so the sparse and packed paths cannot
-  // diverge: identical rng consumption, indices emitted in ascending order.
-  core::fault_mask m;
-  sample_mask(r, m);
-  return to_version(m);
-}
-
 void common_cause_mixture::sample_mask(stats::rng& r, core::fault_mask& out) const {
   const bool stressed = r.bernoulli(rho_);
   sample_mask_from_thresholds(stressed ? thresholds_.stressed : thresholds_.relaxed, r, out);
@@ -95,12 +87,6 @@ gaussian_copula_sampler::gaussian_copula_sampler(const core::fault_universe& u, 
       thresholds_.push_back(stats::normal_quantile(a.p));
     }
   }
-}
-
-version gaussian_copula_sampler::sample(stats::rng& r) const {
-  core::fault_mask m;
-  sample_mask(r, m);
-  return to_version(m);
 }
 
 void gaussian_copula_sampler::sample_mask(stats::rng& r, core::fault_mask& out) const {

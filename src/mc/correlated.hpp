@@ -24,14 +24,15 @@
 // pair independently, so E[θ2] = Σ p_i² q_i whatever rho is.  Negative rho is
 // not forced diversity between the channels.
 //
-// run_correlated and scenario cells run their lane groups through
-// mc/shard_lanes.hpp.  The mixture draws and records each pair step with
-// core::xoshiro_pair_step_lanes against its threshold tables, summing θ1 and
-// θ2 as it draws; its AVX-512 level compares raw draws against the
-// thresholds shifted left by 11 and sets the faults whose threshold
-// saturates (p = 1, or stress·p >= 1) from per-word masks.  The copula and
-// the aliased model draw each lane's channels in turn into masks the lane
-// group owns and record them with the scalar per-lane record
+// Each sampler draws a version as a core::fault_mask (sample_mask), the
+// library's one fault-set type.  run_correlated and scenario cells run their
+// lane groups through mc/shard_lanes.hpp.  The mixture draws and records
+// each pair step with core::xoshiro_pair_step_lanes against its threshold
+// tables, summing θ1 and θ2 as it draws; its AVX-512 level compares raw
+// draws against the thresholds shifted left by 11 and sets the faults whose
+// threshold saturates (p = 1, or stress·p >= 1) from per-word masks.  The
+// copula and the aliased model draw each lane's channels in turn into masks
+// the lane group owns and record them with the scalar per-lane record
 // (core::record_pair_lane).
 
 #include <cstdint>
@@ -60,10 +61,10 @@ class common_cause_mixture {
  public:
   common_cause_mixture(const core::fault_universe& u, double rho, double stress);
 
-  [[nodiscard]] version sample(stats::rng& r) const;
-  /// Mask-based sampling: same rng decisions as sample() (bit-exact), writes
-  /// presence bits into `out` with no allocation in steady-state reuse.  The
-  /// scalar reference the pair step is pinned against.
+  /// Draw one version: one stress draw, then one draw per fault against the
+  /// stressed or relaxed probabilities, presence bits into `out` with no
+  /// allocation in steady-state reuse.  The scalar reference the pair step
+  /// is pinned against.
   void sample_mask(stats::rng& r, core::fault_mask& out) const;
   /// The stress draw's and the faults' thresholds in the forms
   /// core::xoshiro_pair_step_lanes reads: a lane it draws makes the
@@ -108,8 +109,8 @@ class gaussian_copula_sampler {
  public:
   gaussian_copula_sampler(const core::fault_universe& u, double rho);
 
-  [[nodiscard]] version sample(stats::rng& r) const;
-  /// Mask-based sampling: same rng decisions as sample() (bit-exact).
+  /// Draw one version: one shared normal, then one own normal per fault in
+  /// index order; bit i of `out` is fault i's presence.
   void sample_mask(stats::rng& r, core::fault_mask& out) const;
 
  private:

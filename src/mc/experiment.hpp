@@ -39,10 +39,10 @@ namespace reldiv::mc {
 enum class sampling_engine : std::uint32_t {
   /// The xoshiro pair step (core::xoshiro_pair_step_lanes) on the
   /// universe's own thresholds, consuming each shard's stream
-  /// decision-for-decision like the sparse sampler (two sample_version draws
-  /// per pair) and summing θ1 and θ2 as it draws: the bit-exact reference,
-  /// pinned by tests/mc_mask_equivalence_test.cpp against a sparse per-shard
-  /// loop.
+  /// decision-for-decision like two mc::sample_version_mask draws per pair
+  /// and summing θ1 and θ2 as it draws: the bit-exact reference, pinned by
+  /// tests/mc_mask_equivalence_test.cpp against a sparse per-shard loop
+  /// (tests/sparse_oracle.hpp).
   exact = 1,
   /// Counter-based SIMD engine, the default: the universe is relaid out with
   /// core::make_p_sorted_permutation (equal-p faults gathered into whole

@@ -8,80 +8,6 @@
 
 namespace reldiv::mc {
 
-version sample_version(const core::fault_universe& u, stats::rng& r) {
-  version v;
-  for (std::uint32_t i = 0; i < u.size(); ++i) {
-    if (r.bernoulli(u[i].p)) v.faults.push_back(i);
-  }
-  return v;
-}
-
-double pfd_of(const version& v, const core::fault_universe& u) {
-  double pfd = 0.0;
-  for (const std::uint32_t i : v.faults) {
-    if (i >= u.size()) throw std::out_of_range("pfd_of: fault index outside universe");
-    pfd += u[i].q;
-  }
-  return pfd;
-}
-
-std::vector<std::uint32_t> common_faults(const version& a, const version& b) {
-  std::vector<std::uint32_t> out;
-  std::set_intersection(a.faults.begin(), a.faults.end(), b.faults.begin(), b.faults.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-double pair_pfd(const version& a, const version& b, const core::fault_universe& u) {
-  double pfd = 0.0;
-  auto ia = a.faults.begin();
-  auto ib = b.faults.begin();
-  while (ia != a.faults.end() && ib != b.faults.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      if (*ia >= u.size()) throw std::out_of_range("pair_pfd: fault index outside universe");
-      pfd += u[*ia].q;
-      ++ia;
-      ++ib;
-    }
-  }
-  return pfd;
-}
-
-double tuple_pfd(const std::vector<version>& versions, const core::fault_universe& u) {
-  if (versions.empty()) throw std::invalid_argument("tuple_pfd: empty tuple");
-  std::vector<std::uint32_t> common = versions.front().faults;
-  for (std::size_t k = 1; k < versions.size() && !common.empty(); ++k) {
-    std::vector<std::uint32_t> next;
-    std::set_intersection(common.begin(), common.end(), versions[k].faults.begin(),
-                          versions[k].faults.end(), std::back_inserter(next));
-    common = std::move(next);
-  }
-  double pfd = 0.0;
-  for (const std::uint32_t i : common) {
-    if (i >= u.size()) throw std::out_of_range("tuple_pfd: fault index outside universe");
-    pfd += u[i].q;
-  }
-  return pfd;
-}
-
-double empirical_pfd(const version& v, const core::fault_universe& u,
-                     std::uint64_t demands, stats::rng& r) {
-  if (demands == 0) throw std::invalid_argument("empirical_pfd: demands must be > 0");
-  // Disjoint regions: each demand fails with probability Σ q_i over present
-  // faults, so the failure count is one Binomial(demands, pfd) draw.
-  const double true_pfd = pfd_of(v, u);
-  const std::uint64_t failures = stats::binomial_deviate(r, demands, true_pfd);
-  return static_cast<double>(failures) / static_cast<double>(demands);
-}
-
-// ---------------------------------------------------------------------------
-// Packed-bitmask engine
-// ---------------------------------------------------------------------------
-
 namespace {
 
 inline void ensure_sized(core::fault_mask& m, std::size_t bits) {
@@ -259,12 +185,6 @@ double tuple_pfd(std::span<const core::fault_mask> versions,
     acc = &scratch;
   }
   return core::masked_q_sum(*acc, u.q_array());
-}
-
-version to_version(const core::fault_mask& m) { return version{m.to_indices()}; }
-
-core::fault_mask to_mask(const version& v, std::size_t universe_size) {
-  return core::fault_mask::from_indices(v.faults, universe_size);
 }
 
 }  // namespace reldiv::mc

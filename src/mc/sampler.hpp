@@ -1,62 +1,20 @@
 #pragma once
 // Sampling the paper's generative story: "developing versions ... means
 // choosing, randomly and independently, possible subsets of this set of
-// possible faults" (§2.2).  A sampled `version` is the subset of fault
-// indices present; its PFD is the sum of the q_i of present faults
-// (disjoint-region assumption).
+// possible faults" (§2.2).  A sampled version is the subset of faults
+// present, held as a core::fault_mask over the universe: sampling writes
+// presence bits word by word, and its PFD is the sum of the q_i of present
+// faults (disjoint-region assumption), a masked dot product against the
+// universe's contiguous q array.
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/fault_mask.hpp"
 #include "core/fault_universe.hpp"
 #include "stats/random.hpp"
 
 namespace reldiv::mc {
-
-/// A developed version: indices of the faults it contains (sorted).
-struct version {
-  std::vector<std::uint32_t> faults;
-
-  [[nodiscard]] bool has_fault() const noexcept { return !faults.empty(); }
-  [[nodiscard]] std::size_t fault_count() const noexcept { return faults.size(); }
-};
-
-/// Draw one version: fault i included independently with probability p_i.
-[[nodiscard]] version sample_version(const core::fault_universe& u, stats::rng& r);
-
-/// PFD of a version under the disjoint-region model: Σ q_i over present faults.
-[[nodiscard]] double pfd_of(const version& v, const core::fault_universe& u);
-
-/// Faults common to two versions (sorted intersection).
-[[nodiscard]] std::vector<std::uint32_t> common_faults(const version& a, const version& b);
-
-/// PFD of the 1-out-of-2 system built from versions a and b: Σ q_i over
-/// faults present in *both* (the system fails only where both channels fail).
-[[nodiscard]] double pair_pfd(const version& a, const version& b,
-                              const core::fault_universe& u);
-
-/// PFD of a 1-out-of-m system: Σ q_i over faults present in *all* versions.
-[[nodiscard]] double tuple_pfd(const std::vector<version>& versions,
-                               const core::fault_universe& u);
-
-/// Empirical PFD: execute `demands` random demands against a version, where
-/// a demand lands in fault i's failure region with probability q_i (regions
-/// disjoint).  Returns the failure fraction — this is what a testing
-/// campaign would observe, as opposed to the exact pfd_of().  Implemented as
-/// a single Binomial(demands, pfd) draw (O(log demands) work), not a
-/// demand-by-demand Bernoulli loop.
-[[nodiscard]] double empirical_pfd(const version& v, const core::fault_universe& u,
-                                   std::uint64_t demands, stats::rng& r);
-
-// ---------------------------------------------------------------------------
-// Packed-bitmask engine.  A fault set is a core::fault_mask over the
-// universe; sampling writes presence bits word-by-word and the PFD algebra
-// runs as word-AND + masked dot-product against the universe's contiguous q
-// array.  The sparse `version` API above remains as a thin adapter
-// (to_version / to_mask) for callers that want explicit index lists.
-// ---------------------------------------------------------------------------
 
 /// Core threshold kernel: bit i of `out` is set iff (r() >> 11) <
 /// thresholds[i], one rng word per threshold in index order — the same
@@ -67,11 +25,10 @@ struct version {
 void sample_mask_from_thresholds(std::span<const std::uint64_t> thresholds,
                                  stats::rng& r, core::fault_mask& out);
 
-/// Bit-exact mask sampler: consumes exactly one rng word per fault, in fault
-/// order, making the same decision as r.bernoulli(p_i) — so for a given rng
-/// state it reproduces sample_version() exactly (to_indices == faults).
-/// `out` is resized to u.size() only when its size differs (steady-state
-/// reuse performs no allocation).
+/// Draw one version: fault i present independently with probability p_i.
+/// Consumes exactly one rng word per fault, in fault order, making the same
+/// decision as r.bernoulli(p_i).  `out` is resized to u.size() only when its
+/// size differs (steady-state reuse performs no allocation).
 void sample_version_mask(const core::fault_universe& u, stats::rng& r,
                          core::fault_mask& out);
 
@@ -112,8 +69,8 @@ void sample_version_pair_counter_reference(const core::fault_universe& u,
                                            std::uint64_t key, std::uint64_t pair_index,
                                            core::fault_mask& a, core::fault_mask& b);
 
-/// PFD of a mask version: masked dot-product against the contiguous q array
-/// (bitwise-identical accumulation order to the sparse pfd_of).
+/// PFD of a version: Σ q_i over its faults, in ascending fault order from
+/// +0.0 (a masked dot product against the contiguous q array).
 [[nodiscard]] double pfd_of(const core::fault_mask& v, const core::fault_universe& u);
 
 /// Fused 1-out-of-2 kernel: intersection PFD and non-emptiness in one pass.
@@ -130,9 +87,5 @@ void sample_version_pair_counter_reference(const core::fault_universe& u,
 [[nodiscard]] double tuple_pfd(std::span<const core::fault_mask> versions,
                                const core::fault_universe& u,
                                core::fault_mask& scratch);
-
-/// Adapters between the sparse and packed representations.
-[[nodiscard]] version to_version(const core::fault_mask& m);
-[[nodiscard]] core::fault_mask to_mask(const version& v, std::size_t universe_size);
 
 }  // namespace reldiv::mc

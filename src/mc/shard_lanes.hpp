@@ -2,11 +2,10 @@
 // The lane group loop: the one pair loop of every sampler that draws one
 // shard stream per 64-bit lane (core::kXoshiroLanes shards per group) and
 // records each pair step of those shards at once.  Every experiment engine
-// runs through it, and so do mc::run_correlated and scenario cells.  They
-// share one step schedule, one per-shard export and one merge order;
+// runs through it, and so do mc::run_correlated, scenario cells and
+// mc::run_pair_campaign: the library has no other pair loop.  They share
+// one step schedule, one per-shard export and one merge order;
 // run_xoshiro_lanes is the one place that opens xoshiro lane groups.
-// mc::run_pair_campaign's weighted loop is the only pair loop outside it:
-// its θ2 sums coincidence weights, not q.
 //
 // A group's step draws one pair per lane and records it into the group's
 // core::accumulator_lanes in the same pass, in one of three ways:
@@ -20,7 +19,9 @@
 //     leaves its draw (run_engine_shards in experiment.cpp);
 //   * samplers without lane tables (the copula, the aliased model) draw
 //     each lane's channels into fault_masks the group owns and record them
-//     with core::record_pair_lane (run_sampler_lanes).
+//     with core::record_pair_lane (run_sampler_lanes); so does the pair
+//     campaign, which draws its two channels from two universes and hands
+//     the record its coincidence weights as θ2's weight span (campaign.cpp).
 
 #include <algorithm>
 #include <array>

@@ -130,8 +130,9 @@ TEST(EstimatePfdMoments, CorrectsBinomialNoise) {
   stats::rng r(12);
   const std::uint64_t demands = 20000;
   std::vector<std::uint64_t> failures;
+  core::fault_mask ver;
   for (int v = 0; v < 400; ++v) {
-    const auto ver = mc::sample_version(u, r);
+    mc::sample_version_mask(u, r, ver);
     const double pfd = mc::pfd_of(ver, u);
     std::uint64_t f = 0;
     for (std::uint64_t d = 0; d < demands; ++d) {

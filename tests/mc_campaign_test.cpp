@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/generators.hpp"
@@ -119,17 +123,21 @@ TEST(DemandCampaign, MatchesThePerTargetSerialReference) {
 }
 
 TEST(DemandCampaign, BitIdenticalAcrossThreadCounts) {
-  std::vector<double> roster(378);
-  stats::rng r(5);
-  for (auto& pfd : roster) pfd = r.uniform() * 0.01;
-  campaign_config cfg;
-  cfg.seed = 7;
-  cfg.threads = 1;
-  const auto reference = run_demand_campaign(roster, 100'000, cfg);
-  for (const unsigned threads : kThreadSweep) {
-    cfg.threads = threads;
-    const auto tally = run_demand_campaign(roster, 100'000, cfg);
-    EXPECT_EQ(tally.failures, reference.failures);
+  // The KL roster's size, which a campaign scores on the calling thread,
+  // and one long enough to start several workers.
+  for (const std::size_t targets : {std::size_t{378}, std::size_t{2100}}) {
+    std::vector<double> roster(targets);
+    stats::rng r(5);
+    for (auto& pfd : roster) pfd = r.uniform() * 0.01;
+    campaign_config cfg;
+    cfg.seed = 7;
+    cfg.threads = 1;
+    const auto reference = run_demand_campaign(roster, 100'000, cfg);
+    for (const unsigned threads : kThreadSweep) {
+      cfg.threads = threads;
+      const auto tally = run_demand_campaign(roster, 100'000, cfg);
+      EXPECT_EQ(tally.failures, reference.failures) << targets << " targets";
+    }
   }
 }
 
@@ -216,6 +224,94 @@ TEST(ForcedScoring, TracksClosedFormsAndThinsByOverlap) {
               fpair.prob_no_common_failure_point(), 0.01);
   // Thinning can only reduce the pair PFD.
   EXPECT_LE(func_res.theta2.mean(), forced_res.theta2.mean());
+}
+
+/// A pair campaign's whole result state: samples, shards, the four counters,
+/// then the θ1 and θ2 moment states, each count followed by m1..m4, min and
+/// max as bit patterns.
+std::vector<std::uint64_t> campaign_state_bits(const experiment_result& r) {
+  std::vector<std::uint64_t> out = {r.samples,     r.shards,      r.n1_positive,
+                                    r.n2_positive, r.n1_zero_pfd, r.n2_zero_pfd};
+  for (const stats::running_moments_state& m : {r.theta1.state(), r.theta2.state()}) {
+    out.push_back(m.count);
+    for (const double x : {m.m1, m.m2, m.m3, m.m4, m.min, m.max}) {
+      out.push_back(std::bit_cast<std::uint64_t>(x));
+    }
+  }
+  return out;
+}
+
+std::string hex_list(const std::vector<std::uint64_t>& v) {
+  std::string out;
+  char buf[32];
+  for (const std::uint64_t x : v) {
+    std::snprintf(buf, sizeof buf, "0x%016llxULL, ", static_cast<unsigned long long>(x));
+    out += buf;
+  }
+  return out;
+}
+
+TEST(PairCampaign, PinnedStateOfPlainFunctionalAndZeroOverlapScoring) {
+  // run_pair_campaign's whole result state, pinned bit for bit: 13 shards
+  // over an odd budget (two lane groups, the second partial, and nine shards
+  // one pair longer than the rest), at 1 and 3 threads.  The channels share
+  // 70 regions (a partial last mask word); channel B holds two certain
+  // faults and channel A two impossible ones.  Three weightings: plain
+  // forced scoring (θ2 sums q), functional scoring with zero and fractional
+  // overlaps (one certain fault's overlap is 0), and coincidence weights all
+  // zero, where most pairs share a fault yet none may count toward N2 > 0.
+  const core::fault_universe base = core::make_random_universe(70, 0.5, 0.6, 81);
+  std::vector<double> pa = base.p_values();
+  std::vector<double> pb = core::make_random_universe(70, 0.3, 0.6, 82).p_values();
+  pb[3] = pb[64] = 1.0;
+  pa[10] = pa[66] = 0.0;
+  const forced::forced_pair pair(core::fault_universe::from_arrays(pa, base.q_values()),
+                                 core::fault_universe::from_arrays(pb, base.q_values()));
+  std::vector<double> omega(70);
+  for (std::size_t i = 0; i < omega.size(); ++i) {
+    omega[i] = i % 3 == 0 ? 0.0 : static_cast<double>(i % 5 + 1) / 5.0;
+  }
+  const forced::functional_pair fpair(pair, omega);
+  const std::vector<double> no_overlap(70, 0.0);
+  const std::uint64_t samples = 20'003;
+  const std::vector<std::uint64_t> want[] = {
+      {0x0000000000004e23ULL, 0x000000000000000dULL, 0x0000000000004e23ULL,
+       0x0000000000004cb6ULL, 0x0000000000000000ULL, 0x000000000000016dULL,
+       0x0000000000004e23ULL, 0x3fc49b06427a7700ULL, 0x403e5a7f4c6ab805ULL,
+       0x3fc0f6810fc09e35ULL, 0x3fc137ba3d85dac5ULL, 0x3f959a28cdc68419ULL,
+       0x3fd499d07906c475ULL, 0x0000000000004e23ULL, 0x3fa045bca0654a04ULL,
+       0x402250dce619c3d6ULL, 0x3fc48ac6126bf083ULL, 0x3f8e6cff86575cfbULL,
+       0x0000000000000000ULL, 0x3fc2077e84499f1dULL},
+      {0x0000000000004e23ULL, 0x000000000000000dULL, 0x0000000000004e23ULL,
+       0x00000000000047dbULL, 0x0000000000000000ULL, 0x0000000000000648ULL,
+       0x0000000000004e23ULL, 0x3fc49b06427a7700ULL, 0x403e5a7f4c6ab805ULL,
+       0x3fc0f6810fc09e35ULL, 0x3fc137ba3d85dac5ULL, 0x3f959a28cdc68419ULL,
+       0x3fd499d07906c475ULL, 0x0000000000004e23ULL, 0x3f8cad1b852edd58ULL,
+       0x400b4ed369f52362ULL, 0x3fa8d0dfd54782b3ULL, 0x3f625fe43cf754e3ULL,
+       0x0000000000000000ULL, 0x3fb47b690ce99513ULL},
+      {0x0000000000004e23ULL, 0x000000000000000dULL, 0x0000000000004e23ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000004e23ULL,
+       0x0000000000004e23ULL, 0x3fc49b06427a7700ULL, 0x403e5a7f4c6ab805ULL,
+       0x3fc0f6810fc09e35ULL, 0x3fc137ba3d85dac5ULL, 0x3f959a28cdc68419ULL,
+       0x3fd499d07906c475ULL, 0x0000000000004e23ULL, 0x0000000000000000ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+       0x0000000000000000ULL, 0x0000000000000000ULL},
+  };
+  for (const unsigned threads : {1u, 3u}) {
+    const campaign_config cfg{.seed = 2027, .threads = threads, .shards = 13};
+    const experiment_result got[] = {
+        forced::score_empirically(pair, samples, cfg),
+        forced::score_empirically(fpair, samples, cfg),
+        run_pair_campaign(pair.channel_a(), pair.channel_b(), no_overlap, samples, cfg),
+    };
+    for (std::size_t c = 0; c < 3; ++c) {
+      const std::vector<std::uint64_t> bits = campaign_state_bits(got[c]);
+      EXPECT_EQ(bits, want[c]) << "case " << c << " threads " << threads << ": got "
+                               << hex_list(bits);
+    }
+    EXPECT_EQ(got[2].n2_positive, 0u);
+    EXPECT_EQ(got[2].n2_zero_pfd, samples);
+  }
 }
 
 TEST(PairCampaign, ZeroOverlapFaultsNeverCountAsCommonFailurePoints) {

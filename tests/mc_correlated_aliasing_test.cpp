@@ -37,8 +37,10 @@ TEST(CommonCauseMixture, EmpiricalMarginalsMatch) {
   stats::rng r(1);
   std::vector<int> counts(u.size(), 0);
   const int n = 100000;
+  core::fault_mask v;
   for (int s = 0; s < n; ++s) {
-    for (const auto i : mix.sample(r).faults) ++counts[i];
+    mix.sample_mask(r, v);
+    for (const auto i : v.to_indices()) ++counts[i];
   }
   for (std::size_t i = 0; i < u.size(); ++i) {
     EXPECT_NEAR(counts[i] / static_cast<double>(n), u[i].p, 0.01) << "i=" << i;
@@ -113,8 +115,10 @@ TEST(GaussianCopula, MarginalsPreserved) {
   stats::rng r(7);
   std::vector<int> counts(u.size(), 0);
   const int n = 100000;
+  core::fault_mask v;
   for (int s = 0; s < n; ++s) {
-    for (const auto i : cop.sample(r).faults) ++counts[i];
+    cop.sample_mask(r, v);
+    for (const auto i : v.to_indices()) ++counts[i];
   }
   for (std::size_t i = 0; i < u.size(); ++i) {
     EXPECT_NEAR(counts[i] / static_cast<double>(n), u[i].p, 0.012) << "i=" << i;
@@ -126,10 +130,12 @@ TEST(GaussianCopula, DegenerateProbabilities) {
   core::fault_universe u({{0.0, 0.1}, {1.0, 0.1}});
   gaussian_copula_sampler cop(u, 0.3);
   stats::rng r(9);
+  core::fault_mask v;
   for (int s = 0; s < 100; ++s) {
-    const auto v = cop.sample(r);
-    ASSERT_EQ(v.faults.size(), 1u);
-    ASSERT_EQ(v.faults[0], 1u);
+    cop.sample_mask(r, v);
+    const auto faults = v.to_indices();
+    ASSERT_EQ(faults.size(), 1u);
+    ASSERT_EQ(faults[0], 1u);
   }
 }
 
@@ -258,8 +264,10 @@ TEST(Aliasing, SampleMarginalsMatchEffectiveUniverse) {
   stats::rng r(11);
   std::vector<int> counts(u.size(), 0);
   const int n = 100000;
+  core::fault_mask v;
   for (int s = 0; s < n; ++s) {
-    for (const auto i : model.sample(r).faults) ++counts[i];
+    model.sample_mask(r, v);
+    for (const auto i : v.to_indices()) ++counts[i];
   }
   for (std::size_t i = 0; i < u.size(); ++i) {
     EXPECT_NEAR(counts[i] / static_cast<double>(n), u[i].p, 0.01) << "i=" << i;

@@ -1,12 +1,12 @@
 // Equivalence and property tests for the packed-bitmask Monte-Carlo engine:
-// the exact-stream mask sampler must reproduce the sparse sampler
-// decision-for-decision (same seed -> identical fault sets and identical
-// theta1/theta2 streams), the `exact` engine's lane groups must record what
-// a per-shard scalar loop records, bit for bit, at every SIMD level,
-// fault_mask algebra must agree with the set_intersection reference, and
-// the fast-simd engine's counter reference must have the right marginals on
-// every word kind.  Also covers stats::binomial_deviate, which now backs
-// empirical_pfd.
+// the exact-stream mask sampler must reproduce the sparse sampler of
+// sparse_oracle.hpp decision-for-decision (same seed -> identical fault sets
+// and identical theta1/theta2 streams), the `exact` engine's lane groups
+// must record what a per-shard sparse loop records, bit for bit, at every
+// SIMD level, fault_mask algebra must agree with the set_intersection
+// reference, and the fast-simd engine's counter reference must have the
+// right marginals on every word kind.  Also covers stats::binomial_deviate,
+// which draws the demand campaigns' failure counts.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +22,10 @@
 #include "core/moments.hpp"
 #include "core/no_common_fault.hpp"
 #include "core/simd_sampler.hpp"
-#include "mc/aliasing.hpp"
-#include "mc/correlated.hpp"
 #include "mc/experiment.hpp"
 #include "mc/sampler.hpp"
 #include "mc/shard_runner.hpp"
+#include "sparse_oracle.hpp"
 #include "stats/counter_rng.hpp"
 #include "stats/random.hpp"
 
@@ -113,7 +112,7 @@ TEST(MaskEquivalence, ExactSamplerReproducesSparseSamplerFaultSets) {
     stats::rng r_mask(42);
     core::fault_mask m;
     for (int iter = 0; iter < 200; ++iter) {
-      const version v = sample_version(u, r_sparse);
+      const sparse::version v = sparse::sample_version(u, r_sparse);
       sample_version_mask(u, r_mask, m);
       EXPECT_EQ(m.to_indices(), v.faults) << "n=" << n << " iter=" << iter;
       EXPECT_EQ(m.popcount(), v.fault_count());
@@ -129,10 +128,10 @@ TEST(MaskEquivalence, ExactSamplerReproducesLegacyThetaStreamsBitwise) {
   core::fault_mask a;
   core::fault_mask b;
   for (int s = 0; s < 500; ++s) {
-    const version va = sample_version(u, r_sparse);
-    const version vb = sample_version(u, r_sparse);
-    const double t1_sparse = pfd_of(va, u);
-    const double t2_sparse = pair_pfd(va, vb, u);
+    const sparse::version va = sparse::sample_version(u, r_sparse);
+    const sparse::version vb = sparse::sample_version(u, r_sparse);
+    const double t1_sparse = sparse::pfd_of(va, u);
+    const double t2_sparse = sparse::pair_pfd(va, vb, u);
 
     sample_version_mask(u, r_mask, a);
     sample_version_mask(u, r_mask, b);
@@ -142,7 +141,7 @@ TEST(MaskEquivalence, ExactSamplerReproducesLegacyThetaStreamsBitwise) {
     // Same accumulation order -> bitwise-identical doubles, not just close.
     EXPECT_EQ(t1_sparse, t1_mask);
     EXPECT_EQ(t2_sparse, pair.pfd);
-    EXPECT_EQ(!common_faults(va, vb).empty(), pair.any_common);
+    EXPECT_EQ(!sparse::common_faults(va, vb).empty(), pair.any_common);
   }
 }
 
@@ -161,10 +160,10 @@ TEST(MaskEquivalence, ExactEngineMatchesLegacyEngineExactly) {
   cfg.keep_samples = true;
   cfg.engine = sampling_engine::exact;
   const accumulator_state want = scalar_shard_loop(cfg, [&u](stats::rng& r) {
-    const version a = sample_version(u, r);
-    const version b = sample_version(u, r);
-    return pair_record{pfd_of(a, u), pair_pfd(a, b, u), a.has_fault(),
-                       !common_faults(a, b).empty()};
+    const sparse::version a = sparse::sample_version(u, r);
+    const sparse::version b = sparse::sample_version(u, r);
+    return pair_record{sparse::pfd_of(a, u), sparse::pair_pfd(a, b, u), a.has_fault(),
+                       !sparse::common_faults(a, b).empty()};
   });
   ASSERT_EQ(want.theta1_samples.size(), cfg.samples);
   for (const core::simd_level level :
@@ -196,31 +195,31 @@ TEST(FaultMask, IntersectionPopcountAndDotMatchSparseReference) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(r.below(300));
     const auto u = core::make_random_universe(n, 0.6, 0.9, 77 + trial);
-    const version va = sample_version(u, r);
-    const version vb = sample_version(u, r);
-    const auto ma = to_mask(va, n);
-    const auto mb = to_mask(vb, n);
+    const sparse::version va = sparse::sample_version(u, r);
+    const sparse::version vb = sparse::sample_version(u, r);
+    const auto ma = sparse::to_mask(va, n);
+    const auto mb = sparse::to_mask(vb, n);
 
     // Round trip through the adapters.
-    EXPECT_EQ(to_version(ma).faults, va.faults);
+    EXPECT_EQ(sparse::to_version(ma).faults, va.faults);
 
     // Intersection vs set_intersection.
     core::fault_mask mi(n);
     mi.intersect(ma, mb);
-    EXPECT_EQ(mi.to_indices(), common_faults(va, vb));
-    EXPECT_EQ(mi.popcount(), common_faults(va, vb).size());
-    EXPECT_EQ(mi.any(), !common_faults(va, vb).empty());
+    EXPECT_EQ(mi.to_indices(), sparse::common_faults(va, vb));
+    EXPECT_EQ(mi.popcount(), sparse::common_faults(va, vb).size());
+    EXPECT_EQ(mi.any(), !sparse::common_faults(va, vb).empty());
 
     // PFD algebra, bitwise.
-    EXPECT_EQ(pfd_of(ma, u), pfd_of(va, u));
-    EXPECT_EQ(pair_pfd(ma, mb, u), pair_pfd(va, vb, u));
+    EXPECT_EQ(pfd_of(ma, u), sparse::pfd_of(va, u));
+    EXPECT_EQ(pair_pfd(ma, mb, u), sparse::pair_pfd(va, vb, u));
 
     // Tuple intersection over three versions.
-    const version vc = sample_version(u, r);
-    const auto mc_mask = to_mask(vc, n);
+    const sparse::version vc = sparse::sample_version(u, r);
+    const auto mc_mask = sparse::to_mask(vc, n);
     const std::vector<core::fault_mask> tuple{ma, mb, mc_mask};
     core::fault_mask scratch;
-    EXPECT_EQ(tuple_pfd(tuple, u, scratch), tuple_pfd({va, vb, vc}, u));
+    EXPECT_EQ(tuple_pfd(tuple, u, scratch), sparse::tuple_pfd({va, vb, vc}, u));
   }
 }
 
@@ -372,28 +371,8 @@ TEST(FastSamplers, RareFaultUniverseFallsBackToExactKernel) {
   EXPECT_EQ(counter_draws_per_pair(core::make_random_universe(50, 0.4, 0.7, 3)), u.size());
 }
 
-TEST(CorrelatedSamplers, SparseAndMaskPathsShareOneRngStream) {
-  // sample() delegates to sample_mask(), so the two representations cannot
-  // diverge; this pins the contract against future reimplementation.
-  const auto u = core::make_random_universe(90, 0.4, 0.8, 55);
-  const common_cause_mixture mix(u, 0.3, 1.5);
-  const gaussian_copula_sampler cop(u, 0.4);
-  const auto aliased = split_into_mistakes(u, 3);
-  core::fault_mask m;
-  stats::rng r1(5);
-  stats::rng r2(5);
-  for (int i = 0; i < 100; ++i) {
-    mix.sample_mask(r1, m);
-    EXPECT_EQ(m.to_indices(), mix.sample(r2).faults);
-    cop.sample_mask(r1, m);
-    EXPECT_EQ(m.to_indices(), cop.sample(r2).faults);
-    aliased.sample_mask(r1, m);
-    EXPECT_EQ(m.to_indices(), aliased.sample(r2).faults);
-  }
-}
-
 // --------------------------------------------------------------------------
-// Binomial deviate (the new empirical_pfd backend)
+// Binomial deviate (the demand campaigns' failure counts)
 // --------------------------------------------------------------------------
 
 TEST(BinomialDeviate, EdgesAndDeterminism) {

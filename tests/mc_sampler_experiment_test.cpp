@@ -1,10 +1,12 @@
-// Monte-Carlo engine: sampler marginals, pair/tuple PFD algebra, and
-// agreement of the multithreaded experiment runner with the closed forms of
-// Sections 3 and 4.
+// Monte-Carlo engine: sampler marginals, pair/tuple PFD algebra on fault
+// masks, and agreement of the multithreaded experiment runner with the
+// closed forms of Sections 3 and 4.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "core/moments.hpp"
@@ -17,14 +19,20 @@ namespace {
 using namespace reldiv;
 using namespace reldiv::mc;
 
+/// The fault set {indices} over a universe of n faults.
+core::fault_mask mask_of(const std::vector<std::uint32_t>& indices, std::size_t n) {
+  return core::fault_mask::from_indices(indices, n);
+}
+
 TEST(Sampler, MarginalPresenceFrequencies) {
   core::fault_universe u({{0.3, 0.1}, {0.05, 0.1}, {0.8, 0.1}});
   stats::rng r(1);
   std::vector<int> counts(3, 0);
   const int n = 100000;
+  core::fault_mask v;
   for (int s = 0; s < n; ++s) {
-    const version v = sample_version(u, r);
-    for (const auto i : v.faults) ++counts[i];
+    sample_version_mask(u, r, v);
+    for (const auto i : v.to_indices()) ++counts[i];
   }
   EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.3, 0.01);
   EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.05, 0.005);
@@ -33,35 +41,37 @@ TEST(Sampler, MarginalPresenceFrequencies) {
 
 TEST(Sampler, PfdAndCommonFaultAlgebra) {
   core::fault_universe u({{0.5, 0.1}, {0.5, 0.2}, {0.5, 0.3}});
-  version a{{0, 2}};
-  version b{{1, 2}};
+  const auto a = mask_of({0, 2}, 3);
+  const auto b = mask_of({1, 2}, 3);
   EXPECT_NEAR(pfd_of(a, u), 0.4, 1e-15);
   EXPECT_NEAR(pfd_of(b, u), 0.5, 1e-15);
-  const auto common = common_faults(a, b);
-  ASSERT_EQ(common.size(), 1u);
-  EXPECT_EQ(common[0], 2u);
+  core::fault_mask common(3);
+  common.intersect(a, b);
+  const auto common_faults = common.to_indices();
+  ASSERT_EQ(common_faults.size(), 1u);
+  EXPECT_EQ(common_faults[0], 2u);
   EXPECT_NEAR(pair_pfd(a, b, u), 0.3, 1e-15);
+  EXPECT_TRUE(pair_pfd_stats(a, b, u).any_common);
   // Tuple of three: intersection empty -> PFD 0.
-  version c{{0, 1}};
-  EXPECT_DOUBLE_EQ(tuple_pfd({a, b, c}, u), 0.0);
-  EXPECT_NEAR(tuple_pfd({a, a}, u), 0.4, 1e-15);
-  EXPECT_THROW((void)tuple_pfd({}, u), std::invalid_argument);
+  const auto c = mask_of({0, 1}, 3);
+  core::fault_mask scratch;
+  EXPECT_DOUBLE_EQ(tuple_pfd(std::vector<core::fault_mask>{a, b, c}, u, scratch), 0.0);
+  EXPECT_NEAR(tuple_pfd(std::vector<core::fault_mask>{a, a}, u, scratch), 0.4, 1e-15);
+  EXPECT_THROW((void)tuple_pfd({}, u, scratch), std::invalid_argument);
 }
 
 TEST(Sampler, OutOfUniverseIndicesThrow) {
+  // A fault set over another universe (here: holding fault 3 of a 1-fault
+  // universe) is refused, not read past the universe's q array.
   core::fault_universe u({{0.5, 0.1}});
-  version bad{{3}};
-  EXPECT_THROW((void)pfd_of(bad, u), std::out_of_range);
-  EXPECT_THROW((void)pair_pfd(bad, bad, u), std::out_of_range);
-}
-
-TEST(Sampler, EmpiricalPfdApproximatesExact) {
-  core::fault_universe u({{1.0, 0.05}, {1.0, 0.02}});
-  version v{{0, 1}};  // PFD = 0.07
-  stats::rng r(3);
-  const double hat = empirical_pfd(v, u, 200000, r);
-  EXPECT_NEAR(hat, 0.07, 0.003);
-  EXPECT_THROW((void)empirical_pfd(v, u, 0, r), std::invalid_argument);
+  const auto bad = mask_of({3}, 4);
+  const core::fault_mask good(1);
+  EXPECT_THROW((void)pfd_of(bad, u), std::invalid_argument);
+  EXPECT_THROW((void)pair_pfd(bad, bad, u), std::invalid_argument);
+  EXPECT_THROW((void)pair_pfd(good, bad, u), std::invalid_argument);
+  core::fault_mask scratch;
+  EXPECT_THROW((void)tuple_pfd(std::vector<core::fault_mask>{good, bad}, u, scratch),
+               std::invalid_argument);
 }
 
 TEST(Experiment, EstimatesMatchClosedFormsWithinCi) {

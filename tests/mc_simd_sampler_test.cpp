@@ -16,7 +16,9 @@
 //     loop, and the manifest wire codec;
 //   - the per-lane record (core::record_pair_lane) against
 //     mc::experiment_accumulator::add of the sparse ascending θ sums
-//     (running_moments::add underneath), for every votes-of-versions shape;
+//     (running_moments::add underneath), for every votes-of-versions shape,
+//     and with a θ2 weight span against the pair campaign's former
+//     weighted intersection sum;
 //   - the xoshiro pair step against versions drawn by
 //     mc::common_cause_mixture::sample_mask (or, on the `exact` engine's
 //     tables, mc::sample_version_mask) on a scalar copy of every lane's
@@ -571,6 +573,110 @@ TEST(RecordPairLane, MatchesRunningMomentsAndSparseSumsOnEveryVotesShape) {
       }
     }
   }
+}
+
+/// mc::run_pair_campaign's θ2 before the campaign joined the lane groups,
+/// copied here as the reference of the weighted per-lane record: Σ w[i] over
+/// the faults a and b share, ascending, and whether some shared fault has
+/// w[i] > 0 (a common fault with w == 0 never produces a common failure
+/// point, so it must not count toward N2 > 0).
+core::pair_intersection_result intersect_weighted_sum(const core::fault_mask& a,
+                                                      const core::fault_mask& b,
+                                                      std::span<const double> w) noexcept {
+  core::pair_intersection_result out;
+  const std::uint64_t* wa = a.words();
+  const std::uint64_t* wb = b.words();
+  for (std::size_t blk = 0; blk < a.word_count(); ++blk) {
+    std::uint64_t common = wa[blk] & wb[blk];
+    while (common != 0) {
+      const double wi = w[(blk << 6) + static_cast<std::size_t>(std::countr_zero(common))];
+      out.pfd += wi;
+      if (wi > 0.0) out.any_common = true;
+      common &= common - 1;
+    }
+  }
+  return out;
+}
+
+TEST(RecordPairLane, WeightedRecordMatchesThePairCampaignReference) {
+  // The pair campaign's record: channels (a, b), votes 2, ω 1 and a θ2
+  // weight span.  q and the weights each hold zeros (about a third, drawn
+  // independently), universes run from one fault to several words with
+  // partial last words, and every lane records in turn, three rounds: both
+  // channels full (every fault shared, zero weights included), channels at
+  // random densities, and channels holding only zero-weight faults (shared
+  // faults, yet no common failure point).  Each record must be what the
+  // campaign's former loop recorded — experiment_accumulator::add of
+  // masked_q_sum(a, q) and intersect_weighted_sum(a, b, w) — bit for bit,
+  // with θ1 and θ2 handed to pair_thetas and every other lane of the
+  // accumulators and of the θs left as it was.
+  constexpr unsigned kLanes = core::kXoshiroLanes;
+  stats::rng r(777);
+  const auto binades = [&r] {
+    return std::ldexp(r.uniform(), -static_cast<int>(r() % 12)) / 8.0;
+  };
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 200u}) {
+    std::vector<double> q(n);
+    std::vector<double> w(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      q[i] = r() % 3 == 0 ? 0.0 : binades();
+      w[i] = r() % 3 == 0 ? 0.0 : binades();
+    }
+    core::accumulator_lanes got;
+    std::array<mc::experiment_accumulator, kLanes> want;
+    std::vector<core::fault_mask> channels(2, core::fault_mask(n));
+    for (unsigned step = 0; step < 2 * 3 * kLanes; ++step) {
+      const unsigned lane = step % kLanes;
+      const unsigned round = step / kLanes % 3;
+      for (core::fault_mask& m : channels) {
+        m.clear();
+        const double density = r.uniform();
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool held = round == 0 || (r.uniform() < density && (round == 1 || w[i] == 0.0));
+          if (held) m.set(i);
+        }
+      }
+      const double theta1 = core::masked_q_sum(channels[0], q);
+      const auto pair = intersect_weighted_sum(channels[0], channels[1], w);
+      want[lane].add(theta1, pair.pfd, channels[0].any(), pair.any_common);
+      const core::accumulator_lanes before = got;
+      core::pair_thetas thetas;
+      for (unsigned l = 0; l < kLanes; ++l) thetas.theta1[l] = thetas.theta2[l] = -1.0 - l;
+      core::record_pair_lane(got, lane, channels, 2, 1.0, q, &thetas, w);
+      const std::string at = "n=" + std::to_string(n) + " step " + std::to_string(step);
+      expect_lane_state(got, lane, want[lane].state(), at);
+      for (unsigned l = 0; l < kLanes; ++l) {
+        if (l == lane) {
+          EXPECT_TRUE(bits_equal(thetas.theta1[l], theta1)) << at << " theta1";
+          EXPECT_TRUE(bits_equal(thetas.theta2[l], pair.pfd)) << at << " theta2";
+        } else {
+          EXPECT_EQ(lane_bits(got, l), lane_bits(before, l)) << at << ": lane " << l;
+          EXPECT_EQ(thetas.theta1[l], -1.0 - l) << at << ": theta1 of lane " << l;
+          EXPECT_EQ(thetas.theta2[l], -1.0 - l) << at << ": theta2 of lane " << l;
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // A weight span of another size than q is refused before any lane moves;
+  // an empty one records q, as with no span at all.
+  const std::vector<double> q(10, 0.1);
+  const std::vector<double> w(11, 0.1);
+  std::vector<core::fault_mask> channels(2, core::fault_mask(10));
+  channels[0].set(3);
+  channels[1].set(3);
+  core::accumulator_lanes acc;
+  for (const std::size_t size : {9u, 11u}) {
+    EXPECT_THROW(core::record_pair_lane(acc, 0, channels, 2, 1.0, q, nullptr,
+                                        std::span(w).first(size)),
+                 std::invalid_argument)
+        << size;
+  }
+  EXPECT_EQ(acc.samples[0], 0u);
+  core::record_pair_lane(acc, 0, channels, 2, 1.0, q, nullptr, {});
+  EXPECT_EQ(acc.samples[0], 1u);
+  EXPECT_EQ(acc.n2_positive[0], 1u);
+  EXPECT_EQ(acc.theta2.m1[0], 0.1);
 }
 
 TEST(RecordPairLane, RejectsBadShapes) {
