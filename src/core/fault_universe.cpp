@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,6 +14,8 @@ constexpr double kQSumTolerance = 1e-9;
 fault_universe::fault_universe(std::vector<fault_atom> atoms, bool allow_q_overflow)
     : atoms_(std::move(atoms)) {
   double q_sum = 0.0;
+  q_soa_.reserve(atoms_.size());
+  thresh53_.reserve(atoms_.size());
   for (const auto& [p, q] : atoms_) {
     if (!(p >= 0.0) || !(p <= 1.0)) {
       throw std::invalid_argument("fault_universe: p out of [0,1]");
@@ -23,81 +24,13 @@ fault_universe::fault_universe(std::vector<fault_atom> atoms, bool allow_q_overf
       throw std::invalid_argument("fault_universe: q out of [0,1]");
     }
     q_sum += q;
+    q_soa_.push_back(q);
+    thresh53_.push_back(bernoulli_threshold(p));
   }
   if (!allow_q_overflow && q_sum > 1.0 + kQSumTolerance) {
     throw std::invalid_argument(
         "fault_universe: sum of q exceeds 1 (violates the disjoint-failure-region "
         "assumption; pass allow_q_overflow=true for deliberate pessimistic models)");
-  }
-  rebuild_soa();
-}
-
-void fault_universe::rebuild_soa() {
-  const std::size_t n = atoms_.size();
-  p_soa_.resize(n);
-  q_soa_.resize(n);
-  thresh53_.resize(n);
-  thresh32_.resize(n);
-  // The 32-bit halved-draw words realize p_i as thresh32_[i]/2^32 (rounded up,
-  // inflation < 2^-32 per fault).  That is harmless while the aggregate
-  // inflation stays negligible against the aggregate signal, but a universe
-  // of faults all rarer than the grid (e.g. every p = 1e-12) would have its
-  // fault counts and PFDs inflated by orders of magnitude — so gate on the
-  // relative inflation of E[N1] = Σp and E[Θ1] = Σpq.
-  constexpr double kFast32Tolerance = 1e-6;
-  double inflation_p = 0.0;   // Σ (realized - p)
-  double inflation_pq = 0.0;  // Σ (realized - p) q
-  double sum_p = 0.0;
-  double sum_pq = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double p = atoms_[i].p;
-    const double q = atoms_[i].q;
-    p_soa_[i] = p;
-    q_soa_[i] = q;
-    thresh53_[i] = bernoulli_threshold(p);
-    thresh32_[i] = bernoulli_threshold32(p);
-    const double realized =
-        p >= 1.0 ? 1.0 : static_cast<double>(thresh32_[i]) * 0x1.0p-32;
-    inflation_p += realized - p;
-    inflation_pq += (realized - p) * q;
-    sum_p += p;
-    sum_pq += p * q;
-  }
-  fast32_safe_ = inflation_p <= kFast32Tolerance * sum_p &&
-                 inflation_pq <= kFast32Tolerance * sum_pq;
-  make_sample_blocks();
-}
-
-void fault_universe::make_sample_blocks() {
-  const std::size_t n = atoms_.size();
-  // Per-word sampling plan for the bit-slice path: a word is sliceable when
-  // all its faults share one p AND the shared threshold costs at most as
-  // many draws per 64 presence bits (53 − trailing zero bits) as a paired
-  // 32-bit word would (32 per version).
-  blocks_.assign(mask_words(), {});
-  for (std::size_t blk = 0; blk < blocks_.size(); ++blk) {
-    const std::size_t lo = blk << 6;
-    const std::size_t hi = std::min<std::size_t>(n, lo + 64);
-    bool word_uniform = true;
-    for (std::size_t i = lo + 1; i < hi && word_uniform; ++i) {
-      word_uniform = atoms_[i].p == atoms_[lo].p;
-    }
-    if (!word_uniform) continue;
-    sample_block& b = blocks_[blk];
-    b.uniform = true;
-    b.threshold = thresh53_[lo];
-    // Break-even against a paired 32-bit word, which costs one draw per
-    // fault per PAIR — i.e. occupancy/2 draws per version for this word.
-    // Degenerate thresholds (never/always) cost nothing; otherwise the
-    // bit-slice recurrence costs 53 − trailing-zero-bits words for all 64
-    // lanes regardless of how many faults actually occupy the word, so a
-    // short tail word must clear a proportionally higher bar.
-    if (b.threshold == 0 || b.threshold == (std::uint64_t{1} << kBernoulliBits)) {
-      b.sliceable = true;
-    } else {
-      const int slice_cost = kBernoulliBits - std::countr_zero(b.threshold);
-      b.sliceable = 2 * slice_cost <= static_cast<int>(hi - lo);
-    }
   }
 }
 

@@ -6,7 +6,10 @@
 //
 // A `fault_universe` is an immutable value type: process-improvement
 // operators (improvement.hpp) return transformed copies, matching the
-// paper's treatment of "a process" as a parameter vector.
+// paper's treatment of "a process" as a parameter vector.  It holds the
+// model (the atoms) and the two arrays every mask sampler and PFD kernel
+// reads (q and the 53-bit Bernoulli thresholds); the fast-simd engine's
+// counter-stream layout is derived from it by core::make_counter_sample_plan.
 
 #include <cassert>
 #include <cstddef>
@@ -18,20 +21,6 @@
 #include "core/fault_mask.hpp"
 
 namespace reldiv::core {
-
-/// Per-64-fault-word sampling plan entry: when every fault in the word
-/// shares one p, the fast-simd engine's bit-slice recurrence can emit all 64
-/// presence bits of a version from (53 − trailing-zero-bits) draws;
-/// otherwise the word takes one draw per fault.  Computed once at
-/// construction (the universe is immutable), purely from the p layout —
-/// never from hardware — so kernel selection is part of the deterministic
-/// result identity.
-struct sample_block {
-  bool uniform = false;          ///< all faults in this word share one p
-  bool sliceable = false;        ///< uniform AND the threshold is cheap enough
-                                 ///< that bit-slicing beats one draw per fault
-  std::uint64_t threshold = 0;   ///< 53-bit Bernoulli threshold of the shared p
-};
 
 /// One potential fault: (p, q) as defined in the paper's Table 1.
 struct fault_atom {
@@ -89,15 +78,12 @@ class fault_universe {
   /// Human-readable one-line description for bench output.
   [[nodiscard]] std::string describe() const;
 
-  // --- SoA view for the bitset Monte-Carlo engine -------------------------
-  // Contiguous parallel arrays cached at construction (the universe is an
-  // immutable value type, so they never go stale): per-fault p and q for
-  // vectorizable kernels, plus precomputed integer Bernoulli thresholds so
-  // sampling is one rng word + one integer compare per fault, with no
-  // double-precision path.
+  // --- SoA view for the mask samplers ------------------------------------
+  // Contiguous arrays cached at construction (the universe is an immutable
+  // value type, so they never go stale): the q array for the masked-sum PFD
+  // kernels, and integer Bernoulli thresholds so sampling is one rng word +
+  // one integer compare per fault, with no double-precision path.
 
-  /// Contiguous p array (parallel to atoms()).
-  [[nodiscard]] std::span<const double> p_array() const noexcept { return p_soa_; }
   /// Contiguous q array (parallel to atoms()); the masked-dot-product target
   /// of fault_mask PFD kernels.
   [[nodiscard]] std::span<const double> q_array() const noexcept { return q_soa_; }
@@ -105,28 +91,6 @@ class fault_universe {
   /// identical to rng.bernoulli(p_i).
   [[nodiscard]] std::span<const std::uint64_t> bernoulli_thresholds() const noexcept {
     return thresh53_;
-  }
-  /// 32-bit thresholds for halved-draw samplers (p rounded to the 2^-32 grid):
-  /// one draw's high and low halves decide both versions of a pair.
-  [[nodiscard]] std::span<const std::uint64_t> bernoulli_thresholds32() const noexcept {
-    return thresh32_;
-  }
-  /// True iff realizing every p on the 2^-32 grid (rounded up) inflates the
-  /// aggregate statistics E[N1] = Σp and E[Θ1] = Σpq by less than a 1e-6
-  /// relative factor.  False for universes dominated by faults rarer than
-  /// the grid resolves — e.g. every p = 1e-12 would be sampled as
-  /// 2^-32 ≈ 2.3e-10, a ~233x oversample — in which case engines must fall
-  /// back to the 53-bit kernels.
-  [[nodiscard]] bool fast32_grid_safe() const noexcept { return fast32_safe_; }
-  /// Per-word sampling plan (one entry per mask word): which words can run
-  /// the word-parallel bit-slice recurrence because all their faults share
-  /// one p (runs of equal p, e.g. concatenated make_homogeneous blocks).
-  [[nodiscard]] std::span<const sample_block> sample_blocks() const noexcept {
-    return blocks_;
-  }
-  /// Words a fault_mask over this universe occupies.
-  [[nodiscard]] std::size_t mask_words() const noexcept {
-    return fault_mask::words_needed(atoms_.size());
   }
 
   /// Universes are equal iff their atom vectors are (the SoA caches are
@@ -136,23 +100,9 @@ class fault_universe {
   }
 
  private:
-  void rebuild_soa();
-  /// Re-derive the per-word sampling plan (uniform/sliceable flags and the
-  /// shared thresholds) from the CURRENT atom layout.  Called by rebuild_soa
-  /// on construction and after any index remap (the permutation layer builds
-  /// remapped universes through the constructor, which funnels here) — the
-  /// flags are a function of the layout, never a one-shot annotation, so a
-  /// permuted copy of a heterogeneous universe picks up its newly sliceable
-  /// words.
-  void make_sample_blocks();
-
   std::vector<fault_atom> atoms_;
-  std::vector<double> p_soa_;
   std::vector<double> q_soa_;
   std::vector<std::uint64_t> thresh53_;
-  std::vector<std::uint64_t> thresh32_;
-  std::vector<sample_block> blocks_;
-  bool fast32_safe_ = true;
 };
 
 // ---------------------------------------------------------------------------
@@ -205,8 +155,9 @@ struct universe_permutation {
 
 /// Build the p-sorted relayout of `u`: faults stably sorted by ascending p
 /// (ties keep original order).  The permuted universe is constructed through
-/// the ordinary fault_universe constructor, so its SoA caches and sample
-/// blocks are re-derived from the permuted layout (see make_sample_blocks).
+/// the ordinary fault_universe constructor, so its SoA caches follow the
+/// permuted layout, and a counter plan built over it
+/// (core::make_counter_sample_plan) sees the equal-p words the sort made.
 [[nodiscard]] universe_permutation make_p_sorted_permutation(const fault_universe& u);
 
 /// The golden-ratio threshold (√5−1)/2 at which p²(1−p²) = p(1−p): below it

@@ -52,8 +52,8 @@ struct fault_block {
 };
 
 /// Concatenation of homogeneous blocks — the "runs of equal p" shape the
-/// fast-simd engine bit-slices: fault_universe::sample_blocks marks a word
-/// sliceable when a run covers it whole with a cheap threshold.
+/// fast-simd engine bit-slices: core::make_counter_sample_plan makes a word
+/// a slice word when a run covers it whole with a cheap threshold.
 [[nodiscard]] fault_universe make_grouped_universe(std::span<const fault_block> blocks);
 
 /// A universe calibrated to reproduce the scale of the Knight-Leveson

@@ -899,6 +899,7 @@ RELDIV_AVX512 inline void step_draw8(xoshiro8& g, __mmask8 live,
 
 bool avx2_compiled() noexcept { return true; }
 
+__attribute__((aligned(64)))
 void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
                             std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
                             unsigned votes, double omega, const double* q, std::size_t n,
@@ -918,6 +919,7 @@ void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tab
   }
 }
 
+__attribute__((aligned(64)))
 RELDIV_AVX512 void xoshiro_pair_step_avx512(xoshiro_lanes& lanes,
                                             const xoshiro_lane_tables& tables,
                                             std::uint64_t* layer_words, accumulator_lanes& acc,
@@ -963,6 +965,7 @@ RELDIV_AVX512 void xoshiro_pair_step_avx512(xoshiro_lanes& lanes,
   record_pair8(acc, s.theta1, s.defeated_q, any1, any_defeated, omega, step, live_lanes, thetas);
 }
 
+__attribute__((aligned(64)))
 void counter_pair_step_avx2(const counter_sample_plan& plan, const std::uint64_t* t32,
                             const std::uint64_t* t53, const std::uint64_t* keys,
                             std::uint64_t pair_index, accumulator_lanes& acc, const double* q,
@@ -989,6 +992,7 @@ void counter_pair_words_avx2(const counter_sample_plan& plan, const std::uint64_
   draw_counter4(plan, t32, t53, keys, pair_index, live, store);
 }
 
+__attribute__((aligned(64)))
 RELDIV_AVX512 void counter_pair_step_avx512(const counter_sample_plan& plan,
                                             const std::uint64_t* t32, const std::uint64_t* t53,
                                             const std::uint64_t* keys, std::uint64_t pair_index,
@@ -1025,6 +1029,7 @@ namespace reldiv::core::detail {
 
 bool avx2_compiled() noexcept { return false; }
 
+__attribute__((aligned(64)))
 void counter_pair_step_avx2(const counter_sample_plan& plan, const std::uint64_t* t32,
                             const std::uint64_t* t53, const std::uint64_t* keys,
                             std::uint64_t pair_index, accumulator_lanes& acc, const double* q,
@@ -1036,6 +1041,7 @@ void counter_pair_step_avx2(const counter_sample_plan& plan, const std::uint64_t
   counter_pair_step_scalar(plan, t32, t53, keys, pair_index, acc, q, live, step, thetas);
 }
 
+__attribute__((aligned(64)))
 void counter_pair_step_avx512(const counter_sample_plan& plan, const std::uint64_t* t32,
                               const std::uint64_t* t53, const std::uint64_t* keys,
                               std::uint64_t pair_index, accumulator_lanes& acc,
@@ -1060,6 +1066,7 @@ void counter_pair_words_avx512(const counter_sample_plan& plan, const std::uint6
   counter_pair_words_scalar(plan, t32, t53, keys, pair_index, words, live);
 }
 
+__attribute__((aligned(64)))
 void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
                             std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
                             unsigned votes, double omega, const double* q, std::size_t n,
@@ -1069,6 +1076,7 @@ void xoshiro_pair_step_avx2(xoshiro_lanes& lanes, const xoshiro_lane_tables& tab
                            thetas);
 }
 
+__attribute__((aligned(64)))
 void xoshiro_pair_step_avx512(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
                               std::uint64_t* hits, accumulator_lanes& acc, unsigned versions,
                               unsigned votes, double omega, const double* q, std::size_t n,

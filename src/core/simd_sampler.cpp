@@ -1,8 +1,11 @@
-// SIMD dispatch, fast-simd plan construction, the xoshiro lane table
-// helpers, the per-lane record, and the scalar level of both pair steps.  The
-// AVX2 and AVX-512 levels live in simd_sampler.avx2.cpp (the one TU compiled
-// with -mavx2, its AVX-512 functions under a function-level target
-// attribute); this TU stays portable and decides at runtime which one runs.
+// SIMD dispatch, the counter stream's plan (every decision about its layout:
+// word kinds, 32-bit thresholds, the grid check and draw offsets), the
+// xoshiro lane table helpers, the per-lane record, and the scalar level of
+// both pair steps, the counter step's being the counter stream's reference
+// draw.  The AVX2 and AVX-512 levels live in simd_sampler.avx2.cpp (the one
+// TU compiled with -mavx2, its AVX-512 functions under a function-level
+// target attribute); this TU stays portable and decides at runtime which
+// one runs.
 
 #include "core/simd_sampler.inl.hpp"
 
@@ -100,39 +103,56 @@ void clear_simd_level_cap() noexcept {
 }
 
 counter_sample_plan make_counter_sample_plan(const fault_universe& u) {
-  // Derives word kinds from sample_blocks + fast32_grid_safe by the SAME
-  // rules as mc::sample_version_pair_counter_reference (the pinned
-  // contract); the equivalence fuzz in tests/mc_simd_sampler_test.cpp keeps
-  // the two derivations from drifting apart.
+  const std::size_t n = u.size();
+  const auto t53 = u.bernoulli_thresholds();
   counter_sample_plan plan;
-  plan.bits = u.size();
-  const auto blocks = u.sample_blocks();
-  const bool grid_safe = u.fast32_grid_safe();
-  plan.words.reserve(blocks.size());
+  plan.bits = n;
+  plan.thresholds32.resize(n);
+  // The grid check: paired32 words realize p_i as thresholds32[i] / 2^32,
+  // rounded up, an inflation below 2^-32 per fault.
+  constexpr double kFast32Tolerance = 1e-6;
+  double inflation_p = 0.0;   // Σ (realized - p)
+  double inflation_pq = 0.0;  // Σ (realized - p) q
+  double sum_p = 0.0;
+  double sum_pq = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = u[i].p;
+    const double q = u[i].q;
+    plan.thresholds32[i] = bernoulli_threshold32(p);
+    const double realized =
+        p >= 1.0 ? 1.0 : static_cast<double>(plan.thresholds32[i]) * 0x1.0p-32;
+    inflation_p += realized - p;
+    inflation_pq += (realized - p) * q;
+    sum_p += p;
+    sum_pq += p * q;
+  }
+  const bool grid_safe =
+      inflation_p <= kFast32Tolerance * sum_p && inflation_pq <= kFast32Tolerance * sum_pq;
+  plan.words.reserve(fault_mask::words_needed(n));
   std::uint64_t offset = 0;
-  for (std::size_t blk = 0; blk < blocks.size(); ++blk) {
-    const std::size_t lo = blk << 6;
-    const std::size_t occupancy = std::min<std::size_t>(u.size(), lo + 64) - lo;
-    const sample_block& b = blocks[blk];
+  for (std::size_t lo = 0; lo < n; lo += 64) {
+    const std::size_t occupancy = std::min<std::size_t>(n, lo + 64) - lo;
+    bool uniform = true;
+    for (std::size_t i = lo + 1; i < lo + occupancy && uniform; ++i) uniform = u[i].p == u[lo].p;
     counter_word_plan w;
     w.occupancy = static_cast<std::uint8_t>(occupancy);
     w.draw_offset = static_cast<std::uint32_t>(offset);
-    if (b.sliceable) {
-      if (b.threshold == 0) {
-        w.kind = counter_word_kind::zero;
-      } else if (b.threshold == (std::uint64_t{1} << kBernoulliBits)) {
-        w.kind = counter_word_kind::one;
-      } else {
-        w.kind = counter_word_kind::slice;
-        w.threshold = b.threshold;
-        w.slice_cost = static_cast<std::uint8_t>(kBernoulliBits -
-                                                 std::countr_zero(b.threshold));
-        offset += 2 * static_cast<std::uint64_t>(w.slice_cost);
-      }
+    // The bit-slice recurrence costs 53 − trailing-zero-bits draws for all
+    // 64 bits however few faults occupy the word.
+    const int slice_cost = kBernoulliBits - std::countr_zero(t53[lo]);
+    if (uniform && t53[lo] == 0) {
+      w.kind = counter_word_kind::zero;
+    } else if (uniform && t53[lo] == (std::uint64_t{1} << kBernoulliBits)) {
+      w.kind = counter_word_kind::one;
+    } else if (uniform && 2 * slice_cost <= static_cast<int>(occupancy)) {
+      w.kind = counter_word_kind::slice;
+      w.threshold = t53[lo];
+      w.slice_cost = static_cast<std::uint8_t>(slice_cost);
+      offset += 2 * static_cast<std::uint64_t>(w.slice_cost);
     } else if (grid_safe) {
       w.kind = counter_word_kind::paired32;
       for (std::size_t k = 0; k < occupancy; ++k) {
-        const bool always = u.bernoulli_thresholds32()[lo + k] == std::uint64_t{1} << 32;
+        const bool always = plan.thresholds32[lo + k] == std::uint64_t{1} << 32;
         w.saturated |= static_cast<std::uint64_t>(always) << k;
       }
       offset += occupancy;
@@ -273,7 +293,10 @@ template <typename Word>
 void record_lane(accumulator_lanes& acc, unsigned l, std::size_t nw, unsigned versions,
                  unsigned votes, double omega, const double* q, const double* weights,
                  const welford_step& step, pair_thetas* thetas, const Word& word) noexcept {
-  std::array<std::uint64_t, kMaxFoldVersions> ge{};
+  // Left unfilled: each word writes ge[0..votes) before reading them, and
+  // zero-filling all kMaxFoldVersions layers would cost a 512-byte store per
+  // record.
+  std::array<std::uint64_t, kMaxFoldVersions> ge;
   double theta1 = 0.0;
   double defeated_q = 0.0;
   std::uint64_t any1 = 0;
@@ -299,8 +322,8 @@ void record_lane(accumulator_lanes& acc, unsigned l, std::size_t nw, unsigned ve
   record_pair(acc, l, theta1, defeated_q, any1 != 0, any_defeated != 0, omega, step, thetas);
 }
 
-/// The counter pair step's scalar draw: word by word, each live lane in turn,
-/// exactly as mc::sample_version_pair_counter_reference fills a word.
+/// The counter pair step's scalar draw, the counter stream's reference (as
+/// simd_sampler.hpp specifies it): word by word, each live lane in turn.
 /// sink(blk, a, b) takes word blk of the live lanes, lane l's at a[l] and
 /// b[l].
 template <typename Sink>
@@ -342,6 +365,7 @@ void draw_counter_scalar(const counter_sample_plan& plan, const std::uint64_t* t
 
 }  // namespace
 
+__attribute__((aligned(64)))
 void counter_pair_step_scalar(const counter_sample_plan& plan, const std::uint64_t* t32,
                               const std::uint64_t* t53, const std::uint64_t* keys,
                               std::uint64_t pair_index, accumulator_lanes& acc,
@@ -380,6 +404,7 @@ void counter_pair_words_scalar(const counter_sample_plan& plan, const std::uint6
                       });
 }
 
+__attribute__((aligned(64)))
 void xoshiro_pair_step_scalar(xoshiro_lanes& lanes, const xoshiro_lane_tables& tables,
                               std::uint64_t* channels, accumulator_lanes& acc,
                               unsigned versions, unsigned votes, double omega, const double* q,
@@ -454,7 +479,8 @@ detail::welford_step check_pair_step(const accumulator_lanes& acc, unsigned vers
 
 void check_counter_plan(const counter_sample_plan& plan, const fault_universe& u,
                         const char* caller) {
-  if (plan.bits != u.size() || plan.words.size() != u.mask_words()) {
+  if (plan.bits != u.size() || plan.words.size() != fault_mask::words_needed(u.size()) ||
+      plan.thresholds32.size() != u.size()) {
     throw std::invalid_argument(std::string(caller) + ": plan does not match universe");
   }
 }
@@ -492,7 +518,7 @@ void counter_pair_step_lanes(const counter_sample_plan& plan, const fault_univer
   check_counter_plan(plan, u, "counter_pair_step_lanes");
   const detail::welford_step step = check_pair_step(acc, 2, 2, live, "counter_pair_step_lanes");
   if (live == 0) return;
-  const std::uint64_t* t32 = u.bernoulli_thresholds32().data();
+  const std::uint64_t* t32 = plan.thresholds32.data();
   const std::uint64_t* t53 = u.bernoulli_thresholds().data();
   const double* q = u.q_array().data();
   switch (level) {
@@ -527,7 +553,7 @@ void sample_pair_counter_batch(const counter_sample_plan& plan,
   for (unsigned l = 0; l < kXoshiroLanes; ++l) {
     keys[l] = key + l * plan.draws_per_pair * stats::kSplitmix64Gamma;
   }
-  const std::uint64_t* t32 = u.bernoulli_thresholds32().data();
+  const std::uint64_t* t32 = plan.thresholds32.data();
   const std::uint64_t* t53 = u.bernoulli_thresholds().data();
   const std::size_t nw = plan.words.size();
   // One scratch per thread that only grows: a caller that draws eight pairs

@@ -42,20 +42,21 @@
 // cap govern them alike.
 //
 // Contract: for any universe, key and pair index, the counter step draws
-// bits identical to mc::sample_version_pair_counter_reference at EVERY
-// dispatch level.  The SIMD level is a pure throughput knob, exactly like
-// the thread count: runtime CPUID dispatch (plus the RELDIV_SIMD
-// environment override and a programmatic cap for tests/benches) selects
-// between a scalar level, AVX2 and AVX-512, and all of them are
-// decision-for-decision identical because every lane's draw is
-// stats::counter_draw(key, counter) — a pure function the vector levels
-// evaluate for four (AVX2) or eight (AVX-512) lanes per instruction.
+// at EVERY dispatch level the bits its scalar level draws, the counter
+// stream's reference (specified above make_counter_sample_plan).  The SIMD
+// level is a pure throughput knob, exactly like the thread count: runtime
+// CPUID dispatch (plus the RELDIV_SIMD environment override and a
+// programmatic cap for tests/benches) selects between a scalar level, AVX2
+// and AVX-512, and all of them are decision-for-decision identical because
+// every lane's draw is stats::counter_draw(key, counter) — a pure function
+// the vector levels evaluate for four (AVX2) or eight (AVX-512) lanes per
+// instruction.
 //
 // The pipeline (mc::run_experiment with sampling_engine::fast_simd):
 //   1. relayout: core::make_p_sorted_permutation gathers equal-p faults into
 //      whole words, so heterogeneous universes become mostly sliceable;
-//   2. plan: make_counter_sample_plan freezes per-word kernel kinds and the
-//      per-pair draw budget over the permuted layout;
+//   2. plan: make_counter_sample_plan freezes per-word kernel kinds, their
+//      thresholds and the per-pair draw budget over the permuted layout;
 //   3. lanes: shards run in groups of eight, one counter stream per lane;
 //      each step draws one pair per shard and records the eight pairs at
 //      once (counter_pair_step_lanes).
@@ -182,12 +183,36 @@ void record_pair_lane(accumulator_lanes& acc, unsigned lane,
 // Counter pair step
 // ---------------------------------------------------------------------------
 
-/// Per-word kernel kind of the counter sampler, derived from the universe's
-/// sample_blocks plan + fast32_grid_safe exactly as the pinned reference
-/// derives them (mc/sampler.hpp documents the draw-consumption contract).
+// The counter stream: the fast-simd engine's pinned contract.
+//
+// A version pair of a counter stream is a pure function of (key, pair
+// index): pair s consumes counters [s*D, (s+1)*D) of stats::counter_draw,
+// where D = plan.draws_per_pair.  Draw consumption order within a pair is
+// word-major over plan.words, each word of up to 64 faults drawn by its
+// kind:
+//   - zero and one words: no draws, every bit clear or set;
+//   - slice words: version a's 64 bits from the bit-slice recurrence (cost
+//     = 53 - countr_zero(threshold) draws, lowest set digit first), then
+//     version b's bits from the next `cost` draws;
+//   - paired32 words: one draw per occupied bit, bit k of a from the high
+//     32 bits vs plan.thresholds32[i], bit k of b from the low 32 bits (p
+//     realized on the 2^-32 grid);
+//   - wide53 words: one draw per occupied bit for version a ((draw >> 11) <
+//     u.bernoulli_thresholds()[i]), then one per bit for version b.
+// The scalar level of the counter pair step (and of the batch below, which
+// runs the same draw) is the normative implementation: the AVX2 and AVX-512
+// levels match it decision for decision, pinned by the equivalence fuzz in
+// tests/mc_simd_sampler_test.cpp, which also pins the scalar level's words
+// by value.  NOT stream-compatible with the xoshiro samplers: fast-simd
+// results are their own pinned contract, bit-identical across thread counts
+// and SIMD dispatch levels but not comparable per-seed to the `exact`
+// engine.
+
+/// Per-word kernel kind of the counter stream (make_counter_sample_plan
+/// chooses it).
 enum class counter_word_kind : std::uint8_t {
-  zero,      ///< sliceable, threshold 0: all bits clear, no draws
-  one,       ///< sliceable, threshold 2^53: all bits set, no draws
+  zero,      ///< one p, 53-bit threshold 0: all bits clear, no draws
+  one,       ///< one p, 53-bit threshold 2^53: all bits set, no draws
   slice,     ///< bit-slice recurrence: slice_cost draws per version
   paired32,  ///< one draw per fault covers both versions (hi/lo 32-bit)
   wide53,    ///< one draw per fault PER version (53-bit exact thresholds)
@@ -205,26 +230,41 @@ struct counter_word_plan {
   std::uint64_t saturated = 0;
 };
 
-/// Frozen per-word plan + per-pair draw budget for one universe.  A pure
-/// function of the universe layout; build it once per run, not per sample.
+/// Frozen per-word plan, 32-bit thresholds and per-pair draw budget for one
+/// universe.  A pure function of the universe layout; build it once per run,
+/// not per sample.
 struct counter_sample_plan {
   std::vector<counter_word_plan> words;
   std::uint64_t draws_per_pair = 0;
   std::size_t bits = 0;  ///< universe size the plan was built for
+  /// bernoulli_threshold32(p_i) per fault, the paired32 words' thresholds.
+  std::vector<std::uint64_t> thresholds32;
 };
 
+/// The counter stream's layout over u: a pure function of the p layout,
+/// never of the hardware, so kernel selection is part of the deterministic
+/// result identity.  A word whose faults share one p is uniform: with 53-bit
+/// threshold 0 or 2^53 it is a zero or one word, and it is a slice word when
+/// its slice cost is at most half its occupancy (a paired32 word costs one
+/// draw per fault per pair, i.e. occupancy/2 per version, so a short tail
+/// word must clear a proportionally higher bar).  Every other word is
+/// paired32 when u is grid-safe, and wide53 otherwise.  u is grid-safe when
+/// realizing every p on the 2^-32 grid (rounded up) inflates E[N1] = Σp and
+/// E[Θ1] = Σpq by at most a 1e-6 relative factor; a universe of faults all
+/// rarer than the grid (every p = 1e-12 would be sampled as 2^-32 ≈ 2.3e-10,
+/// a ~233x oversample) is not.
 [[nodiscard]] counter_sample_plan make_counter_sample_plan(const fault_universe& u);
 
 /// Version pair `pair_index` of counter streams keys[0..live), one stream per
-/// lane, drawn and recorded in one pass: lane l < live draws exactly the
-/// masks a and b mc::sample_version_pair_counter_reference(u, keys[l],
-/// pair_index) writes and records what record_pair_lane records for the
-/// channels (a, b) with votes 2 and ω = 1 over q = u.q_array(): θ1 = Σq over
-/// a's faults and θ2 = Σq over the faults a and b share.  Each mask word of
-/// the lanes is added into the sums as it leaves its draw: zero, one and
-/// slice words run per lane in scalar code (counter_slice_word), paired32
-/// and wide53 words draw one fault of every lane per vector step and are
-/// summed from the registers that drew them.  Lanes l >= live are not drawn
+/// lane, drawn and recorded in one pass: lane l < live draws the masks a and
+/// b of pair pair_index of stream keys[l] as specified above and records
+/// what record_pair_lane records for the channels (a, b) with votes 2 and ω
+/// = 1 over q = u.q_array(): θ1 = Σq over a's faults and θ2 = Σq over the
+/// faults a and b share.  Each mask word of the lanes is added into the sums
+/// as it leaves its draw: zero, one and slice words run per lane in scalar
+/// code (counter_slice_word), paired32 and wide53 words draw one fault of
+/// every lane per vector step and are summed from the registers that drew
+/// them.  Lanes l >= live are not drawn
 /// (their keys are ignored) and keep their accumulators.  When `thetas` is
 /// not null, lane l < live of it receives the θ1 and θ2 just recorded.
 /// `level` must not exceed detected_simd_level(); pass active_simd_level().
@@ -240,7 +280,8 @@ void counter_pair_step_lanes(const counter_sample_plan& plan, const fault_univer
 /// the words stored instead of summed, eight consecutive pairs in the lanes,
 /// pair first_pair + j + l in lane l as pair first_pair + j of key + l·D·γ
 /// (D = plan.draws_per_pair, γ = stats::kSplitmix64Gamma), which is the same
-/// stream l·D counters on.  Masks are resized to plan.bits as needed.
+/// stream l·D counters on; so lane 0 of a one-pair batch is pair first_pair
+/// of stream `key`.  Masks are resized to plan.bits as needed.
 /// `level` must not exceed detected_simd_level(); pass active_simd_level()
 /// unless pinning a level in a test.  Throws std::invalid_argument when the
 /// plan does not match `u` or a mask span is shorter than `count`.

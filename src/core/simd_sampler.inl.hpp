@@ -27,6 +27,13 @@
 // zero, one and slice words, the pair step's layer count) and the portable
 // wrappers in simd_sampler.cpp (the argument checks and the Welford
 // factors).
+//
+// Every definition of the six pair steps below, the fallbacks of a build
+// without AVX2 included, carries __attribute__((aligned(64))), so where the
+// linker places a step never moves its loops against cache lines: perfbench
+// once read 4 % slower on a build whose unrelated objects had pushed the
+// AVX-512 steps to 48 mod 64.  An attribute in the source holds in every
+// build, including ones that do not read the top-level CMake flags.
 
 #include <algorithm>
 #include <bit>
@@ -100,10 +107,15 @@ void xoshiro_pair_step_avx512(xoshiro_lanes& lanes, const xoshiro_lane_tables& t
                               unsigned live, const welford_step& step,
                               pair_thetas* thetas) noexcept;
 
-/// Bit-slice Bernoulli word over the counter stream (identical fold order to
-/// the reference): consumes counters [base, base + 53 - countr_zero(t)).
-/// Shared scalar code at every level — the recurrence already yields 64
-/// lanes per fold step, so there is nothing for SIMD to win here.
+/// One word of 64 Bernoulli(threshold / 2^53) lanes via the bit-slice
+/// recurrence over the counter stream: with the threshold's binary digits
+/// b_52..b_0 (weight of b_j is 2^(j-53)), folding fresh draws from the
+/// lowest set digit upward via acc = b_j ? (acc | draw) : (acc & draw)
+/// leaves every lane set with probability threshold / 2^53.  Consumes the
+/// counters [base, base + 53 - countr_zero(threshold)), ascending; requires
+/// threshold in (0, 2^53).  Shared scalar code at every level — the
+/// recurrence already yields 64 lanes per fold step, so there is nothing
+/// for SIMD to win here.
 inline std::uint64_t counter_slice_word(std::uint64_t key, std::uint64_t base,
                                         std::uint64_t threshold) noexcept {
   const int low = std::countr_zero(threshold);

@@ -53,16 +53,17 @@ enum class sampling_engine : std::uint32_t {
   /// shard and records the eight pairs in the same pass, summing θ1 and θ2
   /// from each mask word of the lanes as it is drawn
   /// (core::counter_pair_step_lanes), under runtime SIMD dispatch.  Per-fault
-  /// probabilities are realized exactly on bit-sliced words, on the 2^-32
-  /// grid on the other words, and exactly (53-bit) everywhere when any p is
-  /// too small for that grid (see fault_universe::fast32_grid_safe).  Every
+  /// probabilities are realized exactly on bit-sliced words, and on the
+  /// other words on the 2^-32 grid, or exactly (53-bit) when that grid would
+  /// inflate the universe's Σp or Σpq by more than a 1e-6 relative factor
+  /// (see core::make_counter_sample_plan).  Every
   /// draw is a pure function of (counter stream key, counter), so shard
   /// streams are derived O(1) via stats::counter_stream_key instead of jump
   /// walks, and results are bit-identical across thread counts AND across
   /// SIMD dispatch levels (RELDIV_SIMD is a throughput knob, like threads).
   /// NOT stream-compatible with `exact`: the rng layout and the per-word
-  /// accumulation order follow the permuted universe, pinned by
-  /// mc::sample_version_pair_counter_reference.
+  /// accumulation order follow the permuted universe, pinned by the counter
+  /// pair step's scalar level (the contract in core/simd_sampler.hpp).
   fast_simd = 3,
 };
 

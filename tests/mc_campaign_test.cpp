@@ -18,6 +18,7 @@
 
 #include "core/generators.hpp"
 #include "core/moments.hpp"
+#include "core/simd_sampler.hpp"
 #include "demand/profile.hpp"
 #include "demand/region.hpp"
 #include "forced/forced_diversity.hpp"
@@ -423,43 +424,52 @@ TEST(GroupedSampling, BlockPlanDetectsUniformWords) {
       {64, 0.5, 0.001}, {40, 0.25, 0.001}, {64, 0.3, 0.001}};
   const auto u = core::make_grouped_universe(blocks);
   ASSERT_EQ(u.size(), 168u);
-  const auto plan = u.sample_blocks();
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_TRUE(plan[0].uniform);
-  EXPECT_TRUE(plan[0].sliceable);  // p = 0.5: a single rng word per 64 bits
-  // Word 1 spans the 0.25 run's tail and part of the 0.3 run: not uniform.
-  EXPECT_FALSE(plan[1].uniform);
-  EXPECT_FALSE(plan[1].sliceable);
+  const core::counter_sample_plan plan = core::make_counter_sample_plan(u);
+  ASSERT_EQ(plan.words.size(), 3u);
+  // p = 0.5: a single rng word per 64 bits.
+  EXPECT_EQ(plan.words[0].kind, core::counter_word_kind::slice);
+  EXPECT_EQ(plan.words[0].slice_cost, 1);
+  // Word 1 spans the 0.25 run's tail and part of the 0.3 run: not uniform,
+  // so one draw per fault, although its first fault's p slices cheaply.
+  EXPECT_EQ(plan.words[1].kind, core::counter_word_kind::paired32);
   // Word 2 (the tail word) is all p = 0.3: uniform, but 0.3's threshold has
   // no cheap trailing-zero structure, so bit-slicing would cost more draws
-  // than one per fault — not sliceable.
-  EXPECT_TRUE(plan[2].uniform);
-  EXPECT_FALSE(plan[2].sliceable);
+  // than one per fault — not sliced.
+  EXPECT_EQ(plan.words[2].kind, core::counter_word_kind::paired32);
+  EXPECT_EQ(plan.words[1].draw_offset, 2u);
+  EXPECT_EQ(plan.words[2].draw_offset, 2u + 64u);
+  EXPECT_EQ(plan.draws_per_pair, 2u + 64u + 40u);
 
-  // p = 0.3 has an expensive threshold: uniform but not sliceable.
+  // p = 0.3 has an expensive threshold: uniform but not sliced.
   const auto u3 = core::make_grouped_universe(
       std::vector<core::fault_block>{{64, 0.3, 0.001}, {64, 0.5, 0.001}});
-  EXPECT_TRUE(u3.sample_blocks()[0].uniform);
-  EXPECT_FALSE(u3.sample_blocks()[0].sliceable);
-  EXPECT_TRUE(u3.sample_blocks()[1].sliceable);
+  const core::counter_sample_plan plan3 = core::make_counter_sample_plan(u3);
+  EXPECT_EQ(plan3.words[0].kind, core::counter_word_kind::paired32);
+  EXPECT_EQ(plan3.words[1].kind, core::counter_word_kind::slice);
 }
 
 TEST(GroupedSampling, MarginalsMatchTheUniverse) {
   const std::vector<core::fault_block> blocks = {
       {64, 0.5, 0.001}, {64, 0.125, 0.001}, {32, 0.75, 0.001}};
   const auto u = core::make_grouped_universe(blocks);
-  // Every word of the counter reference's plan bit-slices (p = 0.5, 1/8 and
-  // 3/4 cost 1, 3 and 2 draws per version).
-  for (const core::sample_block& block : u.sample_blocks()) ASSERT_TRUE(block.sliceable);
+  // Every word of the counter plan bit-slices (p = 0.5, 1/8 and 3/4 cost 1,
+  // 3 and 2 draws per version).
+  const core::counter_sample_plan plan = core::make_counter_sample_plan(u);
+  for (const core::counter_word_plan& w : plan.words) {
+    ASSERT_EQ(w.kind, core::counter_word_kind::slice);
+  }
   const std::uint64_t key = stats::counter_stream_key(77, 0);
-  core::fault_mask a;
-  core::fault_mask b;
+  constexpr std::uint64_t kBatch = 1000;
+  std::vector<core::fault_mask> a(kBatch);
+  std::vector<core::fault_mask> b(kBatch);
   std::vector<std::uint64_t> hits(u.size(), 0);
   const std::uint64_t pairs = 30'000;
-  for (std::uint64_t s = 0; s < pairs; ++s) {
-    sample_version_pair_counter_reference(u, key, s, a, b);
-    for (std::size_t i = 0; i < u.size(); ++i) {
-      hits[i] += (a.test(i) ? 1 : 0) + (b.test(i) ? 1 : 0);
+  for (std::uint64_t first = 0; first < pairs; first += kBatch) {
+    core::sample_pair_counter_batch(plan, u, key, first, kBatch, a, b, core::simd_level::scalar);
+    for (std::uint64_t j = 0; j < kBatch; ++j) {
+      for (std::size_t i = 0; i < u.size(); ++i) {
+        hits[i] += (a[j].test(i) ? 1 : 0) + (b[j].test(i) ? 1 : 0);
+      }
     }
   }
   const auto n = static_cast<double>(2 * pairs);

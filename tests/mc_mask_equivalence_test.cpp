@@ -233,13 +233,15 @@ TEST(FaultMask, TailBitsStayZeroAndEdgeSizesWork) {
     EXPECT_EQ(m.popcount(), n);  // no phantom tail bits
     EXPECT_TRUE(m.test(n - 1));
   }
-  // All-present bit-sliced words must respect the tail invariant too.
+  // All-present one words must respect the tail invariant too.
   const auto u = core::make_homogeneous_universe(70, 1.0, 0.01);
-  core::fault_mask a;
-  core::fault_mask b;
-  sample_version_pair_counter_reference(u, stats::counter_stream_key(3, 0), 0, a, b);
-  EXPECT_EQ(a.popcount(), 70u);
-  EXPECT_EQ(b.popcount(), 70u);
+  std::vector<core::fault_mask> a(1);
+  std::vector<core::fault_mask> b(1);
+  core::sample_pair_counter_batch(core::make_counter_sample_plan(u), u,
+                                  stats::counter_stream_key(3, 0), 0, 1, a, b,
+                                  core::simd_level::scalar);
+  EXPECT_EQ(a[0].popcount(), 70u);
+  EXPECT_EQ(b[0].popcount(), 70u);
 }
 
 TEST(FaultMask, BernoulliThresholdMatchesUniformCompare) {
@@ -259,24 +261,41 @@ TEST(FaultMask, BernoulliThresholdMatchesUniformCompare) {
 }
 
 // --------------------------------------------------------------------------
-// The fast-simd counter reference (not stream-compatible): marginals
+// The fast-simd counter stream (not stream-compatible): marginals of its
+// reference, the scalar level
 // --------------------------------------------------------------------------
+
+/// Pairs [0, pairs) of counter stream `key` over u at the scalar level, in
+/// batches; visit(a, b) sees each pair's masks in order.
+template <typename Visit>
+void for_each_counter_pair(const core::counter_sample_plan& plan, const core::fault_universe& u,
+                           std::uint64_t key, std::uint64_t pairs, const Visit& visit) {
+  constexpr std::uint64_t kBatch = 1000;
+  std::vector<core::fault_mask> a(kBatch);
+  std::vector<core::fault_mask> b(kBatch);
+  for (std::uint64_t first = 0; first < pairs; first += kBatch) {
+    const std::uint64_t count = std::min(kBatch, pairs - first);
+    core::sample_pair_counter_batch(plan, u, key, first, count, a, b, core::simd_level::scalar);
+    for (std::uint64_t j = 0; j < count; ++j) visit(a[j], b[j]);
+  }
+}
 
 TEST(FastSamplers, WordParallelUniformSamplerHasExactMarginals) {
   // p = 379/1024 (about 0.37) slices in 10 draws per word: cheap enough for
   // the counter plan to bit-slice every word, the 22-fault tail included.
   const double p = 379.0 / 1024.0;
   const auto u = core::make_homogeneous_universe(150, p, 0.005);
-  for (const core::sample_block& block : u.sample_blocks()) ASSERT_TRUE(block.sliceable);
-  const std::uint64_t key = stats::counter_stream_key(17, 0);
-  core::fault_mask a;
-  core::fault_mask b;
+  const core::counter_sample_plan plan = core::make_counter_sample_plan(u);
+  for (const core::counter_word_plan& w : plan.words) {
+    ASSERT_EQ(w.kind, core::counter_word_kind::slice);
+    ASSERT_EQ(w.slice_cost, 10);
+  }
   const int iters = 40000;
   std::uint64_t present = 0;
-  for (int i = 0; i < iters; ++i) {
-    sample_version_pair_counter_reference(u, key, static_cast<std::uint64_t>(i), a, b);
-    present += a.popcount() + b.popcount();
-  }
+  for_each_counter_pair(plan, u, stats::counter_stream_key(17, 0), iters,
+                        [&](const core::fault_mask& a, const core::fault_mask& b) {
+                          present += a.popcount() + b.popcount();
+                        });
   const double freq =
       static_cast<double>(present) / (2.0 * static_cast<double>(iters) * u.size());
   // sd of the frequency ~ sqrt(p(1-p)/(2*iters*n)) ~ 1.4e-4; allow 7 sigma.
@@ -284,7 +303,7 @@ TEST(FastSamplers, WordParallelUniformSamplerHasExactMarginals) {
 }
 
 TEST(FastSamplers, PairedSamplerHasPerFaultMarginals) {
-  // The counter reference's two per-fault word kinds, both versions of every
+  // The counter stream's two per-fault word kinds, both versions of every
   // pair: paired32 words (one draw's high and low halves, p on the 2^-32
   // grid) on a grid-safe random universe, and wide53 words (one 53-bit draw
   // per version) on an off-grid one, where a thousand faults rarer than
@@ -295,29 +314,25 @@ TEST(FastSamplers, PairedSamplerHasPerFaultMarginals) {
   struct marginal_case {
     const char* name;
     core::fault_universe u;
+    core::counter_word_kind kind;  ///< of every word
   };
   const marginal_case cases[] = {
-      {"paired32", core::make_random_universe(40, 0.6, 0.8, 31)},
-      {"wide53", core::fault_universe(std::move(off_grid))},
+      {"paired32", core::make_random_universe(40, 0.6, 0.8, 31),
+       core::counter_word_kind::paired32},
+      {"wide53", core::fault_universe(std::move(off_grid)), core::counter_word_kind::wide53},
   };
-  ASSERT_TRUE(cases[0].u.fast32_grid_safe());
-  ASSERT_FALSE(cases[1].u.fast32_grid_safe());
   for (const marginal_case& c : cases) {
     const core::fault_universe& u = c.u;
-    for (const core::sample_block& block : u.sample_blocks()) {
-      ASSERT_FALSE(block.sliceable) << c.name;
-    }
-    const std::uint64_t key = stats::counter_stream_key(23, 0);
-    core::fault_mask a;
-    core::fault_mask b;
+    const core::counter_sample_plan plan = core::make_counter_sample_plan(u);
+    for (const core::counter_word_plan& w : plan.words) ASSERT_EQ(w.kind, c.kind) << c.name;
     const int iters = 60000;
     std::vector<int> count_a(u.size(), 0);
     std::vector<int> count_b(u.size(), 0);
-    for (int i = 0; i < iters; ++i) {
-      sample_version_pair_counter_reference(u, key, static_cast<std::uint64_t>(i), a, b);
-      for (const std::uint32_t f : a.to_indices()) ++count_a[f];
-      for (const std::uint32_t f : b.to_indices()) ++count_b[f];
-    }
+    for_each_counter_pair(plan, u, stats::counter_stream_key(23, 0), iters,
+                          [&](const core::fault_mask& a, const core::fault_mask& b) {
+                            for (const std::uint32_t f : a.to_indices()) ++count_a[f];
+                            for (const std::uint32_t f : b.to_indices()) ++count_b[f];
+                          });
     for (std::size_t f = 0; f < u.size(); ++f) {
       const double p = u[f].p;
       const double tol = 5.0 * std::sqrt(p * (1.0 - p) / iters) + 1e-9;
@@ -357,18 +372,27 @@ TEST(FastSamplers, RareFaultUniverseFallsBackToExactKernel) {
   std::vector<core::fault_atom> atoms(50, core::fault_atom{1e-12, 0.01});
   for (std::size_t i = 0; i < atoms.size(); i += 2) atoms[i].p = 2e-12;
   const core::fault_universe u(std::move(atoms));
-  EXPECT_FALSE(u.fast32_grid_safe());
-  EXPECT_TRUE(core::make_random_universe(64, 0.4, 0.7, 3).fast32_grid_safe());
+  const auto word_kind = [](const core::fault_universe& v) {
+    const core::counter_sample_plan plan = core::make_counter_sample_plan(v);
+    EXPECT_EQ(plan.words.size(), 1u);
+    return plan.words.at(0).kind;
+  };
+  EXPECT_EQ(word_kind(u), core::counter_word_kind::wide53);
+  EXPECT_EQ(word_kind(core::make_random_universe(64, 0.4, 0.7, 3)),
+            core::counter_word_kind::paired32);
   // A single negligible-weight rare fault must NOT force the slow path.
   std::vector<core::fault_atom> mixed(50, core::fault_atom{0.1, 0.01});
   mixed[3].p = 1e-12;
-  EXPECT_TRUE(core::fault_universe(std::move(mixed)).fast32_grid_safe());
+  EXPECT_EQ(word_kind(core::fault_universe(std::move(mixed))),
+            core::counter_word_kind::paired32);
 
   // The engine samples the p-sorted relayout: still one word, not uniform.
   const core::fault_universe pu = core::make_p_sorted_permutation(u).universe;
-  ASSERT_FALSE(pu.sample_blocks()[0].uniform);
-  EXPECT_EQ(counter_draws_per_pair(pu), 2 * u.size());
-  EXPECT_EQ(counter_draws_per_pair(core::make_random_universe(50, 0.4, 0.7, 3)), u.size());
+  EXPECT_EQ(word_kind(pu), core::counter_word_kind::wide53);
+  EXPECT_EQ(core::make_counter_sample_plan(pu).draws_per_pair, 2 * u.size());
+  EXPECT_EQ(core::make_counter_sample_plan(core::make_random_universe(50, 0.4, 0.7, 3))
+                .draws_per_pair,
+            u.size());
 }
 
 // --------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 // The fast-simd engine's correctness anchors:
 //   - counter rng identity with the splitmix64 stream it compresses;
+//   - the counter stream's reference, the scalar level of its draw, pinned
+//     by value (digests of the fuzz corpus's words);
 //   - the randomized equivalence fuzz pinning the counter draw (scalar, AVX2
 //     and AVX-512, each when the host has it) decision-for-decision against
-//     the normative mc::sample_version_pair_counter_reference through the
-//     batch API, which lays one stream across the lanes;
+//     that reference, one pair at a time, through the batch API, which lays
+//     one stream across the lanes;
 //   - the counter pair step (core::counter_pair_step_lanes) against that
 //     reference and mc::experiment_accumulator::add, field by field and bit
 //     for bit, at every level, on every counter word kind, every live-lane
 //     count and the schedule of shards one pair longer than the rest;
 //   - universe permutation round-trips (indices, masks, q values) and the
 //     regression that a permuted heterogeneous universe becomes mostly
-//     bit-sliceable (make_sample_blocks re-derivation after remap);
+//     bit-sliceable (the counter plan follows the remapped layout);
 //   - bit-identity of run_experiment across thread counts AND SIMD dispatch
 //     levels, shard-window splits, kept samples against the reference shard
 //     loop, and the manifest wire codec;
@@ -39,6 +41,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,6 +49,7 @@
 #include "core/fault_universe.hpp"
 #include "core/generators.hpp"
 #include "core/simd_sampler.hpp"
+#include "core/simd_sampler.inl.hpp"
 #include "mc/correlated.hpp"
 #include "mc/experiment.hpp"
 #include "mc/run_dir.hpp"
@@ -54,6 +58,7 @@
 #include "stats/counter_rng.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/random.hpp"
+#include "stats/wire.hpp"
 
 namespace {
 
@@ -183,28 +188,45 @@ core::fault_universe make_scattered_palette_universe(std::size_t n,
   return core::fault_universe(std::move(atoms));
 }
 
+/// Words of a counter plan that draw no per-fault compares: zero, one and
+/// slice words.
+std::size_t sliced_words(const core::counter_sample_plan& plan) {
+  return static_cast<std::size_t>(
+      std::count_if(plan.words.begin(), plan.words.end(), [](const core::counter_word_plan& w) {
+        return w.kind != core::counter_word_kind::paired32 &&
+               w.kind != core::counter_word_kind::wide53;
+      }));
+}
+
 TEST(UniversePermutation, PermutedHeterogeneousUniverseIsMostlySliceable) {
-  // Regression for make_sample_blocks: the permuted universe must re-derive
-  // its per-word plan from the REMAPPED p layout, not inherit the original's.
+  // The counter plan of the permuted universe must follow the REMAPPED p
+  // layout, not the original's.
   const auto u = make_scattered_palette_universe(1024, 11);
-  std::size_t sliceable_before = 0;
-  for (const auto& b : u.sample_blocks()) sliceable_before += b.sliceable;
-  EXPECT_EQ(sliceable_before, 0u) << "scatter failed: universe already uniform";
+  EXPECT_EQ(sliced_words(core::make_counter_sample_plan(u)), 0u)
+      << "scatter failed: universe already uniform";
 
   const auto perm = core::make_p_sorted_permutation(u);
   EXPECT_FALSE(perm.identity);
-  const auto& blocks = perm.universe.sample_blocks();
-  std::size_t sliceable = 0;
-  for (const auto& b : blocks) sliceable += b.sliceable;
+  const core::counter_sample_plan plan = core::make_counter_sample_plan(perm.universe);
   // 1024 faults / 8 palette values = 2 whole words per value; at most one
   // boundary word per value can stay mixed.
-  EXPECT_GE(sliceable, blocks.size() - 8) << "p-sorted relayout did not make "
-                                             "the universe word-parallel";
+  EXPECT_GE(sliced_words(plan), plan.words.size() - 8) << "p-sorted relayout did not make "
+                                                          "the universe word-parallel";
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence fuzz: fast-simd vs the pinned scalar reference
+// The counter stream: its scalar reference pinned by value, and the vector
+// levels against it
 // ---------------------------------------------------------------------------
+
+/// Pair `pair` of counter stream `key` over u as the stream's reference, the
+/// scalar level, draws it: lane 0 of a one-pair batch.
+void draw_reference_pair(const core::counter_sample_plan& plan, const core::fault_universe& u,
+                         std::uint64_t key, std::uint64_t pair, core::fault_mask& a,
+                         core::fault_mask& b) {
+  core::sample_pair_counter_batch(plan, u, key, pair, 1, std::span<core::fault_mask>(&a, 1),
+                                  std::span<core::fault_mask>(&b, 1), core::simd_level::scalar);
+}
 
 void expect_masks_equal(const core::fault_mask& got, const core::fault_mask& want,
                         const std::string& what) {
@@ -216,12 +238,12 @@ void expect_masks_equal(const core::fault_mask& got, const core::fault_mask& wan
 }
 
 /// One fuzz case at the given dispatch level: every pair of the batch window
-/// must match the reference, across a batch boundary, at a nonzero first
-/// pair and in a window of fewer pairs than lanes.
+/// must match the reference drawn one pair at a time, across a batch
+/// boundary, at a nonzero first pair and in a window of fewer pairs than
+/// lanes.
 void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
                           core::simd_level level, const std::string& what) {
   const auto plan = core::make_counter_sample_plan(u);
-  ASSERT_EQ(plan.draws_per_pair, mc::counter_draws_per_pair(u)) << what;
 
   constexpr std::size_t kPairs = 12;  // spans a batch boundary at 8
   std::vector<core::fault_mask> a(kPairs), b(kPairs);
@@ -230,7 +252,7 @@ void run_equivalence_case(const core::fault_universe& u, std::uint64_t key,
                                   std::span<core::fault_mask>(b), level);
   core::fault_mask ra, rb;
   for (std::size_t s = 0; s < kPairs; ++s) {
-    mc::sample_version_pair_counter_reference(u, key, s, ra, rb);
+    draw_reference_pair(plan, u, key, s, ra, rb);
     expect_masks_equal(a[s], ra, what + " pair " + std::to_string(s) + " (a)");
     expect_masks_equal(b[s], rb, what + " pair " + std::to_string(s) + " (b)");
   }
@@ -309,10 +331,53 @@ void run_equivalence_fuzz(core::simd_level level) {
   EXPECT_GE(cases, 140);
 }
 
+TEST(CounterStream, PinnedDigestsOfTheFuzzCorpus) {
+  // The scalar level is the counter stream's reference, so the stream is
+  // pinned by value: per corpus family, stats::fnv1a64 over the a and b
+  // words of pairs 0-11 of stream counter_stream_key(seed, 3), every seed
+  // in turn, pair by pair, a's words before b's.  The digests were recorded
+  // while a second scalar draw still checked the scalar level draw for draw;
+  // a word kind, draw offset, threshold or slice step that moves changes
+  // one of them.
+  constexpr std::array<std::pair<std::string_view, std::uint64_t>, 7> kPinned = {{
+      {"random", 0x0a78bdeb7947f5a5ULL},
+      {"tiny-p", 0x282e145144b17b25ULL},
+      {"scattered", 0x53680a22c6c4f45aULL},
+      {"sorted", 0x64631a7d7f12995aULL},
+      {"degenerate", 0xaa913006d9058c8dULL},
+      {"off-grid", 0xd89ce8b8c00ce620ULL},
+      {"saturated", 0xe12f980ec894b2c6ULL},
+  }};
+  constexpr std::size_t kPairs = 12;
+  std::array<stats::wire_writer, kPinned.size()> words;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto universes = fuzz_universes(seed);
+    ASSERT_EQ(universes.size(), kPinned.size());
+    for (std::size_t f = 0; f < kPinned.size(); ++f) {
+      const auto& [name, u] = universes[f];
+      ASSERT_EQ(name, std::string(kPinned[f].first) + "/" + std::to_string(seed));
+      std::vector<core::fault_mask> a(kPairs), b(kPairs);
+      core::sample_pair_counter_batch(core::make_counter_sample_plan(u), u,
+                                      stats::counter_stream_key(seed, 3), 0, kPairs, a, b,
+                                      core::simd_level::scalar);
+      for (std::size_t s = 0; s < kPairs; ++s) {
+        for (std::size_t w = 0; w < a[s].word_count(); ++w) words[f].put_u64(a[s].words()[w]);
+        for (std::size_t w = 0; w < b[s].word_count(); ++w) words[f].put_u64(b[s].words()[w]);
+      }
+    }
+  }
+  for (std::size_t f = 0; f < kPinned.size(); ++f) {
+    EXPECT_EQ(stats::fnv1a64(words[f].buffer()), kPinned[f].second)
+        << kPinned[f].first << std::hex << " digest 0x" << stats::fnv1a64(words[f].buffer());
+  }
+}
+
 TEST(SimdEquivalenceFuzz, CorpusCoversEveryWordKind) {
-  // The off-grid universe must send its mixed words to wide53 and the
-  // saturated one every word to paired32 with two saturated faults; with the
-  // rest, the corpus holds every word kind and partial last words.
+  // The off-grid universe must send every word to wide53 (its uniform
+  // p = 1e-12 words cost 49 slice draws, and grid safety is a property of
+  // the whole universe) and the saturated one every word to paired32 with
+  // two saturated faults; with the rest, the corpus holds every word kind
+  // and partial last words.
   std::array<int, 5> kinds{};
   int partial = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -321,7 +386,9 @@ TEST(SimdEquivalenceFuzz, CorpusCoversEveryWordKind) {
       for (const core::counter_word_plan& w : plan.words) ++kinds[static_cast<int>(w.kind)];
       partial += u.size() % 64 != 0 ? 1 : 0;
       if (name.starts_with("off-grid")) {
-        EXPECT_FALSE(u.fast32_grid_safe()) << name;
+        for (const core::counter_word_plan& w : plan.words) {
+          EXPECT_EQ(w.kind, core::counter_word_kind::wide53) << name;
+        }
       }
       if (name.starts_with("saturated")) {
         for (const core::counter_word_plan& w : plan.words) {
@@ -709,15 +776,16 @@ TEST(RecordPairLane, RejectsBadShapes) {
 // ---------------------------------------------------------------------------
 
 /// One lane's reference pair step: pair `pair` of counter stream `key`
-/// drawn by mc::sample_version_pair_counter_reference and recorded as the
-/// fast-simd shard loop records it, by experiment_accumulator::add of
-/// masked_q_sum(a) and intersect_q_sum(a, b).  Returns (θ1, θ2).
-std::pair<double, double> reference_counter_pair(const core::fault_universe& u,
+/// drawn by the stream's reference and recorded as the fast-simd shard loop
+/// records it, by experiment_accumulator::add of masked_q_sum(a) and
+/// intersect_q_sum(a, b).  Returns (θ1, θ2).
+std::pair<double, double> reference_counter_pair(const core::counter_sample_plan& plan,
+                                                 const core::fault_universe& u,
                                                  std::uint64_t key, std::uint64_t pair,
                                                  mc::experiment_accumulator& acc) {
   core::fault_mask a;
   core::fault_mask b;
-  mc::sample_version_pair_counter_reference(u, key, pair, a, b);
+  draw_reference_pair(plan, u, key, pair, a, b);
   const core::pair_intersection_result common = core::intersect_q_sum(a, b, u.q_array());
   const double theta1 = core::masked_q_sum(a, u.q_array());
   acc.add(theta1, common.pfd, a.any(), common.any_common);
@@ -756,7 +824,8 @@ void run_counter_step_case(const core::fault_universe& u, std::uint64_t seed,
                              std::to_string(pair) + " lane ";
       for (unsigned l = 0; l < kLanes; ++l) {
         if (l < live) {
-          const auto [theta1, theta2] = reference_counter_pair(u, keys[l], pair, want[l]);
+          const auto [theta1, theta2] =
+              reference_counter_pair(plan, u, keys[l], pair, want[l]);
           EXPECT_TRUE(bits_equal(thetas.theta1[l], theta1)) << at << l << " theta1";
           EXPECT_TRUE(bits_equal(thetas.theta2[l], theta2)) << at << l << " theta2";
         } else {
@@ -809,6 +878,10 @@ TEST(CounterPairStep, RejectsBadShapes) {
   const core::fault_universe other = core::make_random_universe(71, 0.3, 0.5, 2);
   EXPECT_THROW(step(plan, other, 1), std::invalid_argument);
   EXPECT_THROW(step(core::make_counter_sample_plan(other), u, 1), std::invalid_argument);
+  // A plan whose 32-bit thresholds do not cover every fault.
+  core::counter_sample_plan short_plan = plan;
+  short_plan.thresholds32.pop_back();
+  EXPECT_THROW(step(short_plan, u, 1), std::invalid_argument);
   // Live lanes holding different sample counts; live 0 records nothing.
   acc = core::accumulator_lanes();
   acc.samples[2] = 5;
@@ -1274,6 +1347,7 @@ TEST(FastSimdEngine, KeptSamplesMatchReferenceShardLoop) {
     cfg.keep_samples = true;
     cfg.engine = mc::sampling_engine::fast_simd;
     const core::fault_universe pu = core::make_p_sorted_permutation(u).universe;
+    const core::counter_sample_plan counters = core::make_counter_sample_plan(pu);
     const mc::shard_plan plan = mc::make_shard_plan(cfg.samples, cfg.shards);
     mc::experiment_accumulator want_acc(true);
     core::fault_mask a;
@@ -1282,7 +1356,7 @@ TEST(FastSimdEngine, KeptSamplesMatchReferenceShardLoop) {
       mc::experiment_accumulator acc(true);
       const std::uint64_t key = stats::counter_stream_key(cfg.seed, shard);
       for (std::uint64_t s = 0; s < plan.shard_samples(shard); ++s) {
-        mc::sample_version_pair_counter_reference(pu, key, s, a, b);
+        draw_reference_pair(counters, pu, key, s, a, b);
         const core::pair_intersection_result pair = core::intersect_q_sum(a, b, pu.q_array());
         acc.add(core::masked_q_sum(a, pu.q_array()), pair.pfd, a.any(), pair.any_common);
       }
@@ -1336,7 +1410,8 @@ TEST(FastSimdEngine, PerFaultReportingInverseMapsToOriginalIndices) {
   const auto u = make_scattered_palette_universe(100, 8);
   const auto perm = core::make_p_sorted_permutation(u);
   core::fault_mask pa, pb;
-  mc::sample_version_pair_counter_reference(perm.universe, 77, 0, pa, pb);
+  draw_reference_pair(core::make_counter_sample_plan(perm.universe), perm.universe, 77, 0, pa,
+                      pb);
   const core::fault_mask a = perm.mask_to_original(pa);
   for (std::uint32_t i = 0; i < perm.size(); ++i) {
     EXPECT_EQ(a.test(i), pa.test(perm.index_to_permuted(i)));
@@ -1361,6 +1436,20 @@ TEST(FastSimdEngine, ManifestWireCodecRoundTripsFastSimd) {
             mc::experiment_manifest_fingerprint(m));
   EXPECT_NE(mc::describe_manifest_json(m).find("\"engine\": 3"),
             std::string::npos);
+}
+
+TEST(SimdDispatch, PairStepsStartOn64ByteBoundaries) {
+  // Every level of both pair steps is defined with aligned(64), so no build
+  // moves a step's loops by where the linker happens to place it.
+  const std::array<std::pair<const char*, std::uintptr_t>, 6> steps = {{
+      {"counter scalar", std::bit_cast<std::uintptr_t>(&core::detail::counter_pair_step_scalar)},
+      {"counter avx2", std::bit_cast<std::uintptr_t>(&core::detail::counter_pair_step_avx2)},
+      {"counter avx512", std::bit_cast<std::uintptr_t>(&core::detail::counter_pair_step_avx512)},
+      {"xoshiro scalar", std::bit_cast<std::uintptr_t>(&core::detail::xoshiro_pair_step_scalar)},
+      {"xoshiro avx2", std::bit_cast<std::uintptr_t>(&core::detail::xoshiro_pair_step_avx2)},
+      {"xoshiro avx512", std::bit_cast<std::uintptr_t>(&core::detail::xoshiro_pair_step_avx512)},
+  }};
+  for (const auto& [name, address] : steps) EXPECT_EQ(address % 64, 0u) << name;
 }
 
 TEST(SimdDispatch, LevelApiIsConsistent) {
