@@ -34,7 +34,7 @@
 # Failure contract: every child failure is fatal — a broken build, a bench
 # binary that crashes or is killed, or a run that emits missing/empty/
 # unparseable JSON all exit nonzero.  No `|| true`, no output swallowing:
-# a green run means three validated result files exist.
+# a green run means five validated result files exist.
 set -euo pipefail
 
 trap 'echo "run_bench.sh: FAILED at line $LINENO (exit $?)" >&2' ERR
@@ -67,15 +67,50 @@ run_bench() {
   [[ -s "$out" ]] || { echo "run_bench.sh: $binary produced no JSON at $out" >&2; exit 1; }
 }
 
-run_bench "$build_dir/bench_p1_perf" "$out_json"
-echo
-run_bench "$build_dir/bench_runner_scaling" "$out_json_p2"
-echo
-run_bench "$build_dir/bench_campaign_scaling" "$out_json_p3"
-echo
-run_bench "$build_dir/bench_p4_simd" "$out_json_p4"
-echo
-run_bench "$build_dir/bench_p5_service" "$out_json_p5"
+# Every file records each row's median of three runs, the statistic the
+# committed baselines hold: on a shared multi-core host one run of a
+# multi-threaded row can move a gated ratio past its bound whatever the code.
+# Each round runs all five binaries in turn, so a slow spell on the host
+# lands in one round rather than in all three runs of one binary.
+binaries=(bench_p1_perf bench_runner_scaling bench_campaign_scaling bench_p4_simd
+          bench_p5_service)
+outs=("$out_json" "$out_json_p2" "$out_json_p3" "$out_json_p4" "$out_json_p5")
+for round in 1 2 3; do
+  for i in "${!binaries[@]}"; do
+    run_bench "$build_dir/${binaries[$i]}" "${outs[$i]}.round$round"
+    echo
+  done
+done
+
+# Per row (benchmark name), keep the round whose real_time is the median, so
+# the row stays one whole measurement with its own cpu_time and counters.
+for out in "${outs[@]}"; do
+  python3 - "$out" <<'PY'
+import json, sys
+
+out = sys.argv[1]
+rounds = []
+for r in (1, 2, 3):
+    with open(f"{out}.round{r}") as f:
+        rounds.append(json.load(f))
+runs = {}
+for data in rounds:
+    for bench in data.get("benchmarks", []):
+        runs.setdefault(bench["name"], []).append(bench)
+median = []
+for bench in rounds[0].get("benchmarks", []):
+    row = runs[bench["name"]]
+    if len(row) != 3:
+        sys.exit(f"run_bench.sh: {bench['name']} ran {len(row)} times for {out}, not 3")
+    median.append(sorted(row, key=lambda b: b.get("real_time", 0.0))[1])
+merged = dict(rounds[0])
+merged["benchmarks"] = median
+with open(out, "w") as f:
+    json.dump(merged, f, indent=2)
+    f.write("\n")
+PY
+  rm -f "$out.round1" "$out.round2" "$out.round3"
+done
 
 echo
 echo "Wrote $out_json"

@@ -59,12 +59,6 @@ std::string claim_owner_body() {
          "\ntime " + std::to_string(static_cast<long long>(::time(nullptr))) + "\n";
 }
 
-/// Try to take the claim marker for a cell.  The claim's owner record (host,
-/// pid, wall-clock) is written to a uniquely-named sibling first, then moved
-/// onto the claim path with RENAME_NOREPLACE (falling back to link(2) inside
-/// real_io_env): exactly one live worker — on any host sharing the
-/// filesystem — wins, and the claim file is never observable half-written.
-/// Returns false when another worker holds the claim.
 }  // namespace
 
 claim_owner parse_claim_owner(const std::string& body) {
@@ -86,24 +80,13 @@ claim_owner parse_claim_owner(const std::string& body) {
 
 namespace {
 
+/// Try to take the claim marker for a cell: its owner record (host, pid,
+/// wall-clock) is published with rename_noreplace (falling back to link(2)
+/// inside real_io_env), so exactly one live worker — on any host sharing the
+/// filesystem — wins.  Returns false when another worker holds the claim.
 bool try_claim(const fs::path& run_dir, std::uint64_t index) {
-  io_env& env = active_io_env();
-  const fs::path claim = cell_claim_path(run_dir, index);
-  const fs::path unique = claim.string() + ".tmp." + claim_host_name() + "." +
-                          std::to_string(::getpid());
-  try {
-    env.write_file(unique, claim_owner_body(), /*sync=*/false);
-  } catch (...) {
-    std::error_code ec;
-    fs::remove(unique, ec);
-    throw;
-  }
-  const int rc = env.rename_noreplace(unique, claim);
-  if (rc == 0) return true;
-  std::error_code ec;
-  fs::remove(unique, ec);
-  if (rc == -EEXIST) return false;
-  throw io_error("claim", claim, -rc);
+  return publish_file_noreplace(cell_claim_path(run_dir, index), claim_owner_body(),
+                                /*sync=*/false, "claim");
 }
 
 void release_claim(const fs::path& run_dir, std::uint64_t index) {
@@ -128,9 +111,9 @@ bool parse_number(std::string_view text, T& out) {
 /// orphan, recovered from the filename.
 claim_owner parse_tmp_owner(const std::string& filename) {
   claim_owner owner;
-  const std::size_t tag = filename.rfind(".tmp.");
+  const std::size_t tag = filename.rfind(kTmpInfix);
   if (tag == std::string::npos) return owner;
-  const std::string suffix = filename.substr(tag + 5);
+  const std::string suffix = filename.substr(tag + kTmpInfix.size());
   const std::size_t dot = suffix.rfind('.');
   const std::string pid_text = dot == std::string::npos ? suffix : suffix.substr(dot + 1);
   if (dot != std::string::npos) owner.host = suffix.substr(0, dot);
@@ -172,8 +155,7 @@ bool local_pid_dead(long pid) {
 /// with a skewed local clock.  Falls back to the local clock when the probe
 /// cannot be written (read-only mount during a post-mortem, say).
 fs::file_time_type filesystem_now(const fs::path& dir) {
-  const fs::path probe = dir / (".lease_probe.tmp." + claim_host_name() + "." +
-                                std::to_string(::getpid()));
+  const fs::path probe = tmp_sibling(dir / ".lease_probe");
   std::error_code ec;
   try {
     active_io_env().touch(probe, {}, /*create=*/true);
@@ -305,6 +287,15 @@ void fold_cells(const fs::path& run_dir, std::uint64_t cells, std::uint64_t fing
   }
 }
 
+/// True iff a state from another host holds the `samples` its manifest fixes,
+/// in every count, and keeps samples exactly when the run does.
+bool state_holds(const accumulator_state& s, std::uint64_t samples, bool keep_samples) {
+  const std::size_t kept = keep_samples ? samples : 0;
+  return s.samples == samples && s.theta1.count == samples && s.theta2.count == samples &&
+         s.keeping_samples == keep_samples && s.theta1_samples.size() == kept &&
+         s.theta2_samples.size() == kept;
+}
+
 // ---------------------------------------------------------------------------
 // The job-kind table: every per-kind operation, one row per job kind.  The
 // rest of this file — run_handle, the worker loop, the coordinator — is
@@ -358,7 +349,8 @@ struct job_row<sweep_manifest> : manifest_kind<sweep_manifest> {
                      std::bit_cast<std::uint64_t>(r.cell.rho) !=
                          std::bit_cast<std::uint64_t>(c.rho) ||
                      std::bit_cast<std::uint64_t>(r.cell.omega) !=
-                         std::bit_cast<std::uint64_t>(c.omega)) {
+                         std::bit_cast<std::uint64_t>(c.omega) ||
+                     !state_holds(r.state, c.samples, /*keep_samples=*/false)) {
                    return false;
                  }
                  out.cells.push_back(std::move(r));
@@ -398,7 +390,9 @@ struct job_row<demand_manifest> : manifest_kind<demand_manifest> {
                [&](std::uint64_t w, const demand_window_result& r) {
                  const auto [begin, end] = m.window_bounds(w);
                  if (r.target_begin != begin || r.target_end != end ||
-                     r.demands != m.demands) {
+                     r.demands != m.demands ||
+                     std::ranges::any_of(r.failures,
+                                         [&m](std::uint64_t f) { return f > m.demands; })) {
                    return false;
                  }
                  // Integer counts over disjoint target windows: placement IS
@@ -441,11 +435,14 @@ struct job_row<experiment_manifest> : manifest_kind<experiment_manifest> {
     // are kept separate in the window files precisely because this pairwise
     // fold is not floating-point-associative.
     experiment_accumulator acc(m.keep_samples);
+    const shard_plan plan = make_shard_plan(m.samples, m.shards);
     fold_cells(run_dir, m.window_count(), fp, decode_experiment_window_state,
                [&](std::uint64_t w, const experiment_window_result& r) {
                  const auto [begin, end] = m.window_bounds(w);
                  if (r.shard_begin != begin || r.shard_end != end) return false;
-                 for (const accumulator_state& shard : r.shard_states) {
+                 for (unsigned s = begin; s < end; ++s) {
+                   const accumulator_state& shard = r.shard_states[s - begin];
+                   if (!state_holds(shard, plan.shard_samples(s), m.keep_samples)) return false;
                    acc.merge(experiment_accumulator::from_state(shard));
                  }
                  return true;
@@ -607,7 +604,7 @@ claim_sweep_report clean_stale_claims(const fs::path& run_dir, std::chrono::seco
       } else {
         ++report.claims_honored;
       }
-    } else if (name.find(".tmp.") != std::string::npos) {
+    } else if (name.find(kTmpInfix) != std::string::npos) {
       if (lease_expired_or_owner_dead(entry.path(), parse_tmp_owner(name), ttl, now)) {
         if (fs::remove(entry.path(), ec) && !ec) ++report.tmps_removed;
       }
@@ -916,76 +913,6 @@ std::vector<int> wait_sweep_workers(const std::vector<int>& pids) {
     }
   }
   return codes;
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic result tables (moved here from the reldiv_sweep CLI so the
-// oracle, the distributed merge and the result cache all render through the
-// exact same bytes)
-// ---------------------------------------------------------------------------
-
-std::string demand_tally_csv(const demand_manifest& m, const demand_tally& t) {
-  std::string out = "target,pfd,failures,rate\n";
-  char buf[96];
-  for (std::size_t i = 0; i < t.failures.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%zu,%.17g,%llu,%.17g\n", i, m.target_pfd[i],
-                  static_cast<unsigned long long>(t.failures[i]),
-                  static_cast<double>(t.failures[i]) / static_cast<double>(t.demands));
-    out += buf;
-  }
-  return out;
-}
-
-std::string demand_tally_json(const demand_tally& t) {
-  std::string out = "{\n  \"demands\": " + std::to_string(t.demands);
-  out += ",\n  \"targets\": " + std::to_string(t.failures.size());
-  std::uint64_t total = 0;
-  for (const std::uint64_t f : t.failures) total += f;
-  out += ",\n  \"total_failures\": " + std::to_string(total);
-  out += ",\n  \"failures\": [";
-  for (std::size_t i = 0; i < t.failures.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(t.failures[i]);
-  }
-  out += "]\n}\n";
-  return out;
-}
-
-std::string experiment_result_csv(const experiment_result& r) {
-  std::string out =
-      "samples,shards,mean_theta1,sd_theta1,mean_theta2,sd_theta2,"
-      "n1_positive,n2_positive,n1_zero_pfd,n2_zero_pfd,risk_ratio\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "%llu,%u,%.17g,%.17g,%.17g,%.17g,%llu,%llu,%llu,%llu,%.17g\n",
-                static_cast<unsigned long long>(r.samples), r.shards, r.theta1.mean(),
-                r.stddev_theta1(), r.theta2.mean(), r.stddev_theta2(),
-                static_cast<unsigned long long>(r.n1_positive),
-                static_cast<unsigned long long>(r.n2_positive),
-                static_cast<unsigned long long>(r.n1_zero_pfd),
-                static_cast<unsigned long long>(r.n2_zero_pfd), r.risk_ratio());
-  out += buf;
-  return out;
-}
-
-std::string experiment_result_json(const experiment_result& r) {
-  char buf[96];
-  std::string out = "{\n  \"samples\": " + std::to_string(r.samples);
-  out += ",\n  \"shards\": " + std::to_string(r.shards);
-  const auto field = [&](const char* name, double v) {
-    std::snprintf(buf, sizeof(buf), ",\n  \"%s\": %.17g", name, v);
-    out += buf;
-  };
-  field("mean_theta1", r.theta1.mean());
-  field("sd_theta1", r.stddev_theta1());
-  field("mean_theta2", r.theta2.mean());
-  field("sd_theta2", r.stddev_theta2());
-  out += ",\n  \"n1_positive\": " + std::to_string(r.n1_positive);
-  out += ",\n  \"n2_positive\": " + std::to_string(r.n2_positive);
-  out += ",\n  \"n1_zero_pfd\": " + std::to_string(r.n1_zero_pfd);
-  out += ",\n  \"n2_zero_pfd\": " + std::to_string(r.n2_zero_pfd);
-  field("risk_ratio", r.risk_ratio());
-  out += "\n}\n";
-  return out;
 }
 
 run_handle run_distributed(const run_handle::manifest_variant& m,

@@ -25,13 +25,16 @@
 // Every per-kind operation (decode, fingerprint, cell count, init files,
 // cell function, merge, render, in-process oracle) lives in ONE table in
 // distributed.cpp, one row per kind; everything declared here is
-// kind-agnostic and dispatches through it.
+// kind-agnostic and dispatches through it.  A row's merge refuses, with
+// run_dir_error, a state file that contradicts what the manifest fixes
+// (coordinates, bounds, sample counts, keep-samples mode, failure counts).
 //
 // The claim protocol is file-granular and crash-safe: a cell is DONE iff its
 // state file exists and validates (fingerprint + index + checksum); a claim
 // file only arbitrates between concurrently *live* workers.  Claims are
-// taken by writing a uniquely-named owner file (host + pid + timestamp) and
-// renaming it onto the claim path with RENAME_NOREPLACE — atomic on local
+// taken by publishing an owner record (host + pid + timestamp) through
+// publish_file_noreplace: its `.tmp.<host>.<pid>` sibling, renamed onto the
+// claim path with RENAME_NOREPLACE — atomic on local
 // filesystems AND on shared network filesystems where O_CREAT|O_EXCL is
 // historically unreliable, which is what makes one run directory on NFS
 // safe for workers on many hosts.  A claim's lease timestamp is its file
@@ -195,7 +198,7 @@ class run_handle {
 // ---------------------------------------------------------------------------
 // Deterministic result tables (the oracle and the distributed merge render
 // results through these exact emitters, so byte-comparison is meaningful;
-// grid_result carries its own to_csv()/to_json())
+// grid_result carries its own to_csv()/to_json(); mc/tables.cpp renders all).
 // ---------------------------------------------------------------------------
 
 [[nodiscard]] std::string demand_tally_csv(const demand_manifest& m,

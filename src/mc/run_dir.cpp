@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <string>
 #include <type_traits>
@@ -22,11 +23,32 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Field codecs: a value's wire encoding follows from its C++ type.  bool is
-// a u8, floating point an f64, enums and `unsigned` counts a u32, other
-// integers a u64; strings, universes and vectors lead with a u64 length.
+// a u8, floating point an f64 (its bit pattern), enums and `unsigned` counts
+// a u32, other integers a u64; strings, universes and vectors lead with a u64
+// length, and a declared record (mc/manifest_fields.hpp) is its rows in
+// declared order.
 // ---------------------------------------------------------------------------
 
-using named_universe = std::pair<std::string, core::fault_universe>;
+template <class T>
+void put(wire_writer& w, const T& v);
+template <class T>
+void get(wire_reader& r, T& v);
+
+/// Visits one wire group of a declaration's rows.
+template <class IO>
+struct wire_group_visitor {
+  IO& io;
+  wire_group group;
+  template <class T>
+  void operator()(const field& f, T& value) const {
+    if (f.wire != group) return;
+    if constexpr (std::is_same_v<IO, wire_writer>) {
+      put(io, value);
+    } else {
+      get(io, value);
+    }
+  }
+};
 
 template <class T>
 void put(wire_writer& w, const T& v) {
@@ -38,6 +60,13 @@ void put(wire_writer& w, const T& v) {
     w.put_u32(static_cast<std::uint32_t>(v));
   } else if constexpr (std::is_integral_v<T>) {
     w.put_u64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.put_bytes(v);
+  } else if constexpr (std::is_same_v<T, stats::running_moments_state>) {
+    stats::write_moments_state(w, v);
+  } else if constexpr (declared<T>) {
+    wire_group_visitor<wire_writer> rows{w, wire_group::main};
+    fields(rows, v);
   } else if constexpr (std::is_same_v<T, core::architecture>) {
     w.put_u32(v.versions);
     w.put_u32(v.votes_to_defeat);
@@ -80,6 +109,22 @@ void get(wire_reader& r, T& v) {
     } catch (const std::invalid_argument& e) {
       throw stats::wire_error(std::string("wire: ") + e.what());
     }
+  } else if constexpr (std::is_same_v<T, job_kind>) {
+    // Only a cached result carries a job kind as a field.
+    const std::uint32_t kind = r.get_u32();
+    if (kind < static_cast<std::uint32_t>(job_kind::scenario_grid) ||
+        kind > static_cast<std::uint32_t>(job_kind::experiment_shards)) {
+      throw stats::wire_error("wire: unknown job kind " + std::to_string(kind) +
+                              " in cached result");
+    }
+    v = static_cast<job_kind>(kind);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = std::string(r.get_bytes());
+  } else if constexpr (std::is_same_v<T, stats::running_moments_state>) {
+    v = stats::read_moments_state(r);
+  } else if constexpr (declared<T>) {
+    wire_group_visitor<wire_reader> rows{r, wire_group::main};
+    fields(rows, v);
   } else if constexpr (std::is_same_v<T, core::architecture>) {
     v.versions = r.get_u32();
     v.votes_to_defeat = r.get_u32();
@@ -105,6 +150,7 @@ void get(wire_reader& r, T& v) {
     std::string what = "vector length";
     if constexpr (std::is_same_v<elem, named_universe>) what = "universe count";
     if constexpr (std::is_same_v<elem, core::architecture>) what = "adjudication count";
+    if constexpr (std::is_same_v<elem, accumulator_state>) what = "shard state count";
     const std::uint64_t n = r.get_u64();
     if (n > r.remaining() / 8) throw stats::wire_error("wire: " + what + " exceeds buffer");
     v.assign(n, elem{});
@@ -112,184 +158,90 @@ void get(wire_reader& r, T& v) {
   }
 }
 
-// Payload-level codecs (no container framing) so composite states can nest.
-
-void write_accumulator_payload(wire_writer& w, const accumulator_state& s) {
-  w.put_u64(s.samples);
-  stats::write_moments_state(w, s.theta1);
-  stats::write_moments_state(w, s.theta2);
-  w.put_u64(s.n1_positive);
-  w.put_u64(s.n2_positive);
-  w.put_u64(s.n1_zero_pfd);
-  w.put_u64(s.n2_zero_pfd);
-  w.put_u8(s.keeping_samples ? 1 : 0);
-  put(w, s.theta1_samples);
-  put(w, s.theta2_samples);
-}
-
-accumulator_state read_accumulator_payload(wire_reader& r) {
-  accumulator_state s;
-  s.samples = r.get_u64();
-  s.theta1 = stats::read_moments_state(r);
-  s.theta2 = stats::read_moments_state(r);
-  s.n1_positive = r.get_u64();
-  s.n2_positive = r.get_u64();
-  s.n1_zero_pfd = r.get_u64();
-  s.n2_zero_pfd = r.get_u64();
-  s.keeping_samples = r.get_u8() != 0;
-  get(r, s.theta1_samples);
-  get(r, s.theta2_samples);
-  return s;
-}
-
-void write_cell_payload(wire_writer& w, const cell_state& c) {
-  w.put_u64(c.fingerprint);
-  w.put_u64(c.cell_index);
-  const scenario_cell_result& res = c.result;
-  w.put_u64(res.cell.universe_index);
-  w.put_bytes(res.cell.universe);
-  w.put_f64(res.cell.rho);
-  w.put_f64(res.cell.omega);
-  w.put_u64(res.cell.aliasing);
-  w.put_u64(res.cell.samples);
-  w.put_u64(res.seed);
-  w.put_u32(res.shards);
-  write_accumulator_payload(w, res.state);
-  w.put_f64(res.mean_theta1);
-  w.put_f64(res.mean_theta2);
-  w.put_f64(res.prob_n1_positive);
-  w.put_f64(res.prob_n2_positive);
-  w.put_f64(res.risk_ratio);
-  w.put_f64(res.p_max_true);
-  w.put_f64(res.p_max_naive);
-  // Adjudication coordinates append only when off the paper's {2,2} pair,
-  // so baseline cell files stay byte-identical to earlier releases.
-  if (res.cell.versions != 2 || res.cell.votes != 2) {
-    w.put_u32(res.cell.versions);
-    w.put_u32(res.cell.votes);
-  }
-}
-
-cell_state read_cell_payload(wire_reader& r) {
-  cell_state c;
-  c.fingerprint = r.get_u64();
-  c.cell_index = r.get_u64();
-  scenario_cell_result& res = c.result;
-  res.cell.universe_index = r.get_u64();
-  res.cell.universe = std::string(r.get_bytes());
-  res.cell.rho = r.get_f64();
-  res.cell.omega = r.get_f64();
-  res.cell.aliasing = r.get_u64();
-  res.cell.samples = r.get_u64();
-  res.seed = r.get_u64();
-  res.shards = r.get_u32();
-  res.state = read_accumulator_payload(r);
-  res.mean_theta1 = r.get_f64();
-  res.mean_theta2 = r.get_f64();
-  res.prob_n1_positive = r.get_f64();
-  res.prob_n2_positive = r.get_f64();
-  res.risk_ratio = r.get_f64();
-  res.p_max_true = r.get_f64();
-  res.p_max_naive = r.get_f64();
-  if (r.remaining() > 0) {
-    res.cell.versions = r.get_u32();
-    res.cell.votes = r.get_u32();
-  }
-  return c;
-}
-
 // ---------------------------------------------------------------------------
-// Manifest payloads, walked from the declarations in mc/manifest_fields.hpp
+// Record payloads, walked from the declarations in mc/manifest_fields.hpp
 // ---------------------------------------------------------------------------
 
-// Version tag of the appended axes-extension block (append-only, like the
-// engine wire values).
+// Version tag of a scenario manifest's appended axes-extension block
+// (append-only, like the engine wire values).
 constexpr std::uint32_t kAxesExtensionVersion = 1;
 
-/// Visits one wire group of a manifest's declared fields.
-template <class Writer>
-struct wire_group_visitor {
-  Writer& io;
-  wire_group group;
-  template <class T>
-  void operator()(const field& f, T& value) const {
-    if (f.wire != group) return;
-    if constexpr (std::is_same_v<Writer, wire_writer>) {
-      put(io, value);
-    } else {
-      get(io, value);
-    }
-  }
-};
+template <class R>
+constexpr bool kManifest = requires { manifest_kind<R>::kind; };
 
-template <class M>
-std::string group_bytes(const M& m, wire_group group) {
+template <class R>
+std::string group_bytes(const R& record, wire_group group) {
   wire_writer w;
-  wire_group_visitor<wire_writer> v{w, group};
-  fields(v, m);
+  wire_group_visitor<wire_writer> rows{w, group};
+  fields(rows, record);
   return w.take();
 }
 
-/// The payload: the job-kind tag (demand and experiment), the main and
-/// count groups, and the extension block when it is off its defaults.
-template <class M>
-std::string manifest_payload(const M& m) {
+/// The payload of a declared record: the job-kind tag (demand and
+/// experiment manifests, so the three manifest kinds never alias under the
+/// fingerprint hash), the main and count groups, then the extension group
+/// when it is off its defaults — behind a version tag in a manifest, bare in
+/// a scenario cell.
+template <class R>
+std::string record_payload(const R& record) {
   wire_writer w;
-  if constexpr (!std::is_same_v<M, sweep_manifest>) {
-    w.put_u32(static_cast<std::uint32_t>(manifest_kind<M>::kind));
+  if constexpr (kManifest<R> && !std::is_same_v<R, sweep_manifest>) {
+    w.put_u32(static_cast<std::uint32_t>(manifest_kind<R>::kind));
   }
-  std::string payload = w.take() + group_bytes(m, wire_group::main) +
-                        group_bytes(m, wire_group::count);
-  const std::string extension = group_bytes(m, wire_group::extension);
-  if (extension != group_bytes(M{}, wire_group::extension)) {
-    wire_writer version;
-    version.put_u32(kAxesExtensionVersion);
-    payload += version.buffer() + extension;
+  for (const wire_group group : {wire_group::main, wire_group::count}) {
+    wire_group_visitor<wire_writer> rows{w, group};
+    fields(rows, record);
   }
-  return payload;
+  const std::string extension = group_bytes(record, wire_group::extension);
+  if (extension != group_bytes(R{}, wire_group::extension)) {
+    if constexpr (kManifest<R>) w.put_u32(kAxesExtensionVersion);
+    return w.take() + extension;
+  }
+  return w.take();
 }
 
-template <class M>
-M read_manifest_payload(wire_reader& r) {
-  M m;
-  if constexpr (!std::is_same_v<M, sweep_manifest>) {
-    if (r.get_u32() != static_cast<std::uint32_t>(manifest_kind<M>::kind)) {
-      throw stats::wire_error("wire: " + std::string(manifest_kind<M>::spec_name) +
+template <class R>
+R read_record(wire_reader& r) {
+  R record;
+  if constexpr (kManifest<R> && !std::is_same_v<R, sweep_manifest>) {
+    if (r.get_u32() != static_cast<std::uint32_t>(manifest_kind<R>::kind)) {
+      throw stats::wire_error("wire: " + std::string(manifest_kind<R>::spec_name) +
                               " manifest job-kind tag mismatch");
     }
   }
   for (const wire_group group : {wire_group::main, wire_group::count}) {
-    wire_group_visitor<wire_reader> v{r, group};
-    fields(v, m);
+    wire_group_visitor<wire_reader> rows{r, group};
+    fields(rows, record);
   }
-  if constexpr (std::is_same_v<M, sweep_manifest>) {
-    // An absent extension block means the extension fields' defaults.
-    if (r.remaining() > 0) {
-      const std::uint32_t ext = r.get_u32();
-      if (ext != kAxesExtensionVersion) {
+  // An absent extension block means the extension rows' defaults.
+  static const bool has_extension = !group_bytes(R{}, wire_group::extension).empty();
+  if (has_extension && r.remaining() > 0) {
+    if constexpr (kManifest<R>) {
+      const std::uint32_t version = r.get_u32();
+      if (version != kAxesExtensionVersion) {
         throw stats::wire_error("wire: unknown axes extension version " +
-                                std::to_string(ext));
+                                std::to_string(version));
       }
-      wire_group_visitor<wire_reader> v{r, wire_group::extension};
-      fields(v, m);
     }
-  } else {
-    m.validate();
+    wire_group_visitor<wire_reader> rows{r, wire_group::extension};
+    fields(rows, record);
   }
-  return m;
+  return record;
 }
 
-/// Decode a typed payload, translating wire/validation failures into
-/// run_dir_error (a payload that passed the checksum but fails to parse is a
-/// format bug or a version-1 file written by a newer incompatible writer).
-template <typename Fn>
-auto decode_payload(state_kind kind, std::string_view blob, Fn&& read) {
+/// Decode a declared record, with its own post-decode `check`.  A payload
+/// that passed the checksum but fails to parse or to check is a format bug
+/// or a version-1 file written by a newer incompatible writer: wire and
+/// validation failures become run_dir_error.
+template <class R, class Check = void (*)(const R&)>
+R decode_record(state_kind kind, std::string_view blob, Check check = [](const R&) {}) {
   const std::string_view payload = decode_state_blob(kind, blob);
   try {
     wire_reader r(payload);
-    auto value = read(r);
+    R record = read_record<R>(r);
+    check(record);
     r.expect_done();
-    return value;
+    return record;
   } catch (const stats::wire_error& e) {
     throw run_dir_error(std::string("run_dir: state payload malformed: ") + e.what());
   } catch (const std::invalid_argument& e) {
@@ -418,41 +370,27 @@ state_kind window_kind_of(job_kind kind) {
 // ---------------------------------------------------------------------------
 
 std::string encode_accumulator_state(const accumulator_state& s) {
-  wire_writer w;
-  write_accumulator_payload(w, s);
-  return encode_state_blob(state_kind::accumulator, w.buffer());
+  return encode_state_blob(state_kind::accumulator, record_payload(s));
 }
 
 accumulator_state decode_accumulator_state(std::string_view blob) {
-  return decode_payload(state_kind::accumulator, blob,
-                        [](wire_reader& r) { return read_accumulator_payload(r); });
+  return decode_record<accumulator_state>(state_kind::accumulator, blob);
 }
 
 std::string encode_demand_tally(const demand_tally& t) {
-  wire_writer w;
-  w.put_u64(t.demands);
-  put(w, t.failures);
-  return encode_state_blob(state_kind::demand, w.buffer());
+  return encode_state_blob(state_kind::demand, record_payload(t));
 }
 
 demand_tally decode_demand_tally(std::string_view blob) {
-  return decode_payload(state_kind::demand, blob, [](wire_reader& r) {
-    demand_tally t;
-    t.demands = r.get_u64();
-    get(r, t.failures);
-    return t;
-  });
+  return decode_record<demand_tally>(state_kind::demand, blob);
 }
 
 std::string encode_cell_state(const cell_state& c) {
-  wire_writer w;
-  write_cell_payload(w, c);
-  return encode_state_blob(state_kind::scenario_cell, w.buffer());
+  return encode_state_blob(state_kind::scenario_cell, record_payload(c));
 }
 
 cell_state decode_cell_state(std::string_view blob) {
-  return decode_payload(state_kind::scenario_cell, blob,
-                        [](wire_reader& r) { return read_cell_payload(r); });
+  return decode_record<cell_state>(state_kind::scenario_cell, blob);
 }
 
 cell_identity peek_cell_identity(state_kind kind, std::string_view blob) {
@@ -472,117 +410,48 @@ cell_identity peek_cell_identity(std::string_view blob) {
   return peek_cell_identity(state_kind::scenario_cell, blob);
 }
 
-// ---------------------------------------------------------------------------
-// Demand and experiment window states
-// ---------------------------------------------------------------------------
-
 std::string encode_demand_window_state(const demand_window_state& s) {
-  wire_writer w;
-  w.put_u64(s.fingerprint);
-  w.put_u64(s.window_index);
-  w.put_u64(s.result.target_begin);
-  w.put_u64(s.result.target_end);
-  w.put_u64(s.result.demands);
-  put(w, s.result.failures);
-  return encode_state_blob(state_kind::demand_window, w.buffer());
+  return encode_state_blob(state_kind::demand_window, record_payload(s));
 }
 
 demand_window_state decode_demand_window_state(std::string_view blob) {
-  return decode_payload(state_kind::demand_window, blob, [](wire_reader& r) {
-    demand_window_state s;
-    s.fingerprint = r.get_u64();
-    s.window_index = r.get_u64();
-    s.result.target_begin = r.get_u64();
-    s.result.target_end = r.get_u64();
-    s.result.demands = r.get_u64();
-    get(r, s.result.failures);
-    if (s.result.target_begin > s.result.target_end ||
-        s.result.failures.size() != s.result.target_end - s.result.target_begin) {
-      throw stats::wire_error("wire: demand window bounds disagree with its counts");
-    }
-    return s;
-  });
+  return decode_record<demand_window_state>(
+      state_kind::demand_window, blob, [](const demand_window_state& s) {
+        if (s.result.target_begin > s.result.target_end ||
+            s.result.failures.size() != s.result.target_end - s.result.target_begin) {
+          throw stats::wire_error("wire: demand window bounds disagree with its counts");
+        }
+      });
 }
 
 std::string encode_experiment_window_state(const experiment_window_state& s) {
-  wire_writer w;
-  w.put_u64(s.fingerprint);
-  w.put_u64(s.window_index);
-  w.put_u32(s.result.shard_begin);
-  w.put_u32(s.result.shard_end);
-  w.put_u64(s.result.shard_states.size());
-  for (const accumulator_state& shard : s.result.shard_states) {
-    write_accumulator_payload(w, shard);
-  }
-  return encode_state_blob(state_kind::experiment_window, w.buffer());
+  return encode_state_blob(state_kind::experiment_window, record_payload(s));
 }
 
 experiment_window_state decode_experiment_window_state(std::string_view blob) {
-  return decode_payload(state_kind::experiment_window, blob, [](wire_reader& r) {
-    experiment_window_state s;
-    s.fingerprint = r.get_u64();
-    s.window_index = r.get_u64();
-    s.result.shard_begin = r.get_u32();
-    s.result.shard_end = r.get_u32();
-    const std::uint64_t n = r.get_u64();
-    // Each shard state is at least 8 bytes of counters on the wire; a
-    // mangled count must throw, not drive a huge reserve.
-    if (n > r.remaining() / 8) {
-      throw stats::wire_error("wire: shard state count exceeds buffer");
-    }
-    if (s.result.shard_begin > s.result.shard_end ||
-        n != s.result.shard_end - s.result.shard_begin) {
-      throw stats::wire_error("wire: shard window bounds disagree with its states");
-    }
-    s.result.shard_states.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      s.result.shard_states.push_back(read_accumulator_payload(r));
-    }
-    return s;
-  });
+  return decode_record<experiment_window_state>(
+      state_kind::experiment_window, blob, [](const experiment_window_state& s) {
+        if (s.result.shard_begin > s.result.shard_end ||
+            s.result.shard_states.size() != s.result.shard_end - s.result.shard_begin) {
+          throw stats::wire_error("wire: shard window bounds disagree with its states");
+        }
+      });
 }
 
-// ---------------------------------------------------------------------------
-// Memoized merge results
-// ---------------------------------------------------------------------------
-
 std::string encode_cached_result(const cached_result& c) {
-  wire_writer w;
-  w.put_u32(static_cast<std::uint32_t>(c.kind));
-  w.put_u64(c.fingerprint);
-  w.put_bytes(c.csv);
-  w.put_bytes(c.json);
-  return encode_state_blob(state_kind::cached_result, w.buffer());
+  return encode_state_blob(state_kind::cached_result, record_payload(c));
 }
 
 cached_result decode_cached_result(std::string_view blob) {
-  return decode_payload(state_kind::cached_result, blob, [](wire_reader& r) {
-    cached_result c;
-    const std::uint32_t kind = r.get_u32();
-    if (kind < static_cast<std::uint32_t>(job_kind::scenario_grid) ||
-        kind > static_cast<std::uint32_t>(job_kind::experiment_shards)) {
-      throw stats::wire_error("wire: unknown job kind " + std::to_string(kind) +
-                              " in cached result");
-    }
-    c.kind = static_cast<job_kind>(kind);
-    c.fingerprint = r.get_u64();
-    c.csv = std::string(r.get_bytes());
-    c.json = std::string(r.get_bytes());
-    return c;
-  });
+  return decode_record<cached_result>(state_kind::cached_result, blob);
 }
 
-// ---------------------------------------------------------------------------
-// Manifest
-// ---------------------------------------------------------------------------
-
 std::string encode_manifest(const sweep_manifest& m) {
-  return encode_state_blob(state_kind::manifest, manifest_payload(m));
+  return encode_state_blob(state_kind::manifest, record_payload(m));
 }
 
 sweep_manifest decode_manifest(std::string_view blob) {
-  sweep_manifest m =
-      decode_payload(state_kind::manifest, blob, read_manifest_payload<sweep_manifest>);
+  sweep_manifest m = decode_record<sweep_manifest>(state_kind::manifest, blob);
   // The cell count is derived data; a mismatch means the axes and the count
   // were written by disagreeing code, and no cell index can be trusted.
   std::size_t expected = 0;
@@ -599,33 +468,34 @@ sweep_manifest decode_manifest(std::string_view blob) {
 }
 
 std::uint64_t manifest_fingerprint(const sweep_manifest& m) {
-  return stats::fnv1a64(manifest_payload(m));
+  return stats::fnv1a64(record_payload(m));
 }
 
 std::string encode_demand_manifest(const demand_manifest& m) {
-  return encode_state_blob(state_kind::demand_manifest, manifest_payload(m));
+  return encode_state_blob(state_kind::demand_manifest, record_payload(m));
 }
 
 demand_manifest decode_demand_manifest(std::string_view blob) {
-  return decode_payload(state_kind::demand_manifest, blob,
-                        read_manifest_payload<demand_manifest>);
+  return decode_record<demand_manifest>(state_kind::demand_manifest, blob,
+                                        [](const demand_manifest& m) { m.validate(); });
 }
 
 std::uint64_t demand_manifest_fingerprint(const demand_manifest& m) {
-  return stats::fnv1a64(manifest_payload(m));
+  return stats::fnv1a64(record_payload(m));
 }
 
 std::string encode_experiment_manifest(const experiment_manifest& m) {
-  return encode_state_blob(state_kind::experiment_manifest, manifest_payload(m));
+  return encode_state_blob(state_kind::experiment_manifest, record_payload(m));
 }
 
 experiment_manifest decode_experiment_manifest(std::string_view blob) {
-  return decode_payload(state_kind::experiment_manifest, blob,
-                        read_manifest_payload<experiment_manifest>);
+  return decode_record<experiment_manifest>(
+      state_kind::experiment_manifest, blob,
+      [](const experiment_manifest& m) { m.validate(); });
 }
 
 std::uint64_t experiment_manifest_fingerprint(const experiment_manifest& m) {
-  return stats::fnv1a64(manifest_payload(m));
+  return stats::fnv1a64(record_payload(m));
 }
 
 // ---------------------------------------------------------------------------
@@ -651,10 +521,14 @@ const std::string& claim_host_name() {
   return host;
 }
 
+fs::path tmp_sibling(const fs::path& path) {
+  return path.string() + std::string(kTmpInfix) + claim_host_name() + "." +
+         std::to_string(::getpid());
+}
+
 void write_file_atomic(const fs::path& path, std::string_view contents) {
   io_env& env = active_io_env();
-  const fs::path tmp =
-      path.string() + ".tmp." + claim_host_name() + "." + std::to_string(::getpid());
+  const fs::path tmp = tmp_sibling(path);
   try {
     // fsync the temp before renaming and the directory after: without the
     // first a power cut can commit a zero-length rename target, without the
@@ -667,6 +541,28 @@ void write_file_atomic(const fs::path& path, std::string_view contents) {
     throw;
   }
   env.fsync_dir(path.parent_path());
+}
+
+bool publish_file_noreplace(const fs::path& path, std::string_view contents, bool sync,
+                            std::string_view op) {
+  io_env& env = active_io_env();
+  const fs::path tmp = tmp_sibling(path);
+  try {
+    env.write_file(tmp, contents, sync);
+  } catch (...) {
+    std::error_code ec;
+    fs::remove(tmp, ec);
+    throw;
+  }
+  const int rc = env.rename_noreplace(tmp, path);
+  if (rc == 0) {
+    if (sync) env.fsync_dir(path.parent_path());
+    return true;
+  }
+  std::error_code ec;
+  fs::remove(tmp, ec);
+  if (rc == -EEXIST) return false;
+  throw io_error(std::string(op), path, -rc);
 }
 
 std::string read_file(const fs::path& path) { return active_io_env().read_file(path); }

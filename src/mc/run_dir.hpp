@@ -10,7 +10,8 @@
 //   [8..11]  u32 LE format version (kStateFormatVersion)
 //   [12..15] u32 LE state kind (state_kind enum)
 //   [16..23] u64 LE payload length
-//   [24..]   payload (stats::wire encoding of the state struct)
+//   [24..]   payload (stats::wire encoding of the state record: its rows
+//            as mc/manifest_fields.hpp declares them, in declared order)
 //   [last 8] u64 LE FNV-1a checksum of every preceding byte
 //
 // decode rejects — with run_dir_error — short files, bad magic, unknown
@@ -30,19 +31,22 @@
 //                                 human-readable view; the directory holds
 //                                 no JSON copy.
 //   <run_dir>/cells/cell_NNNNNN.state
-//                                 one completed cell: the run fingerprint,
-//                                 the cell index, and the full
-//                                 scenario_cell_result (coordinates, derived
-//                                 seed, shard layout, accumulator state,
-//                                 headline statistics — every double as its
-//                                 exact bit pattern).
+//                                 one completed cell or window: the run
+//                                 fingerprint, the index, and the kind's
+//                                 result — a scenario_cell_result
+//                                 (coordinates, derived seed, shard layout,
+//                                 accumulator state, headline statistics —
+//                                 every double as its exact bit pattern), a
+//                                 window's failure counts or its per-shard
+//                                 accumulator states.
 //   <run_dir>/cells/cell_NNNNNN.claim
 //                                 transient worker claim marker (see
 //                                 mc/distributed.hpp).
 //
-// Completed files are written atomically (write to a .tmp sibling, rename
+// Completed files are written atomically (write to the tmp_sibling, rename
 // into place), so a state file either exists in full or not at all — the
-// property mid-run SIGKILL + resume relies on.
+// property mid-run SIGKILL + resume relies on.  Claims and queue entries
+// are published the same way with publish_file_noreplace.
 
 #include <cstdint>
 #include <filesystem>
@@ -254,18 +258,30 @@ struct sweep_manifest {
 /// name cannot be read).
 [[nodiscard]] const std::string& claim_host_name();
 
+/// `<path>.tmp.<host>.<pid>`: the sibling a writer stages `path` in, in the
+/// same directory (rename is atomic only within a filesystem) and unique per
+/// process on every host sharing it, so concurrent writers never collide and
+/// clean_stale_claims reads the owner back from what follows kTmpInfix.
+inline constexpr std::string_view kTmpInfix = ".tmp.";
+[[nodiscard]] std::filesystem::path tmp_sibling(const std::filesystem::path& path);
+
 /// Write-temp + rename: `path` either holds the complete contents or is
 /// untouched, even if the writer is SIGKILLed — or the host power-cut —
-/// mid-write.  The temp sibling lives in the same directory (rename is
-/// atomic only within a filesystem) and is named `<path>.tmp.<host>.<pid>`
-/// so concurrent writers — including same-pid writers on different hosts
-/// sharing the filesystem — never collide, and stale-claim sweeps can probe
-/// the owner.  Crash durability: the temp file is fsync'd before the rename
-/// and the parent directory after it, so a power cut can never surface a
-/// zero-length "committed" state file.  All syscalls route through the
-/// active mc::io_env (see mc/io_env.hpp), so fault-injection plans can hit
-/// every step; failures raise io_error carrying path + operation + errno.
+/// mid-write.  Crash durability: the temp sibling is fsync'd before the
+/// rename and the parent directory after it, so a power cut can never
+/// surface a zero-length "committed" state file.  All syscalls route through
+/// the active mc::io_env (see mc/io_env.hpp), so fault-injection plans can
+/// hit every step; failures raise io_error carrying path + operation + errno.
 void write_file_atomic(const std::filesystem::path& path, std::string_view contents);
+
+/// Publish `contents` at `path` only if nothing is there yet: write the temp
+/// sibling and rename_noreplace it into place, so of racing publishers
+/// exactly one wins and none is seen half-written.  Returns false (sibling
+/// removed) when `path` exists; other failures raise io_error naming `op`.
+/// `sync` fsyncs the file before the rename and its directory after a win.
+[[nodiscard]] bool publish_file_noreplace(const std::filesystem::path& path,
+                                          std::string_view contents, bool sync,
+                                          std::string_view op);
 
 /// Read a whole file through the active io_env; throws io_error (a
 /// run_dir_error carrying path + operation + errno) if it cannot be

@@ -1,7 +1,6 @@
 #include "mc/scenario.hpp"
 
 #include <charconv>
-#include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -12,7 +11,6 @@
 #include "mc/correlated.hpp"
 #include "mc/shard_lanes.hpp"
 #include "mc/shard_runner.hpp"
-#include "stats/descriptive.hpp"
 #include "stats/random.hpp"
 
 namespace reldiv::mc {
@@ -94,12 +92,6 @@ scenario_cell_result run_cell(const scenario_axes& axes, const scenario_config& 
                              static_cast<double>(acc.n1_positive())
                        : 0.0;
   return out;
-}
-
-void append(std::string& out, const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  out += buf;
 }
 
 }  // namespace
@@ -243,84 +235,6 @@ grid_result run_scenario_grid(const scenario_axes& axes, const scenario_config& 
   const auto cells = enumerate_cells(axes);
   grid_result out;
   run_cell_window(axes, cfg, cells, 0, cells.size(), out);
-  return out;
-}
-
-std::string grid_result::to_csv() const {
-  // The adjudication and spread columns ride at the end so every existing
-  // column keeps its position (downstream tooling indexes by header name,
-  // but the stable prefix costs nothing).  sd_theta* are the sample
-  // standard deviations the refinement pass turns into CI half-widths.
-  std::string out =
-      "universe,rho,omega,aliasing,samples,seed,shards,mean_theta1,mean_theta2,"
-      "prob_n1_positive,prob_n2_positive,risk_ratio,p_max_true,p_max_naive,"
-      "versions,votes,sd_theta1,sd_theta2\n";
-  for (const auto& c : cells) {
-    out += c.cell.universe;
-    append(out, ",%.17g", c.cell.rho);
-    append(out, ",%.17g", c.cell.omega);
-    out += ',';
-    out += std::to_string(c.cell.aliasing);
-    out += ',';
-    out += std::to_string(c.cell.samples);
-    out += ',';
-    out += std::to_string(c.seed);
-    out += ',';
-    out += std::to_string(c.shards);
-    append(out, ",%.17g", c.mean_theta1);
-    append(out, ",%.17g", c.mean_theta2);
-    append(out, ",%.17g", c.prob_n1_positive);
-    append(out, ",%.17g", c.prob_n2_positive);
-    append(out, ",%.17g", c.risk_ratio);
-    append(out, ",%.17g", c.p_max_true);
-    append(out, ",%.17g", c.p_max_naive);
-    out += ',';
-    out += std::to_string(c.cell.versions);
-    out += ',';
-    out += std::to_string(c.cell.votes);
-    append(out, ",%.17g", stats::running_moments::from_state(c.state.theta1).stddev());
-    append(out, ",%.17g", stats::running_moments::from_state(c.state.theta2).stddev());
-    out += "\n";
-  }
-  return out;
-}
-
-std::string grid_result::to_json() const {
-  std::string out = "{\"cells\":[";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    if (i > 0) out += ",";
-    out += "{\"universe\":\"";
-    out += c.cell.universe;
-    out += '"';
-    append(out, ",\"rho\":%.17g", c.cell.rho);
-    append(out, ",\"omega\":%.17g", c.cell.omega);
-    out += ",\"aliasing\":";
-    out += std::to_string(c.cell.aliasing);
-    out += ",\"samples\":";
-    out += std::to_string(c.cell.samples);
-    out += ",\"seed\":";
-    out += std::to_string(c.seed);
-    out += ",\"shards\":";
-    out += std::to_string(c.shards);
-    append(out, ",\"mean_theta1\":%.17g", c.mean_theta1);
-    append(out, ",\"mean_theta2\":%.17g", c.mean_theta2);
-    append(out, ",\"prob_n1_positive\":%.17g", c.prob_n1_positive);
-    append(out, ",\"prob_n2_positive\":%.17g", c.prob_n2_positive);
-    append(out, ",\"risk_ratio\":%.17g", c.risk_ratio);
-    append(out, ",\"p_max_true\":%.17g", c.p_max_true);
-    append(out, ",\"p_max_naive\":%.17g", c.p_max_naive);
-    out += ",\"versions\":";
-    out += std::to_string(c.cell.versions);
-    out += ",\"votes\":";
-    out += std::to_string(c.cell.votes);
-    append(out, ",\"sd_theta1\":%.17g",
-           stats::running_moments::from_state(c.state.theta1).stddev());
-    append(out, ",\"sd_theta2\":%.17g",
-           stats::running_moments::from_state(c.state.theta2).stddev());
-    out += "}";
-  }
-  out += "]}";
   return out;
 }
 

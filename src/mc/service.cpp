@@ -1,9 +1,6 @@
 #include "mc/service.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <set>
 #include <thread>
@@ -63,31 +60,10 @@ bool submit_queued_run(const fs::path& root, const std::string& name,
                        const fs::path& run_dir) {
   validate_submission_name(name);
   create_dir_or_throw(queue_dir(root));
-  io_env& env = active_io_env();
-  const fs::path pointer = queue_pointer_path(root, name);
-  // The try_claim pattern: a uniquely-named sibling published with
-  // rename_noreplace.  The pointer is never observable half-written, and of
-  // two racing submissions under one name exactly one wins — the loser
-  // changed nothing (its run dir may simply be resumed by the winner's
-  // entry when the manifests are identical).
-  const fs::path unique = pointer.string() + ".tmp." + claim_host_name() + "." +
-                          std::to_string(::getpid());
-  try {
-    env.write_file(unique, run_dir.string() + "\n", /*sync=*/true);
-  } catch (...) {
-    std::error_code ec;
-    fs::remove(unique, ec);
-    throw;
-  }
-  const int rc = env.rename_noreplace(unique, pointer);
-  if (rc == 0) {
-    env.fsync_dir(queue_dir(root));
-    return true;
-  }
-  std::error_code ec;
-  fs::remove(unique, ec);
-  if (rc == -EEXIST) return false;
-  throw io_error("submit", pointer, -rc);
+  // Of two racing submissions under one name exactly one wins; the loser
+  // changed nothing (the winner's entry may resume its identical run dir).
+  return publish_file_noreplace(queue_pointer_path(root, name), run_dir.string() + "\n",
+                                /*sync=*/true, "submit");
 }
 
 std::vector<queue_entry> queued_runs(const fs::path& root) {

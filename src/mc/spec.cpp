@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -13,30 +12,12 @@
 #include "core/generators.hpp"
 #include "demand/raster.hpp"
 #include "demand/region.hpp"
+#include "mc/tables.hpp"
 #include "stats/random.hpp"
 
 namespace reldiv::mc {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Deterministic text emission: every number flows through these two typed
-// helpers — %.17g round-trips doubles bit-exactly through std::from_chars,
-// %llu is locale-free.  (reldiv_lint's spec-fmt rule bans the
-// to_string/strtod families in this TU.)
-// ---------------------------------------------------------------------------
-
-void append_f64(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
 
 // ---------------------------------------------------------------------------
 // Locale-free, non-throwing scalar parsing (std::from_chars only)
@@ -58,19 +39,6 @@ num_status parse_f64(std::string_view s, double& out) {
   if (ec == std::errc::result_out_of_range) return num_status::out_of_range;
   if (ec != std::errc() || ptr != s.data() + s.size()) return num_status::malformed;
   return num_status::ok;
-}
-
-std::vector<std::string_view> split_tokens(std::string_view s) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < s.size() && s[j] != ' ' && s[j] != '\t') ++j;
-    if (j > i) out.push_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
 }
 
 std::string_view trim(std::string_view s) {
@@ -218,8 +186,6 @@ std::vector<raw_section> lex_spec(std::string_view text, parse_ctx& ctx) {
 // Typed values: one parser, by C++ type, for the declared fields and the
 // universe generators' parameters alike
 // ---------------------------------------------------------------------------
-
-using named_universe = std::pair<std::string, core::fault_universe>;
 
 /// Parses one spec value into `out`: the empty string on success, else the
 /// diagnostic's message.  An enum is spelled by one of `names` (its values
@@ -855,67 +821,7 @@ spec_parse_result parse_sweep_spec(std::string_view text, std::string_view filen
 
 namespace {
 
-/// A value as spec text (lists space-separated, an enum by its name) or as
-/// describe JSON (lists as arrays, an enum with names as its quoted name,
-/// the engine as its wire value, universes as atom arrays).
-template <class T>
-void render(std::string& out, const T& v, std::string_view names, bool json) {
-  if constexpr (std::is_same_v<T, bool>) {
-    out += v ? "true" : "false";
-  } else if constexpr (std::is_same_v<T, sampling_engine>) {
-    if (json) {
-      append_u64(out, static_cast<std::uint64_t>(v));
-    } else {
-      out += sampling_engine_name(v);
-    }
-  } else if constexpr (std::is_enum_v<T>) {
-    const std::string name(split_tokens(names).at(static_cast<std::size_t>(v)));
-    out += json ? "\"" + name + "\"" : name;
-  } else if constexpr (std::is_floating_point_v<T>) {
-    append_f64(out, v);
-  } else if constexpr (std::is_integral_v<T>) {
-    append_u64(out, v);
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    out += v;
-  } else if constexpr (std::is_same_v<T, core::architecture>) {
-    if (!json) {
-      append_u64(out, v.votes_to_defeat);
-      out += "of";
-      append_u64(out, v.versions);
-      return;
-    }
-    out += "{\"versions\":";
-    append_u64(out, v.versions);
-    out += ",\"votes\":";
-    append_u64(out, v.votes_to_defeat);
-    out += '}';
-  } else if constexpr (std::is_same_v<T, core::fault_universe>) {
-    out += '[';
-    const auto atoms = v.atoms();
-    for (std::size_t i = 0; i < atoms.size(); ++i) {
-      out += i > 0 ? ",{\"p\":" : "{\"p\":";
-      append_f64(out, atoms[i].p);
-      out += ",\"q\":";
-      append_f64(out, atoms[i].q);
-      out += '}';
-    }
-    out += ']';
-  } else if constexpr (std::is_same_v<T, named_universe>) {
-    out += "{\"name\":\"" + v.first + "\",\"atoms\":";
-    render(out, v.second, names, json);
-    out += '}';
-  } else {
-    if (json) out += '[';
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) out += json ? ',' : ' ';
-      render(out, v[i], names, json);
-    }
-    if (json) out += ']';
-  }
-}
-
-/// Writes one spec section's declared fields as `key = value` lines, or —
-/// with no section — every described field as `"name": value` JSON.
+/// Writes one spec section's declared fields as `key = value` lines.
 struct field_writer {
   std::string& out;
   std::string_view section;
@@ -925,12 +831,6 @@ struct field_writer {
   void operator()(const field& f, const T& value) const {
     if constexpr (requires { value.empty(); }) {
       if (f.omit_empty && value.empty()) return;
-    }
-    if (section.empty()) {
-      if (f.name.empty()) return;
-      out += ",\n  \"" + std::string(f.name) + "\": ";
-      render(out, value, f.names, /*json=*/true);
-      return;
     }
     if (f.section != section) return;
     // A compact demand roster stands in for the list it generates.
@@ -942,7 +842,7 @@ struct field_writer {
     if constexpr (std::is_same_v<T, core::fault_universe>) {
       out += spec->experiment_universe;
     } else {
-      render(out, value, f.names, /*json=*/false);
+      render_value(out, value, f.names, /*json=*/false);
     }
     out += '\n';
   }
@@ -1022,11 +922,10 @@ std::string describe_manifest_json(
     const std::variant<sweep_manifest, demand_manifest, experiment_manifest>& manifest) {
   return std::visit(
       [](const auto& m) {
-        std::string out = "{\n  \"kind\": \"" +
-                          std::string(job_kind_name(kind_of<decltype(m)>::kind)) +
-                          "\",\n  \"fingerprint\": ";
-        append_u64(out, kind_of<decltype(m)>::fingerprint(m));
-        field_writer w{out, {}};
+        std::string out = "{";
+        row_writer w{out, row_style::pretty_json};
+        w(field{.name = "kind"}, std::string(job_kind_name(kind_of<decltype(m)>::kind)));
+        w(field{.name = "fingerprint"}, kind_of<decltype(m)>::fingerprint(m));
         fields(w, m);
         out += "\n}\n";
         return out;

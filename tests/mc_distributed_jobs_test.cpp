@@ -339,6 +339,92 @@ TEST_F(DistributedJobsTest, ExperimentCorruptWindowIsRecomputed) {
 }
 
 // ---------------------------------------------------------------------------
+// Records that contradict the manifest.  Each forged file below carries the
+// run's fingerprint and index and a valid checksum, so it reads as done; the
+// merge must still refuse it, with run_dir_error.
+// ---------------------------------------------------------------------------
+
+/// Re-encode cell `index` of a filled run directory after `forge` edits its
+/// result.
+template <class State, class Forge>
+void forge_cell(const fs::path& dir, std::uint64_t index, State (*decode)(std::string_view),
+                std::string (*encode)(const State&), Forge forge) {
+  State s = decode(mc::read_file(mc::cell_state_path(dir, index)));
+  forge(s.result);
+  mc::write_file_atomic(mc::cell_state_path(dir, index), encode(s));
+}
+
+void expect_merge_refuses(const fs::path& dir, std::uint64_t index) {
+  EXPECT_TRUE(mc::missing_cells(dir).empty());
+  try {
+    (void)mc::run_handle::open(dir).merge();
+    ADD_FAILURE() << "a forged cell " << index << " merged";
+  } catch (const mc::run_dir_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cell " + std::to_string(index) +
+                                         " disagrees with the manifest"),
+              std::string::npos)
+        << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "not a run_dir_error: " << e.what();
+  }
+}
+
+TEST_F(DistributedJobsTest, MergeRefusesShardStatesThatKeepSamplesInARunThatDoesNot) {
+  (void)mc::run_handle::init(test_experiment_manifest(), dir_);
+  (void)mc::run_pending_cells(dir_);
+  forge_cell(dir_, 2, mc::decode_experiment_window_state, mc::encode_experiment_window_state,
+             [](mc::experiment_window_result& r) {
+               for (mc::accumulator_state& s : r.shard_states) {
+                 s.keeping_samples = true;
+                 s.theta1_samples.assign(s.samples, 1e-4);
+                 s.theta2_samples.assign(s.samples, 0.0);
+               }
+             });
+  expect_merge_refuses(dir_, 2);
+}
+
+TEST_F(DistributedJobsTest, MergeRefusesAShardStateWithOneSampleTooMany) {
+  const mc::experiment_manifest m = test_experiment_manifest();
+  (void)mc::run_handle::init(m, dir_);
+  (void)mc::run_pending_cells(dir_);
+  forge_cell(dir_, 1, mc::decode_experiment_window_state, mc::encode_experiment_window_state,
+             [](mc::experiment_window_result& r) {
+               mc::accumulator_state& s = r.shard_states.front();
+               ++s.samples;
+               ++s.theta1.count;
+               ++s.theta2.count;
+             });
+  expect_merge_refuses(dir_, 1);
+}
+
+TEST_F(DistributedJobsTest, MergeRefusesAScenarioCellWhoseStateDisagreesWithItsBudget) {
+  mc::scenario_axes axes;
+  axes.universes.emplace_back("tiny",
+                              core::make_safety_grade_universe(16, 0.0, 0.05, 0.6, 3));
+  axes.correlations = {0.0, 0.25};
+  axes.budgets = {2'000};
+  (void)mc::run_handle::init(axes, {.seed = 5, .threads = 1}, dir_);
+  (void)mc::run_pending_cells(dir_);
+  forge_cell(dir_, 1, mc::decode_cell_state, mc::encode_cell_state,
+             [](mc::scenario_cell_result& r) {
+               mc::experiment_accumulator acc;
+               for (int i = 0; i < 7; ++i) acc.add(0.5, 0.0, true, false);
+               r.state = acc.state();
+               r.mean_theta1 = 0.5;
+             });
+  expect_merge_refuses(dir_, 1);
+}
+
+TEST_F(DistributedJobsTest, MergeRefusesADemandWindowWithMoreFailuresThanDemands) {
+  const mc::demand_manifest m = test_demand_manifest();
+  (void)mc::run_handle::init(m, dir_);
+  (void)mc::run_pending_cells(dir_);
+  forge_cell(dir_, 4, mc::decode_demand_window_state, mc::encode_demand_window_state,
+             [&m](mc::demand_window_result& r) { r.failures.back() = 5 * m.demands; });
+  expect_merge_refuses(dir_, 4);
+}
+
+// ---------------------------------------------------------------------------
 // Real multi-process runs (worker = the built reldiv_sweep binary)
 // ---------------------------------------------------------------------------
 

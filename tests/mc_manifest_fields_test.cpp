@@ -351,4 +351,45 @@ TEST(ManifestFields, EveryDefaultTheReaderAppliesIsTheMembersInitializer) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// State records
+// ---------------------------------------------------------------------------
+
+/// Records the addresses of the first two rows a walk visits and whether
+/// they are u64 rows on the main wire group.
+struct leading_rows {
+  const void* addresses[2] = {nullptr, nullptr};
+  bool u64_main[2] = {false, false};
+  std::size_t index = 0;
+  template <class T>
+  void operator()(const mc::field& f, T& value) {
+    if (index < 2) {
+      addresses[index] = &value;
+      u64_main[index] = std::is_same_v<std::remove_const_t<T>, std::uint64_t> &&
+                        f.wire == mc::wire_group::main;
+    }
+    ++index;
+  }
+};
+
+template <class State>
+void expect_identity_leads(State& s, const std::uint64_t& index) {
+  leading_rows v;
+  mc::fields(v, s);
+  EXPECT_EQ(v.addresses[0], &s.fingerprint);
+  EXPECT_EQ(v.addresses[1], &index);
+  EXPECT_TRUE(v.u64_main[0] && v.u64_main[1]);
+}
+
+TEST(StateFields, EveryWindowPayloadLeadsWithFingerprintAndIndex) {
+  // peek_cell_identity reads two u64s off the front of every cell and window
+  // payload; the declarations must put exactly those rows there.
+  mc::cell_state cell;
+  expect_identity_leads(cell, cell.cell_index);
+  mc::demand_window_state demand;
+  expect_identity_leads(demand, demand.window_index);
+  mc::experiment_window_state experiment;
+  expect_identity_leads(experiment, experiment.window_index);
+}
+
 }  // namespace

@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "core/generators.hpp"
+#include "mc/distributed.hpp"
 #include "mc/scenario.hpp"
 #include "mc/spec.hpp"
 #include "stats/wire.hpp"
@@ -596,6 +597,94 @@ TEST(RunDirCodecTest, CorruptChecksumRejected) {
   std::string blob = mc::encode_accumulator_state(sample_accumulator_state(false));
   blob.back() = static_cast<char>(blob.back() ^ 0x01);
   EXPECT_THROW((void)mc::decode_accumulator_state(blob), mc::run_dir_error);
+}
+
+// ---------------------------------------------------------------------------
+// Bytes pinned by value: a round trip passes for any codec whose writer and
+// reader drift together, so every state record's encoded container, and the
+// grid and experiment tables, are pinned by FNV-1a digest of fixed values.
+// ---------------------------------------------------------------------------
+
+mc::accumulator_state pinned_accumulator(bool keep_samples) {
+  mc::accumulator_state s;
+  s.samples = 4;
+  s.theta1 = {4, 1.25e-3, 2.5e-7, -3.0e-11, 7.0e-14, 0.0, 3.0e-3};
+  s.theta2 = {4, 2.5e-5, 1.0e-9, 2.0e-14, 3.0e-18, -0.0, 1.0e-4};
+  s.n1_positive = 3;
+  s.n2_positive = 1;
+  s.n1_zero_pfd = 1;
+  s.n2_zero_pfd = 3;
+  s.keeping_samples = keep_samples;
+  if (keep_samples) {
+    s.theta1_samples = {1e-3, 0.0, 3e-3, 1e-3};
+    s.theta2_samples = {0.0, 0.0, 1e-4, 0.0};
+  }
+  return s;
+}
+
+mc::scenario_cell_result pinned_cell_result(unsigned versions, unsigned votes, double rho) {
+  mc::scenario_cell_result r;
+  r.cell = {1, "many_small", rho, 0.5, 2, versions, votes, 4};
+  r.seed = 0x0123456789abcdefULL;
+  r.shards = 3;
+  r.state = pinned_accumulator(false);
+  r.mean_theta1 = 1.25e-3;
+  r.mean_theta2 = 2.5e-5;
+  r.prob_n1_positive = 0.75;
+  r.prob_n2_positive = 0.25;
+  r.risk_ratio = 1.0 / 3.0;
+  r.p_max_true = 0.05;
+  r.p_max_naive = 0.025;
+  return r;
+}
+
+std::uint64_t digest(std::string_view bytes) { return reldiv::stats::fnv1a64(bytes); }
+
+TEST(RunDirCodecTest, PinnedBytesOfEveryStateRecord) {
+  EXPECT_EQ(digest(mc::encode_accumulator_state(pinned_accumulator(false))),
+            0x6548a379f7c01012ULL);
+  EXPECT_EQ(digest(mc::encode_accumulator_state(pinned_accumulator(true))),
+            0x668f4cb7a2126101ULL);
+
+  mc::demand_tally tally;
+  tally.demands = 1'000'000;
+  tally.failures = {0, 17, 3, 999'999, 42};
+  EXPECT_EQ(digest(mc::encode_demand_tally(tally)), 0xa3dbb0347af59a3eULL);
+
+  EXPECT_EQ(digest(mc::encode_cell_state({0xfeedfaceULL, 7, pinned_cell_result(2, 2, 0.25)})),
+            0x3173e45cd692e936ULL);
+  EXPECT_EQ(
+      digest(mc::encode_cell_state({0xfeedfaceULL, 8, pinned_cell_result(3, 2, -0.25)})),
+      0x0576f274bcf5f3a9ULL);
+
+  for (const bool keep : {false, true}) {
+    mc::experiment_window_state e{0xabcdef0122334455ULL, 2, {}};
+    e.result = {4, 6, {pinned_accumulator(keep), pinned_accumulator(keep)}};
+    EXPECT_EQ(digest(mc::encode_experiment_window_state(e)),
+              keep ? 0x84b2cfa12a7d305aULL : 0x3d6b1f2d5a021171ULL);
+  }
+
+  mc::demand_window_state d{0xfeedface12345678ULL, 3, {}};
+  d.result = {96, 101, 50'000, {7, 0, 12, 999, 1}};
+  EXPECT_EQ(digest(mc::encode_demand_window_state(d)), 0xe8b12542de84fde5ULL);
+
+  const mc::cached_result cached{mc::job_kind::experiment_shards, 0x1122334455667788ULL,
+                                 "samples,shards\n4,3\n", "{\n  \"samples\": 4\n}\n"};
+  EXPECT_EQ(digest(mc::encode_cached_result(cached)), 0xd36d38ef959bfc7cULL);
+}
+
+TEST(RunDirCodecTest, PinnedBytesOfTheGridAndExperimentTables) {
+  mc::grid_result grid;
+  grid.cells = {pinned_cell_result(2, 2, 0.25), pinned_cell_result(3, 2, -0.25)};
+  grid.cells[1].state.theta2.m2 = 0.0;
+  EXPECT_EQ(digest(grid.to_csv()), 0x6325cc8921968934ULL);
+  EXPECT_EQ(digest(grid.to_json()), 0xff5d1a84fb6ce0b0ULL);
+
+  mc::experiment_result r = mc::experiment_accumulator::from_state(pinned_accumulator(false))
+                                .to_result(0.99);
+  r.shards = 8;
+  EXPECT_EQ(digest(mc::experiment_result_csv(r)), 0x7de3b4ce5757fe8bULL);
+  EXPECT_EQ(digest(mc::experiment_result_json(r)), 0x5a3de18594b7ef71ULL);
 }
 
 // ---------------------------------------------------------------------------

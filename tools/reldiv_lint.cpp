@@ -79,9 +79,10 @@ constexpr rule_info kRules[] = {
      "no <immintrin.h>/x86 intrinsics outside src/core/simd_sampler.*; all "
      "SIMD reaches code through the runtime-dispatched core::simd_sampler API"},
     {"spec-fmt", "PR 10 spec round-trip",
-     "src/mc/spec.* must format/parse numbers via its snprintf/from_chars "
-     "helpers only; the locale-sensitive to_string/strtod/atoi families "
-     "would break the %.17g spec round-trip contract"},
+     "src/mc/spec.* and src/mc/tables.* must format/parse numbers via the "
+     "snprintf/from_chars helpers only; the locale-sensitive "
+     "to_string/strtod/atoi families would break the %.17g spec and table "
+     "round-trip contract"},
     {"lint-suppress", "suppression hygiene",
      "reldiv-lint: allow(rule-id) must name a known rule and carry a reason"},
 };
@@ -148,11 +149,13 @@ file_policy policy_for(std::string_view rel) {
   // stays portable and the scalar/AVX2 choice stays a CPUID decision.
   p.simd_isolation = (in_src || in_tools || in_tests) &&
                      !starts_with(rel, "src/core/simd_sampler.");
-  // (e) spec writer discipline: the sweep-spec TU family promises that every
-  // number it emits or consumes goes through its snprintf %.17g / %llu and
-  // std::from_chars helpers, so spec text round-trips bit-exactly and never
-  // depends on the C locale.  The to_string/strtod/atoi families break both.
-  p.spec_fmt = starts_with(rel, "src/mc/spec.");
+  // (e) spec writer discipline: the sweep-spec TU family and the emitter it
+  // shares with the result tables (src/mc/tables.*) promise that every
+  // number they emit or consume goes through the snprintf %.17g / %llu and
+  // std::from_chars helpers, so spec text and merged tables round-trip
+  // bit-exactly and never depend on the C locale.  The to_string/strtod/atoi
+  // families break both.
+  p.spec_fmt = starts_with(rel, "src/mc/spec.") || starts_with(rel, "src/mc/tables.");
   return p;
 }
 
@@ -822,8 +825,8 @@ void lint_file(const fs::path& path, const std::string& rel,
     if (pol.spec_fmt) {
       check_chain(chain, spec_fmt_bans(), "spec-fmt",
                   "locale-sensitive number formatting/parsing in the spec "
-                  "writer TU; use the snprintf %.17g / std::from_chars "
-                  "helpers so spec text round-trips bit-exactly",
+                  "writer or table emitter; use the snprintf %.17g / "
+                  "std::from_chars helpers so text round-trips bit-exactly",
                   rel, findings);
     }
   }
